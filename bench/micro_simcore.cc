@@ -1,9 +1,9 @@
 // Micro-benchmarks of the simulator hot paths (google-benchmark): event queue
-// throughput (timer wheel vs. the seed's priority-queue baseline), mixed-horizon
-// scheduling, streaming arrival injection, pod slab churn, staged pool
-// acquisition, the cold-start pipeline, the end-to-end sharded-vs-serial
-// experiment runner, and the paper-scale month driver (serial vs region-sharded
-// vs sub-region-sharded).
+// throughput (key heap over a handler slab vs. the seed's priority-queue
+// baseline), mixed-horizon scheduling, streaming arrival injection, pod slab
+// churn, staged pool acquisition, the cold-start pipeline, the end-to-end
+// sharded-vs-serial experiment runner, and the paper-scale month driver (serial
+// vs region-sharded vs sub-region-sharded).
 #include <benchmark/benchmark.h>
 
 #include <functional>
@@ -27,7 +27,7 @@ using namespace coldstart;
 namespace {
 
 // The seed event core (std::priority_queue of std::function closures), kept here
-// as the measured baseline for the timer-wheel scheduler.
+// as the measured baseline for the simulator's event queue.
 class HeapBaselineSim {
  public:
   using Handler = std::function<void()>;
@@ -120,10 +120,10 @@ static void BM_EventQueueScheduleRunHeapBaseline(benchmark::State& state) {
 BENCHMARK(BM_EventQueueScheduleRunHeapBaseline)->Arg(1024)->Arg(65536);
 
 // Steady-state scheduling at mixed horizons: self-rescheduling chains each hop
-// MixedHorizonDelay forward until the total event budget is consumed. This
-// exercises L0/L1 cascades and the overflow heap, not just the near wheel. The
-// chain count is the in-flight queue size: 64 models a small scenario, 4096 the
-// dense queues of month-scale runs.
+// MixedHorizonDelay forward until the total event budget is consumed, so near
+// and far keys interleave in the heap and slab slots are recycled at the rate
+// events fire. The chain count is the in-flight queue size: 64 models a small
+// scenario, 4096 the dense queues of month-scale runs.
 static void BM_EventQueueMixedHorizons(benchmark::State& state) {
   const int chains = static_cast<int>(state.range(0));
   const int total = static_cast<int>(state.range(1));

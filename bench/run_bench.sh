@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Runs the simulator-core microbenchmarks and records BENCH_simcore.json for the
-# perf trajectory (timer wheel vs. heap baseline, arrival injection, slab churn,
+# perf trajectory (event queue vs. heap baseline, arrival injection, slab churn,
 # chunked-vs-materialized arrival generation — BM_ArrivalGeneration/1 vs /0 —
 # and the sharded-vs-serial experiment runner: compare BM_ShardedExperiment/1 —
 # the serial path — against /2 and /4). BM_PaperScaleMonth is the end-to-end

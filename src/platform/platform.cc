@@ -125,11 +125,10 @@ Platform::Platform(const workload::Population& population,
 
   if (policy_ != nullptr) {
     policy_->OnAttach(*this);
-    // The minute tick is platform-managed (not sim::SchedulePeriodic) so its
-    // (time, seq) key is recorded and a checkpoint restore can re-queue it.
-    // Seq consumption is identical to the periodic helper it replaced: one seq
-    // here, one per reschedule after the tick body runs. On resume the restored
-    // state re-queues the pending tick instead.
+    // The minute tick is platform-managed so its (time, seq) key is recorded
+    // and a checkpoint restore can re-queue it. It consumes one seq here and one
+    // per reschedule after the tick body runs. On resume the restored state
+    // re-queues the pending tick instead.
     if (!options_.resuming && calendar_.horizon() > 0) {
       SchedulePolicyTick(0);
     }
@@ -1122,7 +1121,7 @@ void Platform::RestoreCheckpointState(
   }
 
   // --- Rebuild the pending-event queue under the original (time, seq) keys. ---
-  // Push order is free here: the wheel sorts lazily before the first pop.
+  // Push order is free here: the queue orders restored keys by (time, seq).
   for (int64_t day = 0; day < num_starters_; ++day) {
     if (day * kDay > now) {
       sim_.RestoreEvent(day * kDay, starter_seq_base_ + static_cast<uint64_t>(day),

@@ -308,9 +308,9 @@ class Platform {
     bool delay_exempt = false;
   };
 
-  // Platform-managed minute tick (replaces sim::SchedulePeriodic so the tick's
-  // (time, seq) is recorded and restorable). Fires OnMinuteTick then reschedules
-  // — same per-tick seq consumption as the Recur closure it replaced.
+  // Platform-managed minute tick: its (time, seq) is recorded so a checkpoint
+  // restore can re-queue it. Fires OnMinuteTick then reschedules, consuming one
+  // seq per tick.
   void SchedulePolicyTick(SimTime t);
   void RunPolicyTick();
   void RunRequestCompletion(SlabHandle reg);

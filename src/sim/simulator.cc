@@ -1,8 +1,6 @@
 #include "sim/simulator.h"
 
-#include <algorithm>
 #include <limits>
-#include <memory>
 
 namespace coldstart::sim {
 
@@ -13,30 +11,25 @@ uint64_t Simulator::RunLoop(SimTime until) {
     uint64_t source_seq = 0;
     const bool have_source =
         source_ != nullptr && source_->Head(&source_time, &source_seq);
-    // Cap the wheel's cursor scouting at the source head (and the run boundary):
-    // everything a source-driven handler schedules lands at or after that time,
-    // so it stays on the fast wheel path instead of the pre-cursor heap.
-    const SimTime horizon =
-        have_source ? std::min(source_time, until) : until;
     SimTime queue_time = 0;
     uint64_t queue_seq = 0;
-    const bool have_queued = wheel_.Peek(&queue_time, &queue_seq, horizon);
-    bool source_first = false;
-    if (have_queued) {
-      // queue_time <= horizon <= until here; ties break on reserved seq.
-      source_first = have_source && (source_time < queue_time ||
-                                     (source_time == queue_time &&
-                                      source_seq < queue_seq));
-    } else if (have_source && source_time <= until) {
-      source_first = true;
-    } else {
+    const bool have_queued = queue_.Peek(&queue_time, &queue_seq);
+    // Ties break on the reserved seq.
+    const bool source_first =
+        have_source && (!have_queued || source_time < queue_time ||
+                        (source_time == queue_time && source_seq < queue_seq));
+    if (!source_first && !have_queued) {
       break;
     }
-    now_ = source_first ? source_time : queue_time;
+    const SimTime next = source_first ? source_time : queue_time;
+    if (next > until) {
+      break;
+    }
+    now_ = next;
     if (source_first) {
       source_->RunHead();
     } else {
-      wheel_.RunNext();
+      queue_.RunNext();
     }
     ++processed;
     ++events_processed_;
@@ -51,7 +44,6 @@ uint64_t Simulator::RunUntil(SimTime until) {
   // advances to the requested horizon even when the queue drained early.
   if (!stop_requested_ && now_ < until) {
     now_ = until;
-    wheel_.AdvanceTo(until);
   }
   return processed;
 }
@@ -59,37 +51,6 @@ uint64_t Simulator::RunUntil(SimTime until) {
 uint64_t Simulator::RunToCompletion() {
   stop_requested_ = false;
   return RunLoop(std::numeric_limits<SimTime>::max());
-}
-
-void SchedulePeriodic(Simulator& sim, SimTime start, SimDuration period, SimTime end,
-                      std::function<void(int64_t)> fn) {
-  COLDSTART_CHECK_GT(period, 0);
-  if (start >= end) {
-    return;
-  }
-  // A small heap state carries the tick index through the self-rescheduling closure.
-  struct State {
-    Simulator* sim;
-    SimDuration period;
-    SimTime end;
-    int64_t index;
-    std::function<void(int64_t)> fn;
-  };
-  auto state = std::make_shared<State>(State{&sim, period, end, 0, std::move(fn)});
-  // Self-rescheduling functor (a recursive lambda in struct form); the shared_ptr
-  // fits the handler's inline buffer.
-  struct Recur {
-    std::shared_ptr<State> s;
-    void operator()() const {
-      s->fn(s->index);
-      ++s->index;
-      const SimTime next = s->sim->now() + s->period;
-      if (next < s->end) {
-        s->sim->ScheduleAt(next, Recur{s});
-      }
-    }
-  };
-  sim.ScheduleAt(start, Recur{state});
 }
 
 }  // namespace coldstart::sim

@@ -2,11 +2,11 @@
 //
 // A single-threaded event loop with a deterministic total order: events fire by
 // (time, insertion sequence), so two events at the same timestamp run in the order
-// they were scheduled. The queue is a hierarchical timer wheel (timer_wheel.h) and
-// handlers are small-buffer-optimized InlineHandlers: scheduling a handler whose
-// captures fit 48 bytes (every call site in src/sim and src/platform) performs no
-// heap allocation. Components that need cancellation use generation counters rather
-// than queue surgery.
+// they were scheduled. The queue is a 4-ary key heap over a stable handler slab
+// (event_queue.h) and handlers are small-buffer-optimized InlineHandlers:
+// scheduling a handler whose captures fit 48 bytes (every call site in src/sim and
+// src/platform) performs no heap allocation. Components that need cancellation use
+// generation counters rather than queue surgery.
 //
 // Besides the queue, the loop can merge one attached EventSource: a pull-based,
 // time-ordered stream whose entries carry (time, seq) keys but are never
@@ -15,12 +15,10 @@
 #ifndef COLDSTART_SIM_SIMULATOR_H_
 #define COLDSTART_SIM_SIMULATOR_H_
 
-#include <functional>
-
 #include "common/check.h"
 #include "common/inline_handler.h"
 #include "common/sim_time.h"
-#include "sim/timer_wheel.h"
+#include "sim/event_queue.h"
 
 namespace coldstart::sim {
 
@@ -49,12 +47,12 @@ class Simulator {
   SimTime now() const { return now_; }
   uint64_t events_processed() const { return events_processed_; }
   // Queued events only; an attached EventSource's pending entries are not counted.
-  size_t pending_events() const { return wheel_.size(); }
+  size_t pending_events() const { return queue_.size(); }
 
   // Schedules `fn` at absolute time `t` (>= now).
   void ScheduleAt(SimTime t, Handler fn) {
     COLDSTART_CHECK_GE(t, now_);
-    wheel_.Push(t, next_seq_++, std::move(fn));
+    queue_.Push(t, next_seq_++, std::move(fn));
   }
   // Schedules `fn` after `dt` (>= 0) from now.
   void ScheduleAfter(SimDuration dt, Handler fn) {
@@ -90,25 +88,24 @@ class Simulator {
   uint64_t next_seq() const { return next_seq_; }
 
   // Restores the clock and counters of a checkpointed run. Must be called on a
-  // fresh simulator before any RestoreEvent; the wheel cursor advances to `now`
-  // so restored events sort correctly against it.
+  // fresh simulator before any RestoreEvent.
   void RestoreClock(SimTime now, uint64_t next_seq, uint64_t events_processed) {
-    COLDSTART_CHECK_EQ(wheel_.size(), 0u);
+    COLDSTART_CHECK_EQ(queue_.size(), 0u);
     COLDSTART_CHECK_GE(now, now_);
     COLDSTART_CHECK_GE(next_seq, next_seq_);
-    wheel_.AdvanceTo(now);
     now_ = now;
     next_seq_ = next_seq;
     events_processed_ = events_processed;
   }
 
   // Re-queues a checkpointed pending event under its *original* (time, seq)
-  // key. Unlike ScheduleAt this does not consume a sequence number — the
-  // counter was restored wholesale by RestoreClock, which must run first.
+  // key, in any order. Unlike ScheduleAt this does not consume a sequence
+  // number — the counter was restored wholesale by RestoreClock, which must run
+  // first.
   void RestoreEvent(SimTime t, uint64_t seq, Handler fn) {
     COLDSTART_CHECK_GE(t, now_);
     COLDSTART_CHECK_LT(seq, next_seq_);
-    wheel_.Push(t, seq, std::move(fn));
+    queue_.Push(t, seq, std::move(fn));
   }
   // ---------------------------------------------------------------------------
 
@@ -127,18 +124,13 @@ class Simulator {
  private:
   uint64_t RunLoop(SimTime until);
 
-  TimerWheel wheel_;
+  EventQueue queue_;
   EventSource* source_ = nullptr;  // Not owned; may be null.
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t events_processed_ = 0;
   bool stop_requested_ = false;
 };
-
-// Invokes `fn(bucket_index)` every `period` from `start` until `end` (exclusive).
-// Used for per-minute metric sampling and pool maintenance loops.
-void SchedulePeriodic(Simulator& sim, SimTime start, SimDuration period, SimTime end,
-                      std::function<void(int64_t)> fn);
 
 }  // namespace coldstart::sim
 

@@ -91,7 +91,7 @@ TEST(InlineHandlerTest, MoveOnlyCapturesWork) {
 }
 
 TEST(InlineHandlerTest, HandlersAreVectorSafe) {
-  // The wheel stores handlers in growing containers; moves must preserve them.
+  // Handlers are moved through growing containers; moves must preserve them.
   std::vector<InlineHandler> v;
   int hits = 0;
   for (int i = 0; i < 100; ++i) {

@@ -1,9 +1,11 @@
-// Tests for the discrete-event simulator core: time/FIFO ordering under the
-// timer wheel (near buckets, cascaded frames, overflow heap), clock semantics,
-// and the merged EventSource stream.
+// Tests for the discrete-event simulator core: (time, seq) ordering of the event
+// queue, handler lifetime in its slab, clock semantics, and the merged
+// EventSource stream.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -101,28 +103,7 @@ TEST(SimulatorTest, EventCountAccumulates) {
   EXPECT_EQ(sim.events_processed(), 7u);
 }
 
-TEST(SchedulePeriodicTest, FiresWithIndexUntilEnd) {
-  Simulator sim;
-  std::vector<int64_t> indices;
-  std::vector<SimTime> times;
-  SchedulePeriodic(sim, 0, 10, 35, [&](int64_t i) {
-    indices.push_back(i);
-    times.push_back(sim.now());
-  });
-  sim.RunToCompletion();
-  EXPECT_EQ(indices, (std::vector<int64_t>{0, 1, 2, 3}));
-  EXPECT_EQ(times, (std::vector<SimTime>{0, 10, 20, 30}));
-}
-
-TEST(SchedulePeriodicTest, EmptyRangeNoFiring) {
-  Simulator sim;
-  int fired = 0;
-  SchedulePeriodic(sim, 10, 5, 10, [&](int64_t) { ++fired; });
-  sim.RunToCompletion();
-  EXPECT_EQ(fired, 0);
-}
-
-// --- Timer-wheel-specific ordering. ---
+// --- Queue order and handler lifetime. ---
 
 TEST(SimulatorTest, StoppedRunLeavesClockAtLastEvent) {
   Simulator sim;
@@ -135,17 +116,16 @@ TEST(SimulatorTest, StoppedRunLeavesClockAtLastEvent) {
   EXPECT_EQ(sim.now(), 1000);
 }
 
-TEST(SimulatorTest, SameTimeFifoAcrossWheelLevels) {
-  // Events at one far timestamp enter through different structures over time
-  // (overflow at schedule, L1 after a partial run, L0 near the end); FIFO by
-  // insertion must survive every migration.
+TEST(SimulatorTest, SameTimeFifoAcrossPartialRuns) {
+  // Events at one far timestamp are scheduled from ever closer clocks; FIFO by
+  // insertion must hold across the partial runs in between.
   Simulator sim;
   const SimTime t = 10 * kMinute;
   std::vector<int> order;
-  sim.ScheduleAt(t, [&] { order.push_back(0); });        // Overflow at schedule.
-  sim.RunUntil(8 * kMinute);                             // Now within the L1 window.
+  sim.ScheduleAt(t, [&] { order.push_back(0); });
+  sim.RunUntil(8 * kMinute);
   sim.ScheduleAt(t, [&] { order.push_back(1); });
-  sim.RunUntil(t - 100 * kMillisecond);                  // Now within the L0 window.
+  sim.RunUntil(t - 100 * kMillisecond);
   sim.ScheduleAt(t, [&] { order.push_back(2); });
   sim.RunToCompletion();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
@@ -167,15 +147,15 @@ TEST(SimulatorTest, MixedHorizonsFireInTimeOrder) {
   EXPECT_EQ(fire_times, expected);
 }
 
-TEST(SimulatorTest, ScheduleIntoCursorGapPreservesOrder) {
-  // RunUntil may scout the wheel cursor past its horizon while peeking at a far
-  // event; a later schedule into that gap must still fire first.
+TEST(SimulatorTest, ScheduleBeforePeekedEventPreservesOrder) {
+  // RunUntil peeks at a far event and stops short of it; a later schedule into
+  // the gap must still fire first.
   Simulator sim;
   std::vector<int> order;
   sim.ScheduleAt(kHour, [&] { order.push_back(1); });  // Far event, peeked at.
   sim.RunUntil(1000);
   EXPECT_EQ(sim.now(), 1000);
-  sim.ScheduleAt(2000, [&] { order.push_back(0); });  // Behind the scouted cursor.
+  sim.ScheduleAt(2000, [&] { order.push_back(0); });  // Into the gap.
   sim.ScheduleAt(2000, [&] { order.push_back(10); });
   sim.RunToCompletion();
   EXPECT_EQ(order, (std::vector<int>{0, 10, 1}));
@@ -183,15 +163,15 @@ TEST(SimulatorTest, ScheduleIntoCursorGapPreservesOrder) {
 }
 
 TEST(SimulatorTest, RandomScheduleMatchesStableSortOrder) {
-  // The wheel must reproduce exactly the (time, insertion seq) total order of a
-  // stable sort, across bucket/frame/overflow migrations and handler reentrancy.
+  // The queue must reproduce exactly the (time, insertion seq) total order of a
+  // stable sort.
   Simulator sim;
   Rng rng(2024);
   std::vector<std::pair<SimTime, int>> scheduled;
   std::vector<int> fired;
   const int n = 5000;
   for (int i = 0; i < n; ++i) {
-    // Spread over ~6 minutes so all three structures participate.
+    // Spread over ~6 minutes, so ties are rare and near and far events mix.
     const SimTime t = static_cast<SimTime>(rng.NextBounded(6 * kMinute));
     scheduled.push_back({t, i});
     sim.ScheduleAt(t, [&fired, i] { fired.push_back(i); });
@@ -216,6 +196,68 @@ TEST(SimulatorTest, HandlersSchedulingAtNowRunThisSweep) {
   sim.RunToCompletion();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
   EXPECT_EQ(sim.now(), 100);
+}
+
+TEST(SimulatorTest, RestoredEventsPopInTimeSeqOrder) {
+  // Checkpoint restore re-queues events under their original keys in whatever
+  // order the census walks them: seqs arrive out of order, also at equal times.
+  Simulator sim;
+  sim.RestoreClock(1000, 100, 0);
+  std::vector<uint64_t> fired;
+  const std::vector<std::pair<SimTime, uint64_t>> keys = {
+      {5000, 42}, {2000, 7},  {5000, 3},  {2000, 99}, {5000, 17},
+      {1000, 64}, {2000, 1},  {9000, 0},  {1000, 12}, {5000, 80},
+  };
+  for (const auto& [t, seq] : keys) {
+    sim.RestoreEvent(t, seq, [&fired, seq = seq] { fired.push_back(seq); });
+  }
+  // One fresh event (seq 100) ties the restored ones at 2000 and fires last.
+  sim.ScheduleAt(2000, [&fired] { fired.push_back(100); });
+  sim.RunToCompletion();
+  EXPECT_EQ(fired, (std::vector<uint64_t>{12, 64, 1, 7, 99, 100, 3, 17, 42, 80, 0}));
+}
+
+TEST(SimulatorTest, HandlerSchedulingMoreThanAChunkRunsIntact) {
+  // A running handler lives in its slab slot while it schedules enough events
+  // to grow the slab by more than a chunk, plus one at its own timestamp. Its
+  // captures must stay intact and every event must fire in (time, seq) order.
+  Simulator sim;
+  const int n = static_cast<int>(EventQueue::kChunkSize) + 37;
+  std::vector<int> order;
+  auto token = std::make_shared<int>(7);
+  sim.ScheduleAt(50, [&sim, &order, n, token] {
+    for (int i = 0; i < n; ++i) {
+      sim.ScheduleAt(100 + (n - i), [&order, i] { order.push_back(i); });
+    }
+    sim.ScheduleAt(50, [&order] { order.push_back(-1); });
+    // Read the captures after the slab grew under this handler.
+    order.push_back(*token + n);
+  });
+  sim.RunToCompletion();
+  ASSERT_EQ(order.size(), static_cast<size_t>(n) + 2);
+  EXPECT_EQ(order[0], 7 + n);
+  EXPECT_EQ(order[1], -1);
+  for (int i = 0; i < n; ++i) {
+    EXPECT_EQ(order[static_cast<size_t>(i) + 2], n - 1 - i) << "position " << i;
+  }
+}
+
+TEST(SimulatorTest, HandlerCapturesReleasedAfterRunAndSlotReused) {
+  Simulator sim;
+  auto token = std::make_shared<int>(0);
+  const void* first_slot = nullptr;
+  const void* second_slot = nullptr;
+  sim.ScheduleAt(10, [&first_slot, token] { first_slot = &token; });
+  EXPECT_EQ(token.use_count(), 2);
+  sim.RunUntil(10);
+  // The queue dropped its copy of the captures once the handler returned.
+  EXPECT_EQ(token.use_count(), 1);
+  // The next event takes the freed slot: its captures land at the same address.
+  sim.ScheduleAt(20, [&second_slot, token] { second_slot = &token; });
+  sim.RunToCompletion();
+  EXPECT_EQ(token.use_count(), 1);
+  ASSERT_NE(first_slot, nullptr);
+  EXPECT_EQ(first_slot, second_slot);
 }
 
 // --- EventSource merging. ---
