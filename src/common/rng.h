@@ -53,6 +53,15 @@ class Rng {
     return result;
   }
 
+  // Advances the stream by n words, exactly as n NextU64() calls would. Lets a
+  // caller that does not need a draw's value keep the stream aligned with one
+  // that does (one NextGaussian() consumes two words).
+  void Discard(int n) {
+    for (int i = 0; i < n; ++i) {
+      NextU64();
+    }
+  }
+
   // Uniform double in [0, 1).
   double NextDouble() { return static_cast<double>(NextU64() >> 11) * 0x1.0p-53; }
 

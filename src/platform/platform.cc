@@ -40,6 +40,7 @@ Platform::Platform(const workload::Population& population,
       calendar_(calendar),
       sim_(sim),
       sink_(sink),
+      draw_request_resources_(sink.reads_request_resources()),
       options_(options),
       policy_(policy),
       arrival_cursor_(this) {
@@ -106,6 +107,9 @@ Platform::Platform(const workload::Population& population,
   cold_start_latency_sum_us_.assign(profiles_.size(), 0);
   cost_ledger_ = ResourceCostLedger(profiles_.size());
   states_.resize(population_.functions.size());
+  for (const auto& f : population_.functions) {
+    states_[f.id].log_exec_median_us = std::log(f.exec_median_us);
+  }
 
   // Function-level table (one row per function, like the paper's third stream).
   // A resuming platform skips the emission: the restored sink already holds it.
@@ -506,7 +510,7 @@ void Platform::AssignRequest(Pod* pod, const FunctionSpec& spec, SimTime arrival
   ++h.slots_used;
   // Any pending keep-alive is void: the pod is busy again.
   ++pod->keepalive_gen;
-  double exec_us = std::exp(std::log(spec.exec_median_us) +
+  double exec_us = std::exp(states_[spec.id].log_exec_median_us +
                             spec.exec_sigma *
                                 rng(pod->region, CellOf(spec.id)).NextGaussian());
   exec_us = std::clamp(exec_us, 100.0, 600e6);
@@ -566,16 +570,21 @@ void Platform::OnRequestComplete(SlabHandle handle, SimTime exec_start,
     rec.region = pod->region;
     rec.cluster = pod->cluster;
     rec.execution_time_us = exec_us;
-    double cpu =
-        spec.cpu_mean_cores * std::exp(0.3 * rng(pod->region, cell).NextGaussian());
-    cpu = std::clamp(cpu, 0.005,
-                     static_cast<double>(CpuMillicoresOf(spec.config)) / 1000.0);
-    rec.cpu_millicores = static_cast<uint16_t>(cpu * 1000.0);
-    double mem_kb =
-        spec.mem_mean_kb * std::exp(0.25 * rng(pod->region, cell).NextGaussian());
-    mem_kb = std::clamp(mem_kb, 1024.0,
-                        1024.0 * static_cast<double>(MemoryMbOf(spec.config)));
-    rec.memory_kb = static_cast<uint32_t>(mem_kb);
+    Rng& resource_rng = rng(pod->region, cell);
+    if (draw_request_resources_) {
+      double cpu = spec.cpu_mean_cores * std::exp(0.3 * resource_rng.NextGaussian());
+      cpu = std::clamp(cpu, 0.005,
+                       static_cast<double>(CpuMillicoresOf(spec.config)) / 1000.0);
+      rec.cpu_millicores = static_cast<uint16_t>(cpu * 1000.0);
+      double mem_kb = spec.mem_mean_kb * std::exp(0.25 * resource_rng.NextGaussian());
+      mem_kb = std::clamp(mem_kb, 1024.0,
+                          1024.0 * static_cast<double>(MemoryMbOf(spec.config)));
+      rec.memory_kb = static_cast<uint32_t>(mem_kb);
+    } else {
+      // The sink never reads these fields. Two Box-Muller draws are two words
+      // each; discarding them keeps the stream aligned with a full-record run.
+      resource_rng.Discard(4);
+    }
     sink_.OnRequest(rec);
   }
   ++loads_[idx].total_requests;

@@ -210,6 +210,7 @@ class Platform {
  private:
   struct FunctionState {
     std::vector<Pod*> pods;  // Alive pods (warming or warm), any region.
+    double log_exec_median_us = 0;  // log(exec_median_us), computed once.
   };
 
   // Streams the current day's chunk as a sim::EventSource. Day starters call
@@ -325,6 +326,9 @@ class Platform {
   workload::Calendar calendar_;
   sim::Simulator& sim_;
   trace::TraceSink& sink_;
+  // sink_.reads_request_resources(), cached: when false, the per-request CPU and
+  // memory draws are discarded (same RNG words, no libm work).
+  const bool draw_request_resources_;
   Options options_;
   PlatformPolicy* policy_;  // Not owned; may be null.
 

@@ -53,6 +53,8 @@ class StreamingAggregates final : public TraceSink {
   void OnHorizon(SimTime horizon) override;
   // Cost-ledger totals (one record per region at Finalize); shard partials add.
   void OnRegionCost(const RegionCostRecord& r) override;
+  // OnRequest folds only region, function and execution time.
+  bool reads_request_resources() const override { return false; }
 
   // Merges another shard of the same scenario. Shards carry identical function
   // tables (every shard's platform registers the full population); event state is

@@ -14,6 +14,13 @@
 // OnHorizon is called once per run, at Finalize(). OnRegionCost arrives after it,
 // once per region in region-index order, carrying the resource-cost ledger totals;
 // the default no-op keeps sinks that only care about Table 1 records unchanged.
+//
+// Capability: reads_request_resources() says whether the sink reads a
+// RequestRecord's cpu_millicores/memory_kb. A sink that returns false gets those
+// fields zeroed; the platform still advances its RNG past the two draws, so the
+// stream (and every other field) is identical either way. The default is true:
+// a sink that forwards records elsewhere (a decorator) cannot know what its
+// target reads, so it gets the full record unless it says otherwise.
 #ifndef COLDSTART_TRACE_TRACE_SINK_H_
 #define COLDSTART_TRACE_TRACE_SINK_H_
 
@@ -33,6 +40,7 @@ class TraceSink {
   // Cost totals are additive across shards; a shard emits its own partial sums
   // and the merge is integer addition (see RegionCostRecord).
   virtual void OnRegionCost(const RegionCostRecord& r) { (void)r; }
+  virtual bool reads_request_resources() const { return true; }
 };
 
 }  // namespace coldstart::trace

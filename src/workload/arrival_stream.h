@@ -28,6 +28,7 @@
 #ifndef COLDSTART_WORKLOAD_ARRIVAL_STREAM_H_
 #define COLDSTART_WORKLOAD_ARRIVAL_STREAM_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -54,6 +55,17 @@ inline bool ArrivalOrderLess(const ArrivalEvent& a, const ArrivalEvent& b) {
     return a.time < b.time;
   }
   return a.function < b.function;
+}
+
+// Sorts a chunk into ArrivalOrderLess order. The comparator goes in as a lambda,
+// not a function pointer, so std::sort inlines it instead of making one
+// out-of-line call per comparison. Equal elements are identical, so the
+// unstable sort's output is fully determined.
+inline void SortArrivals(std::vector<ArrivalEvent>& events) {
+  std::sort(events.begin(), events.end(),
+            [](const ArrivalEvent& a, const ArrivalEvent& b) {
+              return ArrivalOrderLess(a, b);
+            });
 }
 
 // Number of day chunks covering [0, horizon): ceil(horizon / kDay). Part of the

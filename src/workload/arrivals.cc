@@ -179,7 +179,7 @@ bool SyntheticArrivalStream::NextChunk(ArrivalChunk* chunk) {
       chunk->events.push_back(ArrivalEvent{t, f.id});
     }
   }
-  std::sort(chunk->events.begin(), chunk->events.end(), ArrivalOrderLess);
+  SortArrivals(chunk->events);
   return true;
 }
 

@@ -261,7 +261,7 @@ class ReplaySource::Stream final : public ArrivalStream {
         chunk->events.push_back(ArrivalEvent{t, fid});
       }
     }
-    std::sort(chunk->events.begin(), chunk->events.end(), ArrivalOrderLess);
+    SortArrivals(chunk->events);
     return true;
   }
 

@@ -178,6 +178,28 @@ TEST(RngTest, ExponentialMeanMatchesRate) {
   EXPECT_NEAR(sum / n, 0.5, 0.02);
 }
 
+TEST(RngTest, DiscardMatchesNextU64Calls) {
+  for (const int n : {0, 1, 4, 7}) {
+    Rng discarded(23), drawn(23);
+    discarded.Discard(n);
+    for (int i = 0; i < n; ++i) {
+      (void)drawn.NextU64();
+    }
+    uint64_t a[4], b[4];
+    discarded.SaveState(a);
+    drawn.SaveState(b);
+    for (int w = 0; w < 4; ++w) {
+      EXPECT_EQ(a[w], b[w]) << "n=" << n << " word " << w;
+    }
+  }
+  // One Box-Muller draw is exactly two words: the platform's discard of the
+  // unread resource draws relies on this.
+  Rng gaussian(29), skipped(29);
+  (void)gaussian.NextGaussian();
+  skipped.Discard(2);
+  EXPECT_EQ(gaussian.NextU64(), skipped.NextU64());
+}
+
 TEST(RngTest, ForkStreamIsDeterministic) {
   Rng a(5), b(5);
   Rng fa = a.ForkStream("workload");

@@ -2,7 +2,9 @@
 // store-derived statistics — per-region cold-start counts and integer latency sums
 // bit for bit — in serial AND sharded execution, so month/year-scale streaming runs
 // are trustworthy stand-ins for full-trace runs. Also pins the RunCached misuse
-// guard (policy runs must never touch the baseline cache).
+// guard (policy runs must never touch the baseline cache), and the request-resource
+// capability: a sink that does not read cpu/memory skips the draws without moving
+// the RNG stream.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -108,6 +110,96 @@ TEST(TraceSinkTest, TraceStoreImplementsSinkInterface) {
   EXPECT_EQ(store.cold_starts().size(), 1u);
   EXPECT_EQ(store.pods().size(), 1u);
   EXPECT_EQ(store.horizon(), 123);
+}
+
+// --- Request-resource capability: skipping unread draws never moves the stream. ---
+
+TEST(TraceSinkTest, TraceStoreReadsRequestResourcesStreamingDoesNot) {
+  const trace::TraceStore store;
+  const StreamingAggregates aggregates;
+  EXPECT_TRUE(store.reads_request_resources());
+  EXPECT_FALSE(aggregates.reads_request_resources());
+}
+
+TEST(TraceSinkTest, FullTraceRecordsRequestResourcesWithinConfigBounds) {
+  ScenarioConfig config = core::SmallScenario();
+  config.days = 2;
+  ASSERT_EQ(config.trace_mode, TraceMode::kFull);
+  const ExperimentResult full = Experiment(config).Run(nullptr, 1);
+  const trace::TraceStore& store = full.store;
+  ASSERT_GT(store.requests().size(), 1000u);
+  for (const trace::RequestRecord& r : store.requests()) {
+    const trace::ResourceConfig c = store.functions()[r.function_id].config;
+    ASSERT_GE(r.cpu_millicores, 5) << "function " << r.function_id;
+    ASSERT_LE(r.cpu_millicores, trace::CpuMillicoresOf(c)) << "function " << r.function_id;
+    ASSERT_GE(r.memory_kb, 1024u) << "function " << r.function_id;
+    ASSERT_LE(r.memory_kb, 1024u * static_cast<uint32_t>(trace::MemoryMbOf(c)))
+        << "function " << r.function_id;
+  }
+}
+
+// A decorator that forwards every hook and does not override the capability,
+// so the platform keeps drawing the resources it hands through.
+class ForwardingSink final : public trace::TraceSink {
+ public:
+  explicit ForwardingSink(trace::TraceSink& target) : target_(target) {}
+  void OnFunction(const trace::FunctionRecord& r) override { target_.OnFunction(r); }
+  void OnRequest(const trace::RequestRecord& r) override {
+    requests_with_resources_ += (r.cpu_millicores > 0 && r.memory_kb > 0) ? 1 : 0;
+    target_.OnRequest(r);
+  }
+  void OnColdStart(const trace::ColdStartRecord& r) override { target_.OnColdStart(r); }
+  void OnPodLifetime(const trace::PodLifetimeRecord& r) override {
+    target_.OnPodLifetime(r);
+  }
+  void OnHorizon(SimTime horizon) override { target_.OnHorizon(horizon); }
+  void OnRegionCost(const trace::RegionCostRecord& r) override {
+    target_.OnRegionCost(r);
+  }
+  uint64_t requests_with_resources() const { return requests_with_resources_; }
+
+ private:
+  trace::TraceSink& target_;
+  uint64_t requests_with_resources_ = 0;
+};
+
+TEST(TraceSinkTest, ForwardingDecoratorDrawsAndMatchesDirectStreaming) {
+  ScenarioConfig config = core::SmallScenario();
+  config.days = 3;
+  const workload::Calendar calendar = config.MakeCalendar();
+  const auto profiles = config.ScaledProfiles();
+  const workload::Population pop = workload::GeneratePopulation(profiles, config.seed);
+  auto run = [&](trace::TraceSink& sink) {
+    sim::Simulator sim;
+    platform::Platform::Options options;
+    options.seed = config.seed;
+    options.default_keep_alive = config.default_keep_alive;
+    platform::Platform platform(pop, profiles, calendar, sim, sink, options);
+    platform.AttachArrivalStream(
+        config.workload_source().OpenStream(pop, profiles, calendar, config.seed));
+    sim.RunUntil(calendar.horizon());
+    platform.Finalize();
+  };
+
+  StreamingAggregates direct;
+  run(direct);
+  StreamingAggregates forwarded;
+  ForwardingSink decorator(forwarded);
+  ASSERT_TRUE(decorator.reads_request_resources());
+  run(decorator);
+
+  ASSERT_GT(direct.Totals().requests, 1000u);
+  // The decorator got drawn resources on every request; the direct sink's
+  // platform discarded them. Both left the RNG at the same place after each
+  // request, so every later draw and every aggregate agrees.
+  EXPECT_EQ(decorator.requests_with_resources(), forwarded.Totals().requests);
+  ExpectAggregatesEqual(direct, forwarded);
+  for (size_t r = 0; r < direct.num_regions(); ++r) {
+    const auto region = static_cast<trace::RegionId>(r);
+    EXPECT_EQ(direct.request_hist(region).sum(), forwarded.request_hist(region).sum());
+    EXPECT_EQ(direct.cold_start_hist(region).sum(),
+              forwarded.cold_start_hist(region).sum());
+  }
 }
 
 // --- Acceptance pin: streaming == exact-store-derived aggregates, serial AND
