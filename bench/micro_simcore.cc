@@ -210,7 +210,8 @@ static void BM_ArrivalInjection(benchmark::State& state) {
     opts.seed = 7;
     opts.record_requests = false;
     platform::Platform platform(pop, profiles, calendar, sim, store, opts);
-    platform.InjectArrivals(arrivals);
+    platform.AttachArrivalStream(
+        std::make_unique<workload::MaterializedArrivalStream>(arrivals, workload::NumDayChunks(calendar)));
     sim.RunUntil(calendar.horizon());
     platform.Finalize();
     benchmark::DoNotOptimize(platform.total_cold_starts());

@@ -44,26 +44,6 @@ std::shared_ptr<const std::vector<uint32_t>> MakeFunctionCells(
       workload::ComputeFunctionCells(population, config.cells_per_region));
 }
 
-// Accumulates (+=) so sub-region shards of the same region fold into one row;
-// callers zero the vectors (ResizeStats) first.
-void CollectRegionStats(const platform::Platform& platform, trace::RegionId region,
-                        ExperimentResult& result) {
-  result.visible_cold_starts[region] += platform.cold_starts(region);
-  result.prewarm_spawns[region] += platform.prewarm_spawns(region);
-  result.delayed_allocations[region] += platform.delayed_allocations(region);
-  result.scratch_allocations[region] += platform.scratch_allocations(region);
-  result.cold_start_latency_sum_us[region] += platform.cold_start_latency_sum_us(region);
-}
-
-void ResizeStats(ExperimentResult& result, size_t regions) {
-  result.visible_cold_starts.assign(regions, 0);
-  result.prewarm_spawns.assign(regions, 0);
-  result.delayed_allocations.assign(regions, 0);
-  result.scratch_allocations.assign(regions, 0);
-  result.cold_start_latency_sum_us.assign(regions, 0);
-  result.cost_ledger = platform::ResourceCostLedger(regions);
-}
-
 // --- Checkpoint plumbing -----------------------------------------------------
 
 // Record tables travel as raw bytes, like trace/binary_io.cc does for the
@@ -308,45 +288,90 @@ void ValidateManifestEntries(const checkpoint::Manifest& manifest,
   }
 }
 
+// A run's shard plan. Shard s covers region s / k, cell group s % k: its
+// platform sees only that slice's arrivals and its id is s. The whole-run
+// plan is the serial path: one shard spanning every region, fed by the
+// unfiltered stream, driven by the caller's own policy instance and
+// checkpointed as kSerialShard.
+struct ShardPlan {
+  bool sharded = false;
+  uint32_t k = 1;
+  size_t num_shards = 1;
+  // One clone per shard when sharded under a policy; empty otherwise (every
+  // shard then runs the caller's instance, which is null or the only shard's).
+  std::vector<std::unique_ptr<platform::PlatformPolicy>> clones;
+};
+
+// The one planner behind Run, ResumeFrom and CanShard. A shard is (region,
+// contiguous cell group). K == 1 is plain region sharding — the only geometry
+// available to capacity-coupled policies, since splitting a region's cells also
+// splits its pools and load state. K > 1 (sub-region sharding) engages only
+// when the scenario decomposes (cells > 1) and the policy never reads
+// region-coupled state (is_function_local), and sizes itself to the thread
+// budget: just enough groups per region to keep `threads` workers busy. A
+// resume adopts the checkpointed geometry verbatim — shard ids must line up
+// with the manifest entries. Everything else (one thread, a cross-region
+// policy, a policy that cannot clone per-shard state) gets the whole-run plan:
+// same results, one thread.
+ShardPlan PlanShards(const ScenarioConfig& config, platform::PlatformPolicy* policy,
+                     int threads, const checkpoint::Manifest* resume) {
+  const size_t regions = config.profiles.size();
+  const uint32_t cells = std::max<uint32_t>(config.cells_per_region, 1u);
+  const bool region_local = policy == nullptr || policy->is_region_local();
+  const bool function_local =
+      region_local && (policy == nullptr || policy->is_function_local());
+  const bool shardable = (regions > 1 && region_local) || (cells > 1 && function_local);
+  ShardPlan plan;
+  if (resume != nullptr ? !resume->sharded : (threads <= 1 || !shardable)) {
+    return plan;
+  }
+  COLDSTART_CHECK(shardable &&
+                  "sharded checkpoint requires a shardable config and policy");
+  if (resume != nullptr) {
+    plan.k = resume->shards_per_region;
+  } else if (cells > 1 && function_local) {
+    const uint32_t want =
+        static_cast<uint32_t>((static_cast<size_t>(threads) + regions - 1) / regions);
+    plan.k = std::min(cells, std::max<uint32_t>(want, 1u));
+  }
+  COLDSTART_CHECK((plan.k == 1 || function_local) &&
+                  "sub-region (K > 1) geometry with a policy that reads "
+                  "region-coupled state");
+  plan.num_shards = regions * plan.k;
+  if (policy != nullptr) {
+    plan.clones.resize(plan.num_shards);
+    for (auto& clone : plan.clones) {
+      clone = policy->CloneForShard();
+      if (clone == nullptr) {
+        // Cloning is the probe, so the hot path never builds a throwaway clone
+        // tree. A resume cannot fall back: its checkpoint holds per-shard state.
+        COLDSTART_CHECK(resume == nullptr &&
+                        "sharded checkpoint requires a shardable config and policy");
+        return ShardPlan{};
+      }
+    }
+  }
+  plan.sharded = true;
+  return plan;
+}
+
+// The per-region platform counters, folded across shards by element-wise sum.
+constexpr std::vector<int64_t> ExperimentResult::*kRegionCounters[] = {
+    &ExperimentResult::visible_cold_starts, &ExperimentResult::prewarm_spawns,
+    &ExperimentResult::delayed_allocations, &ExperimentResult::scratch_allocations,
+    &ExperimentResult::cold_start_latency_sum_us};
+
 }  // namespace
 
 bool Experiment::CanShard(platform::PlatformPolicy* policy) const {
-  const bool multi_region = config_.profiles.size() >= 2;
-  const bool multi_cell = config_.cells_per_region > 1;
-  if (!multi_region && !multi_cell) {
-    return false;
-  }
-  if (policy == nullptr) {
-    return true;
-  }
-  if (!policy->is_region_local()) {
-    return false;
-  }
-  // A single-region scenario can only shard along the cell axis, which further
-  // requires the policy to be function-local (no region-wide coupled state).
-  if (!multi_region && !policy->is_function_local()) {
-    return false;
-  }
-  return policy->CloneForShard() != nullptr;
+  // Any thread budget above one: the plan's geometry does not matter here.
+  return PlanShards(config_, policy, /*threads=*/2, nullptr).sharded;
 }
 
 ExperimentResult Experiment::Run(platform::PlatformPolicy* policy,
                                  int num_threads,
                                  const CheckpointPolicy* checkpoint) const {
-  const int threads =
-      num_threads > 0 ? num_threads : ParallelSweep::DefaultThreads();
-  // Clonability is probed inside RunSharded (cloning is the probe), so the hot
-  // path never builds a throwaway clone tree.
-  const bool region_shardable = config_.profiles.size() > 1 &&
-                                (policy == nullptr || policy->is_region_local());
-  const bool cell_shardable =
-      config_.cells_per_region > 1 &&
-      (policy == nullptr ||
-       (policy->is_region_local() && policy->is_function_local()));
-  if (threads > 1 && (region_shardable || cell_shardable)) {
-    return RunSharded(policy, threads, checkpoint);
-  }
-  return RunSerial(policy, checkpoint);
+  return Execute(policy, num_threads, checkpoint, nullptr, std::string());
 }
 
 ExperimentResult Experiment::ResumeFrom(const std::string& dir,
@@ -366,70 +391,41 @@ ExperimentResult Experiment::ResumeFrom(const std::string& dir,
   COLDSTART_CHECK_LE(manifest.shards_per_region,
                      std::max<uint32_t>(config_.cells_per_region, 1u));
   ValidateManifestEntries(manifest, config_.profiles.size());
-  if (manifest.sharded) {
-    COLDSTART_CHECK(CanShard(policy) &&
-                    "sharded checkpoint requires a shardable config and policy");
-    // Honor the caller's thread count as-is: the shard loop runs correctly on
-    // one worker (shards execute sequentially), so an explicit num_threads=1
-    // must not be silently promoted to 2.
-    const int threads =
-        num_threads > 0 ? num_threads : ParallelSweep::DefaultThreads();
-    return RunSharded(policy, threads, checkpoint, &manifest, dir);
-  }
-  return RunSerial(policy, checkpoint, &manifest, dir);
+  // Honor the caller's thread count as-is: the shard loop runs correctly on
+  // one worker (shards execute sequentially), so an explicit num_threads=1
+  // must not be silently promoted to 2.
+  return Execute(policy, num_threads, checkpoint, &manifest, dir);
 }
 
-ExperimentResult Experiment::RunSerial(platform::PlatformPolicy* policy,
-                                       const CheckpointPolicy* checkpoint,
-                                       const checkpoint::Manifest* resume,
-                                       const std::string& resume_dir) const {
+ExperimentResult Experiment::Execute(platform::PlatformPolicy* policy, int num_threads,
+                                     const CheckpointPolicy* checkpoint,
+                                     const checkpoint::Manifest* resume,
+                                     const std::string& resume_dir) const {
+  const int threads =
+      num_threads > 0 ? num_threads : ParallelSweep::DefaultThreads();
+  const ShardPlan plan = PlanShards(config_, policy, threads, resume);
   // LINT-ALLOW(wall-clock): diagnostics-only wall timing for sim_wall_seconds; never reaches traces or aggregates
   const auto wall_start = std::chrono::steady_clock::now();
 
-  ExperimentResult result;
-  result.mode = config_.trace_mode;
+  const bool streaming = config_.trace_mode == TraceMode::kStreaming;
   const workload::Calendar calendar = config_.MakeCalendar();
   const std::vector<workload::RegionProfile> profiles = config_.ScaledProfiles();
+  const size_t regions = profiles.size();
+  const uint32_t cells = std::max<uint32_t>(config_.cells_per_region, 1u);
+  const uint64_t fingerprint = config_.Fingerprint();
 
-  result.population = workload::GeneratePopulation(profiles, config_.seed);
-
-  const bool streaming = config_.trace_mode == TraceMode::kStreaming;
-  trace::TraceSink& sink =
-      streaming ? static_cast<trace::TraceSink&>(result.streaming)
-                : static_cast<trace::TraceSink&>(result.store);
-
-  const checkpoint::ManifestEntry* entry = nullptr;
-  if (resume != nullptr) {
-    COLDSTART_CHECK(!resume->sharded &&
-                    "sharded checkpoint routed to the serial runner");
-    entry = FindEntry(resume, checkpoint::kSerialShard);
-    COLDSTART_CHECK(entry != nullptr && "serial manifest has no entry");
-  }
-
-  platform::Platform::Options options = PlatformOptions(config_);
-  options.function_cells = MakeFunctionCells(config_, result.population);
-  options.resuming = entry != nullptr;
-  sim::Simulator sim;
-  platform::Platform platform(result.population, profiles, calendar, sim, sink,
-                              options, policy);
-  // Pull-based arrival generation: the platform holds one day chunk at a time,
-  // so arrival memory is O(busiest day) rather than O(horizon).
-  auto stream = config_.workload_source().OpenStream(result.population, profiles,
-                                                     calendar, config_.seed);
-  int64_t start_day = 0;
-  if (entry != nullptr) {
-    start_day = RestoreShard(resume_dir, *entry, config_.Fingerprint(),
-                             static_cast<uint8_t>(config_.trace_mode),
-                             static_cast<uint32_t>(profiles.size()),
-                             checkpoint::kSerialShard, sim, policy, streaming,
-                             result.store, result.streaming, platform,
-                             std::move(stream));
-  } else {
-    platform.AttachArrivalStream(std::move(stream));
-  }
+  // Workload generation is shared only through immutable inputs: every shard
+  // simulates against the same population (read-only) and opens its *own*
+  // arrival stream — synthetic or replayed, the runner does not care. The
+  // per-shard filtered streams partition the unfiltered stream with relative
+  // order preserved (the ArrivalStream contract), so nothing is materialized or
+  // repartitioned up front: each shard pulls one day of its slice's arrivals at
+  // a time, so arrival memory is O(busiest day) rather than O(horizon).
+  workload::Population population = workload::GeneratePopulation(profiles, config_.seed);
+  const std::shared_ptr<const std::vector<uint32_t>> function_cells =
+      MakeFunctionCells(config_, population);
 
   std::optional<CheckpointCommitter> committer;
-  std::function<void(int64_t)> commit;
   if (checkpoint != nullptr) {
     COLDSTART_CHECK(!checkpoint->dir.empty());
     if (policy != nullptr) {
@@ -438,262 +434,123 @@ ExperimentResult Experiment::RunSerial(platform::PlatformPolicy* policy,
       COLDSTART_CHECK(policy->SavePolicyState(&probe) &&
                       "policy is not checkpointable (SavePolicyState)");
     }
-    committer.emplace(*checkpoint, config_.Fingerprint(),
-                      static_cast<uint8_t>(config_.trace_mode),
-                      static_cast<uint32_t>(profiles.size()), /*sharded=*/false,
-                      /*shards_per_region=*/1);
-    if (resume != nullptr) {
-      committer->SeedFrom(*resume);
-    }
-    commit = [&](int64_t day) {
-      committer->Commit(day, checkpoint::kSerialShard,
-                        BuildCheckpointPayload(sim, policy, streaming,
-                                               result.store, result.streaming,
-                                               platform));
-    };
-  }
-
-  result.interrupted_at_day =
-      RunShardDays(sim, platform, calendar.horizon(), start_day, checkpoint, commit);
-  if (result.interrupted_at_day < 0) {
-    result.store.Seal();  // No-op in streaming mode (the store stayed empty).
-  }
-
-  ResizeStats(result, profiles.size());
-  for (size_t r = 0; r < profiles.size(); ++r) {
-    CollectRegionStats(platform, static_cast<trace::RegionId>(r), result);
-  }
-  result.cost_ledger.MergeFrom(platform.cost_ledger());
-  result.events_processed = sim.events_processed();
-  result.sim_wall_seconds =
-      // LINT-ALLOW(wall-clock): diagnostics-only wall timing for sim_wall_seconds; never reaches traces or aggregates
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
-  return result;
-}
-
-ExperimentResult Experiment::RunSharded(platform::PlatformPolicy* policy,
-                                        int num_threads,
-                                        const CheckpointPolicy* checkpoint,
-                                        const checkpoint::Manifest* resume,
-                                        const std::string& resume_dir) const {
-  const size_t regions = config_.profiles.size();
-  const uint32_t cells = std::max<uint32_t>(config_.cells_per_region, 1u);
-
-  // Shard planner. A shard is (region, contiguous cell group); its id is
-  // region * K + group. K == 1 is plain region sharding — the only geometry
-  // available to capacity-coupled policies, since splitting a region's cells
-  // also splits its pools and load state. K > 1 (sub-region sharding) engages
-  // only when the scenario decomposes (cells > 1) and the policy never reads
-  // region-coupled state (is_function_local), and sizes itself to the thread
-  // budget: just enough groups per region to keep num_threads workers busy.
-  // A resume adopts the checkpointed geometry verbatim — shard ids must line
-  // up with the manifest entries.
-  uint32_t k = 1;
-  if (resume != nullptr) {
-    k = resume->shards_per_region;
-  } else if (cells > 1 && (policy == nullptr || policy->is_function_local())) {
-    const uint32_t want = static_cast<uint32_t>(
-        (static_cast<size_t>(num_threads) + regions - 1) / regions);
-    k = std::min(cells, std::max<uint32_t>(want, 1u));
-  }
-  if (k > 1) {
-    COLDSTART_CHECK((policy == nullptr || policy->is_function_local()) &&
-                    "sub-region (K > 1) geometry with a policy that reads "
-                    "region-coupled state");
-  }
-  const size_t num_shards = regions * k;
-
-  // Region-local policies run as one independent clone per shard (the caller's
-  // instance is only the configuration prototype). A policy that cannot clone
-  // falls back to the serial path — same results, one thread. (A resume never
-  // falls back: ResumeFrom checked CanShard before routing here.)
-  std::vector<std::unique_ptr<platform::PlatformPolicy>> clones(num_shards);
-  if (policy != nullptr) {
-    for (auto& clone : clones) {
-      clone = policy->CloneForShard();
-      if (clone == nullptr) {
-        COLDSTART_CHECK(resume == nullptr);
-        return RunSerial(policy, checkpoint);
-      }
-    }
-  }
-
-  // LINT-ALLOW(wall-clock): diagnostics-only wall timing for sim_wall_seconds; never reaches traces or aggregates
-  const auto wall_start = std::chrono::steady_clock::now();
-
-  ExperimentResult result;
-  result.mode = config_.trace_mode;
-  const bool streaming = config_.trace_mode == TraceMode::kStreaming;
-  const workload::Calendar calendar = config_.MakeCalendar();
-  const std::vector<workload::RegionProfile> profiles = config_.ScaledProfiles();
-  COLDSTART_CHECK_EQ(profiles.size(), regions);
-
-  // Workload generation is shared only through immutable inputs: every shard
-  // simulates against the same population (read-only) and opens its *own*
-  // filtered arrival stream — synthetic or replayed, the runner does not care.
-  // The per-shard streams partition the serial stream with relative order
-  // preserved (the ArrivalStream contract), so nothing is materialized or
-  // repartitioned up front: each shard pulls one day of its slice's arrivals at
-  // a time.
-  result.population = workload::GeneratePopulation(profiles, config_.seed);
-  const std::shared_ptr<const std::vector<uint32_t>> function_cells =
-      MakeFunctionCells(config_, result.population);
-
-  // One shard per (region, cell group): own simulator, own platform, own store.
-  // Shards share only immutable inputs, so they are free of data races by
-  // construction; the TSan job pins that. Region stat rows are written by up to
-  // K shards, so each shard banks its own scalars here and the fold below runs
-  // after the sweep joins.
-  struct ShardOutcome {
-    trace::TraceStore store;                  // kFull.
-    trace::StreamingAggregates streaming;     // kStreaming.
-    uint64_t events = 0;
-    int64_t visible_cold_starts = 0;
-    int64_t prewarm_spawns = 0;
-    int64_t delayed_allocations = 0;
-    int64_t scratch_allocations = 0;
-    int64_t cold_start_latency_sum_us = 0;
-    platform::ResourceCostLedger cost_ledger;
-  };
-  std::vector<ShardOutcome> shards(num_shards);
-  ResizeStats(result, regions);
-  const ScenarioConfig& config = config_;
-  const workload::Population& population = result.population;
-  const uint64_t fingerprint = config_.Fingerprint();
-
-  if (resume != nullptr) {
-    COLDSTART_CHECK(resume->sharded &&
-                    "serial checkpoint routed to the sharded runner");
-  }
-  std::optional<CheckpointCommitter> committer;
-  if (checkpoint != nullptr) {
-    COLDSTART_CHECK(!checkpoint->dir.empty());
-    if (policy != nullptr) {
-      std::string probe;
-      COLDSTART_CHECK(policy->SavePolicyState(&probe) &&
-                      "policy is not checkpointable (SavePolicyState)");
-    }
     committer.emplace(*checkpoint, fingerprint,
                       static_cast<uint8_t>(config_.trace_mode),
-                      static_cast<uint32_t>(regions), /*sharded=*/true, k);
+                      static_cast<uint32_t>(regions), plan.sharded, plan.k);
     if (resume != nullptr) {
       committer->SeedFrom(*resume);
     }
   }
-  // One stop day per shard; -1 = ran to completion. The stop flag is global,
-  // but shards notice it at their own next day boundary, so an interrupted
-  // sharded run's shards may rest at different days — each shard's manifest
-  // entry records its own.
-  std::vector<int64_t> stop_days(num_shards, -1);
 
-  ParallelSweep sweep(num_threads);
-  for (size_t s = 0; s < num_shards; ++s) {
+  // One result per shard: own simulator, own platform, own sink. Shards share
+  // only immutable inputs and the mutex-guarded committer, so they are free of
+  // data races by construction; the TSan job pins that. The stop flag is global, but shards notice it at their
+  // own next day boundary, so an interrupted sharded run's shards may rest at
+  // different days — each shard's manifest entry records its own.
+  std::vector<ExperimentResult> shards(plan.num_shards);
+  ParallelSweep sweep(threads);
+  for (size_t s = 0; s < plan.num_shards; ++s) {
     sweep.Add([&, s] {
-      const trace::RegionId region = static_cast<trace::RegionId>(s / k);
-      const uint32_t group = static_cast<uint32_t>(s % k);
-      trace::TraceSink& sink =
-          streaming ? static_cast<trace::TraceSink&>(shards[s].streaming)
-                    : static_cast<trace::TraceSink&>(shards[s].store);
-      const checkpoint::ManifestEntry* entry =
-          FindEntry(resume, static_cast<uint32_t>(s));
-      platform::Platform::Options options = PlatformOptions(config);
+      ExperimentResult& out = shards[s];
+      const uint32_t id =
+          plan.sharded ? static_cast<uint32_t>(s) : checkpoint::kSerialShard;
+      platform::PlatformPolicy* shard_policy =
+          plan.clones.empty() ? policy : plan.clones[s].get();
+      trace::TraceSink& sink = streaming ? static_cast<trace::TraceSink&>(out.streaming)
+                                         : static_cast<trace::TraceSink&>(out.store);
+      const checkpoint::ManifestEntry* entry = FindEntry(resume, id);
+      platform::Platform::Options options = PlatformOptions(config_);
       options.function_cells = function_cells;
       options.resuming = entry != nullptr;
       sim::Simulator sim;
-      platform::Platform platform(population, profiles, calendar, sim,
-                                  sink, options, clones[s].get());
-      // K == 1: region filter only, the legacy per-region partition. K > 1:
-      // the region's cells split into K contiguous groups — group g simulates
-      // cells [g * cells / K, (g + 1) * cells / K).
+      platform::Platform platform(population, profiles, calendar, sim, sink, options,
+                                  shard_policy);
+      // K == 1: region filter only, the per-region partition. K > 1: the
+      // region's cells split into K contiguous groups — group g simulates cells
+      // [g * cells / K, (g + 1) * cells / K).
+      std::optional<trace::RegionId> region;
       std::optional<workload::CellSlice> slice;
-      if (k > 1) {
-        slice = workload::CellSlice{function_cells,
-                                    static_cast<uint32_t>(group * cells / k),
-                                    static_cast<uint32_t>((group + 1) * cells / k)};
+      if (plan.sharded) {
+        region = static_cast<trace::RegionId>(s / plan.k);
+        const auto group = static_cast<uint32_t>(s % plan.k);
+        if (plan.k > 1) {
+          slice = workload::CellSlice{function_cells, group * cells / plan.k,
+                                      (group + 1) * cells / plan.k};
+        }
       }
-      auto stream = config.workload_source().OpenStream(
-          population, profiles, calendar, config.seed, region, slice);
+      auto stream = config_.workload_source().OpenStream(population, profiles, calendar,
+                                                         config_.seed, region, slice);
       int64_t start_day = 0;
       if (entry != nullptr) {
         start_day = RestoreShard(resume_dir, *entry, fingerprint,
-                                 static_cast<uint8_t>(config.trace_mode),
-                                 static_cast<uint32_t>(regions),
-                                 static_cast<uint32_t>(s), sim, clones[s].get(),
-                                 streaming, shards[s].store, shards[s].streaming,
-                                 platform, std::move(stream));
+                                 static_cast<uint8_t>(config_.trace_mode),
+                                 static_cast<uint32_t>(regions), id, sim, shard_policy,
+                                 streaming, out.store, out.streaming, platform,
+                                 std::move(stream));
       } else {
         platform.AttachArrivalStream(std::move(stream));
       }
       std::function<void(int64_t)> commit;
-      if (checkpoint != nullptr) {
-        commit = [&, s](int64_t day) {
-          committer->Commit(day, static_cast<uint32_t>(s),
-                            BuildCheckpointPayload(sim, clones[s].get(),
-                                                   streaming, shards[s].store,
-                                                   shards[s].streaming, platform));
+      if (committer) {
+        commit = [&](int64_t day) {
+          committer->Commit(day, id,
+                            BuildCheckpointPayload(sim, shard_policy, streaming,
+                                                   out.store, out.streaming, platform));
         };
       }
-      stop_days[s] = RunShardDays(sim, platform, calendar.horizon(), start_day,
-                                  checkpoint, commit);
-      shards[s].events = sim.events_processed();
-      // This shard's platform only ever saw its own cell group's arrivals, so
-      // its region row holds exactly this shard's contribution.
-      shards[s].visible_cold_starts = platform.cold_starts(region);
-      shards[s].prewarm_spawns = platform.prewarm_spawns(region);
-      shards[s].delayed_allocations = platform.delayed_allocations(region);
-      shards[s].scratch_allocations = platform.scratch_allocations(region);
-      shards[s].cold_start_latency_sum_us =
-          platform.cold_start_latency_sum_us(region);
-      shards[s].cost_ledger = platform.cost_ledger();
+      out.interrupted_at_day =
+          RunShardDays(sim, platform, calendar.horizon(), start_day, checkpoint, commit);
+      out.events_processed = sim.events_processed();
+      // A sharded platform only ever saw its own slice's arrivals, so its other
+      // regions' rows read zero and shards fold by element-wise sum.
+      for (size_t r = 0; r < regions; ++r) {
+        const auto rid = static_cast<trace::RegionId>(r);
+        out.visible_cold_starts.push_back(platform.cold_starts(rid));
+        out.prewarm_spawns.push_back(platform.prewarm_spawns(rid));
+        out.delayed_allocations.push_back(platform.delayed_allocations(rid));
+        out.scratch_allocations.push_back(platform.scratch_allocations(rid));
+        out.cold_start_latency_sum_us.push_back(platform.cold_start_latency_sum_us(rid));
+      }
+      out.cost_ledger = platform.cost_ledger();
     });
   }
   sweep.Run();
-  for (const int64_t d : stop_days) {
-    result.interrupted_at_day = std::max(result.interrupted_at_day, d);
-  }
 
+  // Deterministic merge into shard 0. kFull: every shard emitted the identical
+  // function table, and Seal() orders the event tables by the canonical (time,
+  // region, id) key, so the merged store is byte-identical to the whole-run
+  // store regardless of shard scheduling or geometry. kStreaming: shard
+  // aggregates fold in shard-id order; every accumulator (and every counter and
+  // ledger sum below) is a sum, count, max, or fixed-point total — associative
+  // and commutative — so any partition of the whole-run record sequence merges
+  // to the identical result at any thread count and any K.
+  ExperimentResult result = std::move(shards[0]);
+  for (size_t s = 1; s < plan.num_shards; ++s) {
+    ExperimentResult& shard = shards[s];
+    if (streaming) {
+      result.streaming.MergeFrom(shard.streaming);
+    } else {
+      result.store.AppendFrom(std::move(shard.store));
+    }
+    for (const auto counter : kRegionCounters) {
+      for (size_t r = 0; r < regions; ++r) {
+        (result.*counter)[r] += (shard.*counter)[r];
+      }
+    }
+    result.cost_ledger.MergeFrom(shard.cost_ledger);
+    result.events_processed += shard.events_processed;
+    result.interrupted_at_day = std::max(result.interrupted_at_day, shard.interrupted_at_day);
+  }
   // Fold shard counters back into the caller's prototype so policy statistics
   // (prewarms_issued() and friends) read the same whether the run sharded or not.
-  if (policy != nullptr) {
-    for (const auto& clone : clones) {
-      policy->AbsorbShardStats(*clone);
-    }
-  }
-
-  // Deterministic merge. kFull: every shard emitted the identical function table,
-  // and Seal() orders the event tables by the canonical (time, region, id) key, so
-  // the merged store is byte-identical to the serial run's regardless of shard
-  // scheduling or geometry. kStreaming: shard aggregates fold in shard-id order;
-  // every accumulator is a sum, count, max, or fixed-point total — associative
-  // and commutative — so any partition of the serial record sequence merges to
-  // the identical aggregates at any thread count and any K.
-  if (streaming) {
-    result.streaming = std::move(shards[0].streaming);
-    for (size_t s = 1; s < num_shards; ++s) {
-      result.streaming.MergeFrom(shards[s].streaming);
-    }
-  } else {
-    result.store = std::move(shards[0].store);
-    for (size_t s = 1; s < num_shards; ++s) {
-      result.store.AppendFrom(std::move(shards[s].store));
-    }
-  }
-  for (size_t s = 0; s < num_shards; ++s) {
-    const size_t region = s / k;
-    result.events_processed += shards[s].events;
-    result.visible_cold_starts[region] += shards[s].visible_cold_starts;
-    result.prewarm_spawns[region] += shards[s].prewarm_spawns;
-    result.delayed_allocations[region] += shards[s].delayed_allocations;
-    result.scratch_allocations[region] += shards[s].scratch_allocations;
-    result.cold_start_latency_sum_us[region] += shards[s].cold_start_latency_sum_us;
-    // Integer (and 128-bit fixed-point) adds: fold order cannot change the sums,
-    // so the merged ledger matches the serial run bit for bit.
-    result.cost_ledger.MergeFrom(shards[s].cost_ledger);
+  for (const auto& clone : plan.clones) {
+    policy->AbsorbShardStats(*clone);
   }
   if (result.interrupted_at_day < 0) {
-    result.store.Seal();
+    result.store.Seal();  // No-op in streaming mode (the store stayed empty).
   }
-
+  result.mode = config_.trace_mode;
+  result.population = std::move(population);
   result.sim_wall_seconds =
       // LINT-ALLOW(wall-clock): diagnostics-only wall timing for sim_wall_seconds; never reaches traces or aggregates
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();

@@ -4,19 +4,22 @@
 // default; a ReplaySource streams a recorded trace instead — the runner treats
 // both identically, including region sharding).
 //
-// Run() executes the full pipeline. When the scenario has several regions and the
-// policy is region-local (the baseline always is), the run is sharded: one
-// Simulator + Platform per shard on worker threads, with per-shard RNG substreams
-// and id namespaces, merged back into a single sealed TraceStore that is
-// bit-identical to the serial run. A shard is a region — or, when the scenario
-// decomposes into capacity cells (ScenarioConfig::cells_per_region > 1) and the
-// policy is function-local, a (region, cell group) slice: the planner splits each
-// region into K = min(cells, ceil(threads / regions)) sub-region shards so runs
-// with fewer regions than cores still scale (docs/determinism.md "Sub-region
-// sharding"). Cross-region policies (and policies that cannot clone per-shard
-// state) fall back to the serial path automatically. Thread count:
-// $COLDSTART_THREADS, else hardware_concurrency; pass num_threads = 1 to force the
-// serial path.
+// Run() executes the full pipeline through one executor over a shard plan: one
+// Simulator + Platform per shard, with per-shard RNG substreams and id
+// namespaces, merged back into a single result. Serial execution is the
+// one-shard plan — a shard spanning every region, fed by the unfiltered arrival
+// stream and driven by the caller's own policy. When the scenario has several
+// regions and the policy is region-local (the baseline always is), the plan
+// shards instead, on worker threads, and the merged sealed TraceStore is
+// bit-identical to the one-shard run. A shard is then a region — or, when the
+// scenario decomposes into capacity cells (ScenarioConfig::cells_per_region > 1)
+// and the policy is function-local, a (region, cell group) slice: the planner
+// splits each region into K = min(cells, ceil(threads / regions)) sub-region
+// shards so runs with fewer regions than cores still scale (docs/determinism.md
+// "Sub-region sharding"). Cross-region policies (and policies that cannot clone
+// per-shard state) get the one-shard plan automatically. Thread count:
+// $COLDSTART_THREADS, else hardware_concurrency; pass num_threads = 1 to force
+// the one-shard plan.
 //
 // Trace recording obeys config.trace_mode: kFull materializes the exact record
 // tables in result.store; kStreaming folds records into result.streaming in O(1)
@@ -131,9 +134,10 @@ class Experiment {
                               int num_threads = 0,
                               const CheckpointPolicy* checkpoint = nullptr) const;
 
-  // True when Run(policy) may take the sharded path: multiple regions (or
-  // cells_per_region > 1 with a function-local policy) and a policy that is
-  // region-local and shard-clonable (or no policy at all).
+  // True when the shard planner gives Run(policy) a sharded plan at any thread
+  // budget above one: multiple regions (or cells_per_region > 1 with a
+  // function-local policy) and a policy that is region-local and
+  // shard-clonable (or no policy at all).
   bool CanShard(platform::PlatformPolicy* policy) const;
 
   // Baseline run with trace caching under `cache_dir`. Policy runs must use Run()
@@ -148,16 +152,15 @@ class Experiment {
   static std::string DefaultCacheDir();
 
  private:
-  // `resume` (with `resume_dir`) restores each shard from its manifest entry
-  // before running; null means a fresh run from day 0.
-  ExperimentResult RunSerial(platform::PlatformPolicy* policy,
-                             const CheckpointPolicy* checkpoint = nullptr,
-                             const checkpoint::Manifest* resume = nullptr,
-                             const std::string& resume_dir = std::string()) const;
-  ExperimentResult RunSharded(platform::PlatformPolicy* policy, int num_threads,
-                              const CheckpointPolicy* checkpoint = nullptr,
-                              const checkpoint::Manifest* resume = nullptr,
-                              const std::string& resume_dir = std::string()) const;
+  // The one executor: plans the shards (the whole-run shard, or regions x K
+  // (region, cell group) shards), runs them on `threads` workers and merges
+  // their results. num_threads as for Run(). `resume` (with `resume_dir`)
+  // restores each shard from its manifest entry before running; null means a
+  // fresh run from day 0.
+  ExperimentResult Execute(platform::PlatformPolicy* policy, int num_threads,
+                           const CheckpointPolicy* checkpoint,
+                           const checkpoint::Manifest* resume,
+                           const std::string& resume_dir) const;
 
   ScenarioConfig config_;
 };

@@ -264,11 +264,6 @@ void Platform::AttachArrivalStream(std::unique_ptr<workload::ArrivalStream> stre
   }
 }
 
-void Platform::InjectArrivals(std::vector<workload::ArrivalEvent> arrivals) {
-  AttachArrivalStream(std::make_unique<workload::MaterializedArrivalStream>(
-      std::move(arrivals), workload::NumDayChunks(calendar_.horizon())));
-}
-
 const workload::FunctionSpec& Platform::spec(FunctionId function) const {
   return population_.functions.at(function);
 }

@@ -138,11 +138,6 @@ class Platform {
   // event total order identical to per-arrival scheduling.
   void AttachArrivalStream(std::unique_ptr<workload::ArrivalStream> stream);
 
-  // Compatibility shim for callers holding an eager (time-sorted) vector:
-  // wraps it in a MaterializedArrivalStream and attaches it. Same event total
-  // order as streaming generation — the vector is just a pre-pulled stream.
-  void InjectArrivals(std::vector<workload::ArrivalEvent> arrivals);
-
   // Writes function records + flushes still-alive pods; call once after the run.
   void Finalize();
 

@@ -43,7 +43,7 @@ class PlatformPolicy {
   // A fresh instance with this policy's configuration (but none of its learned
   // state) for one shard of a parallel run (a region, or a capacity-cell group
   // when is_function_local()). Returning nullptr (the default) declares the
-  // policy non-shardable and forces the serial path. Implementations must be
+  // policy non-shardable and forces the one-shard (serial) plan. Implementations must be
   // safe to call before the run starts.
   virtual std::unique_ptr<PlatformPolicy> CloneForShard() const { return nullptr; }
 

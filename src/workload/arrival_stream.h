@@ -112,8 +112,7 @@ class ArrivalStream {
 
 // Wraps an already-materialized, (time, function)-sorted arrival vector as a
 // stream of day chunks. Compatibility bridge for callers that still hold eager
-// vectors (Platform::InjectArrivals, tests, benchmarks); it obviously does not
-// reduce peak memory.
+// vectors (tests, benchmarks); it obviously does not reduce peak memory.
 class MaterializedArrivalStream final : public ArrivalStream {
  public:
   // `num_days` is ceil(horizon / kDay): the chunk count the stream must yield,

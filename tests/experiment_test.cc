@@ -107,8 +107,8 @@ TEST(ShardedExperimentTest, StreamedArrivalsBitIdenticalToEagerInjection) {
   const ExperimentResult serial = experiment.Run(nullptr, 1);
   const ExperimentResult sharded = experiment.Run(nullptr, 4);
 
-  // Eager reference: materialize the whole arrival vector up front and inject it
-  // through the compatibility shim, mirroring RunSerial by hand.
+  // Eager reference: materialize the whole arrival vector up front and attach
+  // it as a pre-pulled stream, mirroring the whole-run shard by hand.
   core::WorkloadSnapshot snapshot = core::SnapshotWorkload(config);
   const workload::Calendar calendar = config.MakeCalendar();
   const auto profiles = config.ScaledProfiles();
@@ -120,7 +120,8 @@ TEST(ShardedExperimentTest, StreamedArrivalsBitIdenticalToEagerInjection) {
   options.default_keep_alive = config.default_keep_alive;
   platform::Platform platform(snapshot.population, profiles, calendar, sim, store,
                               options);
-  platform.InjectArrivals(std::move(snapshot.arrivals));
+  platform.AttachArrivalStream(std::make_unique<workload::MaterializedArrivalStream>(
+      std::move(snapshot.arrivals), workload::NumDayChunks(calendar)));
   sim.RunUntil(calendar.horizon());
   platform.Finalize();
   store.Seal();
@@ -317,6 +318,28 @@ TEST(ShardedExperimentTest, CrossRegionPolicyFallsBackToSerial) {
   combo.Add(std::make_unique<policy::CrossRegionPolicy>());
   EXPECT_FALSE(combo.is_region_local());
   EXPECT_FALSE(experiment.CanShard(&combo));
+}
+
+TEST(ShardedExperimentTest, UnclonableRegionLocalPolicyRunsAsOneShard) {
+  // A region-local policy that cannot clone per-shard state gets the whole-run
+  // plan at any thread count: one shard, driven by the caller's own instance,
+  // so every arrival reaches it and the trace matches the one-thread run.
+  struct ArrivalCounter : platform::PlatformPolicy {
+    void OnArrival(const workload::FunctionSpec&, SimTime) override { ++arrivals; }
+    int64_t arrivals = 0;
+  };
+  ScenarioConfig config = core::SmallScenario();
+  config.days = 2;
+  const Experiment experiment(config);
+  ArrivalCounter a;
+  ArrivalCounter b;
+  EXPECT_FALSE(experiment.CanShard(&a));
+  const ExperimentResult one = experiment.Run(&a, 1);
+  const ExperimentResult four = experiment.Run(&b, 4);
+  EXPECT_EQ(trace::Digest(one.store), trace::Digest(four.store));
+  EXPECT_EQ(one.events_processed, four.events_processed);
+  EXPECT_GT(a.arrivals, 0);
+  EXPECT_EQ(a.arrivals, b.arrivals);
 }
 
 // --- Satellite: cache hits restore the per-region aggregates. ---

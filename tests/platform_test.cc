@@ -222,7 +222,8 @@ struct TinyWorld {
   }
 
   void Run(const std::vector<workload::ArrivalEvent>& arrivals) {
-    platform->InjectArrivals(arrivals);
+    platform->AttachArrivalStream(
+        std::make_unique<workload::MaterializedArrivalStream>(arrivals, workload::NumDayChunks(calendar)));
     sim.RunUntil(calendar.horizon());
     platform->Finalize();
     store.Seal();
@@ -444,7 +445,8 @@ TEST(PlatformTest, CrossRegionRoutingExecutesElsewhere) {
   Platform::Options opts;
   opts.seed = 21;
   Platform platform(pop, profiles, cal, sim, store, opts, &policy);
-  platform.InjectArrivals({{kHour, 0}});
+  platform.AttachArrivalStream(std::make_unique<workload::MaterializedArrivalStream>(
+      std::vector<workload::ArrivalEvent>{{kHour, 0}}, workload::NumDayChunks(cal)));
   sim.RunUntil(cal.horizon());
   platform.Finalize();
   store.Seal();

@@ -229,7 +229,8 @@ TimerScenarioResult RunTimerScenario(platform::PlatformPolicy* policy) {
   opts.seed = 33;
   opts.record_requests = false;
   platform::Platform platform(pop, profiles, cal, sim, store, opts, policy);
-  platform.InjectArrivals(arrivals);
+  platform.AttachArrivalStream(
+      std::make_unique<workload::MaterializedArrivalStream>(arrivals, workload::NumDayChunks(cal)));
   sim.RunUntil(cal.horizon());
   platform.Finalize();
   return {platform.cold_starts(0), platform.load(0).prewarm_spawns};
@@ -283,7 +284,8 @@ TEST(WorkflowPrewarmTest, PrewarmsChildrenOnParentStart) {
   platform::Platform::Options opts;
   opts.seed = 3;
   platform::Platform platform(pop, profiles, cal, sim, store, opts, &policy);
-  platform.InjectArrivals({{kHour, 0}});
+  platform.AttachArrivalStream(std::make_unique<workload::MaterializedArrivalStream>(
+      std::vector<workload::ArrivalEvent>{{kHour, 0}}, workload::NumDayChunks(cal)));
   sim.RunUntil(cal.horizon());
   platform.Finalize();
   store.Seal();
