@@ -13,14 +13,14 @@ namespace coldstart::checkpoint {
 
 namespace {
 
-// "cckpt_v4" / "cmnft_v3", little-endian. Checkpoint v4 frames the cold-start
-// model layer into the platform payload — per-(region, cell) model identity plus
-// a mutable-state blob, the resource-cost ledger's 128-bit sums, and the per-pod
-// warm-idle accumulator. (v3 switched the LogHistogram latency sum to 128-bit
-// fixed point; manifest v3 added shards_per_region and is layout-unchanged by
-// v4.) Older files encode different layouts and are rejected here as "bad
-// magic" rather than half-restored.
-constexpr uint64_t kCheckpointMagic = 0x34765F74706B6363ull;
+// "cckpt_v5" / "cmnft_v3", little-endian. Checkpoint v5 drops the always-zero
+// days_observed word from each ProfilePrewarmPolicy profile. v4 framed the
+// cold-start model layer (per-(region, cell) identity + state blob), the cost
+// ledger's 128-bit sums and the per-pod warm-idle accumulator; v3 made the
+// LogHistogram latency sum 128-bit fixed point (manifest v3 added
+// shards_per_region, layout-unchanged since). Older files encode different
+// layouts and are rejected here as "bad magic" rather than half-restored.
+constexpr uint64_t kCheckpointMagic = 0x35765F74706B6363ull;
 constexpr uint64_t kManifestMagic = 0x33765F74666E6D63ull;
 
 [[noreturn]] void Corrupt(const std::string& path, const char* what) {

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -355,11 +356,13 @@ ShardPlan PlanShards(const ScenarioConfig& config, platform::PlatformPolicy* pol
   return plan;
 }
 
-// The per-region platform counters, folded across shards by element-wise sum.
+// The per-region platform counters, folded across shards by element-wise sum;
+// the trace cache persists them in this order (trace::TraceAggregates).
 constexpr std::vector<int64_t> ExperimentResult::*kRegionCounters[] = {
     &ExperimentResult::visible_cold_starts, &ExperimentResult::prewarm_spawns,
     &ExperimentResult::delayed_allocations, &ExperimentResult::scratch_allocations,
     &ExperimentResult::cold_start_latency_sum_us};
+static_assert(std::size(kRegionCounters) == trace::kNumRegionSeries);
 
 }  // namespace
 
@@ -602,15 +605,12 @@ ExperimentResult Experiment::RunCached(const std::string& cache_dir,
     ExperimentResult result;
     trace::TraceAggregates aggregates;
     if (trace::ReadBinaryTrace(path, result.store, &aggregates) &&
-        aggregates.visible_cold_starts.size() == config_.profiles.size()) {
+        aggregates.region_series[0].size() == config_.profiles.size()) {
       result.store.Seal();
       result.from_cache = true;
-      result.visible_cold_starts = std::move(aggregates.visible_cold_starts);
-      result.prewarm_spawns = std::move(aggregates.prewarm_spawns);
-      result.delayed_allocations = std::move(aggregates.delayed_allocations);
-      result.scratch_allocations = std::move(aggregates.scratch_allocations);
-      result.cold_start_latency_sum_us =
-          std::move(aggregates.cold_start_latency_sum_us);
+      for (size_t i = 0; i < trace::kNumRegionSeries; ++i) {
+        result.*kRegionCounters[i] = std::move(aggregates.region_series[i]);
+      }
       result.events_processed = aggregates.events_processed;
       if (!aggregates.cost_ledger.empty()) {
         ByteReader cost(aggregates.cost_ledger);
@@ -625,11 +625,9 @@ ExperimentResult Experiment::RunCached(const std::string& cache_dir,
   ExperimentResult result = Run(nullptr);
   fs::create_directories(cache_dir, ec);
   trace::TraceAggregates aggregates;
-  aggregates.visible_cold_starts = result.visible_cold_starts;
-  aggregates.prewarm_spawns = result.prewarm_spawns;
-  aggregates.delayed_allocations = result.delayed_allocations;
-  aggregates.scratch_allocations = result.scratch_allocations;
-  aggregates.cold_start_latency_sum_us = result.cold_start_latency_sum_us;
+  for (size_t i = 0; i < trace::kNumRegionSeries; ++i) {
+    aggregates.region_series[i] = result.*kRegionCounters[i];
+  }
   aggregates.events_processed = result.events_processed;
   {
     ByteWriter cost;

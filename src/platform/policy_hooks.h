@@ -114,8 +114,9 @@ class PlatformPolicy {
   //
   // Implementer contract (statically checked: coldstart_lint's policy-hooks
   // rule flags stateful subclasses missing these overrides, and its
-  // unordered-iter rule polices (a)): (a) serialize hash-map contents in a
-  // sorted order — iteration order must never leak into the blob; (b) floating-point state
+  // unordered-iter rule polices (a)): (a) iteration order must never leak into
+  // the blob — per-function state lives in a policy::FunctionTable, which
+  // iterates in function-id order by construction; (b) floating-point state
   // travels by bit pattern (common/byte_serde.h); (c) a checkpointable policy
   // must not schedule its own simulator closures — pending closures cannot be
   // captured (TimerAwarePrewarmPolicy stays non-checkpointable for exactly that

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <vector>
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -188,8 +187,8 @@ ForecastPrewarmPolicy::ForecastPrewarmPolicy(Options options)
 
 void ForecastPrewarmPolicy::OnArrival(const workload::FunctionSpec& spec,
                                       SimTime now) {
-  auto& forecaster =
-      forecasters_.try_emplace(spec.id, options_.forecaster).first->second;
+  InterArrivalForecaster& forecaster =
+      forecasters_.Touch(spec.id, options_.forecaster);
   forecaster.ObserveArrival(now);
 
   // Re-arm (or disarm) this function's pending fire: every arrival refreshes
@@ -247,11 +246,11 @@ void ForecastPrewarmPolicy::OnMinuteTick(SimTime now) {
 
 SimDuration ForecastPrewarmPolicy::KeepAliveFor(const workload::FunctionSpec& spec,
                                                 SimTime) {
-  const auto it = forecasters_.find(spec.id);
-  if (it == forecasters_.end() || !it->second.Confident()) {
+  const InterArrivalForecaster* forecaster = forecasters_.Find(spec.id);
+  if (forecaster == nullptr || !forecaster->Confident()) {
     return options_.default_keep_alive;
   }
-  const SimDuration iat = it->second.PredictedIat();
+  const SimDuration iat = forecaster->PredictedIat();
   if (iat <= options_.prewarm_min_iat) {
     // Dynamic keep-alive move: cover the predicted gap with headroom. This
     // both extends (IAT slightly over the default window) and shrinks
@@ -282,15 +281,6 @@ void ForecastPrewarmPolicy::AbsorbShardStats(
 }
 
 bool ForecastPrewarmPolicy::SavePolicyState(std::string* out) const {
-  // Forecasters serialize sorted by function id: unordered_map iteration
-  // order must not reach the blob (pending_ is a std::map, already ordered).
-  std::vector<trace::FunctionId> fids;
-  fids.reserve(forecasters_.size());
-  // LINT-ALLOW(unordered-iter): keys are copied out and sorted before any byte is written
-  for (const auto& [fid, forecaster] : forecasters_) {
-    fids.push_back(fid);
-  }
-  std::sort(fids.begin(), fids.end());
   ByteWriter w;
   w.I64(prewarms_issued_);
   w.I64(keepalive_extended_);
@@ -300,17 +290,14 @@ bool ForecastPrewarmPolicy::SavePolicyState(std::string* out) const {
     w.U64(fid);
     w.I64(fire);
   }
-  w.U64(fids.size());
-  for (const trace::FunctionId fid : fids) {
-    w.U64(fid);
-    forecasters_.at(fid).SaveState(w);
-  }
+  forecasters_.SaveEntries(
+      w, [&w](const InterArrivalForecaster& f) { f.SaveState(w); });
   *out = w.Take();
   return true;
 }
 
 bool ForecastPrewarmPolicy::RestorePolicyState(std::string_view blob) {
-  COLDSTART_CHECK(forecasters_.empty() && pending_.empty());
+  COLDSTART_CHECK(pending_.empty());
   ByteReader r(blob);
   prewarms_issued_ = r.I64();
   keepalive_extended_ = r.I64();
@@ -320,12 +307,9 @@ bool ForecastPrewarmPolicy::RestorePolicyState(std::string_view blob) {
     const auto fid = static_cast<trace::FunctionId>(r.U64());
     pending_[fid] = r.I64();
   }
-  const uint64_t n = r.U64();
-  for (uint64_t i = 0; i < n; ++i) {
-    const auto fid = static_cast<trace::FunctionId>(r.U64());
-    forecasters_.try_emplace(fid, options_.forecaster)
-        .first->second.RestoreState(r);
-  }
+  forecasters_.RestoreEntries(
+      r, [&r](InterArrivalForecaster& f) { f.RestoreState(r); },
+      options_.forecaster);
   COLDSTART_CHECK(r.AtEnd());
   return true;
 }

@@ -30,11 +30,11 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/byte_serde.h"
 #include "platform/platform.h"
+#include "policy/function_table.h"
 
 namespace coldstart::policy {
 
@@ -164,7 +164,7 @@ class ForecastPrewarmPolicy : public platform::PlatformPolicy {
  private:
   Options options_;
   platform::Platform* platform_ = nullptr;
-  std::unordered_map<trace::FunctionId, InterArrivalForecaster> forecasters_;
+  FunctionTable<InterArrivalForecaster> forecasters_;
   // Predicted next fire per armed function. Ordered: OnMinuteTick walks it to
   // spawn pods, so spawn order must not depend on hash order.
   std::map<trace::FunctionId, SimTime> pending_;

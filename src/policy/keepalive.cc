@@ -1,8 +1,6 @@
 #include "policy/keepalive.h"
 
 #include <algorithm>
-#include <utility>
-#include <vector>
 
 #include "common/byte_serde.h"
 #include "common/check.h"
@@ -13,7 +11,7 @@ DynamicKeepAlivePolicy::DynamicKeepAlivePolicy() : DynamicKeepAlivePolicy(Option
 DynamicKeepAlivePolicy::DynamicKeepAlivePolicy(Options options) : options_(options) {}
 
 void DynamicKeepAlivePolicy::OnArrival(const workload::FunctionSpec& spec, SimTime now) {
-  History& h = history_[spec.id];
+  History& h = history_.Touch(spec.id);
   if (h.last_arrival >= 0) {
     const double iat = static_cast<double>(now - h.last_arrival);
     h.iat_ewma = h.observations == 0
@@ -26,44 +24,32 @@ void DynamicKeepAlivePolicy::OnArrival(const workload::FunctionSpec& spec, SimTi
 
 SimDuration DynamicKeepAlivePolicy::KeepAliveFor(const workload::FunctionSpec& spec,
                                                  SimTime) {
-  const auto it = history_.find(spec.id);
-  if (it == history_.end() || it->second.observations < options_.min_observations) {
+  const History* h = history_.Find(spec.id);
+  if (h == nullptr || h->observations < options_.min_observations) {
     return options_.default_keep_alive;
   }
-  const auto scaled = static_cast<SimDuration>(options_.headroom * it->second.iat_ewma);
+  const auto scaled = static_cast<SimDuration>(options_.headroom * h->iat_ewma);
   return std::clamp(scaled, options_.min_keep_alive, options_.max_keep_alive);
 }
 
 bool DynamicKeepAlivePolicy::SavePolicyState(std::string* out) const {
-  // Sorted by function id: unordered_map iteration order must not reach the blob.
-  // LINT-ALLOW(unordered-iter): entries are copied out and sorted by function id before any byte is written
-  std::vector<std::pair<trace::FunctionId, History>> entries(history_.begin(),
-                                                             history_.end());
-  std::sort(entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
   ByteWriter w;
-  w.U64(entries.size());
-  for (const auto& [fid, h] : entries) {
-    w.U64(fid);
+  history_.SaveEntries(w, [&w](const History& h) {
     w.I64(h.last_arrival);
     w.F64(h.iat_ewma);
     w.I64(h.observations);
-  }
+  });
   *out = w.Take();
   return true;
 }
 
 bool DynamicKeepAlivePolicy::RestorePolicyState(std::string_view blob) {
-  COLDSTART_CHECK(history_.empty());
   ByteReader r(blob);
-  const uint64_t n = r.U64();
-  for (uint64_t i = 0; i < n; ++i) {
-    const auto fid = static_cast<trace::FunctionId>(r.U64());
-    History& h = history_[fid];
+  history_.RestoreEntries(r, [&r](History& h) {
     h.last_arrival = r.I64();
     h.iat_ewma = r.F64();
     h.observations = static_cast<int>(r.I64());
-  }
+  });
   COLDSTART_CHECK(r.AtEnd());
   return true;
 }

@@ -8,9 +8,9 @@
 #define COLDSTART_POLICY_KEEPALIVE_H_
 
 #include <memory>
-#include <unordered_map>
 
 #include "platform/policy_hooks.h"
+#include "policy/function_table.h"
 
 namespace coldstart::policy {
 
@@ -39,8 +39,7 @@ class DynamicKeepAlivePolicy : public platform::PlatformPolicy {
   // no region load — so capacity-cell shards see identical inputs.
   bool is_function_local() const override { return true; }
 
-  // Checkpointable: the learned state is the per-function IAT table, serialized
-  // sorted by function id.
+  // Checkpointable: the learned state is the per-function IAT table.
   bool SavePolicyState(std::string* out) const override;
   bool RestorePolicyState(std::string_view blob) override;
 
@@ -52,7 +51,7 @@ class DynamicKeepAlivePolicy : public platform::PlatformPolicy {
   };
 
   Options options_;
-  std::unordered_map<trace::FunctionId, History> history_;
+  FunctionTable<History> history_;
 };
 
 }  // namespace coldstart::policy

@@ -1,8 +1,6 @@
 #include "policy/prewarm.h"
 
-#include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "common/byte_serde.h"
 #include "common/check.h"
@@ -17,7 +15,7 @@ ProfilePrewarmPolicy::ProfilePrewarmPolicy(Options options) : options_(options) 
 
 void TimerAwarePrewarmPolicy::OnArrival(const workload::FunctionSpec& spec, SimTime now) {
   COLDSTART_CHECK(platform_ != nullptr);
-  FunctionHistory& h = history_[spec.id];
+  FunctionHistory& h = history_.Touch(spec.id);
   if (h.last_arrival < 0) {
     h.last_arrival = now;
     return;
@@ -67,7 +65,7 @@ void TimerAwarePrewarmPolicy::OnArrival(const workload::FunctionSpec& spec, SimT
 }
 
 void ProfilePrewarmPolicy::OnArrival(const workload::FunctionSpec& spec, SimTime now) {
-  Profile& prof = profiles_[spec.id];
+  Profile& prof = profiles_.Touch(spec.id);
   const int minute = static_cast<int>((TimeOfDay(now)) / kMinute);
   prof.per_minute[static_cast<size_t>(minute)] += 1.0f;
 }
@@ -87,14 +85,13 @@ void ProfilePrewarmPolicy::OnMinuteTick(SimTime now) {
   int budget = options_.max_prewarms_per_tick;
   for (auto it = watch_list_.begin(); it != watch_list_.end() && budget > 0;) {
     const trace::FunctionId fid = *it;
-    const auto prof_it = profiles_.find(fid);
-    if (prof_it == profiles_.end()) {
+    const Profile* prof = profiles_.Find(fid);
+    if (prof == nullptr) {
       it = watch_list_.erase(it);
       continue;
     }
     const double expected =
-        prof_it->second.per_minute[static_cast<size_t>(next_minute)] /
-        static_cast<double>(day);
+        prof->per_minute[static_cast<size_t>(next_minute)] / static_cast<double>(day);
     if (expected >= options_.min_expected_arrivals && !platform_->HasAvailablePod(fid)) {
       platform_->SpawnPrewarmedPod(fid, platform_->spec(fid).region,
                                    options_.prewarm_keep_alive);
@@ -106,47 +103,30 @@ void ProfilePrewarmPolicy::OnMinuteTick(SimTime now) {
 }
 
 bool ProfilePrewarmPolicy::SavePolicyState(std::string* out) const {
-  // Sorted by function id: unordered_map iteration order must not reach the
-  // blob (watch_list_ is a std::set, already ordered).
-  std::vector<trace::FunctionId> fids;
-  fids.reserve(profiles_.size());
-  // LINT-ALLOW(unordered-iter): keys are copied out and sorted before any byte is written
-  for (const auto& [fid, prof] : profiles_) {
-    fids.push_back(fid);
-  }
-  std::sort(fids.begin(), fids.end());
   ByteWriter w;
   w.I64(prewarms_issued_);
   w.U64(watch_list_.size());
   for (const trace::FunctionId fid : watch_list_) {
     w.U64(fid);
   }
-  w.U64(fids.size());
-  for (const trace::FunctionId fid : fids) {
-    const Profile& prof = profiles_.at(fid);
-    w.U64(fid);
-    w.I64(prof.days_observed);
+  profiles_.SaveEntries(w, [&w](const Profile& prof) {
     w.Raw(prof.per_minute.data(), prof.per_minute.size() * sizeof(float));
-  }
+  });
   *out = w.Take();
   return true;
 }
 
 bool ProfilePrewarmPolicy::RestorePolicyState(std::string_view blob) {
-  COLDSTART_CHECK(profiles_.empty() && watch_list_.empty());
+  COLDSTART_CHECK(watch_list_.empty());
   ByteReader r(blob);
   prewarms_issued_ = r.I64();
   const uint64_t watched = r.U64();
   for (uint64_t i = 0; i < watched; ++i) {
     watch_list_.insert(static_cast<trace::FunctionId>(r.U64()));
   }
-  const uint64_t n = r.U64();
-  for (uint64_t i = 0; i < n; ++i) {
-    const auto fid = static_cast<trace::FunctionId>(r.U64());
-    Profile& prof = profiles_[fid];
-    prof.days_observed = static_cast<int>(r.I64());
+  profiles_.RestoreEntries(r, [&r](Profile& prof) {
     r.Raw(prof.per_minute.data(), prof.per_minute.size() * sizeof(float));
-  }
+  });
   COLDSTART_CHECK(r.AtEnd());
   return true;
 }

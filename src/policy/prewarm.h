@@ -14,9 +14,10 @@
 
 #include <memory>
 #include <set>
-#include <unordered_map>
+#include <vector>
 
 #include "platform/platform.h"
+#include "policy/function_table.h"
 
 namespace coldstart::policy {
 
@@ -63,7 +64,7 @@ class TimerAwarePrewarmPolicy : public platform::PlatformPolicy {
 
   Options options_;
   platform::Platform* platform_ = nullptr;
-  std::unordered_map<trace::FunctionId, FunctionHistory> history_;
+  FunctionTable<FunctionHistory> history_;
   int64_t prewarms_issued_ = 0;
 };
 
@@ -102,12 +103,11 @@ class ProfilePrewarmPolicy : public platform::PlatformPolicy {
   struct Profile {
     // Smoothed arrivals per minute-of-day (1440 bins), updated online.
     std::vector<float> per_minute = std::vector<float>(1440, 0.f);
-    int days_observed = 0;
   };
 
   Options options_;
   platform::Platform* platform_ = nullptr;
-  std::unordered_map<trace::FunctionId, Profile> profiles_;
+  FunctionTable<Profile> profiles_;
   // Cold-started recently. Ordered: OnMinuteTick walks it under a prewarm
   // budget, so which functions win the budget must not depend on hash order.
   std::set<trace::FunctionId> watch_list_;

@@ -1,9 +1,5 @@
 #include "policy/workflow_prewarm.h"
 
-#include <algorithm>
-#include <utility>
-#include <vector>
-
 #include "common/byte_serde.h"
 #include "common/check.h"
 
@@ -21,8 +17,8 @@ void WorkflowPrewarmPolicy::OnParentRequestStart(const workload::FunctionSpec& p
     if (edge.probability < options_.min_edge_probability) {
       continue;
     }
-    const auto it = last_prewarm_.find(edge.child);
-    if (it != last_prewarm_.end() && now - it->second < options_.per_child_cooldown) {
+    const SimTime* last = last_prewarm_.Find(edge.child);
+    if (last != nullptr && now - *last < options_.per_child_cooldown) {
       continue;
     }
     if (platform_->HasAvailablePod(edge.child)) {
@@ -30,37 +26,23 @@ void WorkflowPrewarmPolicy::OnParentRequestStart(const workload::FunctionSpec& p
     }
     const workload::FunctionSpec& child = platform_->spec(edge.child);
     platform_->SpawnPrewarmedPod(edge.child, child.region, options_.prewarm_keep_alive);
-    last_prewarm_[edge.child] = now;
+    last_prewarm_.Touch(edge.child) = now;
     ++prewarms_issued_;
   }
 }
 
 bool WorkflowPrewarmPolicy::SavePolicyState(std::string* out) const {
-  // LINT-ALLOW(unordered-iter): entries are copied out and sorted by function id before any byte is written
-  std::vector<std::pair<trace::FunctionId, SimTime>> entries(last_prewarm_.begin(),
-                                                             last_prewarm_.end());
-  std::sort(entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
   ByteWriter w;
   w.I64(prewarms_issued_);
-  w.U64(entries.size());
-  for (const auto& [child, t] : entries) {
-    w.U64(child);
-    w.I64(t);
-  }
+  last_prewarm_.SaveEntries(w, [&w](SimTime t) { w.I64(t); });
   *out = w.Take();
   return true;
 }
 
 bool WorkflowPrewarmPolicy::RestorePolicyState(std::string_view blob) {
-  COLDSTART_CHECK(last_prewarm_.empty());
   ByteReader r(blob);
   prewarms_issued_ = r.I64();
-  const uint64_t n = r.U64();
-  for (uint64_t i = 0; i < n; ++i) {
-    const auto child = static_cast<trace::FunctionId>(r.U64());
-    last_prewarm_[child] = r.I64();
-  }
+  last_prewarm_.RestoreEntries(r, [&r](SimTime& t) { t = r.I64(); });
   COLDSTART_CHECK(r.AtEnd());
   return true;
 }

@@ -8,9 +8,9 @@
 #define COLDSTART_POLICY_WORKFLOW_PREWARM_H_
 
 #include <memory>
-#include <unordered_map>
 
 #include "platform/platform.h"
+#include "policy/function_table.h"
 
 namespace coldstart::policy {
 
@@ -44,15 +44,14 @@ class WorkflowPrewarmPolicy : public platform::PlatformPolicy {
 
   int64_t prewarms_issued() const { return prewarms_issued_; }
 
-  // Checkpointable: the cooldown table (sorted by child id) and the prewarm
-  // counter; platform_ is re-wired by OnAttach on the resumed platform.
+  // Checkpointable: the cooldown table and the prewarm counter; platform_ is re-wired by OnAttach on the resumed platform.
   bool SavePolicyState(std::string* out) const override;
   bool RestorePolicyState(std::string_view blob) override;
 
  private:
   Options options_;
   platform::Platform* platform_ = nullptr;
-  std::unordered_map<trace::FunctionId, SimTime> last_prewarm_;
+  FunctionTable<SimTime> last_prewarm_;  // Per child.
   int64_t prewarms_issued_ = 0;
 };
 

@@ -55,10 +55,6 @@ struct Header {
 static_assert(sizeof(Header) == 8 * sizeof(uint64_t) + 6 * sizeof(uint32_t),
               "Header must be padding-free: it is written raw to disk");
 
-// The aggregate block is kNumAggregateSeries int64 arrays of aggregate_region_count
-// entries each, followed by the uint64 event count.
-constexpr uint64_t kNumAggregateSeries = 5;
-
 // total += count * size, rejecting any intermediate uint64 overflow (a corrupt
 // header must fail the size check, not wrap around it).
 bool AccumulateArrayBytes(uint64_t* total, uint64_t count, uint64_t size) {
@@ -85,7 +81,7 @@ bool ExpectedFileSize(const Header& h, uint64_t* size) {
   }
   if (h.aggregate_region_count > 0) {
     if (!AccumulateArrayBytes(&total, h.aggregate_region_count,
-                              kNumAggregateSeries * sizeof(int64_t)) ||
+                              kNumRegionSeries * sizeof(int64_t)) ||
         !AccumulateArrayBytes(&total, 1, sizeof(uint64_t))) {
       return false;
     }
@@ -131,17 +127,8 @@ bool WriteBinaryTrace(const TraceStore& store, const std::string& path,
   h.function_count = store.functions().size();
   h.pod_count = store.pods().size();
   h.aggregate_region_count =
-      aggregates != nullptr ? aggregates->visible_cold_starts.size() : 0;
+      aggregates != nullptr ? aggregates->region_series[0].size() : 0;
   h.cost_blob_size = aggregates != nullptr ? aggregates->cost_ledger.size() : 0;
-  if (h.aggregate_region_count > 0) {
-    const size_t n = aggregates->visible_cold_starts.size();
-    if (aggregates->prewarm_spawns.size() != n ||
-        aggregates->delayed_allocations.size() != n ||
-        aggregates->scratch_allocations.size() != n ||
-        aggregates->cold_start_latency_sum_us.size() != n) {
-      return false;
-    }
-  }
   // Every payload span is in memory, so the CRC chains over them before a
   // single byte hits disk — same order the spans are written below.
   uint32_t crc = CrcArray(store.requests(), 0);
@@ -149,11 +136,12 @@ bool WriteBinaryTrace(const TraceStore& store, const std::string& path,
   crc = CrcArray(store.functions(), crc);
   crc = CrcArray(store.pods(), crc);
   if (h.aggregate_region_count > 0) {
-    crc = CrcArray(aggregates->visible_cold_starts, crc);
-    crc = CrcArray(aggregates->prewarm_spawns, crc);
-    crc = CrcArray(aggregates->delayed_allocations, crc);
-    crc = CrcArray(aggregates->scratch_allocations, crc);
-    crc = CrcArray(aggregates->cold_start_latency_sum_us, crc);
+    for (const auto& series : aggregates->region_series) {
+      if (series.size() != h.aggregate_region_count) {
+        return false;
+      }
+      crc = CrcArray(series, crc);
+    }
     crc = Crc32(&aggregates->events_processed, sizeof(uint64_t), crc);
   }
   if (h.cost_blob_size > 0) {
@@ -172,12 +160,12 @@ bool WriteBinaryTrace(const TraceStore& store, const std::string& path,
     return false;
   }
   if (h.aggregate_region_count > 0) {
-    if (!WriteArray(f, aggregates->visible_cold_starts) ||
-        !WriteArray(f, aggregates->prewarm_spawns) ||
-        !WriteArray(f, aggregates->delayed_allocations) ||
-        !WriteArray(f, aggregates->scratch_allocations) ||
-        !WriteArray(f, aggregates->cold_start_latency_sum_us) ||
-        !f.Write(&aggregates->events_processed, sizeof(uint64_t))) {
+    for (const auto& series : aggregates->region_series) {
+      if (!WriteArray(f, series)) {
+        return false;
+      }
+    }
+    if (!f.Write(&aggregates->events_processed, sizeof(uint64_t))) {
       return false;
     }
   }
@@ -226,13 +214,12 @@ bool ReadBinaryTrace(const std::string& path, TraceStore& store,
   }
   TraceAggregates agg;
   if (h.aggregate_region_count > 0) {
-    const uint64_t n = h.aggregate_region_count;
-    if (!ReadArray(f.get(), n, agg.visible_cold_starts) ||
-        !ReadArray(f.get(), n, agg.prewarm_spawns) ||
-        !ReadArray(f.get(), n, agg.delayed_allocations) ||
-        !ReadArray(f.get(), n, agg.scratch_allocations) ||
-        !ReadArray(f.get(), n, agg.cold_start_latency_sum_us) ||
-        std::fread(&agg.events_processed, sizeof(uint64_t), 1, f.get()) != 1) {
+    for (auto& series : agg.region_series) {
+      if (!ReadArray(f.get(), h.aggregate_region_count, series)) {
+        return false;
+      }
+    }
+    if (std::fread(&agg.events_processed, sizeof(uint64_t), 1, f.get()) != 1) {
       return false;
     }
   }
@@ -256,11 +243,9 @@ bool ReadBinaryTrace(const std::string& path, TraceStore& store,
   crc = CrcArray(functions, crc);
   crc = CrcArray(pods, crc);
   if (h.aggregate_region_count > 0) {
-    crc = CrcArray(agg.visible_cold_starts, crc);
-    crc = CrcArray(agg.prewarm_spawns, crc);
-    crc = CrcArray(agg.delayed_allocations, crc);
-    crc = CrcArray(agg.scratch_allocations, crc);
-    crc = CrcArray(agg.cold_start_latency_sum_us, crc);
+    for (const auto& series : agg.region_series) {
+      crc = CrcArray(series, crc);
+    }
     crc = Crc32(&agg.events_processed, sizeof(uint64_t), crc);
   }
   if (h.cost_blob_size > 0) {

@@ -8,6 +8,7 @@
 #ifndef COLDSTART_TRACE_BINARY_IO_H_
 #define COLDSTART_TRACE_BINARY_IO_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -16,15 +17,14 @@
 
 namespace coldstart::trace {
 
-// Per-region platform counters persisted alongside the trace. All five vectors have
-// one entry per region; `events_processed` is the simulator's total event count.
+// Per-region platform counters persisted alongside the trace: one series per
+// ExperimentResult per-region vector, in its order (visible cold starts, prewarm
+// spawns, delayed and scratch allocations, cold-start latency sum in µs), each
+// with one entry per region.
+inline constexpr size_t kNumRegionSeries = 5;
 struct TraceAggregates {
-  std::vector<int64_t> visible_cold_starts;
-  std::vector<int64_t> prewarm_spawns;
-  std::vector<int64_t> delayed_allocations;
-  std::vector<int64_t> scratch_allocations;
-  std::vector<int64_t> cold_start_latency_sum_us;
-  uint64_t events_processed = 0;
+  std::array<std::vector<int64_t>, kNumRegionSeries> region_series;
+  uint64_t events_processed = 0;  // The simulator's total event count.
   // Opaque resource-cost ledger state (platform::ResourceCostLedger::SaveState
   // bytes). The trace layer cannot depend on platform/, so it round-trips the
   // blob verbatim; empty = the file predates cost tracking or carried none.

@@ -49,6 +49,7 @@ std::unique_ptr<policy::CompositePolicy> CheckpointablePolicy() {
   auto combo = std::make_unique<policy::CompositePolicy>();
   combo->Add(std::make_unique<policy::DynamicKeepAlivePolicy>())
       .Add(std::make_unique<policy::WorkflowPrewarmPolicy>())
+      .Add(std::make_unique<policy::ProfilePrewarmPolicy>())
       .Add(std::make_unique<policy::PeakShavingPolicy>());
   return combo;
 }

@@ -1,6 +1,12 @@
 // Tests for predictors and mitigation policies.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <initializer_list>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "common/byte_serde.h"
 #include "core/experiment.h"
 #include "core/scenario.h"
@@ -294,6 +300,158 @@ TEST(WorkflowPrewarmTest, PrewarmsChildrenOnParentStart) {
   // The child's request lands on the prewarmed pod: only the parent cold-starts
   // user-visibly.
   EXPECT_EQ(platform.cold_starts(0), 1);
+}
+
+// --- Per-function policy state serde. --------------------------------------
+
+// A one-region platform over functions 0..9 in which function 0 calls 9, 2 and
+// 5, in that order. Nothing is simulated: tests drive the policy hooks by hand.
+struct HandDrivenPlatform {
+  static workload::Calendar::Options OneDay() {
+    workload::Calendar::Options copts;
+    copts.trace_days = 1;
+    return copts;
+  }
+  static workload::Population FanOut() {
+    workload::Population pop;
+    for (trace::FunctionId fid = 0; fid < 10; ++fid) {
+      FunctionSpec f;
+      f.id = fid;
+      f.region = 0;
+      f.exec_median_us = 5e3;
+      pop.functions.push_back(f);
+    }
+    pop.functions[0].children = {{9, 0.9}, {2, 0.9}, {5, 0.9}};
+    pop.num_users = 1;
+    pop.region_begin = {0, 10};
+    return pop;
+  }
+
+  explicit HandDrivenPlatform(platform::PlatformPolicy* policy)
+      : platform(pop, profiles, cal, sim, store, platform::Platform::Options{},
+                 policy) {}
+
+  workload::Calendar cal{OneDay()};
+  std::vector<workload::RegionProfile> profiles{
+      workload::DefaultRegionProfiles()[0]};
+  workload::Population pop = FanOut();
+  sim::Simulator sim;
+  trace::TraceStore store;
+  platform::Platform platform;
+};
+
+// Per-function state touched out of fid order must serialize as `count, (fid,
+// entry)...` in ascending fid order, and save -> restore -> save must
+// reproduce the blob byte for byte.
+TEST(PolicyStateSerdeTest, FidOrderedLayoutAndByteStableRoundTrip) {
+  constexpr trace::FunctionId kTouchOrder[] = {9, 2, 5};
+  constexpr trace::FunctionId kFidOrder[] = {2, 5, 9};
+  struct Case {
+    const char* name;
+    std::function<std::unique_ptr<platform::PlatformPolicy>()> make;
+    std::function<void(platform::PlatformPolicy&, const workload::Population&)> drive;
+    std::function<std::string()> expected;
+  };
+  const Case cases[] = {
+      {"DynamicKeepAlive",
+       [] { return std::make_unique<DynamicKeepAlivePolicy>(); },
+       [&](platform::PlatformPolicy& p, const workload::Population& pop) {
+         for (const auto fid : kTouchOrder) {
+           p.OnArrival(pop.functions[fid], 0);
+         }
+         for (const auto fid : kTouchOrder) {
+           p.OnArrival(pop.functions[fid], fid * kMinute);
+         }
+       },
+       [&] {
+         ByteWriter w;
+         w.U64(3);
+         for (const auto fid : kFidOrder) {
+           w.U64(fid);
+           w.I64(fid * kMinute);                         // last_arrival
+           w.F64(static_cast<double>(fid * kMinute));  // iat_ewma
+           w.I64(1);                                     // observations
+         }
+         return w.Take();
+       }},
+      {"WorkflowPrewarm",
+       [] { return std::make_unique<WorkflowPrewarmPolicy>(); },
+       [](platform::PlatformPolicy& p, const workload::Population& pop) {
+         p.OnParentRequestStart(pop.functions[0], 10 * kSecond);
+       },
+       [&] {
+         ByteWriter w;
+         w.I64(3);  // Prewarm counter.
+         w.U64(3);
+         for (const auto fid : kFidOrder) {
+           w.U64(fid);
+           w.I64(10 * kSecond);  // Last prewarm of this child.
+         }
+         return w.Take();
+       }},
+      {"ProfilePrewarm",
+       [] { return std::make_unique<ProfilePrewarmPolicy>(); },
+       [&](platform::PlatformPolicy& p, const workload::Population& pop) {
+         for (const auto fid : kTouchOrder) {
+           p.OnArrival(pop.functions[fid], fid * kMinute);
+         }
+         p.OnColdStart(pop.functions[9], kHour, kSecond);
+         p.OnColdStart(pop.functions[2], kHour, kSecond);
+       },
+       [&] {
+         ByteWriter w;
+         w.I64(0);  // Prewarm counter.
+         w.U64(2);  // Watch list, ascending.
+         w.U64(2);
+         w.U64(9);
+         w.U64(3);
+         for (const auto fid : kFidOrder) {
+           std::vector<float> per_minute(1440, 0.f);
+           per_minute[fid] = 1.f;
+           w.U64(fid);
+           w.Raw(per_minute.data(), per_minute.size() * sizeof(float));
+         }
+         return w.Take();
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto policy = c.make();
+    HandDrivenPlatform h(policy.get());
+    c.drive(*policy, h.pop);
+    std::string blob;
+    ASSERT_TRUE(policy->SavePolicyState(&blob));
+    EXPECT_EQ(blob, c.expected());
+
+    auto restored = c.make();
+    ASSERT_TRUE(restored->RestorePolicyState(blob));
+    std::string again;
+    ASSERT_TRUE(restored->SavePolicyState(&again));
+    EXPECT_EQ(again, blob);
+  }
+}
+
+// A duplicate or descending fid means the blob was not written by
+// SavePolicyState: restore must die rather than silently overwrite an entry.
+TEST(PolicyStateSerdeTest, RestoreRejectsUnorderedFids) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const auto blob_with_fids = [](std::initializer_list<uint64_t> fids) {
+    ByteWriter w;
+    w.U64(fids.size());
+    for (const uint64_t fid : fids) {
+      w.U64(fid);
+      w.I64(0);
+      w.F64(0);
+      w.I64(0);
+    }
+    return w.Take();
+  };
+  DynamicKeepAlivePolicy ok;
+  EXPECT_TRUE(ok.RestorePolicyState(blob_with_fids({2, 5, 9})));
+  EXPECT_DEATH(DynamicKeepAlivePolicy().RestorePolicyState(blob_with_fids({2, 2})),
+               "CHECK failed");
+  EXPECT_DEATH(DynamicKeepAlivePolicy().RestorePolicyState(blob_with_fids({5, 2})),
+               "CHECK failed");
 }
 
 // --- Provisioned concurrency. ----------------------------------------------

@@ -258,21 +258,13 @@ TEST_F(RoundTripTest, BinaryPreservesAggregates) {
   const TraceStore store = MakeTinyStore();
   const std::string path = (dir_ / "trace_agg.bin").string();
   TraceAggregates agg;
-  agg.visible_cold_starts = {10, 20};
-  agg.prewarm_spawns = {1, 2};
-  agg.delayed_allocations = {0, 3};
-  agg.scratch_allocations = {4, 5};
-  agg.cold_start_latency_sum_us = {123456, 654321};
+  agg.region_series = {{{10, 20}, {1, 2}, {0, 3}, {4, 5}, {123456, 654321}}};
   agg.events_processed = 987654321;
   ASSERT_TRUE(WriteBinaryTrace(store, path, &agg));
   TraceStore loaded;
   TraceAggregates loaded_agg;
   ASSERT_TRUE(ReadBinaryTrace(path, loaded, &loaded_agg));
-  EXPECT_EQ(loaded_agg.visible_cold_starts, agg.visible_cold_starts);
-  EXPECT_EQ(loaded_agg.prewarm_spawns, agg.prewarm_spawns);
-  EXPECT_EQ(loaded_agg.delayed_allocations, agg.delayed_allocations);
-  EXPECT_EQ(loaded_agg.scratch_allocations, agg.scratch_allocations);
-  EXPECT_EQ(loaded_agg.cold_start_latency_sum_us, agg.cold_start_latency_sum_us);
+  EXPECT_EQ(loaded_agg.region_series, agg.region_series);
   EXPECT_EQ(loaded_agg.events_processed, agg.events_processed);
   EXPECT_EQ(loaded.requests().size(), store.requests().size());
 }
