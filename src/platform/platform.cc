@@ -189,11 +189,6 @@ void Platform::ArrivalCursor::RunHead() {
   // loudly rather than silently rewinding the clock.
   COLDSTART_CHECK_GE(arrival.time, last_time_);
   last_time_ = arrival.time;
-  if (!platform_->options_.batched_arrivals) {
-    ++next_;
-    platform_->HandleArrival(arrival.function, false);
-    return;
-  }
   // Batched drain: dispatch the whole same-timestamp run in one call. The day
   // chunk's seq range is contiguous and reserved at the day starter, so every
   // queued event at this timestamp has a seq strictly below the run's first
@@ -447,12 +442,12 @@ Pod* Platform::StartColdStart(const FunctionSpec& spec, RegionId region, bool pr
   // what make congestion oscillate with the cold-start rate.
   ++load.active_cold_starts;
   ++load.active_code_deploys;
-  const bool has_deps = spec.dep_size_kb > 0;
-  if (has_deps) {
+  if (spec.dep_size_kb > 0) {
     ++load.active_dep_deploys;
   }
-  pod->ready_decr_seq = sim_.next_seq();
-  sim_.ScheduleAt(h.ready_time, MakeLoadDecrementHandler(idx, has_deps));
+  PendingEvent* decrement = ScheduleEvent(EventKind::kLoadDecrement, h.ready_time).first;
+  decrement->region = region;
+  decrement->function = spec.id;
   ++load.total_cold_starts;
 
   if (prewarmed) {
@@ -482,18 +477,6 @@ Pod* Platform::StartColdStart(const FunctionSpec& spec, RegionId region, bool pr
   return pod;
 }
 
-sim::Simulator::Handler Platform::MakeLoadDecrementHandler(size_t load_index,
-                                                           bool has_deps) {
-  return [this, load_index, has_deps] {
-    RegionLoadState& l = loads_[load_index];
-    --l.active_cold_starts;
-    --l.active_code_deploys;
-    if (has_deps) {
-      --l.active_dep_deploys;
-    }
-  };
-}
-
 void Platform::AssignRequest(Pod* pod, const FunctionSpec& spec, SimTime arrival) {
   PodHot& h = hot(*pod);
   const SimTime exec_start = std::max(arrival, h.ready_time);
@@ -502,9 +485,11 @@ void Platform::AssignRequest(Pod* pod, const FunctionSpec& spec, SimTime arrival
     // the interval is warm-idle capacity the cost ledger charges at death.
     pod->idle_us += exec_start - h.last_busy_end;
   }
+  // The pod is busy again: cancel its pending keep-alive, if any.
+  if (events_.Resolve(pod->keep_alive) != nullptr) {
+    events_.Free(pod->keep_alive);
+  }
   ++h.slots_used;
-  // Any pending keep-alive is void: the pod is busy again.
-  ++pod->keepalive_gen;
   double exec_us = std::exp(states_[spec.id].log_exec_median_us +
                             spec.exec_sigma *
                                 rng(pod->region, CellOf(spec.id)).NextGaussian());
@@ -512,30 +497,14 @@ void Platform::AssignRequest(Pod* pod, const FunctionSpec& spec, SimTime arrival
   const uint32_t exec = static_cast<uint32_t>(exec_us);
   const SimTime exec_end = exec_start + exec;
 
-  // The completion's payload lives in the in-flight registry (checkpointable);
-  // the queued closure is just (this, registry handle).
-  auto [req, reg] = inflight_.Allocate();
-  req->pod = pod->self;
-  req->exec_start = exec_start;
-  req->exec_end = exec_end;
-  req->exec_us = exec;
-  req->function = spec.id;
-  req->seq = sim_.next_seq();
-  sim_.ScheduleAt(exec_end, [this, reg] { RunRequestCompletion(reg); });
-}
-
-void Platform::RunRequestCompletion(SlabHandle reg) {
-  InFlightRequest* req = inflight_.Resolve(reg);
-  COLDSTART_CHECK(req != nullptr);
-  const InFlightRequest copy = *req;
-  inflight_.Free(reg);
-  OnRequestComplete(copy.pod, copy.exec_start, copy.exec_end, copy.exec_us,
-                    population_.functions[copy.function]);
+  PendingEvent* completion = ScheduleEvent(EventKind::kCompletion, exec_end).first;
+  completion->function = spec.id;
+  completion->pod = pod->self;
+  completion->exec_start = exec_start;
 }
 
 void Platform::OnRequestComplete(SlabHandle handle, SimTime exec_start,
-                                 SimTime exec_end, uint32_t exec_us,
-                                 const FunctionSpec& spec) {
+                                 SimTime exec_end, const FunctionSpec& spec) {
   Pod* pod = pod_slab_.Resolve(handle);
   COLDSTART_CHECK(pod != nullptr);  // A pod with a bound request cannot die.
   PodHot& h = hot(*pod);
@@ -564,7 +533,7 @@ void Platform::OnRequestComplete(SlabHandle handle, SimTime exec_start,
     rec.user_id = spec.user;
     rec.region = pod->region;
     rec.cluster = pod->cluster;
-    rec.execution_time_us = exec_us;
+    rec.execution_time_us = static_cast<uint32_t>(exec_end - exec_start);
     Rng& resource_rng = rng(pod->region, cell);
     if (draw_request_resources_) {
       double cpu = spec.cpu_mean_cores * std::exp(0.3 * resource_rng.NextGaussian());
@@ -592,57 +561,70 @@ void Platform::OnRequestComplete(SlabHandle handle, SimTime exec_start,
     Rng& fanout_rng = rng(spec.region, cell);
     if (fanout_rng.NextBool(edge.probability)) {
       const SimDuration delay = FromSeconds(fanout_rng.Uniform(0.005, 0.05));
-      ScheduleInvoke(exec_end + delay, edge.child, /*delay_exempt=*/false);
+      ScheduleEvent(EventKind::kInvoke, exec_end + delay).first->function = edge.child;
     }
   }
 
   if (h.slots_used == 0) {
-    ArmKeepAlive(pod);
+    const SimDuration keep_alive = policy_ != nullptr
+                                       ? policy_->KeepAliveFor(spec, sim_.now())
+                                       : options_.default_keep_alive;
+    ArmKeepAlive(pod, sim_.now() + keep_alive);
   }
 }
 
-void Platform::ScheduleInvoke(SimTime t, FunctionId fid, bool delay_exempt) {
-  // Deferred HandleArrival through the pending-invoke registry, so the event
-  // survives a checkpoint with its original (time, seq) key.
-  auto [inv, reg] = invokes_.Allocate();
-  inv->time = t;
-  inv->seq = sim_.next_seq();
-  inv->function = fid;
-  inv->delay_exempt = delay_exempt;
-  sim_.ScheduleAt(t, [this, reg] { RunInvoke(reg); });
+std::pair<Platform::PendingEvent*, SlabHandle> Platform::ScheduleEvent(EventKind kind,
+                                                                      SimTime t) {
+  auto [event, h] = events_.Allocate();
+  event->kind = kind;
+  event->time = t;
+  event->seq = sim_.next_seq();
+  sim_.ScheduleAt(t, [this, h = h] { Fire(h); });
+  return {event, h};
 }
 
-void Platform::RunInvoke(SlabHandle reg) {
-  PendingInvoke* inv = invokes_.Resolve(reg);
-  COLDSTART_CHECK(inv != nullptr);
-  const PendingInvoke copy = *inv;
-  invokes_.Free(reg);
-  HandleArrival(copy.function, copy.delay_exempt);
-}
-
-sim::Simulator::Handler Platform::MakeKeepAliveHandler(SlabHandle handle,
-                                                       uint64_t gen) {
-  return [this, handle, gen] {
-    Pod* p = pod_slab_.Resolve(handle);
-    if (p == nullptr) {
-      return;  // Already dead (the slot's generation moved on).
+void Platform::Fire(SlabHandle h) {
+  const PendingEvent* live = events_.Resolve(h);
+  if (live == nullptr) {
+    return;  // Cancelled: a keep-alive whose pod took a request.
+  }
+  const PendingEvent e = *live;
+  events_.Free(h);
+  switch (e.kind) {
+    case EventKind::kCompletion:
+      OnRequestComplete(e.pod, e.exec_start, e.time, population_.functions[e.function]);
+      return;
+    case EventKind::kInvoke:
+      HandleArrivalBatch(e.function, 1, e.delay_exempt);
+      return;
+    case EventKind::kKeepAlive: {
+      // Only its keep-alive kills a pod mid-run, and a request cancels it first.
+      Pod* pod = pod_slab_.Resolve(e.pod);
+      COLDSTART_CHECK(pod != nullptr && hot(*pod).slots_used == 0);
+      KillPod(pod, e.time);
+      return;
     }
-    if (p->keepalive_gen != gen || hot(*p).slots_used > 0) {
-      return;  // Was re-used since; a newer keep-alive owns it.
+    case EventKind::kLoadDecrement: {
+      RegionLoadState& l = loads_[StateIndex(e.region, CellOf(e.function))];
+      --l.active_cold_starts;
+      --l.active_code_deploys;
+      if (population_.functions[e.function].dep_size_kb > 0) {
+        --l.active_dep_deploys;
+      }
+      return;
     }
-    KillPod(p, sim_.now());
-  };
+    case EventKind::kPrewarm:
+      if (!HasAvailablePod(e.function)) {
+        SpawnPrewarmedPod(e.function, e.region, e.keep_alive);
+      }
+      return;
+  }
 }
 
-void Platform::ArmKeepAlive(Pod* pod) {
-  const uint64_t gen = ++pod->keepalive_gen;
-  const FunctionSpec& spec = population_.functions[pod->function];
-  const SimDuration keep_alive = policy_ != nullptr
-                                     ? policy_->KeepAliveFor(spec, sim_.now())
-                                     : options_.default_keep_alive;
-  pod->ka_time = sim_.now() + keep_alive;
-  pod->ka_seq = sim_.next_seq();
-  sim_.ScheduleAt(pod->ka_time, MakeKeepAliveHandler(pod->self, gen));
+void Platform::ArmKeepAlive(Pod* pod, SimTime expiry) {
+  auto [event, h] = ScheduleEvent(EventKind::kKeepAlive, expiry);
+  event->pod = pod->self;
+  pod->keep_alive = h;
 }
 
 void Platform::KillPod(Pod* pod, SimTime death_time) {
@@ -689,10 +671,6 @@ void Platform::KillPod(Pod* pod, SimTime death_time) {
   pod_slab_.Free(pod->self);
 }
 
-void Platform::HandleArrival(FunctionId fid, bool delay_exempt) {
-  HandleArrivalBatch(fid, 1, delay_exempt);
-}
-
 void Platform::HandleArrivalRun(const workload::ArrivalEvent* events, size_t count) {
   // The chunk is (time, function)-sorted, so a same-timestamp run visits each
   // function's arrivals as one contiguous group — batching is free.
@@ -709,7 +687,7 @@ void Platform::HandleArrivalRun(const workload::ArrivalEvent* events, size_t cou
 
 void Platform::HandleArrivalBatch(FunctionId fid, size_t count, bool delay_exempt) {
   // The spec/state/cell lookups are hoisted across the batch; everything else
-  // runs per arrival, in order, exactly as `count` HandleArrival calls would —
+  // runs per arrival, in order, exactly as `count` batches of 1 would —
   // each iteration must observe the slot/load mutations of the previous one.
   const FunctionSpec& fspec = population_.functions.at(fid);
   const SimTime now = sim_.now();
@@ -727,7 +705,9 @@ void Platform::HandleArrivalBatch(FunctionId fid, size_t count, bool delay_exemp
         const SimDuration delay = policy_->AdmissionDelay(fspec, now, loads_[load_idx]);
         if (delay > 0) {
           ++loads_[load_idx].delayed_allocations;
-          ScheduleInvoke(now + delay, fid, /*delay_exempt=*/true);
+          PendingEvent* retry = ScheduleEvent(EventKind::kInvoke, now + delay).first;
+          retry->delay_exempt = true;
+          retry->function = fid;
           continue;
         }
       }
@@ -755,10 +735,15 @@ void Platform::SpawnPrewarmedPod(FunctionId function, RegionId region,
   const FunctionSpec& fspec = population_.functions.at(function);
   Pod* pod = StartColdStart(fspec, region, /*prewarmed=*/true, 0);
   // The prewarmed pod idles from readiness; give it the requested survival window.
-  const uint64_t gen = ++pod->keepalive_gen;
-  pod->ka_time = hot(*pod).ready_time + initial_keep_alive;
-  pod->ka_seq = sim_.next_seq();
-  sim_.ScheduleAt(pod->ka_time, MakeKeepAliveHandler(pod->self, gen));
+  ArmKeepAlive(pod, hot(*pod).ready_time + initial_keep_alive);
+}
+
+void Platform::SpawnPrewarmedPodAt(SimTime at, FunctionId function, RegionId region,
+                                   SimDuration initial_keep_alive) {
+  PendingEvent* spawn = ScheduleEvent(EventKind::kPrewarm, at).first;
+  spawn->region = region;
+  spawn->function = function;
+  spawn->keep_alive = initial_keep_alive;
 }
 
 namespace {
@@ -788,7 +773,12 @@ void SaveSlabStructure(const Slab<T>& slab, ByteWriter& w) {
 template <typename T>
 std::vector<uint32_t> RestoreSlabStructure(Slab<T>& slab, ByteReader& r) {
   const uint32_t cap = r.U32();
-  std::vector<uint32_t> free_list(r.U64());
+  // Every slot costs at least five bytes below, so a larger count is damage,
+  // not a reason to allocate.
+  COLDSTART_CHECK_LE(cap, r.Remaining());
+  const uint64_t num_free = r.U64();
+  COLDSTART_CHECK_LE(num_free, cap);
+  std::vector<uint32_t> free_list(num_free);
   for (uint32_t& i : free_list) {
     i = r.U32();
   }
@@ -897,17 +887,11 @@ void Platform::SaveCheckpointState(ByteWriter& w) const {
     w.I64(h.slots_used);
     w.I64(h.last_busy_end);
     w.U32(p.served);
-    w.U64(p.keepalive_gen);
     w.U8(p.prewarmed ? 1 : 0);
     w.I64(p.idle_us);
-    w.U64(p.ready_decr_seq);
-    w.I64(p.ka_time);
-    w.U64(p.ka_seq);
-    // An idle alive pod must have a live keep-alive in the future — the event
-    // that will kill it. Anything else means the bookkeeping is broken.
-    if (h.slots_used == 0) {
-      COLDSTART_CHECK_GT(p.ka_time, now);
-    }
+    // A pod is idle exactly while its keep-alive — the event that will kill
+    // it — is pending. Restore re-links the keep-alive from the event table.
+    COLDSTART_CHECK_EQ(h.slots_used == 0, events_.Resolve(p.keep_alive) != nullptr);
   }
 
   // Per-function pod lists, as slot indices in list order (order matters:
@@ -927,31 +911,24 @@ void Platform::SaveCheckpointState(ByteWriter& w) const {
   w.I64(policy_tick_time_);
   w.U64(policy_tick_seq_);
 
-  // In-flight completions and pending invokes (registries).
-  SaveSlabStructure(inflight_, w);
-  for (uint32_t i = 0; i < inflight_.capacity(); ++i) {
-    if (!inflight_.slot_alive(i)) {
+  // The pending-event table: every entry writes every field, under its
+  // original (time, seq) key; each kind reads only its own payload.
+  SaveSlabStructure(events_, w);
+  for (uint32_t i = 0; i < events_.capacity(); ++i) {
+    if (!events_.slot_alive(i)) {
       continue;
     }
-    const InFlightRequest& q = inflight_.slot_value(i);
-    w.U32(q.pod.index);
-    w.U32(q.pod.gen);
-    w.I64(q.exec_start);
-    w.I64(q.exec_end);
-    w.U32(q.exec_us);
-    w.U64(q.function);
-    w.U64(q.seq);
-  }
-  SaveSlabStructure(invokes_, w);
-  for (uint32_t i = 0; i < invokes_.capacity(); ++i) {
-    if (!invokes_.slot_alive(i)) {
-      continue;
-    }
-    const PendingInvoke& q = invokes_.slot_value(i);
-    w.I64(q.time);
-    w.U64(q.seq);
-    w.U64(q.function);
-    w.U8(q.delay_exempt ? 1 : 0);
+    const PendingEvent& e = events_.slot_value(i);
+    w.U8(static_cast<uint8_t>(e.kind));
+    w.U8(e.delay_exempt ? 1 : 0);
+    w.U32(e.region);
+    w.U64(e.function);
+    w.I64(e.time);
+    w.U64(e.seq);
+    w.U32(e.pod.index);
+    w.U32(e.pod.gen);
+    w.I64(e.exec_start);
+    w.I64(e.keep_alive);
   }
 
   // Arrival stream: 2 = no stream attached; 1 = stream state captured;
@@ -1046,33 +1023,40 @@ void Platform::RestoreCheckpointState(
     PodHot& h = pod_hot_[i];
     p.self = SlabHandle{i, pod_slab_.slot_generation(i)};
     p.id = static_cast<trace::PodId>(r.U64());
-    p.function = static_cast<trace::FunctionId>(r.U64());
-    p.region = static_cast<trace::RegionId>(r.U32());
+    const uint64_t function = r.U64();
+    COLDSTART_CHECK_LT(function, population_.functions.size());
+    p.function = static_cast<trace::FunctionId>(function);
+    const uint32_t region = r.U32();
+    COLDSTART_CHECK_LT(region, profiles_.size());
+    p.region = static_cast<trace::RegionId>(region);
     p.cluster = static_cast<trace::ClusterId>(r.U32());
-    p.config = static_cast<trace::ResourceConfig>(r.U8());
+    const uint8_t config = r.U8();
+    COLDSTART_CHECK_LT(config, trace::kNumResourceConfigs);
+    p.config = static_cast<trace::ResourceConfig>(config);
     p.cold_start_begin = r.I64();
     h.ready_time = r.I64();
     p.cold_start_us = r.U32();
     h.slots_used = static_cast<int>(r.I64());
     h.last_busy_end = r.I64();
     p.served = r.U32();
-    p.keepalive_gen = r.U64();
     p.prewarmed = r.U8() != 0;
     p.idle_us = r.I64();
-    p.ready_decr_seq = r.U64();
-    p.ka_time = r.I64();
-    p.ka_seq = r.U64();
   }
 
+  // Every alive pod sits in exactly its own function's list, once.
   COLDSTART_CHECK_EQ(r.U64(), states_.size());
-  for (FunctionState& state : states_) {
-    COLDSTART_CHECK(state.pods.empty());
-    const uint64_t n = r.U64();
-    state.pods.reserve(n);
-    for (uint64_t k = 0; k < n; ++k) {
-      state.pods.push_back(&pod_slab_.slot_value(r.U32()));
+  std::vector<uint8_t> listed(pod_slab_.capacity(), 0);
+  size_t num_listed = 0;
+  for (size_t fid = 0; fid < states_.size(); ++fid) {
+    COLDSTART_CHECK(states_[fid].pods.empty());
+    for (uint64_t k = r.U64(); k > 0; --k, ++num_listed) {
+      const uint32_t index = r.U32();
+      Pod& pod = pod_slab_.slot_value(index);
+      COLDSTART_CHECK(pod.function == fid && listed[index]++ == 0);
+      states_[fid].pods.push_back(&pod);
     }
   }
+  COLDSTART_CHECK_EQ(num_listed, pod_slab_.alive_count());
 
   arrival_cursor_.RestoreGuard(r.I64());
   starter_seq_base_ = r.U64();
@@ -1080,27 +1064,44 @@ void Platform::RestoreCheckpointState(
   policy_tick_time_ = r.I64();
   policy_tick_seq_ = r.U64();
 
-  const std::vector<uint32_t> alive_inflight = RestoreSlabStructure(inflight_, r);
-  for (const uint32_t i : alive_inflight) {
-    InFlightRequest& q = inflight_.slot_value(i);
-    q.pod.index = r.U32();
-    q.pod.gen = r.U32();
-    q.exec_start = r.I64();
-    q.exec_end = r.I64();
-    q.exec_us = r.U32();
-    q.function = static_cast<trace::FunctionId>(r.U64());
-    q.seq = r.U64();
+  // The pending-event table, re-queued under the original (time, seq) keys
+  // (push order is free: the queue orders restored keys by (time, seq)).
+  for (const uint32_t i : RestoreSlabStructure(events_, r)) {
+    PendingEvent& e = events_.slot_value(i);
+    const uint8_t kind = r.U8();
+    COLDSTART_CHECK_LE(kind, static_cast<uint8_t>(EventKind::kPrewarm));
+    e.kind = static_cast<EventKind>(kind);
+    e.delay_exempt = r.U8() != 0;
+    const uint32_t region = r.U32();
+    COLDSTART_CHECK_LT(region, profiles_.size());
+    e.region = static_cast<trace::RegionId>(region);
+    const uint64_t function = r.U64();
+    COLDSTART_CHECK_LT(function, population_.functions.size());
+    e.function = static_cast<trace::FunctionId>(function);
+    e.time = r.I64();
+    COLDSTART_CHECK_GT(e.time, now);
+    e.seq = r.U64();
+    e.pod.index = r.U32();
+    e.pod.gen = r.U32();
+    e.exec_start = r.I64();
+    e.keep_alive = r.I64();
+    const SlabHandle h{i, events_.slot_generation(i)};
+    if (e.kind == EventKind::kKeepAlive) {
+      // Re-link the pod's keep-alive; a pod gets at most one.
+      Pod* pod = pod_slab_.Resolve(e.pod);
+      COLDSTART_CHECK(pod != nullptr && events_.Resolve(pod->keep_alive) == nullptr);
+      pod->keep_alive = h;
+    }
+    sim_.RestoreEvent(e.time, e.seq, [this, h] { Fire(h); });
   }
-  const std::vector<uint32_t> alive_invokes = RestoreSlabStructure(invokes_, r);
-  for (const uint32_t i : alive_invokes) {
-    PendingInvoke& q = invokes_.slot_value(i);
-    q.time = r.I64();
-    q.seq = r.U64();
-    q.function = static_cast<trace::FunctionId>(r.U64());
-    q.delay_exempt = r.U8() != 0;
+  // Idle pods, and only those, came back with a keep-alive (as on save).
+  for (const uint32_t i : alive_pods) {
+    COLDSTART_CHECK_EQ(pod_hot_[i].slots_used == 0,
+                       events_.Resolve(pod_slab_.slot_value(i).keep_alive) != nullptr);
   }
 
   const uint8_t stream_mode = r.U8();
+  COLDSTART_CHECK_LE(stream_mode, 2);
   const std::string stream_state = r.Str();
   if (stream_mode == 2) {
     COLDSTART_CHECK(stream == nullptr);
@@ -1124,8 +1125,7 @@ void Platform::RestoreCheckpointState(
     source_attached_ = true;
   }
 
-  // --- Rebuild the pending-event queue under the original (time, seq) keys. ---
-  // Push order is free here: the queue orders restored keys by (time, seq).
+  // Re-queue the scalar-keyed events: the remaining day starters and the tick.
   for (int64_t day = 0; day < num_starters_; ++day) {
     if (day * kDay > now) {
       sim_.RestoreEvent(day * kDay, starter_seq_base_ + static_cast<uint64_t>(day),
@@ -1136,37 +1136,6 @@ void Platform::RestoreCheckpointState(
     COLDSTART_CHECK(policy_ != nullptr);
     sim_.RestoreEvent(policy_tick_time_, policy_tick_seq_,
                       [this] { RunPolicyTick(); });
-  }
-  for (const uint32_t i : alive_pods) {
-    const Pod& p = pod_slab_.slot_value(i);
-    const PodHot& h = pod_hot_[i];
-    if (h.ready_time > now) {
-      // The load-decrement scheduled at the pod's ready time is still pending.
-      sim_.RestoreEvent(
-          h.ready_time, p.ready_decr_seq,
-          MakeLoadDecrementHandler(StateIndex(p.region, CellOf(p.function)),
-                                   spec(p.function).dep_size_kb > 0));
-    }
-    if (h.slots_used == 0) {
-      // Exactly the current-generation keep-alive is live; earlier generations'
-      // events were no-ops and are deliberately not re-queued (only the
-      // non-contractual events_processed counter can tell the difference).
-      COLDSTART_CHECK_GT(p.ka_time, now);
-      sim_.RestoreEvent(p.ka_time, p.ka_seq,
-                        MakeKeepAliveHandler(p.self, p.keepalive_gen));
-    }
-  }
-  for (const uint32_t i : alive_inflight) {
-    const InFlightRequest& q = inflight_.slot_value(i);
-    COLDSTART_CHECK_GT(q.exec_end, now);
-    const SlabHandle reg{i, inflight_.slot_generation(i)};
-    sim_.RestoreEvent(q.exec_end, q.seq, [this, reg] { RunRequestCompletion(reg); });
-  }
-  for (const uint32_t i : alive_invokes) {
-    const PendingInvoke& q = invokes_.slot_value(i);
-    COLDSTART_CHECK_GT(q.time, now);
-    const SlabHandle reg{i, invokes_.slot_generation(i)};
-    sim_.RestoreEvent(q.time, q.seq, [this, reg] { RunInvoke(reg); });
   }
 }
 

@@ -24,6 +24,7 @@
 #define COLDSTART_PLATFORM_PLATFORM_H_
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/byte_serde.h"
@@ -56,20 +57,14 @@ struct Pod {
   SimTime cold_start_begin = 0;
   uint32_t cold_start_us = 0;
   uint32_t served = 0;
-  uint64_t keepalive_gen = 0;
   bool prewarmed = false;
   // Accumulated warm-idle time (µs): completed idle intervals between busy
   // periods; the final idle tail is added at death. Feeds the cost ledger.
   int64_t idle_us = 0;
-  // Checkpoint bookkeeping: the (time, seq) keys of this pod's pending events,
-  // so a restore can re-queue them under their original total-order positions.
-  // ready_decr_seq is the load-decrement event at ready_time (pending iff
-  // ready_time is in the future); (ka_time, ka_seq) is the keep-alive armed for
-  // keepalive_gen (live iff the pod is idle — earlier generations' events are
-  // stale no-ops and are dropped on restore).
-  uint64_t ready_decr_seq = 0;
-  SimTime ka_time = 0;
-  uint64_t ka_seq = 0;
+  // The pod's keep-alive entry in the platform's pending-event table. It
+  // resolves exactly while the pod is idle: a request cancels it by freeing
+  // the entry, and completion of the last request arms a new one.
+  SlabHandle keep_alive;
 };
 
 // The per-pod state the arrival hot path reads and writes, split out of Pod
@@ -107,13 +102,6 @@ class Platform {
     // function id to its cell (workload/function_cells.h).
     uint32_t cells_per_region = 1;
     std::shared_ptr<const std::vector<uint32_t>> function_cells;
-    // Drain runs of same-timestamp arrivals through HandleArrival in one batch
-    // dispatch (grouped by function, spec/state lookups hoisted per group).
-    // Bit-identical to per-event dispatch — day-anchored seq reservation puts
-    // every same-time arrival ahead of every same-time handler-scheduled event
-    // (docs/determinism.md) — so this is purely a throughput knob; false forces
-    // the per-event path (pinned equal by platform_test).
-    bool batched_arrivals = true;
   };
 
   // `sink` receives every emitted record: a TraceStore for exact full-trace runs,
@@ -146,10 +134,10 @@ class Platform {
   // boundary (clock at day * kDay - 1: the previous day's chunk fully drained,
   // every pending event reconstructible from the bookkeeping below) — CHECKed.
   // The payload covers RNGs, id namespaces, load/pool state, the pod slab (with
-  // per-function pod-list order), the in-flight and pending-invoke registries,
-  // the arrival stream (or a regenerate marker), and the event-seq bookkeeping
-  // needed to rebuild the queue. Policy and sink state are serialized by the
-  // caller (core::Experiment), which owns those objects.
+  // per-function pod-list order), the pending-event table, the arrival stream
+  // (or a regenerate marker), and the day-starter and minute-tick keys. Policy
+  // and sink state are serialized by the caller (core::Experiment), which owns
+  // those objects.
   void SaveCheckpointState(ByteWriter& w) const;
   // Mirror of SaveCheckpointState on a freshly constructed platform (with
   // Options.resuming set). Restores state, re-queues every pending event under
@@ -165,6 +153,11 @@ class Platform {
   // `initial_keep_alive` is how long the idle prewarmed pod survives awaiting traffic.
   void SpawnPrewarmedPod(trace::FunctionId function, trace::RegionId region,
                          SimDuration initial_keep_alive);
+  // SpawnPrewarmedPod at time `at` (>= now), skipped when the function then
+  // already has a pod with a free slot. The pending spawn is a platform event,
+  // so it survives a checkpoint; policies schedule no closures of their own.
+  void SpawnPrewarmedPodAt(SimTime at, trace::FunctionId function,
+                           trace::RegionId region, SimDuration initial_keep_alive);
   // Capacity-coupled accessors: a single pool/load per region only exists when
   // cells_per_region == 1 (CHECKed). Policies that need them declare
   // is_function_local() == false, which pins their runs to one cell.
@@ -176,7 +169,6 @@ class Platform {
   bool HasAvailablePod(trace::FunctionId function) const;
   int alive_pod_count(trace::FunctionId function) const;
   const std::vector<workload::RegionProfile>& profiles() const { return profiles_; }
-  sim::Simulator& simulator() { return sim_; }
 
   // --- Stats. ---
   // User-visible cold starts per region (excludes prewarm spawns).
@@ -259,12 +251,11 @@ class Platform {
   // Day-starter body: pulls day `day`'s chunk from arrival_stream_ into chunk_,
   // validates it against the stream contract, and opens the cursor over it.
   void OpenDayChunk(int64_t day);
-  void HandleArrival(trace::FunctionId fid, bool delay_exempt);
   // Batched drain: dispatches `count` same-timestamp arrivals starting at
   // `events` (already (time, function)-sorted, so same-function arrivals are
   // contiguous), grouping them into per-function batches. HandleArrivalBatch is
   // the shared body: `count` arrivals of one function with the spec/state/cell
-  // lookups done once. HandleArrival delegates to a batch of 1.
+  // lookups done once; a deferred invoke is a batch of 1.
   void HandleArrivalRun(const workload::ArrivalEvent* events, size_t count);
   void HandleArrivalBatch(trace::FunctionId fid, size_t count, bool delay_exempt);
   // `concurrency` is the function's slot limit, hoisted by the caller so the
@@ -274,47 +265,51 @@ class Platform {
                       bool prewarmed, SimDuration extra_sched_us);
   void AssignRequest(Pod* pod, const workload::FunctionSpec& spec, SimTime arrival);
   void OnRequestComplete(SlabHandle handle, SimTime exec_start, SimTime exec_end,
-                         uint32_t exec_us, const workload::FunctionSpec& spec);
-  void ArmKeepAlive(Pod* pod);
+                         const workload::FunctionSpec& spec);
+  void ArmKeepAlive(Pod* pod, SimTime expiry);
   void KillPod(Pod* pod, SimTime death_time);
   trace::ClusterId PickCluster(const workload::FunctionSpec& spec,
                                const FunctionState& state, trace::RegionId region);
 
-  // --- Checkpoint bookkeeping. ---
-  // Every pending event whose closure carries payload lives in a registry so a
-  // checkpoint can re-materialize it: the queued closure itself is just a
-  // 16-byte (this, handle) pair. One code path — registries are always on, so
-  // checkpointed and plain runs consume identical seq/RNG sequences.
-
-  // A request bound to a pod, completion event pending at `exec_end` with `seq`.
-  struct InFlightRequest {
-    SlabHandle pod;
-    SimTime exec_start = 0;
-    SimTime exec_end = 0;
-    uint32_t exec_us = 0;
-    trace::FunctionId function = 0;
-    uint64_t seq = 0;
+  // --- The pending-event table. ---
+  // Every pending event that carries a payload is an entry in events_, and its
+  // queued closure is only (this, entry handle). An event is live iff its entry
+  // is alive: cancelling an event frees its entry, and the queued closure then
+  // resolves to nothing. A checkpoint saves the table entry by entry and a
+  // restore re-queues each entry under its original (time, seq) key. The table
+  // is always on, so checkpointed and plain runs consume identical seqs.
+  // Day starters and the minute tick carry no payload and keep scalar keys.
+  enum class EventKind : uint8_t {
+    kCompletion,     // A request of `function` on `pod` ends.
+    kInvoke,         // One arrival of `function`, deferred: a workflow child
+                     // or an admission retry (`delay_exempt`).
+    kKeepAlive,      // Idle `pod` dies.
+    kLoadDecrement,  // A `function` pod's cold start in `region` is ready.
+    kPrewarm,        // SpawnPrewarmedPod(function, region, keep_alive).
   };
-  // A deferred HandleArrival (workflow child fan-out or admission retry),
-  // pending at `time` with `seq`.
-  struct PendingInvoke {
+  struct PendingEvent {
+    EventKind kind = EventKind::kCompletion;
+    bool delay_exempt = false;
+    trace::RegionId region = 0;
+    trace::FunctionId function = 0;
     SimTime time = 0;
     uint64_t seq = 0;
-    trace::FunctionId function = 0;
-    bool delay_exempt = false;
+    SlabHandle pod;
+    SimTime exec_start = 0;      // kCompletion: the request ran [exec_start, time).
+    SimDuration keep_alive = 0;  // kPrewarm.
   };
+  // Allocates an entry of `kind` keyed (t, next seq) and queues its closure,
+  // consuming exactly one seq. The caller fills the payload in place (building
+  // it in a temporary and copying it in measured ~10% slower on month_serial).
+  std::pair<PendingEvent*, SlabHandle> ScheduleEvent(EventKind kind, SimTime t);
+  // The one closure body: resolves the entry, frees it, and runs its kind.
+  void Fire(SlabHandle h);
 
   // Platform-managed minute tick: its (time, seq) is recorded so a checkpoint
   // restore can re-queue it. Fires OnMinuteTick then reschedules, consuming one
   // seq per tick.
   void SchedulePolicyTick(SimTime t);
   void RunPolicyTick();
-  void RunRequestCompletion(SlabHandle reg);
-  void RunInvoke(SlabHandle reg);
-  void ScheduleInvoke(SimTime t, trace::FunctionId fid, bool delay_exempt);
-  sim::Simulator::Handler MakeKeepAliveHandler(SlabHandle handle, uint64_t gen);
-  sim::Simulator::Handler MakeLoadDecrementHandler(size_t load_index,
-                                                   bool has_deps);
 
   const workload::Population& population_;
   std::vector<workload::RegionProfile> profiles_;
@@ -355,10 +350,8 @@ class Platform {
   std::vector<trace::PodId> next_pod_seq_;      // Per (region, cell) pod-id namespace.
   std::vector<uint64_t> next_request_seq_;      // Per (region, cell) request-id namespace.
 
-  // Checkpoint bookkeeping (see the registry comment above).
   ResourceCostLedger cost_ledger_;        // Per region; order-invariant sums.
-  Slab<InFlightRequest> inflight_;        // Pending completion events.
-  Slab<PendingInvoke> invokes_;           // Pending child fan-outs / retries.
+  Slab<PendingEvent> events_;             // The pending-event table (above).
   uint64_t starter_seq_base_ = 0;         // Seq of day 0's starter event.
   int64_t num_starters_ = 0;              // Day starters scheduled at attach.
   SimTime policy_tick_time_ = -1;         // Next tick's (time, seq); -1 = none.

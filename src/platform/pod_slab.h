@@ -1,9 +1,9 @@
 // Chunked slab allocator with generation-checked handles.
 //
-// The platform keeps every alive pod in one of these instead of an
-// unordered_map<PodId, unique_ptr<Pod>>: completion and keep-alive events carry a
-// SlabHandle, so resolving a pod is two shifts and a generation compare instead of
-// a hash lookup, and allocation reuses slots from a dense LIFO freelist instead of
+// The platform keeps every alive pod, and every pending event's payload, in one
+// of these instead of an unordered_map: events carry a SlabHandle, so resolving
+// a pod or an event is two shifts and a generation compare instead of a hash
+// lookup, and allocation reuses slots from a dense LIFO freelist instead of
 // hitting the heap per pod. Chunks are stable — a T* stays valid for the slot's
 // lifetime — which lets per-function pod lists hold raw pointers.
 //
@@ -71,10 +71,13 @@ class Slab {
 
   // The live object for `h`, or nullptr when the slot was freed or recycled.
   T* Resolve(SlabHandle h) {
+    return const_cast<T*>(static_cast<const Slab*>(this)->Resolve(h));
+  }
+  const T* Resolve(SlabHandle h) const {
     if (h.index >= capacity_) {
       return nullptr;
     }
-    Slot& s = slot(h.index);
+    const Slot& s = slot(h.index);
     return (s.alive && s.gen == h.gen) ? &s.value : nullptr;
   }
 
@@ -99,20 +102,22 @@ class Slab {
   // same way after restore and (b) future Allocate calls hand out the same
   // slots in the same order as the uninterrupted run.
   const std::vector<uint32_t>& free_list() const { return free_; }
-  uint32_t slot_generation(uint32_t index) const { return slot(index).gen; }
-  bool slot_alive(uint32_t index) const { return slot(index).alive; }
+  // These take raw indices (checkpoint bytes), so they CHECK the range.
+  uint32_t slot_generation(uint32_t index) const { return checked_slot(index).gen; }
+  bool slot_alive(uint32_t index) const { return checked_slot(index).alive; }
   const T& slot_value(uint32_t index) const {
-    COLDSTART_CHECK(slot(index).alive);
+    COLDSTART_CHECK(checked_slot(index).alive);
     return slot(index).value;
   }
   T& slot_value(uint32_t index) {
-    COLDSTART_CHECK(slot(index).alive);
+    COLDSTART_CHECK(checked_slot(index).alive);
     return slot(index).value;
   }
 
   // Rebuilds an empty slab's structure: allocates `capacity` slots, installs
   // the freelist and per-slot generations/liveness. Alive slots come back
-  // value-initialized; the caller fills them via slot_value().
+  // value-initialized; the caller fills them via slot_value(). The freelist
+  // must name every dead slot exactly once and no alive one (CHECKed).
   void RestoreStructure(uint32_t capacity, std::vector<uint32_t> free_list,
                         const std::vector<uint32_t>& generations,
                         const std::vector<uint8_t>& alive) {
@@ -120,6 +125,13 @@ class Slab {
     COLDSTART_CHECK_EQ(capacity % kChunkSize, 0u);
     COLDSTART_CHECK_EQ(generations.size(), capacity);
     COLDSTART_CHECK_EQ(alive.size(), capacity);
+    std::vector<uint8_t> listed(capacity, 0);
+    for (const uint32_t i : free_list) {
+      COLDSTART_CHECK_LT(i, capacity);
+      COLDSTART_CHECK_EQ(alive[i], 0);
+      COLDSTART_CHECK_EQ(listed[i], 0);
+      listed[i] = 1;
+    }
     while (capacity_ < capacity) {
       chunks_.push_back(std::make_unique<Slot[]>(kChunkSize));
       capacity_ += kChunkSize;
@@ -151,6 +163,10 @@ class Slab {
   }
   const Slot& slot(uint32_t index) const {
     return chunks_[index >> kChunkBits][index & (kChunkSize - 1)];
+  }
+  const Slot& checked_slot(uint32_t index) const {
+    COLDSTART_CHECK_LT(index, capacity_);
+    return slot(index);
   }
 
   std::vector<std::unique_ptr<Slot[]>> chunks_;  // Stable storage.

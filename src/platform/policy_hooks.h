@@ -117,11 +117,12 @@ class PlatformPolicy {
   // unordered-iter rule polices (a)): (a) iteration order must never leak into
   // the blob — per-function state lives in a policy::FunctionTable, which
   // iterates in function-id order by construction; (b) floating-point state
-  // travels by bit pattern (common/byte_serde.h); (c) a checkpointable policy
-  // must not schedule its own simulator closures — pending closures cannot be
-  // captured (TimerAwarePrewarmPolicy stays non-checkpointable for exactly that
-  // reason; the platform-managed minute tick and prewarm/keep-alive events are
-  // bookkept by the platform itself and are fine).
+  // travels by bit pattern (common/byte_serde.h); (c) future actions go
+  // through the platform, never through the simulator: a policy acts now
+  // (SpawnPrewarmedPod), later (SpawnPrewarmedPodAt), or from the minute tick,
+  // and the platform keeps each pending event in its checkpointed event table.
+  // The Platform exposes no simulator, so a policy cannot queue a closure that
+  // a checkpoint would lose.
   virtual bool SavePolicyState(std::string* out) const {
     (void)out;
     return false;

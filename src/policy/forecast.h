@@ -19,10 +19,9 @@
 //   - predicted IAT short -> extend (or shrink) keep-alive to headroom x IAT,
 //     the dynamic keep-alive move, but gated on forecast confidence.
 //
-// Unlike TimerAwarePrewarmPolicy this policy is fully checkpointable: it
-// never schedules its own simulator closures — pending prewarms live in an
-// ordered map walked from the platform-managed minute tick, so the whole
-// learned state serializes (policy_hooks.h contract (c)).
+// Pending prewarms live in an ordered map walked from the minute tick, so the
+// whole learned state serializes (policy_hooks.h contract (c)). Timer prewarm
+// instead arms Platform::SpawnPrewarmedPodAt, exactly lead_time early.
 #ifndef COLDSTART_POLICY_FORECAST_H_
 #define COLDSTART_POLICY_FORECAST_H_
 

@@ -52,16 +52,33 @@ void TimerAwarePrewarmPolicy::OnArrival(const workload::FunctionSpec& spec, SimT
   if (until_next <= 0) {
     return;
   }
-  platform::Platform& p = *platform_;
-  const trace::FunctionId fid = spec.id;
-  const trace::RegionId region = spec.region;
   const SimDuration survival = 2 * options_.lead_time + 10 * kSecond;
-  p.simulator().ScheduleAfter(until_next, [&p, fid, region, survival] {
-    if (!p.HasAvailablePod(fid)) {
-      p.SpawnPrewarmedPod(fid, region, survival);
-    }
-  });
+  platform_->SpawnPrewarmedPodAt(now + until_next, spec.id, spec.region, survival);
   ++prewarms_issued_;
+}
+
+bool TimerAwarePrewarmPolicy::SavePolicyState(std::string* out) const {
+  ByteWriter w;
+  w.I64(prewarms_issued_);
+  history_.SaveEntries(w, [&w](const FunctionHistory& h) {
+    w.I64(h.last_arrival);
+    w.F64(h.period_estimate);
+    w.I64(h.stable_count);
+  });
+  *out = w.Take();
+  return true;
+}
+
+bool TimerAwarePrewarmPolicy::RestorePolicyState(std::string_view blob) {
+  ByteReader r(blob);
+  prewarms_issued_ = r.I64();
+  history_.RestoreEntries(r, [&r](FunctionHistory& h) {
+    h.last_arrival = r.I64();
+    h.period_estimate = r.F64();
+    h.stable_count = static_cast<int>(r.I64());
+  });
+  COLDSTART_CHECK(r.AtEnd());
+  return true;
 }
 
 void ProfilePrewarmPolicy::OnArrival(const workload::FunctionSpec& spec, SimTime now) {

@@ -4,7 +4,8 @@
 // are strictly periodic, so the estimate converges after two arrivals) and spawns a
 // prewarmed pod shortly before the next predicted fire when the period exceeds the
 // keep-alive window. This directly targets the Fig. 14 diagonal: timer functions that
-// cold-start on every invocation.
+// cold-start on every invocation. The pending spawn is a platform event
+// (Platform::SpawnPrewarmedPodAt), so the policy checkpoints like any other.
 //
 // ProfilePrewarmPolicy: watches functions that recently cold-started and keeps a pod
 // warm when the learned minute-of-day profile predicts an imminent invocation —
@@ -21,10 +22,6 @@
 
 namespace coldstart::policy {
 
-// Prediction state (history_) feeds self-scheduled simulator closures that no
-// serializer can capture, so this policy is deliberately non-checkpointable:
-// Run(..., &checkpoint) rejects it up front (policy_hooks.h).
-// LINT-ALLOW(policy-hooks): prewarm closures live in the event queue; the policy cannot checkpoint by design and Run() refuses it up front
 class TimerAwarePrewarmPolicy : public platform::PlatformPolicy {
  public:
   struct Options {
@@ -39,6 +36,9 @@ class TimerAwarePrewarmPolicy : public platform::PlatformPolicy {
 
   void OnAttach(platform::Platform& platform) override { platform_ = &platform; }
   void OnArrival(const workload::FunctionSpec& spec, SimTime now) override;
+
+  bool SavePolicyState(std::string* out) const override;
+  bool RestorePolicyState(std::string_view blob) override;
 
   // Per-function period estimates only: shards cleanly by region.
   std::unique_ptr<platform::PlatformPolicy> CloneForShard() const override {

@@ -5,8 +5,9 @@
 // they were scheduled. The queue is a 4-ary key heap over a stable handler slab
 // (event_queue.h) and handlers are small-buffer-optimized InlineHandlers:
 // scheduling a handler whose captures fit 48 bytes (every call site in src/sim and
-// src/platform) performs no heap allocation. Components that need cancellation use
-// generation counters rather than queue surgery.
+// src/platform) performs no heap allocation. The queue has no cancel: the
+// platform queues closures that hold only a slab handle and cancels by freeing
+// the entry, so the closure resolves to nothing (its pending-event table).
 //
 // Besides the queue, the loop can merge one attached EventSource: a pull-based,
 // time-ordered stream whose entries carry (time, seq) keys but are never

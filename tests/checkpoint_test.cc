@@ -255,6 +255,36 @@ TEST_F(CheckpointTest, KillAndResumeWithCheckpointablePolicy) {
   EXPECT_EQ(uninterrupted.prewarm_spawns, resumed.prewarm_spawns);
 }
 
+TEST_F(CheckpointTest, KillAndResumeTimerPrewarmSerialAndSharded) {
+  // Timer prewarms are armed up to two hours ahead, so some are pending
+  // platform events at the kill boundary: they must ride the checkpoint.
+  ScenarioConfig config = TinyScenario();
+  config.record_requests = false;
+  const Experiment experiment(config);
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    fs::remove_all(dir_);
+    policy::TimerAwarePrewarmPolicy plain_policy;
+    const ExperimentResult uninterrupted = experiment.Run(&plain_policy, threads);
+    int64_t spawns = 0;
+    for (const int64_t s : uninterrupted.prewarm_spawns) {
+      spawns += s;
+    }
+    ASSERT_GT(spawns, 0);
+
+    policy::TimerAwarePrewarmPolicy killed_policy;
+    RunAndKillAtDay(config, dir_, /*kill_day=*/1, threads, &killed_policy);
+    policy::TimerAwarePrewarmPolicy resumed_policy;
+    const ExperimentResult resumed =
+        experiment.ResumeFrom(dir_, &resumed_policy, threads);
+
+    EXPECT_EQ(resumed.interrupted_at_day, -1);
+    EXPECT_EQ(trace::Digest(uninterrupted.store), trace::Digest(resumed.store));
+    EXPECT_EQ(uninterrupted.prewarm_spawns, resumed.prewarm_spawns);
+    EXPECT_EQ(plain_policy.prewarms_issued(), resumed_policy.prewarms_issued());
+  }
+}
+
 // --- Cooperative stop: the SIGINT path, minus the signal. ---
 
 TEST_F(CheckpointTest, StopFlagInterruptsAtBoundaryAndResumes) {
@@ -286,10 +316,10 @@ TEST_F(CheckpointTest, NonCheckpointablePolicyDiesUpFront) {
   testing::GTEST_FLAG(death_test_style) = "threadsafe";
   const ScenarioConfig config = TinyScenario();
   const Experiment experiment(config);
-  // TimerAwarePrewarmPolicy keeps per-function timer state it cannot
-  // serialize; asking for checkpoints with it must die before day 1, not at
-  // the first checkpoint hours into a real run.
-  policy::TimerAwarePrewarmPolicy policy;
+  // PoolPredictionPolicy's SeriesPredictors have no serde; asking for
+  // checkpoints with it must die before day 1, not at the first checkpoint
+  // hours into a real run.
+  policy::PoolPredictionPolicy policy;
   CheckpointPolicy ckpt;
   ckpt.dir = dir_;
   EXPECT_DEATH(Experiment(config).Run(&policy, 1, &ckpt), "not checkpointable");

@@ -257,40 +257,6 @@ TEST(SubRegionShardingTest, RegionCoupledPolicyKeepsRegionGeometry) {
   ExpectAggregatesIdentical(serial, sharded);
 }
 
-// --- Tentpole: batched arrival draining == per-event dispatch, bit for bit. ---
-
-TEST(BatchedArrivalsTest, BatchedPipelineBitIdenticalToPerEvent) {
-  const ScenarioConfig config = core::SmallScenario();
-  const workload::Calendar calendar = config.MakeCalendar();
-  const auto profiles = config.ScaledProfiles();
-  const workload::Population pop =
-      workload::GeneratePopulation(profiles, config.seed);
-
-  auto run = [&](bool batched) {
-    trace::TraceStore store;
-    sim::Simulator sim;
-    platform::Platform::Options options;
-    options.seed = config.seed;
-    options.record_requests = config.record_requests;
-    options.default_keep_alive = config.default_keep_alive;
-    options.batched_arrivals = batched;
-    platform::Platform platform(pop, profiles, calendar, sim, store, options);
-    platform.AttachArrivalStream(config.workload_source().OpenStream(
-        pop, profiles, calendar, config.seed));
-    sim.RunUntil(calendar.horizon());
-    platform.Finalize();
-    store.Seal();
-    return std::make_pair(std::move(store), sim.events_processed());
-  };
-
-  auto [batched_store, batched_events] = run(true);
-  auto [per_event_store, per_event_events] = run(false);
-  ASSERT_GT(batched_store.requests().size(), 10000u);
-  ExpectStoresIdentical(per_event_store, batched_store);
-  // AddProcessedEvents credits drained runs, so even the event *count* agrees.
-  EXPECT_EQ(per_event_events, batched_events);
-}
-
 TEST(ShardedExperimentTest, ShardedRunFoldsPolicyCountersIntoPrototype) {
   // policy.prewarms_issued() must read the same total whether the run sharded
   // (counters accumulate in per-shard clones, folded back via AbsorbShardStats)

@@ -2,6 +2,7 @@
 // autoscaling, and workflow fan-out. Small hand-built scenarios with exact assertions.
 #include <gtest/gtest.h>
 
+#include "common/byte_serde.h"
 #include "platform/coldstart_pipeline.h"
 #include "platform/platform.h"
 #include "trace/trace_store.h"
@@ -363,13 +364,9 @@ TEST(PlatformTest, PodsAliveAtHorizonAreCensored) {
 TEST(PlatformTest, PrewarmedPodAbsorbsColdStart) {
   struct PrewarmOnce : PlatformPolicy {
     void OnAttach(Platform& p) override {
-      platform = &p;
       // Prewarm function 0 at t=30min, long before the arrival at t=60min.
-      p.simulator().ScheduleAt(30 * kMinute, [this] {
-        platform->SpawnPrewarmedPod(0, 0, kHour);
-      });
+      p.SpawnPrewarmedPodAt(30 * kMinute, 0, 0, kHour);
     }
-    Platform* platform = nullptr;
   } policy;
   TinyWorld world({BasicSpec()}, 1, &policy);
   world.Run({{kHour, 0}});
@@ -513,6 +510,93 @@ TEST(PlatformTest, CountersBitIdenticalAcrossRuns) {
   EXPECT_EQ(run_once(), run_once());
 }
 
+// --- Checkpoint round trip. ---
+
+// Leaves one pending event of every kind across the first day boundary:
+// asynchronous arrivals wait 5 minutes (an invoke), and function 1's arrival
+// arms a prewarm of function 3 an hour later.
+struct EveryKindPolicy : PlatformPolicy {
+  void OnAttach(Platform& p) override { platform = &p; }
+  SimDuration AdmissionDelay(const FunctionSpec&, SimTime,
+                             const RegionLoadState&) override {
+    return 5 * kMinute;
+  }
+  void OnArrival(const FunctionSpec& spec, SimTime now) override {
+    if (spec.id == 1) {
+      platform->SpawnPrewarmedPodAt(now + kHour, 3, 0, kMinute);
+    }
+  }
+  Platform* platform = nullptr;
+};
+
+std::vector<std::pair<trace::PodId, SimTime>> PodDeaths(const trace::TraceStore& store) {
+  std::vector<std::pair<trace::PodId, SimTime>> deaths;
+  for (const auto& pod : store.pods()) {
+    deaths.emplace_back(pod.pod_id, pod.death_time);
+  }
+  return deaths;
+}
+
+TEST(PlatformCheckpointTest, SaveRestoreSaveByteIdenticalWithEveryEventKindPending) {
+  std::vector<FunctionSpec> specs(5, BasicSpec());
+  for (size_t i = 0; i < specs.size(); ++i) {
+    specs[i].id = static_cast<trace::FunctionId>(i);
+  }
+  specs[0].exec_median_us = 30e6;            // Completion pending at the boundary.
+  specs[2].primary_trigger = Trigger::kObs;  // Asynchronous: delayed.
+  const std::vector<workload::ArrivalEvent> arrivals = {
+      {kDay - kMinute, 2},            // Invoke pending until kDay + 4 min.
+      {kDay - 30 * kSecond, 1},       // Keep-alive pending; arms the prewarm.
+      {kDay - 10 * kSecond, 0},       // Completion pending.
+      {kDay - kMillisecond, 4}};      // Load decrement (and completion) pending.
+  EveryKindPolicy policy;
+  TinyWorld world(specs, /*days=*/2, &policy);
+  const auto stream = [&] {
+    return std::make_unique<workload::MaterializedArrivalStream>(
+        arrivals, workload::NumDayChunks(world.calendar));
+  };
+  world.platform->AttachArrivalStream(stream());
+  world.sim.RunUntil(kDay - 1);
+  ByteWriter saved;
+  world.platform->SaveCheckpointState(saved);
+
+  sim::Simulator sim;
+  sim.RestoreClock(world.sim.now(), world.sim.next_seq(), world.sim.events_processed());
+  trace::TraceStore store;
+  EveryKindPolicy restored_policy;
+  Platform::Options opts;
+  opts.seed = 17;
+  opts.resuming = true;
+  Platform restored(world.pop, world.profiles, world.calendar, sim, store, opts,
+                    &restored_policy);
+  ByteReader r(saved.data());
+  restored.RestoreCheckpointState(r, stream());
+  EXPECT_TRUE(r.AtEnd());
+  ByteWriter again;
+  restored.SaveCheckpointState(again);
+  EXPECT_EQ(again.data(), saved.data());
+
+  // Every kind was pending: each one's effect lands after the boundary.
+  EXPECT_EQ(restored.load(0).active_cold_starts, 1);
+  EXPECT_EQ(restored.load(0).delayed_allocations, 1);
+  EXPECT_EQ(restored.load(0).prewarm_spawns, 0);
+  sim.RunUntil(world.calendar.horizon());
+  world.sim.RunUntil(world.calendar.horizon());
+  EXPECT_EQ(restored.load(0).active_cold_starts, 0);
+  EXPECT_EQ(restored.load(0).prewarm_spawns, 1);
+  restored.Finalize();
+  world.platform->Finalize();
+  store.Seal();
+  world.store.Seal();
+  // Requests of functions 0, 2 and 4 complete after the boundary; every pod
+  // dies after it, function 1's by keep-alive well before the horizon.
+  EXPECT_EQ(store.requests().size(), 3u);
+  EXPECT_EQ(world.store.requests().size(), 4u);
+  ASSERT_EQ(store.pods().size(), 5u);
+  EXPECT_EQ(PodDeaths(store), PodDeaths(world.store));
+  EXPECT_LT(store.pods()[1].death_time, world.calendar.horizon());
+}
+
 // --- Pod slab. ---
 
 TEST(PodSlabTest, AllocateResolveFreeCycle) {
@@ -569,6 +653,47 @@ TEST(PodSlabTest, ForEachAliveVisitsInIndexOrder) {
   std::vector<trace::PodId> seen;
   slab.ForEachAlive([&seen](Pod& pod) { seen.push_back(pod.id); });
   EXPECT_EQ(seen, (std::vector<trace::PodId>{0, 1, 2, 4, 5, 6, 8, 9}));
+}
+
+TEST(PodSlabTest, SlotAccessorsRejectOutOfRangeIndex) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  Slab<Pod> slab;
+  slab.Allocate();
+  const uint32_t past_end = static_cast<uint32_t>(slab.capacity());
+  EXPECT_DEATH(slab.slot_value(past_end), "CHECK failed");
+  EXPECT_DEATH(slab.slot_alive(past_end), "CHECK failed");
+  EXPECT_DEATH(slab.slot_generation(past_end), "CHECK failed");
+}
+
+TEST(PodSlabTest, RestoreStructureRejectsBadFreeList) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  // A one-chunk slab whose slot 0 is alive; every other slot must be listed
+  // free exactly once.
+  Slab<Pod> grown;
+  grown.Allocate();
+  const uint32_t cap = static_cast<uint32_t>(grown.capacity());
+  const std::vector<uint32_t> generations(cap, 0);
+  std::vector<uint8_t> alive(cap, 0);
+  alive[0] = 1;
+  std::vector<uint32_t> free_list;
+  for (uint32_t i = cap - 1; i >= 1; --i) {
+    free_list.push_back(i);
+  }
+  Slab<Pod> ok;
+  ok.RestoreStructure(cap, free_list, generations, alive);
+  EXPECT_EQ(ok.alive_count(), 1u);
+
+  auto with_last = [&free_list](uint32_t index) {
+    std::vector<uint32_t> bad = free_list;
+    bad.back() = index;
+    return bad;
+  };
+  EXPECT_DEATH(Slab<Pod>().RestoreStructure(cap, with_last(cap), generations, alive),
+               "CHECK failed");  // Out of range.
+  EXPECT_DEATH(Slab<Pod>().RestoreStructure(cap, with_last(0), generations, alive),
+               "CHECK failed");  // Alive.
+  EXPECT_DEATH(Slab<Pod>().RestoreStructure(cap, with_last(2), generations, alive),
+               "CHECK failed");  // Duplicate.
 }
 
 }  // namespace

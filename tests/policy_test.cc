@@ -374,6 +374,28 @@ TEST(PolicyStateSerdeTest, FidOrderedLayoutAndByteStableRoundTrip) {
          }
          return w.Take();
        }},
+      {"TimerAwarePrewarm",
+       [] { return std::make_unique<TimerAwarePrewarmPolicy>(); },
+       [&](platform::PlatformPolicy& p, const workload::Population& pop) {
+         for (const auto fid : kTouchOrder) {
+           p.OnArrival(pop.functions[fid], 0);
+         }
+         for (const auto fid : kTouchOrder) {
+           p.OnArrival(pop.functions[fid], fid * kMinute);
+         }
+       },
+       [&] {
+         ByteWriter w;
+         w.I64(0);  // Prewarm counter.
+         w.U64(3);
+         for (const auto fid : kFidOrder) {
+           w.U64(fid);
+           w.I64(fid * kMinute);                         // last_arrival
+           w.F64(static_cast<double>(fid * kMinute));  // period_estimate
+           w.I64(1);                                     // stable_count
+         }
+         return w.Take();
+       }},
       {"WorkflowPrewarm",
        [] { return std::make_unique<WorkflowPrewarmPolicy>(); },
        [](platform::PlatformPolicy& p, const workload::Population& pop) {
