@@ -3,9 +3,9 @@
 // §5: the most popular regions have the longest cold starts while inter-region RTT is
 // tens of milliseconds; offloading congested cold starts to quiet regions trades RTT
 // for queueing. Metric: mean cold-start latency in the congested region (R1) and
-// fleet-wide, plus the number of offloads. Both scenario evaluations run concurrently
-// on the ParallelSweep work queue (the cross-region run itself stays serial inside —
-// the policy is not region-local, so the sharded runner declines it).
+// fleet-wide, plus the number of offloads, counted from the trace. Both scenario
+// evaluations run concurrently on the ParallelSweep work queue (the cross-region run
+// itself stays one shard — the policy is not region-local).
 #include "bench/abl_util.h"
 
 using namespace coldstart;
@@ -35,9 +35,12 @@ int main() {
          opts.home_pressure_threshold = 8;
          return std::make_unique<policy::CrossRegionPolicy>(opts);
        },
-       [&](const core::ExperimentResult& result, platform::PlatformPolicy* policy) {
+       [&](const core::ExperimentResult& result, platform::PlatformPolicy*) {
          r1_means[1] = r1_mean(result);
-         offloads = static_cast<policy::CrossRegionPolicy*>(policy)->offloads();
+         // An offload is a cold start outside the function's home region.
+         for (const trace::ColdStartRecord& c : result.store.cold_starts()) {
+           offloads += c.region != result.population.functions[c.function_id].region;
+         }
        }},
   };
   const std::vector<bench::AblationRow> rows = bench::RunAblationSweep(config, jobs);

@@ -27,7 +27,10 @@ int main() {
                      "predictable per-config pod demand allows maintaining just enough "
                      "reserved pods without overallocation");
   const core::ScenarioConfig config = bench::AblationScenario();
-  const char* kinds[] = {"moving-average", "seasonal-naive", "holt-winters"};
+  const policy::SeriesPredictor predictors[] = {
+      policy::SeriesPredictor::MovingAverage(30),
+      policy::SeriesPredictor::SeasonalNaive(1440),
+      policy::SeriesPredictor::HoltWinters(1440, 0.3, 0.05, 0.15)};
 
   std::vector<double> alloc_means(4, 0.0);
   std::vector<bench::AblationJob> jobs;
@@ -37,11 +40,11 @@ int main() {
                     alloc_means[0] = MeanAllocSeconds(result.store);
                   }});
   for (size_t i = 0; i < 3; ++i) {
-    const char* kind = kinds[i];
-    jobs.push_back({kind,
-                    [kind] {
+    const policy::SeriesPredictor& predictor = predictors[i];
+    jobs.push_back({predictor.name(),
+                    [&predictor] {
                       policy::PoolPredictionPolicy::Options opts;
-                      opts.predictor = kind;
+                      opts.predictor = predictor;
                       return std::make_unique<policy::PoolPredictionPolicy>(opts);
                     },
                     [&alloc_means, i](const core::ExperimentResult& result,

@@ -98,7 +98,7 @@ void StoreCachedPoint(const std::string& cache_dir, uint64_t key,
 
 uint64_t FrontierPointKey(const ScenarioConfig& config,
                           const FrontierCandidate& candidate) {
-  uint64_t h = HashString("frontier-point-v1");
+  uint64_t h = HashString("frontier-point-v2");
   h = MixHash(h, config.Fingerprint());
   h = MixHash(h, HashString(candidate.name));
   h = MixHash(h, candidate.policy_fingerprint);

@@ -18,8 +18,6 @@ struct RegionLoadState {
   int active_cold_starts = 0;   // Cold-start pipelines currently in flight.
   int active_code_deploys = 0;  // Concurrent package downloads.
   int active_dep_deploys = 0;   // Concurrent dependency-layer fetches.
-  int64_t total_cold_starts = 0;
-  int64_t total_requests = 0;
   int64_t prewarm_spawns = 0;   // Pods started by policies rather than requests.
   int64_t delayed_allocations = 0;  // Requests admitted late by peak shaving.
 

@@ -264,15 +264,8 @@ const workload::FunctionSpec& Platform::spec(FunctionId function) const {
 }
 
 ResourcePool& Platform::pool(RegionId region, trace::ResourceConfig config) {
-  // Capacity-coupled policies see one pool per region; cells > 1 would make
-  // this accessor ambiguous, and such policies pin their runs to one cell.
   COLDSTART_CHECK_EQ(cells_, 1u);
   return pools_.at(region).at(static_cast<size_t>(config));
-}
-
-const RegionLoadState& Platform::load(RegionId region) const {
-  COLDSTART_CHECK_EQ(cells_, 1u);
-  return loads_.at(region);
 }
 
 bool Platform::HasAvailablePod(FunctionId function) const {
@@ -328,22 +321,6 @@ int64_t Platform::scratch_allocations(RegionId region) const {
     for (const auto& pool : pools_.at(StateIndex(region, cell))) {
       total += pool.scratch_count();
     }
-  }
-  return total;
-}
-
-int64_t Platform::prewarm_spawns(RegionId region) const {
-  int64_t total = 0;
-  for (uint32_t cell = 0; cell < cells_; ++cell) {
-    total += loads_.at(StateIndex(region, cell)).prewarm_spawns;
-  }
-  return total;
-}
-
-int64_t Platform::delayed_allocations(RegionId region) const {
-  int64_t total = 0;
-  for (uint32_t cell = 0; cell < cells_; ++cell) {
-    total += loads_.at(StateIndex(region, cell)).delayed_allocations;
   }
   return total;
 }
@@ -448,7 +425,6 @@ Pod* Platform::StartColdStart(const FunctionSpec& spec, RegionId region, bool pr
   PendingEvent* decrement = ScheduleEvent(EventKind::kLoadDecrement, h.ready_time).first;
   decrement->region = region;
   decrement->function = spec.id;
-  ++load.total_cold_starts;
 
   if (prewarmed) {
     ++load.prewarm_spawns;
@@ -551,7 +527,6 @@ void Platform::OnRequestComplete(SlabHandle handle, SimTime exec_start,
     }
     sink_.OnRequest(rec);
   }
-  ++loads_[idx].total_requests;
 
   // Workflow fan-out: downstream functions are invoked when the parent finishes.
   // Draws come from the parent's home-(region, cell) stream (children are wired
@@ -834,8 +809,6 @@ void Platform::SaveCheckpointState(ByteWriter& w) const {
     w.I64(l.active_cold_starts);
     w.I64(l.active_code_deploys);
     w.I64(l.active_dep_deploys);
-    w.I64(l.total_cold_starts);
-    w.I64(l.total_requests);
     w.I64(l.prewarm_spawns);
     w.I64(l.delayed_allocations);
     w.F64(l.cold_start_window);
@@ -982,8 +955,6 @@ void Platform::RestoreCheckpointState(
     l.active_cold_starts = static_cast<int>(r.I64());
     l.active_code_deploys = static_cast<int>(r.I64());
     l.active_dep_deploys = static_cast<int>(r.I64());
-    l.total_cold_starts = r.I64();
-    l.total_requests = r.I64();
     l.prewarm_spawns = r.I64();
     l.delayed_allocations = r.I64();
     l.cold_start_window = r.F64();

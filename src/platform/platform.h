@@ -158,11 +158,10 @@ class Platform {
   // so it survives a checkpoint; policies schedule no closures of their own.
   void SpawnPrewarmedPodAt(SimTime at, trace::FunctionId function,
                            trace::RegionId region, SimDuration initial_keep_alive);
-  // Capacity-coupled accessors: a single pool/load per region only exists when
-  // cells_per_region == 1 (CHECKed). Policies that need them declare
-  // is_function_local() == false, which pins their runs to one cell.
+  // The region's one pool of `config`. It exists only when cells_per_region == 1
+  // (CHECKed): a policy that sizes pools must refuse other geometries itself.
   ResourcePool& pool(trace::RegionId region, trace::ResourceConfig config);
-  const RegionLoadState& load(trace::RegionId region) const;
+  uint32_t cells_per_region() const { return cells_; }
   const workload::FunctionSpec& spec(trace::FunctionId function) const;
   // True when the function has a pod that is (or will be) able to take a request:
   // ready (or warming) with a free concurrency slot.
@@ -179,10 +178,16 @@ class Platform {
   int64_t cold_start_latency_sum_us(trace::RegionId region) const;
   // From-scratch pod creations (pool misses) across the region's pools (all cells).
   int64_t scratch_allocations(trace::RegionId region) const;
-  // Region-level load counters summed over the region's cells (cells-safe,
-  // unlike load()): what the experiment runner folds into per-region stats.
-  int64_t prewarm_spawns(trace::RegionId region) const;
-  int64_t delayed_allocations(trace::RegionId region) const;
+  // Region-level load counters, summed over the region's cells.
+  int64_t prewarm_spawns(trace::RegionId region) const {
+    return SumOverCells(region, &RegionLoadState::prewarm_spawns);
+  }
+  int64_t delayed_allocations(trace::RegionId region) const {
+    return SumOverCells(region, &RegionLoadState::delayed_allocations);
+  }
+  int64_t active_cold_starts(trace::RegionId region) const {
+    return SumOverCells(region, &RegionLoadState::active_cold_starts);
+  }
   // Resource-cost accumulators (pod-seconds, warm-idle-seconds, snapshot MB·s,
   // from-scratch creations), per region; order-invariant integer sums so serial
   // and sharded runs agree bit for bit. Finalize() also emits the totals into
@@ -236,6 +241,14 @@ class Platform {
   }
   size_t StateIndex(trace::RegionId region, uint32_t cell) const {
     return static_cast<size_t>(region) * cells_ + cell;
+  }
+  template <typename T>
+  int64_t SumOverCells(trace::RegionId region, T RegionLoadState::*counter) const {
+    int64_t total = 0;
+    for (uint32_t cell = 0; cell < cells_; ++cell) {
+      total += loads_.at(StateIndex(region, cell)).*counter;
+    }
+    return total;
   }
   // The per-(region, cell) RNG substream; every draw the platform makes is
   // attributed to a cell so that sharded and serial runs consume identical

@@ -33,11 +33,12 @@ class PlatformPolicy {
   // for a function depend only on that function's own observations (arrivals,
   // cold starts, workflow edges — all of which stay inside the function's
   // capacity cell), never on region-level capacity-coupled state (pools, the
-  // region load aggregate, a region-wide budget). Function-local policies can
+  // region load aggregate, a per-region budget). Function-local policies can
   // run one independent instance per capacity-cell shard; everything else pins
   // the region to a single cell. Default false: region-level coupling is the
-  // common case (ProfilePrewarm's global budget, PeakShaving's load window,
-  // PoolPrediction's pool targets), so opting in is an explicit claim.
+  // common case (the per-region budgets of ProfilePrewarm and
+  // ProvisionedConcurrency, PeakShaving's load window, PoolPrediction's pool
+  // targets), so opting in is an explicit claim.
   virtual bool is_function_local() const { return false; }
 
   // A fresh instance with this policy's configuration (but none of its learned
@@ -108,9 +109,9 @@ class PlatformPolicy {
 
   // --- Checkpoint traits (src/checkpoint/). ---
   // Serializes every piece of learned state into `out` so a resumed run
-  // continues bit-identically. Returning false (the default) declares the
-  // policy non-checkpointable: a checkpointed Run then fails loudly up front
-  // instead of writing checkpoints that silently drop policy state.
+  // continues bit-identically; every shipped policy does. Returning false (the
+  // default) declares a custom policy non-checkpointable: a checkpointed Run
+  // then fails loudly up front instead of silently dropping policy state.
   //
   // Implementer contract (statically checked: coldstart_lint's policy-hooks
   // rule flags stateful subclasses missing these overrides, and its

@@ -13,29 +13,24 @@ trace::RegionId CrossRegionPolicy::RouteColdStart(const workload::FunctionSpec& 
   if (!options_.offload_synchronous && trace::IsSynchronous(spec.primary_trigger)) {
     return spec.region;
   }
-  const auto& home = platform_->load(spec.region);
-  if (home.active_cold_starts < options_.home_pressure_threshold) {
+  if (platform_->active_cold_starts(spec.region) < options_.home_pressure_threshold) {
     return spec.region;
   }
   // Pick the quietest peer region; offload only if it is genuinely idle.
   const int num_regions = static_cast<int>(platform_->profiles().size());
   int best = -1;
-  int best_load = options_.peer_quiet_threshold;
+  int64_t best_load = options_.peer_quiet_threshold;
   for (int r = 0; r < num_regions; ++r) {
     if (r == spec.region) {
       continue;
     }
-    const int load = platform_->load(static_cast<trace::RegionId>(r)).active_cold_starts;
+    const int64_t load = platform_->active_cold_starts(static_cast<trace::RegionId>(r));
     if (load < best_load) {
       best_load = load;
       best = r;
     }
   }
-  if (best < 0) {
-    return spec.region;
-  }
-  ++offloads_;
-  return static_cast<trace::RegionId>(best);
+  return best < 0 ? spec.region : static_cast<trace::RegionId>(best);
 }
 
 }  // namespace coldstart::policy

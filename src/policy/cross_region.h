@@ -8,16 +8,16 @@
 #ifndef COLDSTART_POLICY_CROSS_REGION_H_
 #define COLDSTART_POLICY_CROSS_REGION_H_
 
-#include <vector>
+#include <string>
+#include <string_view>
 
 #include "platform/platform.h"
 
 namespace coldstart::policy {
 
-// Routes cold starts across regions, so it is not region-local and never runs
-// under the sharded runner (is_region_local() == false); offloads_ is
-// diagnostics-only bookkeeping the serial runner reads back at the end.
-// LINT-ALLOW(policy-hooks): not region-local — the sharded runner rejects it, so shard/checkpoint hooks are unreachable
+// Config-only: every decision reads the platform's current load, so there is
+// no learned state to checkpoint. The offloads it made are in the trace: cold
+// starts whose region differs from the function's home region.
 class CrossRegionPolicy : public platform::PlatformPolicy {
  public:
   struct Options {
@@ -33,16 +33,19 @@ class CrossRegionPolicy : public platform::PlatformPolicy {
   void OnAttach(platform::Platform& platform) override { platform_ = &platform; }
   trace::RegionId RouteColdStart(const workload::FunctionSpec& spec, SimTime now) override;
 
-  // Routing decisions read every region's load and move pods across regions, so the
-  // sharded runner must fall back to the serial path for this policy.
+  // Routing decisions read every region's load and move pods across regions, so
+  // the run always takes the whole-run plan.
   bool is_region_local() const override { return false; }
 
-  int64_t offloads() const { return offloads_; }
+  bool SavePolicyState(std::string* out) const override {
+    out->clear();
+    return true;
+  }
+  bool RestorePolicyState(std::string_view blob) override { return blob.empty(); }
 
  private:
   Options options_;
   platform::Platform* platform_ = nullptr;
-  int64_t offloads_ = 0;
 };
 
 }  // namespace coldstart::policy

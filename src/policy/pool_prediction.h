@@ -8,6 +8,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "platform/platform.h"
@@ -15,15 +16,12 @@
 
 namespace coldstart::policy {
 
-// Predictor state is an opaque SeriesPredictor per (region, config) with no
-// serialization surface, so the policy is deliberately non-checkpointable:
-// Run(..., &checkpoint) rejects it up front (policy_hooks.h).
-// LINT-ALLOW(policy-hooks): SeriesPredictor implementations are not serializable; Run() refuses to checkpoint this policy up front
 class PoolPredictionPolicy : public platform::PlatformPolicy {
  public:
   struct Options {
-    std::string predictor = "seasonal-naive";  // See MakePredictor().
-    double headroom = 1.5;                     // Pool target = headroom x prediction.
+    // The forecaster every (region, config) pool starts from.
+    SeriesPredictor predictor = SeriesPredictor::SeasonalNaive(1440);
+    double headroom = 1.5;  // Pool target = headroom x prediction.
     int min_target = 1;
     int max_target = 512;
   };
@@ -31,10 +29,17 @@ class PoolPredictionPolicy : public platform::PlatformPolicy {
   PoolPredictionPolicy();
   explicit PoolPredictionPolicy(Options options);
 
+  // Dies unless cells_per_region == 1: the policy sizes the one pool per
+  // (region, config) that only that geometry has.
   void OnAttach(platform::Platform& platform) override;
   void OnColdStart(const workload::FunctionSpec& spec, SimTime now,
                    SimDuration total) override;
   void OnMinuteTick(SimTime now) override;
+
+  // The predictors and this minute's demand so far. Pool targets ride the
+  // platform's own checkpoint.
+  bool SavePolicyState(std::string* out) const override;
+  bool RestorePolicyState(std::string_view blob) override;
 
   // One predictor per (region, config) with no cross-region coupling: shards cleanly.
   std::unique_ptr<platform::PlatformPolicy> CloneForShard() const override {
@@ -42,13 +47,9 @@ class PoolPredictionPolicy : public platform::PlatformPolicy {
   }
 
  private:
-  int IndexOf(trace::RegionId region, trace::ResourceConfig config) const {
-    return static_cast<int>(region) * trace::kNumResourceConfigs + static_cast<int>(config);
-  }
-
   Options options_;
   platform::Platform* platform_ = nullptr;
-  std::vector<std::unique_ptr<SeriesPredictor>> predictors_;  // [region x config].
+  std::vector<SeriesPredictor> predictors_;  // [region x config].
   std::vector<double> demand_this_minute_;
 };
 

@@ -1,23 +1,50 @@
 #include "policy/predictors.h"
 
 #include <algorithm>
-#include <string>
 
 #include "common/check.h"
 
 namespace coldstart::policy {
 
-MovingAveragePredictor::MovingAveragePredictor(int window) {
-  COLDSTART_CHECK_GT(window, 0);
-  ring_.assign(static_cast<size_t>(window), 0.0);
+SeriesPredictor::SeriesPredictor(Kind kind, int length, double alpha, double beta,
+                                 double gamma)
+    : kind_(kind), alpha_(alpha), beta_(beta), gamma_(gamma) {
+  COLDSTART_CHECK_GT(length, 0);
+  ring_.assign(static_cast<size_t>(length), 0.0);
 }
 
-void MovingAveragePredictor::Observe(double value) {
-  sum_ += value - ring_[next_];
-  ring_[next_] = value;
-  next_ = (next_ + 1) % ring_.size();
-  filled_ = std::min(filled_ + 1, ring_.size());
-  if (next_ == 0) {
+const char* SeriesPredictor::name() const {
+  static constexpr const char* kNames[] = {"moving-average", "seasonal-naive",
+                                           "holt-winters"};
+  return kNames[static_cast<size_t>(kind_)];
+}
+
+void SeriesPredictor::Observe(double value) {
+  double& slot = ring_[pos_];
+  switch (kind_) {
+    case Kind::kMovingAverage:
+      level_ += value - slot;
+      slot = value;
+      break;
+    case Kind::kSeasonalNaive:
+      slot = value;
+      level_ = value;
+      break;
+    case Kind::kHoltWinters: {
+      if (observed_ == 0) {
+        level_ = value;
+      }
+      const double s = slot;
+      const double prev_level = level_;
+      level_ = alpha_ * (value - s) + (1 - alpha_) * (level_ + trend_);
+      trend_ = beta_ * (level_ - prev_level) + (1 - beta_) * trend_;
+      slot = gamma_ * (value - level_) + (1 - gamma_) * s;
+      break;
+    }
+  }
+  pos_ = (pos_ + 1) % ring_.size();
+  ++observed_;
+  if (kind_ == Kind::kMovingAverage && pos_ == 0) {
     // Re-derive the running sum once per wraparound: the incremental update
     // accumulates floating-point drift over unbounded streams, and a fresh
     // sum every `window` observations keeps the error bounded by one pass.
@@ -25,70 +52,47 @@ void MovingAveragePredictor::Observe(double value) {
     for (const double v : ring_) {
       sum += v;
     }
-    sum_ = sum;
+    level_ = sum;
   }
 }
 
-double MovingAveragePredictor::Predict() const {
-  return filled_ == 0 ? 0.0 : sum_ / static_cast<double>(filled_);
-}
-
-SeasonalNaivePredictor::SeasonalNaivePredictor(int season) {
-  COLDSTART_CHECK_GT(season, 0);
-  season_.assign(static_cast<size_t>(season), 0.0);
-}
-
-void SeasonalNaivePredictor::Observe(double value) {
-  season_[pos_] = value;
-  pos_ = (pos_ + 1) % season_.size();
-  ++observed_;
-  last_ = value;
-}
-
-double SeasonalNaivePredictor::Predict() const {
-  if (observed_ < season_.size()) {
-    return last_;
+double SeriesPredictor::Predict() const {
+  switch (kind_) {
+    case Kind::kMovingAverage: {
+      const uint64_t filled = std::min<uint64_t>(observed_, ring_.size());
+      return filled == 0 ? 0.0 : level_ / static_cast<double>(filled);
+    }
+    case Kind::kSeasonalNaive:
+      // Until a full season has been seen, fall back to the last observation;
+      // after that pos_ points at the slot from exactly one season ago.
+      return observed_ < ring_.size() ? level_ : ring_[pos_];
+    case Kind::kHoltWinters:
+      return std::max(0.0, level_ + trend_ + ring_[pos_]);
   }
-  // pos_ currently points at the slot holding the value from exactly one season ago.
-  return season_[pos_];
+  return 0.0;
 }
 
-HoltWintersPredictor::HoltWintersPredictor(int season, double alpha, double beta,
-                                           double gamma)
-    : alpha_(alpha), beta_(beta), gamma_(gamma) {
-  COLDSTART_CHECK_GT(season, 0);
-  seasonal_.assign(static_cast<size_t>(season), 0.0);
+void SeriesPredictor::SaveState(ByteWriter& w) const {
+  w.U8(static_cast<uint8_t>(kind_));
+  w.U64(ring_.size());
+  w.Raw(ring_.data(), ring_.size() * sizeof(double));
+  w.U64(pos_);
+  w.U64(observed_);
+  // Saved, never re-derived: a mid-window moving-average sum differs in its
+  // low bits from a fresh sum over the ring.
+  w.F64(level_);
+  w.F64(trend_);
 }
 
-void HoltWintersPredictor::Observe(double value) {
-  if (observed_ == 0) {
-    level_ = value;
-  }
-  const double s = seasonal_[pos_];
-  const double prev_level = level_;
-  level_ = alpha_ * (value - s) + (1 - alpha_) * (level_ + trend_);
-  trend_ = beta_ * (level_ - prev_level) + (1 - beta_) * trend_;
-  seasonal_[pos_] = gamma_ * (value - level_) + (1 - gamma_) * s;
-  pos_ = (pos_ + 1) % seasonal_.size();
-  ++observed_;
-}
-
-double HoltWintersPredictor::Predict() const {
-  return std::max(0.0, level_ + trend_ + seasonal_[pos_]);
-}
-
-std::unique_ptr<SeriesPredictor> MakePredictor(const std::string& kind, int season) {
-  if (kind == "moving-average") {
-    return std::make_unique<MovingAveragePredictor>(30);
-  }
-  if (kind == "seasonal-naive") {
-    return std::make_unique<SeasonalNaivePredictor>(season);
-  }
-  if (kind == "holt-winters") {
-    return std::make_unique<HoltWintersPredictor>(season, 0.3, 0.05, 0.15);
-  }
-  COLDSTART_CHECK(false);
-  return nullptr;
+void SeriesPredictor::RestoreState(ByteReader& r) {
+  COLDSTART_CHECK_EQ(r.U8(), static_cast<uint8_t>(kind_));
+  COLDSTART_CHECK_EQ(r.U64(), ring_.size());
+  r.Raw(ring_.data(), ring_.size() * sizeof(double));
+  pos_ = r.U64();
+  COLDSTART_CHECK_LT(pos_, ring_.size());
+  observed_ = r.U64();
+  level_ = r.F64();
+  trend_ = r.F64();
 }
 
 }  // namespace coldstart::policy

@@ -7,69 +7,57 @@
 #define COLDSTART_POLICY_PREDICTORS_H_
 
 #include <cstdint>
-#include <string>
-#include <memory>
 #include <vector>
+
+#include "common/byte_serde.h"
 
 namespace coldstart::policy {
 
+// One forecaster value: a kind plus the state all three kinds share — a ring,
+// its position, an observation count and two scalars.
 class SeriesPredictor {
  public:
-  virtual ~SeriesPredictor() = default;
-  virtual void Observe(double value) = 0;
-  virtual double Predict() const = 0;
-  virtual const char* name() const = 0;
-};
+  // Flat moving average over the last `window` observations.
+  static SeriesPredictor MovingAverage(int window) {
+    return SeriesPredictor(Kind::kMovingAverage, window);
+  }
+  // Same bucket one season ago (e.g. the same minute yesterday); falls back to the
+  // last observation until a full season has been seen.
+  static SeriesPredictor SeasonalNaive(int season) {
+    return SeriesPredictor(Kind::kSeasonalNaive, season);
+  }
+  // Additive Holt-Winters with a daily season: level + trend + seasonal index.
+  static SeriesPredictor HoltWinters(int season, double alpha, double beta, double gamma) {
+    return SeriesPredictor(Kind::kHoltWinters, season, alpha, beta, gamma);
+  }
 
-// Flat moving average over the last `window` observations.
-class MovingAveragePredictor : public SeriesPredictor {
- public:
-  explicit MovingAveragePredictor(int window);
-  void Observe(double value) override;
-  double Predict() const override;
-  const char* name() const override { return "moving-average"; }
+  void Observe(double value);
+  double Predict() const;
+  const char* name() const;
+
+  // Checkpoint support: the learned state, every double by bit pattern. Restore
+  // onto an identically constructed predictor (kind and ring length CHECKed).
+  void SaveState(ByteWriter& w) const;
+  void RestoreState(ByteReader& r);
 
  private:
+  enum class Kind : uint8_t { kMovingAverage, kSeasonalNaive, kHoltWinters };
+
+  SeriesPredictor(Kind kind, int length, double alpha = 0, double beta = 0,
+                  double gamma = 0);
+
+  Kind kind_;
+  double alpha_, beta_, gamma_;  // Holt-Winters smoothing factors.
+  // Moving average: the window. Seasonal naive: the last season. Holt-Winters:
+  // the seasonal indices.
   std::vector<double> ring_;
-  size_t next_ = 0;
-  size_t filled_ = 0;
-  double sum_ = 0;
-};
-
-// Same bucket one season ago (e.g. the same minute yesterday); falls back to the last
-// observation until a full season has been seen.
-class SeasonalNaivePredictor : public SeriesPredictor {
- public:
-  explicit SeasonalNaivePredictor(int season);
-  void Observe(double value) override;
-  double Predict() const override;
-  const char* name() const override { return "seasonal-naive"; }
-
- private:
-  std::vector<double> season_;
   size_t pos_ = 0;
   uint64_t observed_ = 0;
-  double last_ = 0;
-};
-
-// Additive Holt-Winters with a daily season: level + trend + seasonal index.
-class HoltWintersPredictor : public SeriesPredictor {
- public:
-  HoltWintersPredictor(int season, double alpha, double beta, double gamma);
-  void Observe(double value) override;
-  double Predict() const override;
-  const char* name() const override { return "holt-winters"; }
-
- private:
-  std::vector<double> seasonal_;
-  size_t pos_ = 0;
-  uint64_t observed_ = 0;
+  // Moving average: the running window sum. Seasonal naive: the last
+  // observation. Holt-Winters: the level.
   double level_ = 0;
-  double trend_ = 0;
-  double alpha_, beta_, gamma_;
+  double trend_ = 0;  // Holt-Winters only.
 };
-
-std::unique_ptr<SeriesPredictor> MakePredictor(const std::string& kind, int season);
 
 }  // namespace coldstart::policy
 

@@ -99,23 +99,25 @@ void ProfilePrewarmPolicy::OnMinuteTick(SimTime now) {
     return;  // Need at least one day of history before the profile means anything.
   }
   const int next_minute = static_cast<int>(((TimeOfDay(now)) / kMinute + 1) % 1440);
-  int budget = options_.max_prewarms_per_tick;
-  for (auto it = watch_list_.begin(); it != watch_list_.end() && budget > 0;) {
-    const trace::FunctionId fid = *it;
-    const Profile* prof = profiles_.Find(fid);
-    if (prof == nullptr) {
-      it = watch_list_.erase(it);
+  // One budget per home region: a region's functions, walked in fid order,
+  // spend only their own region's budget, so every shard plan spawns the same
+  // pods.
+  std::vector<int> budget(platform_->profiles().size(), options_.max_prewarms_per_tick);
+  for (const trace::FunctionId fid : watch_list_) {
+    const trace::RegionId region = platform_->spec(fid).region;
+    if (budget[region] <= 0) {
       continue;
     }
+    // OnArrival precedes every cold start, so a watched function has a profile.
+    const Profile* prof = profiles_.Find(fid);
+    COLDSTART_CHECK(prof != nullptr);
     const double expected =
         prof->per_minute[static_cast<size_t>(next_minute)] / static_cast<double>(day);
     if (expected >= options_.min_expected_arrivals && !platform_->HasAvailablePod(fid)) {
-      platform_->SpawnPrewarmedPod(fid, platform_->spec(fid).region,
-                                   options_.prewarm_keep_alive);
+      platform_->SpawnPrewarmedPod(fid, region, options_.prewarm_keep_alive);
       ++prewarms_issued_;
-      --budget;
+      --budget[region];
     }
-    ++it;
   }
 }
 

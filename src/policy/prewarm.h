@@ -45,7 +45,7 @@ class TimerAwarePrewarmPolicy : public platform::PlatformPolicy {
     return std::make_unique<TimerAwarePrewarmPolicy>(options_);
   }
   // Period estimates and prewarm spawns are keyed by the observed function
-  // alone (ProfilePrewarm, by contrast, competes functions for a region-wide
+  // alone (ProfilePrewarm, by contrast, competes functions for a per-region
   // per-tick budget and must stay region-level).
   bool is_function_local() const override { return true; }
   void AbsorbShardStats(const platform::PlatformPolicy& shard) override {
@@ -73,7 +73,7 @@ class ProfilePrewarmPolicy : public platform::PlatformPolicy {
   struct Options {
     double min_expected_arrivals = 0.3;  // Prewarm when next-minute prediction exceeds.
     SimDuration prewarm_keep_alive = 2 * kMinute;
-    int max_prewarms_per_tick = 50;
+    int max_prewarms_per_tick = 50;  // Per home region.
   };
 
   ProfilePrewarmPolicy();
@@ -88,7 +88,8 @@ class ProfilePrewarmPolicy : public platform::PlatformPolicy {
   bool SavePolicyState(std::string* out) const override;
   bool RestorePolicyState(std::string_view blob) override;
 
-  // Per-function minute-of-day profiles only: shards cleanly by region.
+  // Per-function minute-of-day profiles and a per-region budget: shards
+  // cleanly by region.
   std::unique_ptr<platform::PlatformPolicy> CloneForShard() const override {
     return std::make_unique<ProfilePrewarmPolicy>(options_);
   }

@@ -26,12 +26,14 @@ void ProvisionedConcurrencyPolicy::OnArrival(const workload::FunctionSpec& spec,
 void ProvisionedConcurrencyPolicy::OnColdStart(const workload::FunctionSpec& spec,
                                                SimTime, SimDuration) {
   // Enrollment: the first cold start is the operator's signal to provision the
-  // function, budget permitting. The set is ordered, so which functions fit
-  // under the budget depends only on arrival content, never on hash order.
-  if (static_cast<int>(provisioned_.size()) >= options_.max_provisioned_functions) {
+  // function, budget permitting. The budget is per home region, so a region's
+  // enrollments depend only on its own functions' arrivals, in any shard plan.
+  int& enrolled = enrolled_per_region_.at(spec.region);
+  if (enrolled >= options_.max_provisioned_functions) {
     return;
   }
   if (provisioned_.insert(spec.id).second) {
+    ++enrolled;
     ++enrolled_total_;
   }
 }
@@ -73,7 +75,9 @@ bool ProvisionedConcurrencyPolicy::RestorePolicyState(std::string_view blob) {
   enrolled_total_ = r.I64();
   const uint64_t n = r.U64();
   for (uint64_t i = 0; i < n; ++i) {
-    provisioned_.insert(static_cast<trace::FunctionId>(r.U64()));
+    const auto fid = static_cast<trace::FunctionId>(r.U64());
+    provisioned_.insert(fid);
+    ++enrolled_per_region_.at(platform_->spec(fid).region);
   }
   COLDSTART_CHECK(r.AtEnd());
   return true;

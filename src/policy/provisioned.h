@@ -2,7 +2,7 @@
 // always-ready pod floor per enrolled function, the simulation analogue of AWS
 // provisioned concurrency / Azure premium pre-warmed instances. Functions enroll
 // on their first user-visible cold start (the operator reacting to a cold-start
-// complaint), up to a region-wide budget; every minute the policy tops each
+// complaint), up to a budget per home region; every minute the policy tops each
 // enrolled function back up to its floor with prewarmed pods. The cost side —
 // the floor pods' pod-seconds and warm-idle-seconds — lands in the resource-cost
 // ledger, which is the point: provisioned concurrency trades always-on spend for
@@ -14,6 +14,7 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "platform/platform.h"
 
@@ -23,14 +24,17 @@ class ProvisionedConcurrencyPolicy : public platform::PlatformPolicy {
  public:
   struct Options {
     int floor_pods = 1;                     // Always-ready pods per enrolled function.
-    int max_provisioned_functions = 200;    // Region-wide enrollment budget.
+    int max_provisioned_functions = 200;    // Enrollment budget per home region.
     SimDuration pod_keep_alive = 2 * kMinute;  // Floor pods outlive the top-up tick.
   };
 
   ProvisionedConcurrencyPolicy();
   explicit ProvisionedConcurrencyPolicy(Options options);
 
-  void OnAttach(platform::Platform& platform) override { platform_ = &platform; }
+  void OnAttach(platform::Platform& platform) override {
+    platform_ = &platform;
+    enrolled_per_region_.assign(platform.profiles().size(), 0);
+  }
   void OnArrival(const workload::FunctionSpec& spec, SimTime now) override;
   void OnColdStart(const workload::FunctionSpec& spec, SimTime now,
                    SimDuration total) override;
@@ -42,10 +46,6 @@ class ProvisionedConcurrencyPolicy : public platform::PlatformPolicy {
   std::unique_ptr<platform::PlatformPolicy> CloneForShard() const override {
     return std::make_unique<ProvisionedConcurrencyPolicy>(options_);
   }
-  // The enrollment budget is a region-wide resource that functions compete for,
-  // so the policy must see the whole region: region-local, not function-local
-  // (sub-region K > 1 sharding would split the budget nondeterministically).
-  bool is_function_local() const override { return false; }
   void AbsorbShardStats(const platform::PlatformPolicy& shard) override {
     const auto& other = static_cast<const ProvisionedConcurrencyPolicy&>(shard);
     floor_spawns_ += other.floor_spawns_;
@@ -69,6 +69,8 @@ class ProvisionedConcurrencyPolicy : public platform::PlatformPolicy {
   // spawn order (and thus every downstream RNG draw) must not depend on hash
   // order.
   std::set<trace::FunctionId> provisioned_;
+  // Enrolled functions per home region: derived from provisioned_, never saved.
+  std::vector<int> enrolled_per_region_;
   int64_t floor_spawns_ = 0;
   int64_t floor_hits_ = 0;
   int64_t floor_misses_ = 0;

@@ -316,10 +316,13 @@ TEST_F(CheckpointTest, NonCheckpointablePolicyDiesUpFront) {
   testing::GTEST_FLAG(death_test_style) = "threadsafe";
   const ScenarioConfig config = TinyScenario();
   const Experiment experiment(config);
-  // PoolPredictionPolicy's SeriesPredictors have no serde; asking for
-  // checkpoints with it must die before day 1, not at the first checkpoint
-  // hours into a real run.
-  policy::PoolPredictionPolicy policy;
+  // Every shipped policy checkpoints, but a custom one may keep state without
+  // serde; asking for checkpoints with it must die before day 1, not at the
+  // first checkpoint hours into a real run.
+  struct ArrivalCounter : platform::PlatformPolicy {
+    void OnArrival(const workload::FunctionSpec&, SimTime) override { ++arrivals; }
+    int64_t arrivals = 0;
+  } policy;
   CheckpointPolicy ckpt;
   ckpt.dir = dir_;
   EXPECT_DEATH(Experiment(config).Run(&policy, 1, &ckpt), "not checkpointable");

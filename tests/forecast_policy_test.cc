@@ -106,7 +106,7 @@ TimerScenarioResult RunTimerScenario(platform::PlatformPolicy* policy) {
       std::make_unique<workload::MaterializedArrivalStream>(arrivals, workload::NumDayChunks(cal)));
   sim.RunUntil(cal.horizon());
   platform.Finalize();
-  return {platform.cold_starts(0), platform.load(0).prewarm_spawns};
+  return {platform.cold_starts(0), platform.prewarm_spawns(0)};
 }
 
 // --- Mitigation effect on predictable timers. --------------------------------

@@ -374,7 +374,7 @@ TEST(PlatformTest, PrewarmedPodAbsorbsColdStart) {
   EXPECT_EQ(world.store.cold_starts().size(), 0u);
   EXPECT_EQ(world.store.pods().size(), 1u);
   EXPECT_EQ(world.store.pods()[0].requests_served, 1u);
-  EXPECT_EQ(world.platform->load(0).prewarm_spawns, 1);
+  EXPECT_EQ(world.platform->prewarm_spawns(0), 1);
 }
 
 TEST(PlatformTest, SynchronousTriggersNeverDelayed) {
@@ -391,7 +391,7 @@ TEST(PlatformTest, SynchronousTriggersNeverDelayed) {
   TinyWorld world({f}, 1, &policy);
   world.Run({{kHour, 0}});
   EXPECT_EQ(policy.asked, 0);
-  EXPECT_EQ(world.platform->load(0).delayed_allocations, 0);
+  EXPECT_EQ(world.platform->delayed_allocations(0), 0);
 }
 
 TEST(PlatformTest, AsyncTriggersCanBeDelayed) {
@@ -405,7 +405,7 @@ TEST(PlatformTest, AsyncTriggersCanBeDelayed) {
   f.primary_trigger = Trigger::kObs;  // Asynchronous.
   TinyWorld world({f}, 1, &policy);
   world.Run({{kHour, 0}});
-  EXPECT_EQ(world.platform->load(0).delayed_allocations, 1);
+  EXPECT_EQ(world.platform->delayed_allocations(0), 1);
   ASSERT_EQ(world.store.requests().size(), 1u);
   EXPECT_GE(world.store.requests()[0].timestamp, kHour + 5 * kMinute);
 }
@@ -577,13 +577,13 @@ TEST(PlatformCheckpointTest, SaveRestoreSaveByteIdenticalWithEveryEventKindPendi
   EXPECT_EQ(again.data(), saved.data());
 
   // Every kind was pending: each one's effect lands after the boundary.
-  EXPECT_EQ(restored.load(0).active_cold_starts, 1);
-  EXPECT_EQ(restored.load(0).delayed_allocations, 1);
-  EXPECT_EQ(restored.load(0).prewarm_spawns, 0);
+  EXPECT_EQ(restored.active_cold_starts(0), 1);
+  EXPECT_EQ(restored.delayed_allocations(0), 1);
+  EXPECT_EQ(restored.prewarm_spawns(0), 0);
   sim.RunUntil(world.calendar.horizon());
   world.sim.RunUntil(world.calendar.horizon());
-  EXPECT_EQ(restored.load(0).active_cold_starts, 0);
-  EXPECT_EQ(restored.load(0).prewarm_spawns, 1);
+  EXPECT_EQ(restored.active_cold_starts(0), 0);
+  EXPECT_EQ(restored.prewarm_spawns(0), 1);
   restored.Finalize();
   world.platform->Finalize();
   store.Seal();

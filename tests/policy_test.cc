@@ -27,7 +27,7 @@ namespace {
 using workload::FunctionSpec;
 
 TEST(MovingAveragePredictorTest, ConvergesToMean) {
-  MovingAveragePredictor p(4);
+  SeriesPredictor p = SeriesPredictor::MovingAverage(4);
   for (const double v : {2.0, 4.0, 6.0, 8.0}) {
     p.Observe(v);
   }
@@ -37,14 +37,14 @@ TEST(MovingAveragePredictorTest, ConvergesToMean) {
 }
 
 TEST(MovingAveragePredictorTest, PartialWindow) {
-  MovingAveragePredictor p(10);
+  SeriesPredictor p = SeriesPredictor::MovingAverage(10);
   EXPECT_DOUBLE_EQ(p.Predict(), 0.0);
   p.Observe(6.0);
   EXPECT_DOUBLE_EQ(p.Predict(), 6.0);
 }
 
 TEST(SeasonalNaivePredictorTest, RepeatsLastSeason) {
-  SeasonalNaivePredictor p(3);
+  SeriesPredictor p = SeriesPredictor::SeasonalNaive(3);
   for (const double v : {1.0, 2.0, 3.0}) {
     p.Observe(v);
   }
@@ -55,13 +55,13 @@ TEST(SeasonalNaivePredictorTest, RepeatsLastSeason) {
 }
 
 TEST(SeasonalNaivePredictorTest, FallsBackToLastBeforeFullSeason) {
-  SeasonalNaivePredictor p(5);
+  SeriesPredictor p = SeriesPredictor::SeasonalNaive(5);
   p.Observe(7.0);
   EXPECT_DOUBLE_EQ(p.Predict(), 7.0);
 }
 
 TEST(HoltWintersPredictorTest, TracksLinearTrend) {
-  HoltWintersPredictor p(4, 0.5, 0.3, 0.1);
+  SeriesPredictor p = SeriesPredictor::HoltWinters(4, 0.5, 0.3, 0.1);
   for (int i = 0; i < 200; ++i) {
     p.Observe(static_cast<double>(i));
   }
@@ -69,7 +69,7 @@ TEST(HoltWintersPredictorTest, TracksLinearTrend) {
 }
 
 TEST(HoltWintersPredictorTest, LearnsSeasonality) {
-  HoltWintersPredictor p(2, 0.2, 0.01, 0.4);
+  SeriesPredictor p = SeriesPredictor::HoltWinters(2, 0.2, 0.01, 0.4);
   for (int i = 0; i < 400; ++i) {
     p.Observe(i % 2 == 0 ? 10.0 : 2.0);  // Alternating season.
   }
@@ -77,12 +77,6 @@ TEST(HoltWintersPredictorTest, LearnsSeasonality) {
   p.Observe(10.0);
   const double odd = p.Predict();
   EXPECT_GT(even, odd);
-}
-
-TEST(MakePredictorTest, AllKindsConstructible) {
-  for (const char* kind : {"moving-average", "seasonal-naive", "holt-winters"}) {
-    EXPECT_NE(MakePredictor(kind, 10), nullptr);
-  }
 }
 
 FunctionSpec TimerSpec(SimDuration period) {
@@ -239,7 +233,7 @@ TimerScenarioResult RunTimerScenario(platform::PlatformPolicy* policy) {
       std::make_unique<workload::MaterializedArrivalStream>(arrivals, workload::NumDayChunks(cal)));
   sim.RunUntil(cal.horizon());
   platform.Finalize();
-  return {platform.cold_starts(0), platform.load(0).prewarm_spawns};
+  return {platform.cold_starts(0), platform.prewarm_spawns(0)};
 }
 
 TEST(PolicyScenarioTest, TimerPrewarmEliminatesMostColdStarts) {
@@ -304,8 +298,9 @@ TEST(WorkflowPrewarmTest, PrewarmsChildrenOnParentStart) {
 
 // --- Per-function policy state serde. --------------------------------------
 
-// A one-region platform over functions 0..9 in which function 0 calls 9, 2 and
-// 5, in that order. Nothing is simulated: tests drive the policy hooks by hand.
+// A one-region platform over functions 0..19 in which function 0 calls 9, 2
+// and 5, in that order. Nothing is simulated: tests drive the policy hooks by
+// hand.
 struct HandDrivenPlatform {
   static workload::Calendar::Options OneDay() {
     workload::Calendar::Options copts;
@@ -314,7 +309,7 @@ struct HandDrivenPlatform {
   }
   static workload::Population FanOut() {
     workload::Population pop;
-    for (trace::FunctionId fid = 0; fid < 10; ++fid) {
+    for (trace::FunctionId fid = 0; fid < 20; ++fid) {
       FunctionSpec f;
       f.id = fid;
       f.region = 0;
@@ -323,7 +318,7 @@ struct HandDrivenPlatform {
     }
     pop.functions[0].children = {{9, 0.9}, {2, 0.9}, {5, 0.9}};
     pop.num_users = 1;
-    pop.region_begin = {0, 10};
+    pop.region_begin = {0, 20};
     return pop;
   }
 
@@ -508,7 +503,10 @@ TEST(ProvisionedConcurrencyTest, PolicyStateRoundTrips) {
   ASSERT_TRUE(policy.SavePolicyState(&blob));
   EXPECT_FALSE(blob.empty());
 
+  // Restore follows OnAttach (policy_hooks.h): the timer scenario's functions
+  // 0..19 all live in region 0, like the hand-driven platform's.
   ProvisionedConcurrencyPolicy restored;
+  HandDrivenPlatform h(&restored);
   ASSERT_TRUE(restored.RestorePolicyState(blob));
   EXPECT_EQ(restored.enrolled_functions(), policy.enrolled_functions());
   EXPECT_EQ(restored.floor_spawns(), policy.floor_spawns());

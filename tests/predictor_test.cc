@@ -1,5 +1,5 @@
-// Dedicated forecaster test suite: direct unit coverage for the
-// SeriesPredictor family (moving average, seasonal naive, Holt-Winters) and
+// Dedicated forecaster test suite: direct unit coverage for the three
+// SeriesPredictor kinds (moving average, seasonal naive, Holt-Winters) and
 // the inter-arrival forecaster's histogram/confidence math that
 // ForecastPrewarmPolicy acts on. Complements the scenario-level checks in
 // policy_test.cc with exact, input-controlled expectations: ring wraparound,
@@ -8,8 +8,10 @@
 // bit-exact serde round trips.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/byte_serde.h"
@@ -19,10 +21,10 @@
 namespace coldstart::policy {
 namespace {
 
-// --- MovingAveragePredictor. ------------------------------------------------
+// --- SeriesPredictor::MovingAverage. -----------------------------------------
 
 TEST(MovingAveragePredictorTest, RingWraparoundEvictsOldest) {
-  MovingAveragePredictor p(3);
+  SeriesPredictor p = SeriesPredictor::MovingAverage(3);
   for (const double v : {1.0, 2.0, 3.0, 4.0, 5.0, 6.0}) {
     p.Observe(v);
   }
@@ -33,7 +35,7 @@ TEST(MovingAveragePredictorTest, RingWraparoundEvictsOldest) {
 }
 
 TEST(MovingAveragePredictorTest, PartiallyFilledWindowAveragesOnlySeen) {
-  MovingAveragePredictor p(8);
+  SeriesPredictor p = SeriesPredictor::MovingAverage(8);
   double sum = 0;
   for (int i = 1; i <= 5; ++i) {
     p.Observe(static_cast<double>(i));
@@ -50,7 +52,7 @@ TEST(MovingAveragePredictorTest, SumDriftBoundedOverLongStreams) {
   // mean of the last `window` values to near machine precision.
   constexpr int kWindow = 32;
   constexpr int kStream = 1'000'000;
-  MovingAveragePredictor p(kWindow);
+  SeriesPredictor p = SeriesPredictor::MovingAverage(kWindow);
   std::vector<double> tail(kWindow);
   for (int i = 0; i < kStream; ++i) {
     const double v = 0.1 * static_cast<double>(i % 7) + 0.0003;
@@ -66,17 +68,17 @@ TEST(MovingAveragePredictorTest, SumDriftBoundedOverLongStreams) {
 }
 
 TEST(MovingAveragePredictorTest, WindowOneTracksLastValue) {
-  MovingAveragePredictor p(1);
+  SeriesPredictor p = SeriesPredictor::MovingAverage(1);
   for (const double v : {3.5, -2.0, 100.0}) {
     p.Observe(v);
     EXPECT_DOUBLE_EQ(p.Predict(), v);
   }
 }
 
-// --- SeasonalNaivePredictor. ------------------------------------------------
+// --- SeriesPredictor::SeasonalNaive. -----------------------------------------
 
 TEST(SeasonalNaivePredictorTest, PreSeasonFallbackUsesLastObservation) {
-  SeasonalNaivePredictor p(4);
+  SeriesPredictor p = SeriesPredictor::SeasonalNaive(4);
   p.Observe(1.0);
   p.Observe(2.0);
   p.Observe(3.0);
@@ -85,7 +87,7 @@ TEST(SeasonalNaivePredictorTest, PreSeasonFallbackUsesLastObservation) {
 }
 
 TEST(SeasonalNaivePredictorTest, ExactSeasonBoundarySwitchesToSeasonal) {
-  SeasonalNaivePredictor p(4);
+  SeriesPredictor p = SeriesPredictor::SeasonalNaive(4);
   for (const double v : {1.0, 2.0, 3.0, 4.0}) {
     p.Observe(v);
   }
@@ -95,7 +97,7 @@ TEST(SeasonalNaivePredictorTest, ExactSeasonBoundarySwitchesToSeasonal) {
 }
 
 TEST(SeasonalNaivePredictorTest, TracksSeasonAcrossCycles) {
-  SeasonalNaivePredictor p(3);
+  SeriesPredictor p = SeriesPredictor::SeasonalNaive(3);
   const double cycle[] = {10.0, 20.0, 30.0};
   for (int i = 0; i < 9; ++i) {
     p.Observe(cycle[i % 3]);
@@ -107,10 +109,10 @@ TEST(SeasonalNaivePredictorTest, TracksSeasonAcrossCycles) {
   }
 }
 
-// --- HoltWintersPredictor. --------------------------------------------------
+// --- SeriesPredictor::HoltWinters. -------------------------------------------
 
 TEST(HoltWintersPredictorTest, WarmUpMatchesFirstObservation) {
-  HoltWintersPredictor p(4, 0.3, 0.05, 0.15);
+  SeriesPredictor p = SeriesPredictor::HoltWinters(4, 0.3, 0.05, 0.15);
   p.Observe(42.0);
   // Warm-up seeds level to the first value with zero trend and seasonality:
   // the one-observation prediction is exactly that value.
@@ -118,7 +120,7 @@ TEST(HoltWintersPredictorTest, WarmUpMatchesFirstObservation) {
 }
 
 TEST(HoltWintersPredictorTest, ConstantSeriesFixedPoint) {
-  HoltWintersPredictor p(6, 0.3, 0.05, 0.15);
+  SeriesPredictor p = SeriesPredictor::HoltWinters(6, 0.3, 0.05, 0.15);
   for (int i = 0; i < 500; ++i) {
     p.Observe(5.0);
   }
@@ -130,7 +132,7 @@ TEST(HoltWintersPredictorTest, ConstantSeriesFixedPoint) {
 }
 
 TEST(HoltWintersPredictorTest, TrendTrackingWithinTolerance) {
-  HoltWintersPredictor p(4, 0.5, 0.3, 0.1);
+  SeriesPredictor p = SeriesPredictor::HoltWinters(4, 0.5, 0.3, 0.1);
   constexpr double kSlope = 3.0;
   int i = 0;
   for (; i < 300; ++i) {
@@ -140,11 +142,50 @@ TEST(HoltWintersPredictorTest, TrendTrackingWithinTolerance) {
   EXPECT_NEAR(p.Predict(), kSlope * i, 5.0 * kSlope);
 }
 
-TEST(MakePredictorTest, NamesMatchKinds) {
-  for (const char* kind : {"moving-average", "seasonal-naive", "holt-winters"}) {
-    const auto p = MakePredictor(kind, 12);
-    ASSERT_NE(p, nullptr);
-    EXPECT_STREQ(p->name(), kind);
+TEST(SeriesPredictorTest, NamesMatchKinds) {
+  const std::pair<SeriesPredictor, const char*> cases[] = {
+      {SeriesPredictor::MovingAverage(12), "moving-average"},
+      {SeriesPredictor::SeasonalNaive(12), "seasonal-naive"},
+      {SeriesPredictor::HoltWinters(12, 0.3, 0.05, 0.15), "holt-winters"}};
+  for (const auto& [p, kind] : cases) {
+    EXPECT_STREQ(p.name(), kind);
+  }
+}
+
+// Save mid-season, restore onto a fresh predictor of the same construction, and
+// keep observing both: every prediction must match bit for bit. The stream of
+// awkward decimals makes the moving average's running sum differ in its low
+// bits from a fresh sum over the ring, so a restore that re-derived it would
+// drift.
+TEST(SeriesPredictorTest, SaveMidSeasonRestoreIsBitIdentical) {
+  constexpr int kSeason = 7;
+  const SeriesPredictor kinds[] = {SeriesPredictor::MovingAverage(kSeason),
+                                   SeriesPredictor::SeasonalNaive(kSeason),
+                                   SeriesPredictor::HoltWinters(kSeason, 0.3, 0.05, 0.15)};
+  const auto value = [](int i) { return 0.1 * static_cast<double>(i % 11) + 0.0003 * i; };
+  for (const SeriesPredictor& fresh : kinds) {
+    SCOPED_TRACE(fresh.name());
+    SeriesPredictor p = fresh;
+    int i = 0;
+    for (; i < 3 * kSeason + 4; ++i) {  // Three seasons and four buckets in.
+      p.Observe(value(i));
+    }
+    ByteWriter w;
+    p.SaveState(w);
+    SeriesPredictor restored = fresh;
+    ByteReader r(w.data());
+    restored.RestoreState(r);
+    EXPECT_TRUE(r.AtEnd());
+    for (; i < 6 * kSeason; ++i) {
+      ASSERT_EQ(std::bit_cast<uint64_t>(restored.Predict()),
+                std::bit_cast<uint64_t>(p.Predict()));
+      p.Observe(value(i));
+      restored.Observe(value(i));
+    }
+    ByteWriter a, b;
+    p.SaveState(a);
+    restored.SaveState(b);
+    EXPECT_EQ(a.data(), b.data());
   }
 }
 
