@@ -27,10 +27,8 @@ int main() {
                      "predictable per-config pod demand allows maintaining just enough "
                      "reserved pods without overallocation");
   const core::ScenarioConfig config = bench::AblationScenario();
-  const policy::SeriesPredictor predictors[] = {
-      policy::SeriesPredictor::MovingAverage(30),
-      policy::SeriesPredictor::SeasonalNaive(1440),
-      policy::SeriesPredictor::HoltWinters(1440, 0.3, 0.05, 0.15)};
+  using Kind = policy::SeriesPredictor::Kind;
+  const Kind kinds[] = {Kind::kMovingAverage, Kind::kSeasonalNaive, Kind::kHoltWinters};
 
   std::vector<double> alloc_means(4, 0.0);
   std::vector<bench::AblationJob> jobs;
@@ -40,11 +38,11 @@ int main() {
                     alloc_means[0] = MeanAllocSeconds(result.store);
                   }});
   for (size_t i = 0; i < 3; ++i) {
-    const policy::SeriesPredictor& predictor = predictors[i];
-    jobs.push_back({predictor.name(),
-                    [&predictor] {
+    const Kind kind = kinds[i];
+    jobs.push_back({policy::SeriesPredictor::ForPools(kind).name(),
+                    [kind] {
                       policy::PoolPredictionPolicy::Options opts;
-                      opts.predictor = predictor;
+                      opts.predictor = kind;
                       return std::make_unique<policy::PoolPredictionPolicy>(opts);
                     },
                     [&alloc_means, i](const core::ExperimentResult& result,

@@ -27,8 +27,6 @@ class TextTable {
   // Renders as CSV (no alignment padding).
   std::string RenderCsv() const;
 
-  size_t num_rows() const { return rows_.size(); }
-
  private:
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;

@@ -9,7 +9,7 @@
 namespace coldstart::policy {
 
 PoolPredictionPolicy::PoolPredictionPolicy() : PoolPredictionPolicy(Options{}) {}
-PoolPredictionPolicy::PoolPredictionPolicy(Options options) : options_(std::move(options)) {}
+PoolPredictionPolicy::PoolPredictionPolicy(Options options) : options_(options) {}
 
 void PoolPredictionPolicy::OnAttach(platform::Platform& platform) {
   COLDSTART_CHECK(platform.cells_per_region() == 1 &&
@@ -17,7 +17,7 @@ void PoolPredictionPolicy::OnAttach(platform::Platform& platform) {
                   "it cannot run with cells_per_region > 1");
   platform_ = &platform;
   const size_t n = platform.profiles().size() * trace::kNumResourceConfigs;
-  predictors_.assign(n, options_.predictor);
+  predictors_.assign(n, SeriesPredictor::ForPools(options_.predictor));
   demand_this_minute_.assign(n, 0.0);
 }
 

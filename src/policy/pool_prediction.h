@@ -19,8 +19,8 @@ namespace coldstart::policy {
 class PoolPredictionPolicy : public platform::PlatformPolicy {
  public:
   struct Options {
-    // The forecaster every (region, config) pool starts from.
-    SeriesPredictor predictor = SeriesPredictor::SeasonalNaive(1440);
+    // Every (region, config) pool's forecaster: SeriesPredictor::ForPools(predictor).
+    SeriesPredictor::Kind predictor = SeriesPredictor::Kind::kSeasonalNaive;
     double headroom = 1.5;  // Pool target = headroom x prediction.
     int min_target = 1;
     int max_target = 512;

@@ -1,6 +1,7 @@
 #include "policy/predictors.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/check.h"
 
@@ -11,6 +12,12 @@ SeriesPredictor::SeriesPredictor(Kind kind, int length, double alpha, double bet
     : kind_(kind), alpha_(alpha), beta_(beta), gamma_(gamma) {
   COLDSTART_CHECK_GT(length, 0);
   ring_.assign(static_cast<size_t>(length), 0.0);
+}
+
+SeriesPredictor SeriesPredictor::ForPools(Kind kind) {
+  return kind == Kind::kMovingAverage   ? MovingAverage(30)
+         : kind == Kind::kSeasonalNaive ? SeasonalNaive(1440)
+                                        : HoltWinters(1440, 0.3, 0.05, 0.15);
 }
 
 const char* SeriesPredictor::name() const {
@@ -48,11 +55,7 @@ void SeriesPredictor::Observe(double value) {
     // Re-derive the running sum once per wraparound: the incremental update
     // accumulates floating-point drift over unbounded streams, and a fresh
     // sum every `window` observations keeps the error bounded by one pass.
-    double sum = 0;
-    for (const double v : ring_) {
-      sum += v;
-    }
-    level_ = sum;
+    level_ = std::accumulate(ring_.begin(), ring_.end(), 0.0);
   }
 }
 

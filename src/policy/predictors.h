@@ -17,6 +17,8 @@ namespace coldstart::policy {
 // its position, an observation count and two scalars.
 class SeriesPredictor {
  public:
+  enum class Kind : uint8_t { kMovingAverage, kSeasonalNaive, kHoltWinters };
+
   // Flat moving average over the last `window` observations.
   static SeriesPredictor MovingAverage(int window) {
     return SeriesPredictor(Kind::kMovingAverage, window);
@@ -30,6 +32,8 @@ class SeriesPredictor {
   static SeriesPredictor HoltWinters(int season, double alpha, double beta, double gamma) {
     return SeriesPredictor(Kind::kHoltWinters, season, alpha, beta, gamma);
   }
+  // The pool policy's per-minute forecaster: a 30-minute window or a one-day season.
+  static SeriesPredictor ForPools(Kind kind);
 
   void Observe(double value);
   double Predict() const;
@@ -41,8 +45,6 @@ class SeriesPredictor {
   void RestoreState(ByteReader& r);
 
  private:
-  enum class Kind : uint8_t { kMovingAverage, kSeasonalNaive, kHoltWinters };
-
   SeriesPredictor(Kind kind, int length, double alpha = 0, double beta = 0,
                   double gamma = 0);
 

@@ -76,8 +76,10 @@ bool ProvisionedConcurrencyPolicy::RestorePolicyState(std::string_view blob) {
   const uint64_t n = r.U64();
   for (uint64_t i = 0; i < n; ++i) {
     const auto fid = static_cast<trace::FunctionId>(r.U64());
-    provisioned_.insert(fid);
-    ++enrolled_per_region_.at(platform_->spec(fid).region);
+    // SavePolicyState writes each fid once and within its region's budget.
+    COLDSTART_CHECK(provisioned_.insert(fid).second);
+    COLDSTART_CHECK_LE(++enrolled_per_region_.at(platform_->spec(fid).region),
+                       options_.max_provisioned_functions);
   }
   COLDSTART_CHECK(r.AtEnd());
   return true;

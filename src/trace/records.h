@@ -92,10 +92,6 @@ struct RegionCostRecord {
 // Reproduces the dataset's hashed-ID form for CSV export ("a3f9..." style, 16 hex chars).
 std::string HashedId(uint64_t raw);
 
-inline bool HasTrigger(const FunctionRecord& f, Trigger t) {
-  return (f.trigger_mask >> static_cast<int>(t)) & 1u;
-}
-
 inline uint16_t TriggerBit(Trigger t) { return static_cast<uint16_t>(1u << static_cast<int>(t)); }
 
 }  // namespace coldstart::trace

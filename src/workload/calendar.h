@@ -38,7 +38,6 @@ class Calendar {
     const int dow = static_cast<int>((day + opts_.first_weekday) % 7);
     return dow == 5 || dow == 6;
   }
-  bool IsWorkday(int64_t day) const { return !IsHoliday(day) && !IsWeekend(day); }
 
   int last_workday_before_holiday() const { return opts_.holiday_first_day - 1; }
   int first_workday_after_holiday() const { return opts_.holiday_last_day + 1; }

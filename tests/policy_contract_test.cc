@@ -96,7 +96,7 @@ std::vector<PolicyCase> ShippedPolicies() {
       {"pool-prediction (holt-winters, headroom 20)",
        [] {
          PoolPredictionPolicy::Options options;
-         options.predictor = SeriesPredictor::HoltWinters(1440, 0.3, 0.05, 0.15);
+         options.predictor = SeriesPredictor::Kind::kHoltWinters;
          options.headroom = 20;
          return Counted(std::make_unique<PoolPredictionPolicy>(options), {});
        }},

@@ -517,6 +517,34 @@ TEST(ProvisionedConcurrencyTest, PolicyStateRoundTrips) {
   EXPECT_EQ(blob, blob2);  // Byte-stable round trip (sorted enrollment set).
 }
 
+// The per-region enrolled count is rebuilt from the restored set, so a blob
+// that repeats a fid or overfills a region's budget must die rather than leave
+// the count above the set it describes.
+TEST(ProvisionedConcurrencyTest, RestoreRejectsRepeatedOrOverBudgetFids) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const auto blob_with_fids = [](std::initializer_list<uint64_t> fids) {
+    ByteWriter w;
+    for (int counter = 0; counter < 4; ++counter) {
+      w.I64(0);
+    }
+    w.U64(fids.size());
+    for (const uint64_t fid : fids) {
+      w.U64(fid);
+    }
+    return w.Take();
+  };
+  const auto restore = [](int budget, const std::string& blob) {
+    ProvisionedConcurrencyPolicy::Options options;
+    options.max_provisioned_functions = budget;
+    ProvisionedConcurrencyPolicy policy(options);
+    HandDrivenPlatform h(&policy);
+    return policy.RestorePolicyState(blob);
+  };
+  EXPECT_TRUE(restore(2, blob_with_fids({2, 5})));
+  EXPECT_DEATH(restore(2, blob_with_fids({2, 2})), "CHECK failed");
+  EXPECT_DEATH(restore(1, blob_with_fids({2, 5})), "CHECK failed");
+}
+
 TEST(ProvisionedConcurrencyTest, SerialAndRegionShardedRunsAgree) {
   // Region-local but not function-local: the enrollment budget pins each region
   // to one capacity cell, and serial vs. one-shard-per-region runs must still

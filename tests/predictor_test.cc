@@ -152,6 +152,32 @@ TEST(SeriesPredictorTest, NamesMatchKinds) {
   }
 }
 
+// The pool policy's forecasters keep the parameters the abl05 figures were
+// measured with: a 30-minute moving average, a one-day season, and
+// Holt-Winters factors 0.3/0.05/0.15. Equal constructions observing the same
+// series save the same bytes.
+TEST(SeriesPredictorTest, ForPoolsUsesFixedParameters) {
+  using Kind = SeriesPredictor::Kind;
+  const std::pair<Kind, SeriesPredictor> cases[] = {
+      {Kind::kMovingAverage, SeriesPredictor::MovingAverage(30)},
+      {Kind::kSeasonalNaive, SeriesPredictor::SeasonalNaive(1440)},
+      {Kind::kHoltWinters, SeriesPredictor::HoltWinters(1440, 0.3, 0.05, 0.15)}};
+  for (const auto& [kind, expected] : cases) {
+    SeriesPredictor p = SeriesPredictor::ForPools(kind);
+    SeriesPredictor q = expected;
+    SCOPED_TRACE(q.name());
+    EXPECT_STREQ(p.name(), q.name());
+    for (int i = 0; i < 100; ++i) {
+      p.Observe(0.7 * (i % 13));
+      q.Observe(0.7 * (i % 13));
+    }
+    ByteWriter a, b;
+    p.SaveState(a);
+    q.SaveState(b);
+    EXPECT_EQ(a.data(), b.data());
+  }
+}
+
 // Save mid-season, restore onto a fresh predictor of the same construction, and
 // keep observing both: every prediction must match bit for bit. The stream of
 // awkward decimals makes the moving average's running sum differ in its low
