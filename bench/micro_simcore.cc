@@ -368,16 +368,16 @@ BENCHMARK(BM_ShardedExperiment)
 // Paper-scale month driver: the PaperScenario geometry (5 regions, 31 days)
 // down-scaled in load so the benchmark stays runnable in CI, in kStreaming mode
 // so trace memory stays O(1) at month scale. The argument pair is
-// (threads, cells_per_region):
+// (threads, cells_per_region), and a sharded run takes K = cells:
+//   {1, 1}  — serial baseline on the legacy cells=1 scenario,
+//   {5, 1}  — region sharding only (K=1: 5 shards, one per region),
 //   {1, 4}  — serial baseline on the cells=4 scenario,
-//   {5, 4}  — region sharding only (planner yields K=1: 5 shards, one/region),
-//   {16, 4} — sub-region sharding (K=4: up to 20 (region, cell-group) shards).
-// All three rows simulate the *same* scenario and produce bit-identical
-// aggregates (the determinism suite pins this), so the wall-clock deltas are
+//   {16, 4} — sub-region sharding (K=4: 20 (region, cell-group) shards).
+// Each sharded row produces aggregates bit-identical to the serial row of its
+// scenario (the determinism suite pins this), so the wall-clock deltas are
 // pure scheduling gain; on hosts with fewer cores than shards the rows
-// degenerate gracefully toward serial. {1, 1} is the legacy cells=1 scenario
-// for reference — a different scenario by design (per-cell pools), not
-// comparable bit-for-bit with the cells=4 rows.
+// degenerate gracefully toward serial. The cells=1 and cells=4 scenarios
+// differ by design (per-cell pools) and are not comparable bit-for-bit.
 static void BM_PaperScaleMonth(benchmark::State& state) {
   core::ScenarioConfig config = core::PaperScenario();
   config.scale = 0.05;  // CI-sized month: full calendar, ~5% of the functions.
@@ -394,8 +394,8 @@ static void BM_PaperScaleMonth(benchmark::State& state) {
 }
 BENCHMARK(BM_PaperScaleMonth)
     ->Args({1, 1})   // Legacy serial (cells=1 scenario).
+    ->Args({5, 1})   // Region-sharded (K=1).
     ->Args({1, 4})   // Serial baseline, cells=4 scenario.
-    ->Args({5, 4})   // Region-sharded (K=1).
     ->Args({16, 4})  // Sub-region-sharded (K=4).
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime()

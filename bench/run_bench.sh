@@ -4,8 +4,9 @@
 # chunked-vs-materialized arrival generation — BM_ArrivalGeneration/1 vs /0 —
 # and the sharded-vs-serial experiment runner: compare BM_ShardedExperiment/1 —
 # the serial path — against /2 and /4). BM_PaperScaleMonth is the end-to-end
-# down-scaled paper-month driver: /1/1 is the legacy serial run, /1/4 serial
-# with cells=4, /5/4 region-sharded (K=1), /16/4 sub-region-sharded (K=4).
+# down-scaled paper-month driver: /1/1 is the legacy serial run, /5/1
+# region-sharded (K=1), /1/4 serial with cells=4, /16/4 sub-region-sharded
+# (K=4; a sharded run takes K = cells).
 #
 # Usage: bench/run_bench.sh [build_dir] [output_json]
 set -euo pipefail

@@ -7,6 +7,7 @@
 // finishes the run no matter how many times it is killed in between.
 //
 //   checkpointed_run DIR [days] [scale] [--every N] [--halt D] [--streaming]
+//                    [--cells C]
 //
 // --every N   checkpoint every N days (default 1).
 // --halt D    arm the stop flag once day D's checkpoint commits; the run then
@@ -16,6 +17,8 @@
 //             kill/resume cycles without racing a real signal against the
 //             simulator.
 // --streaming use the O(1)-memory streaming trace sink instead of kFull.
+// --cells C   capacity cells per region (default 1); a sharded run splits each
+//             region into C shards, whatever the thread count.
 //
 // Exit status: 0 completed, 3 halted at a checkpoint (resume to continue),
 // 2 usage error.
@@ -45,7 +48,7 @@ int main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
                  "usage: checkpointed_run DIR [days] [scale] [--every N] "
-                 "[--halt D] [--streaming]\n");
+                 "[--halt D] [--streaming] [--cells C]\n");
     return 2;
   }
   const std::string dir = argv[1];
@@ -54,6 +57,7 @@ int main(int argc, char** argv) {
   int every = 1;
   int64_t halt_day = -1;
   bool streaming = false;
+  uint32_t cells = 1;
   int positional = 0;
   for (int i = 2; i < argc; ++i) {
     if (std::strcmp(argv[i], "--streaming") == 0) {
@@ -72,6 +76,13 @@ int main(int argc, char** argv) {
         return 2;
       }
       halt_day = *parsed;
+    } else if (std::strcmp(argv[i], "--cells") == 0 && i + 1 < argc) {
+      const std::optional<int64_t> parsed = ParseInt(argv[++i]);
+      if (!parsed.has_value() || *parsed < 1 || *parsed > 64) {
+        std::fprintf(stderr, "checkpointed_run: bad --cells \"%s\"\n", argv[i]);
+        return 2;
+      }
+      cells = static_cast<uint32_t>(*parsed);
     } else if (positional == 0) {
       const std::optional<int64_t> parsed = ParseInt(argv[i]);
       if (!parsed.has_value() || *parsed < 1 || *parsed > 36500) {
@@ -94,6 +105,7 @@ int main(int argc, char** argv) {
   core::ScenarioConfig config;
   config.days = days;
   config.scale = scale;
+  config.cells_per_region = cells;
   config.trace_mode =
       streaming ? core::TraceMode::kStreaming : core::TraceMode::kFull;
 

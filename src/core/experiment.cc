@@ -9,6 +9,7 @@
 #include <iterator>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <optional>
 #include <utility>
 
@@ -290,10 +291,12 @@ void ValidateManifestEntries(const checkpoint::Manifest& manifest,
 }
 
 // A run's shard plan. Shard s covers region s / k, cell group s % k: its
-// platform sees only that slice's arrivals and its id is s. The whole-run
-// plan is the serial path: one shard spanning every region, fed by the
-// unfiltered stream, driven by the caller's own policy instance and
-// checkpointed as kSerialShard.
+// platform sees only that slice's arrivals and its id is s. K is the scenario's
+// cells_per_region when the policy is function-local, 1 when it is
+// capacity-coupled, and the checkpointed value on resume. The whole-run plan is
+// the serial path: one shard spanning every region, fed by the unfiltered
+// stream, driven by the caller's own policy instance and checkpointed as
+// kSerialShard.
 struct ShardPlan {
   bool sharded = false;
   uint32_t k = 1;
@@ -306,14 +309,14 @@ struct ShardPlan {
 // The one planner behind Run, ResumeFrom and CanShard. A shard is (region,
 // contiguous cell group). K == 1 is plain region sharding — the only geometry
 // available to capacity-coupled policies, since splitting a region's cells also
-// splits its pools and load state. K > 1 (sub-region sharding) engages only
-// when the scenario decomposes (cells > 1) and the policy never reads
-// region-coupled state (is_function_local), and sizes itself to the thread
-// budget: just enough groups per region to keep `threads` workers busy. A
-// resume adopts the checkpointed geometry verbatim — shard ids must line up
-// with the manifest entries. Everything else (one thread, a cross-region
-// policy, a policy that cannot clone per-shard state) gets the whole-run plan:
-// same results, one thread.
+// splits its pools and load state. K > 1 (sub-region sharding) engages when
+// the scenario decomposes (cells > 1) and the policy never reads
+// region-coupled state (is_function_local); K is then the cell count whatever
+// the thread budget, so a run's geometry — and its checkpoint — is a property
+// of the scenario, not of the machine. A resume adopts the checkpointed
+// geometry verbatim — shard ids must line up with the manifest entries.
+// Everything else (one thread, a cross-region policy, a policy that cannot
+// clone per-shard state) gets the whole-run plan: same results, one thread.
 ShardPlan PlanShards(const ScenarioConfig& config, platform::PlatformPolicy* policy,
                      int threads, const checkpoint::Manifest* resume) {
   const size_t regions = config.profiles.size();
@@ -330,10 +333,8 @@ ShardPlan PlanShards(const ScenarioConfig& config, platform::PlatformPolicy* pol
                   "sharded checkpoint requires a shardable config and policy");
   if (resume != nullptr) {
     plan.k = resume->shards_per_region;
-  } else if (cells > 1 && function_local) {
-    const uint32_t want =
-        static_cast<uint32_t>((static_cast<size_t>(threads) + regions - 1) / regions);
-    plan.k = std::min(cells, std::max<uint32_t>(want, 1u));
+  } else if (function_local) {
+    plan.k = cells;
   }
   COLDSTART_CHECK((plan.k == 1 || function_local) &&
                   "sub-region (K > 1) geometry with a policy that reads "
@@ -363,6 +364,62 @@ constexpr std::vector<int64_t> ExperimentResult::*kRegionCounters[] = {
     &ExperimentResult::delayed_allocations, &ExperimentResult::scratch_allocations,
     &ExperimentResult::cold_start_latency_sum_us};
 static_assert(std::size(kRegionCounters) == trace::kNumRegionSeries);
+
+// The plan's shard ids in dispatch order: largest expected load first, so the
+// shard that bounds the run never starts last. A shard's load is its
+// functions' nominal requests per day (a timer fires kDay / timer_period
+// times); ties keep id order. The order moves only the wall clock, since
+// FoldShard is blind to it.
+std::vector<size_t> DispatchOrder(const ShardPlan& plan,
+                                  const workload::Population& population,
+                                  const std::vector<uint32_t>* function_cells,
+                                  uint32_t cells) {
+  std::vector<size_t> order(plan.num_shards);
+  std::iota(order.begin(), order.end(), size_t{0});
+  if (!plan.sharded) {
+    return order;
+  }
+  std::vector<double> load(plan.num_shards, 0.0);
+  for (const workload::FunctionSpec& spec : population.functions) {
+    const uint32_t cell = function_cells != nullptr ? (*function_cells)[spec.id] : 0;
+    // The group g with g * cells / K <= cell < (g + 1) * cells / K.
+    const uint32_t group = ((cell + 1) * plan.k - 1) / cells;
+    load[spec.region * plan.k + group] +=
+        spec.kind == workload::ArrivalKind::kTimer
+            ? static_cast<double>(kDay) / static_cast<double>(spec.timer_period)
+            : spec.base_rate_per_day;
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [&load](size_t a, size_t b) { return load[a] > load[b]; });
+  return order;
+}
+
+// Folds a finished shard into the run result (`first`: nothing folded yet).
+// kFull: every shard emitted the identical function table, and Seal() later
+// puts the event tables in the canonical (time, region, id) order. kStreaming:
+// every accumulator, like every region counter and ledger slot, is an integer
+// sum, count, min or max. So the order shards finish in cannot change a bit,
+// at any thread count and any K.
+void FoldShard(ExperimentResult& result, ExperimentResult&& shard, bool streaming,
+               bool first) {
+  if (first) {
+    result = std::move(shard);
+    return;
+  }
+  if (streaming) {
+    result.streaming.MergeFrom(shard.streaming);
+  } else {
+    result.store.AppendFrom(std::move(shard.store));
+  }
+  for (const auto counter : kRegionCounters) {
+    for (size_t r = 0; r < (result.*counter).size(); ++r) {
+      (result.*counter)[r] += (shard.*counter)[r];
+    }
+  }
+  result.cost_ledger.MergeFrom(shard.cost_ledger);
+  result.events_processed += shard.events_processed;
+  result.interrupted_at_day = std::max(result.interrupted_at_day, shard.interrupted_at_day);
+}
 
 }  // namespace
 
@@ -445,16 +502,23 @@ ExperimentResult Experiment::Execute(platform::PlatformPolicy* policy, int num_t
     }
   }
 
-  // One result per shard: own simulator, own platform, own sink. Shards share
-  // only immutable inputs and the mutex-guarded committer, so they are free of
-  // data races by construction; the TSan job pins that. The stop flag is global, but shards notice it at their
-  // own next day boundary, so an interrupted sharded run's shards may rest at
-  // different days — each shard's manifest entry records its own.
-  std::vector<ExperimentResult> shards(plan.num_shards);
+  // One result per shard: own simulator, own platform, own sink. Shards start
+  // largest first and fold into `result` as each one finishes, so the run
+  // holds O(workers) shard results, never O(shards). The fold also hands each
+  // clone's counters back to the caller's prototype, so policy statistics
+  // (prewarms_issued() and friends) read the same whether the run sharded or
+  // not. Shards share only immutable inputs, the mutex-guarded committer and
+  // the mutex-guarded fold, so they are free of data races by construction;
+  // the TSan job pins that. The stop flag is global, but shards notice it at
+  // their own next day boundary, so an interrupted sharded run's shards may
+  // rest at different days — each shard's manifest entry records its own.
+  ExperimentResult result;
+  size_t folded = 0;
+  std::mutex fold_mu;
   ParallelSweep sweep(threads);
-  for (size_t s = 0; s < plan.num_shards; ++s) {
+  for (const size_t s : DispatchOrder(plan, population, function_cells.get(), cells)) {
     sweep.Add([&, s] {
-      ExperimentResult& out = shards[s];
+      ExperimentResult out;
       const uint32_t id =
           plan.sharded ? static_cast<uint32_t>(s) : checkpoint::kSerialShard;
       platform::PlatformPolicy* shard_policy =
@@ -515,41 +579,19 @@ ExperimentResult Experiment::Execute(platform::PlatformPolicy* policy, int num_t
         out.cold_start_latency_sum_us.push_back(platform.cold_start_latency_sum_us(rid));
       }
       out.cost_ledger = platform.cost_ledger();
+      // The platform emits nothing more into `out`, so it can move.
+      std::lock_guard<std::mutex> lock(fold_mu);
+      FoldShard(result, std::move(out), streaming, folded++ == 0);
+      if (!plan.clones.empty()) {
+        policy->AbsorbShardStats(*plan.clones[s]);
+      }
     });
   }
   sweep.Run();
-
-  // Deterministic merge into shard 0. kFull: every shard emitted the identical
-  // function table, and Seal() orders the event tables by the canonical (time,
-  // region, id) key, so the merged store is byte-identical to the whole-run
-  // store regardless of shard scheduling or geometry. kStreaming: shard
-  // aggregates fold in shard-id order; every accumulator (and every counter and
-  // ledger sum below) is a sum, count, max, or fixed-point total — associative
-  // and commutative — so any partition of the whole-run record sequence merges
-  // to the identical result at any thread count and any K.
-  ExperimentResult result = std::move(shards[0]);
-  for (size_t s = 1; s < plan.num_shards; ++s) {
-    ExperimentResult& shard = shards[s];
-    if (streaming) {
-      result.streaming.MergeFrom(shard.streaming);
-    } else {
-      result.store.AppendFrom(std::move(shard.store));
-    }
-    for (const auto counter : kRegionCounters) {
-      for (size_t r = 0; r < regions; ++r) {
-        (result.*counter)[r] += (shard.*counter)[r];
-      }
-    }
-    result.cost_ledger.MergeFrom(shard.cost_ledger);
-    result.events_processed += shard.events_processed;
-    result.interrupted_at_day = std::max(result.interrupted_at_day, shard.interrupted_at_day);
-  }
-  // Fold shard counters back into the caller's prototype so policy statistics
-  // (prewarms_issued() and friends) read the same whether the run sharded or not.
-  for (const auto& clone : plan.clones) {
-    policy->AbsorbShardStats(*clone);
-  }
-  if (result.interrupted_at_day < 0) {
+  // A completed run seals. An interrupted sharded run's partial store is put
+  // in the same canonical order, so it reads the same whatever order its
+  // shards finished in; a one-shard run's emission order already does.
+  if (result.interrupted_at_day < 0 || plan.sharded) {
     result.store.Seal();  // No-op in streaming mode (the store stayed empty).
   }
   result.mode = config_.trace_mode;

@@ -11,21 +11,23 @@
 // stream and driven by the caller's own policy. When the scenario has several
 // regions and the policy is region-local (the baseline always is), the plan
 // shards instead, on worker threads, and the merged sealed TraceStore is
-// bit-identical to the one-shard run. A shard is then a region — or, when the
-// scenario decomposes into capacity cells (ScenarioConfig::cells_per_region > 1)
-// and the policy is function-local, a (region, cell group) slice: the planner
-// splits each region into K = min(cells, ceil(threads / regions)) sub-region
-// shards so runs with fewer regions than cores still scale (docs/determinism.md
-// "Sub-region sharding"). Cross-region policies (and policies that cannot clone
-// per-shard state) get the one-shard plan automatically. Thread count:
-// $COLDSTART_THREADS, else hardware_concurrency; pass num_threads = 1 to force
-// the one-shard plan.
+// bit-identical to the one-shard run. A shard is then a (region, cell group)
+// slice: the planner splits each region into K groups, where K = cells when the
+// policy is function-local, 1 when it is capacity-coupled, and as checkpointed
+// on resume (docs/determinism.md "Sub-region sharding"). The geometry is the
+// scenario's, whatever the thread count, so a checkpoint resumes at any thread
+// count. Shards start largest first (by expected requests per day) and fold
+// into the result as each one finishes. Cross-region policies (and policies
+// that cannot clone per-shard state) get the one-shard plan automatically.
+// Thread count: $COLDSTART_THREADS, else hardware_concurrency; pass
+// num_threads = 1 to force the one-shard plan.
 //
 // Trace recording obeys config.trace_mode: kFull materializes the exact record
 // tables in result.store; kStreaming folds records into result.streaming in O(1)
-// trace memory (per-shard streaming aggregates merge in region order, so counters,
-// integer latency sums, and histogram bucket contents are identical at any thread
-// count — same determinism contract as the full-trace path). Arrivals are pulled
+// trace memory (every streaming accumulator is an integer sum, count, min or
+// max, so counters, latency sums, and histogram bucket contents are identical at
+// any thread count and in any fold order — same determinism contract as the
+// full-trace path). Arrivals are pulled
 // from the workload source one day chunk at a time (workload/arrival_stream.h) —
 // never materialized — so a kStreaming run's total memory is O(1) in the horizon:
 // a year costs no more resident memory than a week (docs/architecture.md).
@@ -76,8 +78,8 @@ struct ExperimentResult {
   TraceMode mode = TraceMode::kFull;
   // kFull: sealed, horizon set. kStreaming: left empty — `streaming` holds the run.
   trace::TraceStore store;
-  // kStreaming: per-region/per-trigger-group counters + histograms, merged across
-  // shards in region order. kFull: empty (derive with trace::AggregatesFromStore).
+  // kStreaming: per-region/per-trigger-group counters + histograms, folded across
+  // shards. kFull: empty (derive with trace::AggregatesFromStore).
   trace::StreamingAggregates streaming;
   workload::Population population;    // Empty when loaded from cache.
   bool from_cache = false;
@@ -100,7 +102,9 @@ struct ExperimentResult {
   double sim_wall_seconds = 0;
   // -1: the run completed (Finalize ran, the store is sealed). Otherwise the
   // day boundary where a CheckpointPolicy stop flag ended the run early; the
-  // trace is partial and a checkpoint for that day was committed.
+  // trace is partial and a checkpoint for that day was committed. A sharded
+  // run's partial store is still in canonical (sealed) order, so it does not
+  // depend on the order its shards finished in.
   int64_t interrupted_at_day = -1;
 };
 
@@ -127,7 +131,8 @@ class Experiment {
   // resumes sharded with the checkpointed shards_per_region geometry, a serial
   // one resumes serially; manifest entries outside that geometry (stale shard
   // ids from a different K, duplicates) abort loudly. num_threads is honored
-  // as given — a sharded resume runs fine on one worker.
+  // as given: the geometry comes from the manifest, so a sharded checkpoint
+  // resumes at any thread count, one worker included.
   // The completed result is bit-identical to the uninterrupted run's.
   ExperimentResult ResumeFrom(const std::string& dir,
                               platform::PlatformPolicy* policy = nullptr,
@@ -153,8 +158,9 @@ class Experiment {
 
  private:
   // The one executor: plans the shards (the whole-run shard, or regions x K
-  // (region, cell group) shards), runs them on `threads` workers and merges
-  // their results. num_threads as for Run(). `resume` (with `resume_dir`)
+  // (region, cell group) shards), runs them largest first on `threads`
+  // workers and folds each result in as its shard finishes. num_threads as
+  // for Run(). `resume` (with `resume_dir`)
   // restores each shard from its manifest entry before running; null means a
   // fresh run from day 0.
   ExperimentResult Execute(platform::PlatformPolicy* policy, int num_threads,

@@ -179,9 +179,9 @@ TEST_F(CheckpointTest, KillAndResumeShardedFullTrace) {
 }
 
 TEST_F(CheckpointTest, KillAndResumeSubRegionShardedFullTrace) {
-  // Sub-region geometry: 4 cells per region, 20 threads -> K=4, so the child
-  // commits one checkpoint stream per (region, cell group) — 20 shard ids —
-  // and the resume must stitch all of them back bit-identically.
+  // Sub-region geometry: 4 cells per region -> K=4, so the child commits one
+  // checkpoint stream per (region, cell group) — 20 shard ids — and the
+  // resume must stitch all of them back bit-identically.
   ScenarioConfig config = TinyScenario();
   config.cells_per_region = 4;
   const Experiment experiment(config);
@@ -202,6 +202,30 @@ TEST_F(CheckpointTest, KillAndResumeSubRegionShardedFullTrace) {
   // And the whole thing must also match the serial run of the same scenario.
   const ExperimentResult serial = experiment.Run(nullptr, 1);
   EXPECT_EQ(trace::Digest(serial.store), trace::Digest(resumed.store));
+}
+
+TEST_F(CheckpointTest, SubRegionCheckpointResumesAtAnyThreadCount) {
+  // The geometry is the scenario's (K = cells), not the thread count's, so a
+  // K=4 checkpoint written at 4 threads resumes on any number of workers.
+  ScenarioConfig config = TinyScenario();
+  config.cells_per_region = 4;
+  const Experiment experiment(config);
+  const ExperimentResult uninterrupted = experiment.Run(nullptr, 4);
+  const ExperimentResult serial = experiment.Run(nullptr, 1);
+  ASSERT_EQ(trace::Digest(uninterrupted.store), trace::Digest(serial.store));
+
+  RunAndKillAtDay(config, dir_, /*kill_day=*/1, /*num_threads=*/4);
+  checkpoint::Manifest manifest;
+  ASSERT_TRUE(checkpoint::ReadManifest(dir_, &manifest));
+  EXPECT_TRUE(manifest.sharded);
+  EXPECT_EQ(manifest.shards_per_region, 4u);
+  for (const int threads : {1, 2, 20}) {
+    SCOPED_TRACE(threads);
+    const ExperimentResult resumed = experiment.ResumeFrom(dir_, nullptr, threads);
+    EXPECT_EQ(resumed.interrupted_at_day, -1);
+    EXPECT_EQ(trace::Digest(uninterrupted.store), trace::Digest(resumed.store));
+    EXPECT_EQ(uninterrupted.visible_cold_starts, resumed.visible_cold_starts);
+  }
 }
 
 TEST_F(CheckpointTest, ShardedResumeHonorsSingleThread) {
@@ -308,6 +332,30 @@ TEST_F(CheckpointTest, StopFlagInterruptsAtBoundaryAndResumes) {
   const ExperimentResult resumed = experiment.ResumeFrom(dir_, nullptr, 1);
   EXPECT_EQ(resumed.interrupted_at_day, -1);
   EXPECT_EQ(trace::Digest(uninterrupted.store), trace::Digest(resumed.store));
+}
+
+TEST_F(CheckpointTest, InterruptedShardedStoreIsSchedulingIndependent) {
+  // Shards fold into the result as they finish, so an interrupted run (which
+  // never reaches the final Seal of a completed one) must still put its
+  // partial store in an order that does not depend on which shard finished
+  // first. The stop flag is set up front, so every shard halts at day 1.
+  ScenarioConfig config = TinyScenario();
+  config.cells_per_region = 4;
+  const Experiment experiment(config);
+  auto interrupted = [&](int threads) {
+    fs::remove_all(dir_);
+    std::atomic<bool> stop{true};
+    CheckpointPolicy ckpt;
+    ckpt.dir = dir_;
+    ckpt.stop = &stop;
+    return experiment.Run(nullptr, threads, &ckpt);
+  };
+  const ExperimentResult four = interrupted(4);
+  const ExperimentResult twenty = interrupted(20);
+  EXPECT_EQ(four.interrupted_at_day, 1);
+  EXPECT_EQ(twenty.interrupted_at_day, 1);
+  ASSERT_GT(four.store.requests().size(), 100u);
+  EXPECT_EQ(trace::Digest(four.store), trace::Digest(twenty.store));
 }
 
 // --- Guard rails: misuse and mismatch fail loudly, up front. ---

@@ -160,12 +160,12 @@ TEST(ProviderModels, ModelSelectionEntersScenarioFingerprint) {
 
 // --- Model matrix: every preset is bit-identical across geometries. --------
 
-ScenarioConfig MatrixScenario(ColdStartModelKind kind, bool snapshot) {
+ScenarioConfig MatrixScenario(ColdStartModelKind kind, bool snapshot, uint32_t cells) {
   ScenarioConfig config = core::SmallScenario();
   config.days = 2;
   config.scale = 0.2;
   config.record_requests = false;
-  config.cells_per_region = 4;
+  config.cells_per_region = cells;
   config.trace_mode = core::TraceMode::kStreaming;
   for (auto& profile : config.profiles) {
     profile.model.kind = kind;
@@ -198,35 +198,33 @@ TEST(ModelMatrix, EveryPresetBitIdenticalAcrossGeometries) {
       {ColdStartModelKind::kAzureLike, false, "azure-like"},
       {ColdStartModelKind::kYuanRong, true, "snapshot(yuanrong)"},
   };
+  // A sharded run takes K = cells: cells 1 shards by region (K=1), cells 4
+  // into (region, cell group) slices (K=4). Each is compared with its own
+  // serial run.
   for (const auto& entry : kMatrix) {
-    SCOPED_TRACE(entry.label);
-    const Experiment experiment(MatrixScenario(entry.kind, entry.snapshot));
-    ASSERT_TRUE(experiment.CanShard(nullptr));
-    // 5 regions: 1 thread = serial, 5 = region-sharded (K=1), 20 = K=4.
-    const ExperimentResult serial = experiment.Run(nullptr, 1);
-    const ExperimentResult region_sharded = experiment.Run(nullptr, 5);
-    const ExperimentResult k4 = experiment.Run(nullptr, 20);
+    for (const uint32_t cells : {1u, 4u}) {
+      SCOPED_TRACE(testing::Message() << entry.label << ", cells " << cells);
+      const Experiment experiment(MatrixScenario(entry.kind, entry.snapshot, cells));
+      ASSERT_TRUE(experiment.CanShard(nullptr));
+      const ExperimentResult serial = experiment.Run(nullptr, 1);
+      const ExperimentResult sharded = experiment.Run(nullptr, 4);
 
-    EXPECT_EQ(serial.visible_cold_starts, region_sharded.visible_cold_starts);
-    EXPECT_EQ(serial.visible_cold_starts, k4.visible_cold_starts);
-    EXPECT_EQ(serial.cold_start_latency_sum_us, k4.cold_start_latency_sum_us);
-    EXPECT_EQ(serial.scratch_allocations, k4.scratch_allocations);
+      EXPECT_EQ(serial.visible_cold_starts, sharded.visible_cold_starts);
+      EXPECT_EQ(serial.cold_start_latency_sum_us, sharded.cold_start_latency_sum_us);
+      EXPECT_EQ(serial.scratch_allocations, sharded.scratch_allocations);
 
-    // Byte-level: full streaming aggregate state (counters, histograms, cost
-    // rows) and the experiment's cost ledger, at every geometry.
-    const std::string serial_stream = StreamingBytes(serial);
-    EXPECT_EQ(serial_stream, StreamingBytes(region_sharded));
-    EXPECT_EQ(serial_stream, StreamingBytes(k4));
-    const std::string serial_ledger = LedgerBytes(serial);
-    EXPECT_EQ(serial_ledger, LedgerBytes(region_sharded));
-    EXPECT_EQ(serial_ledger, LedgerBytes(k4));
+      // Byte-level: full streaming aggregate state (counters, histograms, cost
+      // rows) and the experiment's cost ledger, at every geometry.
+      EXPECT_EQ(StreamingBytes(serial), StreamingBytes(sharded));
+      EXPECT_EQ(LedgerBytes(serial), LedgerBytes(sharded));
 
-    // The ledger is live: pods ran, so pod-seconds accrued everywhere.
-    EXPECT_GT(serial.cost_ledger.TotalRecord().pod_seconds(), 0.0);
-    if (entry.snapshot) {
-      EXPECT_GT(serial.cost_ledger.TotalRecord().snapshot_mb_seconds(), 0.0);
-    } else {
-      EXPECT_EQ(serial.cost_ledger.TotalRecord().snapshot_mb_seconds(), 0.0);
+      // The ledger is live: pods ran, so pod-seconds accrued everywhere.
+      EXPECT_GT(serial.cost_ledger.TotalRecord().pod_seconds(), 0.0);
+      if (entry.snapshot) {
+        EXPECT_GT(serial.cost_ledger.TotalRecord().snapshot_mb_seconds(), 0.0);
+      } else {
+        EXPECT_EQ(serial.cost_ledger.TotalRecord().snapshot_mb_seconds(), 0.0);
+      }
     }
   }
 }

@@ -3,6 +3,7 @@
 // layer and the trace cache are built on.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <set>
 #include <utility>
@@ -165,26 +166,73 @@ TEST(ShardedExperimentTest, RegionLocalPolicyBitIdenticalToSerial) {
 // --- across every geometry: serial, region-sharded (K=1), and K=2 / K=4.  ---
 
 TEST(SubRegionShardingTest, BaselineBitIdenticalAcrossGeometries) {
+  // The planner takes K = cells for a function-local run, so the geometries
+  // come from the scenario: cells 1, 2 and 4 shard as K = 1 (plain region
+  // sharding), 2 and 4. Each sharded run must equal its own serial run.
+  for (const uint32_t cells : {1u, 2u, 4u}) {
+    SCOPED_TRACE(cells);
+    ScenarioConfig config = core::SmallScenario();
+    config.days = 3;
+    config.cells_per_region = cells;
+    const Experiment experiment(config);
+    ASSERT_TRUE(experiment.CanShard(nullptr));
+    const ExperimentResult serial = experiment.Run(nullptr, /*num_threads=*/1);
+    const ExperimentResult sharded = experiment.Run(nullptr, /*num_threads=*/4);
+    ASSERT_GT(serial.store.requests().size(), 10000u);
+    ExpectStoresIdentical(serial.store, sharded.store);
+    ExpectAggregatesIdentical(serial, sharded);
+  }
+}
+
+// The plan a run used, read back from the manifest of a run stopped at its
+// first day boundary: {sharded, K, manifest entries}.
+struct ObservedPlan {
+  bool sharded;
+  uint32_t k;
+  size_t entries;
+};
+
+ObservedPlan PlanOf(const ScenarioConfig& config, platform::PlatformPolicy* policy,
+                    int threads) {
+  namespace fs = std::filesystem;
+  const std::string dir = (fs::temp_directory_path() / "coldstart_plan_test").string();
+  fs::remove_all(dir);
+  std::atomic<bool> stop{true};
+  core::CheckpointPolicy ckpt;
+  ckpt.dir = dir;
+  ckpt.stop = &stop;
+  const ExperimentResult r = Experiment(config).Run(policy, threads, &ckpt);
+  EXPECT_EQ(r.interrupted_at_day, 1);
+  checkpoint::Manifest manifest;
+  EXPECT_TRUE(checkpoint::ReadManifest(dir, &manifest));
+  fs::remove_all(dir);
+  return {manifest.sharded, manifest.shards_per_region, manifest.entries.size()};
+}
+
+TEST(ShardPlannerTest, GeometryComesFromTheScenarioNotTheThreadCount) {
   ScenarioConfig config = core::SmallScenario();
-  config.days = 3;
+  config.days = 2;
+  config.scale = 0.05;
+  config.record_requests = false;
   config.cells_per_region = 4;
-  const Experiment experiment(config);
-  ASSERT_TRUE(experiment.CanShard(nullptr));
-
-  // The planner sizes K = min(cells, ceil(threads / regions)); with 5 regions,
-  // 5 threads yield K=1 (plain region sharding), 10 yield K=2, 20 yield K=4.
-  const ExperimentResult serial = experiment.Run(nullptr, /*num_threads=*/1);
-  const ExperimentResult region_sharded = experiment.Run(nullptr, 5);
-  const ExperimentResult k2 = experiment.Run(nullptr, 10);
-  const ExperimentResult k4 = experiment.Run(nullptr, 20);
-
-  ASSERT_GT(serial.store.requests().size(), 10000u);
-  ExpectStoresIdentical(serial.store, region_sharded.store);
-  ExpectStoresIdentical(serial.store, k2.store);
-  ExpectStoresIdentical(serial.store, k4.store);
-  ExpectAggregatesIdentical(serial, region_sharded);
-  ExpectAggregatesIdentical(serial, k2);
-  ExpectAggregatesIdentical(serial, k4);
+  const size_t regions = config.profiles.size();
+  for (const int threads : {2, 3, 4, 5, 20}) {
+    SCOPED_TRACE(threads);
+    const ObservedPlan plan = PlanOf(config, nullptr, threads);
+    EXPECT_TRUE(plan.sharded);
+    EXPECT_EQ(plan.k, 4u);
+    EXPECT_EQ(plan.entries, regions * 4);
+  }
+  // A capacity-coupled policy keeps whole regions.
+  policy::PeakShavingPolicy peak_shaving;
+  const ObservedPlan coupled = PlanOf(config, &peak_shaving, 20);
+  EXPECT_TRUE(coupled.sharded);
+  EXPECT_EQ(coupled.k, 1u);
+  EXPECT_EQ(coupled.entries, regions);
+  // One thread is the whole-run plan.
+  const ObservedPlan serial = PlanOf(config, nullptr, 1);
+  EXPECT_FALSE(serial.sharded);
+  EXPECT_EQ(serial.entries, 1u);
 }
 
 TEST(SubRegionShardingTest, StreamingAggregatesBitIdenticalAcrossGeometries) {
