@@ -14,7 +14,7 @@
 
 #include "core/experiment.h"
 #include "core/scenario.h"
-#include "platform/coldstart_pipeline.h"
+#include "platform/coldstart_model.h"
 #include "platform/platform.h"
 #include "platform/pod_slab.h"
 #include "platform/resource_pool.h"
@@ -276,40 +276,10 @@ static void BM_PoolAcquireRelease(benchmark::State& state) {
 }
 BENCHMARK(BM_PoolAcquireRelease);
 
-static void BM_ColdStartPipeline(benchmark::State& state) {
-  const auto& profiles = workload::DefaultRegionProfiles();
-  const workload::Calendar calendar;
-  platform::YuanRongModel pipeline(profiles[0], calendar);
-  platform::ResourcePool pool(32, 4.0);
-  platform::RegionLoadState load;
-  load.active_cold_starts = 5;
-  load.active_code_deploys = 5;
-  load.active_dep_deploys = 2;
-  workload::FunctionSpec spec;
-  spec.code_size_kb = 2048;
-  spec.dep_size_kb = 8192;
-  Rng rng(11);
-  SimTime now = 0;
-  for (auto _ : state) {
-    now += kSecond;
-    const auto comp = pipeline.Compute(spec, pool, load, now, rng);
-    benchmark::DoNotOptimize(comp.total());
-    pool.Release(now);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ColdStartPipeline);
-
-// Same hot path driven through the ColdStartModel vtable, the way Platform
-// dispatches it since the model layer landed. The delta against
-// BM_ColdStartPipeline is the virtual-dispatch cost of the refactor — the
-// acceptance bar is <2%, which an indirect call against a compute kernel of
-// ~10 RNG draws and several exp() calls clears easily.
 static void BM_ColdStartModel(benchmark::State& state) {
   const auto& profiles = workload::DefaultRegionProfiles();
   const workload::Calendar calendar;
-  std::unique_ptr<platform::ColdStartModel> model =
-      std::make_unique<platform::YuanRongModel>(profiles[0], calendar);
+  const platform::ColdStartModel model(profiles[0], calendar);
   platform::ResourcePool pool(32, 4.0);
   platform::RegionLoadState load;
   load.active_cold_starts = 5;
@@ -322,7 +292,7 @@ static void BM_ColdStartModel(benchmark::State& state) {
   SimTime now = 0;
   for (auto _ : state) {
     now += kSecond;
-    const auto comp = model->Compute(spec, pool, load, now, rng);
+    const auto comp = model.Compute(spec, pool, load, now, rng);
     benchmark::DoNotOptimize(comp.total());
     pool.Release(now);
   }

@@ -13,7 +13,10 @@ namespace coldstart::checkpoint {
 
 namespace {
 
-// "cckpt_v7" / "cmnft_v3", little-endian. Checkpoint v7 dropped the
+// "cckpt_v8" / "cmnft_v3", little-endian. Checkpoint v8 dropped the
+// per-(region, cell) cold-start model frames (the model is pure configuration,
+// pinned by the fingerprint) and the arrival stream's regenerate mode (every
+// stream serializes its state). v7 dropped the
 // write-only per-(region, cell) cold-start and request totals. v6 stores the
 // platform's pending events as one table. v5 dropped the always-zero
 // days_observed word from each ProfilePrewarmPolicy profile. v4 framed the
@@ -22,7 +25,7 @@ namespace {
 // LogHistogram latency sum 128-bit fixed point (manifest v3 added
 // shards_per_region, layout-unchanged since). Older files encode different
 // layouts and are rejected here as "bad magic" rather than half-restored.
-constexpr uint64_t kCheckpointMagic = 0x37765F74706B6363ull;
+constexpr uint64_t kCheckpointMagic = 0x38765F74706B6363ull;
 constexpr uint64_t kManifestMagic = 0x33765F74666E6D63ull;
 
 [[noreturn]] void Corrupt(const std::string& path, const char* what) {

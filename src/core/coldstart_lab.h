@@ -24,7 +24,7 @@
 #include "core/frontier.h"
 #include "core/scenario.h"
 #include "core/sweep.h"
-#include "platform/provider_models.h"
+#include "platform/coldstart_model.h"
 #include "policy/composite.h"
 #include "policy/cross_region.h"
 #include "policy/forecast.h"

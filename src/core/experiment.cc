@@ -60,7 +60,11 @@ void SaveTable(const std::vector<Record>& table, ByteWriter& w) {
 
 template <typename Record>
 std::vector<Record> RestoreTable(ByteReader& r) {
-  std::vector<Record> table(r.U64());
+  // Bound the count by the bytes left before allocating: a CRC-valid count
+  // too large for the payload dies on this CHECK, not in the allocator.
+  const uint64_t count = r.U64();
+  COLDSTART_CHECK(count <= r.Remaining() / sizeof(Record));
+  std::vector<Record> table(count);
   if (!table.empty()) {
     r.Raw(table.data(), table.size() * sizeof(Record));
   }

@@ -1,22 +1,35 @@
-// The cold-start model layer: a pluggable interface over the paper's 4-component
-// pipeline (Figure 2), so the same workload can be priced on different provider
-// architectures (AWS-like, GCP-like, Azure-like) or under snapshot/restore.
+// The cold-start model: the paper's four-component pipeline (§4.2, Fig. 2),
+// one engine whose constants are data.
 //
-// The concrete YuanRong calibration lives in coldstart_pipeline.h (`YuanRongModel`,
-// the default); provider presets and the snapshot decorator in provider_models.h.
-// Model selection is part of the scenario fingerprint (workload/region_profile.h
-// `ColdStartModelConfig`), and model identity plus any mutable model state is
-// framed into checkpoints — see docs/determinism.md.
+// Every cold start splits into the same four components; regions differ only in
+// which one dominates (R1: dependencies and scheduling; R2: pod allocation).
+// Those differences live in workload::ColdStartArchitecture. The provider
+// presets (AWS-, GCP-, Azure-like) are three more sets of those constants, and
+// snapshot restore replaces the two deploy components with one restore term.
+// A region's RegionProfile::model picks among them; see docs/architecture.md
+// ("Cold-start models").
+//
+// Component model:
+//   pod allocation  = staged pool search (depth from live pool occupancy) or
+//                     from-scratch creation; http adds a server start; plus a
+//                     congestion term driven by concurrent cold starts.
+//   deploy code     = base + code_size/bandwidth, scaled by runtime factor and
+//                     registry congestion.
+//   deploy deps     = same shape over dependency size; exactly zero for functions
+//                     without layers; post-holiday penalty on the first workdays.
+//   scheduling      = base x runtime placement factor + queueing term per in-flight
+//                     cold start.
+//   snapshot restore (optional) = (restore_base + snapshot_mb / bandwidth) x noise,
+//                     replacing deploy code; deploy deps become zero.
+// All noise is multiplicative LogNormal so components stay positive and long-tailed.
 #ifndef COLDSTART_PLATFORM_COLDSTART_MODEL_H_
 #define COLDSTART_PLATFORM_COLDSTART_MODEL_H_
 
-#include <memory>
-#include <string_view>
-
-#include "common/byte_serde.h"
 #include "platform/load_state.h"
 #include "platform/resource_pool.h"
+#include "workload/calendar.h"
 #include "workload/function_model.h"
+#include "workload/region_profile.h"
 
 namespace coldstart::platform {
 
@@ -31,49 +44,44 @@ struct ColdStartComponents {
   SimDuration total() const { return pod_alloc + deploy_code + deploy_dep + scheduling; }
 };
 
-// One cold-start model instance exists per (region, cell): Platform constructs a
-// fresh instance for every capacity cell (and every shard platform re-creates its
-// own), so mutable model state is automatically cell-scoped and serial ==
-// region-sharded == sub-region-sharded runs stay bit-identical — the same
-// contract policies satisfy through CloneForShard.
-//
-// Contract (mirrors policy_hooks.h):
-//  - Compute draws all randomness from the `rng` argument, in a fixed order per
-//    call; no wall clock, no ambient RNG.
-//  - Compute is deliberately non-const: models may mutate both the pool (through
-//    Acquire) and their own state (e.g. the snapshot decorator's restore
-//    counter). Stateless models stay trivially cloneable.
-//  - Mutable state must round-trip through SaveModelState/RestoreModelState with
-//    deterministic (sorted, bit-pattern) serialization; checkpoints frame the
-//    blob per (region, cell) together with name() and refuse to restore under a
-//    different model (lint:policy-hooks and lint:serde-pair watch subclasses).
+// The published-benchmark architecture constants behind each provider preset.
+workload::ColdStartArchitecture AwsLikeArchitecture();
+workload::ColdStartArchitecture GcpLikeArchitecture();
+workload::ColdStartArchitecture AzureLikeArchitecture();
+
+// An immutable value: all of it is configuration read from the region profile,
+// so one instance per region serves every cell, shard and resumed run alike.
 class ColdStartModel {
  public:
-  virtual ~ColdStartModel() = default;
+  // Reads profile.model: the region's own `arch` for kYuanRong, otherwise the
+  // preset's architecture; the snapshot-restore term when it is enabled. Pool
+  // dynamics stay the region's own either way.
+  ColdStartModel(const workload::RegionProfile& profile,
+                 const workload::Calendar& calendar);
 
   // Computes component times for one cold start of `spec` at `now`, drawing a pod
-  // from `pool` (mutates pool occupancy).
-  virtual ColdStartComponents Compute(const workload::FunctionSpec& spec,
-                                      ResourcePool& pool, const RegionLoadState& load,
-                                      SimTime now, Rng& rng) = 0;
+  // from `pool` (mutates pool occupancy). Draws from `rng` in a fixed order
+  // (alloc noise, optional http noise, congestion uniform, code noise, optional
+  // dep noise, sched noise, queue uniform, then the restore noise under snapshot
+  // restore) — the golden trace digest pins this order bit for bit.
+  ColdStartComponents Compute(const workload::FunctionSpec& spec, ResourcePool& pool,
+                              const RegionLoadState& load, SimTime now,
+                              Rng& rng) const;
 
-  // Stable identity written into checkpoints and compared on restore. Must be a
-  // pure function of the model's configuration (never of accumulated state).
-  virtual std::string_view name() const = 0;
+  // Per-pod resident memory surcharge in MB (0 without snapshot restore). The
+  // cost ledger integrates it over each pod's lifetime into snapshot-memory MB·s.
+  double snapshot_memory_mb() const {
+    return restore_.snapshot_restore ? restore_.snapshot_memory_mb : 0.0;
+  }
 
-  // A fresh instance with identical configuration and default-initialized mutable
-  // state, used to stamp out one instance per capacity cell.
-  virtual std::unique_ptr<ColdStartModel> Clone() const = 0;
+ private:
+  // Multiplier > 1 on dependency deployment right after the holiday (cold caches and
+  // first-time redeployments), decaying over ~2 workdays.
+  double PostHolidayDepMultiplier(SimTime now) const;
 
-  // Per-pod resident memory surcharge in MB (0 for models that keep nothing
-  // warm). The cost ledger integrates it over each pod's lifetime into
-  // snapshot-memory MB·s.
-  virtual double snapshot_memory_mb_per_pod() const { return 0.0; }
-
-  // Serde for mutable model state only (configuration is re-created from the
-  // scenario). The default empty pair is correct for stateless models.
-  virtual void SaveModelState(ByteWriter& w) const { (void)w; }
-  virtual void RestoreModelState(ByteReader& r) { (void)r; }
+  workload::ColdStartArchitecture arch_;
+  workload::ColdStartModelConfig restore_;  // Only the snapshot-restore fields are read.
+  workload::Calendar calendar_;
 };
 
 }  // namespace coldstart::platform

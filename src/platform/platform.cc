@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "platform/provider_models.h"
 
 namespace coldstart::platform {
 
@@ -78,15 +77,11 @@ Platform::Platform(const workload::Population& population,
   }
   next_pod_seq_.assign(num_states, 0);
   next_request_seq_.assign(num_states, 0);
-  models_.reserve(num_states);
+  models_.reserve(profiles_.size());
   pools_.reserve(num_states);
   for (const auto& profile : profiles_) {
+    models_.emplace_back(profile, calendar_);
     for (uint32_t cell = 0; cell < cells_; ++cell) {
-      // One model instance per cell (not per region): any mutable model state is
-      // cell-scoped, so serial and sub-region-sharded runs accumulate it
-      // identically. Stateless models make the per-cell copies indistinguishable
-      // from the old one-pipeline-per-region layout.
-      models_.push_back(MakeColdStartModel(profile, calendar_));
       std::vector<ResourcePool> cell_pools;
       cell_pools.reserve(trace::kNumResourceConfigs);
       for (int c = 0; c < trace::kNumResourceConfigs; ++c) {
@@ -390,7 +385,7 @@ Pod* Platform::StartColdStart(const FunctionSpec& spec, RegionId region, bool pr
   ResourcePool& pool = pools_[idx][static_cast<size_t>(spec.config)];
   load.ObserveColdStart(now);  // The event contributes to its own congestion window.
   ColdStartComponents comp =
-      models_[idx]->Compute(spec, pool, load, now, rng(region, cell));
+      models_[region].Compute(spec, pool, load, now, rng(region, cell));
   comp.scheduling += extra_sched_us;
   if (comp.from_scratch) {
     cost_ledger_.AddScratchCreation(region);
@@ -633,10 +628,8 @@ void Platform::KillPod(Pod* pod, SimTime death_time) {
   if (death_time > h.last_busy_end && h.slots_used == 0) {
     warm_idle_us += death_time - h.last_busy_end;
   }
-  const double snapshot_mb =
-      models_[StateIndex(pod->region, CellOf(pod->function))]
-          ->snapshot_memory_mb_per_pod();
-  cost_ledger_.AddPodDeath(pod->region, lifetime_us, warm_idle_us, snapshot_mb);
+  cost_ledger_.AddPodDeath(pod->region, lifetime_us, warm_idle_us,
+                           models_[pod->region].snapshot_memory_mb());
 
   auto& pods = states_[pod->function].pods;
   const auto it = std::find(pods.begin(), pods.end(), pod);
@@ -827,16 +820,6 @@ void Platform::SaveCheckpointState(ByteWriter& w) const {
     }
   }
 
-  // Cold-start models, per (region, cell): identity plus any mutable model
-  // state as a framed blob. Restore re-creates the models from the scenario and
-  // refuses to load state written under a different model.
-  for (const auto& model : models_) {
-    w.Str(std::string(model->name()));
-    ByteWriter mw;
-    model->SaveModelState(mw);
-    w.Str(mw.data());
-  }
-
   // Resource-cost ledger (order-invariant 128-bit sums, two words each).
   cost_ledger_.SaveState(w);
 
@@ -904,24 +887,15 @@ void Platform::SaveCheckpointState(ByteWriter& w) const {
     w.I64(e.keep_alive);
   }
 
-  // Arrival stream: 2 = no stream attached; 1 = stream state captured;
-  // 0 = stream cannot serialize — restore falls back on the determinism
-  // contract (reopen and discard the consumed days). The mode byte and the
-  // (possibly empty) state blob are written unconditionally so the write/read
-  // op sequences stay symmetric in every mode (lint:serde-pair).
-  uint8_t stream_mode = 2;
-  std::string stream_state;
+  // Arrival stream: whether one is attached, then its (possibly empty) state
+  // blob, written unconditionally so the write/read op sequences stay
+  // symmetric either way (lint:serde-pair).
+  ByteWriter sw;
   if (arrival_stream_ != nullptr) {
-    ByteWriter sw;
-    if (arrival_stream_->SaveState(sw)) {
-      stream_mode = 1;
-      stream_state = sw.data();
-    } else {
-      stream_mode = 0;
-    }
+    COLDSTART_CHECK(arrival_stream_->SaveState(sw));
   }
-  w.U8(stream_mode);
-  w.Str(stream_state);
+  w.U8(arrival_stream_ != nullptr ? 1 : 0);
+  w.Str(sw.data());
 }
 
 void Platform::RestoreCheckpointState(
@@ -971,17 +945,6 @@ void Platform::RestoreCheckpointState(
       cs.scratch_count = r.I64();
       pool.restore_checkpoint_state(cs);
     }
-  }
-
-  for (auto& model : models_) {
-    // Identity check: the checkpoint must have been written under the same model
-    // configuration this platform was constructed with.
-    const std::string saved_name = r.Str();
-    COLDSTART_CHECK(saved_name == model->name());
-    const std::string model_state = r.Str();
-    ByteReader mr(model_state);
-    model->RestoreModelState(mr);
-    COLDSTART_CHECK(mr.AtEnd());
   }
 
   cost_ledger_.RestoreState(r);
@@ -1071,27 +1034,15 @@ void Platform::RestoreCheckpointState(
                        events_.Resolve(pod_slab_.slot_value(i).keep_alive) != nullptr);
   }
 
-  const uint8_t stream_mode = r.U8();
-  COLDSTART_CHECK_LE(stream_mode, 2);
+  const uint8_t has_stream = r.U8();
+  COLDSTART_CHECK_LE(has_stream, 1);
   const std::string stream_state = r.Str();
-  if (stream_mode == 2) {
-    COLDSTART_CHECK(stream == nullptr);
-  } else {
-    COLDSTART_CHECK(stream != nullptr);
+  COLDSTART_CHECK_EQ(has_stream == 1, stream != nullptr);
+  if (has_stream == 1) {
     arrival_stream_ = std::move(stream);
-    if (stream_mode == 1) {
-      ByteReader sr(stream_state);
-      COLDSTART_CHECK(arrival_stream_->RestoreState(sr));
-      COLDSTART_CHECK(sr.AtEnd());
-    } else {
-      // Determinism-contract fallback: a fresh stream over the same arguments
-      // yields the same chunks; discard the ones the checkpointed run consumed.
-      const int64_t consumed_days = (now + 1) / kDay;
-      for (int64_t d = 0; d < consumed_days; ++d) {
-        arrival_stream_->NextChunk(&chunk_);
-      }
-      chunk_.events.clear();
-    }
+    ByteReader sr(stream_state);
+    COLDSTART_CHECK(arrival_stream_->RestoreState(sr));
+    COLDSTART_CHECK(sr.AtEnd());
     sim_.AttachSource(&arrival_cursor_);
     source_attached_ = true;
   }

@@ -134,16 +134,14 @@ class Platform {
   // boundary (clock at day * kDay - 1: the previous day's chunk fully drained,
   // every pending event reconstructible from the bookkeeping below) — CHECKed.
   // The payload covers RNGs, id namespaces, load/pool state, the pod slab (with
-  // per-function pod-list order), the pending-event table, the arrival stream
-  // (or a regenerate marker), and the day-starter and minute-tick keys. Policy
-  // and sink state are serialized by the caller (core::Experiment), which owns
-  // those objects.
+  // per-function pod-list order), the pending-event table, the arrival stream's
+  // state, and the day-starter and minute-tick keys. Policy and sink state are
+  // serialized by the caller (core::Experiment), which owns those objects.
   void SaveCheckpointState(ByteWriter& w) const;
   // Mirror of SaveCheckpointState on a freshly constructed platform (with
   // Options.resuming set). Restores state, re-queues every pending event under
-  // its original (time, seq) key, and attaches `stream` — restoring its cursor
-  // state when the checkpoint captured it, else fast-forwarding it by pulling
-  // and discarding the consumed days. Call after sim.RestoreClock().
+  // its original (time, seq) key, and attaches `stream` with its cursor state
+  // restored. Call after sim.RestoreClock().
   void RestoreCheckpointState(ByteReader& r,
                               std::unique_ptr<workload::ArrivalStream> stream);
 
@@ -193,11 +191,6 @@ class Platform {
   // and sharded runs agree bit for bit. Finalize() also emits the totals into
   // the sink (TraceSink::OnRegionCost).
   const ResourceCostLedger& cost_ledger() const { return cost_ledger_; }
-  // The (region, cell) cold-start model instance (tests and drivers; cell 0 is
-  // the only cell at the default geometry).
-  const ColdStartModel& coldstart_model(trace::RegionId region, uint32_t cell) const {
-    return *models_[StateIndex(region, cell)];
-  }
 
  private:
   struct FunctionState {
@@ -335,9 +328,7 @@ class Platform {
   Options options_;
   PlatformPolicy* policy_;  // Not owned; may be null.
 
-  // One model instance per (region, cell), like pools: mutable model state is
-  // cell-scoped so sub-region sharding stays bit-identical (coldstart_model.h).
-  std::vector<std::unique_ptr<ColdStartModel>> models_;       // Per (region, cell).
+  std::vector<ColdStartModel> models_;                        // Per region.
   std::vector<std::vector<ResourcePool>> pools_;              // [StateIndex][config].
   std::vector<RegionLoadState> loads_;                        // Per (region, cell).
   std::vector<int64_t> visible_cold_starts_;                  // Per region.

@@ -95,19 +95,11 @@ class ArrivalStream {
   // Serializes everything NextChunk threads across day boundaries (cursor
   // positions, RNG words, burst machines) so a fresh stream opened over the
   // same construction arguments continues bit-identically after RestoreState.
-  // The default returns false *without writing anything*: the checkpoint then
-  // falls back on the determinism contract above — reopen the stream and
-  // discard the already-consumed days — which is always correct, just O(days)
-  // slower on resume. Implementations must be symmetric: RestoreState consumes
-  // exactly what SaveState wrote, and supports it iff SaveState does.
-  virtual bool SaveState(ByteWriter& w) const {
-    (void)w;
-    return false;
-  }
-  virtual bool RestoreState(ByteReader& r) {
-    (void)r;
-    return false;
-  }
+  // Both return true on success; a checkpoint CHECK-fails on false.
+  // Implementations must be symmetric: RestoreState consumes exactly what
+  // SaveState wrote.
+  virtual bool SaveState(ByteWriter& w) const = 0;
+  virtual bool RestoreState(ByteReader& r) = 0;
 };
 
 // Wraps an already-materialized, (time, function)-sorted arrival vector as a

@@ -83,10 +83,11 @@ struct ColdStartArchitecture {
 };
 
 // Which cold-start model prices this region's cold starts. kYuanRong is the
-// paper-calibrated default (platform/coldstart_pipeline.h); the *Like presets are
-// parameterized from published cold/warm latency benchmarks of the respective
-// public clouds (platform/provider_models.h). Selection is part of the scenario
-// fingerprint: changing the model invalidates the trace cache.
+// paper-calibrated default (this profile's `arch`); the *Like presets swap in
+// architectures parameterized from published cold/warm latency benchmarks of the
+// respective public clouds. platform/coldstart_model.h reads this config.
+// Selection is part of the scenario fingerprint: changing the model invalidates
+// the trace cache.
 enum class ColdStartModelKind : uint8_t {
   kYuanRong = 0,
   kAwsLike = 1,
@@ -97,7 +98,7 @@ enum class ColdStartModelKind : uint8_t {
 struct ColdStartModelConfig {
   ColdStartModelKind kind = ColdStartModelKind::kYuanRong;
 
-  // Snapshot/restore decorator (arXiv 2105.13894): collapse deploy-code and
+  // Snapshot restore (arXiv 2105.13894): collapse deploy-code and
   // deploy-dep into one restore term, paying `snapshot_memory_mb` of resident
   // memory per pod (the cost ledger integrates it over pod lifetimes).
   bool snapshot_restore = false;

@@ -14,6 +14,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -390,6 +391,15 @@ TEST_F(CheckpointTest, ResumeWithMismatchedConfigDies) {
   ScenarioConfig other = config;
   other.seed = 43;
   EXPECT_DEATH(Experiment(other).ResumeFrom(dir_), "fingerprint");
+
+  // The checkpoint carries no model state: the fingerprint alone keeps a
+  // resume from running under a different cold-start model.
+  ScenarioConfig other_kind = config;
+  other_kind.profiles[0].model.kind = workload::ColdStartModelKind::kAwsLike;
+  EXPECT_DEATH(Experiment(other_kind).ResumeFrom(dir_), "fingerprint");
+  ScenarioConfig snapshot = config;
+  snapshot.profiles[0].model.snapshot_restore = true;
+  EXPECT_DEATH(Experiment(snapshot).ResumeFrom(dir_), "fingerprint");
 }
 
 TEST_F(CheckpointTest, StaleShardEntryFromDifferentGeometryDies) {
@@ -469,6 +479,27 @@ TEST_F(CheckpointCorruptionTest, TruncatedCheckpointDiesNamingFile) {
   MakeCheckpointDir(config);
   fs::resize_file(checkpoint_file_, fs::file_size(checkpoint_file_) / 2);
   EXPECT_DEATH(Experiment(config).ResumeFrom(dir_), "ckpt_day.*corrupt");
+}
+
+TEST_F(CheckpointCorruptionTest, HugeTableCountDiesOnBoundsCheck) {
+  // A CRC-valid checkpoint whose requests-table count exceeds the payload must
+  // die on the reader's bounds CHECK, not in the allocator.
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const ScenarioConfig config = TinyScenario();
+  MakeCheckpointDir(config);
+  checkpoint::CheckpointMeta meta;
+  std::string payload;
+  ASSERT_TRUE(checkpoint::ReadCheckpointFile(checkpoint_file_, &meta, &payload));
+  // No policy: the simulator's now, next_seq and events words, then the
+  // policy-present byte, then the kFull sink's requests-table count.
+  constexpr size_t kRequestCountOffset = 8 + 8 + 8 + 1;
+  ASSERT_EQ(payload[kRequestCountOffset - 1], 0);
+  const uint64_t huge = uint64_t{1} << 40;
+  ASSERT_GT(payload.size(), kRequestCountOffset + sizeof(huge));
+  std::memcpy(&payload[kRequestCountOffset], &huge, sizeof(huge));
+  ASSERT_TRUE(checkpoint::WriteCheckpointFile(checkpoint_file_, meta, payload));
+  EXPECT_DEATH(Experiment(config).ResumeFrom(dir_),
+               "CHECK failed: count <= r.Remaining\\(\\) / sizeof\\(Record\\)");
 }
 
 TEST_F(CheckpointCorruptionTest, BitFlippedManifestDiesNamingFile) {

@@ -343,50 +343,21 @@ TEST(PolicyHooks, ConfigOnlyPolicyIsClean) {
   EXPECT_TRUE(r.diagnostics.empty());
 }
 
-TEST(PolicyHooks, StatefulModelWithoutHooksIsFlagged) {
-  const Result r = Lint("src/platform/bad.h",
-                        "class MyModel : public ColdStartModel {\n"
-                        " public:\n"
-                        "  ColdStartComponents Compute(const F& spec, ResourcePool& pool,\n"
-                        "                              const RegionLoadState& load,\n"
-                        "                              SimTime now, Rng& rng) override;\n"
-                        " private:\n"
-                        "  int64_t restores_ = 0;\n"
-                        "};\n");
-  ASSERT_EQ(r.diagnostics.size(), 1u);
-  EXPECT_EQ(r.diagnostics[0].rule, "policy-hooks");
-  EXPECT_EQ(r.diagnostics[0].line, 1);
-  EXPECT_NE(r.diagnostics[0].message.find("restores_"), std::string::npos);
-  EXPECT_NE(r.diagnostics[0].message.find("cold-start model"), std::string::npos);
-}
-
-TEST(PolicyHooks, CompleteModelIsClean) {
+TEST(PolicyHooks, PolicyMissingOnlySerdeHooksIsFlagged) {
   const Result r =
-      Lint("src/platform/ok.h",
-           "class MyModel : public ColdStartModel {\n"
+      Lint("src/policy/bad.h",
+           "class MyPolicy : public platform::PlatformPolicy {\n"
            " public:\n"
-           "  std::unique_ptr<ColdStartModel> Clone() const override;\n"
-           "  void SaveModelState(ByteWriter& w) const override;\n"
-           "  void RestoreModelState(ByteReader& r) override;\n"
+           "  std::unique_ptr<platform::PlatformPolicy> CloneForShard() const "
+           "override;\n"
            " private:\n"
-           "  int64_t restores_ = 0;\n"
-           "};\n");
-  EXPECT_TRUE(r.diagnostics.empty());
-}
-
-TEST(PolicyHooks, ModelMissingOnlySerdeHooksIsFlagged) {
-  const Result r =
-      Lint("src/platform/bad.h",
-           "class MyModel : public ColdStartModel {\n"
-           " public:\n"
-           "  std::unique_ptr<ColdStartModel> Clone() const override;\n"
-           " private:\n"
-           "  int64_t restores_ = 0;\n"
+           "  std::map<uint64_t, int> history_;\n"
            "};\n");
   ASSERT_EQ(r.diagnostics.size(), 1u);
   EXPECT_EQ(r.diagnostics[0].rule, "policy-hooks");
-  EXPECT_NE(r.diagnostics[0].message.find("SaveModelState/RestoreModelState"),
+  EXPECT_NE(r.diagnostics[0].message.find("SavePolicyState/RestorePolicyState"),
             std::string::npos);
+  EXPECT_EQ(r.diagnostics[0].message.find("CloneForShard"), std::string::npos);
 }
 
 TEST(PolicyHooks, AllowOnClassLineSuppresses) {

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/byte_serde.h"
-#include "platform/coldstart_pipeline.h"
+#include "platform/coldstart_model.h"
 #include "platform/platform.h"
 #include "trace/trace_store.h"
 #include "workload/arrivals.h"
@@ -98,7 +98,7 @@ class PipelineTest : public ::testing::Test {
         rng_(9) {}
 
   workload::RegionProfile profile_;
-  YuanRongModel pipeline_;
+  const ColdStartModel pipeline_;
   ResourcePool pool_;
   RegionLoadState load_;
   Rng rng_;

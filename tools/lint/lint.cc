@@ -35,9 +35,8 @@ const std::vector<RuleInfo> kRules = {
      "write and read call sequences must match in count and type"},
     {"policy-hooks",
      "PlatformPolicy subclass with mutable state but no CloneForShard or "
-     "SavePolicyState/RestorePolicyState override (likewise ColdStartModel "
-     "subclasses and Clone/SaveModelState/RestoreModelState); state would "
-     "silently vanish in sharded or checkpointed runs"},
+     "SavePolicyState/RestorePolicyState override; state would silently vanish "
+     "in sharded or checkpointed runs"},
     {"stale-allow",
      "LINT-ALLOW annotation that is malformed, names an unknown rule, or no longer "
      "matches a diagnostic on its line"},
@@ -623,71 +622,51 @@ void CheckSerdePairs(const std::vector<const FileState*>& unit,
 
 // Rule: policy-hooks. A PlatformPolicy subclass that accumulates state must
 // say how that state shards (CloneForShard) and checkpoints (SavePolicyState/
-// RestorePolicyState) — or carry a LINT-ALLOW explaining why it cannot. The
-// same contract binds ColdStartModel subclasses (one mutable instance per
-// (region, cell)): Clone for shard/cell replication plus SaveModelState/
-// RestoreModelState for checkpoints. A model whose members are all
-// construction-time configuration declares explicit no-op overrides rather
-// than a suppression, so the intent is visible at the class.
+// RestorePolicyState) — or carry a LINT-ALLOW explaining why it cannot.
 void CheckPolicyHooks(const FileState& f, std::vector<Diagnostic>* diags) {
   static const std::regex kMember(R"(\b([A-Za-z_]\w*_)\s*(;|\{|=[^=]))");
-  struct HookContract {
-    const char* base;          // Base class naming the contract.
-    const char* kind;          // Diagnostic noun.
-    const char* clone_hook;
-    const char* save_hook;
-    const char* restore_hook;
-    const char* doc;           // Header that states the contract.
-  };
-  static const HookContract kContracts[] = {
-      {"PlatformPolicy", "policy", "CloneForShard", "SavePolicyState",
-       "RestorePolicyState", "platform/policy_hooks.h"},
-      {"ColdStartModel", "cold-start model", "Clone", "SaveModelState",
-       "RestoreModelState", "platform/coldstart_model.h"},
-  };
   for (const ClassScope& cls : f.scopes.classes) {
-    for (const HookContract& c : kContracts) {
-      if (!ContainsWord(cls.base_clause, c.base) || cls.name == c.base) {
-        continue;
-      }
-      const std::string body = f.stripped.code.substr(
-          cls.body_begin, cls.body_end - cls.body_begin);
-      std::set<std::string> members;
-      for (std::sregex_iterator it(body.begin(), body.end(), kMember), end;
-           it != end; ++it) {
-        const std::string name = (*it)[1];
-        if (name != "options_" && name != "platform_") {
-          members.insert(name);
-        }
-      }
-      if (members.empty()) {
-        continue;  // Config-only subclass: nothing to shard or checkpoint.
-      }
-      std::vector<std::string> missing;
-      if (!ContainsWord(body, c.clone_hook)) {
-        missing.emplace_back(c.clone_hook);
-      }
-      if (!ContainsWord(body, c.save_hook) ||
-          !ContainsWord(body, c.restore_hook)) {
-        missing.emplace_back(std::string(c.save_hook) + "/" + c.restore_hook);
-      }
-      if (missing.empty()) {
-        continue;
-      }
-      std::string state;
-      for (const std::string& m : members) {
-        state += (state.empty() ? "" : ", ") + m;
-      }
-      std::string lacks;
-      for (size_t i = 0; i < missing.size(); ++i) {
-        lacks += (i > 0 ? " and " : "") + missing[i];
-      }
-      AddDiag(diags, f.path, cls.decl_line, "policy-hooks",
-              std::string(c.kind) + " '" + cls.name + "' has mutable state (" +
-                  state + ") but no " + lacks +
-                  " — the state silently vanishes in sharded or checkpointed "
-                  "runs (" + c.doc + ")");
+    if (!ContainsWord(cls.base_clause, "PlatformPolicy") ||
+        cls.name == "PlatformPolicy") {
+      continue;
     }
+    const std::string body = f.stripped.code.substr(
+        cls.body_begin, cls.body_end - cls.body_begin);
+    std::set<std::string> members;
+    for (std::sregex_iterator it(body.begin(), body.end(), kMember), end;
+         it != end; ++it) {
+      const std::string name = (*it)[1];
+      if (name != "options_" && name != "platform_") {
+        members.insert(name);
+      }
+    }
+    if (members.empty()) {
+      continue;  // Config-only policy: nothing to shard or checkpoint.
+    }
+    std::vector<std::string> missing;
+    if (!ContainsWord(body, "CloneForShard")) {
+      missing.emplace_back("CloneForShard");
+    }
+    if (!ContainsWord(body, "SavePolicyState") ||
+        !ContainsWord(body, "RestorePolicyState")) {
+      missing.emplace_back("SavePolicyState/RestorePolicyState");
+    }
+    if (missing.empty()) {
+      continue;
+    }
+    std::string state;
+    for (const std::string& m : members) {
+      state += (state.empty() ? "" : ", ") + m;
+    }
+    std::string lacks;
+    for (size_t i = 0; i < missing.size(); ++i) {
+      lacks += (i > 0 ? " and " : "") + missing[i];
+    }
+    AddDiag(diags, f.path, cls.decl_line, "policy-hooks",
+            "policy '" + cls.name + "' has mutable state (" + state +
+                ") but no " + lacks +
+                " — the state silently vanishes in sharded or checkpointed "
+                "runs (platform/policy_hooks.h)");
   }
 }
 
