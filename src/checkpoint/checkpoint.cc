@@ -5,9 +5,9 @@
 #include <cstdlib>
 #include <utility>
 
-#include "common/atomic_file.h"
 #include "common/byte_serde.h"
-#include "common/crc32.h"
+#include "common/check.h"
+#include "common/framed_file.h"
 
 namespace coldstart::checkpoint {
 
@@ -33,59 +33,16 @@ constexpr uint64_t kManifestMagic = 0x33765F74666E6D63ull;
   std::abort();
 }
 
-// Shared framing: magic, payload size, payload CRC32, payload bytes. The CRC
-// covers only the payload; the frame fields are validated structurally.
-bool WriteFramed(const std::string& path, uint64_t magic,
-                 const std::string& payload) {
-  ByteWriter header;
-  header.U64(magic);
-  header.U64(payload.size());
-  header.U32(Crc32(payload.data(), payload.size()));
-  AtomicFile file(path);
-  if (!file.ok()) {
-    return false;
+// Reads a framed file under this module's failure policy: a missing file is
+// "start fresh"; one that does not validate aborts, naming the file.
+bool ReadFramedOrDie(const std::string& path, uint64_t magic,
+                     std::string* payload) {
+  const char* why = nullptr;
+  const FrameStatus status = ReadFramedFile(path, magic, payload, &why);
+  if (status == FrameStatus::kCorrupt) {
+    Corrupt(path, why);
   }
-  file.Write(header.data().data(), header.data().size());
-  file.Write(payload.data(), payload.size());
-  return file.Commit();
-}
-
-// Returns false when `path` does not open (treated as "no checkpoint");
-// aborts on any validation failure.
-bool ReadFramed(const std::string& path, uint64_t magic, std::string* payload) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return false;
-  }
-  std::string bytes;
-  char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    bytes.append(buf, n);
-  }
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) {
-    Corrupt(path, "read error");
-  }
-  constexpr size_t kFrameHeader = 8 + 8 + 4;
-  if (bytes.size() < kFrameHeader) {
-    Corrupt(path, "truncated header");
-  }
-  ByteReader r(bytes);
-  if (r.U64() != magic) {
-    Corrupt(path, "bad magic or version");
-  }
-  const uint64_t size = r.U64();
-  const uint32_t crc = r.U32();
-  if (size != bytes.size() - kFrameHeader) {
-    Corrupt(path, "truncated payload");
-  }
-  payload->assign(bytes, kFrameHeader, size);
-  if (Crc32(payload->data(), payload->size()) != crc) {
-    Corrupt(path, "payload CRC mismatch");
-  }
-  return true;
+  return status == FrameStatus::kOk;
 }
 
 }  // namespace
@@ -99,13 +56,13 @@ bool WriteCheckpointFile(const std::string& path, const CheckpointMeta& meta,
   w.I64(meta.day);
   w.U32(meta.num_regions);
   w.Str(payload);
-  return WriteFramed(path, kCheckpointMagic, w.Take());
+  return WriteFramedFile(path, kCheckpointMagic, w.Take());
 }
 
 bool ReadCheckpointFile(const std::string& path, CheckpointMeta* meta,
                         std::string* payload) {
   std::string framed;
-  if (!ReadFramed(path, kCheckpointMagic, &framed)) {
+  if (!ReadFramedOrDie(path, kCheckpointMagic, &framed)) {
     return false;
   }
   // The frame CRC already validated every byte; ByteReader underflow here
@@ -136,13 +93,13 @@ bool WriteManifest(const std::string& dir, const Manifest& manifest) {
     w.I64(e.day);
     w.Str(e.file);
   }
-  return WriteFramed(ManifestPath(dir), kManifestMagic, w.Take());
+  return WriteFramedFile(ManifestPath(dir), kManifestMagic, w.Take());
 }
 
 bool ReadManifest(const std::string& dir, Manifest* manifest) {
   const std::string path = ManifestPath(dir);
   std::string payload;
-  if (!ReadFramed(path, kManifestMagic, &payload)) {
+  if (!ReadFramedOrDie(path, kManifestMagic, &payload)) {
     return false;
   }
   ByteReader r(payload);
@@ -151,7 +108,12 @@ bool ReadManifest(const std::string& dir, Manifest* manifest) {
   manifest->num_regions = r.U32();
   manifest->sharded = r.U8() != 0;
   manifest->shards_per_region = r.U32();
-  manifest->entries.resize(r.U64());
+  // Each entry holds at least its shard, day and file-name length: a CRC-valid
+  // count too large for the payload dies on this CHECK, not in the allocator.
+  constexpr size_t kMinEntryBytes = 4 + 8 + 8;
+  const uint64_t count = r.U64();
+  COLDSTART_CHECK(count <= r.Remaining() / kMinEntryBytes);
+  manifest->entries.resize(count);
   for (ManifestEntry& e : manifest->entries) {
     e.shard = r.U32();
     e.day = r.I64();

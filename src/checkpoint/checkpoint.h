@@ -1,12 +1,13 @@
 // Crash-safe checkpoint files for month-scale runs.
 //
 // A checkpoint directory holds one file per committed (day, shard) snapshot
-// plus a manifest naming the latest committed file per shard. Both are written
-// atomically (tmp + fsync + rename, common/atomic_file.h) and CRC-protected,
-// so a kill at any instant leaves either the previous consistent state or the
-// new one — never a torn file. The payload bytes themselves are produced by
-// core::Experiment (sim clock + policy blob + sink state + platform state);
-// this module only frames, checksums, and names them.
+// plus a manifest naming the latest committed file per shard. Both use the
+// shared frame (common/framed_file.h: magic, size, CRC32, payload, written
+// atomically), so a kill at any instant leaves either the previous consistent
+// state or the new one — never a torn file. The payload bytes themselves are
+// produced by core::Experiment (sim clock + policy blob + sink state + platform
+// state); this module only lays out the metadata, names the files and sets
+// the failure policy.
 //
 // Failure policy: a checkpoint that exists but does not validate (bad magic,
 // short file, CRC mismatch, wrong version) aborts loudly, naming the file —

@@ -1,9 +1,10 @@
 // Crash-safe file replacement: write-to-temp + fsync + rename.
 //
-// Every durable artifact this library writes — trace cache files, checkpoint
-// shards, checkpoint manifests — must never be observable in a half-written
-// state: a crash mid-write would otherwise leave a truncated file at the final
-// path that a later run might try to load. AtomicFile gives the standard POSIX
+// Every durable artifact this library writes — trace cache files, frontier
+// points, checkpoint shards, checkpoint manifests, all framed by
+// common/framed_file.h — must never be observable in a half-written state: a
+// crash mid-write would otherwise leave a truncated file at the final path
+// that a later run might try to load. AtomicFile gives the standard POSIX
 // discipline: bytes go to a temporary file in the *same directory* (rename(2)
 // is only atomic within a filesystem), the temp is fsync'd, then renamed over
 // the destination, then the directory is fsync'd so the rename itself is

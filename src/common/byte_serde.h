@@ -1,11 +1,12 @@
-// Minimal byte-buffer serialization for checkpoint payloads.
+// Minimal byte-buffer serialization for checkpoint and cache payloads.
 //
 // Checkpoints (checkpoint/checkpoint.h) snapshot live simulation state —
 // RNG words, timers, histograms, slab structure — into a flat byte string that
-// is CRC-protected and restored bit-exactly. ByteWriter appends fixed-width
-// little-endian fields to an in-memory string; ByteReader consumes them in the
-// same order. Floating-point values travel as their IEEE-754 bit patterns, so a
-// save/restore round trip is exact (no printf/parse detour).
+// is CRC-protected (common/framed_file.h) and restored bit-exactly. ByteWriter
+// appends fixed-width little-endian fields to an in-memory string; ByteReader
+// consumes them in the same order. Floating-point values travel as their
+// IEEE-754 bit patterns, so a save/restore round trip is exact (no
+// printf/parse detour).
 //
 // Readers CHECK-fail on underflow rather than returning errors: the payload
 // CRC has already been validated by the time a ByteReader runs, so running out
@@ -45,6 +46,8 @@ class ByteWriter {
   void Raw(const void* data, size_t size) {
     buf_.append(static_cast<const char*>(data), size);
   }
+
+  void Reserve(size_t size) { buf_.reserve(size); }
 
   const std::string& data() const { return buf_; }
   std::string Take() { return std::move(buf_); }

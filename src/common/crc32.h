@@ -1,10 +1,10 @@
 // CRC32 (IEEE 802.3, polynomial 0xEDB88320) for file-format integrity checks.
 //
-// Both durable binary formats — the trace cache (trace/binary_io.h, v5) and
-// checkpoint shards (checkpoint/checkpoint.h) — carry a CRC32 over their
-// payload so a torn or bit-flipped file is rejected loudly instead of loading
-// silently-wrong state. This is an error-*detection* code, not a cryptographic
-// hash; it guards against storage corruption, not tampering.
+// Every durable binary file carries a CRC32 over its payload in the shared
+// frame (common/framed_file.h), so a torn or bit-flipped file is rejected
+// instead of loading silently-wrong state. This is an error-*detection* code,
+// not a cryptographic hash; it guards against storage corruption, not
+// tampering.
 #ifndef COLDSTART_COMMON_CRC32_H_
 #define COLDSTART_COMMON_CRC32_H_
 

@@ -16,8 +16,8 @@
 #include "common/byte_serde.h"
 #include "common/check.h"
 #include "common/env.h"
+#include "common/framed_file.h"
 #include "core/sweep.h"
-#include "trace/binary_io.h"
 #include "workload/arrivals.h"
 #include "workload/function_cells.h"
 
@@ -48,8 +48,8 @@ std::shared_ptr<const std::vector<uint32_t>> MakeFunctionCells(
 
 // --- Checkpoint plumbing -----------------------------------------------------
 
-// Record tables travel as raw bytes, like trace/binary_io.cc does for the
-// cache format: a checkpoint is consumed on the machine that wrote it.
+// Record tables travel as raw bytes: a checkpoint or trace cache is consumed by
+// the build that wrote it.
 template <typename Record>
 void SaveTable(const std::vector<Record>& table, ByteWriter& w) {
   w.U64(table.size());
@@ -362,12 +362,65 @@ ShardPlan PlanShards(const ScenarioConfig& config, platform::PlatformPolicy* pol
 }
 
 // The per-region platform counters, folded across shards by element-wise sum;
-// the trace cache persists them in this order (trace::TraceAggregates).
+// the trace cache persists them in this order.
 constexpr std::vector<int64_t> ExperimentResult::*kRegionCounters[] = {
     &ExperimentResult::visible_cold_starts, &ExperimentResult::prewarm_spawns,
     &ExperimentResult::delayed_allocations, &ExperimentResult::scratch_allocations,
     &ExperimentResult::cold_start_latency_sum_us};
-static_assert(std::size(kRegionCounters) == trace::kNumRegionSeries);
+
+// The trace cache file: the shared frame around a layout word, the kFull sink
+// tables and horizon, the per-region counters, the event count and the cost
+// ledger — everything a cache hit needs to equal a fresh run.
+constexpr uint64_t kTraceCacheMagic = 0x37765F6563727463ull;  // "ctrce_v7".
+
+// The four record sizes, 16 bits each: a file written by a build with another
+// record layout is a miss.
+constexpr uint64_t kRecordLayout =
+    sizeof(trace::RequestRecord) | sizeof(trace::ColdStartRecord) << 16 |
+    sizeof(trace::FunctionRecord) << 32 | sizeof(trace::PodLifetimeRecord) << 48;
+
+std::string SaveTraceCache(const ExperimentResult& result) {
+  const trace::TraceStore& store = result.store;
+  ByteWriter w;
+  // One allocation for the tables plus room for the small trailing fields, so
+  // a paper-scale payload is not regrown (and copied) while it is built.
+  w.Reserve(store.requests().size() * sizeof(trace::RequestRecord) +
+            store.cold_starts().size() * sizeof(trace::ColdStartRecord) +
+            store.functions().size() * sizeof(trace::FunctionRecord) +
+            store.pods().size() * sizeof(trace::PodLifetimeRecord) + 4096);
+  w.U64(kRecordLayout);
+  SaveSinkState(/*streaming=*/false, store, result.streaming, w);
+  w.U64(result.visible_cold_starts.size());
+  for (const auto counter : kRegionCounters) {
+    for (const int64_t v : result.*counter) {
+      w.I64(v);
+    }
+  }
+  w.U64(result.events_processed);
+  result.cost_ledger.SaveState(w);
+  return w.Take();
+}
+
+// False when the payload was written under another record layout or region
+// count; the caller then recomputes.
+bool RestoreTraceCache(ByteReader& r, size_t num_regions, ExperimentResult& result) {
+  if (r.U64() != kRecordLayout) {
+    return false;
+  }
+  RestoreSinkState(/*streaming=*/false, result.store, result.streaming, r);
+  if (r.U64() != num_regions) {
+    return false;
+  }
+  for (const auto counter : kRegionCounters) {
+    (result.*counter).resize(num_regions);
+    for (int64_t& v : result.*counter) {
+      v = r.I64();
+    }
+  }
+  result.events_processed = r.U64();
+  result.cost_ledger.RestoreState(r);
+  return r.AtEnd();
+}
 
 // The plan's shard ids in dispatch order: largest expected load first, so the
 // shard that bounds the run never starts last. A shard's load is its
@@ -637,50 +690,39 @@ ExperimentResult Experiment::RunCached(const std::string& cache_dir,
   COLDSTART_CHECK(config_.trace_mode == TraceMode::kFull &&
                   "RunCached requires TraceMode::kFull");
   namespace fs = std::filesystem;
-  // v6 filename scheme, bumped with the fingerprint salt: v6 folds the
-  // per-profile cold-start model selection into the fingerprint and persists
-  // the resource-cost ledger, so files written under the older schemes are
-  // never picked up.
+  // v7 filename scheme: v7 moved the file into the shared frame
+  // (common/framed_file.h), so files written under older schemes are never
+  // picked up.
   char name[64];
-  std::snprintf(name, sizeof(name), "scenario_v6_%016" PRIx64 ".bin",
+  std::snprintf(name, sizeof(name), "scenario_v7_%016" PRIx64 ".bin",
                 config_.Fingerprint());
   const std::string path = (fs::path(cache_dir) / name).string();
 
-  std::error_code ec;
-  if (fs::exists(path, ec)) {
+  {
     ExperimentResult result;
-    trace::TraceAggregates aggregates;
-    if (trace::ReadBinaryTrace(path, result.store, &aggregates) &&
-        aggregates.region_series[0].size() == config_.profiles.size()) {
-      result.store.Seal();
-      result.from_cache = true;
-      for (size_t i = 0; i < trace::kNumRegionSeries; ++i) {
-        result.*kRegionCounters[i] = std::move(aggregates.region_series[i]);
+    std::string payload;
+    const char* why = nullptr;
+    const FrameStatus status =
+        ReadFramedFile(path, kTraceCacheMagic, &payload, &why);
+    if (status == FrameStatus::kOk) {
+      ByteReader r(payload);
+      if (RestoreTraceCache(r, config_.profiles.size(), result)) {
+        payload = std::string();  // Free the file image before sealing.
+        result.store.Seal();
+        result.from_cache = true;
+        return result;
       }
-      result.events_processed = aggregates.events_processed;
-      if (!aggregates.cost_ledger.empty()) {
-        ByteReader cost(aggregates.cost_ledger);
-        result.cost_ledger.RestoreState(cost);
-        COLDSTART_CHECK(cost.AtEnd());
-      }
-      return result;
+      why = "payload from another record layout or region count";
     }
-    // Corrupt or stale-format cache: fall through to a fresh run and rewrite.
+    if (status != FrameStatus::kMissing) {
+      std::fprintf(stderr, "trace cache %s: %s, recomputing\n", path.c_str(), why);
+    }
   }
 
   ExperimentResult result = Run(nullptr);
+  std::error_code ec;
   fs::create_directories(cache_dir, ec);
-  trace::TraceAggregates aggregates;
-  for (size_t i = 0; i < trace::kNumRegionSeries; ++i) {
-    aggregates.region_series[i] = result.*kRegionCounters[i];
-  }
-  aggregates.events_processed = result.events_processed;
-  {
-    ByteWriter cost;
-    result.cost_ledger.SaveState(cost);
-    aggregates.cost_ledger = cost.Take();
-  }
-  if (!trace::WriteBinaryTrace(result.store, path, &aggregates)) {
+  if (!WriteFramedFile(path, kTraceCacheMagic, SaveTraceCache(result))) {
     std::fprintf(stderr, "warning: failed to write trace cache at %s\n", path.c_str());
   }
   return result;

@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <numeric>
 
 #include "analysis/pareto.h"
-#include "common/atomic_file.h"
 #include "common/byte_serde.h"
 #include "common/check.h"
-#include "common/crc32.h"
+#include "common/framed_file.h"
 #include "common/rng.h"
 #include "common/table.h"
 #include "core/sweep.h"
@@ -18,7 +16,7 @@
 namespace coldstart::core {
 namespace {
 
-constexpr uint32_t kPointMagic = 0x43465231;  // "CFR1": frontier point, v1.
+constexpr uint64_t kFrontierFileMagic = 0x31765F746E726663ull;  // "cfrnt_v1".
 
 std::string PointPath(const std::string& cache_dir, uint64_t key) {
   char name[32];
@@ -29,7 +27,6 @@ std::string PointPath(const std::string& cache_dir, uint64_t key) {
 
 // Metric payload only — name/from_cache/on_frontier are run-local.
 void SavePointPayload(ByteWriter& w, uint64_t key, const FrontierPoint& p) {
-  w.U32(kPointMagic);
   w.U64(key);
   w.I64(p.cold_starts);
   w.U64(p.requests);
@@ -40,9 +37,6 @@ void SavePointPayload(ByteWriter& w, uint64_t key, const FrontierPoint& p) {
 }
 
 bool RestorePointPayload(ByteReader& r, uint64_t key, FrontierPoint* p) {
-  if (r.U32() != kPointMagic) {
-    return false;
-  }
   if (r.U64() != key) {
     return false;
   }
@@ -57,24 +51,19 @@ bool RestorePointPayload(ByteReader& r, uint64_t key, FrontierPoint* p) {
 
 bool LoadCachedPoint(const std::string& cache_dir, uint64_t key,
                      FrontierPoint* p) {
-  std::ifstream in(PointPath(cache_dir, key), std::ios::binary);
-  if (!in.is_open()) {
+  const std::string path = PointPath(cache_dir, key);
+  std::string payload;
+  const char* why = nullptr;
+  const FrameStatus status =
+      ReadFramedFile(path, kFrontierFileMagic, &payload, &why);
+  if (status == FrameStatus::kCorrupt) {
+    std::fprintf(stderr, "frontier cache: %s: %s — re-evaluating\n",
+                 path.c_str(), why);
+  }
+  if (status != FrameStatus::kOk) {
     return false;
   }
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (bytes.size() <= sizeof(uint32_t)) {
-    return false;
-  }
-  const size_t payload_size = bytes.size() - sizeof(uint32_t);
-  uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, bytes.data() + payload_size, sizeof(stored_crc));
-  if (Crc32(bytes.data(), payload_size) != stored_crc) {
-    std::fprintf(stderr, "frontier cache: CRC mismatch in %s — re-evaluating\n",
-                 PointPath(cache_dir, key).c_str());
-    return false;
-  }
-  ByteReader r(std::string_view(bytes.data(), payload_size));
+  ByteReader r(payload);
   return RestorePointPayload(r, key, p);
 }
 
@@ -84,14 +73,8 @@ void StoreCachedPoint(const std::string& cache_dir, uint64_t key,
   std::filesystem::create_directories(cache_dir, ec);
   ByteWriter w;
   SavePointPayload(w, key, p);
-  const uint32_t crc = Crc32(w.data().data(), w.data().size());
-  AtomicFile file(PointPath(cache_dir, key));
-  if (!file.ok()) {
-    return;  // Cache misses are always safe; never fail the run over a cache.
-  }
-  file.Write(w.data().data(), w.data().size());
-  file.Write(&crc, sizeof(crc));
-  file.Commit();
+  // Cache misses are always safe; never fail the run over a cache write.
+  WriteFramedFile(PointPath(cache_dir, key), kFrontierFileMagic, w.data());
 }
 
 }  // namespace

@@ -92,7 +92,11 @@ void ResourceCostLedger::SaveState(ByteWriter& w) const {
 }
 
 void ResourceCostLedger::RestoreState(ByteReader& r) {
+  // Each slot is three 128-bit sums and a count: a CRC-valid count too large
+  // for the payload dies on this CHECK, not in the allocator.
+  constexpr size_t kSlotBytes = 3 * 16 + 8;
   const uint64_t n = r.U64();
+  COLDSTART_CHECK(n <= r.Remaining() / kSlotBytes);
   slots_.assign(n, Slot{});
   for (Slot& slot : slots_) {
     slot.pod_us = ReadI128(r);

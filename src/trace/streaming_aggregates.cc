@@ -206,6 +206,32 @@ void RestoreCost(ByteReader& r, RegionCostRecord& c) {
 
 }  // namespace
 
+void StreamingAggregates::SaveSlot(ByteWriter& w, const RegionSlot& slot) {
+  SaveCounters(w, slot.counters);
+  SaveCost(w, slot.cost);
+  w.U64(slot.functions);
+  slot.cold_start_hist.SaveState(w);
+  slot.request_hist.SaveState(w);
+  slot.pod_lifetime_hist.SaveState(w);
+  for (size_t g = 0; g < kNumTriggerGroups; ++g) {
+    SaveCounters(w, slot.group_counters[g]);
+    slot.group_cold_start_hists[g].SaveState(w);
+  }
+}
+
+void StreamingAggregates::RestoreSlot(ByteReader& r, RegionSlot& slot) {
+  RestoreCounters(r, slot.counters);
+  RestoreCost(r, slot.cost);
+  slot.functions = r.U64();
+  slot.cold_start_hist.RestoreState(r);
+  slot.request_hist.RestoreState(r);
+  slot.pod_lifetime_hist.RestoreState(r);
+  for (size_t g = 0; g < kNumTriggerGroups; ++g) {
+    RestoreCounters(r, slot.group_counters[g]);
+    slot.group_cold_start_hists[g].RestoreState(r);
+  }
+}
+
 void StreamingAggregates::SaveState(ByteWriter& w) const {
   w.I64(horizon_);
   w.U64(function_groups_.size());
@@ -214,39 +240,30 @@ void StreamingAggregates::SaveState(ByteWriter& w) const {
   }
   w.U64(regions_.size());
   for (const RegionSlot& slot : regions_) {
-    SaveCounters(w, slot.counters);
-    SaveCost(w, slot.cost);
-    w.U64(slot.functions);
-    slot.cold_start_hist.SaveState(w);
-    slot.request_hist.SaveState(w);
-    slot.pod_lifetime_hist.SaveState(w);
-    for (size_t g = 0; g < kNumTriggerGroups; ++g) {
-      SaveCounters(w, slot.group_counters[g]);
-      slot.group_cold_start_hists[g].SaveState(w);
-    }
+    SaveSlot(w, slot);
   }
 }
 
 void StreamingAggregates::RestoreState(ByteReader& r) {
   COLDSTART_CHECK(regions_.empty() && function_groups_.empty());
   horizon_ = r.I64();
+  // Bound each stored count by the bytes left before allocating from it (one
+  // byte per function, one serialized slot per region): a CRC-valid count too
+  // large for the payload dies on these CHECKs, not in the allocator.
   const uint64_t num_functions = r.U64();
+  COLDSTART_CHECK(num_functions <= r.Remaining());
   function_groups_.reserve(num_functions);
   for (uint64_t i = 0; i < num_functions; ++i) {
     function_groups_.push_back(static_cast<TriggerGroup>(r.U8()));
   }
-  regions_.resize(r.U64());
+  const uint64_t num_regions = r.U64();
+  ByteWriter empty_slot;
+  SaveSlot(empty_slot, RegionSlot());
+  const size_t slot_bytes = empty_slot.data().size();
+  COLDSTART_CHECK(num_regions <= r.Remaining() / slot_bytes);
+  regions_.resize(num_regions);
   for (RegionSlot& slot : regions_) {
-    RestoreCounters(r, slot.counters);
-    RestoreCost(r, slot.cost);
-    slot.functions = r.U64();
-    slot.cold_start_hist.RestoreState(r);
-    slot.request_hist.RestoreState(r);
-    slot.pod_lifetime_hist.RestoreState(r);
-    for (size_t g = 0; g < kNumTriggerGroups; ++g) {
-      RestoreCounters(r, slot.group_counters[g]);
-      slot.group_cold_start_hists[g].RestoreState(r);
-    }
+    RestoreSlot(r, slot);
   }
 }
 

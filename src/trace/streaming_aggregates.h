@@ -116,6 +116,11 @@ class StreamingAggregates final : public TraceSink {
     RegionCostRecord cost;
   };
 
+  // One slot's share of SaveState/RestoreState. Every slot serializes to the
+  // same number of bytes: its histograms have fixed bucket counts.
+  static void SaveSlot(ByteWriter& w, const RegionSlot& slot);
+  static void RestoreSlot(ByteReader& r, RegionSlot& slot);
+
   RegionSlot& Slot(RegionId region);
   const RegionSlot& SlotOrEmpty(RegionId region) const;
   TriggerGroup GroupOfFunction(FunctionId function) const;

@@ -17,12 +17,14 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include "checkpoint/checkpoint.h"
 #include "common/atomic_file.h"
 #include "common/byte_serde.h"
 #include "common/crc32.h"
+#include "common/framed_file.h"
 #include "core/coldstart_lab.h"
 
 namespace coldstart {
@@ -510,7 +512,65 @@ TEST_F(CheckpointCorruptionTest, BitFlippedManifestDiesNamingFile) {
   EXPECT_DEATH(Experiment(config).ResumeFrom(dir_), "MANIFEST.*corrupt");
 }
 
+TEST_F(CheckpointCorruptionTest, HugeStreamingFunctionCountDiesOnBoundsCheck) {
+  // A CRC-valid streaming checkpoint whose function count exceeds the payload
+  // must die on the reader's bounds CHECK, not in the allocator.
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const ScenarioConfig config = TinyScenario(core::TraceMode::kStreaming);
+  MakeCheckpointDir(config);
+  checkpoint::CheckpointMeta meta;
+  std::string payload;
+  ASSERT_TRUE(checkpoint::ReadCheckpointFile(checkpoint_file_, &meta, &payload));
+  // No policy: the simulator's now, next_seq and events words, the
+  // policy-present byte, then the streaming sink's horizon and function count.
+  constexpr size_t kFunctionCountOffset = 8 + 8 + 8 + 1 + 8;
+  ASSERT_EQ(payload[8 + 8 + 8], 0);
+  const uint64_t huge = uint64_t{1} << 40;
+  ASSERT_GT(payload.size(), kFunctionCountOffset + sizeof(huge));
+  std::memcpy(&payload[kFunctionCountOffset], &huge, sizeof(huge));
+  ASSERT_TRUE(checkpoint::WriteCheckpointFile(checkpoint_file_, meta, payload));
+  EXPECT_DEATH(Experiment(config).ResumeFrom(dir_),
+               "CHECK failed: num_functions <= r.Remaining\\(\\)");
+}
+
+TEST_F(CheckpointCorruptionTest, HugeManifestEntryCountDiesOnBoundsCheck) {
+  // The same for the manifest's entry count, patched and re-CRC'd by hand.
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const ScenarioConfig config = TinyScenario();
+  MakeCheckpointDir(config);
+  const std::string path = checkpoint::ManifestPath(dir_);
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  // Frame: magic, payload size, CRC32. Payload: fingerprint, trace mode,
+  // region count, sharded flag and shards per region, then the entry count.
+  constexpr size_t kFrameHeader = 8 + 8 + 4;
+  constexpr size_t kEntryCountOffset = kFrameHeader + 8 + 1 + 4 + 1 + 4;
+  const uint64_t huge = uint64_t{1} << 40;
+  ASSERT_GT(bytes.size(), kEntryCountOffset + sizeof(huge));
+  std::memcpy(&bytes[kEntryCountOffset], &huge, sizeof(huge));
+  const uint32_t crc =
+      Crc32(bytes.data() + kFrameHeader, bytes.size() - kFrameHeader);
+  std::memcpy(&bytes[8 + 8], &crc, sizeof(crc));
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+  EXPECT_DEATH(Experiment(config).ResumeFrom(dir_),
+               "CHECK failed: count <= r.Remaining\\(\\) / kMinEntryBytes");
+}
+
 // --- Satellite: a corrupted trace cache falls back to a fresh run. ---
+
+// The trace cache file RunCached wrote under `dir` ("" when there is none).
+std::string CacheFileIn(const std::string& dir) {
+  std::string cache_file;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.path().extension() == ".bin") {
+      cache_file = entry.path().string();
+    }
+  }
+  return cache_file;
+}
 
 TEST_F(CheckpointTest, CorruptedCacheFileIsRejectedAndRegenerated) {
   const ScenarioConfig config = TinyScenario();
@@ -522,12 +582,7 @@ TEST_F(CheckpointTest, CorruptedCacheFileIsRejectedAndRegenerated) {
 
   // Find the cache file and flip one payload bit — the CRC must reject it and
   // the runner must fall back to a fresh (identical) simulation.
-  std::string cache_file;
-  for (const auto& entry : fs::directory_iterator(dir_)) {
-    if (entry.path().extension() == ".bin") {
-      cache_file = entry.path().string();
-    }
-  }
+  const std::string cache_file = CacheFileIn(dir_);
   ASSERT_FALSE(cache_file.empty());
   FlipBit(cache_file, -50);
   testing::internal::CaptureStderr();
@@ -541,6 +596,48 @@ TEST_F(CheckpointTest, CorruptedCacheFileIsRejectedAndRegenerated) {
   const ExperimentResult rehit = experiment.RunCached(dir_);
   EXPECT_TRUE(rehit.from_cache);
   EXPECT_EQ(trace::Digest(fresh.store), trace::Digest(rehit.store));
+}
+
+TEST_F(CheckpointTest, ForeignCacheFilesAreMissesNotAborts) {
+  // A cache file from a build with another record layout, or one in the old
+  // (pre-frame) format, is a miss: the run recomputes the identical trace and
+  // rewrites a file that hits next time.
+  const ScenarioConfig config = TinyScenario();
+  const Experiment experiment(config);
+  const ExperimentResult fresh = experiment.RunCached(dir_);
+  ASSERT_FALSE(fresh.from_cache);
+  const std::string cache_file = CacheFileIn(dir_);
+  ASSERT_FALSE(cache_file.empty());
+  const auto expect_miss_then_hit = [&](const char* what) {
+    const ExperimentResult miss = experiment.RunCached(dir_);
+    EXPECT_FALSE(miss.from_cache) << what;
+    EXPECT_EQ(trace::Digest(fresh.store), trace::Digest(miss.store)) << what;
+    const ExperimentResult hit = experiment.RunCached(dir_);
+    EXPECT_TRUE(hit.from_cache) << what;
+    EXPECT_EQ(trace::Digest(fresh.store), trace::Digest(hit.store)) << what;
+  };
+
+  // The payload opens with the record-layout word; patch it and re-frame.
+  uint64_t magic = 0;
+  {
+    std::ifstream in(cache_file, std::ios::binary);
+    in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
+  }
+  std::string payload;
+  const char* why = nullptr;
+  ASSERT_EQ(ReadFramedFile(cache_file, magic, &payload, &why), FrameStatus::kOk);
+  payload[0] = static_cast<char>(payload[0] ^ 0x01);
+  ASSERT_TRUE(WriteFramedFile(cache_file, magic, payload));
+  expect_miss_then_hit("patched layout word");
+
+  // A file that starts with the old "CSLB" v6 magic.
+  {
+    std::ofstream out(cache_file, std::ios::binary | std::ios::trunc);
+    const uint64_t v6_magic = 0x434C534200000006ull;
+    out.write(reinterpret_cast<const char*>(&v6_magic), sizeof(v6_magic));
+    out << std::string(80, '\0');
+  }
+  expect_miss_then_hit("old CSLB v6 file");
 }
 
 // --- Satellite: AtomicFile and CRC32 primitives. ---

@@ -1,14 +1,22 @@
 // Tests for the common layer: RNG, histograms, env parsing, time formatting,
-// tables, and the small-buffer handler the event queue stores.
+// tables, the small-buffer handler the event queue stores, and the file frame
+// every durable binary artifact shares.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/env.h"
+#include "common/framed_file.h"
 #include "common/histogram.h"
 #include "common/inline_handler.h"
 #include "common/rng.h"
@@ -449,6 +457,62 @@ TEST(TableTest, FormatDoubleSwitchesToScientific) {
   // Empty-distribution statistics are NaN by contract; tables must say so
   // explicitly instead of printing a number-like "nan".
   EXPECT_EQ(FormatDouble(std::nan(""), 2), "n/a");
+}
+
+// --- The frame every durable binary file shares (common/framed_file.h). ---
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+TEST(FramedFileTest, HostileInputIsCorruptNeverOkNeverACrash) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "coldstart_framed_file_test";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "frame.bin").string();
+  constexpr uint64_t kMagic = 0x31765F7473657463ull;  // "ctest_v1".
+  const std::string payload = "a small framed payload";
+
+  ASSERT_TRUE(WriteFramedFile(path, kMagic, payload));
+  std::string read;
+  const char* why = nullptr;
+  ASSERT_EQ(ReadFramedFile(path, kMagic, &read, &why), FrameStatus::kOk);
+  EXPECT_EQ(read, payload);
+  const std::string good = ReadBytes(path);
+  ASSERT_EQ(good.size(), 8 + 8 + 4 + payload.size());  // Magic, size, CRC.
+
+  const auto expect_corrupt = [&](const std::string& bytes, const std::string& what) {
+    WriteBytes(path, bytes);
+    std::string out;
+    const char* reason = nullptr;
+    EXPECT_EQ(ReadFramedFile(path, kMagic, &out, &reason), FrameStatus::kCorrupt)
+        << what;
+    EXPECT_NE(reason, nullptr) << what;
+  };
+  for (size_t len = 0; len < good.size(); ++len) {
+    expect_corrupt(good.substr(0, len), "truncated to " + std::to_string(len));
+  }
+  for (size_t bit = 0; bit < good.size() * 8; ++bit) {
+    std::string flipped = good;
+    flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+    expect_corrupt(flipped, "bit " + std::to_string(bit) + " flipped");
+  }
+  expect_corrupt(good + '\0', "one trailing byte");
+  expect_corrupt("not a framed file, just garbage", "garbage");
+  std::string huge_size = good;
+  const uint64_t size = uint64_t{1} << 63;
+  std::memcpy(&huge_size[8], &size, sizeof(size));
+  expect_corrupt(huge_size, "size field 2^63");
+
+  std::filesystem::remove(path);
+  EXPECT_EQ(ReadFramedFile(path, kMagic, &read, &why), FrameStatus::kMissing);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

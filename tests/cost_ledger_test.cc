@@ -122,5 +122,16 @@ TEST(CostLedger, SerdeRoundTripPreserves128BitSums) {
   EXPECT_TRUE(r1.snapshot_mb_us_fp > static_cast<__int128>(UINT64_MAX));
 }
 
+TEST(CostLedgerDeathTest, HugeSlotCountDiesOnBoundsCheck) {
+  // A stored slot count too large for the bytes left dies on the reader's
+  // bounds CHECK, not in the allocator.
+  ByteWriter w;
+  w.U64(uint64_t{1} << 40);
+  ByteReader r(w.data());
+  ResourceCostLedger ledger;
+  EXPECT_DEATH(ledger.RestoreState(r),
+               "CHECK failed: n <= r.Remaining\\(\\) / kSlotBytes");
+}
+
 }  // namespace
 }  // namespace coldstart::platform

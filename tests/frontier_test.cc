@@ -236,17 +236,18 @@ TEST_F(FrontierCacheTest, CorruptCacheEntryRejectedAndReevaluated) {
   const std::vector<FrontierCandidate> candidates = TinyCandidates();
   const FrontierResult fresh = core::RunFrontier(config, candidates, 1, dir_);
 
-  // Flip one payload bit in every cache file: the CRC must reject each entry
-  // and the driver must fall back to fresh (identical) evaluations.
+  // Flip one payload bit in every cache file (byte 10 of the payload, past the
+  // 20-byte frame header): the CRC must reject each entry and RunFrontier
+  // must fall back to fresh (identical) evaluations.
+  constexpr std::streamoff kPayloadByte = 20 + 10;
   for (const auto& entry : fs::directory_iterator(dir_)) {
     std::fstream f(entry.path(), std::ios::in | std::ios::out | std::ios::binary);
     ASSERT_TRUE(f.is_open());
-    f.seekp(10);
     char byte = 0;
-    f.seekg(10);
+    f.seekg(kPayloadByte);
     f.read(&byte, 1);
     byte ^= 0x40;
-    f.seekp(10);
+    f.seekp(kPayloadByte);
     f.write(&byte, 1);
   }
   testing::internal::CaptureStderr();

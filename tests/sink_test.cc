@@ -353,6 +353,19 @@ TEST(StreamingAggregatesTest, MergeFromAddsEventStateKeepsFunctionTable) {
   EXPECT_EQ(empty.region(1).cold_starts, 2u);
 }
 
+TEST(StreamingAggregatesDeathTest, HugeRegionCountDiesOnBoundsCheck) {
+  // A stored region count too large for the bytes left dies on the reader's
+  // bounds CHECK, not in the allocator (a slot is ~39 KB in memory).
+  ByteWriter w;
+  w.I64(0);                  // Horizon.
+  w.U64(0);                  // No functions.
+  w.U64(uint64_t{1} << 40);  // Region slots.
+  ByteReader r(w.data());
+  StreamingAggregates aggregates;
+  EXPECT_DEATH(aggregates.RestoreState(r),
+               "CHECK failed: num_regions <= r.Remaining\\(\\) / slot_bytes");
+}
+
 // --- RunCached misuse guards. ---
 
 TEST(RunCachedGuardDeathTest, RejectsPolicyRuns) {

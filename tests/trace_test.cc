@@ -1,11 +1,10 @@
-// Tests for the trace layer: types, store, aggregation, CSV and binary round trips.
+// Tests for the trace layer: types, store, aggregation and CSV round trips.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
 
 #include "trace/aggregate.h"
-#include "trace/binary_io.h"
 #include "trace/csv.h"
 #include "trace/trace_store.h"
 
@@ -239,110 +238,6 @@ TEST_F(RoundTripTest, CsvPreservesRecords) {
   EXPECT_EQ(loaded.pods()[0].death_time, 91 * kSecond);
 }
 
-TEST_F(RoundTripTest, BinaryPreservesEverything) {
-  const TraceStore store = MakeTinyStore();
-  const std::string path = (dir_ / "trace.bin").string();
-  ASSERT_TRUE(WriteBinaryTrace(store, path));
-  TraceStore loaded;
-  ASSERT_TRUE(ReadBinaryTrace(path, loaded));
-  EXPECT_EQ(loaded.horizon(), store.horizon());
-  ASSERT_EQ(loaded.requests().size(), store.requests().size());
-  ASSERT_EQ(loaded.cold_starts().size(), store.cold_starts().size());
-  ASSERT_EQ(loaded.pods().size(), store.pods().size());
-  ASSERT_EQ(loaded.functions().size(), store.functions().size());
-  EXPECT_EQ(loaded.requests()[0].request_id, store.requests()[0].request_id);
-  EXPECT_EQ(loaded.pods()[0].ready_time, store.pods()[0].ready_time);
-}
-
-TEST_F(RoundTripTest, BinaryPreservesAggregates) {
-  const TraceStore store = MakeTinyStore();
-  const std::string path = (dir_ / "trace_agg.bin").string();
-  TraceAggregates agg;
-  agg.region_series = {{{10, 20}, {1, 2}, {0, 3}, {4, 5}, {123456, 654321}}};
-  agg.events_processed = 987654321;
-  ASSERT_TRUE(WriteBinaryTrace(store, path, &agg));
-  TraceStore loaded;
-  TraceAggregates loaded_agg;
-  ASSERT_TRUE(ReadBinaryTrace(path, loaded, &loaded_agg));
-  EXPECT_EQ(loaded_agg.region_series, agg.region_series);
-  EXPECT_EQ(loaded_agg.events_processed, agg.events_processed);
-  EXPECT_EQ(loaded.requests().size(), store.requests().size());
-}
-
-TEST_F(RoundTripTest, BinaryRejectsGarbage) {
-  const std::string path = (dir_ / "garbage.bin").string();
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  std::fputs("not a trace", f);
-  std::fclose(f);
-  TraceStore loaded;
-  EXPECT_FALSE(ReadBinaryTrace(path, loaded));
-}
-
-TEST_F(RoundTripTest, BinaryRejectsCorruptHeaderCounts) {
-  // A header whose counts promise far more data than the file holds must be
-  // rejected up front — the old reader would resize() straight off the bogus
-  // count (a multi-GB allocation for a hand-corrupted byte) and only then fail.
-  const TraceStore store = MakeTinyStore();
-  const std::string path = (dir_ / "corrupt_counts.bin").string();
-  ASSERT_TRUE(WriteBinaryTrace(store, path));
-  {
-    std::FILE* f = std::fopen(path.c_str(), "r+b");
-    ASSERT_NE(f, nullptr);
-    // request_count sits after magic + horizon.
-    ASSERT_EQ(std::fseek(f, 2 * sizeof(uint64_t), SEEK_SET), 0);
-    const uint64_t absurd = uint64_t{1} << 40;  // ~5e13 records.
-    ASSERT_EQ(std::fwrite(&absurd, sizeof(absurd), 1, f), 1u);
-    std::fclose(f);
-  }
-  TraceStore loaded;
-  EXPECT_FALSE(ReadBinaryTrace(path, loaded));
-  EXPECT_TRUE(loaded.requests().empty());
-}
-
-TEST_F(RoundTripTest, BinaryRejectsOverflowingHeaderCounts) {
-  // Counts crafted so that count * record_size wraps mod 2^64 must be rejected by
-  // the overflow guard, not slip past the file-size comparison into resize().
-  const TraceStore store = MakeTinyStore();
-  const std::string path = (dir_ / "overflow_counts.bin").string();
-  ASSERT_TRUE(WriteBinaryTrace(store, path));
-  {
-    std::FILE* f = std::fopen(path.c_str(), "r+b");
-    ASSERT_NE(f, nullptr);
-    // aggregate_region_count sits after magic + horizon + the four table counts.
-    ASSERT_EQ(std::fseek(f, 6 * sizeof(uint64_t), SEEK_SET), 0);
-    const uint64_t wrapping = uint64_t{1} << 61;  // * 40 bytes == 0 mod 2^64.
-    ASSERT_EQ(std::fwrite(&wrapping, sizeof(wrapping), 1, f), 1u);
-    std::fclose(f);
-  }
-  TraceStore loaded;
-  EXPECT_FALSE(ReadBinaryTrace(path, loaded));
-}
-
-TEST_F(RoundTripTest, BinaryRejectsTruncatedFile) {
-  const TraceStore store = MakeTinyStore();
-  const std::string path = (dir_ / "truncated.bin").string();
-  ASSERT_TRUE(WriteBinaryTrace(store, path));
-  const auto full_size = std::filesystem::file_size(path);
-  ASSERT_GT(full_size, 8u);
-  std::filesystem::resize_file(path, full_size - 8);
-  TraceStore loaded;
-  EXPECT_FALSE(ReadBinaryTrace(path, loaded));
-}
-
-TEST_F(RoundTripTest, BinaryRejectsTrailingBytes) {
-  const TraceStore store = MakeTinyStore();
-  const std::string path = (dir_ / "trailing.bin").string();
-  ASSERT_TRUE(WriteBinaryTrace(store, path));
-  {
-    std::FILE* f = std::fopen(path.c_str(), "ab");
-    ASSERT_NE(f, nullptr);
-    std::fputs("junk", f);
-    std::fclose(f);
-  }
-  TraceStore loaded;
-  EXPECT_FALSE(ReadBinaryTrace(path, loaded));
-}
-
 TEST(TraceStoreMergeTest, AppendFromThenSealMatchesInterleavedInsertion) {
   // Two stores fed the same records in different groupings seal identically:
   // the canonical Seal order is a function of the record multiset only.
@@ -383,7 +278,6 @@ TEST(TraceStoreMergeTest, AppendFromThenSealMatchesInterleavedInsertion) {
 
 TEST_F(RoundTripTest, MissingFileFails) {
   TraceStore loaded;
-  EXPECT_FALSE(ReadBinaryTrace((dir_ / "missing.bin").string(), loaded));
   CsvError error;
   EXPECT_FALSE(ReadRequestsCsv((dir_ / "missing.csv").string(), loaded, &error));
   EXPECT_EQ(error.line, 0);  // File-level failure, no line to blame.
