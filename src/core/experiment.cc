@@ -11,6 +11,7 @@
 #include <mutex>
 #include <numeric>
 #include <optional>
+#include <type_traits>
 #include <utility>
 
 #include "common/byte_serde.h"
@@ -49,9 +50,12 @@ std::shared_ptr<const std::vector<uint32_t>> MakeFunctionCells(
 // --- Checkpoint plumbing -----------------------------------------------------
 
 // Record tables travel as raw bytes: a checkpoint or trace cache is consumed by
-// the build that wrote it.
+// the build that wrote it. A record without padding holes (trace/records.h)
+// writes the same bytes for the same fields, so identical runs write identical
+// files.
 template <typename Record>
 void SaveTable(const std::vector<Record>& table, ByteWriter& w) {
+  static_assert(std::has_unique_object_representations_v<Record>);
   w.U64(table.size());
   if (!table.empty()) {
     w.Raw(table.data(), table.size() * sizeof(Record));
@@ -60,6 +64,7 @@ void SaveTable(const std::vector<Record>& table, ByteWriter& w) {
 
 template <typename Record>
 std::vector<Record> RestoreTable(ByteReader& r) {
+  static_assert(std::has_unique_object_representations_v<Record>);
   // Bound the count by the bytes left before allocating: a CRC-valid count
   // too large for the payload dies on this CHECK, not in the allocator.
   const uint64_t count = r.U64();
@@ -183,9 +188,15 @@ class CheckpointCommitter {
   }
 
   // Carries forward the entries of the manifest the run resumed from, so a
-  // shard that has not checkpointed again yet keeps its old entry.
+  // shard that has not checkpointed again yet keeps its old entry. Sorted,
+  // because Commit relies on shard-id order and an older build's manifest
+  // may list entries in commit order.
   void SeedFrom(const checkpoint::Manifest& manifest) {
     manifest_.entries = manifest.entries;
+    std::sort(manifest_.entries.begin(), manifest_.entries.end(),
+              [](const checkpoint::ManifestEntry& a, const checkpoint::ManifestEntry& b) {
+                return a.shard < b.shard;
+              });
   }
 
   void Commit(int64_t day, uint32_t shard, const std::string& payload) {
@@ -200,18 +211,18 @@ class CheckpointCommitter {
         checkpoint::WriteCheckpointFile(policy_.dir + "/" + file, meta, payload) &&
         "failed to write checkpoint file");
     {
+      // Entries stay in shard-id order, whatever order the shards commit in,
+      // so the manifest's bytes do not depend on dispatch or thread timing.
       std::lock_guard<std::mutex> lock(mu_);
-      bool found = false;
-      for (checkpoint::ManifestEntry& e : manifest_.entries) {
-        if (e.shard == shard) {
-          e.day = day;
-          e.file = file;
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        manifest_.entries.push_back({shard, day, file});
+      auto& entries = manifest_.entries;
+      const auto it = std::lower_bound(
+          entries.begin(), entries.end(), shard,
+          [](const checkpoint::ManifestEntry& e, uint32_t id) { return e.shard < id; });
+      if (it != entries.end() && it->shard == shard) {
+        it->day = day;
+        it->file = file;
+      } else {
+        entries.insert(it, {shard, day, file});
       }
       COLDSTART_CHECK(checkpoint::WriteManifest(policy_.dir, manifest_) &&
                       "failed to write checkpoint manifest");

@@ -3,6 +3,10 @@
 // Field names and units follow the paper: timestamps and durations in microseconds,
 // CPU usage in millicores, memory in bytes (stored as KB to keep records compact).
 // IDs are numeric; HashedId() reproduces the released dataset's hashed string form.
+//
+// The record tables are saved as raw bytes (checkpoints, the trace cache), so
+// every record has an explicit, zero-initialised member where the compiler
+// would otherwise leave a padding hole: equal records are equal bytes.
 #ifndef COLDSTART_TRACE_RECORDS_H_
 #define COLDSTART_TRACE_RECORDS_H_
 
@@ -35,11 +39,13 @@ struct ColdStartRecord {
   UserId user_id = 0;
   RegionId region = 0;
   ClusterId cluster = 0;
+  uint8_t pad0[2] = {};
   uint32_t cold_start_us = 0;    // Total; equals the sum of the four components.
   uint32_t pod_alloc_us = 0;     // Time to get a pod from the pool (or from scratch).
   uint32_t deploy_code_us = 0;   // Download + extract + deploy the function package.
   uint32_t deploy_dep_us = 0;    // Fetch + load dependency layers (0 = no layers).
   uint32_t scheduling_us = 0;    // Networking, routing, scheduling overheads.
+  uint8_t pad1[4] = {};
 };
 
 // Function-level monitoring (one row per function).
@@ -49,8 +55,10 @@ struct FunctionRecord {
   RegionId region = 0;
   Runtime runtime = Runtime::kUnknown;
   Trigger primary_trigger = Trigger::kUnknown;
+  uint8_t pad0 = 0;
   uint16_t trigger_mask = 0;  // Bit i set <=> function has Trigger(i) attached.
   ResourceConfig config = ResourceConfig::k300m128;
+  uint8_t pad1 = 0;
 };
 
 // Pod lifecycle (simulator-internal convenience table; the paper reconstructs the same
@@ -62,6 +70,7 @@ struct PodLifetimeRecord {
   RegionId region = 0;
   ClusterId cluster = 0;
   ResourceConfig config = ResourceConfig::k300m128;
+  uint8_t pad0[5] = {};
   SimTime cold_start_begin = 0;
   SimTime ready_time = 0;       // cold_start_begin + cold_start_us.
   SimTime last_busy_end = 0;    // End of the last request served.

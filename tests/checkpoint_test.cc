@@ -18,6 +18,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <string>
 
 #include "checkpoint/checkpoint.h"
@@ -441,6 +442,75 @@ TEST_F(CheckpointTest, DuplicateManifestEntryDies) {
   manifest.entries.push_back(manifest.entries.front());
   ASSERT_TRUE(checkpoint::WriteManifest(dir_, manifest));
   EXPECT_DEATH(Experiment(config).ResumeFrom(dir_), "twice");
+}
+
+// --- Byte reproducibility: identical runs write identical files. ---
+
+TEST_F(CheckpointTest, ShardedManifestListsEntriesInShardOrder) {
+  // Shards dispatch largest first and commit in thread-timing order; the
+  // manifest must list them by shard id all the same. A one-worker resume
+  // commits the 20 shards in dispatch order, which is not id order.
+  ScenarioConfig config = TinyScenario();
+  config.cells_per_region = 4;
+  RunAndKillAtDay(config, dir_, /*kill_day=*/1, /*num_threads=*/4);
+  CheckpointPolicy ckpt;
+  ckpt.dir = dir_;
+  Experiment(config).ResumeFrom(dir_, nullptr, /*num_threads=*/1, &ckpt);
+
+  checkpoint::Manifest manifest;
+  ASSERT_TRUE(checkpoint::ReadManifest(dir_, &manifest));
+  ASSERT_EQ(manifest.entries.size(), 20u);
+  for (size_t i = 1; i < manifest.entries.size(); ++i) {
+    EXPECT_LT(manifest.entries[i - 1].shard, manifest.entries[i].shard) << "entry " << i;
+  }
+}
+
+// Every file in `dir`, by name, with its bytes.
+std::map<std::string, std::string> FilesIn(const fs::path& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    files[entry.path().filename().string()] =
+        std::string(std::istreambuf_iterator<char>(in), {});
+  }
+  return files;
+}
+
+// `a` and `b` hold the same file names, each with the same bytes.
+void ExpectSameFiles(const fs::path& a, const fs::path& b) {
+  const auto files_a = FilesIn(a);
+  const auto files_b = FilesIn(b);
+  ASSERT_EQ(files_a.size(), files_b.size());
+  for (const auto& [name, bytes] : files_a) {
+    const auto other = files_b.find(name);
+    ASSERT_NE(other, files_b.end()) << name;
+    EXPECT_TRUE(bytes == other->second) << name << " differs";
+  }
+}
+
+TEST_F(CheckpointTest, IdenticalRunsWriteIdenticalBytes) {
+  // Record tables are saved raw, so a padding hole would carry whatever the
+  // stack held into the file. Two identical runs must write the same bytes.
+  const Experiment experiment(TinyScenario());
+  const fs::path root(dir_);
+  for (const char* sub : {"cache_a", "cache_b"}) {
+    ASSERT_FALSE(experiment.RunCached((root / sub).string()).from_cache);
+  }
+  for (const char* sub : {"ckpt_a", "ckpt_b"}) {
+    CheckpointPolicy ckpt;
+    ckpt.dir = (root / sub).string();
+    experiment.Run(nullptr, 1, &ckpt);
+  }
+
+  const auto cache = FilesIn(root / "cache_a");
+  ASSERT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.begin()->first.rfind("scenario_v7_", 0), 0u);
+  ExpectSameFiles(root / "cache_a", root / "cache_b");
+
+  const auto ckpt = FilesIn(root / "ckpt_a");
+  EXPECT_EQ(ckpt.count("MANIFEST.bin"), 1u);
+  EXPECT_EQ(ckpt.count(checkpoint::CheckpointFileName(1, checkpoint::kSerialShard)), 1u);
+  ExpectSameFiles(root / "ckpt_a", root / "ckpt_b");
 }
 
 // --- Satellite: corrupted checkpoints die loudly, naming the file. ---
