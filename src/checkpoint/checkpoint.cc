@@ -13,10 +13,13 @@ namespace coldstart::checkpoint {
 
 namespace {
 
-// "cckpt_v8" / "cmnft_v3", little-endian. Checkpoint v8 dropped the
-// per-(region, cell) cold-start model frames (the model is pure configuration,
-// pinned by the fingerprint) and the arrival stream's regenerate mode (every
-// stream serializes its state). v7 dropped the
+// "cckpt_v9" / "cmnft_v3" / "ccseg_v1", little-endian. Checkpoint v9 made
+// full-trace runs append-only: the sink state holds the four table totals,
+// the horizon and the ordered segment list, the rows live in segment files,
+// and the payload follows the metadata without its own length word. v8 dropped
+// the per-(region, cell) cold-start model frames (the model is pure
+// configuration, pinned by the fingerprint) and the arrival stream's
+// regenerate mode (every stream serializes its state). v7 dropped the
 // write-only per-(region, cell) cold-start and request totals. v6 stores the
 // platform's pending events as one table. v5 dropped the always-zero
 // days_observed word from each ProfilePrewarmPolicy profile. v4 framed the
@@ -25,8 +28,13 @@ namespace {
 // LogHistogram latency sum 128-bit fixed point (manifest v3 added
 // shards_per_region, layout-unchanged since). Older files encode different
 // layouts and are rejected here as "bad magic" rather than half-restored.
-constexpr uint64_t kCheckpointMagic = 0x38765F74706B6363ull;
+constexpr uint64_t kCheckpointMagic = 0x39765F74706B6363ull;
 constexpr uint64_t kManifestMagic = 0x33765F74666E6D63ull;
+constexpr uint64_t kSegmentMagic = 0x31765F6765736363ull;
+
+// The metadata that opens a checkpoint payload: fingerprint, trace mode,
+// shard, day and region count.
+constexpr size_t kMetaBytes = 8 + 1 + 4 + 8 + 4;
 
 [[noreturn]] void Corrupt(const std::string& path, const char* what) {
   std::fprintf(stderr, "checkpoint: %s: corrupt (%s)\n", path.c_str(), what);
@@ -45,6 +53,36 @@ bool ReadFramedOrDie(const std::string& path, uint64_t magic,
   return status == FrameStatus::kOk;
 }
 
+// The same policy for a frame read front to back: Open, the caller's reads,
+// then FinishOrDie.
+bool OpenOrDie(const std::string& path, uint64_t magic, FrameReader& reader) {
+  const char* why = nullptr;
+  const FrameStatus status = reader.Open(path, magic, &why);
+  if (status == FrameStatus::kCorrupt) {
+    Corrupt(path, why);
+  }
+  return status == FrameStatus::kOk;
+}
+
+void FinishOrDie(const std::string& path, FrameReader& reader) {
+  const char* why = nullptr;
+  if (reader.Finish(&why) != FrameStatus::kOk) {
+    Corrupt(path, why);
+  }
+}
+
+// `ckpt_day{day}[_r{shard}]{extension}`.
+std::string DayFileName(int64_t day, uint32_t shard, const char* extension) {
+  char name[64];
+  if (shard == kSerialShard) {
+    std::snprintf(name, sizeof(name), "ckpt_day%" PRId64 "%s", day, extension);
+  } else {
+    std::snprintf(name, sizeof(name), "ckpt_day%" PRId64 "_r%u%s", day, shard,
+                  extension);
+  }
+  return name;
+}
+
 }  // namespace
 
 bool WriteCheckpointFile(const std::string& path, const CheckpointMeta& meta,
@@ -55,29 +93,43 @@ bool WriteCheckpointFile(const std::string& path, const CheckpointMeta& meta,
   w.U32(meta.shard);
   w.I64(meta.day);
   w.U32(meta.num_regions);
-  w.Str(payload);
-  return WriteFramedFile(path, kCheckpointMagic, w.Take());
+  return WriteFramedFile(path, kCheckpointMagic, {w.data(), payload});
 }
 
 bool ReadCheckpointFile(const std::string& path, CheckpointMeta* meta,
                         std::string* payload) {
-  std::string framed;
-  if (!ReadFramedOrDie(path, kCheckpointMagic, &framed)) {
+  FrameReader reader;
+  if (!OpenOrDie(path, kCheckpointMagic, reader)) {
     return false;
   }
-  // The frame CRC already validated every byte; ByteReader underflow here
-  // would be a writer/reader bug and CHECK-fails accordingly.
-  ByteReader r(framed);
+  char head[kMetaBytes];
+  reader.Read(head, sizeof(head));
+  payload->resize(reader.Remaining());
+  reader.Read(payload->data(), payload->size());
+  FinishOrDie(path, reader);
+  // The frame CRC already validated every byte.
+  ByteReader r(std::string_view(head, sizeof(head)));
   meta->fingerprint = r.U64();
   meta->trace_mode = r.U8();
   meta->shard = r.U32();
   meta->day = r.I64();
   meta->num_regions = r.U32();
-  *payload = r.Str();
-  if (!r.AtEnd()) {
-    Corrupt(path, "trailing bytes");
-  }
   return true;
+}
+
+bool WriteSegmentFile(const std::string& path,
+                      const std::vector<std::string_view>& spans) {
+  return WriteFramedFile(path, kSegmentMagic, spans);
+}
+
+void ReadSegmentFile(const std::string& path,
+                     const std::function<void(FrameReader&)>& read_payload) {
+  FrameReader reader;
+  if (!OpenOrDie(path, kSegmentMagic, reader)) {
+    Corrupt(path, "referenced segment is missing");
+  }
+  read_payload(reader);
+  FinishOrDie(path, reader);
 }
 
 bool WriteManifest(const std::string& dir, const Manifest& manifest) {
@@ -126,13 +178,11 @@ bool ReadManifest(const std::string& dir, Manifest* manifest) {
 }
 
 std::string CheckpointFileName(int64_t day, uint32_t shard) {
-  char name[64];
-  if (shard == kSerialShard) {
-    std::snprintf(name, sizeof(name), "ckpt_day%" PRId64 ".bin", day);
-  } else {
-    std::snprintf(name, sizeof(name), "ckpt_day%" PRId64 "_r%u.bin", day, shard);
-  }
-  return name;
+  return DayFileName(day, shard, ".bin");
+}
+
+std::string SegmentFileName(int64_t day, uint32_t shard) {
+  return DayFileName(day, shard, ".seg");
 }
 
 std::string ManifestPath(const std::string& dir) {

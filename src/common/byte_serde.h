@@ -47,8 +47,6 @@ class ByteWriter {
     buf_.append(static_cast<const char*>(data), size);
   }
 
-  void Reserve(size_t size) { buf_.reserve(size); }
-
   const std::string& data() const { return buf_; }
   std::string Take() { return std::move(buf_); }
 

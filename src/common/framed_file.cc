@@ -2,44 +2,56 @@
 
 #include <sys/stat.h>
 
-#include <cstdio>
-#include <memory>
+#include <algorithm>
+#include <cstring>
 
 #include "common/atomic_file.h"
-#include "common/byte_serde.h"
+#include "common/check.h"
 #include "common/crc32.h"
 
 namespace coldstart {
 
 namespace {
 
-constexpr size_t kHeaderBytes = 8 + 8 + 4;  // Magic, payload size, CRC32.
+// Magic, payload size and CRC32, at these offsets.
+constexpr size_t kMagicAt = 0;
+constexpr size_t kSizeAt = 8;
+constexpr size_t kCrcAt = 16;
+constexpr size_t kHeaderBytes = 20;
 
-struct FileCloser {
-  void operator()(std::FILE* f) const { std::fclose(f); }
-};
+// Reads go through the CRC in pieces of this size, each still in cache when
+// the CRC reaches it.
+constexpr size_t kReadChunk = size_t{1} << 20;
 
 }  // namespace
 
 bool WriteFramedFile(const std::string& path, uint64_t magic,
-                     std::string_view payload) {
-  ByteWriter header;
-  header.U64(magic);
-  header.U64(payload.size());
-  header.U32(Crc32(payload.data(), payload.size()));
+                     const std::vector<std::string_view>& spans) {
+  uint64_t size = 0;
+  uint32_t crc = 0;
+  for (const std::string_view span : spans) {
+    size += span.size();
+    crc = Crc32(span.data(), span.size(), crc);
+  }
+  char header[kHeaderBytes];
+  std::memcpy(header + kMagicAt, &magic, sizeof(magic));
+  std::memcpy(header + kSizeAt, &size, sizeof(size));
+  std::memcpy(header + kCrcAt, &crc, sizeof(crc));
   AtomicFile file(path);
   if (!file.ok()) {
     return false;
   }
-  file.Write(header.data().data(), header.data().size());
-  file.Write(payload.data(), payload.size());
+  file.Write(header, sizeof(header));
+  for (const std::string_view span : spans) {
+    file.Write(span.data(), span.size());
+  }
   return file.Commit();
 }
 
-FrameStatus ReadFramedFile(const std::string& path, uint64_t magic,
-                           std::string* payload, const char** why) {
-  const std::unique_ptr<std::FILE, FileCloser> f(std::fopen(path.c_str(), "rb"));
-  if (f == nullptr) {
+FrameStatus FrameReader::Open(const std::string& path, uint64_t magic,
+                              const char** why) {
+  file_.reset(std::fopen(path.c_str(), "rb"));
+  if (file_ == nullptr) {
     return FrameStatus::kMissing;
   }
   const auto corrupt = [why](const char* reason) {
@@ -47,33 +59,86 @@ FrameStatus ReadFramedFile(const std::string& path, uint64_t magic,
     return FrameStatus::kCorrupt;
   };
   struct stat st {};
-  if (::fstat(fileno(f.get()), &st) != 0) {
+  if (::fstat(fileno(file_.get()), &st) != 0) {
     return corrupt("read error");
   }
   const uint64_t file_size = static_cast<uint64_t>(st.st_size);
-  char header_bytes[kHeaderBytes];
+  char header[kHeaderBytes];
   if (file_size < kHeaderBytes ||
-      std::fread(header_bytes, 1, kHeaderBytes, f.get()) != kHeaderBytes) {
+      std::fread(header, 1, kHeaderBytes, file_.get()) != kHeaderBytes) {
     return corrupt("truncated header");
   }
-  ByteReader header(std::string_view(header_bytes, kHeaderBytes));
-  if (header.U64() != magic) {
+  uint64_t file_magic = 0;
+  std::memcpy(&file_magic, header + kMagicAt, sizeof(file_magic));
+  if (file_magic != magic) {
     return corrupt("bad magic or version");
   }
-  const uint64_t size = header.U64();
-  const uint32_t crc = header.U32();
+  uint64_t size = 0;
+  std::memcpy(&size, header + kSizeAt, sizeof(size));
+  std::memcpy(&expected_crc_, header + kCrcAt, sizeof(expected_crc_));
   const uint64_t payload_size = file_size - kHeaderBytes;
   if (size != payload_size) {
     return corrupt(size > payload_size ? "truncated payload" : "trailing bytes");
   }
-  payload->resize(payload_size);
-  if (std::fread(payload->data(), 1, payload_size, f.get()) != payload_size) {
-    return corrupt("read error");
+  remaining_ = payload_size;
+  crc_ = 0;
+  read_error_ = false;
+  return FrameStatus::kOk;
+}
+
+void FrameReader::Read(void* out, size_t size) {
+  if (size > remaining_) {
+    COLDSTART_CHECK(Damaged() && "read past the end of an intact frame");
+    std::memset(out, 0, size);
+    return;
   }
-  if (Crc32(payload->data(), payload->size()) != crc) {
-    return corrupt("payload CRC mismatch");
+  char* p = static_cast<char*>(out);
+  while (size > 0) {
+    const size_t chunk = std::min(size, kReadChunk);
+    if (std::fread(p, 1, chunk, file_.get()) != chunk) {
+      read_error_ = true;
+      std::memset(p, 0, size);
+      remaining_ = 0;
+      return;
+    }
+    crc_ = Crc32(p, chunk, crc_);
+    p += chunk;
+    size -= chunk;
+    remaining_ -= chunk;
+  }
+}
+
+bool FrameReader::Damaged() {
+  char buf[64 * 1024];
+  while (remaining_ > 0) {  // A read error ends the payload, too.
+    Read(buf, static_cast<size_t>(std::min<uint64_t>(remaining_, sizeof(buf))));
+  }
+  return read_error_ || crc_ != expected_crc_;
+}
+
+FrameStatus FrameReader::Finish(const char** why) {
+  const bool unread = remaining_ > 0;
+  if (Damaged()) {
+    *why = read_error_ ? "read error" : "payload CRC mismatch";
+    return FrameStatus::kCorrupt;
+  }
+  if (unread) {
+    *why = "trailing bytes";
+    return FrameStatus::kCorrupt;
   }
   return FrameStatus::kOk;
+}
+
+FrameStatus ReadFramedFile(const std::string& path, uint64_t magic,
+                           std::string* payload, const char** why) {
+  FrameReader reader;
+  const FrameStatus status = reader.Open(path, magic, why);
+  if (status != FrameStatus::kOk) {
+    return status;
+  }
+  payload->resize(reader.Remaining());
+  reader.Read(payload->data(), payload->size());
+  return reader.Finish(why);
 }
 
 }  // namespace coldstart

@@ -1,16 +1,19 @@
 #include "core/experiment.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <iterator>
 #include <memory>
 #include <mutex>
 #include <numeric>
 #include <optional>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 
@@ -47,61 +50,189 @@ std::shared_ptr<const std::vector<uint32_t>> MakeFunctionCells(
       workload::ComputeFunctionCells(population, config.cells_per_region));
 }
 
+// --- Record tables -----------------------------------------------------------
+
+// Record tables travel as raw bytes: a checkpoint segment or trace cache is
+// consumed by the build that wrote it. A record without padding holes
+// (trace/records.h) writes the same bytes for the same fields, so identical
+// runs write identical files. On disk a table is its row count, then its rows,
+// and the four go requests, cold starts, functions, pods. The trace cache
+// holds the whole tables; a checkpoint segment holds the rows they gained
+// since the shard's previous commit.
+
+// Row counts of the four tables, in file order.
+using TableRows = std::array<uint64_t, 4>;
+
+TableRows RowCounts(const trace::TraceStore& store) {
+  return {store.requests().size(), store.cold_starts().size(),
+          store.functions().size(), store.pods().size()};
+}
+
+template <typename Record>
+std::string_view RowBytes(const std::vector<Record>& table, uint64_t from) {
+  static_assert(std::has_unique_object_representations_v<Record>);
+  return {reinterpret_cast<const char*>(table.data() + from),
+          (table.size() - from) * sizeof(Record)};
+}
+
+// The rows each table of `store` holds past `from`, as frame spans that point
+// into the store's own vectors. The store is append-only until Seal, so the
+// rows past a previous commit are exactly what it gained since.
+class TableSpans {
+ public:
+  TableSpans(const trace::TraceStore& store, const TableRows& from) {
+    const TableRows to = RowCounts(store);
+    for (size_t t = 0; t < to.size(); ++t) {
+      COLDSTART_CHECK_LE(from[t], to[t]);
+      counts_[t] = to[t] - from[t];
+    }
+    rows_ = {RowBytes(store.requests(), from[0]), RowBytes(store.cold_starts(), from[1]),
+             RowBytes(store.functions(), from[2]), RowBytes(store.pods(), from[3])};
+  }
+
+  void AppendTo(std::vector<std::string_view>& spans) const {
+    for (size_t t = 0; t < rows_.size(); ++t) {
+      spans.emplace_back(reinterpret_cast<const char*>(&counts_[t]), sizeof(counts_[t]));
+      spans.push_back(rows_[t]);
+    }
+  }
+
+ private:
+  TableRows counts_{};
+  std::array<std::string_view, 4> rows_;
+};
+
+// The four tables as they are read back, before they go into a TraceStore.
+struct RecordTables {
+  std::vector<trace::RequestRecord> requests;
+  std::vector<trace::ColdStartRecord> cold_starts;
+  std::vector<trace::FunctionRecord> functions;
+  std::vector<trace::PodLifetimeRecord> pods;
+
+  TableRows Rows() const {
+    return {requests.size(), cold_starts.size(), functions.size(), pods.size()};
+  }
+
+  void Install(trace::TraceStore& store, SimTime horizon) {
+    store.RestoreTables(std::move(requests), std::move(cold_starts),
+                        std::move(functions), std::move(pods), horizon);
+  }
+};
+
+// Appends the next table in `r` to `table`. Returns false, having appended
+// nothing, when its row count overruns a damaged frame; the caller's Finish
+// then reports the damage.
+template <typename Record>
+bool ReadTable(FrameReader& r, std::vector<Record>& table) {
+  static_assert(std::has_unique_object_representations_v<Record>);
+  // Bound the count by the bytes left before allocating: a count too large for
+  // the payload is damage when the CRC disagrees, and on a CRC-valid payload it
+  // dies on this CHECK — never in the allocator.
+  const uint64_t count = r.U64();
+  if (count > r.Remaining() / sizeof(Record) && r.Damaged()) {
+    return false;
+  }
+  COLDSTART_CHECK(count <= r.Remaining() / sizeof(Record));
+  const size_t size = table.size();
+  table.resize(size + count);
+  r.Read(table.data() + size, count * sizeof(Record));
+  return true;
+}
+
+bool ReadTables(FrameReader& r, RecordTables& tables) {
+  return ReadTable(r, tables.requests) && ReadTable(r, tables.cold_starts) &&
+         ReadTable(r, tables.functions) && ReadTable(r, tables.pods);
+}
+
 // --- Checkpoint plumbing -----------------------------------------------------
 
-// Record tables travel as raw bytes: a checkpoint or trace cache is consumed by
-// the build that wrote it. A record without padding holes (trace/records.h)
-// writes the same bytes for the same fields, so identical runs write identical
-// files.
-template <typename Record>
-void SaveTable(const std::vector<Record>& table, ByteWriter& w) {
-  static_assert(std::has_unique_object_representations_v<Record>);
-  w.U64(table.size());
-  if (!table.empty()) {
-    w.Raw(table.data(), table.size() * sizeof(Record));
-  }
+// A kFull shard's committed segments: the rows they hold, per table, and the
+// days that wrote them, in commit order.
+struct SegmentLog {
+  TableRows rows{};
+  std::vector<int64_t> days;
+};
+
+// Writes the rows `store` gained since the shard's previous commit as day
+// `day`'s segment and records it in `log`. Runs before the checkpoint file
+// that lists the segment, which is what leaves a kill between the two with
+// only an orphan segment.
+void AppendSegment(const std::string& dir, int64_t day, uint32_t shard,
+                   const trace::TraceStore& store, SegmentLog& log) {
+  const TableSpans tables(store, log.rows);
+  std::vector<std::string_view> spans;
+  tables.AppendTo(spans);
+  COLDSTART_CHECK(checkpoint::WriteSegmentFile(
+                      dir + "/" + checkpoint::SegmentFileName(day, shard), spans) &&
+                  "failed to write checkpoint segment");
+  log.rows = RowCounts(store);
+  log.days.push_back(day);
 }
 
-template <typename Record>
-std::vector<Record> RestoreTable(ByteReader& r) {
-  static_assert(std::has_unique_object_representations_v<Record>);
-  // Bound the count by the bytes left before allocating: a CRC-valid count
-  // too large for the payload dies on this CHECK, not in the allocator.
-  const uint64_t count = r.U64();
-  COLDSTART_CHECK(count <= r.Remaining() / sizeof(Record));
-  std::vector<Record> table(count);
-  if (!table.empty()) {
-    r.Raw(table.data(), table.size() * sizeof(Record));
-  }
-  return table;
-}
-
+// kFull: the table totals, the horizon and the segment list; the rows
+// themselves are in the segments. kStreaming: the aggregates.
 void SaveSinkState(bool streaming, const trace::TraceStore& store,
-                   const trace::StreamingAggregates& aggregates, ByteWriter& w) {
+                   const trace::StreamingAggregates& aggregates,
+                   const SegmentLog& segments, ByteWriter& w) {
   if (streaming) {
     aggregates.SaveState(w);
     return;
   }
-  SaveTable(store.requests(), w);
-  SaveTable(store.cold_starts(), w);
-  SaveTable(store.functions(), w);
-  SaveTable(store.pods(), w);
+  for (const uint64_t rows : segments.rows) {
+    w.U64(rows);
+  }
   w.I64(store.horizon());
+  w.U64(segments.days.size());
+  for (const int64_t day : segments.days) {
+    w.I64(day);
+  }
 }
 
-void RestoreSinkState(bool streaming, trace::TraceStore& store,
-                      trace::StreamingAggregates& aggregates, ByteReader& r) {
+// Reads the segments back straight into tables reserved at their totals.
+void RestoreSinkState(bool streaming, const std::string& dir, uint32_t shard,
+                      trace::TraceStore& store, trace::StreamingAggregates& aggregates,
+                      SegmentLog& segments, ByteReader& r) {
   if (streaming) {
     aggregates.RestoreState(r);
     return;
   }
-  auto requests = RestoreTable<trace::RequestRecord>(r);
-  auto cold_starts = RestoreTable<trace::ColdStartRecord>(r);
-  auto functions = RestoreTable<trace::FunctionRecord>(r);
-  auto pods = RestoreTable<trace::PodLifetimeRecord>(r);
+  for (uint64_t& rows : segments.rows) {
+    rows = r.U64();
+  }
   const SimTime horizon = r.I64();
-  store.RestoreTables(std::move(requests), std::move(cold_starts),
-                      std::move(functions), std::move(pods), horizon);
+  const uint64_t count = r.U64();
+  COLDSTART_CHECK(count <= r.Remaining() / sizeof(int64_t));
+  segments.days.resize(count);
+  for (int64_t& day : segments.days) {
+    day = r.I64();
+  }
+  COLDSTART_CHECK(std::adjacent_find(segments.days.begin(), segments.days.end(),
+                                     std::greater_equal<>()) == segments.days.end() &&
+                  "checkpoint lists its segments out of day order");
+  // A total is only trusted once the segments confirm it, so it never
+  // reserves more than they can hold.
+  uint64_t segment_bytes = 0;
+  for (const int64_t day : segments.days) {
+    std::error_code ec;
+    const uintmax_t size = std::filesystem::file_size(
+        dir + "/" + checkpoint::SegmentFileName(day, shard), ec);
+    segment_bytes += ec ? 0 : size;
+  }
+  RecordTables tables;
+  const auto reserve = [segment_bytes](auto& table, uint64_t rows) {
+    table.reserve(std::min<uint64_t>(rows, segment_bytes / sizeof(table[0])));
+  };
+  reserve(tables.requests, segments.rows[0]);
+  reserve(tables.cold_starts, segments.rows[1]);
+  reserve(tables.functions, segments.rows[2]);
+  reserve(tables.pods, segments.rows[3]);
+  for (const int64_t day : segments.days) {
+    checkpoint::ReadSegmentFile(dir + "/" + checkpoint::SegmentFileName(day, shard),
+                                [&tables](FrameReader& seg) { ReadTables(seg, tables); });
+  }
+  COLDSTART_CHECK(tables.Rows() == segments.rows &&
+                  "checkpoint segments disagree with its table totals");
+  tables.Install(store, horizon);
 }
 
 // One shard's full state, in the order RestoreShard consumes it: simulator
@@ -110,6 +241,7 @@ std::string BuildCheckpointPayload(const sim::Simulator& sim,
                                    const platform::PlatformPolicy* policy,
                                    bool streaming, const trace::TraceStore& store,
                                    const trace::StreamingAggregates& aggregates,
+                                   const SegmentLog& segments,
                                    const platform::Platform& platform) {
   ByteWriter w;
   w.I64(sim.now());
@@ -124,7 +256,7 @@ std::string BuildCheckpointPayload(const sim::Simulator& sim,
   } else {
     w.U8(0);
   }
-  SaveSinkState(streaming, store, aggregates, w);
+  SaveSinkState(streaming, store, aggregates, segments, w);
   platform.SaveCheckpointState(w);
   return w.Take();
 }
@@ -137,7 +269,7 @@ int64_t RestoreShard(const std::string& dir, const checkpoint::ManifestEntry& en
                      uint32_t shard, sim::Simulator& sim,
                      platform::PlatformPolicy* policy, bool streaming,
                      trace::TraceStore& store,
-                     trace::StreamingAggregates& aggregates,
+                     trace::StreamingAggregates& aggregates, SegmentLog& segments,
                      platform::Platform& platform,
                      std::unique_ptr<workload::ArrivalStream> stream) {
   checkpoint::CheckpointMeta meta;
@@ -163,7 +295,7 @@ int64_t RestoreShard(const std::string& dir, const checkpoint::ManifestEntry& en
     COLDSTART_CHECK(policy == nullptr &&
                     "checkpoint has no policy state but a policy was passed");
   }
-  RestoreSinkState(streaming, store, aggregates, r);
+  RestoreSinkState(streaming, dir, shard, store, aggregates, segments, r);
   platform.RestoreCheckpointState(r, std::move(stream));
   COLDSTART_CHECK(r.AtEnd());
   return meta.day;
@@ -390,47 +522,75 @@ constexpr uint64_t kRecordLayout =
     sizeof(trace::RequestRecord) | sizeof(trace::ColdStartRecord) << 16 |
     sizeof(trace::FunctionRecord) << 32 | sizeof(trace::PodLifetimeRecord) << 48;
 
-std::string SaveTraceCache(const ExperimentResult& result) {
+// The tables go to disk straight from the store; only the small trailing
+// fields are built in memory.
+bool WriteTraceCache(const std::string& path, const ExperimentResult& result) {
   const trace::TraceStore& store = result.store;
-  ByteWriter w;
-  // One allocation for the tables plus room for the small trailing fields, so
-  // a paper-scale payload is not regrown (and copied) while it is built.
-  w.Reserve(store.requests().size() * sizeof(trace::RequestRecord) +
-            store.cold_starts().size() * sizeof(trace::ColdStartRecord) +
-            store.functions().size() * sizeof(trace::FunctionRecord) +
-            store.pods().size() * sizeof(trace::PodLifetimeRecord) + 4096);
-  w.U64(kRecordLayout);
-  SaveSinkState(/*streaming=*/false, store, result.streaming, w);
-  w.U64(result.visible_cold_starts.size());
+  ByteWriter tail;
+  tail.I64(store.horizon());
+  tail.U64(result.visible_cold_starts.size());
   for (const auto counter : kRegionCounters) {
     for (const int64_t v : result.*counter) {
-      w.I64(v);
+      tail.I64(v);
     }
   }
-  w.U64(result.events_processed);
-  result.cost_ledger.SaveState(w);
-  return w.Take();
+  tail.U64(result.events_processed);
+  result.cost_ledger.SaveState(tail);
+  const TableSpans tables(store, TableRows{});
+  std::vector<std::string_view> spans = {
+      {reinterpret_cast<const char*>(&kRecordLayout), sizeof(kRecordLayout)}};
+  tables.AppendTo(spans);
+  spans.push_back(tail.data());
+  return WriteFramedFile(path, kTraceCacheMagic, spans);
 }
 
-// False when the payload was written under another record layout or region
-// count; the caller then recomputes.
-bool RestoreTraceCache(ByteReader& r, size_t num_regions, ExperimentResult& result) {
-  if (r.U64() != kRecordLayout) {
-    return false;
+// Reads the cache file at `path` into `result`, each table straight into its
+// vector. kMissing and kCorrupt as for any frame; a payload written under
+// another record layout or region count is kCorrupt too, so the caller
+// recomputes either way.
+FrameStatus ReadTraceCache(const std::string& path, size_t num_regions,
+                           ExperimentResult& result, const char** why) {
+  FrameReader reader;
+  const FrameStatus status = reader.Open(path, kTraceCacheMagic, why);
+  if (status != FrameStatus::kOk) {
+    return status;
   }
-  RestoreSinkState(/*streaming=*/false, result.store, result.streaming, r);
-  if (r.U64() != num_regions) {
-    return false;
+  static constexpr const char* kForeign =
+      "payload from another record layout or region count";
+  // Tables of another layout are never parsed.
+  if (reader.U64() != kRecordLayout) {
+    *why = reader.Damaged() ? "payload CRC mismatch" : kForeign;
+    return FrameStatus::kCorrupt;
+  }
+  RecordTables tables;
+  std::string tail_bytes;
+  if (ReadTables(reader, tables)) {
+    tail_bytes.resize(reader.Remaining());
+    reader.Read(tail_bytes.data(), tail_bytes.size());
+  }
+  if (reader.Finish(why) != FrameStatus::kOk) {
+    return FrameStatus::kCorrupt;
+  }
+  ByteReader tail(tail_bytes);
+  const SimTime horizon = tail.I64();
+  if (tail.U64() != num_regions) {
+    *why = kForeign;
+    return FrameStatus::kCorrupt;
   }
   for (const auto counter : kRegionCounters) {
     (result.*counter).resize(num_regions);
     for (int64_t& v : result.*counter) {
-      v = r.I64();
+      v = tail.I64();
     }
   }
-  result.events_processed = r.U64();
-  result.cost_ledger.RestoreState(r);
-  return r.AtEnd();
+  result.events_processed = tail.U64();
+  result.cost_ledger.RestoreState(tail);
+  if (!tail.AtEnd()) {
+    *why = kForeign;
+    return FrameStatus::kCorrupt;
+  }
+  tables.Install(result.store, horizon);
+  return FrameStatus::kOk;
 }
 
 // The plan's shard ids in dispatch order: largest expected load first, so the
@@ -616,21 +776,27 @@ ExperimentResult Experiment::Execute(platform::PlatformPolicy* policy, int num_t
       auto stream = config_.workload_source().OpenStream(population, profiles, calendar,
                                                          config_.seed, region, slice);
       int64_t start_day = 0;
+      SegmentLog segments;
       if (entry != nullptr) {
         start_day = RestoreShard(resume_dir, *entry, fingerprint,
                                  static_cast<uint8_t>(config_.trace_mode),
                                  static_cast<uint32_t>(regions), id, sim, shard_policy,
-                                 streaming, out.store, out.streaming, platform,
+                                 streaming, out.store, out.streaming, segments, platform,
                                  std::move(stream));
       } else {
         platform.AttachArrivalStream(std::move(stream));
       }
       std::function<void(int64_t)> commit;
       if (committer) {
+        // Segment, then checkpoint file, then manifest: a kill between any two
+        // leaves the previous committed state plus files nothing references.
         commit = [&](int64_t day) {
+          if (!streaming) {
+            AppendSegment(checkpoint->dir, day, id, out.store, segments);
+          }
           committer->Commit(day, id,
-                            BuildCheckpointPayload(sim, shard_policy, streaming,
-                                                   out.store, out.streaming, platform));
+                            BuildCheckpointPayload(sim, shard_policy, streaming, out.store,
+                                                   out.streaming, segments, platform));
         };
       }
       out.interrupted_at_day =
@@ -711,19 +877,13 @@ ExperimentResult Experiment::RunCached(const std::string& cache_dir,
 
   {
     ExperimentResult result;
-    std::string payload;
     const char* why = nullptr;
     const FrameStatus status =
-        ReadFramedFile(path, kTraceCacheMagic, &payload, &why);
+        ReadTraceCache(path, config_.profiles.size(), result, &why);
     if (status == FrameStatus::kOk) {
-      ByteReader r(payload);
-      if (RestoreTraceCache(r, config_.profiles.size(), result)) {
-        payload = std::string();  // Free the file image before sealing.
-        result.store.Seal();
-        result.from_cache = true;
-        return result;
-      }
-      why = "payload from another record layout or region count";
+      result.store.Seal();
+      result.from_cache = true;
+      return result;
     }
     if (status != FrameStatus::kMissing) {
       std::fprintf(stderr, "trace cache %s: %s, recomputing\n", path.c_str(), why);
@@ -733,7 +893,7 @@ ExperimentResult Experiment::RunCached(const std::string& cache_dir,
   ExperimentResult result = Run(nullptr);
   std::error_code ec;
   fs::create_directories(cache_dir, ec);
-  if (!WriteFramedFile(path, kTraceCacheMagic, SaveTraceCache(result))) {
+  if (!WriteTraceCache(path, result)) {
     std::fprintf(stderr, "warning: failed to write trace cache at %s\n", path.c_str());
   }
   return result;

@@ -20,6 +20,7 @@
 #include <iterator>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "checkpoint/checkpoint.h"
 #include "common/atomic_file.h"
@@ -79,10 +80,11 @@ std::string StreamingBytes(const ExperimentResult& result) {
 
 // Runs `config` in a forked child that commits checkpoints into `dir` and
 // _exit()s from the on_checkpoint hook once `kill_day` has committed — a real
-// mid-run process death, not a simulated one. Returns after reaping the child.
+// mid-run process death, not a simulated one. With `resume`, the child resumes
+// from `dir` instead of starting fresh. Returns after reaping the child.
 void RunAndKillAtDay(const ScenarioConfig& config, const std::string& dir,
                      int64_t kill_day, int num_threads,
-                     platform::PlatformPolicy* policy = nullptr) {
+                     platform::PlatformPolicy* policy = nullptr, bool resume = false) {
   const pid_t pid = fork();
   ASSERT_NE(pid, -1) << "fork failed";
   if (pid == 0) {
@@ -93,7 +95,12 @@ void RunAndKillAtDay(const ScenarioConfig& config, const std::string& dir,
         _exit(7);  // Hard death: no unwinding, no flushes beyond the commit.
       }
     };
-    Experiment(config).Run(policy, num_threads, &ckpt);
+    const Experiment experiment(config);
+    if (resume) {
+      experiment.ResumeFrom(dir, policy, num_threads, &ckpt);
+    } else {
+      experiment.Run(policy, num_threads, &ckpt);
+    }
     _exit(1);  // Ran to completion — the kill never fired; fail loudly.
   }
   int status = 0;
@@ -117,6 +124,17 @@ void FlipBit(const std::string& path, int64_t offset) {
   byte ^= 0x40;
   f.seekp(offset);
   f.write(&byte, 1);
+}
+
+// Every file in `dir`, by name, with its bytes.
+std::map<std::string, std::string> FilesIn(const fs::path& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    files[entry.path().filename().string()] =
+        std::string(std::istreambuf_iterator<char>(in), {});
+  }
+  return files;
 }
 
 // --- Tentpole: checkpointing never perturbs the run. ---
@@ -313,6 +331,110 @@ TEST_F(CheckpointTest, KillAndResumeTimerPrewarmSerialAndSharded) {
   }
 }
 
+TEST_F(CheckpointTest, TwoKillResumeCyclesMatchPlainRun) {
+  // Each resume appends segments after the ones it restored, so a second kill
+  // must resume from a segment list that two processes wrote. Sub-region
+  // sharded runs also change the thread count at every cycle: 4 -> 2 -> 1.
+  struct Case {
+    uint32_t cells;
+    int threads[3];
+  };
+  for (const Case& c : {Case{1, {1, 1, 1}}, Case{4, {4, 2, 1}}}) {
+    SCOPED_TRACE(c.cells);
+    fs::remove_all(dir_);
+    ScenarioConfig config = TinyScenario();
+    config.cells_per_region = c.cells;
+    const Experiment experiment(config);
+    const ExperimentResult plain = experiment.Run(nullptr, 1);
+
+    RunAndKillAtDay(config, dir_, /*kill_day=*/1, c.threads[0]);
+    RunAndKillAtDay(config, dir_, /*kill_day=*/2, c.threads[1], nullptr, /*resume=*/true);
+    checkpoint::Manifest manifest;
+    ASSERT_TRUE(checkpoint::ReadManifest(dir_, &manifest));
+    EXPECT_EQ(manifest.sharded, c.cells > 1);
+    const ExperimentResult resumed = experiment.ResumeFrom(dir_, nullptr, c.threads[2]);
+
+    EXPECT_EQ(resumed.interrupted_at_day, -1);
+    ASSERT_GT(plain.store.requests().size(), 1000u);
+    EXPECT_EQ(trace::Digest(plain.store), trace::Digest(resumed.store));
+    EXPECT_EQ(plain.visible_cold_starts, resumed.visible_cold_starts);
+    EXPECT_EQ(plain.cold_start_latency_sum_us, resumed.cold_start_latency_sum_us);
+  }
+}
+
+TEST_F(CheckpointTest, OrphanSegmentIsIgnoredAndRewritten) {
+  // A kill after a segment is written but before its checkpoint file leaves a
+  // segment no committed manifest references. Resume must not read it, and
+  // the re-run of that day rewrites it with the uninterrupted run's bytes.
+  const ScenarioConfig config = TinyScenario();
+  const Experiment experiment(config);
+  const ExperimentResult plain = experiment.Run(nullptr, 1);
+  const std::string reference_dir = dir_ + "_reference";
+  fs::remove_all(reference_dir);
+  CheckpointPolicy reference;
+  reference.dir = reference_dir;
+  experiment.Run(nullptr, 1, &reference);
+
+  RunAndKillAtDay(config, dir_, /*kill_day=*/1, /*num_threads=*/1);
+  const std::string name = checkpoint::SegmentFileName(2, checkpoint::kSerialShard);
+  const fs::path orphan = fs::path(dir_) / name;
+  ASSERT_FALSE(fs::exists(orphan));
+  std::ofstream(orphan, std::ios::binary) << "an orphan segment, not even framed";
+  checkpoint::Manifest manifest;
+  ASSERT_TRUE(checkpoint::ReadManifest(dir_, &manifest));
+  ASSERT_EQ(manifest.entries.size(), 1u);
+  ASSERT_EQ(manifest.entries[0].day, 1);
+
+  CheckpointPolicy ckpt;
+  ckpt.dir = dir_;
+  const ExperimentResult resumed = experiment.ResumeFrom(dir_, nullptr, 1, &ckpt);
+  EXPECT_EQ(resumed.interrupted_at_day, -1);
+  EXPECT_EQ(trace::Digest(plain.store), trace::Digest(resumed.store));
+  const auto files = FilesIn(dir_);
+  const auto reference_files = FilesIn(reference_dir);
+  EXPECT_TRUE(files.at(name) == reference_files.at(name)) << name << " was not rewritten";
+  fs::remove_all(reference_dir);
+}
+
+TEST_F(CheckpointTest, SegmentsHoldEachRowOnce) {
+  // Append-only: across all of a run's segments every row is written once, so
+  // they hold the last commit's tables plus one header per segment — the frame
+  // and the four row counts — where whole-store checkpoints grew with days².
+  ScenarioConfig config = TinyScenario();
+  config.days = 4;
+  std::atomic<bool> stop{false};
+  CheckpointPolicy ckpt;
+  ckpt.dir = dir_;
+  ckpt.stop = &stop;
+  // The flag is seen at the next boundary, which then commits and stops: the
+  // result is the store the last commit saw.
+  ckpt.on_checkpoint = [&stop, &config](int64_t day, uint32_t) {
+    if (day + 2 == config.days) {
+      stop.store(true);
+    }
+  };
+  const ExperimentResult last = Experiment(config).Run(nullptr, 1, &ckpt);
+  ASSERT_EQ(last.interrupted_at_day, config.days - 1);
+
+  const trace::TraceStore& store = last.store;
+  const uint64_t table_bytes =
+      store.requests().size() * sizeof(trace::RequestRecord) +
+      store.cold_starts().size() * sizeof(trace::ColdStartRecord) +
+      store.functions().size() * sizeof(trace::FunctionRecord) +
+      store.pods().size() * sizeof(trace::PodLifetimeRecord);
+  ASSERT_GT(store.requests().size(), 1000u);
+  uint64_t segment_bytes = 0;
+  int64_t segments = 0;
+  for (int64_t day = 1; day < config.days; ++day) {
+    const fs::path seg = fs::path(dir_) / checkpoint::SegmentFileName(day, checkpoint::kSerialShard);
+    ASSERT_TRUE(fs::exists(seg)) << seg;
+    segment_bytes += fs::file_size(seg);
+    ++segments;
+  }
+  constexpr uint64_t kSegmentHeader = (8 + 8 + 4) + 4 * 8;
+  EXPECT_EQ(segment_bytes, table_bytes + static_cast<uint64_t>(segments) * kSegmentHeader);
+}
+
 // --- Cooperative stop: the SIGINT path, minus the signal. ---
 
 TEST_F(CheckpointTest, StopFlagInterruptsAtBoundaryAndResumes) {
@@ -465,17 +587,6 @@ TEST_F(CheckpointTest, ShardedManifestListsEntriesInShardOrder) {
   }
 }
 
-// Every file in `dir`, by name, with its bytes.
-std::map<std::string, std::string> FilesIn(const fs::path& dir) {
-  std::map<std::string, std::string> files;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    std::ifstream in(entry.path(), std::ios::binary);
-    files[entry.path().filename().string()] =
-        std::string(std::istreambuf_iterator<char>(in), {});
-  }
-  return files;
-}
-
 // `a` and `b` hold the same file names, each with the same bytes.
 void ExpectSameFiles(const fs::path& a, const fs::path& b) {
   const auto files_a = FilesIn(a);
@@ -531,10 +642,24 @@ class CheckpointCorruptionTest : public CheckpointTest {
                               r.interrupted_at_day, checkpoint::kSerialShard))
             .string();
     ASSERT_TRUE(fs::exists(checkpoint_file_));
+    segment_file_ =
+        (fs::path(dir_) / checkpoint::SegmentFileName(r.interrupted_at_day,
+                                                      checkpoint::kSerialShard))
+            .string();
+    ASSERT_EQ(fs::exists(segment_file_), config.trace_mode == core::TraceMode::kFull);
   }
 
   std::string checkpoint_file_;
+  std::string segment_file_;  // The rows the interrupted day's commit wrote.
 };
+
+// The frame magic `path` opens with.
+uint64_t FileMagic(const std::string& path) {
+  uint64_t magic = 0;
+  std::ifstream in(path, std::ios::binary);
+  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
+  return magic;
+}
 
 TEST_F(CheckpointCorruptionTest, BitFlippedCheckpointDiesNamingFile) {
   testing::GTEST_FLAG(death_test_style) = "threadsafe";
@@ -554,24 +679,54 @@ TEST_F(CheckpointCorruptionTest, TruncatedCheckpointDiesNamingFile) {
 }
 
 TEST_F(CheckpointCorruptionTest, HugeTableCountDiesOnBoundsCheck) {
-  // A CRC-valid checkpoint whose requests-table count exceeds the payload must
+  // A CRC-valid segment whose requests-table count exceeds its payload must
   // die on the reader's bounds CHECK, not in the allocator.
   testing::GTEST_FLAG(death_test_style) = "threadsafe";
   const ScenarioConfig config = TinyScenario();
   MakeCheckpointDir(config);
-  checkpoint::CheckpointMeta meta;
+  const uint64_t magic = FileMagic(segment_file_);
   std::string payload;
-  ASSERT_TRUE(checkpoint::ReadCheckpointFile(checkpoint_file_, &meta, &payload));
-  // No policy: the simulator's now, next_seq and events words, then the
-  // policy-present byte, then the kFull sink's requests-table count.
-  constexpr size_t kRequestCountOffset = 8 + 8 + 8 + 1;
-  ASSERT_EQ(payload[kRequestCountOffset - 1], 0);
+  const char* why = nullptr;
+  ASSERT_EQ(ReadFramedFile(segment_file_, magic, &payload, &why), FrameStatus::kOk);
+  // The segment's payload opens with the requests-table count.
   const uint64_t huge = uint64_t{1} << 40;
-  ASSERT_GT(payload.size(), kRequestCountOffset + sizeof(huge));
-  std::memcpy(&payload[kRequestCountOffset], &huge, sizeof(huge));
-  ASSERT_TRUE(checkpoint::WriteCheckpointFile(checkpoint_file_, meta, payload));
+  ASSERT_GT(payload.size(), sizeof(huge));
+  std::memcpy(&payload[0], &huge, sizeof(huge));
+  ASSERT_TRUE(WriteFramedFile(segment_file_, magic, payload));
   EXPECT_DEATH(Experiment(config).ResumeFrom(dir_),
                "CHECK failed: count <= r.Remaining\\(\\) / sizeof\\(Record\\)");
+}
+
+TEST_F(CheckpointCorruptionTest, DamagedSegmentDiesNamingFile) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const ScenarioConfig config = TinyScenario();
+  MakeCheckpointDir(config);
+  // Deep in the rows, and in the requests-table count (frame header, then the
+  // count's sixth byte): a damaged count must read as damage too, not as a
+  // bounds CHECK.
+  for (const int64_t offset : {int64_t{-100}, int64_t{8 + 8 + 4 + 5}}) {
+    SCOPED_TRACE(offset);
+    FlipBit(segment_file_, offset);
+    EXPECT_DEATH(Experiment(config).ResumeFrom(dir_),
+                 "ckpt_day.*seg.*corrupt.*CRC mismatch");
+    FlipBit(segment_file_, offset);  // Flip back.
+  }
+}
+
+TEST_F(CheckpointCorruptionTest, TruncatedSegmentDiesNamingFile) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const ScenarioConfig config = TinyScenario();
+  MakeCheckpointDir(config);
+  fs::resize_file(segment_file_, fs::file_size(segment_file_) / 2);
+  EXPECT_DEATH(Experiment(config).ResumeFrom(dir_), "ckpt_day.*seg.*corrupt");
+}
+
+TEST_F(CheckpointCorruptionTest, MissingSegmentDiesNamingFile) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const ScenarioConfig config = TinyScenario();
+  MakeCheckpointDir(config);
+  fs::remove(segment_file_);
+  EXPECT_DEATH(Experiment(config).ResumeFrom(dir_), "ckpt_day.*seg.*missing");
 }
 
 TEST_F(CheckpointCorruptionTest, BitFlippedManifestDiesNamingFile) {
@@ -743,6 +898,44 @@ TEST(AtomicFileTest, CommitPublishesAbandonDoesNot) {
   }
   EXPECT_EQ(files, 1);
   fs::remove_all(dir);
+}
+
+// The CRC one bit at a time, straight from the polynomial.
+uint32_t BitwiseCrc32(const unsigned char* p, size_t size) {
+  uint32_t c = 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) {
+    c ^= p[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1u) ? (c >> 1) ^ 0xEDB88320u : c >> 1;
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, MatchesBitwiseReference) {
+  std::vector<unsigned char> buf((size_t{1} << 20) + 16);
+  uint64_t x = 0x9E3779B97F4A7C15ull;
+  for (unsigned char& b : buf) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    b = static_cast<unsigned char>(x >> 56);
+  }
+  // Every length 0-64 at every start offset within a word, odd ones included:
+  // the eight-byte loads must not care about alignment.
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 64; ++len) {
+      EXPECT_EQ(Crc32(buf.data() + offset, len), BitwiseCrc32(buf.data() + offset, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+  EXPECT_EQ(Crc32(buf.data() + 3, size_t{1} << 20),
+            BitwiseCrc32(buf.data() + 3, size_t{1} << 20));
+  // Chaining at every split point equals one shot over the whole.
+  const unsigned char* p = buf.data() + 1;
+  constexpr size_t kLen = 203;
+  const uint32_t whole = BitwiseCrc32(p, kLen);
+  for (size_t split = 0; split <= kLen; ++split) {
+    EXPECT_EQ(Crc32(p + split, kLen - split, Crc32(p, split)), whole) << "split " << split;
+  }
 }
 
 TEST(Crc32Test, KnownAnswerAndChaining) {
