@@ -3,7 +3,7 @@
 // Every figXX/tabXX binary loads the same cached paper scenario (31 days, 5 regions,
 // seed 42); the first binary to run simulates it (~10 s) and the rest load the binary
 // cache. PrintHeader standardizes the "what the paper reports vs. what we measure"
-// preamble that EXPERIMENTS.md quotes.
+// preamble each driver listed in docs/paper-map.md prints.
 #ifndef COLDSTART_BENCH_BENCH_UTIL_H_
 #define COLDSTART_BENCH_BENCH_UTIL_H_
 

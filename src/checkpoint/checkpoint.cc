@@ -13,8 +13,10 @@ namespace coldstart::checkpoint {
 
 namespace {
 
-// "cckpt_v9" / "cmnft_v3" / "ccseg_v1", little-endian. Checkpoint v9 made
-// full-trace runs append-only: the sink state holds the four table totals,
+// "cckptv10" / "cmnft_v3" / "ccseg_v1", little-endian (the two-digit version
+// takes the underscore's byte). Checkpoint v10 keeps day starts and the minute
+// tick as pending-event table entries and drops their scalar seq bookkeeping
+// from the platform state. v9 made full-trace runs append-only: the sink state holds the four table totals,
 // the horizon and the ordered segment list, the rows live in segment files,
 // and the payload follows the metadata without its own length word. v8 dropped
 // the per-(region, cell) cold-start model frames (the model is pure
@@ -28,7 +30,7 @@ namespace {
 // LogHistogram latency sum 128-bit fixed point (manifest v3 added
 // shards_per_region, layout-unchanged since). Older files encode different
 // layouts and are rejected here as "bad magic" rather than half-restored.
-constexpr uint64_t kCheckpointMagic = 0x39765F74706B6363ull;
+constexpr uint64_t kCheckpointMagic = 0x30317674706B6363ull;
 constexpr uint64_t kManifestMagic = 0x33765F74666E6D63ull;
 constexpr uint64_t kSegmentMagic = 0x31765F6765736363ull;
 

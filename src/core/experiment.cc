@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <functional>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <numeric>
@@ -304,6 +305,11 @@ int64_t RestoreShard(const std::string& dir, const checkpoint::ManifestEntry& en
 // Serializes manifest updates across shard threads: each Commit writes the
 // shard's checkpoint file, installs its manifest entry, and atomically
 // rewrites the manifest — so the manifest always names fully committed files.
+// Once the manifest commits, the shard's day file from two commits back is
+// deleted: the directory keeps the committed file and the one it replaced.
+// Segments are never deleted, since every later day file lists them. A
+// resumed run starts its history at the seeded entry, so the file that
+// preceded that entry stays on disk.
 class CheckpointCommitter {
  public:
   CheckpointCommitter(const CheckpointPolicy& policy, uint64_t fingerprint,
@@ -350,7 +356,9 @@ class CheckpointCommitter {
       const auto it = std::lower_bound(
           entries.begin(), entries.end(), shard,
           [](const checkpoint::ManifestEntry& e, uint32_t id) { return e.shard < id; });
+      std::string replaced;
       if (it != entries.end() && it->shard == shard) {
+        replaced = std::move(it->file);
         it->day = day;
         it->file = file;
       } else {
@@ -358,6 +366,12 @@ class CheckpointCommitter {
       }
       COLDSTART_CHECK(checkpoint::WriteManifest(policy_.dir, manifest_) &&
                       "failed to write checkpoint manifest");
+      std::string& superseded = superseded_[shard];
+      if (!superseded.empty()) {
+        std::error_code ec;
+        std::filesystem::remove(policy_.dir + "/" + superseded, ec);
+      }
+      superseded = std::move(replaced);
     }
     if (policy_.on_checkpoint) {
       policy_.on_checkpoint(day, shard);
@@ -367,6 +381,8 @@ class CheckpointCommitter {
  private:
   const CheckpointPolicy& policy_;
   checkpoint::Manifest manifest_;
+  // Per shard, the file its manifest entry replaced at its last commit.
+  std::map<uint32_t, std::string> superseded_;
   std::mutex mu_;
 };
 

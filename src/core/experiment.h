@@ -96,7 +96,7 @@ struct ExperimentResult {
   // any thread count, and restored from the cache file on cache hits.
   platform::ResourceCostLedger cost_ledger;
   // Total simulator events. Note: a sharded run processes a handful more events
-  // than a serial one (per-shard day starters and policy ticks); the traces and the
+  // than a serial one (per-shard day starts and policy ticks); the traces and the
   // per-region aggregates above are nevertheless identical.
   uint64_t events_processed = 0;
   double sim_wall_seconds = 0;

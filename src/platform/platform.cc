@@ -122,33 +122,15 @@ Platform::Platform(const workload::Population& population,
     }
   }
 
+  sim_.AttachTarget(this);
   if (policy_ != nullptr) {
     policy_->OnAttach(*this);
-    // The minute tick is platform-managed so its (time, seq) key is recorded
-    // and a checkpoint restore can re-queue it. It consumes one seq here and one
-    // per reschedule after the tick body runs. On resume the restored state
-    // re-queues the pending tick instead.
+    // The minute tick is a pending-event entry: it consumes one seq here and
+    // one per reschedule after the tick body runs. On resume the restored
+    // table holds the pending tick instead.
     if (!options_.resuming && calendar_.horizon() > 0) {
-      SchedulePolicyTick(0);
+      ScheduleEvent(EventKind::kPolicyTick, 0);
     }
-  }
-}
-
-void Platform::SchedulePolicyTick(SimTime t) {
-  policy_tick_time_ = t;
-  policy_tick_seq_ = sim_.next_seq();
-  sim_.ScheduleAt(t, [this] { RunPolicyTick(); });
-}
-
-void Platform::RunPolicyTick() {
-  // Fire first, then reschedule — the Recur closure this replaces ran the body
-  // before consuming the next tick's seq, and the order must match exactly.
-  policy_->OnMinuteTick(sim_.now());
-  const SimTime next = sim_.now() + kMinute;
-  if (next < calendar_.horizon()) {
-    SchedulePolicyTick(next);
-  } else {
-    policy_tick_time_ = -1;
   }
 }
 
@@ -156,11 +138,12 @@ Platform::~Platform() {
   if (source_attached_) {
     sim_.AttachSource(nullptr);
   }
+  sim_.AttachTarget(nullptr);
 }
 
 void Platform::ArrivalCursor::Open(size_t count, uint64_t seq_base) {
   // Day batches never overlap: every arrival of the previous day is strictly
-  // earlier than the next day's starter event.
+  // earlier than the next day's day-start event.
   COLDSTART_CHECK_EQ(next_, limit_);
   next_ = 0;
   limit_ = count;
@@ -179,13 +162,13 @@ bool Platform::ArrivalCursor::Head(SimTime* time, uint64_t* seq) {
 void Platform::ArrivalCursor::RunHead() {
   const workload::ArrivalEvent* events = platform_->chunk_.events.data();
   const workload::ArrivalEvent& arrival = events[next_];
-  // The stream contract requires sorted arrivals (the old per-arrival closures
-  // re-ordered them through the queue; the cursor replays them as-is). Fail
-  // loudly rather than silently rewinding the clock.
+  // The stream contract requires sorted arrivals (the queue would re-order
+  // queued events; the cursor replays them as-is). Fail loudly rather than
+  // silently rewinding the clock.
   COLDSTART_CHECK_GE(arrival.time, last_time_);
   last_time_ = arrival.time;
   // Batched drain: dispatch the whole same-timestamp run in one call. The day
-  // chunk's seq range is contiguous and reserved at the day starter, so every
+  // chunk's seq range is contiguous and reserved at the day start, so every
   // queued event at this timestamp has a seq strictly below the run's first
   // arrival (it already fired) or strictly above its last (it fires after) —
   // no queued event can interleave, and nothing the run itself schedules lands
@@ -205,7 +188,7 @@ void Platform::ArrivalCursor::RunHead() {
 void Platform::OpenDayChunk(int64_t day) {
   if (arrival_stream_ == nullptr || !arrival_stream_->NextChunk(&chunk_)) {
     chunk_.events.clear();
-    return;  // Exhausted stream: the remaining starters are no-ops.
+    return;  // Exhausted stream: the remaining day starts are no-ops.
   }
   // Contract checks are O(1) per day: chunks arrive in day order and their
   // (sorted) events lie inside the day window — a violation would corrupt the
@@ -223,20 +206,19 @@ void Platform::OpenDayChunk(int64_t day) {
 
 void Platform::AttachArrivalStream(std::unique_ptr<workload::ArrivalStream> stream) {
   // Arrivals flow through the attached cursor one day-batch at a time: each
-  // starter event pulls its day's chunk and reserves the batch's contiguous seq
-  // range (the same sequence numbers per-arrival closures would have consumed),
-  // so a year of arrivals costs one live chunk plus one starter per day instead
-  // of one queued closure per arrival. Scheduling every starter up front (at
-  // attach time) keeps starter seq numbers below every run-time event's, exactly
-  // like the eagerly scheduled batches they replace — see docs/determinism.md.
+  // day-start event pulls its day's chunk and reserves the batch's contiguous
+  // seq range (the same sequence numbers per-arrival events would have
+  // consumed), so a year of arrivals costs one live chunk plus one day-start
+  // entry per day instead of one queued event per arrival. Scheduling every
+  // day start up front (at attach time) keeps their seq numbers below every
+  // run-time event's, exactly like the eagerly scheduled batches they replace
+  // — see docs/determinism.md.
   COLDSTART_CHECK(arrival_stream_ == nullptr && !source_attached_);
   arrival_stream_ = std::move(stream);
   if (arrival_stream_ == nullptr) {
     return;
   }
   const SimTime horizon = calendar_.horizon();
-  bool any = false;
-  starter_seq_base_ = sim_.next_seq();  // Day k's starter is seq base + k.
   for (int64_t day = 0; day * kDay < horizon; ++day) {
     // Wake exactly at the day boundary (covers the t=0 first arrival: day_start
     // is never negative). Anchoring the batch's seq reservation at day start —
@@ -244,11 +226,9 @@ void Platform::AttachArrivalStream(std::unique_ptr<workload::ArrivalStream> stre
     // stream contains — keeps the (time, seq) interleaving of arrivals and
     // handler-scheduled events identical between the serial run and per-region
     // shards.
-    sim_.ScheduleAt(day * kDay, [this, day] { OpenDayChunk(day); });
-    any = true;
-    ++num_starters_;
+    ScheduleEvent(EventKind::kDayStart, day * kDay);
   }
-  if (any) {
+  if (horizon > 0) {
     sim_.AttachSource(&arrival_cursor_);
     source_attached_ = true;
   }
@@ -548,12 +528,12 @@ std::pair<Platform::PendingEvent*, SlabHandle> Platform::ScheduleEvent(EventKind
   auto [event, h] = events_.Allocate();
   event->kind = kind;
   event->time = t;
-  event->seq = sim_.next_seq();
-  sim_.ScheduleAt(t, [this, h = h] { Fire(h); });
+  event->seq = sim_.ScheduleAt(t, h.Pack());
   return {event, h};
 }
 
-void Platform::Fire(SlabHandle h) {
+void Platform::Fire(uint64_t token) {
+  const SlabHandle h = SlabHandle::Unpack(token);
   const PendingEvent* live = events_.Resolve(h);
   if (live == nullptr) {
     return;  // Cancelled: a keep-alive whose pod took a request.
@@ -586,6 +566,16 @@ void Platform::Fire(SlabHandle h) {
     case EventKind::kPrewarm:
       if (!HasAvailablePod(e.function)) {
         SpawnPrewarmedPod(e.function, e.region, e.keep_alive);
+      }
+      return;
+    case EventKind::kDayStart:
+      OpenDayChunk(e.time / kDay);
+      return;
+    case EventKind::kPolicyTick:
+      // The body runs first, then the next tick takes its seq.
+      policy_->OnMinuteTick(e.time);
+      if (e.time + kMinute < calendar_.horizon()) {
+        ScheduleEvent(EventKind::kPolicyTick, e.time + kMinute);
       }
       return;
   }
@@ -773,7 +763,7 @@ std::vector<uint32_t> RestoreSlabStructure(Slab<T>& slab, ByteReader& r) {
 void Platform::SaveCheckpointState(ByteWriter& w) const {
   const SimTime now = sim_.now();
   // Quiescent day boundary: every event < the boundary fired, the live chunk is
-  // drained, and every pending event is reconstructible from the bookkeeping.
+  // drained, and every pending event is an entry of the table.
   COLDSTART_CHECK_EQ((now + 1) % kDay, 0);
   COLDSTART_CHECK(arrival_cursor_.drained());
 
@@ -860,12 +850,8 @@ void Platform::SaveCheckpointState(ByteWriter& w) const {
     }
   }
 
-  // Arrival cursor guard + event-seq bookkeeping.
+  // The arrival cursor's sorted-contract guard.
   w.I64(arrival_cursor_.last_time());
-  w.U64(starter_seq_base_);
-  w.I64(num_starters_);
-  w.I64(policy_tick_time_);
-  w.U64(policy_tick_seq_);
 
   // The pending-event table: every entry writes every field, under its
   // original (time, seq) key; each kind reads only its own payload.
@@ -993,17 +979,13 @@ void Platform::RestoreCheckpointState(
   COLDSTART_CHECK_EQ(num_listed, pod_slab_.alive_count());
 
   arrival_cursor_.RestoreGuard(r.I64());
-  starter_seq_base_ = r.U64();
-  num_starters_ = r.I64();
-  policy_tick_time_ = r.I64();
-  policy_tick_seq_ = r.U64();
 
   // The pending-event table, re-queued under the original (time, seq) keys
   // (push order is free: the queue orders restored keys by (time, seq)).
   for (const uint32_t i : RestoreSlabStructure(events_, r)) {
     PendingEvent& e = events_.slot_value(i);
     const uint8_t kind = r.U8();
-    COLDSTART_CHECK_LE(kind, static_cast<uint8_t>(EventKind::kPrewarm));
+    COLDSTART_CHECK_LE(kind, static_cast<uint8_t>(EventKind::kPolicyTick));
     e.kind = static_cast<EventKind>(kind);
     e.delay_exempt = r.U8() != 0;
     const uint32_t region = r.U32();
@@ -1026,7 +1008,9 @@ void Platform::RestoreCheckpointState(
       COLDSTART_CHECK(pod != nullptr && events_.Resolve(pod->keep_alive) == nullptr);
       pod->keep_alive = h;
     }
-    sim_.RestoreEvent(e.time, e.seq, [this, h] { Fire(h); });
+    COLDSTART_CHECK(e.kind != EventKind::kPolicyTick || policy_ != nullptr);
+    COLDSTART_CHECK(e.kind != EventKind::kDayStart || e.time % kDay == 0);
+    sim_.RestoreEvent(e.time, e.seq, h.Pack());
   }
   // Idle pods, and only those, came back with a keep-alive (as on save).
   for (const uint32_t i : alive_pods) {
@@ -1045,19 +1029,6 @@ void Platform::RestoreCheckpointState(
     COLDSTART_CHECK(sr.AtEnd());
     sim_.AttachSource(&arrival_cursor_);
     source_attached_ = true;
-  }
-
-  // Re-queue the scalar-keyed events: the remaining day starters and the tick.
-  for (int64_t day = 0; day < num_starters_; ++day) {
-    if (day * kDay > now) {
-      sim_.RestoreEvent(day * kDay, starter_seq_base_ + static_cast<uint64_t>(day),
-                        [this, day] { OpenDayChunk(day); });
-    }
-  }
-  if (policy_tick_time_ >= 0) {
-    COLDSTART_CHECK(policy_ != nullptr);
-    sim_.RestoreEvent(policy_tick_time_, policy_tick_seq_,
-                      [this] { RunPolicyTick(); });
   }
 }
 

@@ -83,7 +83,7 @@ struct PodHot {
 inline constexpr int kPodIdRegionShift = 28;
 inline constexpr trace::PodId kPodIdSeqMask = (trace::PodId{1} << kPodIdRegionShift) - 1;
 
-class Platform {
+class Platform : private sim::EventTarget {
  public:
   struct Options {
     uint64_t seed = 1;
@@ -91,8 +91,8 @@ class Platform {
     // Baseline keep-alive when no policy overrides it (§2.2: one minute).
     SimDuration default_keep_alive = kMinute;
     // Construction for a checkpoint restore: skip the side effects a fresh run
-    // performs up front (function-table emission into the sink, the initial
-    // policy-tick schedule) — the restored state already accounts for them.
+    // performs up front (function-table emission into the sink, the first
+    // policy tick) — the restored state already accounts for them.
     bool resuming = false;
     // Capacity cells per region (ScenarioConfig::cells_per_region). 1 keeps the
     // paper's one-pool-per-region model and the legacy RNG/id streams bit for
@@ -112,15 +112,16 @@ class Platform {
            trace::TraceSink& sink, Options options,
            PlatformPolicy* policy = nullptr);
   // The Simulator must outlive the Platform: the destructor detaches the
-  // arrival cursor from `sim` so no dangling EventSource is left behind.
-  ~Platform();
+  // platform and its arrival cursor from `sim` so no dangling EventTarget or
+  // EventSource is left behind.
+  ~Platform() override;
 
   // Attaches the run's arrival stream. Takes ownership; call at most once,
-  // before RunUntil. One starter event per day boundary pulls that day's chunk
+  // before RunUntil. One day-start event per day boundary pulls that day's chunk
   // from the stream, reserves the batch's contiguous (time, seq) keys, and opens
   // the cursor over it — so at any instant the platform holds one day of
   // arrivals, never the whole horizon, and arrivals are never materialized as
-  // queued closures. The chunk sequence must honor the ArrivalStream contract
+  // queued events. The chunk sequence must honor the ArrivalStream contract
   // (day-ordered, per-day (time, function)-sorted, in-window — CHECKed here);
   // see docs/determinism.md for why the day-anchored seq reservation makes the
   // event total order identical to per-arrival scheduling.
@@ -132,11 +133,11 @@ class Platform {
   // --- Checkpoint support (src/checkpoint/). ---
   // Serializes the platform's full mutable state. Valid only at a quiescent day
   // boundary (clock at day * kDay - 1: the previous day's chunk fully drained,
-  // every pending event reconstructible from the bookkeeping below) — CHECKed.
+  // every pending event an entry of the pending-event table) — CHECKed.
   // The payload covers RNGs, id namespaces, load/pool state, the pod slab (with
-  // per-function pod-list order), the pending-event table, the arrival stream's
-  // state, and the day-starter and minute-tick keys. Policy and sink state are
-  // serialized by the caller (core::Experiment), which owns those objects.
+  // per-function pod-list order), the pending-event table and the arrival
+  // stream's state. Policy and sink state are serialized by the caller
+  // (core::Experiment), which owns those objects.
   void SaveCheckpointState(ByteWriter& w) const;
   // Mirror of SaveCheckpointState on a freshly constructed platform (with
   // Options.resuming set). Restores state, re-queues every pending event under
@@ -153,7 +154,7 @@ class Platform {
                          SimDuration initial_keep_alive);
   // SpawnPrewarmedPod at time `at` (>= now), skipped when the function then
   // already has a pod with a free slot. The pending spawn is a platform event,
-  // so it survives a checkpoint; policies schedule no closures of their own.
+  // so it survives a checkpoint; policies schedule no events of their own.
   void SpawnPrewarmedPodAt(SimTime at, trace::FunctionId function,
                            trace::RegionId region, SimDuration initial_keep_alive);
   // The region's one pool of `config`. It exists only when cells_per_region == 1
@@ -198,9 +199,9 @@ class Platform {
     double log_exec_median_us = 0;  // log(exec_median_us), computed once.
   };
 
-  // Streams the current day's chunk as a sim::EventSource. Day starters call
+  // Streams the current day's chunk as a sim::EventSource. Day-start events call
   // Open() with a freshly reserved seq range, so each arrival carries exactly the
-  // (time, seq) key a per-arrival closure would have had — the event total order
+  // (time, seq) key a per-arrival event would have had — the event total order
   // (and thus every downstream RNG draw) is unchanged.
   class ArrivalCursor : public sim::EventSource {
    public:
@@ -254,7 +255,7 @@ class Platform {
   PodHot& hot(const Pod& pod) { return pod_hot_[pod.self.index]; }
   const PodHot& hot(const Pod& pod) const { return pod_hot_[pod.self.index]; }
 
-  // Day-starter body: pulls day `day`'s chunk from arrival_stream_ into chunk_,
+  // Day-start body: pulls day `day`'s chunk from arrival_stream_ into chunk_,
   // validates it against the stream contract, and opens the cursor over it.
   void OpenDayChunk(int64_t day);
   // Batched drain: dispatches `count` same-timestamp arrivals starting at
@@ -278,13 +279,12 @@ class Platform {
                                const FunctionState& state, trace::RegionId region);
 
   // --- The pending-event table. ---
-  // Every pending event that carries a payload is an entry in events_, and its
-  // queued closure is only (this, entry handle). An event is live iff its entry
-  // is alive: cancelling an event frees its entry, and the queued closure then
-  // resolves to nothing. A checkpoint saves the table entry by entry and a
-  // restore re-queues each entry under its original (time, seq) key. The table
-  // is always on, so checkpointed and plain runs consume identical seqs.
-  // Day starters and the minute tick carry no payload and keep scalar keys.
+  // Every pending queued event is an entry in events_, and its queue token is
+  // the entry's packed handle. An event is live iff its entry is alive:
+  // cancelling an event frees its entry, and the token then resolves to
+  // nothing. A checkpoint saves the table entry by entry and a restore
+  // re-queues each entry under its original (time, seq) key. The table is
+  // always on, so checkpointed and plain runs consume identical seqs.
   enum class EventKind : uint8_t {
     kCompletion,     // A request of `function` on `pod` ends.
     kInvoke,         // One arrival of `function`, deferred: a workflow child
@@ -292,6 +292,8 @@ class Platform {
     kKeepAlive,      // Idle `pod` dies.
     kLoadDecrement,  // A `function` pod's cold start in `region` is ready.
     kPrewarm,        // SpawnPrewarmedPod(function, region, keep_alive).
+    kDayStart,       // OpenDayChunk(time / kDay).
+    kPolicyTick,     // policy_->OnMinuteTick(time), then the next tick.
   };
   struct PendingEvent {
     EventKind kind = EventKind::kCompletion;
@@ -304,18 +306,13 @@ class Platform {
     SimTime exec_start = 0;      // kCompletion: the request ran [exec_start, time).
     SimDuration keep_alive = 0;  // kPrewarm.
   };
-  // Allocates an entry of `kind` keyed (t, next seq) and queues its closure,
+  // Allocates an entry of `kind` keyed (t, next seq) and queues its token,
   // consuming exactly one seq. The caller fills the payload in place (building
   // it in a temporary and copying it in measured ~10% slower on month_serial).
   std::pair<PendingEvent*, SlabHandle> ScheduleEvent(EventKind kind, SimTime t);
-  // The one closure body: resolves the entry, frees it, and runs its kind.
-  void Fire(SlabHandle h);
-
-  // Platform-managed minute tick: its (time, seq) is recorded so a checkpoint
-  // restore can re-queue it. Fires OnMinuteTick then reschedules, consuming one
-  // seq per tick.
-  void SchedulePolicyTick(SimTime t);
-  void RunPolicyTick();
+  // sim::EventTarget: resolves the entry `token` names, frees it, and runs its
+  // kind; a cancelled entry resolves to nothing.
+  void Fire(uint64_t token) override;
 
   const workload::Population& population_;
   std::vector<workload::RegionProfile> profiles_;
@@ -356,10 +353,6 @@ class Platform {
 
   ResourceCostLedger cost_ledger_;        // Per region; order-invariant sums.
   Slab<PendingEvent> events_;             // The pending-event table (above).
-  uint64_t starter_seq_base_ = 0;         // Seq of day 0's starter event.
-  int64_t num_starters_ = 0;              // Day starters scheduled at attach.
-  SimTime policy_tick_time_ = -1;         // Next tick's (time, seq); -1 = none.
-  uint64_t policy_tick_seq_ = 0;
 };
 
 }  // namespace coldstart::platform

@@ -30,6 +30,12 @@ struct SlabHandle {
   static constexpr uint32_t kInvalidIndex = 0xffffffffu;
   uint32_t index = kInvalidIndex;
   uint32_t gen = 0;
+
+  // The handle as one word (an event-queue token) and back.
+  uint64_t Pack() const { return (uint64_t{gen} << 32) | index; }
+  static SlabHandle Unpack(uint64_t word) {
+    return {static_cast<uint32_t>(word), static_cast<uint32_t>(word >> 32)};
+  }
 };
 
 template <typename T>

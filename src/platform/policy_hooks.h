@@ -122,7 +122,7 @@ class PlatformPolicy {
   // through the platform, never through the simulator: a policy acts now
   // (SpawnPrewarmedPod), later (SpawnPrewarmedPodAt), or from the minute tick,
   // and the platform keeps each pending event in its checkpointed event table.
-  // The Platform exposes no simulator, so a policy cannot queue a closure that
+  // The Platform exposes no simulator, so a policy cannot queue an event that
   // a checkpoint would lose.
   virtual bool SavePolicyState(std::string* out) const {
     (void)out;

@@ -4,20 +4,9 @@
 
 namespace coldstart::sim {
 
-void EventQueue::Push(SimTime t, uint64_t seq, InlineHandler&& fn) {
-  if (free_slots_.empty()) {
-    // Grow by one chunk; its lowest slot is handed out first.
-    const auto base = static_cast<uint32_t>(chunks_.size()) * kChunkSize;
-    chunks_.push_back(std::make_unique<Chunk>());
-    for (uint32_t i = kChunkSize; i-- > 0;) {
-      free_slots_.push_back(base + i);
-    }
-  }
-  const uint32_t slot = free_slots_.back();
-  free_slots_.pop_back();
-  Slot(slot) = std::move(fn);
+void EventQueue::Push(SimTime t, uint64_t seq, uint64_t token) {
   // Sift up through a hole: parents move down until the key fits.
-  const Key key{t, seq, slot};
+  const Key key{t, seq, token};
   size_t i = keys_.size();
   keys_.push_back(key);
   while (i > 0) {
@@ -31,11 +20,10 @@ void EventQueue::Push(SimTime t, uint64_t seq, InlineHandler&& fn) {
   keys_[i] = key;
 }
 
-void EventQueue::RunNext() {
+uint64_t EventQueue::Pop() {
   COLDSTART_CHECK(!keys_.empty());
-  const uint32_t slot = keys_.front().slot;
-  // Sift the last key down from the root before running, so the handler's own
-  // pushes see a consistent heap.
+  const uint64_t token = keys_.front().token;
+  // Sift the last key down from the root.
   const Key last = keys_.back();
   keys_.pop_back();
   const size_t n = keys_.size();
@@ -67,10 +55,7 @@ void EventQueue::RunNext() {
     }
     keys_[i] = last;
   }
-  InlineHandler& fn = Slot(slot);
-  fn();
-  fn = InlineHandler();
-  free_slots_.push_back(slot);
+  return token;
 }
 
 }  // namespace coldstart::sim

@@ -1,12 +1,10 @@
 #include "sim/simulator.h"
 
-#include <limits>
-
 namespace coldstart::sim {
 
-uint64_t Simulator::RunLoop(SimTime until) {
+uint64_t Simulator::RunUntil(SimTime until) {
   uint64_t processed = 0;
-  while (!stop_requested_) {
+  for (;;) {
     SimTime source_time = 0;
     uint64_t source_seq = 0;
     const bool have_source =
@@ -29,28 +27,16 @@ uint64_t Simulator::RunLoop(SimTime until) {
     if (source_first) {
       source_->RunHead();
     } else {
-      queue_.RunNext();
+      target_->Fire(queue_.Pop());
     }
     ++processed;
     ++events_processed_;
   }
-  return processed;
-}
-
-uint64_t Simulator::RunUntil(SimTime until) {
-  stop_requested_ = false;
-  const uint64_t processed = RunLoop(until);
-  // A stopped run leaves the clock at the last processed event; otherwise the clock
-  // advances to the requested horizon even when the queue drained early.
-  if (!stop_requested_ && now_ < until) {
+  // The clock advances to the requested horizon even when the queue drained early.
+  if (now_ < until) {
     now_ = until;
   }
   return processed;
-}
-
-uint64_t Simulator::RunToCompletion() {
-  stop_requested_ = false;
-  return RunLoop(std::numeric_limits<SimTime>::max());
 }
 
 }  // namespace coldstart::sim

@@ -39,6 +39,19 @@ void TraceStore::AppendFrom(TraceStore&& other) {
   other = TraceStore();
 }
 
+namespace {
+
+// Sorts `rows` unless they already are: a store restored from a sealed cache
+// arrives in canonical order, and the O(n) check spares it the re-sort.
+template <typename T, typename Less>
+void SortUnlessSorted(std::vector<T>& rows, Less less) {
+  if (!std::is_sorted(rows.begin(), rows.end(), less)) {
+    std::sort(rows.begin(), rows.end(), less);
+  }
+}
+
+}  // namespace
+
 void TraceStore::Seal() {
   if (sealed_) {
     return;
@@ -47,21 +60,18 @@ void TraceStore::Seal() {
   // its region) names at most one cold-start and one lifetime record. A total order
   // is what guarantees that per-region shards merged in any order seal identically
   // to the serial run.
-  std::sort(requests_.begin(), requests_.end(),
-            [](const RequestRecord& a, const RequestRecord& b) {
-              return std::tie(a.timestamp, a.region, a.request_id, a.pod_id) <
-                     std::tie(b.timestamp, b.region, b.request_id, b.pod_id);
-            });
-  std::sort(cold_starts_.begin(), cold_starts_.end(),
-            [](const ColdStartRecord& a, const ColdStartRecord& b) {
-              return std::tie(a.timestamp, a.region, a.pod_id) <
-                     std::tie(b.timestamp, b.region, b.pod_id);
-            });
-  std::sort(pods_.begin(), pods_.end(),
-            [](const PodLifetimeRecord& a, const PodLifetimeRecord& b) {
-              return std::tie(a.cold_start_begin, a.region, a.pod_id) <
-                     std::tie(b.cold_start_begin, b.region, b.pod_id);
-            });
+  SortUnlessSorted(requests_, [](const RequestRecord& a, const RequestRecord& b) {
+    return std::tie(a.timestamp, a.region, a.request_id, a.pod_id) <
+           std::tie(b.timestamp, b.region, b.request_id, b.pod_id);
+  });
+  SortUnlessSorted(cold_starts_, [](const ColdStartRecord& a, const ColdStartRecord& b) {
+    return std::tie(a.timestamp, a.region, a.pod_id) <
+           std::tie(b.timestamp, b.region, b.pod_id);
+  });
+  SortUnlessSorted(pods_, [](const PodLifetimeRecord& a, const PodLifetimeRecord& b) {
+    return std::tie(a.cold_start_begin, a.region, a.pod_id) <
+           std::tie(b.cold_start_begin, b.region, b.pod_id);
+  });
   sealed_ = true;
 }
 

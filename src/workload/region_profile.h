@@ -3,8 +3,9 @@
 // A RegionProfile is everything that distinguishes R1..R5 in the paper: scale, function
 // mix (runtime x trigger x config), popularity distribution, diurnal phase, holiday
 // response, and the cold-start architecture (component base latencies and congestion
-// sensitivities). DESIGN.md §4 lists the figure-level targets each constant serves;
-// volumes are scaled (~10^-4 of production) as documented in EXPERIMENTS.md.
+// sensitivities). docs/paper-map.md lists the figures these constants are
+// calibrated against and the driver that regenerates each; volumes are scaled
+// (~10^-4 of production) as documented there.
 #ifndef COLDSTART_WORKLOAD_REGION_PROFILE_H_
 #define COLDSTART_WORKLOAD_REGION_PROFILE_H_
 

@@ -19,6 +19,7 @@
 #include <fstream>
 #include <iterator>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -140,7 +141,9 @@ std::map<std::string, std::string> FilesIn(const fs::path& dir) {
 // --- Tentpole: checkpointing never perturbs the run. ---
 
 TEST_F(CheckpointTest, CheckpointedRunMatchesPlainRun) {
-  const ScenarioConfig config = TinyScenario();
+  // Five days, so four commits: enough for superseded day files to go.
+  ScenarioConfig config = TinyScenario();
+  config.days = 5;
   const Experiment experiment(config);
   const ExperimentResult plain = experiment.Run(nullptr, 1);
 
@@ -151,12 +154,20 @@ TEST_F(CheckpointTest, CheckpointedRunMatchesPlainRun) {
   ASSERT_GT(plain.store.requests().size(), 1000u);
   EXPECT_EQ(trace::Digest(plain.store), trace::Digest(checkpointed.store));
   EXPECT_EQ(checkpointed.interrupted_at_day, -1);
-  // Every interior day boundary committed a checkpoint plus the manifest.
+  // Every interior day boundary committed a segment, a checkpoint and the
+  // manifest. The last two day files remain; every segment stays.
+  std::set<std::string> expected = {"MANIFEST.bin"};
   for (int64_t day = 1; day < config.days; ++day) {
-    EXPECT_TRUE(fs::exists(fs::path(dir_) /
-                           checkpoint::CheckpointFileName(day, checkpoint::kSerialShard)))
-        << "missing checkpoint for day " << day;
+    expected.insert(checkpoint::SegmentFileName(day, checkpoint::kSerialShard));
+    if (day + 2 >= config.days) {
+      expected.insert(checkpoint::CheckpointFileName(day, checkpoint::kSerialShard));
+    }
   }
+  std::set<std::string> retained;
+  for (const auto& [name, bytes] : FilesIn(dir_)) {
+    retained.insert(name);
+  }
+  EXPECT_EQ(retained, expected);
   checkpoint::Manifest manifest;
   ASSERT_TRUE(checkpoint::ReadManifest(dir_, &manifest));
   EXPECT_FALSE(manifest.sharded);

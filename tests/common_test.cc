@@ -1,6 +1,5 @@
 // Tests for the common layer: RNG, histograms, env parsing, time formatting,
-// tables, the small-buffer handler the event queue stores, and the file frame
-// every durable binary artifact shares.
+// tables, and the file frame every durable binary artifact shares.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,7 +9,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -18,7 +16,6 @@
 #include "common/env.h"
 #include "common/framed_file.h"
 #include "common/histogram.h"
-#include "common/inline_handler.h"
 #include "common/rng.h"
 #include "common/sim_time.h"
 #include "common/table.h"
@@ -26,90 +23,6 @@
 
 namespace coldstart {
 namespace {
-
-TEST(InlineHandlerTest, SmallCapturesStayInline) {
-  int counter = 0;
-  InlineHandler h([&counter] { ++counter; });
-  EXPECT_TRUE(h.is_inline());
-  h();
-  h();
-  EXPECT_EQ(counter, 2);
-}
-
-TEST(InlineHandlerTest, CapturesUpTo48BytesStayInline) {
-  int64_t a = 1, b = 2, c = 3, d = 4, e = 5;  // 40 bytes of captures.
-  int64_t sum = 0;
-  InlineHandler h([&sum, a, b, c, d, e] { sum = a + b + c + d + e; });
-  EXPECT_TRUE(h.is_inline());
-  h();
-  EXPECT_EQ(sum, 15);
-}
-
-TEST(InlineHandlerTest, OversizedCapturesFallBackToHeap) {
-  struct Big {
-    char bytes[64] = {};
-  } big;
-  big.bytes[63] = 7;
-  char out = 0;
-  InlineHandler h([big, &out] { out = big.bytes[63]; });
-  EXPECT_FALSE(h.is_inline());
-  h();
-  EXPECT_EQ(out, 7);
-}
-
-TEST(InlineHandlerTest, MoveTransfersOwnership) {
-  auto flag = std::make_shared<int>(0);
-  InlineHandler a([flag] { ++*flag; });
-  EXPECT_EQ(flag.use_count(), 2);
-  InlineHandler b(std::move(a));
-  EXPECT_FALSE(static_cast<bool>(a));
-  EXPECT_TRUE(static_cast<bool>(b));
-  b();
-  EXPECT_EQ(*flag, 1);
-  InlineHandler c;
-  c = std::move(b);
-  c();
-  EXPECT_EQ(*flag, 2);
-  EXPECT_EQ(flag.use_count(), 2);  // Exactly one live copy of the capture.
-}
-
-TEST(InlineHandlerTest, DestructionReleasesCapture) {
-  auto flag = std::make_shared<int>(0);
-  {
-    InlineHandler h([flag] { ++*flag; });
-    EXPECT_EQ(flag.use_count(), 2);
-  }
-  EXPECT_EQ(flag.use_count(), 1);  // Inline capture destroyed.
-  {
-    struct Big {
-      std::shared_ptr<int> p;
-      char pad[56] = {};
-    };
-    InlineHandler h([big = Big{flag}] { ++*big.p; });
-    EXPECT_FALSE(h.is_inline());
-    EXPECT_EQ(flag.use_count(), 2);
-  }
-  EXPECT_EQ(flag.use_count(), 1);  // Heap cell destroyed.
-}
-
-TEST(InlineHandlerTest, MoveOnlyCapturesWork) {
-  auto owned = std::make_unique<int>(41);
-  InlineHandler h([p = std::move(owned)] { ++*p; });
-  h();
-}
-
-TEST(InlineHandlerTest, HandlersAreVectorSafe) {
-  // Handlers are moved through growing containers; moves must preserve them.
-  std::vector<InlineHandler> v;
-  int hits = 0;
-  for (int i = 0; i < 100; ++i) {
-    v.emplace_back([&hits] { ++hits; });
-  }
-  for (auto& h : v) {
-    h();
-  }
-  EXPECT_EQ(hits, 100);
-}
 
 TEST(RngTest, DeterministicForSameSeed) {
   Rng a(42), b(42);

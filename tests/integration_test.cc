@@ -179,7 +179,7 @@ TEST(PaperShapeTest, TimersDominateDiagonalFunctions) {
 
 TEST(PaperShapeTest, UtilityRatioOrderings) {
   // At our volume scale most pods serve a single request, which compresses absolute
-  // utility ratios (documented in EXPERIMENTS.md); the paper's *orderings* must hold:
+  // utility ratios (documented in docs/paper-map.md); the paper's *orderings* must hold:
   // timers are the worst trigger group, and a meaningful share of pods sits below 1.
   const auto& store = SharedResult().store;
   const auto all = analysis::UtilityByRuntime(store, -1, -1);

@@ -2,6 +2,9 @@
 // autoscaling, and workflow fan-out. Small hand-built scenarios with exact assertions.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "common/byte_serde.h"
 #include "platform/coldstart_model.h"
 #include "platform/platform.h"
@@ -595,6 +598,60 @@ TEST(PlatformCheckpointTest, SaveRestoreSaveByteIdenticalWithEveryEventKindPendi
   ASSERT_EQ(store.pods().size(), 5u);
   EXPECT_EQ(PodDeaths(store), PodDeaths(world.store));
   EXPECT_LT(store.pods()[1].death_time, world.calendar.horizon());
+}
+
+// --- Platform-owned events: day starts and the minute tick. ---
+
+// Runs a one-function platform for `days` days with no arrivals and returns
+// the simulator's event count. With `resume`, the run is saved at the day-1
+// boundary and finished on a restored platform, whose table must hold every
+// pending day start and tick.
+uint64_t IdleRunEvents(int days, bool with_policy, bool resume) {
+  PlatformPolicy policy;  // Every hook at its default: it only adds the tick.
+  TinyWorld world({BasicSpec()}, days, with_policy ? &policy : nullptr);
+  const auto stream = [&world] {
+    return std::make_unique<workload::MaterializedArrivalStream>(
+        std::vector<workload::ArrivalEvent>{}, workload::NumDayChunks(world.calendar));
+  };
+  world.platform->AttachArrivalStream(stream());
+  if (!resume) {
+    world.sim.RunUntil(world.calendar.horizon());
+    return world.sim.events_processed();
+  }
+  world.sim.RunUntil(kDay - 1);
+  ByteWriter saved;
+  world.platform->SaveCheckpointState(saved);
+
+  sim::Simulator sim;
+  sim.RestoreClock(world.sim.now(), world.sim.next_seq(), world.sim.events_processed());
+  trace::TraceStore store;
+  PlatformPolicy restored_policy;
+  Platform::Options opts;
+  opts.seed = 17;
+  opts.resuming = true;
+  Platform restored(world.pop, world.profiles, world.calendar, sim, store, opts,
+                    with_policy ? &restored_policy : nullptr);
+  ByteReader r(saved.data());
+  restored.RestoreCheckpointState(r, stream());
+  EXPECT_TRUE(r.AtEnd());
+  // The later days' starts, plus the day-1 tick when there is a policy.
+  EXPECT_EQ(sim.pending_events(), static_cast<size_t>(days - 1 + (with_policy ? 1 : 0)));
+  sim.RunUntil(world.calendar.horizon());
+  return sim.events_processed();
+}
+
+TEST(PlatformEventTest, EmptyStreamProcessesOneDayStartPerDay) {
+  for (const bool resume : {false, true}) {
+    EXPECT_EQ(IdleRunEvents(3, /*with_policy=*/false, resume), 3u) << "resume=" << resume;
+  }
+}
+
+TEST(PlatformEventTest, PolicyAddsOneTickPerMinute) {
+  for (const bool resume : {false, true}) {
+    EXPECT_EQ(IdleRunEvents(3, /*with_policy=*/true, resume),
+              3u + static_cast<uint64_t>(3 * kDay / kMinute))
+        << "resume=" << resume;
+  }
 }
 
 // --- Pod slab. ---

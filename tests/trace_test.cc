@@ -1,8 +1,11 @@
 // Tests for the trace layer: types, store, aggregation and CSV round trips.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <utility>
+#include <vector>
 
 #include "trace/aggregate.h"
 #include "trace/csv.h"
@@ -274,6 +277,53 @@ TEST(TraceStoreMergeTest, AppendFromThenSealMatchesInterleavedInsertion) {
   // Ties sort region 0 before region 1 at t=5.
   EXPECT_EQ(merged.requests()[0].region, 0);
   EXPECT_EQ(merged.requests()[1].region, 1);
+}
+
+TEST(TraceStoreMergeTest, SealedOrderSurvivesRestoreRoundTrip) {
+  // A cache hit restores a sealed store's tables and seals them again; the
+  // already-canonical tables must come out unchanged, and tables restored out
+  // of order must still be sorted.
+  TraceStore sealed;
+  for (uint64_t i = 0; i < 50; ++i) {
+    const SimTime t = static_cast<SimTime>((i * 37) % 11);  // Out of order, with ties.
+    const auto region = static_cast<RegionId>(i % 3);
+    RequestRecord r;
+    r.timestamp = t;
+    r.request_id = i;
+    r.region = region;
+    sealed.AddRequest(r);
+    ColdStartRecord c;
+    c.timestamp = t;
+    c.pod_id = i;
+    c.region = region;
+    sealed.AddColdStart(c);
+    PodLifetimeRecord p;
+    p.cold_start_begin = t;
+    p.pod_id = i;
+    p.region = region;
+    sealed.AddPodLifetime(p);
+  }
+  sealed.AddFunction(MakeFunction(0, 0));
+  sealed.set_horizon(kMinute);
+  sealed.Seal();
+  const uint64_t digest = Digest(sealed);
+
+  for (const bool reverse : {false, true}) {
+    std::vector<RequestRecord> requests = sealed.requests();
+    std::vector<ColdStartRecord> cold_starts = sealed.cold_starts();
+    std::vector<PodLifetimeRecord> pods = sealed.pods();
+    if (reverse) {
+      std::reverse(requests.begin(), requests.end());
+      std::reverse(cold_starts.begin(), cold_starts.end());
+      std::reverse(pods.begin(), pods.end());
+    }
+    TraceStore restored;
+    restored.RestoreTables(std::move(requests), std::move(cold_starts),
+                           sealed.functions(), std::move(pods), sealed.horizon());
+    EXPECT_FALSE(restored.sealed());
+    restored.Seal();
+    EXPECT_EQ(Digest(restored), digest) << "reverse=" << reverse;
+  }
 }
 
 TEST_F(RoundTripTest, MissingFileFails) {

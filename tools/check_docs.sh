@@ -8,7 +8,9 @@
 #   3. every `lint:<rule>` reference in the docs names a rule that coldstart_lint
 #      actually implements (checked against `--list-rules` when a binary is
 #      available — $COLDSTART_LINT_BIN or build*/coldstart_lint — else against
-#      the rule registry in tools/lint/lint.cc).
+#      the rule registry in tools/lint/lint.cc);
+#   4. every markdown file a code comment under src/, bench/, tests/,
+#      examples/ or tools/ names exists, relative to the repo root or docs/.
 # Exits nonzero with a per-violation report.
 set -u
 
@@ -94,8 +96,37 @@ while IFS= read -r rule; do
   fi
 done <<< "$doc_rules"
 
+# --- 4. Markdown files cited in code comments exist. ---
+# A comment is the text after `//`, or a line opening with `#` (shell, Python,
+# CMake). Paths that start with `/` (absolute, or the tail of a URL) are skipped.
+cited="$(find src bench tests examples tools -type f \( -name '*.cc' -o -name '*.h' \
+    -o -name '*.cpp' -o -name '*.sh' -o -name '*.py' -o -name 'CMakeLists.txt' \) |
+  sort | xargs awk '
+    {
+      text = $0
+      c = index(text, "//")
+      if (c > 0) {
+        text = substr(text, c + 2)
+      } else if (text !~ /^[ \t]*#/) {
+        next
+      }
+      while (match(text, /[A-Za-z0-9_.\/-]+\.md/)) {
+        path = substr(text, RSTART, RLENGTH)
+        if (substr(path, 1, 1) != "/") {
+          print FILENAME ":" FNR " " path
+        }
+        text = substr(text, RSTART + RLENGTH)
+      }
+    }')"
+while IFS=' ' read -r where path; do
+  [ -n "$path" ] || continue
+  if [ ! -e "$path" ] && [ ! -e "docs/$path" ]; then
+    report "$where: comment names '$path', which does not exist"
+  fi
+done <<< "$cited"
+
 if [ "$fail" -ne 0 ]; then
   echo "docs-check: FAILED" >&2
   exit 1
 fi
-echo "docs-check: OK (${#docs[@]} docs link-checked; every bench/ driver and example mapped; lint-rule refs valid)"
+echo "docs-check: OK (${#docs[@]} docs link-checked; every bench/ driver and example mapped; lint-rule refs valid; cited .md files exist)"
