@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -24,45 +25,67 @@ InterArrivalForecaster::InterArrivalForecaster(Options options)
 
 void InterArrivalForecaster::ObserveArrival(SimTime now) {
   hour_counts_[static_cast<size_t>(HourIndex(now) % 24)] += 1;
-  if (last_arrival_ >= 0) {
+  if (last_arrival_ >= 0 && now > last_arrival_) {
     const SimDuration iat = now - last_arrival_;
-    if (iat > 0) {
-      if (filled_ == ring_.size()) {
-        hist_[static_cast<size_t>(BucketOf(ring_[next_]))] -= 1;  // Evict.
-      }
-      ring_[next_] = iat;
-      hist_[static_cast<size_t>(BucketOf(iat))] += 1;
-      next_ = (next_ + 1) % ring_.size();
-      filled_ = std::min<uint64_t>(filled_ + 1, ring_.size());
+    const int in = BucketOf(iat);
+    bool rescan = false;
+    if (filled_ == ring_.size()) {
+      const int64_t old = ring_[next_];  // Evict.
+      const int out = BucketOf(old);
+      hist_[static_cast<size_t>(out)] -= 1;
+      iat_sum_[static_cast<size_t>(out)] -= old;
+      total_ -= old;
+      // Only a shrinking modal bucket can hand the mode to another bucket.
+      rescan = out == modal_ && out != in;
+    } else {
+      ++filled_;
+    }
+    ring_[next_] = iat;
+    hist_[static_cast<size_t>(in)] += 1;
+    iat_sum_[static_cast<size_t>(in)] += iat;
+    total_ += iat;
+    if (++next_ == ring_.size()) {
+      next_ = 0;
+    }
+    if (rescan) {
+      RescanModal();
+    } else if (modal_ < 0 ||
+               hist_[static_cast<size_t>(in)] > hist_[static_cast<size_t>(modal_)] ||
+               (hist_[static_cast<size_t>(in)] == hist_[static_cast<size_t>(modal_)] &&
+                in < modal_)) {
+      modal_ = in;  // Ties resolve to the lowest bucket, as in RescanModal.
     }
   }
   last_arrival_ = now;
 }
 
-int InterArrivalForecaster::ModalBucket() const {
-  if (filled_ == 0) {
-    return -1;
-  }
+void InterArrivalForecaster::RescanModal() {
   int best = 0;
   for (int b = 1; b < kNumBuckets; ++b) {
     if (hist_[static_cast<size_t>(b)] > hist_[static_cast<size_t>(best)]) {
       best = b;  // Strict >: ties resolve to the lowest bucket.
     }
   }
-  return best;
+  modal_ = filled_ == 0 ? -1 : best;
+}
+
+InterArrivalForecaster::Neighborhood InterArrivalForecaster::ModalNeighborhood()
+    const {
+  Neighborhood n;
+  for (int b = std::max(0, modal_ - 1); b <= std::min(kNumBuckets - 1, modal_ + 1);
+       ++b) {
+    n.count += hist_[static_cast<size_t>(b)];
+    n.sum += iat_sum_[static_cast<size_t>(b)];
+  }
+  return n;
 }
 
 double InterArrivalForecaster::Confidence() const {
   if (filled_ < static_cast<uint64_t>(options_.min_samples)) {
     return 0.0;
   }
-  const int modal = ModalBucket();
-  uint64_t mass = 0;
-  for (int b = std::max(0, modal - 1); b <= std::min(kNumBuckets - 1, modal + 1);
-       ++b) {
-    mass += hist_[static_cast<size_t>(b)];
-  }
-  return static_cast<double>(mass) / static_cast<double>(filled_);
+  return static_cast<double>(ModalNeighborhood().count) /
+         static_cast<double>(filled_);
 }
 
 bool InterArrivalForecaster::Confident() const {
@@ -73,33 +96,19 @@ SimDuration InterArrivalForecaster::PredictedIat() const {
   if (filled_ < static_cast<uint64_t>(options_.min_samples)) {
     return 0;
   }
-  const int modal = ModalBucket();
   // Exact integer mean of the window samples inside the modal neighborhood:
   // a trimmed mean that is exact for strict timers and immune to the stray
   // multi-hour gap that would wreck a plain average.
-  int64_t sum = 0;
-  int64_t count = 0;
-  for (uint64_t i = 0; i < filled_; ++i) {
-    const int64_t iat = ring_[i];
-    const int b = BucketOf(iat);
-    if (b >= modal - 1 && b <= modal + 1) {
-      sum += iat;
-      ++count;
-    }
-  }
-  COLDSTART_CHECK_GT(count, 0);
-  return sum / count;
+  const Neighborhood n = ModalNeighborhood();
+  COLDSTART_CHECK_GT(n.count, 0u);
+  return n.sum / static_cast<int64_t>(n.count);
 }
 
 SimDuration InterArrivalForecaster::MeanIat() const {
   if (filled_ == 0) {
     return 0;
   }
-  int64_t sum = 0;
-  for (uint64_t i = 0; i < filled_; ++i) {
-    sum += ring_[i];
-  }
-  return sum / static_cast<int64_t>(filled_);
+  return total_ / static_cast<int64_t>(filled_);
 }
 
 SimTime InterArrivalForecaster::PredictNextArrival() const {
@@ -145,18 +154,34 @@ void InterArrivalForecaster::RestoreState(ByteReader& r) {
   next_ = r.U64();
   filled_ = r.U64();
   COLDSTART_CHECK(filled_ <= ring_.size() && next_ < ring_.size());
+  // ObserveArrival fills the ring front to back: until it is full, the write
+  // cursor sits right after the last live sample.
+  COLDSTART_CHECK(filled_ == ring_.size() || next_ == filled_);
   for (int64_t& iat : ring_) {
     iat = r.I64();
   }
   for (uint32_t& c : hour_counts_) {
     c = r.U32();
   }
-  // The histogram is derived state: rebuild it from the restored window. Slots
-  // [0, filled_) are exactly the live samples regardless of next_.
+  // Everything else is derived state: rebuild it from the restored window.
+  // Slots [0, filled_) are exactly the live samples regardless of next_.
+  // ObserveArrival records only positive IATs, and a sample past this bound
+  // could overflow the window sums.
+  const int64_t max_iat =
+      std::numeric_limits<int64_t>::max() / static_cast<int64_t>(ring_.size());
   hist_.fill(0);
+  iat_sum_.fill(0);
+  total_ = 0;
   for (uint64_t i = 0; i < filled_; ++i) {
-    hist_[static_cast<size_t>(BucketOf(ring_[i]))] += 1;
+    const int64_t iat = ring_[i];
+    COLDSTART_CHECK_GT(iat, 0);
+    COLDSTART_CHECK_LE(iat, max_iat);
+    const auto b = static_cast<size_t>(BucketOf(iat));
+    hist_[b] += 1;
+    iat_sum_[b] += iat;
+    total_ += iat;
   }
+  RescanModal();
 }
 
 // --- ForecastPrewarmPolicy. -------------------------------------------------

@@ -10,6 +10,15 @@
 // 24-bin hour-of-day profile adds a coarse diurnal fallback for sparse
 // functions whose IATs never concentrate but whose *active hours* do.
 //
+// The policy queries a forecaster on every arrival and every idle-pod
+// keep-alive decision, so every query is O(1): beside the per-bucket counts
+// the forecaster keeps per-bucket IAT sums, the window total and the modal
+// bucket, all updated by ObserveArrival (which rescans the 64 buckets only
+// when an eviction shrinks the modal bucket). These fields are derived
+// state: exact integer functions of the ring, rebuilt from it on restore, so
+// the serialized state is the ring and the hour profile alone and the policy
+// blob carries no byte of them.
+//
 // ForecastPrewarmPolicy turns predictions into mitigation, choosing per
 // function between two moves:
 //   - predicted IAT beyond the keep-alive horizon -> prewarm: arm a pending
@@ -68,7 +77,7 @@ class InterArrivalForecaster {
 
   // Index of the fullest histogram bucket (ties -> lowest bucket, so the
   // answer never depends on evaluation order); -1 with no samples.
-  int ModalBucket() const;
+  int ModalBucket() const { return modal_; }
   // Share of window samples inside the modal bucket +-1. 0 below min_samples.
   double Confidence() const;
   bool Confident() const;
@@ -86,19 +95,35 @@ class InterArrivalForecaster {
   // diurnal_min_count arrivals); -1 when the profile is too thin.
   SimTime PredictDiurnalNext(SimTime now) const;
 
-  // Serde: the ring and profile travel; the histogram is derived state,
-  // rebuilt from the ring on restore. Round trips are bit-exact.
+  // Serde: the ring and profile travel; the histogram, bucket sums, window
+  // total and modal bucket are derived state, rebuilt from the ring on
+  // restore. Round trips are bit-exact. Restore CHECK-fails on a ring that
+  // this class could not have produced: a partly filled ring whose write
+  // cursor is not at its end, a live sample <= 0, or one so large that the
+  // window's sum could overflow.
   void SaveState(ByteWriter& w) const;
   void RestoreState(ByteReader& r);
 
  private:
+  // Window samples in buckets [modal - 1, modal + 1] and their IAT sum.
+  struct Neighborhood {
+    uint64_t count = 0;
+    int64_t sum = 0;
+  };
+  Neighborhood ModalNeighborhood() const;
+  void RescanModal();
+
   Options options_;
   SimTime last_arrival_ = -1;
   std::vector<int64_t> ring_;  // IAT microseconds, circular.
   uint64_t next_ = 0;
   uint64_t filled_ = 0;
-  std::array<uint32_t, kNumBuckets> hist_{};  // Counts over ring contents.
-  std::array<uint32_t, 24> hour_counts_{};    // All-history arrivals per hour.
+  std::array<uint32_t, 24> hour_counts_{};  // All-history arrivals per hour.
+  // Derived from ring_[0, filled_): never serialized.
+  std::array<uint32_t, kNumBuckets> hist_{};     // Sample counts per bucket.
+  std::array<int64_t, kNumBuckets> iat_sum_{};   // Sample IAT sums per bucket.
+  int64_t total_ = 0;                            // Sum of all window samples.
+  int modal_ = -1;                               // Fullest bucket, lowest on ties.
 };
 
 class ForecastPrewarmPolicy : public platform::PlatformPolicy {

@@ -4,17 +4,22 @@
 // ForecastPrewarmPolicy acts on. Complements the scenario-level checks in
 // policy_test.cc with exact, input-controlled expectations: ring wraparound,
 // partially-filled windows, sum drift over long streams, season boundaries,
-// warm-up and fixed-point behavior, bucket geometry, confidence gating, and
-// bit-exact serde round trips.
+// warm-up and fixed-point behavior, bucket geometry, confidence gating,
+// bit-exact serde round trips, the forecaster's incremental statistics against
+// a brute-force recomputation, and restore's rejection of inconsistent rings.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/byte_serde.h"
+#include "common/rng.h"
 #include "policy/forecast.h"
 #include "policy/predictors.h"
 
@@ -402,6 +407,249 @@ TEST(InterArrivalForecasterTest, SerdeRoundTripBitExact) {
   f.SaveState(w3);
   restored.SaveState(w4);
   EXPECT_EQ(w3.data(), w4.data());
+}
+
+// --- InterArrivalForecaster: incremental statistics vs brute force. ----------
+
+// The forecaster's window, kept as a plain queue and queried by rescanning it:
+// every answer is recomputed from the samples, with no running statistics.
+class ReferenceWindow {
+ public:
+  ReferenceWindow(size_t window, int min_samples)
+      : window_(window), min_samples_(static_cast<size_t>(min_samples)) {}
+
+  // Returns true when the new sample evicted one from the modal bucket and
+  // landed in another bucket: the forecaster's rescan path.
+  bool Observe(SimTime now) {
+    bool modal_eviction = false;
+    if (last_ >= 0 && now > last_) {
+      const SimDuration iat = now - last_;
+      if (samples_.size() == window_) {
+        const int out = InterArrivalForecaster::BucketOf(samples_.front());
+        modal_eviction =
+            out == Modal() && out != InterArrivalForecaster::BucketOf(iat);
+        samples_.pop_front();
+      }
+      samples_.push_back(iat);
+    }
+    last_ = now;
+    return modal_eviction;
+  }
+
+  std::array<uint32_t, InterArrivalForecaster::kNumBuckets> Hist() const {
+    std::array<uint32_t, InterArrivalForecaster::kNumBuckets> hist{};
+    for (const int64_t iat : samples_) {
+      hist[static_cast<size_t>(InterArrivalForecaster::BucketOf(iat))] += 1;
+    }
+    return hist;
+  }
+
+  int Modal() const {
+    if (samples_.empty()) {
+      return -1;
+    }
+    const auto hist = Hist();
+    return static_cast<int>(std::max_element(hist.begin(), hist.end()) - hist.begin());
+  }
+
+  // True when another bucket holds as many samples as the modal one.
+  bool ModalTied() const {
+    const auto hist = Hist();
+    const int modal = Modal();
+    return modal >= 0 && std::count(hist.begin(), hist.end(),
+                                    hist[static_cast<size_t>(modal)]) > 1;
+  }
+
+  double Confidence() const {
+    if (samples_.size() < min_samples_) {
+      return 0.0;
+    }
+    return static_cast<double>(InNeighborhood().size()) /
+           static_cast<double>(samples_.size());
+  }
+
+  SimDuration PredictedIat() const {
+    if (samples_.size() < min_samples_) {
+      return 0;
+    }
+    const std::vector<int64_t> near = InNeighborhood();
+    int64_t sum = 0;
+    for (const int64_t iat : near) {
+      sum += iat;
+    }
+    return sum / static_cast<int64_t>(near.size());
+  }
+
+  SimDuration MeanIat() const {
+    if (samples_.empty()) {
+      return 0;
+    }
+    int64_t sum = 0;
+    for (const int64_t iat : samples_) {
+      sum += iat;
+    }
+    return sum / static_cast<int64_t>(samples_.size());
+  }
+
+  size_t size() const { return samples_.size(); }
+
+ private:
+  std::vector<int64_t> InNeighborhood() const {
+    const int modal = Modal();
+    std::vector<int64_t> near;
+    for (const int64_t iat : samples_) {
+      const int b = InterArrivalForecaster::BucketOf(iat);
+      if (b >= modal - 1 && b <= modal + 1) {
+        near.push_back(iat);
+      }
+    }
+    return near;
+  }
+
+  size_t window_;
+  size_t min_samples_;
+  SimTime last_ = -1;
+  std::deque<int64_t> samples_;  // Oldest first.
+};
+
+void ExpectMatchesReference(const InterArrivalForecaster& f,
+                            const ReferenceWindow& ref) {
+  EXPECT_EQ(static_cast<size_t>(f.sample_count()), ref.size());
+  EXPECT_EQ(f.ModalBucket(), ref.Modal());
+  // Exact: both sides divide the same two integers.
+  EXPECT_EQ(std::bit_cast<uint64_t>(f.Confidence()),
+            std::bit_cast<uint64_t>(ref.Confidence()));
+  EXPECT_EQ(f.PredictedIat(), ref.PredictedIat());
+  EXPECT_EQ(f.MeanIat(), ref.MeanIat());
+}
+
+InterArrivalForecaster SaveAndRestore(const InterArrivalForecaster& f,
+                                      const InterArrivalForecaster::Options& options) {
+  ByteWriter w;
+  f.SaveState(w);
+  InterArrivalForecaster restored(options);
+  ByteReader r(w.data());
+  restored.RestoreState(r);
+  EXPECT_TRUE(r.AtEnd());
+  ByteWriter again;
+  restored.SaveState(again);
+  EXPECT_EQ(w.data(), again.data());
+  return restored;
+}
+
+TEST(InterArrivalForecasterTest, IncrementalStatisticsMatchBruteForce) {
+  for (const int window : {1, 2, 48}) {
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE("window " + std::to_string(window) + " seed " +
+                   std::to_string(seed));
+      InterArrivalForecaster::Options options;
+      options.window = window;
+      options.min_samples = std::min(window, 3);
+      InterArrivalForecaster f(options);
+      ReferenceWindow ref(static_cast<size_t>(window), options.min_samples);
+      Rng rng(seed);
+      int modal_evictions = 0;
+      int ties = 0;
+      int zero_iats = 0;
+      SimTime t = 0;
+      for (int step = 0; step < 1500; ++step) {
+        // Phases of 150 arrivals drift between a few adjacent buckets, so the
+        // mode migrates (evictions from the modal bucket) and counts tie;
+        // one arrival in ten repeats the previous time (a zero IAT, which
+        // records no sample), and the odd multi-hour gap lands far out.
+        const int base = 14 + (step / 150) % 4;
+        const uint64_t roll = rng.NextBounded(20);
+        if (roll < 2 && step > 0) {
+          ++zero_iats;
+        } else if (roll == 2) {
+          t += 3 * kHour + static_cast<SimDuration>(rng.NextBounded(kHour));
+        } else {
+          const int b = base + static_cast<int>(rng.NextBounded(3));
+          const int64_t lo = int64_t{1} << b;
+          t += lo + static_cast<SimDuration>(rng.NextBounded(static_cast<uint64_t>(lo)));
+        }
+        f.ObserveArrival(t);
+        modal_evictions += ref.Observe(t) ? 1 : 0;
+        ties += ref.ModalTied() ? 1 : 0;
+        if (step % 211 == 105) {
+          f = SaveAndRestore(f, options);  // Mid-sequence checkpoint.
+        }
+        ExpectMatchesReference(f, ref);
+        if (::testing::Test::HasFailure()) {
+          return;
+        }
+      }
+      EXPECT_GT(zero_iats, 0);
+      if (window > 1) {
+        // The sequences reach the paths the incremental update special-cases.
+        EXPECT_GT(modal_evictions, 0);
+        EXPECT_GT(ties, 0);
+      }
+    }
+  }
+}
+
+// --- InterArrivalForecaster: restore rejects inconsistent rings. --------------
+
+// A forecaster state blob in SaveState's layout, written by hand.
+std::string ForecasterBlob(uint64_t next, uint64_t filled,
+                           const std::vector<int64_t>& ring) {
+  ByteWriter w;
+  w.I64(kHour);  // last_arrival
+  w.U64(next);
+  w.U64(filled);
+  for (const int64_t iat : ring) {
+    w.I64(iat);
+  }
+  for (int h = 0; h < 24; ++h) {
+    w.U32(0);
+  }
+  return w.Take();
+}
+
+void Restore(const std::string& blob) {
+  InterArrivalForecaster::Options options;
+  options.window = 4;
+  options.min_samples = 1;
+  InterArrivalForecaster f(options);
+  ByteReader r(blob);
+  f.RestoreState(r);
+}
+
+TEST(InterArrivalForecasterTest, RestoreLoadsConsistentRing) {
+  InterArrivalForecaster::Options options;
+  options.window = 4;
+  options.min_samples = 1;
+  InterArrivalForecaster f(options);
+  const std::string blob =
+      ForecasterBlob(2, 2, {5 * kSecond, 7 * kSecond, 0, 0});
+  ByteReader r(blob);
+  f.RestoreState(r);
+  EXPECT_EQ(f.sample_count(), 2);
+  EXPECT_EQ(f.MeanIat(), 6 * kSecond);
+  EXPECT_EQ(f.PredictedIat(), 6 * kSecond);
+}
+
+TEST(InterArrivalForecasterDeathTest, RestoreRejectsPartialRingWithStrayCursor) {
+  // Two live samples, so the cursor must sit at slot 2.
+  EXPECT_DEATH(Restore(ForecasterBlob(3, 2, {kSecond, kSecond, 0, 0})),
+               "next_ == filled_");
+  EXPECT_DEATH(Restore(ForecasterBlob(0, 2, {kSecond, kSecond, 0, 0})),
+               "next_ == filled_");
+}
+
+TEST(InterArrivalForecasterDeathTest, RestoreRejectsNonPositiveLiveSample) {
+  EXPECT_DEATH(Restore(ForecasterBlob(2, 2, {kSecond, 0, 0, 0})),
+               "\\(iat\\) > \\(0\\)");
+  EXPECT_DEATH(Restore(ForecasterBlob(1, 4, {kSecond, kSecond, -kSecond, kSecond})),
+               "\\(iat\\) > \\(0\\)");
+}
+
+TEST(InterArrivalForecasterDeathTest, RestoreRejectsSampleThatOverflowsWindowSum) {
+  // Four samples of this size would overflow the int64 window total.
+  const int64_t huge = INT64_MAX / 2;
+  EXPECT_DEATH(Restore(ForecasterBlob(0, 4, {huge, huge, huge, huge})),
+               "\\(iat\\) <= \\(max_iat\\)");
 }
 
 }  // namespace
