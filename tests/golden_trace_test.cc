@@ -1,12 +1,15 @@
-// Golden-trace regression test: one end-to-end SmallScenario() run, digested and
-// compared against a checked-in golden digest. Any unintended behavioral drift —
+// Golden-trace regression test: end-to-end SmallScenario() runs, digested and
+// compared against checked-in golden digests. Any unintended behavioral drift —
 // an extra RNG draw, a reordered event, a changed component latency — shows up
 // here as a digest mismatch, with instructions to regenerate when the change is
 // intentional.
 //
 // The golden digest covers the full sealed TraceStore (every field of every
 // record) plus the per-region platform aggregates, so serial and sharded runs
-// must both reproduce it (they are bit-identical by contract).
+// must both reproduce it (they are bit-identical by contract). Two geometries
+// are pinned: the paper's one pool per region, and four capacity cells per
+// region, whose per-cell RNG fork, pod-id prefix and request-id salt a
+// same-build serial == sharded comparison cannot see drift in.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -19,10 +22,6 @@
 
 namespace coldstart {
 namespace {
-
-std::string GoldenPath() {
-  return std::string(COLDSTART_GOLDEN_DIR) + "/small_scenario.digest";
-}
 
 uint64_t AggregateDigest(const core::ExperimentResult& result) {
   uint64_t h = HashString("aggregate-digest-v1");
@@ -40,8 +39,10 @@ uint64_t AggregateDigest(const core::ExperimentResult& result) {
   return h;
 }
 
-TEST(GoldenTraceTest, SmallScenarioMatchesCheckedInDigest) {
-  const core::Experiment experiment(core::SmallScenario());
+// Runs `config` and compares its digest with tests/golden/`file`.
+void ExpectMatchesGolden(const core::ScenarioConfig& config, const std::string& file) {
+  const std::string path = std::string(COLDSTART_GOLDEN_DIR) + "/" + file;
+  const core::Experiment experiment(config);
   const core::ExperimentResult result = experiment.Run();
   ASSERT_GT(result.store.requests().size(), 10000u);
 
@@ -51,17 +52,17 @@ TEST(GoldenTraceTest, SmallScenarioMatchesCheckedInDigest) {
                 static_cast<unsigned long long>(AggregateDigest(result)));
 
   if (std::getenv("COLDSTART_UPDATE_GOLDENS") != nullptr) {
-    std::ofstream out(GoldenPath());
-    ASSERT_TRUE(out.good()) << "cannot write " << GoldenPath();
+    std::ofstream out(path);
+    ASSERT_TRUE(out.good()) << "cannot write " << path;
     out << digest << "\n";
     out.close();
-    GTEST_SKIP() << "golden digest regenerated: " << GoldenPath() << " = " << digest
+    GTEST_SKIP() << "golden digest regenerated: " << path << " = " << digest
                  << " — commit the file.";
   }
 
-  std::ifstream in(GoldenPath());
+  std::ifstream in(path);
   ASSERT_TRUE(in.good())
-      << "missing golden file " << GoldenPath()
+      << "missing golden file " << path
       << " — generate it with:\n  COLDSTART_UPDATE_GOLDENS=1 ctest -R golden_trace_test";
   std::string expected;
   in >> expected;
@@ -69,9 +70,19 @@ TEST(GoldenTraceTest, SmallScenarioMatchesCheckedInDigest) {
       << "SmallScenario() output drifted from the checked-in golden digest.\n"
       << "If this behavioral change is INTENDED, regenerate the golden with:\n"
       << "  COLDSTART_UPDATE_GOLDENS=1 ctest -R golden_trace_test\n"
-      << "and commit tests/golden/small_scenario.digest. If it is NOT intended,\n"
+      << "and commit tests/golden/" << file << ". If it is NOT intended,\n"
       << "a change in this PR perturbed simulation behavior (RNG draw order,\n"
       << "event ordering, or model constants) — find it before shipping.";
+}
+
+TEST(GoldenTraceTest, SmallScenarioMatchesCheckedInDigest) {
+  ExpectMatchesGolden(core::SmallScenario(), "small_scenario.digest");
+}
+
+TEST(GoldenTraceTest, SmallScenarioFourCellsMatchesCheckedInDigest) {
+  core::ScenarioConfig config = core::SmallScenario();
+  config.cells_per_region = 4;
+  ExpectMatchesGolden(config, "small_scenario_cells4.digest");
 }
 
 }  // namespace
