@@ -13,8 +13,12 @@ namespace coldstart::checkpoint {
 
 namespace {
 
-// "cckptv10" / "cmnft_v3" / "ccseg_v1", little-endian (the two-digit version
-// takes the underscore's byte). Checkpoint v10 keeps day starts and the minute
+// "cckptv11" / "cmnft_v4" / "ccseg_v1", little-endian (a two-digit version
+// takes the underscore's byte). Checkpoint v11 writes the platform's
+// per-(region, cell) state as one cell table, each cell's RNG, id namespaces,
+// load, pools and cold-start counters together, where v10 wrote each as its
+// own array. Manifest v4 drops each entry's file name: the name is derived
+// from (day, shard). Checkpoint v10 keeps day starts and the minute
 // tick as pending-event table entries and drops their scalar seq bookkeeping
 // from the platform state. v9 made full-trace runs append-only: the sink state holds the four table totals,
 // the horizon and the ordered segment list, the rows live in segment files,
@@ -30,8 +34,8 @@ namespace {
 // LogHistogram latency sum 128-bit fixed point (manifest v3 added
 // shards_per_region, layout-unchanged since). Older files encode different
 // layouts and are rejected here as "bad magic" rather than half-restored.
-constexpr uint64_t kCheckpointMagic = 0x30317674706B6363ull;
-constexpr uint64_t kManifestMagic = 0x33765F74666E6D63ull;
+constexpr uint64_t kCheckpointMagic = 0x31317674706B6363ull;
+constexpr uint64_t kManifestMagic = 0x34765F74666E6D63ull;
 constexpr uint64_t kSegmentMagic = 0x31765F6765736363ull;
 
 // The metadata that opens a checkpoint payload: fingerprint, trace mode,
@@ -145,7 +149,6 @@ bool WriteManifest(const std::string& dir, const Manifest& manifest) {
   for (const ManifestEntry& e : manifest.entries) {
     w.U32(e.shard);
     w.I64(e.day);
-    w.Str(e.file);
   }
   return WriteFramedFile(ManifestPath(dir), kManifestMagic, w.Take());
 }
@@ -162,16 +165,15 @@ bool ReadManifest(const std::string& dir, Manifest* manifest) {
   manifest->num_regions = r.U32();
   manifest->sharded = r.U8() != 0;
   manifest->shards_per_region = r.U32();
-  // Each entry holds at least its shard, day and file-name length: a CRC-valid
-  // count too large for the payload dies on this CHECK, not in the allocator.
-  constexpr size_t kMinEntryBytes = 4 + 8 + 8;
+  // Each entry holds its shard and day: a CRC-valid count too large for the
+  // payload dies on this CHECK, not in the allocator.
+  constexpr size_t kMinEntryBytes = 4 + 8;
   const uint64_t count = r.U64();
   COLDSTART_CHECK(count <= r.Remaining() / kMinEntryBytes);
   manifest->entries.resize(count);
   for (ManifestEntry& e : manifest->entries) {
     e.shard = r.U32();
     e.day = r.I64();
-    e.file = r.Str();
   }
   if (!r.AtEnd()) {
     Corrupt(path, "trailing bytes");

@@ -71,11 +71,12 @@ void ReadSegmentFile(const std::string& path,
 
 // The latest committed checkpoint per shard. Rewritten atomically after every
 // shard commit; shards of a sharded run may sit at different days. A shard
-// with no entry restarts from day 0.
+// with no entry restarts from day 0. An entry names its checkpoint file only
+// through (day, shard): the file is CheckpointFileName(day, shard) in the
+// checkpoint directory, so a manifest cannot point a resume at any other path.
 struct ManifestEntry {
   uint32_t shard = kSerialShard;
   int64_t day = 0;
-  std::string file;  // File name, relative to the checkpoint directory.
 };
 
 struct Manifest {

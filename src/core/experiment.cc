@@ -275,7 +275,7 @@ int64_t RestoreShard(const std::string& dir, const checkpoint::ManifestEntry& en
                      std::unique_ptr<workload::ArrivalStream> stream) {
   checkpoint::CheckpointMeta meta;
   std::string payload;
-  const std::string path = dir + "/" + entry.file;
+  const std::string path = dir + "/" + checkpoint::CheckpointFileName(entry.day, shard);
   COLDSTART_CHECK(checkpoint::ReadCheckpointFile(path, &meta, &payload) &&
                   "manifest names a checkpoint file that does not exist");
   COLDSTART_CHECK_EQ(meta.fingerprint, fingerprint);
@@ -307,9 +307,10 @@ int64_t RestoreShard(const std::string& dir, const checkpoint::ManifestEntry& en
 // rewrites the manifest — so the manifest always names fully committed files.
 // Once the manifest commits, the shard's day file from two commits back is
 // deleted: the directory keeps the committed file and the one it replaced.
-// Segments are never deleted, since every later day file lists them. A
-// resumed run starts its history at the seeded entry, so the file that
-// preceded that entry stays on disk.
+// Segments are never deleted, since every later day file lists them. Every
+// name is derived from (day, shard), never read from disk. A resumed run
+// starts its history at the seeded entry, so the file that preceded that
+// entry stays on disk.
 class CheckpointCommitter {
  public:
   CheckpointCommitter(const CheckpointPolicy& policy, uint64_t fingerprint,
@@ -358,11 +359,10 @@ class CheckpointCommitter {
           [](const checkpoint::ManifestEntry& e, uint32_t id) { return e.shard < id; });
       std::string replaced;
       if (it != entries.end() && it->shard == shard) {
-        replaced = std::move(it->file);
+        replaced = checkpoint::CheckpointFileName(it->day, shard);
         it->day = day;
-        it->file = file;
       } else {
-        entries.insert(it, {shard, day, file});
+        entries.insert(it, {shard, day});
       }
       COLDSTART_CHECK(checkpoint::WriteManifest(policy_.dir, manifest_) &&
                       "failed to write checkpoint manifest");
@@ -665,6 +665,28 @@ void FoldShard(ExperimentResult& result, ExperimentResult&& shard, bool streamin
   result.interrupted_at_day = std::max(result.interrupted_at_day, shard.interrupted_at_day);
 }
 
+// Per region, the platform's visible cold-start count and latency sum equal
+// what its sink recorded: the kStreaming region counters (zero in kFull) plus
+// a count over the kFull cold-start table (empty in kStreaming). Both sides
+// advance together at every cold start, so the law holds at any day boundary
+// and covers interrupted runs too.
+void CheckColdStartConservation(const ExperimentResult& result) {
+  std::vector<trace::StreamCounters> sunk(result.visible_cold_starts.size());
+  for (size_t r = 0; r < sunk.size(); ++r) {
+    sunk[r] = result.streaming.region(static_cast<trace::RegionId>(r));
+  }
+  for (const trace::ColdStartRecord& rec : result.store.cold_starts()) {
+    sunk.at(rec.region).cold_starts += 1;
+    sunk.at(rec.region).cold_start_latency_sum_us += rec.cold_start_us;
+  }
+  for (size_t r = 0; r < sunk.size(); ++r) {
+    COLDSTART_CHECK_EQ(static_cast<uint64_t>(result.visible_cold_starts[r]),
+                       sunk[r].cold_starts);
+    COLDSTART_CHECK_EQ(static_cast<uint64_t>(result.cold_start_latency_sum_us[r]),
+                       sunk[r].cold_start_latency_sum_us);
+  }
+}
+
 }  // namespace
 
 bool Experiment::CanShard(platform::PlatformPolicy* policy) const {
@@ -838,6 +860,7 @@ ExperimentResult Experiment::Execute(platform::PlatformPolicy* policy, int num_t
     });
   }
   sweep.Run();
+  CheckColdStartConservation(result);
   // A completed run seals. An interrupted sharded run's partial store is put
   // in the same canonical order, so it reads the same whatever order its
   // shards finished in; a one-shard run's emission order already does.

@@ -44,62 +44,58 @@ Platform::Platform(const workload::Population& population,
       policy_(policy),
       arrival_cursor_(this) {
   COLDSTART_CHECK(!profiles_.empty());
-  // One independent substream, pod-id namespace, and request-id namespace per
-  // (region, cell): a cell's draw sequence must not depend on what other cells
-  // (or regions) do, or a sub-region sharded run could not reproduce the serial
-  // run. The pod-id region field holds indices 0 .. 2^(32-shift) - 1, so
-  // exactly 2^(32-shift) regions fit.
+  // One cell record per (region, cell), each with its own substream, pod-id
+  // namespace and request-id namespace: a cell's draw sequence must not depend
+  // on what other cells (or regions) do, or a sub-region sharded run could not
+  // reproduce the serial run. The pod-id region field holds indices
+  // 0 .. 2^(32-shift) - 1, so exactly 2^(32-shift) regions fit.
   COLDSTART_CHECK_LE(profiles_.size(),
                      static_cast<size_t>(1) << (32 - kPodIdRegionShift));
-  cells_ = options_.cells_per_region;
-  COLDSTART_CHECK_GE(cells_, 1u);
-  if (cells_ > 1) {
+  const uint32_t cells = options_.cells_per_region;
+  COLDSTART_CHECK_GE(cells, 1u);
+  if (cells > 1) {
     COLDSTART_CHECK(options_.function_cells != nullptr);
     COLDSTART_CHECK_EQ(options_.function_cells->size(),
                        population_.functions.size());
   }
-  cell_bits_ = CeilLog2(cells_);
-  COLDSTART_CHECK_LT(cell_bits_, static_cast<uint32_t>(kPodIdRegionShift));
-  pod_seq_bits_ = static_cast<uint32_t>(kPodIdRegionShift) - cell_bits_;
-  pod_seq_mask_ = (trace::PodId{1} << pod_seq_bits_) - 1;
+  // The cell index sits directly below the region bits of a pod id, above the
+  // per-cell sequence number; at one cell it takes no bits.
+  const uint32_t cell_bits = CeilLog2(cells);
+  COLDSTART_CHECK_LT(cell_bits, static_cast<uint32_t>(kPodIdRegionShift));
+  const uint32_t pod_seq_bits = static_cast<uint32_t>(kPodIdRegionShift) - cell_bits;
+  pod_seq_mask_ = (trace::PodId{1} << pod_seq_bits) - 1;
   const uint64_t rng_base = MixHash(options.seed, HashString("platform"));
-  const size_t num_states = profiles_.size() * cells_;
-  rngs_.reserve(num_states);
-  for (size_t r = 0; r < profiles_.size(); ++r) {
-    if (cells_ == 1) {
-      // The legacy per-region stream, bit for bit (the golden digest pins it).
-      rngs_.emplace_back(MixHash(rng_base, r));
-    } else {
-      for (uint32_t c = 0; c < cells_; ++c) {
-        rngs_.emplace_back(MixHash(MixHash(rng_base, r), c));
-      }
-    }
-  }
-  next_pod_seq_.assign(num_states, 0);
-  next_request_seq_.assign(num_states, 0);
   models_.reserve(profiles_.size());
-  pools_.reserve(num_states);
-  for (const auto& profile : profiles_) {
+  cells_.reserve(profiles_.size() * cells);
+  for (size_t r = 0; r < profiles_.size(); ++r) {
+    const workload::RegionProfile& profile = profiles_[r];
     models_.emplace_back(profile, calendar_);
-    for (uint32_t cell = 0; cell < cells_; ++cell) {
-      std::vector<ResourcePool> cell_pools;
-      cell_pools.reserve(trace::kNumResourceConfigs);
-      for (int c = 0; c < trace::kNumResourceConfigs; ++c) {
-        const int base = profile.pool_base_size[static_cast<size_t>(c)];
-        // Cells split the region's pool capacity without losing a unit to
-        // rounding: cell k of C gets base*(k+1)/C - base*k/C (the whole base at
-        // C == 1). Refill splits as an exact double division (x / 1.0 == x).
-        const int target =
-            base * static_cast<int>(cell + 1) / static_cast<int>(cells_) -
-            base * static_cast<int>(cell) / static_cast<int>(cells_);
-        cell_pools.emplace_back(target, profile.pool_refill_per_min / cells_);
+    for (uint32_t c = 0; c < cells; ++c) {
+      // At one cell per region the RNG seed and the request salt are the legacy
+      // per-region ones bit for bit; more cells fork both by cell index. A
+      // golden digest pins each encoding.
+      Cell& cell = cells_.emplace_back();
+      uint64_t rng_seed = MixHash(rng_base, r);
+      cell.request_salt = MixHash(0x9e3779b9, r);
+      if (cells > 1) {
+        rng_seed = MixHash(rng_seed, c);
+        cell.request_salt = MixHash(cell.request_salt, c);
       }
-      pools_.push_back(std::move(cell_pools));
+      cell.rng = Rng(rng_seed);
+      cell.pod_id_prefix = (static_cast<trace::PodId>(r) << kPodIdRegionShift) |
+                           (static_cast<trace::PodId>(c) << pod_seq_bits);
+      for (int k = 0; k < trace::kNumResourceConfigs; ++k) {
+        const int base = profile.pool_base_size[static_cast<size_t>(k)];
+        // Cells split the region's pool capacity without losing a unit to
+        // rounding: cell c of C gets base*(c+1)/C - base*c/C (the whole base at
+        // C == 1). Refill splits as an exact double division (x / 1.0 == x).
+        const int target = base * static_cast<int>(c + 1) / static_cast<int>(cells) -
+                           base * static_cast<int>(c) / static_cast<int>(cells);
+        cell.pools[static_cast<size_t>(k)] =
+            ResourcePool(target, profile.pool_refill_per_min / cells);
+      }
     }
   }
-  loads_.resize(num_states);
-  visible_cold_starts_.assign(profiles_.size(), 0);
-  cold_start_latency_sum_us_.assign(profiles_.size(), 0);
   cost_ledger_ = ResourceCostLedger(profiles_.size());
   states_.resize(population_.functions.size());
   for (const auto& f : population_.functions) {
@@ -239,8 +235,8 @@ const workload::FunctionSpec& Platform::spec(FunctionId function) const {
 }
 
 ResourcePool& Platform::pool(RegionId region, trace::ResourceConfig config) {
-  COLDSTART_CHECK_EQ(cells_, 1u);
-  return pools_.at(region).at(static_cast<size_t>(config));
+  COLDSTART_CHECK_EQ(options_.cells_per_region, 1u);
+  return cells_.at(region).pools.at(static_cast<size_t>(config));
 }
 
 bool Platform::HasAvailablePod(FunctionId function) const {
@@ -257,45 +253,59 @@ int Platform::alive_pod_count(FunctionId function) const {
   return static_cast<int>(states_.at(function).pods.size());
 }
 
+template <typename F>
+int64_t Platform::SumOverCells(RegionId region, F value) const {
+  COLDSTART_CHECK_LT(region, profiles_.size());
+  const uint32_t n = options_.cells_per_region;
+  int64_t total = 0;
+  for (size_t i = static_cast<size_t>(region) * n; i < (region + size_t{1}) * n; ++i) {
+    total += value(cells_[i]);
+  }
+  return total;
+}
+
 int64_t Platform::cold_starts(RegionId region) const {
-  return visible_cold_starts_.at(region);
+  return SumOverCells(region, [](const Cell& c) { return c.visible_cold_starts; });
 }
 
 int64_t Platform::total_cold_starts() const {
   int64_t total = 0;
-  for (const int64_t c : visible_cold_starts_) {
-    total += c;
+  for (const Cell& cell : cells_) {
+    total += cell.visible_cold_starts;
   }
   return total;
 }
 
 int64_t Platform::cold_start_latency_sum_us(RegionId region) const {
-  return cold_start_latency_sum_us_.at(region);
+  return SumOverCells(region, [](const Cell& c) { return c.cold_start_latency_sum_us; });
+}
+
+int64_t Platform::scratch_allocations(RegionId region) const {
+  return SumOverCells(region, [](const Cell& c) {
+    int64_t total = 0;
+    for (const ResourcePool& pool : c.pools) {
+      total += pool.scratch_count();
+    }
+    return total;
+  });
+}
+
+int64_t Platform::prewarm_spawns(RegionId region) const {
+  return SumOverCells(region, [](const Cell& c) { return c.load.prewarm_spawns; });
+}
+
+int64_t Platform::delayed_allocations(RegionId region) const {
+  return SumOverCells(region, [](const Cell& c) { return c.load.delayed_allocations; });
+}
+
+int64_t Platform::active_cold_starts(RegionId region) const {
+  return SumOverCells(region, [](const Cell& c) { return c.load.active_cold_starts; });
 }
 
 uint64_t Platform::pods_created() const {
   uint64_t total = 0;
-  for (const trace::PodId seq : next_pod_seq_) {
-    total += seq;
-  }
-  return total;
-}
-
-trace::PodId Platform::NewPodId(RegionId region, uint32_t cell) {
-  const trace::PodId seq = next_pod_seq_[StateIndex(region, cell)]++;
-  // Strict: the last (region, cell, seq) combination would collide with
-  // kInvalidPod. At cells_ == 1 this is the legacy region | seq layout exactly.
-  COLDSTART_CHECK_LT(seq, pod_seq_mask_);
-  return (static_cast<trace::PodId>(region) << kPodIdRegionShift) |
-         (static_cast<trace::PodId>(cell) << pod_seq_bits_) | seq;
-}
-
-int64_t Platform::scratch_allocations(RegionId region) const {
-  int64_t total = 0;
-  for (uint32_t cell = 0; cell < cells_; ++cell) {
-    for (const auto& pool : pools_.at(StateIndex(region, cell))) {
-      total += pool.scratch_count();
-    }
+  for (const Cell& cell : cells_) {
+    total += cell.next_pod_seq;
   }
   return total;
 }
@@ -337,7 +347,7 @@ trace::ClusterId Platform::PickCluster(const FunctionSpec& spec,
   // "balance traffic between clusters, starting pods in a new cluster").
   const trace::ClusterId alt = static_cast<trace::ClusterId>(
       (spec.home_cluster + 1 +
-       rng(region, CellOf(spec.id)).NextBounded(trace::kClustersPerRegion - 1)) %
+       CellFor(region, spec.id).rng.NextBounded(trace::kClustersPerRegion - 1)) %
       trace::kClustersPerRegion);
   int home_count = 0;
   int alt_count = 0;
@@ -358,14 +368,11 @@ Pod* Platform::StartColdStart(const FunctionSpec& spec, RegionId region, bool pr
                               SimDuration extra_sched_us) {
   const SimTime now = sim_.now();
   FunctionState& state = states_[spec.id];
-  const uint32_t cell = CellOf(spec.id);
-  const size_t idx = StateIndex(region, cell);
-  RegionLoadState& load = loads_[idx];
-
-  ResourcePool& pool = pools_[idx][static_cast<size_t>(spec.config)];
+  Cell& cell = CellFor(region, spec.id);
+  RegionLoadState& load = cell.load;
   load.ObserveColdStart(now);  // The event contributes to its own congestion window.
-  ColdStartComponents comp =
-      models_[region].Compute(spec, pool, load, now, rng(region, cell));
+  ColdStartComponents comp = models_[region].Compute(
+      spec, cell.pools[static_cast<size_t>(spec.config)], load, now, cell.rng);
   comp.scheduling += extra_sched_us;
   if (comp.from_scratch) {
     cost_ledger_.AddScratchCreation(region);
@@ -376,7 +383,10 @@ Pod* Platform::StartColdStart(const FunctionSpec& spec, RegionId region, bool pr
     pod_hot_.resize(pod_slab_.capacity());
   }
   pod->self = handle;
-  pod->id = NewPodId(region, cell);
+  // Strict: the last (region, cell, seq) combination would collide with
+  // kInvalidPod.
+  COLDSTART_CHECK_LT(cell.next_pod_seq, pod_seq_mask_);
+  pod->id = cell.pod_id_prefix | cell.next_pod_seq++;
   pod->function = spec.id;
   pod->region = region;
   pod->cluster = PickCluster(spec, state, region);
@@ -404,8 +414,10 @@ Pod* Platform::StartColdStart(const FunctionSpec& spec, RegionId region, bool pr
   if (prewarmed) {
     ++load.prewarm_spawns;
   } else {
-    ++visible_cold_starts_[region];
-    cold_start_latency_sum_us_[region] += comp.total();
+    // The sum adds the recorded (32-bit) latency, so it equals the sinks' sum
+    // of the records by construction.
+    ++cell.visible_cold_starts;
+    cell.cold_start_latency_sum_us += pod->cold_start_us;
     ColdStartRecord rec;
     rec.timestamp = now;
     rec.pod_id = pod->id;
@@ -442,8 +454,7 @@ void Platform::AssignRequest(Pod* pod, const FunctionSpec& spec, SimTime arrival
   }
   ++h.slots_used;
   double exec_us = std::exp(states_[spec.id].log_exec_median_us +
-                            spec.exec_sigma *
-                                rng(pod->region, CellOf(spec.id)).NextGaussian());
+                            spec.exec_sigma * CellFor(pod->region, spec.id).rng.NextGaussian());
   exec_us = std::clamp(exec_us, 100.0, 600e6);
   const uint32_t exec = static_cast<uint32_t>(exec_us);
   const SimTime exec_end = exec_start + exec;
@@ -465,27 +476,22 @@ void Platform::OnRequestComplete(SlabHandle handle, SimTime exec_start,
   h.last_busy_end = std::max(h.last_busy_end, exec_end);
 
   // The pod's function equals spec.id here, so one cell lookup covers the id
-  // mint, the resource draws, and the fan-out below.
-  const uint32_t cell = CellOf(spec.id);
-  const size_t idx = StateIndex(pod->region, cell);
+  // mint and the resource draws.
+  Cell& cell = CellFor(pod->region, spec.id);
   if (options_.record_requests) {
     trace::RequestRecord rec;
     rec.timestamp = exec_start;
-    // Request ids mix a per-(region, cell) counter under a matching salt, so the
-    // id stream is identical whether the cell ran alone (sharded) or alongside
-    // the others. At cells_ == 1 the salt is the legacy per-region one exactly.
-    uint64_t salt = MixHash(0x9e3779b9, pod->region);
-    if (cells_ > 1) {
-      salt = MixHash(salt, cell);
-    }
-    rec.request_id = MixHash(salt, next_request_seq_[idx]++);
+    // Request ids mix the cell's counter under the cell's salt, so the id
+    // stream is identical whether the cell ran alone (sharded) or alongside
+    // the others.
+    rec.request_id = MixHash(cell.request_salt, cell.next_request_seq++);
     rec.pod_id = pod->id;
     rec.function_id = spec.id;
     rec.user_id = spec.user;
     rec.region = pod->region;
     rec.cluster = pod->cluster;
     rec.execution_time_us = static_cast<uint32_t>(exec_end - exec_start);
-    Rng& resource_rng = rng(pod->region, cell);
+    Rng& resource_rng = cell.rng;
     if (draw_request_resources_) {
       double cpu = spec.cpu_mean_cores * std::exp(0.3 * resource_rng.NextGaussian());
       cpu = std::clamp(cpu, 0.005,
@@ -508,7 +514,7 @@ void Platform::OnRequestComplete(SlabHandle handle, SimTime exec_start,
   // within the region and share the parent's cell by construction —
   // workload/function_cells.h — so sharded runs replay exactly this sequence).
   for (const auto& edge : spec.children) {
-    Rng& fanout_rng = rng(spec.region, cell);
+    Rng& fanout_rng = CellFor(spec.region, spec.id).rng;
     if (fanout_rng.NextBool(edge.probability)) {
       const SimDuration delay = FromSeconds(fanout_rng.Uniform(0.005, 0.05));
       ScheduleEvent(EventKind::kInvoke, exec_end + delay).first->function = edge.child;
@@ -555,7 +561,7 @@ void Platform::Fire(uint64_t token) {
       return;
     }
     case EventKind::kLoadDecrement: {
-      RegionLoadState& l = loads_[StateIndex(e.region, CellOf(e.function))];
+      RegionLoadState& l = CellFor(e.region, e.function).load;
       --l.active_cold_starts;
       --l.active_code_deploys;
       if (population_.functions[e.function].dep_size_kb > 0) {
@@ -591,9 +597,8 @@ void Platform::KillPod(Pod* pod, SimTime death_time) {
   const FunctionSpec& spec = population_.functions[pod->function];
   const PodHot& h = hot(*pod);
   if (workload::TraitsOf(spec.runtime).pool_backed) {
-    pools_[StateIndex(pod->region, CellOf(pod->function))]
-          [static_cast<size_t>(pod->config)]
-              .Release(death_time);
+    CellFor(pod->region, pod->function).pools[static_cast<size_t>(pod->config)].Release(
+        death_time);
   }
 
   trace::PodLifetimeRecord rec;
@@ -649,7 +654,7 @@ void Platform::HandleArrivalBatch(FunctionId fid, size_t count, bool delay_exemp
   // each iteration must observe the slot/load mutations of the previous one.
   const FunctionSpec& fspec = population_.functions.at(fid);
   const SimTime now = sim_.now();
-  const size_t load_idx = StateIndex(fspec.region, CellOf(fid));
+  RegionLoadState& load = CellFor(fspec.region, fid).load;
   FunctionState& state = states_[fid];
   const int concurrency = fspec.pod_concurrency;
 
@@ -660,9 +665,9 @@ void Platform::HandleArrivalBatch(FunctionId fid, size_t count, bool delay_exemp
         policy_->OnParentRequestStart(fspec, now);
       }
       if (!delay_exempt && !trace::IsSynchronous(fspec.primary_trigger)) {
-        const SimDuration delay = policy_->AdmissionDelay(fspec, now, loads_[load_idx]);
+        const SimDuration delay = policy_->AdmissionDelay(fspec, now, load);
         if (delay > 0) {
-          ++loads_[load_idx].delayed_allocations;
+          ++load.delayed_allocations;
           PendingEvent* retry = ScheduleEvent(EventKind::kInvoke, now + delay).first;
           retry->delay_exempt = true;
           retry->function = fid;
@@ -767,28 +772,16 @@ void Platform::SaveCheckpointState(ByteWriter& w) const {
   COLDSTART_CHECK_EQ((now + 1) % kDay, 0);
   COLDSTART_CHECK(arrival_cursor_.drained());
 
-  // RNG substreams and id namespaces.
-  w.U64(rngs_.size());
-  for (const Rng& r : rngs_) {
+  // The cell table, cell by cell (doubles travel as bit patterns). The pools'
+  // construction parameters are re-derived from the profiles on restore.
+  w.U64(cells_.size());
+  for (const Cell& cell : cells_) {
     uint64_t words[4];
-    r.SaveState(words);
+    cell.rng.SaveState(words);
     w.Raw(words, sizeof(words));
-  }
-  for (const trace::PodId v : next_pod_seq_) {
-    w.U64(v);
-  }
-  for (const uint64_t v : next_request_seq_) {
-    w.U64(v);
-  }
-  for (const int64_t v : visible_cold_starts_) {
-    w.I64(v);
-  }
-  for (const int64_t v : cold_start_latency_sum_us_) {
-    w.I64(v);
-  }
-
-  // Per-region load counters (doubles travel as bit patterns).
-  for (const RegionLoadState& l : loads_) {
+    w.U64(cell.next_pod_seq);
+    w.U64(cell.next_request_seq);
+    const RegionLoadState& l = cell.load;
     w.I64(l.active_cold_starts);
     w.I64(l.active_code_deploys);
     w.I64(l.active_dep_deploys);
@@ -796,11 +789,7 @@ void Platform::SaveCheckpointState(ByteWriter& w) const {
     w.I64(l.delayed_allocations);
     w.F64(l.cold_start_window);
     w.I64(l.window_updated);
-  }
-
-  // Resource pools ([region][config], fixed layout from the profiles).
-  for (const auto& region_pools : pools_) {
-    for (const ResourcePool& pool : region_pools) {
+    for (const ResourcePool& pool : cell.pools) {
       const ResourcePool::CheckpointState cs = pool.checkpoint_state();
       w.I64(cs.free);
       w.I64(cs.target);
@@ -808,6 +797,8 @@ void Platform::SaveCheckpointState(ByteWriter& w) const {
       w.I64(cs.last_refill);
       w.I64(cs.scratch_count);
     }
+    w.I64(cell.visible_cold_starts);
+    w.I64(cell.cold_start_latency_sum_us);
   }
 
   // Resource-cost ledger (order-invariant 128-bit sums, two words each).
@@ -892,26 +883,14 @@ void Platform::RestoreCheckpointState(
   COLDSTART_CHECK(arrival_stream_ == nullptr && !source_attached_);
   COLDSTART_CHECK_EQ(pod_slab_.capacity(), 0u);
 
-  COLDSTART_CHECK_EQ(r.U64(), rngs_.size());
-  for (Rng& rng : rngs_) {
+  COLDSTART_CHECK_EQ(r.U64(), cells_.size());
+  for (Cell& cell : cells_) {
     uint64_t words[4];
     r.Raw(words, sizeof(words));
-    rng.RestoreState(words);
-  }
-  for (trace::PodId& v : next_pod_seq_) {
-    v = static_cast<trace::PodId>(r.U64());
-  }
-  for (uint64_t& v : next_request_seq_) {
-    v = r.U64();
-  }
-  for (int64_t& v : visible_cold_starts_) {
-    v = r.I64();
-  }
-  for (int64_t& v : cold_start_latency_sum_us_) {
-    v = r.I64();
-  }
-
-  for (RegionLoadState& l : loads_) {
+    cell.rng.RestoreState(words);
+    cell.next_pod_seq = static_cast<trace::PodId>(r.U64());
+    cell.next_request_seq = r.U64();
+    RegionLoadState& l = cell.load;
     l.active_cold_starts = static_cast<int>(r.I64());
     l.active_code_deploys = static_cast<int>(r.I64());
     l.active_dep_deploys = static_cast<int>(r.I64());
@@ -919,10 +898,7 @@ void Platform::RestoreCheckpointState(
     l.delayed_allocations = r.I64();
     l.cold_start_window = r.F64();
     l.window_updated = r.I64();
-  }
-
-  for (auto& region_pools : pools_) {
-    for (ResourcePool& pool : region_pools) {
+    for (ResourcePool& pool : cell.pools) {
       ResourcePool::CheckpointState cs;
       cs.free = static_cast<int>(r.I64());
       cs.target = static_cast<int>(r.I64());
@@ -931,6 +907,8 @@ void Platform::RestoreCheckpointState(
       cs.scratch_count = r.I64();
       pool.restore_checkpoint_state(cs);
     }
+    cell.visible_cold_starts = r.I64();
+    cell.cold_start_latency_sum_us = r.I64();
   }
 
   cost_ledger_.RestoreState(r);

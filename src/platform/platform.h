@@ -13,16 +13,18 @@
 // pipeline, and bind the request to the pod's ready time. Completions update
 // keep-alive state and fan out workflow children.
 //
-// Region independence: all randomness flows through per-(region, cell) RNG
-// substreams (forked from the seed by region index, then by capacity cell when
-// cells_per_region > 1) and pod/request ids are drawn from per-(region, cell)
-// namespaces. A platform that only ever sees one region's (or one cell group's)
+// Region independence: every capacity-coupled piece of mutable state lives in
+// one record per (region, capacity cell): its RNG substream (forked from the
+// seed by region index, then by cell when cells_per_region > 1), its pod-id and
+// request-id namespaces, its load state, its resource pools and its cold-start
+// counters. A platform that only ever sees one region's (or one cell group's)
 // arrivals therefore emits exactly the records the full serial platform emits
 // for those functions — the invariant core::Experiment's sharded runner is
 // built on.
 #ifndef COLDSTART_PLATFORM_PLATFORM_H_
 #define COLDSTART_PLATFORM_PLATFORM_H_
 
+#include <array>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -79,7 +81,8 @@ struct PodHot {
 // Pod ids carry their region in the high bits so per-region id streams never collide
 // and a sharded run mints exactly the ids the serial run would have minted. With
 // cells_per_region > 1 the cell index is packed directly below the region bits
-// (see Platform::cell_bits_), shrinking the per-cell sequence space accordingly.
+// (Platform::Cell::pod_id_prefix), shrinking the per-cell sequence space
+// accordingly.
 inline constexpr int kPodIdRegionShift = 28;
 inline constexpr trace::PodId kPodIdSeqMask = (trace::PodId{1} << kPodIdRegionShift) - 1;
 
@@ -96,10 +99,10 @@ class Platform : private sim::EventTarget {
     bool resuming = false;
     // Capacity cells per region (ScenarioConfig::cells_per_region). 1 keeps the
     // paper's one-pool-per-region model and the legacy RNG/id streams bit for
-    // bit. Values > 1 decompose every capacity-coupled structure (pools, load
-    // state, RNG substreams, pod/request id namespaces) into independent cells
-    // keyed by `function_cells`, which must then be non-null and map every
-    // function id to its cell (workload/function_cells.h).
+    // bit. Values > 1 give each region that many independent cell records
+    // (RNG substream, pod/request id namespaces, load state, pools, cold-start
+    // counters), keyed by `function_cells`, which must then be non-null and map
+    // every function id to its cell (workload/function_cells.h).
     uint32_t cells_per_region = 1;
     std::shared_ptr<const std::vector<uint32_t>> function_cells;
   };
@@ -134,7 +137,7 @@ class Platform : private sim::EventTarget {
   // Serializes the platform's full mutable state. Valid only at a quiescent day
   // boundary (clock at day * kDay - 1: the previous day's chunk fully drained,
   // every pending event an entry of the pending-event table) — CHECKed.
-  // The payload covers RNGs, id namespaces, load/pool state, the pod slab (with
+  // The payload covers the cell table, the cost ledger, the pod slab (with
   // per-function pod-list order), the pending-event table and the arrival
   // stream's state. Policy and sink state are serialized by the caller
   // (core::Experiment), which owns those objects.
@@ -160,7 +163,7 @@ class Platform : private sim::EventTarget {
   // The region's one pool of `config`. It exists only when cells_per_region == 1
   // (CHECKed): a policy that sizes pools must refuse other geometries itself.
   ResourcePool& pool(trace::RegionId region, trace::ResourceConfig config);
-  uint32_t cells_per_region() const { return cells_; }
+  uint32_t cells_per_region() const { return options_.cells_per_region; }
   const workload::FunctionSpec& spec(trace::FunctionId function) const;
   // True when the function has a pod that is (or will be) able to take a request:
   // ready (or warming) with a free concurrency slot.
@@ -168,25 +171,18 @@ class Platform : private sim::EventTarget {
   int alive_pod_count(trace::FunctionId function) const;
   const std::vector<workload::RegionProfile>& profiles() const { return profiles_; }
 
-  // --- Stats. ---
+  // --- Stats. Per-region values sum the region's cells. ---
   // User-visible cold starts per region (excludes prewarm spawns).
   int64_t cold_starts(trace::RegionId region) const;
   int64_t total_cold_starts() const;
   uint64_t pods_created() const;
   // Sum over user-visible cold starts of total cold-start latency, per region (µs).
   int64_t cold_start_latency_sum_us(trace::RegionId region) const;
-  // From-scratch pod creations (pool misses) across the region's pools (all cells).
+  // From-scratch pod creations (pool misses) across the region's pools.
   int64_t scratch_allocations(trace::RegionId region) const;
-  // Region-level load counters, summed over the region's cells.
-  int64_t prewarm_spawns(trace::RegionId region) const {
-    return SumOverCells(region, &RegionLoadState::prewarm_spawns);
-  }
-  int64_t delayed_allocations(trace::RegionId region) const {
-    return SumOverCells(region, &RegionLoadState::delayed_allocations);
-  }
-  int64_t active_cold_starts(trace::RegionId region) const {
-    return SumOverCells(region, &RegionLoadState::active_cold_starts);
-  }
+  int64_t prewarm_spawns(trace::RegionId region) const;
+  int64_t delayed_allocations(trace::RegionId region) const;
+  int64_t active_cold_starts(trace::RegionId region) const;
   // Resource-cost accumulators (pod-seconds, warm-idle-seconds, snapshot MB·s,
   // from-scratch creations), per region; order-invariant integer sums so serial
   // and sharded runs agree bit for bit. Finalize() also emits the totals into
@@ -225,32 +221,34 @@ class Platform : private sim::EventTarget {
     SimTime last_time_ = 0;  // Guards the sorted-arrivals stream contract.
   };
 
-  // --- Capacity-cell plumbing. ---
-  // All capacity-coupled mutable state (RNGs, pools, loads, id namespaces) is
-  // stored per (region, cell), flattened as region * cells_ + cell. At the
-  // default cells_ == 1 every helper degenerates to the legacy per-region
-  // behavior bit for bit (cell 0, StateIndex == region).
-  uint32_t CellOf(trace::FunctionId fid) const {
-    return cells_ == 1 ? 0 : (*options_.function_cells)[fid];
+  // --- The cell table. ---
+  // All capacity-coupled mutable state of one (region, cell), stored at
+  // region * cells_per_region + cell. Every draw the platform makes comes from
+  // a cell's substream, so sharded and serial runs consume identical
+  // sequences. At cells_per_region == 1 there is one cell per region and its
+  // streams and ids are the legacy per-region ones bit for bit; the
+  // constructor is the one place that encoding is decided.
+  struct Cell {
+    Rng rng{0};  // Seeded by the constructor.
+    trace::PodId pod_id_prefix = 0;  // Region and cell bits of every pod id.
+    trace::PodId next_pod_seq = 0;
+    uint64_t request_salt = 0;       // Mixed with the seq into each request id.
+    uint64_t next_request_seq = 0;
+    RegionLoadState load;
+    std::array<ResourcePool, trace::kNumResourceConfigs> pools;
+    int64_t visible_cold_starts = 0;
+    int64_t cold_start_latency_sum_us = 0;
+  };
+  // The cell that holds `function`'s state when it runs in `region` (a routed
+  // cold start runs outside the function's home region).
+  Cell& CellFor(trace::RegionId region, trace::FunctionId function) {
+    const uint32_t cell =
+        options_.cells_per_region == 1 ? 0 : (*options_.function_cells)[function];
+    return cells_[static_cast<size_t>(region) * options_.cells_per_region + cell];
   }
-  size_t StateIndex(trace::RegionId region, uint32_t cell) const {
-    return static_cast<size_t>(region) * cells_ + cell;
-  }
-  template <typename T>
-  int64_t SumOverCells(trace::RegionId region, T RegionLoadState::*counter) const {
-    int64_t total = 0;
-    for (uint32_t cell = 0; cell < cells_; ++cell) {
-      total += loads_.at(StateIndex(region, cell)).*counter;
-    }
-    return total;
-  }
-  // The per-(region, cell) RNG substream; every draw the platform makes is
-  // attributed to a cell so that sharded and serial runs consume identical
-  // sequences.
-  Rng& rng(trace::RegionId region, uint32_t cell) {
-    return rngs_[StateIndex(region, cell)];
-  }
-  trace::PodId NewPodId(trace::RegionId region, uint32_t cell);
+  // Sum of `value(cell)` over the region's cells.
+  template <typename F>
+  int64_t SumOverCells(trace::RegionId region, F value) const;
   // The pod's SoA hot entry (valid while the pod is alive in the slab).
   PodHot& hot(const Pod& pod) { return pod_hot_[pod.self.index]; }
   const PodHot& hot(const Pod& pod) const { return pod_hot_[pod.self.index]; }
@@ -326,10 +324,8 @@ class Platform : private sim::EventTarget {
   PlatformPolicy* policy_;  // Not owned; may be null.
 
   std::vector<ColdStartModel> models_;                        // Per region.
-  std::vector<std::vector<ResourcePool>> pools_;              // [StateIndex][config].
-  std::vector<RegionLoadState> loads_;                        // Per (region, cell).
-  std::vector<int64_t> visible_cold_starts_;                  // Per region.
-  std::vector<int64_t> cold_start_latency_sum_us_;            // Per region.
+  std::vector<Cell> cells_;  // Per (region, cell): the cell table (above).
+  trace::PodId pod_seq_mask_ = kPodIdSeqMask;  // Per-cell pod sequence space.
   std::vector<FunctionState> states_;                         // Per function.
   std::unique_ptr<workload::ArrivalStream> arrival_stream_;   // Owned; pull-based.
   workload::ArrivalChunk chunk_;  // The one live day batch (capacity reused).
@@ -337,19 +333,6 @@ class Platform : private sim::EventTarget {
   bool source_attached_ = false;
   Slab<Pod> pod_slab_;                                        // All alive pods.
   std::vector<PodHot> pod_hot_;  // SoA hot fields, indexed by slab slot.
-
-  // Cell geometry, fixed at construction. pod_seq_bits_ is how many low bits of
-  // a pod id hold the per-cell sequence number; the cell index sits directly
-  // above it, below the region bits. At cells_ == 1, cell_bits_ == 0 and the
-  // layout is the legacy (region << kPodIdRegionShift) | seq exactly.
-  uint32_t cells_ = 1;
-  uint32_t cell_bits_ = 0;
-  uint32_t pod_seq_bits_ = kPodIdRegionShift;
-  trace::PodId pod_seq_mask_ = kPodIdSeqMask;
-
-  std::vector<Rng> rngs_;                 // Per (region, cell); forked from the seed.
-  std::vector<trace::PodId> next_pod_seq_;      // Per (region, cell) pod-id namespace.
-  std::vector<uint64_t> next_request_seq_;      // Per (region, cell) request-id namespace.
 
   ResourceCostLedger cost_ledger_;        // Per region; order-invariant sums.
   Slab<PendingEvent> events_;             // The pending-event table (above).

@@ -23,6 +23,7 @@ struct PoolAcquisition {
 
 class ResourcePool {
  public:
+  ResourcePool() = default;  // An empty pool that never refills.
   ResourcePool(int target, double refill_per_min);
 
   // Draws one pod at `now`, returning how deep the search had to go.
@@ -65,9 +66,9 @@ class ResourcePool {
  private:
   void Refill(SimTime now);
 
-  int free_;
-  int target_;
-  double refill_per_min_;
+  int free_ = 0;
+  int target_ = 0;
+  double refill_per_min_ = 0;
   double refill_credit_ = 0;
   SimTime last_refill_ = 0;
   int64_t scratch_count_ = 0;

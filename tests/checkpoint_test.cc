@@ -11,6 +11,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -405,6 +406,51 @@ TEST_F(CheckpointTest, OrphanSegmentIsIgnoredAndRewritten) {
   const auto reference_files = FilesIn(reference_dir);
   EXPECT_TRUE(files.at(name) == reference_files.at(name)) << name << " was not rewritten";
   fs::remove_all(reference_dir);
+}
+
+TEST_F(CheckpointTest, ResumeDeletesOnlyDayFilesItNames) {
+  // A manifest entry is (shard, day) and nothing else: the day file's name is
+  // derived from it, never read back from disk, so a resume opens and prunes
+  // only ckpt_day files in its own directory. Files no commit named — one
+  // beside the directory, a stray one inside it — outlive the pruning.
+  ScenarioConfig config = TinyScenario();
+  config.days = 5;
+  RunAndKillAtDay(config, dir_, /*kill_day=*/2, /*num_threads=*/1);
+  const std::string beside = dir_ + "_beside.bin";
+  std::ofstream(beside) << "not a checkpoint";
+  std::ofstream(fs::path(dir_) / "stray.bin") << "not a checkpoint either";
+
+  checkpoint::Manifest manifest;
+  ASSERT_TRUE(checkpoint::ReadManifest(dir_, &manifest));
+  ASSERT_EQ(manifest.entries.size(), 1u);
+  ASSERT_EQ(manifest.entries[0].day, 2);
+  // Frame header, then fingerprint, trace mode, region count, sharded flag,
+  // shards per region and entry count, then 12 bytes (shard, day) per entry.
+  constexpr uint64_t kManifestHeader = (8 + 8 + 4) + (8 + 1 + 4 + 1 + 4 + 8);
+  EXPECT_EQ(fs::file_size(checkpoint::ManifestPath(dir_)), kManifestHeader + 12);
+
+  const auto names = [this] {
+    std::set<std::string> out;
+    for (const auto& [name, bytes] : FilesIn(dir_)) {
+      out.insert(name);
+    }
+    return out;
+  };
+  const std::set<std::string> before = names();
+  CheckpointPolicy ckpt;
+  ckpt.dir = dir_;
+  // Commits days 3 and 4; the day-4 commit prunes the seeded day-2 file.
+  const ExperimentResult resumed = Experiment(config).ResumeFrom(dir_, nullptr, 1, &ckpt);
+  EXPECT_EQ(resumed.interrupted_at_day, -1);
+  const std::set<std::string> after = names();
+  std::set<std::string> removed;
+  std::set_difference(before.begin(), before.end(), after.begin(), after.end(),
+                      std::inserter(removed, removed.end()));
+  EXPECT_EQ(removed, std::set<std::string>{checkpoint::CheckpointFileName(
+                         2, checkpoint::kSerialShard)});
+  EXPECT_TRUE(after.count("stray.bin"));
+  EXPECT_TRUE(fs::exists(beside));
+  fs::remove(beside);
 }
 
 TEST_F(CheckpointTest, SegmentsHoldEachRowOnce) {

@@ -207,10 +207,12 @@ struct TinyWorld {
   workload::Calendar calendar;
   sim::Simulator sim;
   trace::TraceStore store;
+  Platform::Options opts;
   std::unique_ptr<Platform> platform;
 
+  // With `cells` > 1, function i lives in cell i % cells.
   explicit TinyWorld(std::vector<FunctionSpec> specs, int days = 1,
-                     PlatformPolicy* policy = nullptr) {
+                     PlatformPolicy* policy = nullptr, uint32_t cells = 1) {
     Calendar();
     workload::Calendar::Options copts;
     copts.trace_days = days;
@@ -219,8 +221,15 @@ struct TinyWorld {
     pop.functions = std::move(specs);
     pop.num_users = 1;
     pop.region_begin = {0, static_cast<uint32_t>(pop.functions.size())};
-    Platform::Options opts;
     opts.seed = 17;
+    opts.cells_per_region = cells;
+    if (cells > 1) {
+      auto function_cells = std::make_shared<std::vector<uint32_t>>();
+      for (uint32_t i = 0; i < pop.functions.size(); ++i) {
+        function_cells->push_back(i % cells);
+      }
+      opts.function_cells = std::move(function_cells);
+    }
     platform = std::make_unique<Platform>(pop, profiles, calendar, sim, store, opts,
                                           policy);
   }
@@ -540,7 +549,19 @@ std::vector<std::pair<trace::PodId, SimTime>> PodDeaths(const trace::TraceStore&
   return deaths;
 }
 
-TEST(PlatformCheckpointTest, SaveRestoreSaveByteIdenticalWithEveryEventKindPending) {
+// Every stats accessor of region 0 (the only region), in one comparable value.
+std::vector<int64_t> RegionStats(const Platform& p) {
+  return {p.cold_starts(0),          p.cold_start_latency_sum_us(0),
+          p.scratch_allocations(0),  p.prewarm_spawns(0),
+          p.delayed_allocations(0),  p.active_cold_starts(0),
+          p.total_cold_starts(),     static_cast<int64_t>(p.pods_created())};
+}
+
+// Parametrized by cells_per_region: at 2 the five functions alternate between
+// the cells, so both cells hold pending state at the boundary.
+class PlatformCheckpointTest : public ::testing::TestWithParam<uint32_t> {};
+
+TEST_P(PlatformCheckpointTest, SaveRestoreSaveByteIdenticalWithEveryEventKindPending) {
   std::vector<FunctionSpec> specs(5, BasicSpec());
   for (size_t i = 0; i < specs.size(); ++i) {
     specs[i].id = static_cast<trace::FunctionId>(i);
@@ -553,7 +574,7 @@ TEST(PlatformCheckpointTest, SaveRestoreSaveByteIdenticalWithEveryEventKindPendi
       {kDay - 10 * kSecond, 0},       // Completion pending.
       {kDay - kMillisecond, 4}};      // Load decrement (and completion) pending.
   EveryKindPolicy policy;
-  TinyWorld world(specs, /*days=*/2, &policy);
+  TinyWorld world(specs, /*days=*/2, &policy, /*cells=*/GetParam());
   const auto stream = [&] {
     return std::make_unique<workload::MaterializedArrivalStream>(
         arrivals, workload::NumDayChunks(world.calendar));
@@ -567,8 +588,7 @@ TEST(PlatformCheckpointTest, SaveRestoreSaveByteIdenticalWithEveryEventKindPendi
   sim.RestoreClock(world.sim.now(), world.sim.next_seq(), world.sim.events_processed());
   trace::TraceStore store;
   EveryKindPolicy restored_policy;
-  Platform::Options opts;
-  opts.seed = 17;
+  Platform::Options opts = world.opts;
   opts.resuming = true;
   Platform restored(world.pop, world.profiles, world.calendar, sim, store, opts,
                     &restored_policy);
@@ -598,7 +618,10 @@ TEST(PlatformCheckpointTest, SaveRestoreSaveByteIdenticalWithEveryEventKindPendi
   ASSERT_EQ(store.pods().size(), 5u);
   EXPECT_EQ(PodDeaths(store), PodDeaths(world.store));
   EXPECT_LT(store.pods()[1].death_time, world.calendar.horizon());
+  EXPECT_EQ(RegionStats(restored), RegionStats(*world.platform));
 }
+
+INSTANTIATE_TEST_SUITE_P(Cells, PlatformCheckpointTest, ::testing::Values(1u, 2u));
 
 // --- Platform-owned events: day starts and the minute tick. ---
 
