@@ -4,6 +4,21 @@
 // buckets so that quantiles over 6+ decades (the paper's cold-start times span 10ms to
 // >100s) can be tracked in O(1) memory. Quantile error is bounded by the bucket growth
 // factor (default ~2.3% with 64 buckets per decade).
+//
+// Bucket i holds the values v with floor((log10(v) - log10(min_value)) *
+// buckets_per_decade) == i, clamped to the edge buckets; non-positive and NaN
+// values land in bucket 0. Add does not evaluate that formula. Each layout
+// (min, max, buckets per decade) precomputes, once per process, the exact lower
+// boundary of every bucket: the smallest double the formula places in it, found
+// by stepping with std::nextafter from a pow() guess until the formula's bucket
+// changes. The formula does not decrease as v grows (common_test checks it ulp
+// by ulp around every boundary), so a value's bucket is the number of
+// boundaries at or below it, and the boundaries are exact by construction. A
+// lookup indexes a slot table by the value's exponent and top mantissa bits;
+// slots are narrower than any bucket, so a slot holds at most one boundary and
+// one comparison against it finishes the lookup. The tables are immutable and
+// shared by every histogram with the same layout, so a copy carries a pointer,
+// not the tables.
 #ifndef COLDSTART_COMMON_HISTOGRAM_H_
 #define COLDSTART_COMMON_HISTOGRAM_H_
 
@@ -40,6 +55,9 @@ class LogHistogram {
   // Fraction of recorded values <= value.
   double CdfAt(double value) const;
 
+  // Index of the bucket `value` lands in (see the header comment).
+  int BucketFor(double value) const;
+
   int num_buckets() const { return static_cast<int>(counts_.size()); }
   uint64_t bucket_count(int i) const { return counts_[static_cast<size_t>(i)]; }
   // Lower edge of bucket i.
@@ -53,7 +71,9 @@ class LogHistogram {
   void RestoreState(ByteReader& r);
 
  private:
-  int BucketFor(double value) const;
+  struct Layout;  // Boundaries and slot table of one (min, max, per-decade) layout.
+  static const Layout* SharedLayout(double min_value, double max_value,
+                                    int buckets_per_decade);
 
   // The value sum is accumulated in 2^-20 fixed point inside a 128-bit integer.
   // Integer addition is associative, so a histogram split across sub-region
@@ -65,10 +85,7 @@ class LogHistogram {
     return static_cast<__int128>(value * kSumScale);
   }
 
-  double log_min_;
-  double log_max_;
-  double inv_log_step_;
-  double log_step_;
+  const Layout* layout_;  // Immutable, process-lifetime, shared.
   std::vector<uint64_t> counts_;
   uint64_t total_count_ = 0;
   __int128 sum_fp_ = 0;

@@ -28,7 +28,6 @@
 #ifndef COLDSTART_WORKLOAD_ARRIVAL_STREAM_H_
 #define COLDSTART_WORKLOAD_ARRIVAL_STREAM_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -48,24 +47,13 @@ struct ArrivalEvent {
 
 // The canonical arrival order: (time, function). Chunk contents, the eager
 // vector, and the platform's sorted-stream CHECK all use exactly this
-// comparator — day windows partition the horizon, so sorting each chunk with it
-// and concatenating reproduces the globally sorted vector.
+// comparator — day windows partition the horizon, so sorting each chunk into
+// this order and concatenating reproduces the globally sorted vector.
 inline bool ArrivalOrderLess(const ArrivalEvent& a, const ArrivalEvent& b) {
   if (a.time != b.time) {
     return a.time < b.time;
   }
   return a.function < b.function;
-}
-
-// Sorts a chunk into ArrivalOrderLess order. The comparator goes in as a lambda,
-// not a function pointer, so std::sort inlines it instead of making one
-// out-of-line call per comparison. Equal elements are identical, so the
-// unstable sort's output is fully determined.
-inline void SortArrivals(std::vector<ArrivalEvent>& events) {
-  std::sort(events.begin(), events.end(),
-            [](const ArrivalEvent& a, const ArrivalEvent& b) {
-              return ArrivalOrderLess(a, b);
-            });
 }
 
 // Number of day chunks covering [0, horizon): ceil(horizon / kDay). Part of the
@@ -78,6 +66,17 @@ struct ArrivalChunk {
   int64_t day = 0;
   std::vector<ArrivalEvent> events;
 };
+
+// Sorts a chunk into ArrivalOrderLess order in place. Every event must lie in
+// [day * kDay, (day + 1) * kDay) (CHECKed). Both generating streams call it once
+// per day on the events they appended. It partitions the chunk by minute of the
+// day (a counting pass, prefix sums, then an American-flag cycle permutation
+// that moves each event straight to its minute's range), then sorts each minute
+// (tens of events) with ArrivalOrderLess. The two offset tables live on the
+// stack, so no second buffer and no per-stream table is kept. ArrivalOrderLess
+// is a total order whose equal elements are identical, so the result is exactly
+// what a comparison sort of the whole chunk would produce, byte for byte.
+void SortDayChunk(ArrivalChunk& chunk);
 
 // A forward-only stream of day chunks. Implementations may borrow the population
 // (and, for replay, the recorded event buffer) they were opened over: both must

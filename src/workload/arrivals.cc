@@ -179,7 +179,7 @@ bool SyntheticArrivalStream::NextChunk(ArrivalChunk* chunk) {
       chunk->events.push_back(ArrivalEvent{t, f.id});
     }
   }
-  SortArrivals(chunk->events);
+  SortDayChunk(*chunk);
   return true;
 }
 

@@ -50,8 +50,9 @@ class FunctionArrivalCursor {
   int64_t next_day() const { return next_day_; }
 
   // Appends this function's arrivals with time in [day * kDay, (day + 1) * kDay)
-  // — clipped to the horizon — to `out`. Times are unsorted within the day (the
-  // caller sorts the merged chunk once). Requires day == next_day().
+  // — clipped to the horizon — to `out`. Poisson hours come out unsorted; the
+  // stream sorts the merged day chunk once (SortDayChunk, arrival_stream.h).
+  // Requires day == next_day().
   void EmitDay(int64_t day, std::vector<SimTime>& out);
 
   // Checkpoint support: the exact carried state (RNG words, burst machine,
@@ -78,7 +79,8 @@ class FunctionArrivalCursor {
 };
 
 // The synthetic generator as a day-chunked stream: one FunctionArrivalCursor per
-// (in-filter) function, merged and (time, function)-sorted per day. Peak memory is
+// (in-filter) function, merged and sorted per day by SortDayChunk's minute
+// buckets into (time, function) order. Peak memory is
 // O(busiest day), independent of the horizon. `pop` is borrowed and must outlive
 // the stream; profiles/calendar are copied. With `region` set, only that region's
 // functions are generated — the same subsequence a full stream would yield for

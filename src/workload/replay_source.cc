@@ -261,7 +261,7 @@ class ReplaySource::Stream final : public ArrivalStream {
         chunk->events.push_back(ArrivalEvent{t, fid});
       }
     }
-    SortArrivals(chunk->events);
+    SortDayChunk(*chunk);
     return true;
   }
 

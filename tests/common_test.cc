@@ -2,6 +2,7 @@
 // tables, and the file frame every durable binary artifact shares.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -9,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -270,6 +272,121 @@ TEST(HistogramTest, QuantileWithinOneBucketGrowthFactorOfExact) {
     EXPECT_LE(approx, truth * growth) << "q=" << q;
     EXPECT_GE(approx, truth / growth) << "q=" << q;
   }
+}
+
+// The bucket the old per-value formula picks: floor((log10(v) - log10(min)) *
+// buckets_per_decade), clamped to [0, n - 1]; 0 for non-positive and NaN.
+int FormulaBucket(double v, double min_value, int buckets_per_decade, int n) {
+  if (!(v > 0.0)) {
+    return 0;
+  }
+  const double pos = (std::log10(v) - std::log10(min_value)) * buckets_per_decade;
+  return static_cast<int>(std::clamp(std::floor(pos), 0.0, static_cast<double>(n - 1)));
+}
+
+struct HistogramLayout {
+  double min_value;
+  double max_value;
+  int buckets_per_decade;
+};
+
+// The streaming sink's three layouts (trace/streaming_aggregates.cc), the
+// layouts the tests above use, and coarser and finer resolutions.
+const HistogramLayout kLayouts[] = {
+    {1e-3, 1e4, 64}, {1e-5, 1e4, 64}, {1e-2, 1e9, 64},  {1e-3, 1e3, 64},
+    {1.0, 100.0, 64}, {1e-2, 1e2, 64}, {1e-3, 1e3, 8},  {0.5, 7e5, 10},
+    {1e-6, 1e6, 1},   {1.0, 1e3, 256}, {3e-7, 2e11, 100},
+};
+
+TEST(HistogramBucketTest, MatchesFormulaAroundEveryBoundary) {
+  constexpr int kUlps = 50;
+  for (const HistogramLayout& layout : kLayouts) {
+    const LogHistogram h(layout.min_value, layout.max_value, layout.buckets_per_decade);
+    const int n = h.num_buckets();
+    const auto formula = [&](double v) {
+      return FormulaBucket(v, layout.min_value, layout.buckets_per_decade, n);
+    };
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    for (int i = 1; i < n; ++i) {
+      // The formula's boundary: the first double it puts in bucket i or above,
+      // found by walking from the analytic one.
+      double boundary = h.bucket_lower(i);
+      while (formula(boundary) < i) {
+        boundary = std::nextafter(boundary, kInf);
+      }
+      while (formula(std::nextafter(boundary, 0.0)) >= i) {
+        boundary = std::nextafter(boundary, 0.0);
+      }
+      // kUlps doubles each side of it: BucketFor agrees with the formula at
+      // every step, and the formula never decreases along the walk.
+      double v = boundary;
+      for (int k = 0; k < kUlps; ++k) {
+        v = std::nextafter(v, 0.0);
+      }
+      int previous = -1;
+      for (int k = 0; k <= 2 * kUlps; ++k, v = std::nextafter(v, kInf)) {
+        const int expected = formula(v);
+        ASSERT_EQ(h.BucketFor(v), expected)
+            << "layout (" << layout.min_value << ", " << layout.max_value << ", "
+            << layout.buckets_per_decade << ") boundary " << i << " v=" << v;
+        ASSERT_GE(expected, previous) << "formula decreased at v=" << v;
+        previous = expected;
+      }
+    }
+  }
+}
+
+TEST(HistogramBucketTest, EdgeValues) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const HistogramLayout& layout : kLayouts) {
+    const LogHistogram h(layout.min_value, layout.max_value, layout.buckets_per_decade);
+    const int n = h.num_buckets();
+    EXPECT_EQ(h.BucketFor(0.0), 0);
+    EXPECT_EQ(h.BucketFor(-0.0), 0);
+    EXPECT_EQ(h.BucketFor(-1.0), 0);
+    EXPECT_EQ(h.BucketFor(-kInf), 0);
+    EXPECT_EQ(h.BucketFor(std::numeric_limits<double>::quiet_NaN()), 0);
+    EXPECT_EQ(h.BucketFor(kInf), n - 1);
+    for (const double v :
+         {std::numeric_limits<double>::denorm_min(), std::numeric_limits<double>::min(),
+          1e-300, layout.min_value, std::nextafter(layout.min_value, 0.0),
+          std::nextafter(layout.min_value, kInf), layout.max_value,
+          std::nextafter(layout.max_value, 0.0), std::nextafter(layout.max_value, kInf),
+          1.0, 1e300, std::numeric_limits<double>::max()}) {
+      EXPECT_EQ(h.BucketFor(v),
+                FormulaBucket(v, layout.min_value, layout.buckets_per_decade, n))
+          << "v=" << v;
+    }
+  }
+}
+
+TEST(HistogramBucketTest, MatchesFormulaOnSeededLogUniformSweep) {
+  Rng rng(26);
+  for (const HistogramLayout& layout : kLayouts) {
+    const LogHistogram h(layout.min_value, layout.max_value, layout.buckets_per_decade);
+    const int n = h.num_buckets();
+    // Two decades beyond each end, so both clamps are exercised.
+    const double lo = std::log10(layout.min_value) - 2.0;
+    const double hi = std::log10(layout.max_value) + 2.0;
+    for (int k = 0; k < 200000; ++k) {
+      const double v = std::pow(10.0, rng.Uniform(lo, hi));
+      ASSERT_EQ(h.BucketFor(v),
+                FormulaBucket(v, layout.min_value, layout.buckets_per_decade, n))
+          << "v=" << v;
+    }
+  }
+}
+
+TEST(HistogramBucketTest, CopiesAndSameLayoutHistogramsAgree) {
+  const LogHistogram a(1e-3, 1e4);
+  LogHistogram b(1e-3, 1e4);
+  b.Add(3.5);
+  const LogHistogram copy(b);
+  EXPECT_EQ(copy.num_buckets(), a.num_buckets());
+  for (const double v : {1e-4, 2e-3, 0.1, 3.5, 77.0, 9.9e3, 1e5}) {
+    EXPECT_EQ(copy.BucketFor(v), a.BucketFor(v));
+  }
+  EXPECT_EQ(copy.bucket_count(copy.BucketFor(3.5)), 1u);
 }
 
 // --- Env parsing. ---

@@ -548,6 +548,122 @@ TEST(ArrivalStreamTest, MaterializedStreamRoundTrips) {
   ExpectSameEvents(Concat(chunks), eager);
 }
 
+// --- SortDayChunk: the minute-bucket sort must equal std::sort with
+// ArrivalOrderLess on every chunk shape the streams produce. ---
+
+// Sorts `events` as day `day`'s chunk with SortDayChunk and with the std::sort
+// reference, and requires identical output.
+void ExpectDayChunkSortMatchesReference(int64_t day, std::vector<ArrivalEvent> events) {
+  ArrivalChunk chunk;
+  chunk.day = day;
+  chunk.events = events;
+  SortDayChunk(chunk);
+  std::sort(events.begin(), events.end(), ArrivalOrderLess);
+  EXPECT_EQ(chunk.day, day);
+  ExpectSameEvents(chunk.events, events);
+}
+
+// `n` events with times uniform in [begin, end) and functions below
+// `num_functions`, in generation (unsorted) order.
+std::vector<ArrivalEvent> RandomEvents(Rng& rng, size_t n, SimTime begin, SimTime end,
+                                       uint64_t num_functions) {
+  std::vector<ArrivalEvent> events;
+  for (size_t i = 0; i < n; ++i) {
+    events.push_back(ArrivalEvent{
+        begin + static_cast<SimTime>(rng.NextBounded(static_cast<uint64_t>(end - begin))),
+        static_cast<trace::FunctionId>(rng.NextBounded(num_functions))});
+  }
+  return events;
+}
+
+void Shuffle(Rng& rng, std::vector<ArrivalEvent>& events) {
+  for (size_t i = events.size(); i > 1; --i) {
+    std::swap(events[i - 1], events[rng.NextBounded(i)]);
+  }
+}
+
+TEST(SortDayChunkTest, EmptyAndSingleEvent) {
+  ExpectDayChunkSortMatchesReference(0, {});
+  ExpectDayChunkSortMatchesReference(4, {});
+  ExpectDayChunkSortMatchesReference(2, {ArrivalEvent{2 * kDay + 12345, 7}});
+}
+
+TEST(SortDayChunkTest, MatchesReferenceOnSeededRandomChunks) {
+  Rng rng(2026);
+  for (const int64_t day : {0, 1, 30, 364}) {
+    for (const size_t n : {2, 17, 1000, 30000}) {
+      const SimTime day_start = day * kDay;
+      ExpectDayChunkSortMatchesReference(
+          day, RandomEvents(rng, n, day_start, day_start + kDay, 500));
+    }
+  }
+}
+
+TEST(SortDayChunkTest, EveryEventInOneMinute) {
+  Rng rng(3);
+  const SimTime minute_start = 5 * kDay + 613 * kMinute;
+  ExpectDayChunkSortMatchesReference(
+      5, RandomEvents(rng, 5000, minute_start, minute_start + kMinute, 50));
+  // The first and the last minute of the day.
+  ExpectDayChunkSortMatchesReference(5, RandomEvents(rng, 300, 5 * kDay, 5 * kDay + kMinute, 9));
+  ExpectDayChunkSortMatchesReference(5, RandomEvents(rng, 300, 6 * kDay - kMinute, 6 * kDay, 9));
+}
+
+TEST(SortDayChunkTest, EventsAtBothEndsOfTheDay) {
+  Rng rng(4);
+  const int64_t day = 3;
+  const SimTime day_start = day * kDay;
+  const SimTime day_end = day_start + kDay;
+  std::vector<ArrivalEvent> events = RandomEvents(rng, 2000, day_start, day_end, 100);
+  for (const trace::FunctionId f : {9u, 0u, 4u}) {
+    events.push_back(ArrivalEvent{day_end - 1, f});
+    events.push_back(ArrivalEvent{day_start, f});
+  }
+  Shuffle(rng, events);
+  ExpectDayChunkSortMatchesReference(day, events);
+}
+
+TEST(SortDayChunkTest, FinalDayClippedToTheHorizon) {
+  // The last chunk of a horizon that ends mid-day only fills its first minutes.
+  Rng rng(5);
+  const int64_t day = 6;
+  const SimTime horizon = day * kDay + 5 * kHour + 123;
+  ExpectDayChunkSortMatchesReference(day, RandomEvents(rng, 4000, day * kDay, horizon, 300));
+}
+
+TEST(SortDayChunkTest, EqualTimesAndExactDuplicates) {
+  Rng rng(6);
+  const int64_t day = 1;
+  std::vector<ArrivalEvent> events;
+  // Equal times with different functions: a handful of instants, each shared
+  // by many functions, some instants in the same minute.
+  for (const SimTime t : {kDay + 7, kDay + 7 + kSecond, kDay + 90 * kMinute, 2 * kDay - 1}) {
+    for (int i = 0; i < 40; ++i) {
+      events.push_back(ArrivalEvent{t, static_cast<trace::FunctionId>(rng.NextBounded(60))});
+    }
+  }
+  // Exact duplicates, as the replay stream emits for a rate scale above 1.
+  for (const ArrivalEvent& e : RandomEvents(rng, 500, kDay, 2 * kDay, 80)) {
+    const uint64_t copies = 1 + rng.NextBounded(3);
+    for (uint64_t c = 0; c < copies; ++c) {
+      events.push_back(e);
+    }
+  }
+  Shuffle(rng, events);
+  ExpectDayChunkSortMatchesReference(day, events);
+}
+
+TEST(SortDayChunkDeathTest, EventOutsideTheDayDies) {
+  ArrivalChunk before;
+  before.day = 2;
+  before.events = {ArrivalEvent{2 * kDay + 5, 1}, ArrivalEvent{2 * kDay - 1, 1}};
+  EXPECT_DEATH(SortDayChunk(before), "CHECK failed");
+  ArrivalChunk after;
+  after.day = 2;
+  after.events = {ArrivalEvent{3 * kDay, 1}};
+  EXPECT_DEATH(SortDayChunk(after), "CHECK failed");
+}
+
 TEST(ScaledProfileTest, ScalesFunctionsAndPools) {
   const RegionProfile base = DefaultRegionProfiles()[0];
   const RegionProfile half = ScaledProfile(base, 0.5);
