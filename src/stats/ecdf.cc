@@ -115,8 +115,15 @@ std::vector<std::pair<double, double>> Ecdf::CurveLogX(int n) const {
   const double lhi = std::log10(hi);
   curve.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
-    const double x =
+    // pow(10, log10(v)) can round below v, so the end points are lo and hi
+    // themselves: the curve then ends at CDF 1 exactly.
+    double x =
         std::pow(10.0, llo + (lhi - llo) * static_cast<double>(i) / std::max(1, n - 1));
+    if (i == 0) {
+      x = lo;
+    } else if (i == n - 1) {
+      x = hi;
+    }
     curve.emplace_back(x, CdfAt(x));
   }
   return curve;

@@ -144,6 +144,28 @@ TEST(EcdfTest, CurveLogXIsMonotone) {
   EXPECT_NEAR(curve.back().second, 1.0, 1e-9);
 }
 
+TEST(EcdfTest, CurveLogXEndsExactlyAtTheSampleRange) {
+  // A largest sample v with pow(10, log10(v)) < v: a curve whose last x went
+  // through that round trip fell below v and ended short of CDF 1. Found by
+  // search, so the case depends on no RNG stream.
+  double v = 0.0;
+  for (int k = 2001; v == 0.0; ++k) {
+    ASSERT_LT(k, 100000);
+    const double candidate = k / 1000.0;
+    if (std::pow(10.0, std::log10(candidate)) < candidate) {
+      v = candidate;
+    }
+  }
+  const Ecdf e(std::vector<double>{0.5, 1.0, v});
+  for (const int n : {2, 3, 30}) {
+    const auto curve = e.CurveLogX(n);
+    ASSERT_EQ(curve.size(), static_cast<size_t>(n));
+    EXPECT_EQ(curve.front().first, 0.5);
+    EXPECT_EQ(curve.back().first, v);
+    EXPECT_EQ(curve.back().second, 1.0);
+  }
+}
+
 TEST(EcdfTest, EmptyIsSafe) {
   // Empty-set statistics are NaN (rendered "n/a"), never fabricated zeros — the
   // regression where AddQuantileRow printed all-zero rows for empty groups.
