@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <functional>
 #include <limits>
 
 #include "common/check.h"
@@ -239,7 +240,9 @@ void ForecastPrewarmPolicy::OnArrival(const workload::FunctionSpec& spec,
     }
   }
   if (fire >= 0) {
-    pending_[spec.id] = fire;
+    pending_.insert_or_assign(spec.id, fire);
+    fire_heap_.emplace_back(fire, spec.id);
+    std::push_heap(fire_heap_.begin(), fire_heap_.end(), std::greater<>());
   } else {
     pending_.erase(spec.id);
   }
@@ -247,25 +250,34 @@ void ForecastPrewarmPolicy::OnArrival(const workload::FunctionSpec& spec,
 
 void ForecastPrewarmPolicy::OnMinuteTick(SimTime now) {
   COLDSTART_CHECK(platform_ != nullptr);
-  for (auto it = pending_.begin(); it != pending_.end();) {
+  // A fire at most one tick plus lead_time away is due: the next tick would be
+  // too late for it. Due fires that already passed are stale (a miss); the
+  // rest spawn, in function-id order so spawns never depend on heap order.
+  const SimTime due_by = now + kMinute + options_.lead_time;
+  due_.clear();
+  while (!fire_heap_.empty() && fire_heap_.front().first <= due_by) {
+    const auto [fire, fid] = fire_heap_.front();
+    std::pop_heap(fire_heap_.begin(), fire_heap_.end(), std::greater<>());
+    fire_heap_.pop_back();
+    const auto it = pending_.find(fid);
+    if (it != pending_.end() && it->second == fire) {
+      due_.push_back(fid);
+    }
+  }
+  // A function armed twice with the same fire has two entries.
+  std::sort(due_.begin(), due_.end());
+  due_.erase(std::unique(due_.begin(), due_.end()), due_.end());
+  for (const trace::FunctionId fid : due_) {
+    const auto it = pending_.find(fid);
     const SimTime fire = it->second;
-    if (fire <= now) {
-      it = pending_.erase(it);  // Stale: the fire (or a miss) already passed.
-      continue;
-    }
-    if (fire - now > kMinute + options_.lead_time) {
-      ++it;  // Not this tick; a later tick is still ahead of the fire.
-      continue;
-    }
-    const trace::FunctionId fid = it->first;
-    if (!platform_->HasAvailablePod(fid)) {
+    pending_.erase(it);  // One shot (the served arrival re-arms), or stale.
+    if (fire > now && !platform_->HasAvailablePod(fid)) {
       // Survive until just past the predicted fire; a correct prediction is
       // served warm, a miss dies post_fire_margin later.
       platform_->SpawnPrewarmedPod(fid, platform_->spec(fid).region,
                                    (fire - now) + options_.post_fire_margin);
       ++prewarms_issued_;
     }
-    it = pending_.erase(it);  // One shot; the served arrival re-arms.
   }
 }
 
@@ -330,8 +342,11 @@ bool ForecastPrewarmPolicy::RestorePolicyState(std::string_view blob) {
   const uint64_t armed = r.U64();
   for (uint64_t i = 0; i < armed; ++i) {
     const auto fid = static_cast<trace::FunctionId>(r.U64());
-    pending_[fid] = r.I64();
+    const SimTime fire = r.I64();
+    pending_[fid] = fire;
+    fire_heap_.emplace_back(fire, fid);
   }
+  std::make_heap(fire_heap_.begin(), fire_heap_.end(), std::greater<>());
   forecasters_.RestoreEntries(
       r, [&r](InterArrivalForecaster& f) { f.RestoreState(r); },
       options_.forecaster);

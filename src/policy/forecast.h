@@ -28,8 +28,9 @@
 //   - predicted IAT short -> extend (or shrink) keep-alive to headroom x IAT,
 //     the dynamic keep-alive move, but gated on forecast confidence.
 //
-// Pending prewarms live in an ordered map walked from the minute tick, so the
-// whole learned state serializes (policy_hooks.h contract (c)). Timer prewarm
+// Pending prewarms live in an ordered map, so the whole learned state
+// serializes (policy_hooks.h contract (c)); a min-heap of fire times beside it
+// lets the minute tick visit only the fires it can act on. Timer prewarm
 // instead arms Platform::SpawnPrewarmedPodAt, exactly lead_time early.
 #ifndef COLDSTART_POLICY_FORECAST_H_
 #define COLDSTART_POLICY_FORECAST_H_
@@ -38,6 +39,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/byte_serde.h"
@@ -189,9 +191,15 @@ class ForecastPrewarmPolicy : public platform::PlatformPolicy {
   Options options_;
   platform::Platform* platform_ = nullptr;
   FunctionTable<InterArrivalForecaster> forecasters_;
-  // Predicted next fire per armed function. Ordered: OnMinuteTick walks it to
-  // spawn pods, so spawn order must not depend on hash order.
+  // Predicted next fire per armed function. Ordered, so the blob lists it by
+  // function id.
   std::map<trace::FunctionId, SimTime> pending_;
+  // Min-heap of (fire, function), one entry per pending_ assignment: a tick
+  // pops the fires due by then instead of walking pending_. An entry whose
+  // function was re-armed or disarmed since no longer matches pending_ and is
+  // dropped when popped. Derived state: rebuilt from pending_ on restore.
+  std::vector<std::pair<SimTime, trace::FunctionId>> fire_heap_;
+  std::vector<trace::FunctionId> due_;  // OnMinuteTick scratch.
   int64_t prewarms_issued_ = 0;
   int64_t keepalive_extended_ = 0;
   int64_t keepalive_curtailed_ = 0;
