@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cinttypes>
+#include <cstdio>
 #include <filesystem>
 #include <string>
 #include <tuple>
@@ -231,7 +233,12 @@ TEST(ModelMatrix, EveryPresetBitIdenticalAcrossGeometries) {
   // A sharded run takes K = cells: cells 1 shards by region (K=1), cells 4
   // into (region, cell group) slices (K=4). Each is compared with its own
   // serial run.
+  // On a mismatch the test prints every entry's pin lines as measured, ready
+  // to replace the two pin lines under each label in kMatrix.
+  bool moved = false;
+  std::string repin;
   for (const auto& entry : kMatrix) {
+    repin += std::string("      // ") + entry.label + "\n";
     for (const uint32_t cells : {1u, 4u}) {
       SCOPED_TRACE(testing::Message() << entry.label << ", cells " << cells);
       const OutputPin& pin = entry.pins[cells == 1 ? 0 : 1];
@@ -248,8 +255,17 @@ TEST(ModelMatrix, EveryPresetBitIdenticalAcrossGeometries) {
       // rows) and the experiment's cost ledger, at every geometry.
       EXPECT_EQ(StreamingBytes(serial), StreamingBytes(sharded));
       EXPECT_EQ(LedgerBytes(serial), LedgerBytes(sharded));
-      EXPECT_EQ(HashString(StreamingBytes(serial)), pin.streaming);
-      EXPECT_EQ(HashString(LedgerBytes(serial)), pin.ledger);
+      const OutputPin got{HashString(StreamingBytes(serial)),
+                          HashString(LedgerBytes(serial))};
+      EXPECT_EQ(got.streaming, pin.streaming);
+      EXPECT_EQ(got.ledger, pin.ledger);
+      moved = moved || got.streaming != pin.streaming || got.ledger != pin.ledger;
+      char line[96];
+      std::snprintf(line, sizeof(line),
+                    "%s{0x%016" PRIx64 "ULL, 0x%016" PRIx64 "ULL}%s\n",
+                    cells == 1 ? "       {" : "        ", got.streaming, got.ledger,
+                    cells == 1 ? "," : "}},");
+      repin += line;
 
       // The ledger is live: pods ran, so pod-seconds accrued everywhere.
       EXPECT_GT(serial.cost_ledger.TotalRecord().pod_seconds(), 0.0);
@@ -259,6 +275,9 @@ TEST(ModelMatrix, EveryPresetBitIdenticalAcrossGeometries) {
         EXPECT_EQ(serial.cost_ledger.TotalRecord().snapshot_mb_seconds(), 0.0);
       }
     }
+  }
+  if (moved) {
+    ADD_FAILURE() << "ModelMatrix pins moved; measured pins per entry:\n" << repin;
   }
 }
 
