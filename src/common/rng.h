@@ -8,6 +8,7 @@
 #ifndef COLDSTART_COMMON_RNG_H_
 #define COLDSTART_COMMON_RNG_H_
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -25,6 +26,38 @@ inline uint64_t SplitMix64(uint64_t& state) {
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
   return z ^ (z >> 31);
 }
+
+// The layer tables of the 256-layer normal ziggurat behind Rng::NextGaussian
+// (Marsaglia & Tsang 2000, J. Stat. Softw. 5(8)). Every layer has the same
+// area. Layer i >= 1 is the box [0, x_i] x [f(x_i), f(x_{i+1})] with
+// f(x) = exp(-x^2 / 2), x_1 = kTailStart > x_2 > ... > x_256 = 0; layer 0 is
+// [0, x_0] x [0, f(x_1)], where x_0 = area / f(x_1) stands in for the box
+// under f up to x_1 plus the tail beyond it. Built once per process from that
+// recurrence on first use (a function-local static, so no static-init order
+// can observe it unbuilt), then immutable and shared by every generator.
+struct ZigguratTables {
+  static constexpr int kLayers = 256;
+  // x_1 for 256 layers: where the equal-area recurrence closes at x_256 = 0.
+  static constexpr double kTailStart = 3.6541528853610088;
+
+  // A 53-bit magnitude m drawn in layer i lies wholly under f, and is
+  // accepted at once, when m < accept[i] = floor(x_{i+1} / x_i * 2^53).
+  std::array<uint64_t, kLayers> accept;
+  // x_i * 2^-53: maps layer i's magnitude m to the abscissa m * scale[i].
+  std::array<double, kLayers> scale;
+  // f(x_i) for i >= 1; density[0] = 0 is the base layer's floor and
+  // density[kLayers] = f(0) = 1. Layer i spans [density[i], density[i+1]].
+  std::array<double, kLayers + 1> density;
+  double area;  // Of every layer: x_1 f(x_1) plus the tail mass beyond x_1.
+
+  static const ZigguratTables& Get() {
+    static const ZigguratTables tables = Build();
+    return tables;
+  }
+
+ private:
+  static ZigguratTables Build();
+};
 
 // xoshiro256**-based generator seeded via SplitMix64.
 class Rng {
@@ -53,15 +86,6 @@ class Rng {
     return result;
   }
 
-  // Advances the stream by n words, exactly as n NextU64() calls would. Lets a
-  // caller that does not need a draw's value keep the stream aligned with one
-  // that does (one NextGaussian() consumes two words).
-  void Discard(int n) {
-    for (int i = 0; i < n; ++i) {
-      NextU64();
-    }
-  }
-
   // Uniform double in [0, 1).
   double NextDouble() { return static_cast<double>(NextU64() >> 11) * 0x1.0p-53; }
 
@@ -82,11 +106,26 @@ class Rng {
   // Bernoulli trial.
   bool NextBool(double p) { return NextDouble() < p; }
 
-  // Standard normal via Box-Muller (no cached spare: keeps the stream length predictable).
+  // Standard normal by the 256-layer ziggurat (ZigguratTables). One word gives
+  // the layer (bits 0-7), the sign (bit 8) and a 53-bit magnitude (bits
+  // 11-63): disjoint bits, since reusing bits across them correlates
+  // successive draws (Doornik 2005). About 98.5% of draws end after that one
+  // word, with a compare and a multiply. The rest take the slow path: a wedge
+  // test (one more word and an exp per attempt; a rejection starts over with
+  // a fresh word) or, in the base layer, the tail beyond kTailStart (two
+  // words and two logs per attempt). So a draw consumes a variable number of
+  // words, and a caller that skips a draw it does not need must still make it
+  // to keep the stream aligned.
   double NextGaussian() {
-    const double u1 = NextDoublePositive();
-    const double u2 = NextDouble();
-    return std::sqrt(-2.0 * std::log(u1)) * std::cos(6.283185307179586476925286766559 * u2);
+    const ZigguratTables& z = ZigguratTables::Get();
+    const uint64_t bits = NextU64();
+    const uint64_t magnitude = bits >> 11;
+    const size_t layer = bits & 0xFF;
+    if (magnitude < z.accept[layer]) {
+      const double x = static_cast<double>(magnitude) * z.scale[layer];
+      return (bits & 0x100) != 0 ? -x : x;
+    }
+    return GaussianSlowPath(bits);
   }
 
   // Exponential with the given rate (mean 1/rate).
@@ -110,8 +149,23 @@ class Rng {
  private:
   static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
+  // NextGaussian past the fast accept: `bits` is the word it drew.
+  double GaussianSlowPath(uint64_t bits);
+
   uint64_t state_[4];
 };
+
+// Standard normal via Box-Muller: two words, then log, sqrt and cos. Only the
+// workload layer draws with it: GeneratePopulation and SamplePoisson's normal
+// approximation. Their streams also draw the heavy-tailed popularity and the
+// arrival counts, and NextGaussian consumes a variable number of words, so
+// moving them to it would re-draw the whole population and every arrival, not
+// just their normal noise. Everything else uses Rng::NextGaussian.
+inline double BoxMullerGaussian(Rng& rng) {
+  const double u1 = rng.NextDoublePositive();
+  const double u2 = rng.NextDouble();
+  return std::sqrt(-2.0 * std::log(u1)) * std::cos(6.283185307179586476925286766559 * u2);
+}
 
 // FNV-1a hash of a string, used for stable substream labels and for hashing entity names
 // the way the dataset hashes IDs.

@@ -906,11 +906,11 @@ ExperimentResult Experiment::RunCached(const std::string& cache_dir,
   COLDSTART_CHECK(config_.trace_mode == TraceMode::kFull &&
                   "RunCached requires TraceMode::kFull");
   namespace fs = std::filesystem;
-  // v7 filename scheme: v7 moved the file into the shared frame
-  // (common/framed_file.h), so files written under older schemes are never
-  // picked up.
+  // v8 filename scheme: v7 moved the file into the shared frame
+  // (common/framed_file.h) and v8 goes with fingerprint salt v7 (the ziggurat
+  // sampler), so files written under older schemes are never picked up.
   char name[64];
-  std::snprintf(name, sizeof(name), "scenario_v7_%016" PRIx64 ".bin",
+  std::snprintf(name, sizeof(name), "scenario_v8_%016" PRIx64 ".bin",
                 config_.Fingerprint());
   const std::string path = (fs::path(cache_dir) / name).string();
 

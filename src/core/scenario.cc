@@ -144,8 +144,11 @@ uint64_t ScenarioConfig::Fingerprint() const {
   // streaming checkpoint cannot resume a full-trace run or vice versa; v5 added
   // cells_per_region — per-cell pools/loads change the generated trace; v6 adds
   // the per-profile cold-start model selection (provider presets, snapshot
-  // restore) and covers the v4 checkpoint layout with its cost ledger.
-  uint64_t h = MixHash(HashString("scenario-fingerprint-v6"), seed);
+  // restore) and covers the v4 checkpoint layout with its cost ledger; v7
+  // marks the ziggurat NextGaussian, which re-drew every platform-side normal
+  // (execution times, cold-start components, request resources) under the
+  // same configuration.
+  uint64_t h = MixHash(HashString("scenario-fingerprint-v7"), seed);
   h = MixHash(h, static_cast<uint64_t>(days));
   h = MixDouble(h, scale);
   h = MixHash(h, record_requests ? 1 : 0);

@@ -491,20 +491,21 @@ void Platform::OnRequestComplete(SlabHandle handle, SimTime exec_start,
     rec.region = pod->region;
     rec.cluster = pod->cluster;
     rec.execution_time_us = static_cast<uint32_t>(exec_end - exec_start);
-    Rng& resource_rng = cell.rng;
+    // Both draws run even when the sink never reads these fields: a Gaussian
+    // draw takes a variable number of words, so only making it keeps the
+    // stream aligned with a full-record run. Only the exp and clamps are
+    // skipped.
+    const double cpu_z = cell.rng.NextGaussian();
+    const double mem_z = cell.rng.NextGaussian();
     if (draw_request_resources_) {
-      double cpu = spec.cpu_mean_cores * std::exp(0.3 * resource_rng.NextGaussian());
+      double cpu = spec.cpu_mean_cores * std::exp(0.3 * cpu_z);
       cpu = std::clamp(cpu, 0.005,
                        static_cast<double>(CpuMillicoresOf(spec.config)) / 1000.0);
       rec.cpu_millicores = static_cast<uint16_t>(cpu * 1000.0);
-      double mem_kb = spec.mem_mean_kb * std::exp(0.25 * resource_rng.NextGaussian());
+      double mem_kb = spec.mem_mean_kb * std::exp(0.25 * mem_z);
       mem_kb = std::clamp(mem_kb, 1024.0,
                           1024.0 * static_cast<double>(MemoryMbOf(spec.config)));
       rec.memory_kb = static_cast<uint32_t>(mem_kb);
-    } else {
-      // The sink never reads these fields. Two Box-Muller draws are two words
-      // each; discarding them keeps the stream aligned with a full-record run.
-      resource_rng.Discard(4);
     }
     sink_.OnRequest(rec);
   }

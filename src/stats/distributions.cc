@@ -19,7 +19,9 @@ int SamplePoisson(Rng& rng, double lambda) {
     return 0;
   }
   if (lambda > 64.0) {
-    const double v = lambda + std::sqrt(lambda) * rng.NextGaussian();
+    // Box-Muller, not NextGaussian: the arrival streams' counts must not move
+    // (see BoxMullerGaussian).
+    const double v = lambda + std::sqrt(lambda) * BoxMullerGaussian(rng);
     return v <= 0.0 ? 0 : static_cast<int>(v + 0.5);
   }
   const double limit = std::exp(-lambda);

@@ -221,7 +221,7 @@ Population GeneratePopulation(const std::vector<RegionProfile>& profiles, uint64
         // peak-to-trough ratios (Fig. 6a's >1000x tail).
         if (rng.NextBool(profile.bursty_function_fraction)) {
           const double amp = std::exp(std::log(profile.burst_amp_median) +
-                                      profile.burst_amp_sigma * rng.NextGaussian());
+                                      profile.burst_amp_sigma * BoxMullerGaussian(rng));
           const bool moderate = f.base_rate_per_day >= 5 && f.base_rate_per_day <= 2000;
           f.burst_amplitude = std::clamp(amp, 1.5, moderate ? 3000.0 : 25.0);
           f.burst_prob_per_hour = rng.Uniform(0.004, 0.04);
@@ -234,11 +234,11 @@ Population GeneratePopulation(const std::vector<RegionProfile>& profiles, uint64
 
       // --- Execution profile. ---
       f.exec_median_us = 1e6 * std::exp(std::log(profile.exec_median_s) +
-                                        profile.exec_median_sigma * rng.NextGaussian());
+                                        profile.exec_median_sigma * BoxMullerGaussian(rng));
       f.exec_median_us = std::clamp(f.exec_median_us, 200.0, 300e6);
       f.exec_sigma = profile.exec_request_sigma;
       f.cpu_mean_cores = std::exp(std::log(profile.cpu_median_cores) +
-                                  profile.cpu_sigma * rng.NextGaussian());
+                                  profile.cpu_sigma * BoxMullerGaussian(rng));
       f.cpu_mean_cores = std::clamp(
           f.cpu_mean_cores, 0.01, static_cast<double>(CpuMillicoresOf(f.config)) / 1000.0);
       f.mem_mean_kb = rng.Uniform(0.25, 0.8) * 1024.0 *
@@ -248,12 +248,12 @@ Population GeneratePopulation(const std::vector<RegionProfile>& profiles, uint64
       const RuntimeTraits& traits = TraitsOf(f.runtime);
       f.code_size_kb = static_cast<uint32_t>(std::clamp(
           std::exp(std::log(traits.code_size_median_kb) +
-                   traits.code_size_sigma * rng.NextGaussian()),
+                   traits.code_size_sigma * BoxMullerGaussian(rng)),
           16.0, 512e3));
       if (rng.NextBool(traits.dep_probability)) {
         f.dep_size_kb = static_cast<uint32_t>(std::clamp(
             std::exp(std::log(traits.dep_size_median_kb) +
-                     traits.dep_size_sigma * rng.NextGaussian()),
+                     traits.dep_size_sigma * BoxMullerGaussian(rng)),
             128.0, 2048e3));
       }
 
@@ -268,7 +268,7 @@ Population GeneratePopulation(const std::vector<RegionProfile>& profiles, uint64
         // pod (overlap multiplies pods -- and every pod is a slow scratch build);
         // managed runtimes absorb overlap with in-pod concurrency, so hot managed
         // feeds hold a couple of warm pods instead of cold-starting on every overlap.
-        f.exec_median_us = std::clamp(20e6 * std::exp(0.8 * rng.NextGaussian()), 5e6, 120e6);
+        f.exec_median_us = std::clamp(20e6 * std::exp(0.8 * BoxMullerGaussian(rng)), 5e6, 120e6);
         const bool hot_managed =
             f.runtime != Runtime::kCustom && f.base_rate_per_day >= 1200;
         f.pod_concurrency = hot_managed ? 6 : 1;

@@ -215,20 +215,20 @@ TEST(ModelMatrix, EveryPresetBitIdenticalAcrossGeometries) {
     OutputPin pins[2];
   } kMatrix[] = {
       {ColdStartModelKind::kYuanRong, false, "yuanrong",
-       {{0x520d847b7d8d566aULL, 0xee57ac186946a1eaULL},
-        {0x984a3f905ce7de79ULL, 0x31ef8643a19799c6ULL}}},
+       {{0xb15e331b40df9851ULL, 0x1b4165748e929a5cULL},
+        {0x52187bba6701752eULL, 0x27a5c3f2e24745deULL}}},
       {ColdStartModelKind::kAwsLike, false, "aws-like",
-       {{0xfaf315af24b99df0ULL, 0x4c58fba82ffcd4baULL},
-        {0x63d3bd6c7162fdf7ULL, 0xb1d9da94e1f89704ULL}}},
+       {{0x06937adb350a9254ULL, 0x03743ed24ee9551eULL},
+        {0x3c61fced5b6e7112ULL, 0xa6885e159e1ccaedULL}}},
       {ColdStartModelKind::kGcpLike, false, "gcp-like",
-       {{0x20fdf85a4649b3b6ULL, 0xaf3db667e354b608ULL},
-        {0x143c913fe9537edcULL, 0x305277730182b1bbULL}}},
+       {{0x202d351deed698ffULL, 0xe9a23d42516adf1cULL},
+        {0xd3262798a1672d21ULL, 0x14ff51aafc9d7443ULL}}},
       {ColdStartModelKind::kAzureLike, false, "azure-like",
-       {{0xfed152bbfeddc0fcULL, 0xf797ab19ced7c95bULL},
-        {0x61b2b0871bd55202ULL, 0x3bb763118719d6ecULL}}},
+       {{0x3800eff3bd40e08aULL, 0xf9fcb6ce24245422ULL},
+        {0xfbbf39cafa104bddULL, 0x0c2b7290e3a247d2ULL}}},
       {ColdStartModelKind::kYuanRong, true, "snapshot(yuanrong)",
-       {{0xc4681264cf71af6eULL, 0x6b0c0790389b52c7ULL},
-        {0x321741c9fc9c0e45ULL, 0x45cedc4147a47725ULL}}},
+       {{0xa41986dd5926d823ULL, 0x15cd47259a2c630cULL},
+        {0x19a1dc617949caadULL, 0x6d8aec9b9458db52ULL}}},
   };
   // A sharded run takes K = cells: cells 1 shards by region (K=1), cells 4
   // into (region, cell group) slices (K=4). Each is compared with its own

@@ -101,26 +101,119 @@ TEST(RngTest, ExponentialMeanMatchesRate) {
   EXPECT_NEAR(sum / n, 0.5, 0.02);
 }
 
-TEST(RngTest, DiscardMatchesNextU64Calls) {
-  for (const int n : {0, 1, 4, 7}) {
-    Rng discarded(23), drawn(23);
-    discarded.Discard(n);
-    for (int i = 0; i < n; ++i) {
-      (void)drawn.NextU64();
+TEST(RngTest, BoxMullerTakesTwoWords) {
+  // The workload layer's streams depend on it: one draw, two NextDouble words.
+  Rng drawn(29), by_hand(29);
+  const double g = BoxMullerGaussian(drawn);
+  const double u1 = by_hand.NextDoublePositive();
+  const double u2 = by_hand.NextDouble();
+  EXPECT_EQ(g, std::sqrt(-2.0 * std::log(u1)) *
+                   std::cos(6.283185307179586476925286766559 * u2));
+  EXPECT_EQ(drawn.NextU64(), by_hand.NextU64());
+}
+
+// x_i of the ziggurat, recovered exactly from the scale table.
+double ZigguratEdge(const ZigguratTables& z, int i) {
+  return i == ZigguratTables::kLayers ? 0.0 : z.scale[static_cast<size_t>(i)] * 0x1.0p53;
+}
+
+TEST(ZigguratTest, TablesCloseTheRecurrence) {
+  const ZigguratTables& z = ZigguratTables::Get();
+  EXPECT_EQ(&z, &ZigguratTables::Get());  // Built once, shared.
+  EXPECT_EQ(ZigguratEdge(z, 1), ZigguratTables::kTailStart);
+  // Marsaglia & Tsang's published area for 256 layers, given to 12 digits.
+  EXPECT_NEAR(z.area, 0.00492867323399, 5e-14);
+  EXPECT_EQ(z.density[0], 0.0);
+  EXPECT_EQ(z.density[ZigguratTables::kLayers], 1.0);
+  for (int i = 0; i < ZigguratTables::kLayers; ++i) {
+    SCOPED_TRACE(testing::Message() << "layer " << i);
+    const auto l = static_cast<size_t>(i);
+    const double x = ZigguratEdge(z, i);
+    const double next = ZigguratEdge(z, i + 1);
+    EXPECT_GT(x, next);
+    EXPECT_LT(z.density[l], z.density[l + 1]);
+    if (i >= 1) {
+      EXPECT_NEAR(z.density[l], std::exp(-0.5 * x * x), 1e-16);
     }
-    uint64_t a[4], b[4];
-    discarded.SaveState(a);
-    drawn.SaveState(b);
-    for (int w = 0; w < 4; ++w) {
-      EXPECT_EQ(a[w], b[w]) << "n=" << n << " word " << w;
+    // Equal areas, down to the top layer, where the recurrence closes at 0.
+    EXPECT_NEAR(x * (z.density[l + 1] - z.density[l]) / z.area, 1.0, 1e-12);
+    EXPECT_EQ(z.accept[l], static_cast<uint64_t>(next / x * 0x1.0p53));
+    EXPECT_LT(z.accept[l], uint64_t{1} << 53);
+  }
+  EXPECT_EQ(z.accept[ZigguratTables::kLayers - 1], 0u);  // The top layer is all wedge.
+}
+
+TEST(ZigguratTest, FastWedgeBaseAndTailPathsAllRun) {
+  // Classifies every draw by its first word, as NextGaussian does, and checks
+  // each path's result and word count. Expected path frequencies follow from
+  // the tables: layers are equally likely.
+  const ZigguratTables& z = ZigguratTables::Get();
+  Rng rng(2024);
+  const int n = 2'000'000;
+  int64_t fast = 0, base = 0, wedge = 0, tail = 0;
+  for (int i = 0; i < n; ++i) {
+    Rng one_word = rng;
+    const uint64_t bits = one_word.NextU64();
+    const double g = rng.NextGaussian();
+    uint64_t after[4], expected[4];
+    rng.SaveState(after);
+    one_word.SaveState(expected);
+    const bool took_one_word = std::equal(after, after + 4, expected);
+
+    const uint64_t magnitude = bits >> 11;
+    const size_t layer = bits & 0xFF;
+    const double sign = (bits & 0x100) != 0 ? -1.0 : 1.0;
+    const double x = static_cast<double>(magnitude) * z.scale[layer];
+    if (magnitude < z.accept[layer] || (layer == 0 && x < ZigguratTables::kTailStart)) {
+      ++(magnitude < z.accept[layer] ? fast : base);
+      ASSERT_EQ(g, sign * x);
+      ASSERT_TRUE(took_one_word);
+    } else if (layer == 0) {
+      ++tail;
+      ASSERT_GT(sign * g, ZigguratTables::kTailStart);
+      ASSERT_FALSE(took_one_word);
+    } else {
+      ++wedge;  // Accepted after one more word, or rejected and redrawn.
+      ASSERT_FALSE(took_one_word);
     }
   }
-  // One Box-Muller draw is exactly two words: the platform's discard of the
-  // unread resource draws relies on this.
-  Rng gaussian(29), skipped(29);
-  (void)gaussian.NextGaussian();
-  skipped.Discard(2);
-  EXPECT_EQ(gaussian.NextU64(), skipped.NextU64());
+  double p_wedge = 0.0;
+  for (size_t l = 1; l < static_cast<size_t>(ZigguratTables::kLayers); ++l) {
+    p_wedge += (1.0 - static_cast<double>(z.accept[l]) * 0x1.0p-53) / ZigguratTables::kLayers;
+  }
+  const double p_tail =
+      (1.0 - ZigguratTables::kTailStart / ZigguratEdge(z, 0)) / ZigguratTables::kLayers;
+  const auto expect_count = [n](int64_t count, double p, const char* what) {
+    const double mean = n * p;
+    EXPECT_NEAR(static_cast<double>(count), mean, 5.0 * std::sqrt(mean * (1.0 - p))) << what;
+  };
+  expect_count(wedge, p_wedge, "wedge");
+  expect_count(tail, p_tail, "tail");
+  EXPECT_GT(tail, 0);
+  EXPECT_GT(wedge, 0);
+  EXPECT_LE(base, 2);  // Only a rounding edge of the base layer's threshold.
+  EXPECT_GT(static_cast<double>(fast) / n, 0.98);
+}
+
+TEST(ZigguratTest, FirstDrawsArePinned) {
+  // Bit patterns of Rng(1)'s first 16 draws: a change to the tables, the bit
+  // layout or the slow path shows here before it reaches any golden.
+  constexpr uint64_t kPinned[16] = {
+      0x3fe7ce06c09208f1ULL, 0x3fd7c171454ecfa0ULL,
+      0xbff7fba70d88d6c5ULL, 0xbfdfe30ff7b8b800ULL,
+      0x3ff21f5608135c20ULL, 0xbfd5be0fe9bd5002ULL,
+      0x3faba98ec471ce9fULL, 0x3fe05aee1cf24e97ULL,
+      0x4000842ba9557b80ULL, 0xbfe1220a686354faULL,
+      0x3fecb5d141781b24ULL, 0x3ff39a92e2ab0646ULL,
+      0x3fe269e100456e27ULL, 0x3ff6d9d1b476c451ULL,
+      0xbfe17846c1be84f9ULL, 0xc0008f24dfd6b339ULL};
+  Rng rng(1);
+  for (size_t i = 0; i < 16; ++i) {
+    const double g = rng.NextGaussian();
+    uint64_t bits;
+    std::memcpy(&bits, &g, sizeof(bits));
+    EXPECT_EQ(bits, kPinned[i]) << "draw " << i << " = " << g;
+  }
 }
 
 TEST(RngTest, ForkStreamIsDeterministic) {

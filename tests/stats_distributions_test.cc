@@ -1,7 +1,10 @@
 // Tests for distribution parameterizations, sampling, and analytic functions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "stats/distributions.h"
 
@@ -189,6 +192,49 @@ TEST(StdNormalCdfTest, KnownValues) {
   EXPECT_NEAR(StdNormalCdf(0.0), 0.5, 1e-12);
   EXPECT_NEAR(StdNormalCdf(1.959963985), 0.975, 1e-6);
   EXPECT_NEAR(StdNormalCdf(-1.959963985), 0.025, 1e-6);
+}
+
+// --- Rng::NextGaussian (the ziggurat) against the standard normal. ---
+
+TEST(NormalSamplerTest, KolmogorovSmirnovAgainstStdNormalCdf) {
+  Rng rng(99);
+  const int n = 1'000'000;
+  std::vector<double> x(static_cast<size_t>(n));
+  for (double& v : x) {
+    v = rng.NextGaussian();
+  }
+  std::sort(x.begin(), x.end());
+  double d = 0.0;
+  for (int i = 0; i < n; ++i) {
+    const double f = StdNormalCdf(x[static_cast<size_t>(i)]);
+    d = std::max({d, f - static_cast<double>(i) / n, static_cast<double>(i + 1) / n - f});
+  }
+  // The KS critical value at alpha = 0.001 is 1.9495 / sqrt(n).
+  EXPECT_LT(d, 1.9495 / std::sqrt(static_cast<double>(n)));
+}
+
+TEST(NormalSamplerTest, TailFrequenciesAndSymmetry) {
+  Rng rng(7);
+  const int n = 4'000'000;
+  int64_t positive = 0, above3 = 0, below3 = 0, beyond4 = 0;
+  for (int i = 0; i < n; ++i) {
+    const double g = rng.NextGaussian();
+    positive += g > 0.0 ? 1 : 0;
+    above3 += g > 3.0 ? 1 : 0;
+    below3 += g < -3.0 ? 1 : 0;
+    beyond4 += std::abs(g) > 4.0 ? 1 : 0;
+  }
+  // Within 5 binomial standard deviations of P(|x| > 3) and P(|x| > 4).
+  const auto expect_count = [n](int64_t count, double p, const char* what) {
+    const double mean = n * p;
+    EXPECT_NEAR(static_cast<double>(count), mean, 5.0 * std::sqrt(mean * (1.0 - p))) << what;
+  };
+  expect_count(above3 + below3, 2.0 * StdNormalCdf(-3.0), "|x| > 3");
+  expect_count(beyond4, 2.0 * StdNormalCdf(-4.0), "|x| > 4");
+  expect_count(positive, 0.5, "x > 0");
+  // Each side of +-3 holds half of the |x| > 3 draws.
+  const double beyond3 = static_cast<double>(above3 + below3);
+  EXPECT_NEAR(static_cast<double>(above3), 0.5 * beyond3, 2.5 * std::sqrt(beyond3));
 }
 
 }  // namespace
