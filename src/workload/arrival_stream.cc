@@ -58,7 +58,7 @@ void SortDayChunk(ArrivalChunk& chunk) {
       std::sort(first, last, less);  // A crowded minute: keep n log n.
       continue;
     }
-    for (auto it = first + (first != last); it < last; ++it) {
+    for (auto it = first; it < last; ++it) {
       const ArrivalEvent e = *it;
       auto hole = it;
       for (; hole != first && less(e, *(hole - 1)); --hole) {
