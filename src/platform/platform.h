@@ -318,7 +318,7 @@ class Platform : private sim::EventTarget {
   sim::Simulator& sim_;
   trace::TraceSink& sink_;
   // sink_.reads_request_resources(), cached: when false, the per-request CPU and
-  // memory draws are discarded (same RNG words, no libm work).
+  // memory draws are made and dropped (same RNG words, no exp or clamps).
   const bool draw_request_resources_;
   Options options_;
   PlatformPolicy* policy_;  // Not owned; may be null.

@@ -17,8 +17,9 @@
 //
 // Capability: reads_request_resources() says whether the sink reads a
 // RequestRecord's cpu_millicores/memory_kb. A sink that returns false gets those
-// fields zeroed; the platform still advances its RNG past the two draws, so the
-// stream (and every other field) is identical either way. The default is true:
+// fields zeroed; the platform still makes the two draws and skips only turning
+// them into values, so the stream (and every other field) is identical either
+// way. The default is true:
 // a sink that forwards records elsewhere (a decorator) cannot know what its
 // target reads, so it gets the full record unless it says otherwise.
 #ifndef COLDSTART_TRACE_TRACE_SINK_H_
