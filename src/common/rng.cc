@@ -32,25 +32,23 @@ ZigguratTables ZigguratTables::Build() {
 }
 
 double Rng::GaussianSlowPath(uint64_t bits) {
+  constexpr double r = ZigguratTables::kTailStart;
   const ZigguratTables& z = ZigguratTables::Get();
   for (;;) {
     const uint64_t magnitude = bits >> 11;
     const size_t layer = bits & 0xFF;
     double x = static_cast<double>(magnitude) * z.scale[layer];
-    if (magnitude < z.accept[layer]) {
-      // A retry's fresh word landed in the fast region.
-    } else if (layer == 0) {
-      if (x >= ZigguratTables::kTailStart) {
-        // The tail beyond r, by Marsaglia's exponential rejection.
-        constexpr double r = ZigguratTables::kTailStart;
-        double y;
-        do {
-          x = -std::log(NextDoublePositive()) / r;
-          y = -std::log(NextDoublePositive());
-        } while (y + y < x * x);
-        x += r;
-      }
-    } else if (!(z.density[layer] +
+    if (layer == 0 && x >= r) {
+      // Past the base layer's box: the tail beyond r, by Marsaglia's
+      // exponential rejection.
+      double y;
+      do {
+        x = -std::log(NextDoublePositive()) / r;
+        y = -std::log(NextDoublePositive());
+      } while (y + y < x * x);
+      x += r;
+    } else if (layer != 0 && magnitude >= z.accept[layer] &&
+               !(z.density[layer] +
                      NextDouble() * (z.density[layer + 1] - z.density[layer]) <
                  std::exp(-0.5 * x * x))) {
       bits = NextU64();  // Outside the curve in the wedge: draw afresh.
