@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstddef>
 #include <limits>
 #include <utility>
 
@@ -43,29 +42,11 @@ void SortDayChunk(ArrivalChunk& chunk) {
       events[next[m]++] = e;
     }
   }
-  // Each minute is sorted by insertion (a month_serial minute holds about 20
-  // events). Insertion sort beat std::sort up to about 100 random events per
-  // range (-O2 microbenchmark) and is quadratic past that, so crowded minutes,
-  // as at paper scale, keep std::sort.
-  constexpr std::ptrdiff_t kInsertionSortMax = 64;
-  const auto less = [](const ArrivalEvent& a, const ArrivalEvent& b) {
-    return ArrivalOrderLess(a, b);
-  };
   for (size_t m = 0; m < kMinutes; ++m) {
-    const auto first = events.begin() + begin[m];
-    const auto last = events.begin() + begin[m + 1];
-    if (last - first > kInsertionSortMax) {
-      std::sort(first, last, less);  // A crowded minute: keep n log n.
-      continue;
-    }
-    for (auto it = first; it < last; ++it) {
-      const ArrivalEvent e = *it;
-      auto hole = it;
-      for (; hole != first && less(e, *(hole - 1)); --hole) {
-        *hole = *(hole - 1);
-      }
-      *hole = e;
-    }
+    std::sort(events.begin() + begin[m], events.begin() + begin[m + 1],
+              [](const ArrivalEvent& a, const ArrivalEvent& b) {
+                return ArrivalOrderLess(a, b);
+              });
   }
 }
 

@@ -72,10 +72,11 @@ struct ArrivalChunk {
 // per day on the events they appended. It partitions the chunk by minute of the
 // day (a counting pass, prefix sums, then an American-flag cycle permutation
 // that moves each event straight to its minute's range), then sorts each minute
-// with ArrivalOrderLess: by insertion up to 64 events, by std::sort above. The
-// two offset tables live on the stack, so no second buffer and no per-stream
-// table is kept. ArrivalOrderLess is a total order whose equal elements are identical, so the result is exactly
-// what a comparison sort of the whole chunk would produce, byte for byte.
+// (about 20 events at 0.1x scale, 220 at paper scale) with ArrivalOrderLess.
+// The two offset tables live on the stack, so no second buffer and no
+// per-stream table is kept. ArrivalOrderLess is a total order whose equal
+// elements are identical, so the result is exactly what a comparison sort of
+// the whole chunk would produce, byte for byte.
 void SortDayChunk(ArrivalChunk& chunk);
 
 // A forward-only stream of day chunks. Implementations may borrow the population
