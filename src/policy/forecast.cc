@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <functional>
 #include <limits>
 
 #include "common/check.h"
@@ -239,13 +238,24 @@ void ForecastPrewarmPolicy::OnArrival(const workload::FunctionSpec& spec,
       fire = t;
     }
   }
-  if (fire >= 0) {
-    pending_.insert_or_assign(spec.id, fire);
-    fire_heap_.emplace_back(fire, spec.id);
-    std::push_heap(fire_heap_.begin(), fire_heap_.end(), std::greater<>());
-  } else {
-    pending_.erase(spec.id);
+  // fires_ holds exactly pending_'s entries: a re-arm moves the function's
+  // (fire, function) node to its new fire, a disarm drops it.
+  const auto it = pending_.find(spec.id);
+  if (it == pending_.end()) {
+    if (fire >= 0) {
+      pending_.emplace(spec.id, fire);
+      fires_.emplace(fire, spec.id);
+    }
+    return;
   }
+  auto node = fires_.extract({it->second, spec.id});
+  if (fire < 0) {
+    pending_.erase(it);
+    return;
+  }
+  it->second = fire;
+  node.value().first = fire;
+  fires_.insert(std::move(node));
 }
 
 void ForecastPrewarmPolicy::OnMinuteTick(SimTime now) {
@@ -255,18 +265,12 @@ void ForecastPrewarmPolicy::OnMinuteTick(SimTime now) {
   // rest spawn, in function-id order so spawns never depend on heap order.
   const SimTime due_by = now + kMinute + options_.lead_time;
   due_.clear();
-  while (!fire_heap_.empty() && fire_heap_.front().first <= due_by) {
-    const auto [fire, fid] = fire_heap_.front();
-    std::pop_heap(fire_heap_.begin(), fire_heap_.end(), std::greater<>());
-    fire_heap_.pop_back();
-    const auto it = pending_.find(fid);
-    if (it != pending_.end() && it->second == fire) {
-      due_.push_back(fid);
-    }
+  auto due_end = fires_.begin();
+  for (; due_end != fires_.end() && due_end->first <= due_by; ++due_end) {
+    due_.push_back(due_end->second);
   }
-  // A function armed twice with the same fire has two entries.
+  fires_.erase(fires_.begin(), due_end);
   std::sort(due_.begin(), due_.end());
-  due_.erase(std::unique(due_.begin(), due_.end()), due_.end());
   for (const trace::FunctionId fid : due_) {
     const auto it = pending_.find(fid);
     const SimTime fire = it->second;
@@ -344,9 +348,8 @@ bool ForecastPrewarmPolicy::RestorePolicyState(std::string_view blob) {
     const auto fid = static_cast<trace::FunctionId>(r.U64());
     const SimTime fire = r.I64();
     pending_[fid] = fire;
-    fire_heap_.emplace_back(fire, fid);
+    fires_.emplace(fire, fid);
   }
-  std::make_heap(fire_heap_.begin(), fire_heap_.end(), std::greater<>());
   forecasters_.RestoreEntries(
       r, [&r](InterArrivalForecaster& f) { f.RestoreState(r); },
       options_.forecaster);

@@ -39,6 +39,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -194,11 +195,10 @@ class ForecastPrewarmPolicy : public platform::PlatformPolicy {
   // Predicted next fire per armed function. Ordered, so the blob lists it by
   // function id.
   std::map<trace::FunctionId, SimTime> pending_;
-  // Min-heap of (fire, function), one entry per pending_ assignment: a tick
-  // pops the fires due by then instead of walking pending_. An entry whose
-  // function was re-armed or disarmed since no longer matches pending_ and is
-  // dropped when popped. Derived state: rebuilt from pending_ on restore.
-  std::vector<std::pair<SimTime, trace::FunctionId>> fire_heap_;
+  // pending_'s entries as (fire, function), kept in step with it: a tick takes
+  // the fires due by then from the front instead of walking pending_. Derived
+  // state: rebuilt from pending_ on restore.
+  std::set<std::pair<SimTime, trace::FunctionId>> fires_;
   std::vector<trace::FunctionId> due_;  // OnMinuteTick scratch.
   int64_t prewarms_issued_ = 0;
   int64_t keepalive_extended_ = 0;
