@@ -262,7 +262,7 @@ void ForecastPrewarmPolicy::OnMinuteTick(SimTime now) {
   COLDSTART_CHECK(platform_ != nullptr);
   // A fire at most one tick plus lead_time away is due: the next tick would be
   // too late for it. Due fires that already passed are stale (a miss); the
-  // rest spawn, in function-id order so spawns never depend on heap order.
+  // rest spawn, in function-id order so spawns never depend on fire order.
   const SimTime due_by = now + kMinute + options_.lead_time;
   due_.clear();
   auto due_end = fires_.begin();
