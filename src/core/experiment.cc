@@ -687,6 +687,37 @@ void CheckColdStartConservation(const ExperimentResult& result) {
   }
 }
 
+// Per region, at the end of a completed run (Finalize flushed every alive pod,
+// so every pod ever created has its lifetime record): one pod record per
+// visible cold start or prewarm spawn, and, when requests are recorded, one
+// request record per request a pod served. Counted as above: the kStreaming
+// counters plus the kFull tables.
+void CheckCompletedRunConservation(const ExperimentResult& result,
+                                   bool record_requests) {
+  if (result.interrupted_at_day >= 0) {
+    return;
+  }
+  std::vector<trace::StreamCounters> sunk(result.visible_cold_starts.size());
+  for (size_t r = 0; r < sunk.size(); ++r) {
+    sunk[r] = result.streaming.region(static_cast<trace::RegionId>(r));
+  }
+  for (const trace::PodLifetimeRecord& rec : result.store.pods()) {
+    sunk.at(rec.region).pods += 1;
+    sunk.at(rec.region).pod_requests_served += rec.requests_served;
+  }
+  for (const trace::RequestRecord& rec : result.store.requests()) {
+    sunk.at(rec.region).requests += 1;
+  }
+  for (size_t r = 0; r < sunk.size(); ++r) {
+    COLDSTART_CHECK_EQ(
+        static_cast<uint64_t>(result.visible_cold_starts[r] + result.prewarm_spawns[r]),
+        sunk[r].pods);
+    if (record_requests) {
+      COLDSTART_CHECK_EQ(sunk[r].pod_requests_served, sunk[r].requests);
+    }
+  }
+}
+
 }  // namespace
 
 bool Experiment::CanShard(platform::PlatformPolicy* policy) const {
@@ -861,6 +892,7 @@ ExperimentResult Experiment::Execute(platform::PlatformPolicy* policy, int num_t
   }
   sweep.Run();
   CheckColdStartConservation(result);
+  CheckCompletedRunConservation(result, config_.record_requests);
   // A completed run seals. An interrupted sharded run's partial store is put
   // in the same canonical order, so it reads the same whatever order its
   // shards finished in; a one-shard run's emission order already does.
