@@ -20,8 +20,14 @@
 // --cells C   capacity cells per region (default 1); a sharded run splits each
 //             region into C shards, whatever the thread count.
 //
+// A DIR whose manifest was written for another run (another scenario
+// fingerprint, which covers days, scale, cells and the build's fingerprint
+// salt; another trace mode; another region count) is refused with one line
+// naming DIR and the mismatch: it cannot be resumed, and starting over would
+// mix two runs' files in one directory.
+//
 // Exit status: 0 completed, 3 halted at a checkpoint (resume to continue),
-// 2 usage error.
+// 2 usage error, 4 DIR holds a checkpoint of another run.
 #include <atomic>
 #include <cinttypes>
 #include <csignal>
@@ -129,6 +135,23 @@ int main(int argc, char** argv) {
   checkpoint::Manifest manifest;
   const bool resuming = checkpoint::ReadManifest(dir, &manifest);
   if (resuming) {
+    // Experiment::ResumeFrom CHECKs these as its contract; a stale directory
+    // is outside input, so it is refused here first.
+    const char* mismatch = nullptr;
+    if (manifest.fingerprint != config.Fingerprint()) {
+      mismatch = "scenario fingerprint";
+    } else if (manifest.trace_mode != static_cast<uint8_t>(config.trace_mode)) {
+      mismatch = "trace mode";
+    } else if (manifest.num_regions != config.profiles.size()) {
+      mismatch = "region count";
+    }
+    if (mismatch != nullptr) {
+      std::fprintf(stderr,
+                   "checkpointed_run: %s holds a checkpoint of another run "
+                   "(%s differs); use a fresh directory\n",
+                   dir.c_str(), mismatch);
+      return 4;
+    }
     std::printf("resuming from %s\n", checkpoint::ManifestPath(dir).c_str());
   }
   const core::ExperimentResult result =
