@@ -13,8 +13,11 @@ namespace coldstart::checkpoint {
 
 namespace {
 
-// "cckptv11" / "cmnft_v4" / "ccseg_v1", little-endian (a two-digit version
-// takes the underscore's byte). Checkpoint v11 writes the platform's
+// "cckptv12" / "cmnft_v4" / "ccseg_v1", little-endian (a two-digit version
+// takes the underscore's byte). Checkpoint v12 saves each pod's running
+// requests' end times in place of its slot count and drops the completion
+// event kind and its execution-start field: a request holds its slot until
+// its end time, with no event at the end. v11 writes the platform's
 // per-(region, cell) state as one cell table, each cell's RNG, id namespaces,
 // load, pools and cold-start counters together, where v10 wrote each as its
 // own array. Manifest v4 drops each entry's file name: the name is derived
@@ -34,7 +37,7 @@ namespace {
 // LogHistogram latency sum 128-bit fixed point (manifest v3 added
 // shards_per_region, layout-unchanged since). Older files encode different
 // layouts and are rejected here as "bad magic" rather than half-restored.
-constexpr uint64_t kCheckpointMagic = 0x31317674706B6363ull;
+constexpr uint64_t kCheckpointMagic = 0x32317674706B6363ull;
 constexpr uint64_t kManifestMagic = 0x34765F74666E6D63ull;
 constexpr uint64_t kSegmentMagic = 0x31765F6765736363ull;
 

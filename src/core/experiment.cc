@@ -938,11 +938,12 @@ ExperimentResult Experiment::RunCached(const std::string& cache_dir,
   COLDSTART_CHECK(config_.trace_mode == TraceMode::kFull &&
                   "RunCached requires TraceMode::kFull");
   namespace fs = std::filesystem;
-  // v8 filename scheme: v7 moved the file into the shared frame
-  // (common/framed_file.h) and v8 goes with fingerprint salt v7 (the ziggurat
-  // sampler), so files written under older schemes are never picked up.
+  // v9 filename scheme: v7 moved the file into the shared frame
+  // (common/framed_file.h), v8 went with fingerprint salt v7 (the ziggurat
+  // sampler) and v9 with salt v8 (requests bound whole at dispatch), so files
+  // written under older schemes are never picked up.
   char name[64];
-  std::snprintf(name, sizeof(name), "scenario_v8_%016" PRIx64 ".bin",
+  std::snprintf(name, sizeof(name), "scenario_v9_%016" PRIx64 ".bin",
                 config_.Fingerprint());
   const std::string path = (fs::path(cache_dir) / name).string();
 

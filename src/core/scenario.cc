@@ -147,8 +147,10 @@ uint64_t ScenarioConfig::Fingerprint() const {
   // restore) and covers the v4 checkpoint layout with its cost ledger; v7
   // marks the ziggurat NextGaussian, which re-drew every platform-side normal
   // (execution times, cold-start components, request resources) under the
-  // same configuration.
-  uint64_t h = MixHash(HashString("scenario-fingerprint-v7"), seed);
+  // same configuration; v8 marks requests bound whole at dispatch (no
+  // completion event: slots free by end time, the record, resource and
+  // fan-out draws and the keep-alive happen at bind time).
+  uint64_t h = MixHash(HashString("scenario-fingerprint-v8"), seed);
   h = MixHash(h, static_cast<uint64_t>(days));
   h = MixDouble(h, scale);
   h = MixHash(h, record_requests ? 1 : 0);

@@ -99,6 +99,9 @@ Platform::Platform(const workload::Population& population,
   cost_ledger_ = ResourceCostLedger(profiles_.size());
   states_.resize(population_.functions.size());
   for (const auto& f : population_.functions) {
+    // A pod's bound ends live inline in Pod::ends.
+    COLDSTART_CHECK_GE(f.pod_concurrency, 1);
+    COLDSTART_CHECK_LE(f.pod_concurrency, kMaxPodConcurrency);
     states_[f.id].log_exec_median_us = std::log(f.exec_median_us);
   }
 
@@ -241,8 +244,10 @@ ResourcePool& Platform::pool(RegionId region, trace::ResourceConfig config) {
 
 bool Platform::HasAvailablePod(FunctionId function) const {
   const int concurrency = population_.functions.at(function).pod_concurrency;
+  const SimTime now = sim_.now();
   for (const Pod* pod : states_[function].pods) {
-    if (hot(*pod).slots_used < concurrency) {
+    const PodHot& h = hot(*pod);
+    if (h.slots_used < concurrency || h.next_end <= now) {
       return true;
     }
   }
@@ -310,18 +315,35 @@ uint64_t Platform::pods_created() const {
   return total;
 }
 
-Pod* Platform::FindPodWithSlot(FunctionState& state, int concurrency,
-                               SimTime now) const {
+void Platform::RetireEnded(Pod& pod, PodHot& h, SimTime now) {
+  int kept = 0;
+  SimTime next_end = kNoBoundEnd;
+  for (int i = 0; i < h.slots_used; ++i) {
+    const SimTime end = pod.ends[static_cast<size_t>(i)];
+    if (end > now) {
+      pod.ends[static_cast<size_t>(kept++)] = end;
+      next_end = std::min(next_end, end);
+    }
+  }
+  h.slots_used = kept;
+  h.next_end = next_end;
+}
+
+Pod* Platform::FindPodWithSlot(FunctionState& state, int concurrency, SimTime now) {
   // The scan touches only the SoA hot entries: `concurrency` is hoisted by the
-  // caller, so no per-pod spec lookup, and the cold Pod fields stay untouched.
+  // caller, so no per-pod spec lookup, and the cold Pod fields stay untouched
+  // unless a full pod has an ended request to retire.
   Pod* best_warm = nullptr;
   Pod* best_warming = nullptr;
   SimTime best_warm_lru = 0;
   SimTime best_warming_ready = 0;
   for (Pod* pod : state.pods) {
-    const PodHot& h = hot(*pod);
+    PodHot& h = hot(*pod);
     if (h.slots_used >= concurrency) {
-      continue;
+      if (h.next_end > now) {
+        continue;  // Every slot is held past now.
+      }
+      RetireEnded(*pod, h, now);
     }
     if (h.ready_time <= now) {
       // Prefer the warm pod that has been idle longest (LRU keeps the fleet compact).
@@ -398,6 +420,7 @@ Pod* Platform::StartColdStart(const FunctionSpec& spec, RegionId region, bool pr
   PodHot& h = pod_hot_[handle.index];
   h.ready_time = now + comp.total();
   h.last_busy_end = h.ready_time;
+  h.next_end = kNoBoundEnd;
   h.slots_used = 0;
 
   // Load counters stay elevated for the duration of the pipeline; the decrements are
@@ -443,41 +466,28 @@ Pod* Platform::StartColdStart(const FunctionSpec& spec, RegionId region, bool pr
 void Platform::AssignRequest(Pod* pod, const FunctionSpec& spec, SimTime arrival) {
   PodHot& h = hot(*pod);
   const SimTime exec_start = std::max(arrival, h.ready_time);
-  if (h.slots_used == 0 && exec_start > h.last_busy_end) {
-    // The pod sat warm and empty from its last busy end until this request;
-    // the interval is warm-idle capacity the cost ledger charges at death.
+  if (exec_start > h.last_busy_end) {
+    // Every bound request ended by last_busy_end, so the pod sat warm and
+    // empty from then until this request; the interval is warm-idle capacity
+    // the cost ledger charges at death.
     pod->idle_us += exec_start - h.last_busy_end;
   }
-  // The pod is busy again: cancel its pending keep-alive, if any.
-  if (events_.Resolve(pod->keep_alive) != nullptr) {
-    events_.Free(pod->keep_alive);
-  }
-  ++h.slots_used;
+  // The pod's function equals spec.id here, so one cell lookup covers the
+  // execution draw, the id mint and the resource draws.
+  Cell& cell = CellFor(pod->region, spec.id);
   double exec_us = std::exp(states_[spec.id].log_exec_median_us +
-                            spec.exec_sigma * CellFor(pod->region, spec.id).rng.NextGaussian());
+                            spec.exec_sigma * cell.rng.NextGaussian());
   exec_us = std::clamp(exec_us, 100.0, 600e6);
   const uint32_t exec = static_cast<uint32_t>(exec_us);
   const SimTime exec_end = exec_start + exec;
 
-  PendingEvent* completion = ScheduleEvent(EventKind::kCompletion, exec_end).first;
-  completion->function = spec.id;
-  completion->pod = pod->self;
-  completion->exec_start = exec_start;
-}
-
-void Platform::OnRequestComplete(SlabHandle handle, SimTime exec_start,
-                                 SimTime exec_end, const FunctionSpec& spec) {
-  Pod* pod = pod_slab_.Resolve(handle);
-  COLDSTART_CHECK(pod != nullptr);  // A pod with a bound request cannot die.
-  PodHot& h = hot(*pod);
-  COLDSTART_CHECK_GT(h.slots_used, 0);
-  --h.slots_used;
+  // The request holds its slot until exec_end; no event marks the end.
+  pod->ends[static_cast<size_t>(h.slots_used++)] = exec_end;
+  h.next_end = std::min(h.next_end, exec_end);
   ++pod->served;
+  const bool ends_last = exec_end >= h.last_busy_end;
   h.last_busy_end = std::max(h.last_busy_end, exec_end);
 
-  // The pod's function equals spec.id here, so one cell lookup covers the id
-  // mint and the resource draws.
-  Cell& cell = CellFor(pod->region, spec.id);
   if (options_.record_requests) {
     trace::RequestRecord rec;
     rec.timestamp = exec_start;
@@ -490,7 +500,7 @@ void Platform::OnRequestComplete(SlabHandle handle, SimTime exec_start,
     rec.user_id = spec.user;
     rec.region = pod->region;
     rec.cluster = pod->cluster;
-    rec.execution_time_us = static_cast<uint32_t>(exec_end - exec_start);
+    rec.execution_time_us = exec;
     // Both draws run even when the sink never reads these fields: a Gaussian
     // draw takes a variable number of words, so only making it keeps the
     // stream aligned with a full-record run. Only the exp and clamps are
@@ -522,11 +532,17 @@ void Platform::OnRequestComplete(SlabHandle handle, SimTime exec_start,
     }
   }
 
-  if (h.slots_used == 0) {
+  if (ends_last) {
+    // The pod goes idle at exec_end unless a later request binds first: its
+    // one keep-alive moves there, granted as of the idle start. Only a pod's
+    // first user request finds none to cancel.
+    if (events_.Resolve(pod->keep_alive) != nullptr) {
+      events_.Free(pod->keep_alive);
+    }
     const SimDuration keep_alive = policy_ != nullptr
-                                       ? policy_->KeepAliveFor(spec, sim_.now())
+                                       ? policy_->KeepAliveFor(spec, exec_end)
                                        : options_.default_keep_alive;
-    ArmKeepAlive(pod, sim_.now() + keep_alive);
+    ArmKeepAlive(pod, exec_end + keep_alive);
   }
 }
 
@@ -543,21 +559,19 @@ void Platform::Fire(uint64_t token) {
   const SlabHandle h = SlabHandle::Unpack(token);
   const PendingEvent* live = events_.Resolve(h);
   if (live == nullptr) {
-    return;  // Cancelled: a keep-alive whose pod took a request.
+    return;  // Cancelled: a keep-alive re-armed by a later-ending request.
   }
   const PendingEvent e = *live;
   events_.Free(h);
   switch (e.kind) {
-    case EventKind::kCompletion:
-      OnRequestComplete(e.pod, e.exec_start, e.time, population_.functions[e.function]);
-      return;
     case EventKind::kInvoke:
       HandleArrivalBatch(e.function, 1, e.delay_exempt);
       return;
     case EventKind::kKeepAlive: {
-      // Only its keep-alive kills a pod mid-run, and a request cancels it first.
+      // Only its keep-alive kills a pod mid-run; it is due at or after the
+      // pod's last bound end, so no request is left on the pod.
       Pod* pod = pod_slab_.Resolve(e.pod);
-      COLDSTART_CHECK(pod != nullptr && hot(*pod).slots_used == 0);
+      COLDSTART_CHECK(pod != nullptr && hot(*pod).last_busy_end <= e.time);
       KillPod(pod, e.time);
       return;
     }
@@ -621,7 +635,7 @@ void Platform::KillPod(Pod* pod, SimTime death_time) {
   // integer µs, so the ledger's sums are order-invariant across geometries.
   const int64_t lifetime_us = death_time - pod->cold_start_begin;
   int64_t warm_idle_us = pod->idle_us;
-  if (death_time > h.last_busy_end && h.slots_used == 0) {
+  if (death_time > h.last_busy_end) {
     warm_idle_us += death_time - h.last_busy_end;
   }
   cost_ledger_.AddPodDeath(pod->region, lifetime_us, warm_idle_us,
@@ -822,14 +836,25 @@ void Platform::SaveCheckpointState(ByteWriter& w) const {
     w.I64(p.cold_start_begin);
     w.I64(h.ready_time);
     w.U32(p.cold_start_us);
-    w.I64(h.slots_used);
     w.I64(h.last_busy_end);
     w.U32(p.served);
     w.U8(p.prewarmed ? 1 : 0);
     w.I64(p.idle_us);
-    // A pod is idle exactly while its keep-alive — the event that will kill
-    // it — is pending. Restore re-links the keep-alive from the event table.
-    COLDSTART_CHECK_EQ(h.slots_used == 0, events_.Resolve(p.keep_alive) != nullptr);
+    // The bound ends still running, in array order. Ended ones are free slots
+    // a plain run has not retired yet; they change no decision, so they are
+    // retired here (the live count alone decides whether the pod has a slot).
+    const auto live_end = [now](SimTime end) { return end > now; };
+    const auto ends_begin = p.ends.begin();
+    const auto ends_end = ends_begin + h.slots_used;
+    w.U64(static_cast<uint64_t>(std::count_if(ends_begin, ends_end, live_end)));
+    for (auto it = ends_begin; it != ends_end; ++it) {
+      if (live_end(*it)) {
+        w.I64(*it);
+      }
+    }
+    // Every alive pod holds exactly one live keep-alive, the event that will
+    // kill it. Restore re-links it from the event table.
+    COLDSTART_CHECK(events_.Resolve(p.keep_alive) != nullptr);
   }
 
   // Per-function pod lists, as slot indices in list order (order matters:
@@ -861,7 +886,6 @@ void Platform::SaveCheckpointState(ByteWriter& w) const {
     w.U64(e.seq);
     w.U32(e.pod.index);
     w.U32(e.pod.gen);
-    w.I64(e.exec_start);
     w.I64(e.keep_alive);
   }
 
@@ -935,11 +959,24 @@ void Platform::RestoreCheckpointState(
     p.cold_start_begin = r.I64();
     h.ready_time = r.I64();
     p.cold_start_us = r.U32();
-    h.slots_used = static_cast<int>(r.I64());
     h.last_busy_end = r.I64();
     p.served = r.U32();
     p.prewarmed = r.U8() != 0;
     p.idle_us = r.I64();
+    // Only running requests were saved: each ends after the clock, and they
+    // fit the function's concurrency.
+    const uint64_t num_ends = r.U64();
+    COLDSTART_CHECK_LE(num_ends,
+                       static_cast<uint64_t>(population_.functions[p.function].pod_concurrency));
+    h.slots_used = static_cast<int>(num_ends);
+    h.next_end = kNoBoundEnd;
+    for (size_t k = 0; k < num_ends; ++k) {
+      const SimTime end = r.I64();
+      COLDSTART_CHECK_GT(end, now);
+      COLDSTART_CHECK_LE(end, h.last_busy_end);
+      p.ends[k] = end;
+      h.next_end = std::min(h.next_end, end);
+    }
   }
 
   // Every alive pod sits in exactly its own function's list, once.
@@ -978,7 +1015,6 @@ void Platform::RestoreCheckpointState(
     e.seq = r.U64();
     e.pod.index = r.U32();
     e.pod.gen = r.U32();
-    e.exec_start = r.I64();
     e.keep_alive = r.I64();
     const SlabHandle h{i, events_.slot_generation(i)};
     if (e.kind == EventKind::kKeepAlive) {
@@ -991,10 +1027,10 @@ void Platform::RestoreCheckpointState(
     COLDSTART_CHECK(e.kind != EventKind::kDayStart || e.time % kDay == 0);
     sim_.RestoreEvent(e.time, e.seq, h.Pack());
   }
-  // Idle pods, and only those, came back with a keep-alive (as on save).
+  // Every pod came back with exactly one live keep-alive (as on save): the
+  // re-link above refuses a second, and this refuses none.
   for (const uint32_t i : alive_pods) {
-    COLDSTART_CHECK_EQ(pod_hot_[i].slots_used == 0,
-                       events_.Resolve(pod_slab_.slot_value(i).keep_alive) != nullptr);
+    COLDSTART_CHECK(events_.Resolve(pod_slab_.slot_value(i).keep_alive) != nullptr);
   }
 
   const uint8_t has_stream = r.U8();

@@ -10,8 +10,11 @@
 // Request path: arrival -> (optional policy admission delay for async triggers) ->
 // find a pod with a free concurrency slot (warm preferred, warming accepted) ->
 // otherwise cold start: draw a pod through the staged pool search, run the 4-component
-// pipeline, and bind the request to the pod's ready time. Completions update
-// keep-alive state and fan out workflow children.
+// pipeline, and bind the request to the pod's ready time. Binding does all of the
+// request's work at once: it draws the execution time, emits the request record,
+// schedules the workflow children and, when the request ends last on its pod,
+// re-arms the pod's keep-alive. No event marks a request's end: the slot it holds
+// frees at its end time.
 //
 // Region independence: every capacity-coupled piece of mutable state lives in
 // one record per (region, capacity cell): its RNG substream (forked from the
@@ -25,6 +28,7 @@
 #define COLDSTART_PLATFORM_PLATFORM_H_
 
 #include <array>
+#include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -43,12 +47,16 @@
 
 namespace coldstart::platform {
 
+// The most requests one pod may hold at once: the size of Pod::ends. The
+// Platform constructor CHECKs every function's pod_concurrency against it.
+inline constexpr int kMaxPodConcurrency = 16;
+
 // A pod instance (warming or warm). Pods live in a Slab<Pod>; `self` is the
-// generation-checked handle in-flight events use to re-find the pod. The three
-// fields the request path touches per event — readiness, free concurrency
-// slots, idle-LRU recency — live in the parallel PodHot array (SoA, indexed by
-// slab slot), not here: FindPodWithSlot scans hot entries without dragging the
-// cold identity/bookkeeping fields through the cache.
+// generation-checked handle in-flight events use to re-find the pod. The
+// fields the request path reads per arrival — readiness, bound-slot count,
+// earliest bound end, idle-LRU recency — live in the parallel PodHot array
+// (SoA, indexed by slab slot), not here: FindPodWithSlot scans hot entries
+// without dragging the cold identity/bookkeeping fields through the cache.
 struct Pod {
   SlabHandle self;
   trace::PodId id = 0;
@@ -63,20 +71,30 @@ struct Pod {
   // Accumulated warm-idle time (µs): completed idle intervals between busy
   // periods; the final idle tail is added at death. Feeds the cost ledger.
   int64_t idle_us = 0;
-  // The pod's keep-alive entry in the platform's pending-event table. It
-  // resolves exactly while the pod is idle: a request cancels it by freeing
-  // the entry, and completion of the last request arms a new one.
+  // The pod's one live keep-alive entry in the platform's pending-event table,
+  // due at last_busy_end plus the keep-alive granted when the request ending
+  // there was bound. A request that ends last on the pod frees it and arms a
+  // new one, so it resolves for as long as the pod is alive.
   SlabHandle keep_alive;
+  // End times of the requests bound to the pod, ends[0, PodHot::slots_used),
+  // in no particular order. An end <= now is a free slot that has not been
+  // retired yet (FindPodWithSlot retires them when the pod looks full).
+  std::array<SimTime, kMaxPodConcurrency> ends;
 };
 
 // The per-pod state the arrival hot path reads and writes, split out of Pod
-// into a dense slot-indexed array. slots_used counts requests bound to the
-// pod, whether executing or waiting for readiness.
+// into a dense slot-indexed array. slots_used counts the pod's bound ends,
+// retired lazily: a request holds its slot until its end time, so the pod has
+// a free slot at `now` iff slots_used < concurrency or next_end <= now.
 struct PodHot {
   SimTime ready_time = 0;
+  // The latest bound end (ready_time before the first request).
   SimTime last_busy_end = 0;
+  // The earliest bound end; kNoBoundEnd when none is bound.
+  SimTime next_end = 0;
   int slots_used = 0;
 };
+inline constexpr SimTime kNoBoundEnd = INT64_MAX;
 
 // Pod ids carry their region in the high bits so per-region id streams never collide
 // and a sharded run mints exactly the ids the serial run would have minted. With
@@ -166,7 +184,7 @@ class Platform : private sim::EventTarget {
   uint32_t cells_per_region() const { return options_.cells_per_region; }
   const workload::FunctionSpec& spec(trace::FunctionId function) const;
   // True when the function has a pod that is (or will be) able to take a request:
-  // ready (or warming) with a free concurrency slot.
+  // ready (or warming) with a free concurrency slot now.
   bool HasAvailablePod(trace::FunctionId function) const;
   int alive_pod_count(trace::FunctionId function) const;
   const std::vector<workload::RegionProfile>& profiles() const { return profiles_; }
@@ -264,13 +282,17 @@ class Platform : private sim::EventTarget {
   void HandleArrivalRun(const workload::ArrivalEvent* events, size_t count);
   void HandleArrivalBatch(trace::FunctionId fid, size_t count, bool delay_exempt);
   // `concurrency` is the function's slot limit, hoisted by the caller so the
-  // per-pod scan touches only the PodHot array.
-  Pod* FindPodWithSlot(FunctionState& state, int concurrency, SimTime now) const;
+  // per-pod scan touches only the PodHot array. A full pod whose earliest end
+  // has passed has its ended requests retired (RetireEnded) before it is
+  // considered.
+  Pod* FindPodWithSlot(FunctionState& state, int concurrency, SimTime now);
+  // Drops the pod's bound ends <= now and recomputes slots_used and next_end.
+  void RetireEnded(Pod& pod, PodHot& h, SimTime now);
   Pod* StartColdStart(const workload::FunctionSpec& spec, trace::RegionId region,
                       bool prewarmed, SimDuration extra_sched_us);
+  // Binds one request to a free slot of `pod` and does all of its work (see the
+  // header comment); the pod must have a free slot at `arrival`.
   void AssignRequest(Pod* pod, const workload::FunctionSpec& spec, SimTime arrival);
-  void OnRequestComplete(SlabHandle handle, SimTime exec_start, SimTime exec_end,
-                         const workload::FunctionSpec& spec);
   void ArmKeepAlive(Pod* pod, SimTime expiry);
   void KillPod(Pod* pod, SimTime death_time);
   trace::ClusterId PickCluster(const workload::FunctionSpec& spec,
@@ -284,24 +306,22 @@ class Platform : private sim::EventTarget {
   // re-queues each entry under its original (time, seq) key. The table is
   // always on, so checkpointed and plain runs consume identical seqs.
   enum class EventKind : uint8_t {
-    kCompletion,     // A request of `function` on `pod` ends.
     kInvoke,         // One arrival of `function`, deferred: a workflow child
                      // or an admission retry (`delay_exempt`).
-    kKeepAlive,      // Idle `pod` dies.
+    kKeepAlive,      // `pod`, idle since its last bound end, dies.
     kLoadDecrement,  // A `function` pod's cold start in `region` is ready.
     kPrewarm,        // SpawnPrewarmedPod(function, region, keep_alive).
     kDayStart,       // OpenDayChunk(time / kDay).
     kPolicyTick,     // policy_->OnMinuteTick(time), then the next tick.
   };
   struct PendingEvent {
-    EventKind kind = EventKind::kCompletion;
+    EventKind kind = EventKind::kInvoke;
     bool delay_exempt = false;
     trace::RegionId region = 0;
     trace::FunctionId function = 0;
     SimTime time = 0;
     uint64_t seq = 0;
-    SlabHandle pod;
-    SimTime exec_start = 0;      // kCompletion: the request ran [exec_start, time).
+    SlabHandle pod;              // kKeepAlive.
     SimDuration keep_alive = 0;  // kPrewarm.
   };
   // Allocates an entry of `kind` keyed (t, next seq) and queues its token,
@@ -309,7 +329,7 @@ class Platform : private sim::EventTarget {
   // it in a temporary and copying it in measured ~10% slower on month_serial).
   std::pair<PendingEvent*, SlabHandle> ScheduleEvent(EventKind kind, SimTime t);
   // sim::EventTarget: resolves the entry `token` names, frees it, and runs its
-  // kind; a cancelled entry resolves to nothing.
+  // kind; a cancelled entry (a keep-alive re-armed since) resolves to nothing.
   void Fire(uint64_t token) override;
 
   const workload::Population& population_;

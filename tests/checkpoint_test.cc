@@ -672,7 +672,7 @@ TEST_F(CheckpointTest, IdenticalRunsWriteIdenticalBytes) {
 
   const auto cache = FilesIn(root / "cache_a");
   ASSERT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.begin()->first.rfind("scenario_v8_", 0), 0u);
+  EXPECT_EQ(cache.begin()->first.rfind("scenario_v9_", 0), 0u);
   ExpectSameFiles(root / "cache_a", root / "cache_b");
 
   const auto ckpt = FilesIn(root / "ckpt_a");

@@ -215,20 +215,20 @@ TEST(ModelMatrix, EveryPresetBitIdenticalAcrossGeometries) {
     OutputPin pins[2];
   } kMatrix[] = {
       {ColdStartModelKind::kYuanRong, false, "yuanrong",
-       {{0xb15e331b40df9851ULL, 0x1b4165748e929a5cULL},
-        {0x52187bba6701752eULL, 0x27a5c3f2e24745deULL}}},
+       {{0x007fe48e5aef66f8ULL, 0x5849c707178546a9ULL},
+        {0xf0cd82a534b4326aULL, 0x6831df972c637a7bULL}}},
       {ColdStartModelKind::kAwsLike, false, "aws-like",
-       {{0x06937adb350a9254ULL, 0x03743ed24ee9551eULL},
-        {0x3c61fced5b6e7112ULL, 0xa6885e159e1ccaedULL}}},
+       {{0xfccfcb915b7236a3ULL, 0x86f4b622a09230a4ULL},
+        {0xcb115af518ed63e1ULL, 0x5e6e70dcecd1a17fULL}}},
       {ColdStartModelKind::kGcpLike, false, "gcp-like",
-       {{0x202d351deed698ffULL, 0xe9a23d42516adf1cULL},
-        {0xd3262798a1672d21ULL, 0x14ff51aafc9d7443ULL}}},
+       {{0x6d7bfc4bad8ec242ULL, 0x26f25ec3048ec499ULL},
+        {0x5ec7af3fa3bb65d5ULL, 0xd7c62fd2b0f38c30ULL}}},
       {ColdStartModelKind::kAzureLike, false, "azure-like",
-       {{0x3800eff3bd40e08aULL, 0xf9fcb6ce24245422ULL},
-        {0xfbbf39cafa104bddULL, 0x0c2b7290e3a247d2ULL}}},
+       {{0x4ac824fc9ff7740fULL, 0xc942e5b12df6a376ULL},
+        {0xd97d317741ed6fa0ULL, 0xcd24d4173b7a5a09ULL}}},
       {ColdStartModelKind::kYuanRong, true, "snapshot(yuanrong)",
-       {{0xa41986dd5926d823ULL, 0x15cd47259a2c630cULL},
-        {0x19a1dc617949caadULL, 0x6d8aec9b9458db52ULL}}},
+       {{0x7321ad19fc83e4adULL, 0x04518d54f28113f8ULL},
+        {0xe90460cd07068ebfULL, 0x1eed932f753fa3d4ULL}}},
   };
   // A sharded run takes K = cells: cells 1 shards by region (K=1), cells 4
   // into (region, cell group) slices (K=4). Each is compared with its own

@@ -2,10 +2,15 @@
 // autoscaling, and workflow fan-out. Small hand-built scenarios with exact assertions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <filesystem>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/byte_serde.h"
+#include "core/coldstart_lab.h"
 #include "platform/coldstart_model.h"
 #include "platform/platform.h"
 #include "trace/trace_store.h"
@@ -312,6 +317,82 @@ TEST(PlatformTest, HigherConcurrencySharesPod) {
   EXPECT_EQ(world.store.pods()[0].requests_served, 3u);
 }
 
+// --- Slots free by end time; a request is whole when it is bound. ---
+
+// The end (µs) of a request record.
+SimTime EndOf(const trace::RequestRecord& r) { return r.timestamp + r.execution_time_us; }
+
+TEST(PlatformTest, SlotFreesAtExactlyItsRequestsEnd) {
+  // The same first arrival draws the same request in every run, so a
+  // one-arrival run tells where its end falls.
+  const SimTime end = [] {
+    TinyWorld world({BasicSpec()});
+    world.Run({{kHour, 0}});
+    return EndOf(world.store.requests().at(0));
+  }();
+  // An arrival at exactly that µs finds the concurrency-1 pod's slot free
+  // and is served warm ...
+  TinyWorld at_end({BasicSpec()});
+  at_end.Run({{kHour, 0}, {end, 0}});
+  EXPECT_EQ(at_end.store.cold_starts().size(), 1u);
+  ASSERT_EQ(at_end.store.requests().size(), 2u);
+  EXPECT_EQ(at_end.store.requests()[1].timestamp, end);
+  ASSERT_EQ(at_end.store.pods().size(), 1u);
+  EXPECT_EQ(at_end.store.pods()[0].requests_served, 2u);
+  // ... one µs earlier the slot is still held, so it needs a second pod.
+  TinyWorld before_end({BasicSpec()});
+  before_end.Run({{kHour, 0}, {end - 1, 0}});
+  EXPECT_EQ(before_end.store.cold_starts().size(), 2u);
+}
+
+TEST(PlatformTest, FullPodTakesAnArrivalAtItsEarliestEnd) {
+  FunctionSpec f = BasicSpec();
+  f.exec_median_us = 30e6;  // Every request outlasts the four arrivals.
+  f.pod_concurrency = 4;
+  const std::vector<workload::ArrivalEvent> four = {
+      {kHour, 0}, {kHour + kSecond, 0}, {kHour + 2 * kSecond, 0}, {kHour + 3 * kSecond, 0}};
+  const SimTime earliest_end = [&] {
+    TinyWorld world({f});
+    world.Run(four);
+    EXPECT_EQ(world.store.pods().size(), 1u);
+    SimTime earliest = kNoBoundEnd;
+    for (const auto& r : world.store.requests()) {
+      earliest = std::min(earliest, EndOf(r));
+    }
+    return earliest;
+  }();
+  ASSERT_GT(earliest_end, kHour + 3 * kSecond);
+  const auto fifth_at = [&](SimTime t) {
+    TinyWorld world({f});
+    std::vector<workload::ArrivalEvent> arrivals = four;
+    arrivals.push_back({t, 0});
+    world.Run(arrivals);
+    return world.store.cold_starts().size();
+  };
+  // All four slots are held until the earliest end: a fifth arrival just
+  // before it cold-starts a second pod; one at it reuses the first.
+  EXPECT_EQ(fifth_at(earliest_end - 1), 2u);
+  EXPECT_EQ(fifth_at(earliest_end), 1u);
+}
+
+TEST(PlatformTest, RequestRunningPastTheHorizonIsRecordedOnce) {
+  FunctionSpec f = BasicSpec();
+  f.exec_median_us = 30e6;
+  TinyWorld world({f});
+  const SimTime horizon = world.calendar.horizon();
+  world.Run({{horizon - kSecond, 0}});
+  // Bound before the horizon, so recorded, though it ends after it.
+  ASSERT_EQ(world.store.requests().size(), 1u);
+  const SimTime end = EndOf(world.store.requests()[0]);
+  EXPECT_GT(end, horizon);
+  // Its pod is censored no earlier than its end.
+  ASSERT_EQ(world.store.pods().size(), 1u);
+  const auto& pod = world.store.pods()[0];
+  EXPECT_EQ(pod.requests_served, 1u);
+  EXPECT_EQ(pod.last_busy_end, end);
+  EXPECT_GE(pod.death_time, end);
+}
+
 TEST(PlatformTest, ColdStartComponentsSumToTotal) {
   TinyWorld world({BasicSpec()});
   world.Run({{kHour, 0}});
@@ -566,13 +647,13 @@ TEST_P(PlatformCheckpointTest, SaveRestoreSaveByteIdenticalWithEveryEventKindPen
   for (size_t i = 0; i < specs.size(); ++i) {
     specs[i].id = static_cast<trace::FunctionId>(i);
   }
-  specs[0].exec_median_us = 30e6;            // Completion pending at the boundary.
+  specs[0].exec_median_us = 30e6;            // Running across the boundary.
   specs[2].primary_trigger = Trigger::kObs;  // Asynchronous: delayed.
   const std::vector<workload::ArrivalEvent> arrivals = {
       {kDay - kMinute, 2},            // Invoke pending until kDay + 4 min.
       {kDay - 30 * kSecond, 1},       // Keep-alive pending; arms the prewarm.
-      {kDay - 10 * kSecond, 0},       // Completion pending.
-      {kDay - kMillisecond, 4}};      // Load decrement (and completion) pending.
+      {kDay - 10 * kSecond, 0},       // Its request still runs.
+      {kDay - kMillisecond, 4}};      // Load decrement pending; runs later.
   EveryKindPolicy policy;
   TinyWorld world(specs, /*days=*/2, &policy, /*cells=*/GetParam());
   const auto stream = [&] {
@@ -611,9 +692,11 @@ TEST_P(PlatformCheckpointTest, SaveRestoreSaveByteIdenticalWithEveryEventKindPen
   world.platform->Finalize();
   store.Seal();
   world.store.Seal();
-  // Requests of functions 0, 2 and 4 complete after the boundary; every pod
-  // dies after it, function 1's by keep-alive well before the horizon.
-  EXPECT_EQ(store.requests().size(), 3u);
+  // A request is recorded when it is bound: those of functions 0, 1 and 4
+  // were bound before the boundary (0's and 4's still running across it), so
+  // the restored run records only function 2's delayed one. Every pod dies
+  // after the boundary, function 1's by keep-alive well before the horizon.
+  EXPECT_EQ(store.requests().size(), 1u);
   EXPECT_EQ(world.store.requests().size(), 4u);
   ASSERT_EQ(store.pods().size(), 5u);
   EXPECT_EQ(PodDeaths(store), PodDeaths(world.store));
@@ -622,6 +705,45 @@ TEST_P(PlatformCheckpointTest, SaveRestoreSaveByteIdenticalWithEveryEventKindPen
 }
 
 INSTANTIATE_TEST_SUITE_P(Cells, PlatformCheckpointTest, ::testing::Values(1u, 2u));
+
+TEST(PlatformResumeTest, RequestsRunningAcrossTheCutResumeBitIdentical) {
+  // Stopped at the first day boundary, some requests still hold slots (OBS
+  // batch jobs run for tens of seconds); the checkpoint carries their ends.
+  core::ScenarioConfig config;
+  config.days = 3;
+  config.scale = 0.05;
+  const core::Experiment experiment(config);
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "coldstart_platform_resume_test").string();
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    const core::ExperimentResult plain = experiment.Run(nullptr, threads);
+    const auto running_at_cut =
+        std::count_if(plain.store.requests().begin(), plain.store.requests().end(),
+                      [](const trace::RequestRecord& r) {
+                        return r.timestamp < kDay && EndOf(r) > kDay;
+                      });
+    EXPECT_GT(running_at_cut, 0);
+
+    std::filesystem::remove_all(dir);
+    std::atomic<bool> stop{false};
+    core::CheckpointPolicy ckpt;
+    ckpt.dir = dir;
+    ckpt.stop = &stop;
+    ckpt.on_checkpoint = [&stop](int64_t day, uint32_t) {
+      if (day >= 1) {
+        stop.store(true);
+      }
+    };
+    ASSERT_GE(experiment.Run(nullptr, threads, &ckpt).interrupted_at_day, 1);
+    const core::ExperimentResult resumed = experiment.ResumeFrom(dir, nullptr, threads);
+    EXPECT_EQ(resumed.interrupted_at_day, -1);
+    EXPECT_EQ(trace::Digest(resumed.store), trace::Digest(plain.store));
+    EXPECT_EQ(resumed.visible_cold_starts, plain.visible_cold_starts);
+    EXPECT_EQ(resumed.cold_start_latency_sum_us, plain.cold_start_latency_sum_us);
+  }
+  std::filesystem::remove_all(dir);
+}
 
 // --- Platform-owned events: day starts and the minute tick. ---
 
