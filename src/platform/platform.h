@@ -47,9 +47,11 @@
 
 namespace coldstart::platform {
 
-// The most requests one pod may hold at once: the size of Pod::ends. The
-// Platform constructor CHECKs every function's pod_concurrency against it.
-inline constexpr int kMaxPodConcurrency = 16;
+// The most requests one pod may hold at once: the size of Pod::ends, and the
+// largest pod_concurrency the population draws (1, 4, 6 or 10). The Platform
+// constructor CHECKs every function's pod_concurrency against it. Each slot
+// costs every pod 8 bytes, which a sharded run pays per shard's pod slab.
+inline constexpr int kMaxPodConcurrency = 10;
 
 // A pod instance (warming or warm). Pods live in a Slab<Pod>; `self` is the
 // generation-checked handle in-flight events use to re-find the pod. The
