@@ -520,7 +520,8 @@ void Platform::AssignRequest(Pod* pod, const FunctionSpec& spec, SimTime arrival
     sink_.OnRequest(rec);
   }
 
-  // Workflow fan-out: downstream functions are invoked when the parent finishes.
+  // Workflow fan-out: downstream functions are invoked after the parent ends;
+  // the draws and the children's invokes are made now, at bind time.
   // Draws come from the parent's home-(region, cell) stream (children are wired
   // within the region and share the parent's cell by construction —
   // workload/function_cells.h — so sharded runs replay exactly this sequence).

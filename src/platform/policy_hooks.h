@@ -71,7 +71,12 @@ class PlatformPolicy {
   }
 
   // Keep-alive granted to a pod of `spec` going idle at `now`. The production default
-  // is one minute (§2.2).
+  // is one minute (§2.2). The platform asks when it binds a request that ends last
+  // on its pod, so `now` is that request's end — the pod's idle start — and lies in
+  // the simulated future; it is not monotone across calls (a short request bound
+  // later can end before a long one bound earlier). A later-ending request bound
+  // before `now` asks again and replaces the answer. The shipped overrides read no
+  // clock: they answer from state observed up to the bind (arrivals, forecasts).
   virtual SimDuration KeepAliveFor(const workload::FunctionSpec& spec, SimTime now) {
     (void)spec;
     (void)now;

@@ -182,6 +182,8 @@ class ForecastPrewarmPolicy : public platform::PlatformPolicy {
 
   const Options& options() const { return options_; }
   int64_t prewarms_issued() const { return prewarms_issued_; }
+  // Keep-alive answers above / at or below the default, one per KeepAliveFor
+  // call: one per bound request that ends last on its pod.
   int64_t keepalive_extended() const { return keepalive_extended_; }
   int64_t keepalive_curtailed() const { return keepalive_curtailed_; }
   int64_t tracked_functions() const {

@@ -73,8 +73,9 @@ struct PodLifetimeRecord {
   uint8_t pad0[5] = {};
   SimTime cold_start_begin = 0;
   SimTime ready_time = 0;       // cold_start_begin + cold_start_us.
-  SimTime last_busy_end = 0;    // End of the last request served.
-  SimTime death_time = 0;       // last_busy_end + keep-alive (or horizon end).
+  SimTime last_busy_end = 0;    // Latest end of the requests it served.
+  SimTime death_time = 0;       // last_busy_end + keep-alive, or censored at the
+                                // horizon (never before last_busy_end).
   uint32_t cold_start_us = 0;
   uint32_t requests_served = 0;
 };
