@@ -843,14 +843,13 @@ void Platform::SaveCheckpointState(ByteWriter& w) const {
     w.I64(p.idle_us);
     // The bound ends still running, in array order. Ended ones are free slots
     // a plain run has not retired yet; they change no decision, so they are
-    // retired here (the live count alone decides whether the pod has a slot).
-    const auto live_end = [now](SimTime end) { return end > now; };
-    const auto ends_begin = p.ends.begin();
-    const auto ends_end = ends_begin + h.slots_used;
-    w.U64(static_cast<uint64_t>(std::count_if(ends_begin, ends_end, live_end)));
-    for (auto it = ends_begin; it != ends_end; ++it) {
-      if (live_end(*it)) {
-        w.I64(*it);
+    // retired here (the running count alone decides whether the pod has a slot).
+    const auto bound_end = p.ends.begin() + h.slots_used;
+    w.U64(static_cast<uint64_t>(std::count_if(
+        p.ends.begin(), bound_end, [now](SimTime end) { return end > now; })));
+    for (auto end = p.ends.begin(); end != bound_end; ++end) {
+      if (*end > now) {
+        w.I64(*end);
       }
     }
     // Every alive pod holds exactly one live keep-alive, the event that will
@@ -970,7 +969,6 @@ void Platform::RestoreCheckpointState(
     COLDSTART_CHECK_LE(num_ends,
                        static_cast<uint64_t>(population_.functions[p.function].pod_concurrency));
     h.slots_used = static_cast<int>(num_ends);
-    h.next_end = kNoBoundEnd;
     for (size_t k = 0; k < num_ends; ++k) {
       const SimTime end = r.I64();
       COLDSTART_CHECK_GT(end, now);

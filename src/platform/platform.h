@@ -84,6 +84,9 @@ struct Pod {
   std::array<SimTime, kMaxPodConcurrency> ends;
 };
 
+// PodHot::next_end of a pod with no bound request.
+inline constexpr SimTime kNoBoundEnd = INT64_MAX;
+
 // The per-pod state the arrival hot path reads and writes, split out of Pod
 // into a dense slot-indexed array. slots_used counts the pod's bound ends,
 // retired lazily: a request holds its slot until its end time, so the pod has
@@ -92,11 +95,10 @@ struct PodHot {
   SimTime ready_time = 0;
   // The latest bound end (ready_time before the first request).
   SimTime last_busy_end = 0;
-  // The earliest bound end; kNoBoundEnd when none is bound.
-  SimTime next_end = 0;
+  // The earliest bound end.
+  SimTime next_end = kNoBoundEnd;
   int slots_used = 0;
 };
-inline constexpr SimTime kNoBoundEnd = INT64_MAX;
 
 // Pod ids carry their region in the high bits so per-region id streams never collide
 // and a sharded run mints exactly the ids the serial run would have minted. With
