@@ -966,8 +966,8 @@ void Platform::RestoreCheckpointState(
     // Only running requests were saved: each ends after the clock, and they
     // fit the function's concurrency.
     const uint64_t num_ends = r.U64();
-    COLDSTART_CHECK_LE(num_ends,
-                       static_cast<uint64_t>(population_.functions[p.function].pod_concurrency));
+    const int concurrency = population_.functions[p.function].pod_concurrency;
+    COLDSTART_CHECK_LE(num_ends, static_cast<uint64_t>(concurrency));
     h.slots_used = static_cast<int>(num_ends);
     for (size_t k = 0; k < num_ends; ++k) {
       const SimTime end = r.I64();
