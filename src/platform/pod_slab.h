@@ -156,7 +156,11 @@ class Slab {
   // ---------------------------------------------------------------------------
 
  private:
-  static constexpr uint32_t kChunkBits = 9;
+  // 128 slots. A chunk is value-initialised whole when it is added, so it is
+  // resident from then on: each shard of a sharded run pays at least one
+  // chunk per slab, and a smaller chunk keeps that floor near what the shard
+  // uses. 512-slot chunks cost month_sharded about 0.3 MB of peak RSS.
+  static constexpr uint32_t kChunkBits = 7;
   static constexpr uint32_t kChunkSize = 1u << kChunkBits;
   struct Slot {
     T value{};
