@@ -24,10 +24,11 @@
 // fingerprint, which covers days, scale, cells and the build's fingerprint
 // salt; another trace mode; another region count) is refused with one line
 // naming DIR and the mismatch: it cannot be resumed, and starting over would
-// mix two runs' files in one directory.
+// mix two runs' files in one directory. So is a DIR whose checkpoint files
+// another checkpoint format version wrote (an older build, say).
 //
 // Exit status: 0 completed, 3 halted at a checkpoint (resume to continue),
-// 2 usage error, 4 DIR holds a checkpoint of another run.
+// 2 usage error, 4 DIR holds a checkpoint of another run or format version.
 #include <atomic>
 #include <cinttypes>
 #include <csignal>
@@ -151,6 +152,17 @@ int main(int argc, char** argv) {
                    "(%s differs); use a fresh directory\n",
                    dir.c_str(), mismatch);
       return 4;
+    }
+    for (const checkpoint::ManifestEntry& entry : manifest.entries) {
+      const std::string file = checkpoint::CheckpointFileName(entry.day, entry.shard);
+      if (checkpoint::ReadCheckpointVersion(dir + "/" + file) ==
+          checkpoint::CheckpointVersion::kOther) {
+        std::fprintf(stderr,
+                     "checkpointed_run: %s holds a checkpoint of another format "
+                     "version (%s); use a fresh directory\n",
+                     dir.c_str(), file.c_str());
+        return 4;
+      }
     }
     std::printf("resuming from %s\n", checkpoint::ManifestPath(dir).c_str());
   }

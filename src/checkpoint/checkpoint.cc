@@ -3,6 +3,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <utility>
 
 #include "common/byte_serde.h"
@@ -13,8 +14,11 @@ namespace coldstart::checkpoint {
 
 namespace {
 
-// "cckptv12" / "cmnft_v4" / "ccseg_v1", little-endian (a two-digit version
-// takes the underscore's byte). Checkpoint v12 saves each pod's running
+// "cckptv13" / "cmnft_v4" / "ccseg_v1", little-endian (a two-digit version
+// takes the underscore's byte). Checkpoint v13 saves each cell's in-flight
+// cold-start ready keys and drops the load-decrement event kind: a cold
+// start's load leaves its cell's counters when the running event passes its
+// ready key, with no event at the ready time. v12 saves each pod's running
 // requests' end times in place of its slot count and drops the completion
 // event kind and its execution-start field: a request holds its slot until
 // its end time, with no event at the end. v11 writes the platform's
@@ -36,8 +40,11 @@ namespace {
 // ledger's 128-bit sums and the per-pod warm-idle accumulator; v3 made the
 // LogHistogram latency sum 128-bit fixed point (manifest v3 added
 // shards_per_region, layout-unchanged since). Older files encode different
-// layouts and are rejected here as "bad magic" rather than half-restored.
-constexpr uint64_t kCheckpointMagic = 0x32317674706B6363ull;
+// layouts and are rejected here, named as another format version, rather than
+// half-restored.
+constexpr uint64_t kCheckpointMagic = 0x33317674706B6363ull;
+// The checkpoint magic's first six bytes, "cckptv", shared by every version.
+constexpr uint64_t kCheckpointFamilyMask = 0x0000FFFFFFFFFFFFull;
 constexpr uint64_t kManifestMagic = 0x34765F74666E6D63ull;
 constexpr uint64_t kSegmentMagic = 0x31765F6765736363ull;
 
@@ -105,11 +112,35 @@ bool WriteCheckpointFile(const std::string& path, const CheckpointMeta& meta,
   return WriteFramedFile(path, kCheckpointMagic, {w.data(), payload});
 }
 
+CheckpointVersion ReadCheckpointVersion(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in.is_open()) {
+    return CheckpointVersion::kMissing;
+  }
+  uint64_t magic = 0;
+  const bool whole =
+      static_cast<bool>(in.read(reinterpret_cast<char*>(&magic), sizeof(magic)));
+  if (whole && magic == kCheckpointMagic) {
+    return CheckpointVersion::kCurrent;
+  }
+  if (whole && ((magic ^ kCheckpointMagic) & kCheckpointFamilyMask) == 0) {
+    return CheckpointVersion::kOther;
+  }
+  return CheckpointVersion::kUnrecognized;
+}
+
 bool ReadCheckpointFile(const std::string& path, CheckpointMeta* meta,
                         std::string* payload) {
   FrameReader reader;
-  if (!OpenOrDie(path, kCheckpointMagic, reader)) {
+  const char* why = nullptr;
+  const FrameStatus status = reader.Open(path, kCheckpointMagic, &why);
+  if (status == FrameStatus::kMissing) {
     return false;
+  }
+  if (status == FrameStatus::kCorrupt) {
+    Corrupt(path, ReadCheckpointVersion(path) == CheckpointVersion::kOther
+                      ? "written in another checkpoint format version"
+                      : why);
   }
   char head[kMetaBytes];
   reader.Read(head, sizeof(head));

@@ -54,9 +54,22 @@ bool WriteCheckpointFile(const std::string& path, const CheckpointMeta& meta,
                          const std::string& payload);
 
 // Reads and validates `path`. Returns false when the file does not exist;
-// aborts (loudly, naming the file) when it exists but is corrupt.
+// aborts (loudly, naming the file) when it exists but is corrupt or in another
+// format version.
 bool ReadCheckpointFile(const std::string& path, CheckpointMeta* meta,
                         std::string* payload);
+
+// A checkpoint file's format version, judged by its magic alone: the first
+// six bytes name a checkpoint file, the last two its format version. A driver
+// asks before resuming, so a directory an older (or newer) build wrote is
+// refused as such rather than aborted as corrupt.
+enum class CheckpointVersion {
+  kMissing,       // The file does not open.
+  kCurrent,       // This build's format; ReadCheckpointFile checks the rest.
+  kOther,         // A checkpoint file of another format version.
+  kUnrecognized,  // No checkpoint magic at all: ReadCheckpointFile aborts.
+};
+CheckpointVersion ReadCheckpointVersion(const std::string& path);
 
 // Atomically writes one segment whose payload is the concatenation of
 // `spans`. Returns false on I/O failure.

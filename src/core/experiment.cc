@@ -309,8 +309,9 @@ int64_t RestoreShard(const std::string& dir, const checkpoint::ManifestEntry& en
 // deleted: the directory keeps the committed file and the one it replaced.
 // Segments are never deleted, since every later day file lists them. Every
 // name is derived from (day, shard), never read from disk. A resumed run
-// starts its history at the seeded entry, so the file that preceded that
-// entry stays on disk.
+// starts its history at the seeded entry, so a shard's first commit after a
+// resume deletes the shard's day files from before that entry instead: the
+// run that wrote the entry left the one before it on disk.
 class CheckpointCommitter {
  public:
   CheckpointCommitter(const CheckpointPolicy& policy, uint64_t fingerprint,
@@ -358,17 +359,27 @@ class CheckpointCommitter {
           entries.begin(), entries.end(), shard,
           [](const checkpoint::ManifestEntry& e, uint32_t id) { return e.shard < id; });
       std::string replaced;
+      // Days below this one hold the shard's day files a resumed run's
+      // predecessor left; only a seeded entry's first replacement sets it.
+      int64_t prune_below = 0;
       if (it != entries.end() && it->shard == shard) {
         replaced = checkpoint::CheckpointFileName(it->day, shard);
+        if (superseded_.count(shard) == 0) {
+          prune_below = it->day;
+        }
         it->day = day;
       } else {
         entries.insert(it, {shard, day});
       }
       COLDSTART_CHECK(checkpoint::WriteManifest(policy_.dir, manifest_) &&
                       "failed to write checkpoint manifest");
+      std::error_code ec;
+      for (int64_t d = 1; d < prune_below; ++d) {
+        std::filesystem::remove(policy_.dir + "/" + checkpoint::CheckpointFileName(d, shard),
+                                ec);
+      }
       std::string& superseded = superseded_[shard];
       if (!superseded.empty()) {
-        std::error_code ec;
         std::filesystem::remove(policy_.dir + "/" + superseded, ec);
       }
       superseded = std::move(replaced);

@@ -97,7 +97,10 @@ struct ExperimentResult {
   platform::ResourceCostLedger cost_ledger;
   // Total simulator events. Note: a sharded run processes a handful more events
   // than a serial one (per-shard day starts and policy ticks); the traces and the
-  // per-region aggregates above are nevertheless identical.
+  // per-region aggregates above are nevertheless identical. A trace-cache hit
+  // returns the count the writing build stored, so a file written by a build
+  // that still queued cancelled keep-alives and load decrements reports more
+  // events than a fresh run (the traces are identical).
   uint64_t events_processed = 0;
   double sim_wall_seconds = 0;
   // -1: the run completed (Finalize ran, the store is sealed). Otherwise the

@@ -304,7 +304,39 @@ int64_t Platform::delayed_allocations(RegionId region) const {
 }
 
 int64_t Platform::active_cold_starts(RegionId region) const {
-  return SumOverCells(region, [](const Cell& c) { return c.load.active_cold_starts; });
+  return SumOverCells(region, [this](const Cell& c) {
+    SettleLoad(c);
+    return c.load.active_cold_starts;
+  });
+}
+
+void Platform::SettleLoad(const Cell& cell) const {
+  // A key (t, s) would have fired by now iff it orders before the running
+  // event's (now, current_seq); between events current_seq is kNoEvent, so
+  // every key at the clock has.
+  const SimTime now = sim_.now();
+  const uint64_t seq = sim_.current_seq();
+  std::vector<ReadyKey>& ready = cell.ready;
+  while (!ready.empty() && (ready.front().time < now ||
+                            (ready.front().time == now && ready.front().seq < seq))) {
+    std::pop_heap(ready.begin(), ready.end(), ReadyLater);
+    RegionLoadState& l = cell.load;
+    --l.active_cold_starts;
+    --l.active_code_deploys;
+    if (ready.back().has_deps) {
+      --l.active_dep_deploys;
+    }
+    ready.pop_back();
+  }
+}
+
+void Platform::CheckLoadConservation(const Cell& cell) {
+  const int64_t in_flight = static_cast<int64_t>(cell.ready.size());
+  const int64_t with_deps = std::count_if(cell.ready.begin(), cell.ready.end(),
+                                          [](const ReadyKey& k) { return k.has_deps; });
+  COLDSTART_CHECK_EQ(cell.load.active_cold_starts, in_flight);
+  COLDSTART_CHECK_EQ(cell.load.active_code_deploys, in_flight);
+  COLDSTART_CHECK_EQ(cell.load.active_dep_deploys, with_deps);
 }
 
 uint64_t Platform::pods_created() const {
@@ -392,6 +424,7 @@ Pod* Platform::StartColdStart(const FunctionSpec& spec, RegionId region, bool pr
   FunctionState& state = states_[spec.id];
   Cell& cell = CellFor(region, spec.id);
   RegionLoadState& load = cell.load;
+  SettleLoad(cell);
   load.ObserveColdStart(now);  // The event contributes to its own congestion window.
   ColdStartComponents comp = models_[region].Compute(
       spec, cell.pools[static_cast<size_t>(spec.config)], load, now, cell.rng);
@@ -424,15 +457,16 @@ Pod* Platform::StartColdStart(const FunctionSpec& spec, RegionId region, bool pr
   h.slots_used = 0;
 
   // Load counters stay elevated for the duration of the pipeline; the decrements are
-  // what make congestion oscillate with the cold-start rate.
+  // what make congestion oscillate with the cold-start rate. The ready key takes
+  // the seq a decrement event scheduled here would have taken.
+  const bool has_deps = spec.dep_size_kb > 0;
   ++load.active_cold_starts;
   ++load.active_code_deploys;
-  if (spec.dep_size_kb > 0) {
+  if (has_deps) {
     ++load.active_dep_deploys;
   }
-  PendingEvent* decrement = ScheduleEvent(EventKind::kLoadDecrement, h.ready_time).first;
-  decrement->region = region;
-  decrement->function = spec.id;
+  cell.ready.push_back({h.ready_time, sim_.ReserveSeqRange(1), has_deps});
+  std::push_heap(cell.ready.begin(), cell.ready.end(), ReadyLater);
 
   if (prewarmed) {
     ++load.prewarm_spawns;
@@ -535,11 +569,7 @@ void Platform::AssignRequest(Pod* pod, const FunctionSpec& spec, SimTime arrival
 
   if (ends_last) {
     // The pod goes idle at exec_end unless a later request binds first: its
-    // one keep-alive moves there, granted as of the idle start. Only a pod's
-    // first user request finds none to cancel.
-    if (events_.Resolve(pod->keep_alive) != nullptr) {
-      events_.Free(pod->keep_alive);
-    }
+    // one keep-alive moves there, granted as of the idle start.
     const SimDuration keep_alive = policy_ != nullptr
                                        ? policy_->KeepAliveFor(spec, exec_end)
                                        : options_.default_keep_alive;
@@ -551,19 +581,17 @@ std::pair<Platform::PendingEvent*, SlabHandle> Platform::ScheduleEvent(EventKind
                                                                       SimTime t) {
   auto [event, h] = events_.Allocate();
   event->kind = kind;
-  event->time = t;
-  event->seq = sim_.ScheduleAt(t, h.Pack());
+  sim_.ScheduleAt(t, h.Pack(), &event->entry);
   return {event, h};
 }
 
 void Platform::Fire(uint64_t token) {
   const SlabHandle h = SlabHandle::Unpack(token);
   const PendingEvent* live = events_.Resolve(h);
-  if (live == nullptr) {
-    return;  // Cancelled: a keep-alive re-armed by a later-ending request.
-  }
+  COLDSTART_CHECK(live != nullptr);
   const PendingEvent e = *live;
   events_.Free(h);
+  const SimTime now = sim_.now();
   switch (e.kind) {
     case EventKind::kInvoke:
       HandleArrivalBatch(e.function, 1, e.delay_exempt);
@@ -572,17 +600,8 @@ void Platform::Fire(uint64_t token) {
       // Only its keep-alive kills a pod mid-run; it is due at or after the
       // pod's last bound end, so no request is left on the pod.
       Pod* pod = pod_slab_.Resolve(e.pod);
-      COLDSTART_CHECK(pod != nullptr && hot(*pod).last_busy_end <= e.time);
-      KillPod(pod, e.time);
-      return;
-    }
-    case EventKind::kLoadDecrement: {
-      RegionLoadState& l = CellFor(e.region, e.function).load;
-      --l.active_cold_starts;
-      --l.active_code_deploys;
-      if (population_.functions[e.function].dep_size_kb > 0) {
-        --l.active_dep_deploys;
-      }
+      COLDSTART_CHECK(pod != nullptr && hot(*pod).last_busy_end <= now);
+      KillPod(pod, now);
       return;
     }
     case EventKind::kPrewarm:
@@ -591,19 +610,24 @@ void Platform::Fire(uint64_t token) {
       }
       return;
     case EventKind::kDayStart:
-      OpenDayChunk(e.time / kDay);
+      OpenDayChunk(now / kDay);
       return;
     case EventKind::kPolicyTick:
       // The body runs first, then the next tick takes its seq.
-      policy_->OnMinuteTick(e.time);
-      if (e.time + kMinute < calendar_.horizon()) {
-        ScheduleEvent(EventKind::kPolicyTick, e.time + kMinute);
+      policy_->OnMinuteTick(now);
+      if (now + kMinute < calendar_.horizon()) {
+        ScheduleEvent(EventKind::kPolicyTick, now + kMinute);
       }
       return;
   }
 }
 
 void Platform::ArmKeepAlive(Pod* pod, SimTime expiry) {
+  // Only a pod's first keep-alive is scheduled; every later one moves it.
+  if (const PendingEvent* armed = events_.Resolve(pod->keep_alive)) {
+    sim_.RescheduleAt(armed->entry, expiry);
+    return;
+  }
   auto [event, h] = ScheduleEvent(EventKind::kKeepAlive, expiry);
   event->pod = pod->self;
   pod->keep_alive = h;
@@ -670,7 +694,8 @@ void Platform::HandleArrivalBatch(FunctionId fid, size_t count, bool delay_exemp
   // each iteration must observe the slot/load mutations of the previous one.
   const FunctionSpec& fspec = population_.functions.at(fid);
   const SimTime now = sim_.now();
-  RegionLoadState& load = CellFor(fspec.region, fid).load;
+  Cell& cell = CellFor(fspec.region, fid);
+  RegionLoadState& load = cell.load;
   FunctionState& state = states_[fid];
   const int concurrency = fspec.pod_concurrency;
 
@@ -681,6 +706,7 @@ void Platform::HandleArrivalBatch(FunctionId fid, size_t count, bool delay_exemp
         policy_->OnParentRequestStart(fspec, now);
       }
       if (!delay_exempt && !trace::IsSynchronous(fspec.primary_trigger)) {
+        SettleLoad(cell);
         const SimDuration delay = policy_->AdmissionDelay(fspec, now, load);
         if (delay > 0) {
           ++load.delayed_allocations;
@@ -789,9 +815,12 @@ void Platform::SaveCheckpointState(ByteWriter& w) const {
   COLDSTART_CHECK(arrival_cursor_.drained());
 
   // The cell table, cell by cell (doubles travel as bit patterns). The pools'
-  // construction parameters are re-derived from the profiles on restore.
+  // construction parameters are re-derived from the profiles on restore. Each
+  // cell is settled to the clock first, so its ready keys all lie after it.
   w.U64(cells_.size());
   for (const Cell& cell : cells_) {
+    SettleLoad(cell);
+    CheckLoadConservation(cell);
     uint64_t words[4];
     cell.rng.SaveState(words);
     w.Raw(words, sizeof(words));
@@ -815,6 +844,17 @@ void Platform::SaveCheckpointState(ByteWriter& w) const {
     }
     w.I64(cell.visible_cold_starts);
     w.I64(cell.cold_start_latency_sum_us);
+    // The in-flight ready keys in (time, seq) order, which is also a valid
+    // heap order: the bytes do not depend on the heap's history.
+    std::vector<ReadyKey> ready = cell.ready;
+    std::sort(ready.begin(), ready.end(),
+              [](const ReadyKey& a, const ReadyKey& b) { return ReadyLater(b, a); });
+    w.U64(ready.size());
+    for (const ReadyKey& k : ready) {
+      w.I64(k.time);
+      w.U64(k.seq);
+      w.U8(k.has_deps ? 1 : 0);
+    }
   }
 
   // Resource-cost ledger (order-invariant 128-bit sums, two words each).
@@ -882,8 +922,11 @@ void Platform::SaveCheckpointState(ByteWriter& w) const {
     w.U8(e.delay_exempt ? 1 : 0);
     w.U32(e.region);
     w.U64(e.function);
-    w.I64(e.time);
-    w.U64(e.seq);
+    SimTime time = 0;
+    uint64_t seq = 0;
+    sim_.QueuedKey(e.entry, &time, &seq);
+    w.I64(time);
+    w.U64(seq);
     w.U32(e.pod.index);
     w.U32(e.pod.gen);
     w.I64(e.keep_alive);
@@ -934,6 +977,25 @@ void Platform::RestoreCheckpointState(
     }
     cell.visible_cold_starts = r.I64();
     cell.cold_start_latency_sum_us = r.I64();
+    // Each key is still in flight (after the clock), was reserved before the
+    // save (below next_seq) and follows its predecessor, so the sorted
+    // vector is the heap as is.
+    const uint64_t num_ready = r.U64();
+    constexpr size_t kReadyKeyBytes = 8 + 8 + 1;
+    COLDSTART_CHECK_LE(num_ready, r.Remaining() / kReadyKeyBytes);
+    cell.ready.resize(num_ready);
+    for (size_t k = 0; k < num_ready; ++k) {
+      ReadyKey& key = cell.ready[k];
+      key.time = r.I64();
+      key.seq = r.U64();
+      const uint8_t has_deps = r.U8();
+      COLDSTART_CHECK_LE(has_deps, 1);
+      key.has_deps = has_deps == 1;
+      COLDSTART_CHECK_GT(key.time, now);
+      COLDSTART_CHECK_LT(key.seq, sim_.next_seq());
+      COLDSTART_CHECK(k == 0 || ReadyLater(key, cell.ready[k - 1]));
+    }
+    CheckLoadConservation(cell);
   }
 
   cost_ledger_.RestoreState(r);
@@ -1009,13 +1071,14 @@ void Platform::RestoreCheckpointState(
     const uint64_t function = r.U64();
     COLDSTART_CHECK_LT(function, population_.functions.size());
     e.function = static_cast<trace::FunctionId>(function);
-    e.time = r.I64();
-    COLDSTART_CHECK_GT(e.time, now);
-    e.seq = r.U64();
+    const SimTime time = r.I64();
+    COLDSTART_CHECK_GT(time, now);
+    const uint64_t seq = r.U64();
     e.pod.index = r.U32();
     e.pod.gen = r.U32();
     e.keep_alive = r.I64();
     const SlabHandle h{i, events_.slot_generation(i)};
+    e.entry = sim_.RestoreEvent(time, seq, h.Pack());
     if (e.kind == EventKind::kKeepAlive) {
       // Re-link the pod's keep-alive; a pod gets at most one.
       Pod* pod = pod_slab_.Resolve(e.pod);
@@ -1023,8 +1086,7 @@ void Platform::RestoreCheckpointState(
       pod->keep_alive = h;
     }
     COLDSTART_CHECK(e.kind != EventKind::kPolicyTick || policy_ != nullptr);
-    COLDSTART_CHECK(e.kind != EventKind::kDayStart || e.time % kDay == 0);
-    sim_.RestoreEvent(e.time, e.seq, h.Pack());
+    COLDSTART_CHECK(e.kind != EventKind::kDayStart || time % kDay == 0);
   }
   // Every pod came back with exactly one live keep-alive (as on save): the
   // re-link above refuses a second, and this refuses none.
@@ -1047,6 +1109,12 @@ void Platform::RestoreCheckpointState(
 }
 
 void Platform::Finalize() {
+  // Conservation: settled to the clock, each cell's load counters count
+  // exactly the cold starts still in flight.
+  for (const Cell& cell : cells_) {
+    SettleLoad(cell);
+    CheckLoadConservation(cell);
+  }
   sink_.OnHorizon(calendar_.horizon());
   // Pods alive at the end of the trace are censored at the horizon, mirroring how the
   // dataset's month boundary truncates pod lifetimes.

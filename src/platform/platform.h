@@ -13,8 +13,9 @@
 // pipeline, and bind the request to the pod's ready time. Binding does all of the
 // request's work at once: it draws the execution time, emits the request record,
 // schedules the workflow children and, when the request ends last on its pod,
-// re-arms the pod's keep-alive. No event marks a request's end: the slot it holds
-// frees at its end time.
+// moves the pod's keep-alive to the new idle start. No event marks a request's
+// end: the slot it holds frees at its end time, and no event marks a cold
+// start's end either: the load it adds is settled by its ready key (Cell).
 //
 // Region independence: every capacity-coupled piece of mutable state lives in
 // one record per (region, capacity cell): its RNG substream (forked from the
@@ -73,10 +74,10 @@ struct Pod {
   // Accumulated warm-idle time (µs): completed idle intervals between busy
   // periods; the final idle tail is added at death. Feeds the cost ledger.
   int64_t idle_us = 0;
-  // The pod's one live keep-alive entry in the platform's pending-event table,
-  // due at last_busy_end plus the keep-alive granted when the request ending
-  // there was bound. A request that ends last on the pod frees it and arms a
-  // new one, so it resolves for as long as the pod is alive.
+  // The pod's one keep-alive entry in the platform's pending-event table, due
+  // at last_busy_end plus the keep-alive granted when the request ending there
+  // was bound. A request that ends last on the pod re-keys it in place, so it
+  // resolves for as long as the pod is alive and it is what kills the pod.
   SlabHandle keep_alive;
   // End times of the requests bound to the pod, ends[0, PodHot::slots_used),
   // in no particular order. An end <= now is a free slot that has not been
@@ -159,7 +160,8 @@ class Platform : private sim::EventTarget {
   // Serializes the platform's full mutable state. Valid only at a quiescent day
   // boundary (clock at day * kDay - 1: the previous day's chunk fully drained,
   // every pending event an entry of the pending-event table) — CHECKed.
-  // The payload covers the cell table, the cost ledger, the pod slab (with
+  // The payload covers the cell table (with each cell's in-flight ready keys,
+  // settled to the clock first), the cost ledger, the pod slab (with
   // per-function pod-list order), the pending-event table and the arrival
   // stream's state. Policy and sink state are serialized by the caller
   // (core::Experiment), which owns those objects.
@@ -167,7 +169,8 @@ class Platform : private sim::EventTarget {
   // Mirror of SaveCheckpointState on a freshly constructed platform (with
   // Options.resuming set). Restores state, re-queues every pending event under
   // its original (time, seq) key, and attaches `stream` with its cursor state
-  // restored. Call after sim.RestoreClock().
+  // restored. Call after sim.RestoreClock(): each restored ready key must lie
+  // after the clock with a seq below next_seq.
   void RestoreCheckpointState(ByteReader& r,
                               std::unique_ptr<workload::ArrivalStream> stream);
 
@@ -243,6 +246,18 @@ class Platform : private sim::EventTarget {
     SimTime last_time_ = 0;  // Guards the sorted-arrivals stream contract.
   };
 
+  // One cold start in flight: the (ready time, seq) key at which its load
+  // leaves the cell's counters, and whether it fetches a dependency layer.
+  struct ReadyKey {
+    SimTime time = 0;
+    uint64_t seq = 0;
+    bool has_deps = false;
+  };
+  // Min-heap order for std::push_heap/pop_heap: a is "less" when it is later.
+  static bool ReadyLater(const ReadyKey& a, const ReadyKey& b) {
+    return a.time > b.time || (a.time == b.time && a.seq > b.seq);
+  }
+
   // --- The cell table. ---
   // All capacity-coupled mutable state of one (region, cell), stored at
   // region * cells_per_region + cell. Every draw the platform makes comes from
@@ -256,7 +271,15 @@ class Platform : private sim::EventTarget {
     trace::PodId next_pod_seq = 0;
     uint64_t request_salt = 0;       // Mixed with the seq into each request id.
     uint64_t next_request_seq = 0;
-    RegionLoadState load;
+    // A cold start raises load.active_* and pushes its ready key here, a
+    // min-heap by (time, seq), under the seq it reserves when it starts. No
+    // event lowers the counters: SettleLoad applies every key ordered before
+    // the running event just before the load is read, so a read sees exactly
+    // the cold starts an event at the ready key would have left in flight.
+    // Settling changes how the load is stored, not its value, so const
+    // readers settle too; hence mutable.
+    mutable RegionLoadState load;
+    mutable std::vector<ReadyKey> ready;
     std::array<ResourcePool, trace::kNumResourceConfigs> pools;
     int64_t visible_cold_starts = 0;
     int64_t cold_start_latency_sum_us = 0;
@@ -271,6 +294,12 @@ class Platform : private sim::EventTarget {
   // Sum of `value(cell)` over the region's cells.
   template <typename F>
   int64_t SumOverCells(trace::RegionId region, F value) const;
+  // Lowers the cell's load counters by every ready key ordered before the
+  // running event's (now, seq); between events, by every key at or before the
+  // clock. Run before each read of the load.
+  void SettleLoad(const Cell& cell) const;
+  // CHECKs that the cell's in-flight counters equal its ready keys.
+  static void CheckLoadConservation(const Cell& cell);
   // The pod's SoA hot entry (valid while the pod is alive in the slab).
   PodHot& hot(const Pod& pod) { return pod_hot_[pod.self.index]; }
   const PodHot& hot(const Pod& pod) const { return pod_hot_[pod.self.index]; }
@@ -297,6 +326,7 @@ class Platform : private sim::EventTarget {
   // Binds one request to a free slot of `pod` and does all of its work (see the
   // header comment); the pod must have a free slot at `arrival`.
   void AssignRequest(Pod* pod, const workload::FunctionSpec& spec, SimTime arrival);
+  // Arms the pod's keep-alive at `expiry`, or re-keys its armed one there.
   void ArmKeepAlive(Pod* pod, SimTime expiry);
   void KillPod(Pod* pod, SimTime death_time);
   trace::ClusterId PickCluster(const workload::FunctionSpec& spec,
@@ -304,36 +334,38 @@ class Platform : private sim::EventTarget {
 
   // --- The pending-event table. ---
   // Every pending queued event is an entry in events_, and its queue token is
-  // the entry's packed handle. An event is live iff its entry is alive:
-  // cancelling an event frees its entry, and the token then resolves to
-  // nothing. A checkpoint saves the table entry by entry and a restore
-  // re-queues each entry under its original (time, seq) key. The table is
-  // always on, so checkpointed and plain runs consume identical seqs.
+  // the entry's packed handle. Every queued event fires: an event is never
+  // cancelled, and one that must move (a keep-alive) is re-keyed in place
+  // under a fresh seq. An entry is freed when it fires. A checkpoint saves the
+  // table entry by entry and a restore re-queues each entry under its
+  // original (time, seq) key. The table is always on, so checkpointed and
+  // plain runs consume identical seqs.
   enum class EventKind : uint8_t {
-    kInvoke,         // One arrival of `function`, deferred: a workflow child
-                     // or an admission retry (`delay_exempt`).
-    kKeepAlive,      // `pod`, idle since its last bound end, dies.
-    kLoadDecrement,  // A `function` pod's cold start in `region` is ready.
-    kPrewarm,        // SpawnPrewarmedPod(function, region, keep_alive).
-    kDayStart,       // OpenDayChunk(time / kDay).
-    kPolicyTick,     // policy_->OnMinuteTick(time), then the next tick.
+    kInvoke,      // One arrival of `function`, deferred: a workflow child or
+                  // an admission retry (`delay_exempt`).
+    kKeepAlive,   // `pod`, idle since its last bound end, dies.
+    kPrewarm,     // SpawnPrewarmedPod(function, region, keep_alive).
+    kDayStart,    // OpenDayChunk(time / kDay).
+    kPolicyTick,  // policy_->OnMinuteTick(time), then the next tick.
   };
+  // The event's (time, seq) key lives in the queue alone: `entry` names it
+  // (Simulator::RescheduleAt moves it, Simulator::QueuedKey reads it), and an
+  // event runs at the clock it fires at.
   struct PendingEvent {
     EventKind kind = EventKind::kInvoke;
     bool delay_exempt = false;
     trace::RegionId region = 0;
     trace::FunctionId function = 0;
-    SimTime time = 0;
-    uint64_t seq = 0;
+    sim::EventQueue::Entry entry = 0;
     SlabHandle pod;              // kKeepAlive.
     SimDuration keep_alive = 0;  // kPrewarm.
   };
-  // Allocates an entry of `kind` keyed (t, next seq) and queues its token,
+  // Allocates an entry of `kind` and queues its token at (t, next seq),
   // consuming exactly one seq. The caller fills the payload in place (building
   // it in a temporary and copying it in measured ~10% slower on month_serial).
   std::pair<PendingEvent*, SlabHandle> ScheduleEvent(EventKind kind, SimTime t);
-  // sim::EventTarget: resolves the entry `token` names, frees it, and runs its
-  // kind; a cancelled entry (a keep-alive re-armed since) resolves to nothing.
+  // sim::EventTarget: resolves the entry `token` names (it is always live),
+  // frees it, and runs its kind.
   void Fire(uint64_t token) override;
 
   const workload::Population& population_;

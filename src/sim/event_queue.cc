@@ -4,58 +4,99 @@
 
 namespace coldstart::sim {
 
-void EventQueue::Push(SimTime t, uint64_t seq, uint64_t token) {
-  // Sift up through a hole: parents move down until the key fits.
-  const Key key{t, seq, token};
-  size_t i = keys_.size();
-  keys_.push_back(key);
+void EventQueue::SiftUp(size_t i, const Key& key) {
+  // Parents move down through the hole until the key fits.
   while (i > 0) {
     const size_t parent = (i - 1) / 4;
-    if (!Before(key, keys_[parent])) {
+    if (!Before(key, heap_[parent])) {
       break;
     }
-    keys_[i] = keys_[parent];
+    Place(i, heap_[parent]);
     i = parent;
   }
-  keys_[i] = key;
+  Place(i, key);
+}
+
+void EventQueue::SiftDown(size_t i, const Key& key) {
+  // The smallest child moves up through the hole until the key fits.
+  const size_t n = heap_.size();
+  for (;;) {
+    const size_t first = 4 * i + 1;
+    if (first >= n) {
+      break;
+    }
+    size_t best = first;
+    if (first + 4 <= n) {
+      // A full sibling group: a branch-free tournament.
+      const size_t lo = first + Before(heap_[first + 1], heap_[first]);
+      const size_t hi = first + 2 + Before(heap_[first + 3], heap_[first + 2]);
+      best = Before(heap_[hi], heap_[lo]) ? hi : lo;
+    } else {
+      for (size_t c = first + 1; c < n; ++c) {
+        if (Before(heap_[c], heap_[best])) {
+          best = c;
+        }
+      }
+    }
+    if (!Before(heap_[best], key)) {
+      break;
+    }
+    Place(i, heap_[best]);
+    i = best;
+  }
+  Place(i, key);
+}
+
+EventQueue::Entry EventQueue::Push(SimTime t, uint64_t seq, uint64_t token) {
+  Entry entry;
+  if (free_.empty()) {
+    COLDSTART_CHECK_LT(slots_.size(), size_t{UINT32_MAX});
+    entry = static_cast<Entry>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    entry = free_.back();
+    free_.pop_back();
+  }
+  slots_[entry].token = token;
+  heap_.emplace_back();
+  SiftUp(heap_.size() - 1, Key{t, seq, entry});
+  return entry;
+}
+
+size_t EventQueue::PositionOf(Entry entry) const {
+  COLDSTART_CHECK_LT(entry, slots_.size());
+  const size_t i = slots_[entry].position;
+  COLDSTART_CHECK(i < heap_.size() && heap_[i].entry == entry);  // Still queued.
+  return i;
+}
+
+void EventQueue::Rekey(Entry entry, SimTime t, uint64_t seq) {
+  const size_t i = PositionOf(entry);
+  const Key key{t, seq, entry};
+  if (Before(key, heap_[i])) {
+    SiftUp(i, key);
+  } else {
+    SiftDown(i, key);
+  }
+}
+
+void EventQueue::KeyOf(Entry entry, SimTime* time, uint64_t* seq) const {
+  const size_t i = PositionOf(entry);
+  *time = heap_[i].time;
+  *seq = heap_[i].seq;
 }
 
 uint64_t EventQueue::Pop() {
-  COLDSTART_CHECK(!keys_.empty());
-  const uint64_t token = keys_.front().token;
+  COLDSTART_CHECK(!heap_.empty());
+  const Entry top = heap_.front().entry;
+  free_.push_back(top);
   // Sift the last key down from the root.
-  const Key last = keys_.back();
-  keys_.pop_back();
-  const size_t n = keys_.size();
-  if (n > 0) {
-    size_t i = 0;
-    for (;;) {
-      const size_t first = 4 * i + 1;
-      if (first >= n) {
-        break;
-      }
-      size_t best = first;
-      if (first + 4 <= n) {
-        // A full sibling group: a branch-free tournament.
-        const size_t lo = first + Before(keys_[first + 1], keys_[first]);
-        const size_t hi = first + 2 + Before(keys_[first + 3], keys_[first + 2]);
-        best = Before(keys_[hi], keys_[lo]) ? hi : lo;
-      } else {
-        for (size_t c = first + 1; c < n; ++c) {
-          if (Before(keys_[c], keys_[best])) {
-            best = c;
-          }
-        }
-      }
-      if (!Before(keys_[best], last)) {
-        break;
-      }
-      keys_[i] = keys_[best];
-      i = best;
-    }
-    keys_[i] = last;
+  const Key last = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) {
+    SiftDown(0, last);
   }
-  return token;
+  return slots_[top].token;
 }
 
 }  // namespace coldstart::sim

@@ -25,13 +25,16 @@ uint64_t Simulator::RunUntil(SimTime until) {
     }
     now_ = next;
     if (source_first) {
+      current_seq_ = source_seq;
       source_->RunHead();
     } else {
+      current_seq_ = queue_seq;
       target_->Fire(queue_.Pop());
     }
     ++processed;
     ++events_processed_;
   }
+  current_seq_ = kNoEvent;
   // The clock advances to the requested horizon even when the queue drained early.
   if (now_ < until) {
     now_ = until;

@@ -2,11 +2,12 @@
 //
 // A single-threaded event loop with a deterministic total order: events fire by
 // (time, insertion sequence), so two events at the same timestamp run in the order
-// they were scheduled. The queue (event_queue.h) is a 4-ary heap of (time, seq,
-// token) keys and holds nothing else: the simulator hands each popped token to
-// the one attached EventTarget, which owns the event's payload. The queue has no
-// cancel: the platform's token names an entry of its pending-event table and it
-// cancels by freeing the entry, so the token then resolves to nothing.
+// they were scheduled. The queue (event_queue.h) is a 4-ary heap of (time, seq)
+// keys and holds nothing else: the simulator hands each popped token to the one
+// attached EventTarget, which owns the event's payload. The queue has no cancel:
+// every queued event fires. An owner that wants an event at another time
+// re-keys it in place (RescheduleAt), under a fresh seq, as if it had scheduled
+// it anew.
 //
 // Besides the queue, the loop can merge one attached EventSource: a pull-based,
 // time-ordered stream whose entries carry (time, seq) keys but are never
@@ -14,6 +15,8 @@
 // stream a month of arrivals with one live cursor instead of one queued key each.
 #ifndef COLDSTART_SIM_SIMULATOR_H_
 #define COLDSTART_SIM_SIMULATOR_H_
+
+#include <cstdint>
 
 #include "common/check.h"
 #include "common/sim_time.h"
@@ -53,12 +56,34 @@ class Simulator {
   // Queued events only; an attached EventSource's pending entries are not counted.
   size_t pending_events() const { return queue_.size(); }
 
+  // The seq of the event running now: the popped key's, or for an EventSource
+  // head the head's. Between RunUntil calls it is kNoEvent, so every key at
+  // the clock orders before it. Keys kept outside the queue (the platform's
+  // cold-start ready keys) compare against (now(), current_seq()) to tell
+  // whether they would have fired by now.
+  static constexpr uint64_t kNoEvent = UINT64_MAX;
+  uint64_t current_seq() const { return current_seq_; }
+
   // Queues `token` for the attached target at absolute time `t` (>= now) and
-  // returns the sequence number it consumed.
-  uint64_t ScheduleAt(SimTime t, uint64_t token) {
+  // returns the sequence number it consumed. When `entry` is not null it
+  // receives the event's queue entry, which RescheduleAt takes.
+  uint64_t ScheduleAt(SimTime t, uint64_t token, EventQueue::Entry* entry = nullptr) {
     COLDSTART_CHECK_GE(t, now_);
     COLDSTART_CHECK(target_ != nullptr);
-    queue_.Push(t, next_seq_, token);
+    const EventQueue::Entry e = queue_.Push(t, next_seq_, token);
+    if (entry != nullptr) {
+      *entry = e;
+    }
+    return next_seq_++;
+  }
+
+  // Moves the queued event `entry` to absolute time `t` (>= now, earlier or
+  // later than its current time) and returns the fresh sequence number it
+  // consumed: it orders exactly as if ScheduleAt had queued it now, and it
+  // fires once, at its new key.
+  uint64_t RescheduleAt(EventQueue::Entry entry, SimTime t) {
+    COLDSTART_CHECK_GE(t, now_);
+    queue_.Rekey(entry, t, next_seq_);
     return next_seq_++;
   }
 
@@ -95,6 +120,12 @@ class Simulator {
   // reproduces the original (time, seq) total order exactly.
   uint64_t next_seq() const { return next_seq_; }
 
+  // The (time, seq) key the queued event `entry` holds now: the key a
+  // checkpoint writer records for it.
+  void QueuedKey(EventQueue::Entry entry, SimTime* time, uint64_t* seq) const {
+    queue_.KeyOf(entry, time, seq);
+  }
+
   // Restores the clock and counters of a checkpointed run. Must be called on a
   // fresh simulator before any RestoreEvent.
   void RestoreClock(SimTime now, uint64_t next_seq, uint64_t events_processed) {
@@ -107,14 +138,14 @@ class Simulator {
   }
 
   // Re-queues a checkpointed pending event under its *original* (time, seq)
-  // key, in any order. Unlike ScheduleAt this does not consume a sequence
-  // number — the counter was restored wholesale by RestoreClock, which must run
-  // first.
-  void RestoreEvent(SimTime t, uint64_t seq, uint64_t token) {
+  // key, in any order, and returns its queue entry. Unlike ScheduleAt this does
+  // not consume a sequence number — the counter was restored wholesale by
+  // RestoreClock, which must run first.
+  EventQueue::Entry RestoreEvent(SimTime t, uint64_t seq, uint64_t token) {
     COLDSTART_CHECK_GE(t, now_);
     COLDSTART_CHECK_LT(seq, next_seq_);
     COLDSTART_CHECK(target_ != nullptr);
-    queue_.Push(t, seq, token);
+    return queue_.Push(t, seq, token);
   }
   // ---------------------------------------------------------------------------
 
@@ -129,6 +160,7 @@ class Simulator {
   EventSource* source_ = nullptr;  // Not owned; may be null.
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
+  uint64_t current_seq_ = kNoEvent;
   uint64_t events_processed_ = 0;
 };
 

@@ -191,6 +191,9 @@ TEST_F(CheckpointTest, KillAndResumeSerialFullTrace) {
   EXPECT_EQ(uninterrupted.visible_cold_starts, resumed.visible_cold_starts);
   EXPECT_EQ(uninterrupted.cold_start_latency_sum_us,
             resumed.cold_start_latency_sum_us);
+  // Every queued event fires and every pending one is in the checkpoint, so
+  // the resumed run processes exactly the events the plain run does.
+  EXPECT_EQ(uninterrupted.events_processed, resumed.events_processed);
 }
 
 TEST_F(CheckpointTest, KillAndResumeShardedFullTrace) {
@@ -210,6 +213,7 @@ TEST_F(CheckpointTest, KillAndResumeShardedFullTrace) {
   EXPECT_EQ(resumed.interrupted_at_day, -1);
   EXPECT_EQ(trace::Digest(uninterrupted.store), trace::Digest(resumed.store));
   EXPECT_EQ(uninterrupted.visible_cold_starts, resumed.visible_cold_starts);
+  EXPECT_EQ(uninterrupted.events_processed, resumed.events_processed);
 }
 
 TEST_F(CheckpointTest, KillAndResumeSubRegionShardedFullTrace) {
@@ -439,15 +443,18 @@ TEST_F(CheckpointTest, ResumeDeletesOnlyDayFilesItNames) {
   const std::set<std::string> before = names();
   CheckpointPolicy ckpt;
   ckpt.dir = dir_;
-  // Commits days 3 and 4; the day-4 commit prunes the seeded day-2 file.
+  // Commits days 3 and 4: the day-3 commit prunes the day-1 file the killed
+  // run left before its seeded entry, the day-4 commit the seeded day-2 file.
+  // No segment goes.
   const ExperimentResult resumed = Experiment(config).ResumeFrom(dir_, nullptr, 1, &ckpt);
   EXPECT_EQ(resumed.interrupted_at_day, -1);
   const std::set<std::string> after = names();
   std::set<std::string> removed;
   std::set_difference(before.begin(), before.end(), after.begin(), after.end(),
                       std::inserter(removed, removed.end()));
-  EXPECT_EQ(removed, std::set<std::string>{checkpoint::CheckpointFileName(
-                         2, checkpoint::kSerialShard)});
+  EXPECT_EQ(removed,
+            (std::set<std::string>{checkpoint::CheckpointFileName(1, checkpoint::kSerialShard),
+                                   checkpoint::CheckpointFileName(2, checkpoint::kSerialShard)}));
   EXPECT_TRUE(after.count("stray.bin"));
   EXPECT_TRUE(fs::exists(beside));
   fs::remove(beside);
@@ -733,6 +740,34 @@ TEST_F(CheckpointCorruptionTest, TruncatedCheckpointDiesNamingFile) {
   MakeCheckpointDir(config);
   fs::resize_file(checkpoint_file_, fs::file_size(checkpoint_file_) / 2);
   EXPECT_DEATH(Experiment(config).ResumeFrom(dir_), "ckpt_day.*corrupt");
+}
+
+TEST_F(CheckpointCorruptionTest, OtherFormatVersionIsReportedAsSuch) {
+  // The committed payload, reframed under the previous format's magic: the
+  // version probe names it, and a resume dies saying so rather than "bad
+  // magic".
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const ScenarioConfig config = TinyScenario();
+  MakeCheckpointDir(config);
+  EXPECT_EQ(checkpoint::ReadCheckpointVersion(checkpoint_file_),
+            checkpoint::CheckpointVersion::kCurrent);
+  std::string payload;
+  const char* why = nullptr;
+  ASSERT_EQ(ReadFramedFile(checkpoint_file_, FileMagic(checkpoint_file_), &payload, &why),
+            FrameStatus::kOk);
+  constexpr uint64_t kV12Magic = 0x32317674706B6363ull;  // "cckptv12".
+  ASSERT_TRUE(WriteFramedFile(checkpoint_file_, kV12Magic, payload));
+  EXPECT_EQ(checkpoint::ReadCheckpointVersion(checkpoint_file_),
+            checkpoint::CheckpointVersion::kOther);
+  EXPECT_DEATH(Experiment(config).ResumeFrom(dir_),
+               "ckpt_day.*corrupt \\(written in another checkpoint format version\\)");
+
+  const std::string garbage = dir_ + "/garbage.bin";
+  std::ofstream(garbage) << "not a checkpoint";
+  EXPECT_EQ(checkpoint::ReadCheckpointVersion(garbage),
+            checkpoint::CheckpointVersion::kUnrecognized);
+  EXPECT_EQ(checkpoint::ReadCheckpointVersion(dir_ + "/absent.bin"),
+            checkpoint::CheckpointVersion::kMissing);
 }
 
 TEST_F(CheckpointCorruptionTest, HugeTableCountDiesOnBoundsCheck) {

@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/byte_serde.h"
@@ -516,6 +517,111 @@ TEST(PlatformTest, DynamicKeepAliveHookRespected) {
   EXPECT_EQ(pod.death_time, pod.last_busy_end + 5 * kSecond);
 }
 
+// --- The queue holds only events that must fire. ---
+
+TEST(PlatformTest, QueueHoldsOneKeepAlivePerAlivePodAfterManyRearms) {
+  // Every bound request that ends last on its pod moves the pod's one
+  // keep-alive; none leaves a dead key behind in the queue, and cold starts
+  // queue nothing for their ready time. Function 0 takes a request a second
+  // on one pod; function 1's 30 s requests, one every 10 s, keep several pods.
+  FunctionSpec quick = BasicSpec();
+  FunctionSpec slow = BasicSpec();
+  slow.id = 1;
+  slow.exec_median_us = 30e6;
+  TinyWorld world({quick, slow});
+  std::vector<workload::ArrivalEvent> arrivals;
+  for (int i = 0; i < 300; ++i) {
+    arrivals.push_back({kHour + i * kSecond, 0});
+    if (i % 10 == 0) {
+      arrivals.push_back({kHour + i * kSecond, 1});
+    }
+  }
+  world.platform->AttachArrivalStream(std::make_unique<workload::MaterializedArrivalStream>(
+      arrivals, workload::NumDayChunks(world.calendar)));
+  for (const SimTime at : {kHour + 95 * kSecond, kHour + 250 * kSecond + 1}) {
+    world.sim.RunUntil(at);
+    // The day start fired at 0: only keep-alives are left.
+    const int alive = world.platform->alive_pod_count(0) + world.platform->alive_pod_count(1);
+    EXPECT_GE(world.platform->alive_pod_count(1), 2);
+    EXPECT_EQ(world.sim.pending_events(), static_cast<size_t>(alive));
+  }
+  world.sim.RunUntil(world.calendar.horizon());
+  world.platform->Finalize();
+  world.store.Seal();
+  // Function 0's one pod took every request, re-arming 299 times.
+  int quick_pods = 0;
+  for (const auto& pod : world.store.pods()) {
+    if (pod.function_id == 0) {
+      ++quick_pods;
+      EXPECT_EQ(pod.requests_served, 300u);
+    }
+  }
+  EXPECT_EQ(quick_pods, 1);
+  EXPECT_EQ(world.sim.pending_events(), 0u);
+}
+
+TEST(PlatformTest, ShortenedKeepAliveMovesEarlier) {
+  // The policy grants the first request ten minutes and the second five
+  // seconds: the re-key moves the pod's death earlier, not later.
+  struct Shrinking : PlatformPolicy {
+    SimDuration KeepAliveFor(const FunctionSpec&, SimTime) override {
+      return calls++ == 0 ? 10 * kMinute : 5 * kSecond;
+    }
+    int calls = 0;
+  } policy;
+  TinyWorld world({BasicSpec()}, 1, &policy);
+  world.Run({{kHour, 0}, {kHour + kSecond, 0}});
+  ASSERT_EQ(world.store.pods().size(), 1u);
+  const auto& pod = world.store.pods()[0];
+  EXPECT_EQ(pod.requests_served, 2u);
+  EXPECT_EQ(pod.death_time, pod.last_busy_end + 5 * kSecond);
+}
+
+// Records the in-flight cold-start count each admission decision reads.
+struct LoadReader : PlatformPolicy {
+  SimDuration AdmissionDelay(const FunctionSpec&, SimTime now,
+                             const RegionLoadState& load) override {
+    reads.emplace_back(now, load.active_cold_starts);
+    return 0;
+  }
+  std::vector<std::pair<SimTime, int>> reads;
+};
+
+TEST(PlatformTest, ReadAtAReadyMicrosecondSeesTheDecrementIffItsSeqIsLower) {
+  // Function 0 cold-starts at `start`; function 1, asynchronous, arrives at
+  // exactly the µs that cold start is ready and reads the load. A day's
+  // arrivals take their seqs when the day starts, so the ready key (reserved
+  // by the cold start) orders after an arrival of the same day and before one
+  // of the next day. The read sees the cold start in flight iff its key is
+  // the later one.
+  FunctionSpec sync = BasicSpec();
+  FunctionSpec async = BasicSpec();
+  async.id = 1;
+  async.primary_trigger = Trigger::kObs;
+  const auto ready_after = [&](SimTime start) {
+    LoadReader policy;
+    TinyWorld world({sync, async}, 2, &policy);
+    world.Run({{start, 0}});
+    const trace::ColdStartRecord& cs = world.store.cold_starts().at(0);
+    return cs.timestamp + static_cast<SimTime>(cs.cold_start_us);
+  };
+  const auto read_at_ready = [&](SimTime start) {
+    const SimTime ready = ready_after(start);
+    LoadReader policy;
+    TinyWorld world({sync, async}, 2, &policy);
+    world.Run({{start, 0}, {ready, 1}});
+    EXPECT_EQ(world.store.cold_starts().size(), 2u);
+    EXPECT_EQ(world.store.cold_starts().at(0).timestamp, start);
+    EXPECT_EQ(policy.reads.size(), 1u);
+    EXPECT_EQ(policy.reads.at(0).first, ready);
+    return std::pair(ready / kDay, policy.reads.at(0).second);
+  };
+  // Same day: the ready seq is higher, so the cold start is still in flight.
+  EXPECT_EQ(read_at_ready(kHour), std::pair(int64_t{0}, 1));
+  // Ready on the next day: the ready seq is lower, so its load is gone.
+  EXPECT_EQ(read_at_ready(kDay - kMillisecond), std::pair(int64_t{1}, 0));
+}
+
 TEST(PlatformTest, CrossRegionRoutingExecutesElsewhere) {
   struct RouteToR2 : PlatformPolicy {
     trace::RegionId RouteColdStart(const FunctionSpec&, SimTime) override { return 1; }
@@ -653,7 +759,7 @@ TEST_P(PlatformCheckpointTest, SaveRestoreSaveByteIdenticalWithEveryEventKindPen
       {kDay - kMinute, 2},            // Invoke pending until kDay + 4 min.
       {kDay - 30 * kSecond, 1},       // Keep-alive pending; arms the prewarm.
       {kDay - 10 * kSecond, 0},       // Its request still runs.
-      {kDay - kMillisecond, 4}};      // Load decrement pending; runs later.
+      {kDay - kMillisecond, 4}};      // Cold start in flight; ready later.
   EveryKindPolicy policy;
   TinyWorld world(specs, /*days=*/2, &policy, /*cells=*/GetParam());
   const auto stream = [&] {
@@ -686,6 +792,7 @@ TEST_P(PlatformCheckpointTest, SaveRestoreSaveByteIdenticalWithEveryEventKindPen
   EXPECT_EQ(restored.prewarm_spawns(0), 0);
   sim.RunUntil(world.calendar.horizon());
   world.sim.RunUntil(world.calendar.horizon());
+  EXPECT_EQ(sim.events_processed(), world.sim.events_processed());
   EXPECT_EQ(restored.active_cold_starts(0), 0);
   EXPECT_EQ(restored.prewarm_spawns(0), 1);
   restored.Finalize();

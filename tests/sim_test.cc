@@ -247,6 +247,100 @@ TEST(SimulatorTest, RestoredEventsPopInTimeSeqOrder) {
   EXPECT_EQ(target.log, (Tokens{12, 64, 1, 7, 99, 100, 3, 17, 42, 80, 0}));
 }
 
+// --- Re-keying in place. ---
+
+TEST(SimulatorTest, RekeyedEventFiresOnceAtItsNewKey) {
+  // A re-key takes a fresh seq, as a new schedule would: moved later onto an
+  // occupied µs it fires after the event already there, and it never fires
+  // at its old key.
+  Simulator sim;
+  RecordingTarget target(sim);
+  EventQueue::Entry moved = 0;
+  EXPECT_EQ(sim.ScheduleAt(100, 7, &moved), 0u);
+  sim.ScheduleAt(500, 1);
+  sim.ScheduleAt(300, 2);
+  EXPECT_EQ(sim.pending_events(), 3u);
+  EXPECT_EQ(sim.RescheduleAt(moved, 500), 3u);
+  EXPECT_EQ(sim.pending_events(), 3u);
+  EXPECT_EQ(sim.next_seq(), 4u);
+  sim.RunUntil(kForever);
+  EXPECT_EQ(target.log, (Tokens{2, 1, 7}));
+  EXPECT_EQ(target.times, (std::vector<SimTime>{300, 500, 500}));
+  EXPECT_EQ(sim.events_processed(), 3u);
+}
+
+TEST(SimulatorTest, RekeyedEventCanMoveEarlier) {
+  // Moved earlier onto an occupied µs, the fresh seq still orders it after
+  // the event that was scheduled there first.
+  Simulator sim;
+  RecordingTarget target(sim);
+  sim.ScheduleAt(200, 1);
+  EventQueue::Entry moved = 0;
+  sim.ScheduleAt(900, 7, &moved);
+  sim.ScheduleAt(400, 2);
+  sim.RunUntil(150);
+  sim.RescheduleAt(moved, 200);
+  EXPECT_EQ(sim.pending_events(), 3u);
+  sim.RunUntil(kForever);
+  EXPECT_EQ(target.log, (Tokens{1, 7, 2}));
+  EXPECT_EQ(target.times, (std::vector<SimTime>{200, 200, 400}));
+}
+
+TEST(SimulatorTest, ReschedulingIntoThePastDies) {
+  Simulator sim;
+  RecordingTarget target(sim);
+  EventQueue::Entry entry = 0;
+  sim.ScheduleAt(100, 0, &entry);
+  sim.RunUntil(50);
+  EXPECT_DEATH(sim.RescheduleAt(entry, 40), "CHECK");
+}
+
+TEST(SimulatorTest, RandomRekeysMatchReferenceOrder) {
+  // Pushes, re-keys (both directions) and pops, interleaved at random, pop in
+  // exactly the order of a brute-force model that keeps each live event's
+  // latest (time, seq) key.
+  Simulator sim;
+  RecordingTarget target(sim);
+  Rng rng(29);
+  struct Live {
+    SimTime time;
+    uint64_t seq;
+    EventQueue::Entry entry;
+  };
+  std::vector<std::pair<uint64_t, Live>> live;  // (token, key) per live event.
+  Tokens expected;
+  uint64_t next_token = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const uint64_t op = rng.NextBounded(8);
+    const SimTime t = sim.now() + static_cast<SimTime>(rng.NextBounded(1000));
+    if (op < 3 || live.empty()) {
+      EventQueue::Entry entry = 0;
+      const uint64_t seq = sim.ScheduleAt(t, next_token, &entry);
+      live.push_back({next_token++, Live{t, seq, entry}});
+    } else if (op < 5) {
+      Live& l = live[rng.NextBounded(live.size())].second;
+      l.time = t;
+      l.seq = sim.RescheduleAt(l.entry, t);
+    } else {
+      // Run to the earliest time: the model fires every event there in seq
+      // order, and the queue must agree.
+      std::sort(live.begin(), live.end(), [](const auto& a, const auto& b) {
+        return std::pair(a.second.time, a.second.seq) <
+               std::pair(b.second.time, b.second.seq);
+      });
+      const SimTime fire_at = live.front().second.time;
+      auto end = live.begin();
+      while (end != live.end() && end->second.time == fire_at) {
+        expected.push_back((end++)->first);
+      }
+      live.erase(live.begin(), end);
+      sim.RunUntil(fire_at);
+      ASSERT_EQ(target.log, expected) << "step " << step;
+    }
+    ASSERT_EQ(sim.pending_events(), live.size());
+  }
+}
+
 // --- EventSource merging. ---
 
 // A stream of `count` events at fixed `stride` spacing, opened with a reserved
