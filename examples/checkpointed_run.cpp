@@ -24,8 +24,8 @@
 // fingerprint, which covers days, scale, cells and the build's fingerprint
 // salt; another trace mode; another region count) is refused with one line
 // naming DIR and the mismatch: it cannot be resumed, and starting over would
-// mix two runs' files in one directory. So is a DIR whose checkpoint files
-// another checkpoint format version wrote (an older build, say).
+// mix two runs' files in one directory. So is a DIR whose manifest or
+// checkpoint files another format version wrote (an older build, say).
 //
 // Exit status: 0 completed, 3 halted at a checkpoint (resume to continue),
 // 2 usage error, 4 DIR holds a checkpoint of another run or format version.
@@ -34,6 +34,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <optional>
 #include <string>
 
@@ -133,6 +134,19 @@ int main(int argc, char** argv) {
   std::signal(SIGTERM, HandleStopSignal);
 
   core::Experiment experiment(config);
+  // A file an older (or newer) build wrote is refused as such, not aborted as
+  // corrupt.
+  const auto refuse_other_version = [&dir](const std::string& file) {
+    std::fprintf(stderr,
+                 "checkpointed_run: %s holds a checkpoint of another format "
+                 "version (%s); use a fresh directory\n",
+                 dir.c_str(), file.c_str());
+    return 4;
+  };
+  if (checkpoint::ReadManifestVersion(dir) == checkpoint::CheckpointVersion::kOther) {
+    return refuse_other_version(
+        std::filesystem::path(checkpoint::ManifestPath(dir)).filename().string());
+  }
   checkpoint::Manifest manifest;
   const bool resuming = checkpoint::ReadManifest(dir, &manifest);
   if (resuming) {
@@ -157,11 +171,7 @@ int main(int argc, char** argv) {
       const std::string file = checkpoint::CheckpointFileName(entry.day, entry.shard);
       if (checkpoint::ReadCheckpointVersion(dir + "/" + file) ==
           checkpoint::CheckpointVersion::kOther) {
-        std::fprintf(stderr,
-                     "checkpointed_run: %s holds a checkpoint of another format "
-                     "version (%s); use a fresh directory\n",
-                     dir.c_str(), file.c_str());
-        return 4;
+        return refuse_other_version(file);
       }
     }
     std::printf("resuming from %s\n", checkpoint::ManifestPath(dir).c_str());

@@ -46,6 +46,8 @@ constexpr uint64_t kCheckpointMagic = 0x33317674706B6363ull;
 // The checkpoint magic's first six bytes, "cckptv", shared by every version.
 constexpr uint64_t kCheckpointFamilyMask = 0x0000FFFFFFFFFFFFull;
 constexpr uint64_t kManifestMagic = 0x34765F74666E6D63ull;
+// The manifest magic's first five bytes, "cmnft", shared by every version.
+constexpr uint64_t kManifestFamilyMask = 0x000000FFFFFFFFFFull;
 constexpr uint64_t kSegmentMagic = 0x31765F6765736363ull;
 
 // The metadata that opens a checkpoint payload: fingerprint, trace mode,
@@ -57,19 +59,28 @@ constexpr size_t kMetaBytes = 8 + 1 + 4 + 8 + 4;
   std::abort();
 }
 
-// Reads a framed file under this module's failure policy: a missing file is
-// "start fresh"; one that does not validate aborts, naming the file.
-bool ReadFramedOrDie(const std::string& path, uint64_t magic,
-                     std::string* payload) {
-  const char* why = nullptr;
-  const FrameStatus status = ReadFramedFile(path, magic, payload, &why);
-  if (status == FrameStatus::kCorrupt) {
-    Corrupt(path, why);
+// Judges `path` by its magic alone: this build's `magic`, another version of
+// the family the bits under `family_mask` name, or neither.
+CheckpointVersion ProbeVersion(const std::string& path, uint64_t magic,
+                               uint64_t family_mask) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in.is_open()) {
+    return CheckpointVersion::kMissing;
   }
-  return status == FrameStatus::kOk;
+  uint64_t found = 0;
+  const bool whole =
+      static_cast<bool>(in.read(reinterpret_cast<char*>(&found), sizeof(found)));
+  if (whole && found == magic) {
+    return CheckpointVersion::kCurrent;
+  }
+  if (whole && ((found ^ magic) & family_mask) == 0) {
+    return CheckpointVersion::kOther;
+  }
+  return CheckpointVersion::kUnrecognized;
 }
 
-// The same policy for a frame read front to back: Open, the caller's reads,
+// A frame read front to back: a missing file is "start fresh"; one that
+// does not validate aborts, naming the file. Open, the caller's reads,
 // then FinishOrDie.
 bool OpenOrDie(const std::string& path, uint64_t magic, FrameReader& reader) {
   const char* why = nullptr;
@@ -113,20 +124,11 @@ bool WriteCheckpointFile(const std::string& path, const CheckpointMeta& meta,
 }
 
 CheckpointVersion ReadCheckpointVersion(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
-    return CheckpointVersion::kMissing;
-  }
-  uint64_t magic = 0;
-  const bool whole =
-      static_cast<bool>(in.read(reinterpret_cast<char*>(&magic), sizeof(magic)));
-  if (whole && magic == kCheckpointMagic) {
-    return CheckpointVersion::kCurrent;
-  }
-  if (whole && ((magic ^ kCheckpointMagic) & kCheckpointFamilyMask) == 0) {
-    return CheckpointVersion::kOther;
-  }
-  return CheckpointVersion::kUnrecognized;
+  return ProbeVersion(path, kCheckpointMagic, kCheckpointFamilyMask);
+}
+
+CheckpointVersion ReadManifestVersion(const std::string& dir) {
+  return ProbeVersion(ManifestPath(dir), kManifestMagic, kManifestFamilyMask);
 }
 
 bool ReadCheckpointFile(const std::string& path, CheckpointMeta* meta,
@@ -190,8 +192,15 @@ bool WriteManifest(const std::string& dir, const Manifest& manifest) {
 bool ReadManifest(const std::string& dir, Manifest* manifest) {
   const std::string path = ManifestPath(dir);
   std::string payload;
-  if (!ReadFramedOrDie(path, kManifestMagic, &payload)) {
+  const char* why = nullptr;
+  const FrameStatus status = ReadFramedFile(path, kManifestMagic, &payload, &why);
+  if (status == FrameStatus::kMissing) {
     return false;
+  }
+  if (status == FrameStatus::kCorrupt) {
+    Corrupt(path, ReadManifestVersion(dir) == CheckpointVersion::kOther
+                      ? "written in another manifest format version"
+                      : why);
   }
   ByteReader r(payload);
   manifest->fingerprint = r.U64();

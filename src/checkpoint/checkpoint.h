@@ -67,9 +67,12 @@ enum class CheckpointVersion {
   kMissing,       // The file does not open.
   kCurrent,       // This build's format; ReadCheckpointFile checks the rest.
   kOther,         // A checkpoint file of another format version.
-  kUnrecognized,  // No checkpoint magic at all: ReadCheckpointFile aborts.
+  kUnrecognized,  // No magic of the family at all: its reader aborts.
 };
 CheckpointVersion ReadCheckpointVersion(const std::string& path);
+// The same probe for the manifest in `dir`: its first five bytes name a
+// manifest, the last three its format version.
+CheckpointVersion ReadManifestVersion(const std::string& dir);
 
 // Atomically writes one segment whose payload is the concatenation of
 // `spans`. Returns false on I/O failure.
@@ -106,7 +109,8 @@ struct Manifest {
 };
 
 bool WriteManifest(const std::string& dir, const Manifest& manifest);
-// Returns false when `dir` has no manifest; aborts on a corrupt one.
+// Returns false when `dir` has no manifest; aborts on a corrupt one or one in
+// another format version.
 bool ReadManifest(const std::string& dir, Manifest* manifest);
 
 // Canonical file names for a (day, shard) snapshot and for the segment that

@@ -18,6 +18,16 @@ namespace coldstart {
 // multi-span payloads are checksummed without copying them into one buffer.
 uint32_t Crc32(const void* data, size_t size, uint32_t crc = 0);
 
+// The kernels behind Crc32. Each has Crc32's contract for any size, so a test
+// can pin each against a reference on the CPUs that run it. Crc32 picks one
+// once per process: the carry-less kernel where the CPU has it, else
+// slicing-by-8.
+using Crc32Kernel = uint32_t (*)(const void* data, size_t size, uint32_t crc);
+uint32_t Crc32SliceBy8(const void* data, size_t size, uint32_t crc);
+// PCLMULQDQ fold-by-4 over whole 16-byte blocks of spans of 64 bytes or more,
+// slicing-by-8 for the rest; nullptr where the CPU (or target) lacks it.
+Crc32Kernel Crc32CarrylessKernel();
+
 }  // namespace coldstart
 
 #endif  // COLDSTART_COMMON_CRC32_H_

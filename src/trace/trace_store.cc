@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <iterator>
 #include <tuple>
 
 #include "common/check.h"
@@ -41,11 +42,75 @@ void TraceStore::AppendFrom(TraceStore&& other) {
 
 namespace {
 
-// Sorts `rows` unless they already are: a store restored from a sealed cache
-// arrives in canonical order, and the O(n) check spares it the re-sort.
+// Counts the rows of [first, last) off its ascending chain (a row below the
+// last row kept), stopping once the count reaches `limit`.
+template <typename It, typename Less>
+size_t CountOffChain(It first, It last, size_t limit, Less less) {
+  size_t off = 0;
+  It high = first;
+  for (It it = first + 1; it != last && off < limit; ++it) {
+    if (less(*it, *high)) {
+      ++off;
+    } else {
+      high = it;
+    }
+  }
+  return off;
+}
+
+// Moves the `k` rows of [first, last) off its ascending chain aside, sorts
+// them and merges them back in place.
+template <typename It, typename Less>
+void MergeOffChainRows(It first, It last, size_t k, Less less) {
+  std::vector<typename std::iterator_traits<It>::value_type> aside;
+  aside.reserve(k);
+  It kept = first + 1;  // The chain, compacted to the front.
+  for (It it = first + 1; it != last; ++it) {
+    if (less(*it, kept[-1])) {
+      aside.push_back(*it);
+    } else {
+      *kept++ = *it;
+    }
+  }
+  std::sort(aside.begin(), aside.end(), less);
+  It out = last;
+  for (auto j = aside.end(); j != aside.begin();) {
+    *--out = kept != first && less(j[-1], kept[-1]) ? *--kept : *--j;
+  }
+}
+
+// Sorts `rows` into `less` order, leaving the bytes a full std::sort leaves:
+// every key below is a total order, so the sorted table is unique. Tables
+// arrive nearly sorted. A request is recorded at bind and stamped with its
+// execution start, never earlier, so some rows run ahead of their place; a pod
+// is recorded at death and keyed by its birth, so some run behind. Seal counts
+// the rows off the ascending chain read forwards (rows behind) and, unless
+// there are none, off the chain read backwards (rows ahead), then moves the
+// shorter list aside, sorts it and merges it back in place: O(n + k log k)
+// for k rows aside. Where more than half the rows are off both chains (tables
+// AppendFrom concatenated from several shards), std::sort is as cheap and
+// needs no side buffer; a count stops once it cannot be picked.
 template <typename T, typename Less>
-void SortUnlessSorted(std::vector<T>& rows, Less less) {
-  if (!std::is_sorted(rows.begin(), rows.end(), less)) {
+void SortNearlySorted(std::vector<T>& rows, Less less) {
+  const size_t n = rows.size();
+  if (n < 2) {
+    return;
+  }
+  const size_t half = n / 2;
+  const size_t behind = CountOffChain(rows.begin(), rows.end(), half + 1, less);
+  if (behind == 0) {
+    return;
+  }
+  // The backward chain is the ascending chain of the reversed table under the
+  // reversed order.
+  const auto greater = [&less](const T& a, const T& b) { return less(b, a); };
+  const size_t ahead =
+      CountOffChain(rows.rbegin(), rows.rend(), std::min(behind, half + 1), greater);
+  if (ahead < behind && ahead <= half) {
+    MergeOffChainRows(rows.rbegin(), rows.rend(), ahead, greater);
+  } else if (behind <= half) {
+    MergeOffChainRows(rows.begin(), rows.end(), behind, less);
+  } else {
     std::sort(rows.begin(), rows.end(), less);
   }
 }
@@ -60,15 +125,15 @@ void TraceStore::Seal() {
   // its region) names at most one cold-start and one lifetime record. A total order
   // is what guarantees that per-region shards merged in any order seal identically
   // to the serial run.
-  SortUnlessSorted(requests_, [](const RequestRecord& a, const RequestRecord& b) {
+  SortNearlySorted(requests_, [](const RequestRecord& a, const RequestRecord& b) {
     return std::tie(a.timestamp, a.region, a.request_id, a.pod_id) <
            std::tie(b.timestamp, b.region, b.request_id, b.pod_id);
   });
-  SortUnlessSorted(cold_starts_, [](const ColdStartRecord& a, const ColdStartRecord& b) {
+  SortNearlySorted(cold_starts_, [](const ColdStartRecord& a, const ColdStartRecord& b) {
     return std::tie(a.timestamp, a.region, a.pod_id) <
            std::tie(b.timestamp, b.region, b.pod_id);
   });
-  SortUnlessSorted(pods_, [](const PodLifetimeRecord& a, const PodLifetimeRecord& b) {
+  SortNearlySorted(pods_, [](const PodLifetimeRecord& a, const PodLifetimeRecord& b) {
     return std::tie(a.cold_start_begin, a.region, a.pod_id) <
            std::tie(b.cold_start_begin, b.region, b.pod_id);
   });

@@ -4,7 +4,10 @@
 // dataset would. Append during simulation, Seal() once, then run analyses. Records are
 // stored in flat vectors; Seal() sorts into a canonical (timestamp, region, id) total
 // order so analyses can assume time order and so a store assembled from per-region
-// shards (AppendFrom) seals to exactly the same byte sequence as a serial run.
+// shards (AppendFrom) seals to exactly the same byte sequence as a serial run. A
+// serial run's tables arrive nearly sorted, and Seal() merges just their out-of-place
+// rows back in; concatenated shards get a full sort. Either way the bytes are those
+// of a full sort.
 // Runs that cannot afford full materialization emit into a StreamingAggregates sink
 // instead (TraceMode::kStreaming).
 #ifndef COLDSTART_TRACE_TRACE_STORE_H_
@@ -50,7 +53,8 @@ class TraceStore final : public TraceSink {
 
   // Sorts request/cold-start/pod tables into the canonical total order
   // (timestamp, region, record id). Deterministic in the record *multiset* — the
-  // insertion order never shows through — and idempotent.
+  // insertion order never shows through — and idempotent. Costs O(n + k log k)
+  // for k rows out of place, up to half the table; a full sort beyond that.
   void Seal();
   bool sealed() const { return sealed_; }
 

@@ -22,6 +22,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "checkpoint/checkpoint.h"
@@ -770,6 +771,30 @@ TEST_F(CheckpointCorruptionTest, OtherFormatVersionIsReportedAsSuch) {
             checkpoint::CheckpointVersion::kMissing);
 }
 
+TEST_F(CheckpointCorruptionTest, OtherManifestVersionIsReportedAsSuch) {
+  // The same for the manifest, reframed under manifest v3's magic.
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  MakeCheckpointDir(TinyScenario());
+  EXPECT_EQ(checkpoint::ReadManifestVersion(dir_), checkpoint::CheckpointVersion::kCurrent);
+  const std::string manifest_file = checkpoint::ManifestPath(dir_);
+  std::string payload;
+  const char* why = nullptr;
+  ASSERT_EQ(ReadFramedFile(manifest_file, FileMagic(manifest_file), &payload, &why),
+            FrameStatus::kOk);
+  constexpr uint64_t kV3Magic = 0x33765F74666E6D63ull;  // "cmnft_v3".
+  ASSERT_TRUE(WriteFramedFile(manifest_file, kV3Magic, payload));
+  EXPECT_EQ(checkpoint::ReadManifestVersion(dir_), checkpoint::CheckpointVersion::kOther);
+  checkpoint::Manifest manifest;
+  EXPECT_DEATH(checkpoint::ReadManifest(dir_, &manifest),
+               "MANIFEST.bin: corrupt \\(written in another manifest format version\\)");
+
+  std::ofstream(manifest_file, std::ios::trunc) << "not a manifest";
+  EXPECT_EQ(checkpoint::ReadManifestVersion(dir_),
+            checkpoint::CheckpointVersion::kUnrecognized);
+  fs::remove(manifest_file);
+  EXPECT_EQ(checkpoint::ReadManifestVersion(dir_), checkpoint::CheckpointVersion::kMissing);
+}
+
 TEST_F(CheckpointCorruptionTest, HugeTableCountDiesOnBoundsCheck) {
   // A CRC-valid segment whose requests-table count exceeds its payload must
   // die on the reader's bounds CHECK, not in the allocator.
@@ -1004,6 +1029,17 @@ uint32_t BitwiseCrc32(const unsigned char* p, size_t size) {
   return c ^ 0xFFFFFFFFu;
 }
 
+// Every kernel this CPU runs, named: slicing-by-8 always, the carry-less
+// fold wherever the CPU has PCLMULQDQ.
+std::vector<std::pair<const char*, Crc32Kernel>> Crc32Kernels() {
+  std::vector<std::pair<const char*, Crc32Kernel>> kernels = {
+      {"slicing-by-8", Crc32SliceBy8}};
+  if (Crc32CarrylessKernel() != nullptr) {
+    kernels.emplace_back("carry-less", Crc32CarrylessKernel());
+  }
+  return kernels;
+}
+
 TEST(Crc32Test, MatchesBitwiseReference) {
   std::vector<unsigned char> buf((size_t{1} << 20) + 16);
   uint64_t x = 0x9E3779B97F4A7C15ull;
@@ -1011,23 +1047,42 @@ TEST(Crc32Test, MatchesBitwiseReference) {
     x = x * 6364136223846793005ull + 1442695040888963407ull;
     b = static_cast<unsigned char>(x >> 56);
   }
-  // Every length 0-64 at every start offset within a word, odd ones included:
-  // the eight-byte loads must not care about alignment.
-  for (size_t offset = 0; offset < 8; ++offset) {
-    for (size_t len = 0; len <= 64; ++len) {
-      EXPECT_EQ(Crc32(buf.data() + offset, len), BitwiseCrc32(buf.data() + offset, len))
-          << "offset " << offset << " length " << len;
+  for (const auto& [name, crc] : Crc32Kernels()) {
+    // Every length 0-300 at every start offset within a 16-byte block:
+    // neither the eight-byte loads nor the 16-byte folds may care about
+    // alignment, and the lengths cross the fold kernel's 64-byte entry and
+    // several of its 16- and 64-byte steps.
+    for (size_t offset = 0; offset < 16; ++offset) {
+      for (size_t len = 0; len <= 300; ++len) {
+        ASSERT_EQ(crc(buf.data() + offset, len, 0), BitwiseCrc32(buf.data() + offset, len))
+            << name << " offset " << offset << " length " << len;
+      }
+    }
+    EXPECT_EQ(crc(buf.data() + 3, size_t{1} << 20, 0),
+              BitwiseCrc32(buf.data() + 3, size_t{1} << 20))
+        << name;
+    // Chaining at every split point equals one shot over the whole, with
+    // either side of the split on either kernel.
+    const unsigned char* p = buf.data() + 1;
+    constexpr size_t kLen = 300;
+    const uint32_t whole = BitwiseCrc32(p, kLen);
+    for (const auto& [other_name, other] : Crc32Kernels()) {
+      for (size_t split = 0; split <= kLen; ++split) {
+        ASSERT_EQ(other(p + split, kLen - split, crc(p, split, 0)), whole)
+            << name << " then " << other_name << ", split " << split;
+      }
     }
   }
-  EXPECT_EQ(Crc32(buf.data() + 3, size_t{1} << 20),
-            BitwiseCrc32(buf.data() + 3, size_t{1} << 20));
-  // Chaining at every split point equals one shot over the whole.
-  const unsigned char* p = buf.data() + 1;
-  constexpr size_t kLen = 203;
-  const uint32_t whole = BitwiseCrc32(p, kLen);
-  for (size_t split = 0; split <= kLen; ++split) {
-    EXPECT_EQ(Crc32(p + split, kLen - split, Crc32(p, split)), whole) << "split " << split;
-  }
+}
+
+TEST(Crc32Test, PicksTheCarrylessKernelWhereTheCpuHasIt) {
+  const Crc32Kernel carryless = Crc32CarrylessKernel();
+#if defined(__x86_64__)
+  EXPECT_EQ(carryless != nullptr,
+            __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1"));
+#else
+  EXPECT_EQ(carryless, nullptr);
+#endif
 }
 
 TEST(Crc32Test, KnownAnswerAndChaining) {

@@ -3,7 +3,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -323,6 +325,120 @@ TEST(TraceStoreMergeTest, SealedOrderSurvivesRestoreRoundTrip) {
     EXPECT_FALSE(restored.sealed());
     restored.Seal();
     EXPECT_EQ(Digest(restored), digest) << "reverse=" << reverse;
+  }
+}
+
+// Builds all three event tables from `keys`, one row per key in the given
+// order (region and id break ties, so every key order is total), seals, and
+// compares each table byte for byte with std::sort under the canonical order.
+void ExpectSealMatchesFullSort(const std::vector<SimTime>& keys, const char* shape) {
+  std::vector<RequestRecord> requests;
+  std::vector<ColdStartRecord> cold_starts;
+  std::vector<PodLifetimeRecord> pods;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const auto region = static_cast<RegionId>(i % 5);
+    RequestRecord r;
+    r.timestamp = keys[i];
+    r.region = region;
+    r.request_id = i;
+    r.execution_time_us = static_cast<uint32_t>(i);
+    requests.push_back(r);
+    ColdStartRecord c;
+    c.timestamp = keys[i];
+    c.region = region;
+    c.pod_id = i;
+    c.cold_start_us = static_cast<uint32_t>(i);
+    cold_starts.push_back(c);
+    PodLifetimeRecord p;
+    p.cold_start_begin = keys[i];
+    p.region = region;
+    p.pod_id = i;
+    p.requests_served = static_cast<uint32_t>(i);
+    pods.push_back(p);
+  }
+  TraceStore store;
+  store.RestoreTables(requests, cold_starts, {}, pods, kMinute);
+  store.Seal();
+
+  std::sort(requests.begin(), requests.end(), [](const RequestRecord& a, const RequestRecord& b) {
+    return std::tie(a.timestamp, a.region, a.request_id, a.pod_id) <
+           std::tie(b.timestamp, b.region, b.request_id, b.pod_id);
+  });
+  std::sort(cold_starts.begin(), cold_starts.end(),
+            [](const ColdStartRecord& a, const ColdStartRecord& b) {
+              return std::tie(a.timestamp, a.region, a.pod_id) <
+                     std::tie(b.timestamp, b.region, b.pod_id);
+            });
+  std::sort(pods.begin(), pods.end(), [](const PodLifetimeRecord& a, const PodLifetimeRecord& b) {
+    return std::tie(a.cold_start_begin, a.region, a.pod_id) <
+           std::tie(b.cold_start_begin, b.region, b.pod_id);
+  });
+  const auto same_bytes = [](const auto& got, const auto& want) {
+    return got.size() == want.size() &&
+           (want.empty() ||
+            std::memcmp(got.data(), want.data(), want.size() * sizeof(want[0])) == 0);
+  };
+  EXPECT_TRUE(same_bytes(store.requests(), requests)) << shape << ": requests";
+  EXPECT_TRUE(same_bytes(store.cold_starts(), cold_starts)) << shape << ": cold starts";
+  EXPECT_TRUE(same_bytes(store.pods(), pods)) << shape << ": pods";
+}
+
+TEST(TraceStoreTest, SealWritesTheBytesOfAFullSort) {
+  constexpr size_t kRows = 4000;
+  uint64_t x = 0x9E3779B97F4A7C15ull;
+  const auto next = [&x](uint64_t bound) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    return (x >> 33) % bound;
+  };
+  ExpectSealMatchesFullSort({}, "empty");
+  ExpectSealMatchesFullSort({7}, "one row");
+  std::vector<SimTime> sorted;
+  for (size_t i = 0; i < kRows; ++i) {
+    sorted.push_back(static_cast<SimTime>(i / 5));  // Region order breaks the ties.
+  }
+  ExpectSealMatchesFullSort(sorted, "sorted");
+  ExpectSealMatchesFullSort({sorted.rbegin(), sorted.rend()}, "reversed");
+
+  // Request-like: recorded in bind order, keyed by an execution start that is
+  // never earlier, so 13% of rows run up to 127 places ahead. The first row
+  // runs ahead of every other, so the merge puts one row last.
+  std::vector<SimTime> ahead;
+  for (size_t i = 0; i < kRows; ++i) {
+    const SimTime bind = static_cast<SimTime>(i);
+    ahead.push_back(next(100) < 13 ? bind + 1 + static_cast<SimTime>(next(127)) : bind);
+  }
+  ahead.front() = static_cast<SimTime>(2 * kRows);
+  ExpectSealMatchesFullSort(ahead, "ahead of place");
+
+  // Pod-like: recorded at death and keyed by birth; a third live long, so
+  // their rows run behind. The last row was born first, so the merge puts one
+  // row first.
+  std::vector<std::pair<SimTime, SimTime>> deaths;  // (death, birth)
+  for (size_t i = 0; i < kRows; ++i) {
+    const SimTime birth = static_cast<SimTime>(i / 2) + 1;
+    const SimTime life = next(100) < 34 ? 1 + static_cast<SimTime>(next(300)) : 0;
+    deaths.emplace_back(birth + life, birth);
+  }
+  std::stable_sort(deaths.begin(), deaths.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<SimTime> behind;
+  for (const auto& [death, birth] : deaths) {
+    behind.push_back(birth);
+  }
+  behind.back() = 0;
+  ExpectSealMatchesFullSort(behind, "behind place");
+
+  // Sorted runs concatenated, as AppendFrom leaves shards. Two runs leave at
+  // most half the rows off either chain (exactly half here), the widest side
+  // list the merge takes; five leave about four fifths and take std::sort.
+  for (const size_t runs : {size_t{2}, size_t{5}}) {
+    std::vector<SimTime> concatenated;
+    for (size_t run = 0; run < runs; ++run) {
+      for (size_t i = 0; i < kRows / runs; ++i) {
+        concatenated.push_back(static_cast<SimTime>(runs * i + (runs - 1 - run)));
+      }
+    }
+    ExpectSealMatchesFullSort(concatenated, runs == 2 ? "two runs" : "five runs");
   }
 }
 
