@@ -34,7 +34,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <optional>
 #include <string>
 
@@ -134,46 +133,16 @@ int main(int argc, char** argv) {
   std::signal(SIGTERM, HandleStopSignal);
 
   core::Experiment experiment(config);
-  // A file an older (or newer) build wrote is refused as such, not aborted as
-  // corrupt.
-  const auto refuse_other_version = [&dir](const std::string& file) {
-    std::fprintf(stderr,
-                 "checkpointed_run: %s holds a checkpoint of another format "
-                 "version (%s); use a fresh directory\n",
-                 dir.c_str(), file.c_str());
+  // Experiment::ResumeFrom CHECKs its directory as its contract; a stale one
+  // is outside input, so it is refused here first.
+  const std::string refusal = experiment.CheckResumable(dir);
+  if (!refusal.empty()) {
+    std::fprintf(stderr, "checkpointed_run: %s\n", refusal.c_str());
     return 4;
-  };
-  if (checkpoint::ReadManifestVersion(dir) == checkpoint::CheckpointVersion::kOther) {
-    return refuse_other_version(
-        std::filesystem::path(checkpoint::ManifestPath(dir)).filename().string());
   }
   checkpoint::Manifest manifest;
   const bool resuming = checkpoint::ReadManifest(dir, &manifest);
   if (resuming) {
-    // Experiment::ResumeFrom CHECKs these as its contract; a stale directory
-    // is outside input, so it is refused here first.
-    const char* mismatch = nullptr;
-    if (manifest.fingerprint != config.Fingerprint()) {
-      mismatch = "scenario fingerprint";
-    } else if (manifest.trace_mode != static_cast<uint8_t>(config.trace_mode)) {
-      mismatch = "trace mode";
-    } else if (manifest.num_regions != config.profiles.size()) {
-      mismatch = "region count";
-    }
-    if (mismatch != nullptr) {
-      std::fprintf(stderr,
-                   "checkpointed_run: %s holds a checkpoint of another run "
-                   "(%s differs); use a fresh directory\n",
-                   dir.c_str(), mismatch);
-      return 4;
-    }
-    for (const checkpoint::ManifestEntry& entry : manifest.entries) {
-      const std::string file = checkpoint::CheckpointFileName(entry.day, entry.shard);
-      if (checkpoint::ReadCheckpointVersion(dir + "/" + file) ==
-          checkpoint::CheckpointVersion::kOther) {
-        return refuse_other_version(file);
-      }
-    }
     std::printf("resuming from %s\n", checkpoint::ManifestPath(dir).c_str());
   }
   const core::ExperimentResult result =

@@ -10,7 +10,9 @@
 // With --checkpoint DIR the run is crash-safe: state snapshots into DIR at
 // every day boundary, SIGINT/SIGTERM trigger a final checkpoint instead of
 // losing the run, and re-invoking with the same DIR resumes where it stopped
-// (final results bit-identical to an uninterrupted run).
+// (final results bit-identical to an uninterrupted run). A DIR that holds a
+// checkpoint of another run or format version is refused with one line naming
+// it (exit 4), as checkpointed_run refuses it.
 //
 // Usage: year_scale [months] [scale] [--full] [--checkpoint DIR]
 #include <atomic>
@@ -129,6 +131,11 @@ int main(int argc, char** argv) {
     // at any sane scale, so the shutdown is prompt.
     std::signal(SIGINT, HandleStopSignal);
     std::signal(SIGTERM, HandleStopSignal);
+    const std::string refusal = experiment.CheckResumable(checkpoint_dir);
+    if (!refusal.empty()) {
+      std::fprintf(stderr, "year_scale: %s\n", refusal.c_str());
+      return 4;
+    }
     checkpoint::Manifest manifest;
     if (checkpoint::ReadManifest(checkpoint_dir, &manifest)) {
       std::printf("Resuming from checkpoints in %s...\n", checkpoint_dir.c_str());

@@ -468,16 +468,15 @@ void ValidateManifestEntries(const checkpoint::Manifest& manifest,
 // platform sees only that slice's arrivals and its id is s. K is the scenario's
 // cells_per_region when the policy is function-local, 1 when it is
 // capacity-coupled, and the checkpointed value on resume. The whole-run plan is
-// the serial path: one shard spanning every region, fed by the unfiltered
-// stream, driven by the caller's own policy instance and checkpointed as
-// kSerialShard.
+// one shard spanning every region, fed by the unfiltered stream, driven by the
+// caller's own policy instance and checkpointed as kSerialShard.
 struct ShardPlan {
   bool sharded = false;
   uint32_t k = 1;
   size_t num_shards = 1;
-  // One clone per shard when sharded under a policy; empty otherwise (every
-  // shard then runs the caller's instance, which is null or the only shard's).
-  std::vector<std::unique_ptr<platform::PlatformPolicy>> clones;
+  // Sharded under a policy: the clone the planner made as its probe. The first
+  // shard to start takes it; every later shard clones when it starts.
+  std::unique_ptr<platform::PlatformPolicy> probe;
 };
 
 // The one planner behind Run, ResumeFrom and CanShard. A shard is (region,
@@ -489,18 +488,26 @@ struct ShardPlan {
 // the thread budget, so a run's geometry — and its checkpoint — is a property
 // of the scenario, not of the machine. A resume adopts the checkpointed
 // geometry verbatim — shard ids must line up with the manifest entries.
-// Everything else (one thread, a cross-region policy, a policy that cannot
-// clone per-shard state) gets the whole-run plan: same results, one thread.
+// On one thread the shard plan runs its shards back to back, which pays only
+// where shards fold for free: a kStreaming sink and no CheckpointPolicy. A
+// kFull shard adds a table merge and a checkpointed one its own commits, so
+// such a run on one thread keeps the whole-run plan. So do a cross-region
+// policy and a policy that cannot clone per-shard state, at any thread count:
+// same results either way.
 ShardPlan PlanShards(const ScenarioConfig& config, platform::PlatformPolicy* policy,
-                     int threads, const checkpoint::Manifest* resume) {
+                     int threads, const CheckpointPolicy* checkpoint,
+                     const checkpoint::Manifest* resume) {
   const size_t regions = config.profiles.size();
   const uint32_t cells = std::max<uint32_t>(config.cells_per_region, 1u);
   const bool region_local = policy == nullptr || policy->is_region_local();
   const bool function_local =
       region_local && (policy == nullptr || policy->is_function_local());
   const bool shardable = (regions > 1 && region_local) || (cells > 1 && function_local);
+  const bool folds_free =
+      config.trace_mode == TraceMode::kStreaming && checkpoint == nullptr;
   ShardPlan plan;
-  if (resume != nullptr ? !resume->sharded : (threads <= 1 || !shardable)) {
+  if (resume != nullptr ? !resume->sharded
+                        : (!shardable || (threads <= 1 && !folds_free))) {
     return plan;
   }
   COLDSTART_CHECK(shardable &&
@@ -515,16 +522,13 @@ ShardPlan PlanShards(const ScenarioConfig& config, platform::PlatformPolicy* pol
                   "region-coupled state");
   plan.num_shards = regions * plan.k;
   if (policy != nullptr) {
-    plan.clones.resize(plan.num_shards);
-    for (auto& clone : plan.clones) {
-      clone = policy->CloneForShard();
-      if (clone == nullptr) {
-        // Cloning is the probe, so the hot path never builds a throwaway clone
-        // tree. A resume cannot fall back: its checkpoint holds per-shard state.
-        COLDSTART_CHECK(resume == nullptr &&
-                        "sharded checkpoint requires a shardable config and policy");
-        return ShardPlan{};
-      }
+    // Cloning is the probe, so the hot path never builds a throwaway clone.
+    // A resume cannot fall back: its checkpoint holds per-shard state.
+    plan.probe = policy->CloneForShard();
+    if (plan.probe == nullptr) {
+      COLDSTART_CHECK(resume == nullptr &&
+                      "sharded checkpoint requires a shardable config and policy");
+      return ShardPlan{};
     }
   }
   plan.sharded = true;
@@ -733,7 +737,7 @@ void CheckCompletedRunConservation(const ExperimentResult& result,
 
 bool Experiment::CanShard(platform::PlatformPolicy* policy) const {
   // Any thread budget above one: the plan's geometry does not matter here.
-  return PlanShards(config_, policy, /*threads=*/2, nullptr).sharded;
+  return PlanShards(config_, policy, /*threads=*/2, nullptr, nullptr).sharded;
 }
 
 ExperimentResult Experiment::Run(platform::PlatformPolicy* policy,
@@ -765,13 +769,50 @@ ExperimentResult Experiment::ResumeFrom(const std::string& dir,
   return Execute(policy, num_threads, checkpoint, &manifest, dir);
 }
 
+std::string Experiment::CheckResumable(const std::string& dir) const {
+  // A file an older (or newer) build wrote is refused as such, not read as
+  // corrupt.
+  const auto other_version = [&dir](const std::string& file) {
+    return dir + " holds a checkpoint of another format version (" + file +
+           "); use a fresh directory";
+  };
+  if (checkpoint::ReadManifestVersion(dir) == checkpoint::CheckpointVersion::kOther) {
+    return other_version(
+        std::filesystem::path(checkpoint::ManifestPath(dir)).filename().string());
+  }
+  checkpoint::Manifest manifest;
+  if (!checkpoint::ReadManifest(dir, &manifest)) {
+    return "";
+  }
+  const char* mismatch = nullptr;
+  if (manifest.fingerprint != config_.Fingerprint()) {
+    mismatch = "scenario fingerprint";
+  } else if (manifest.trace_mode != static_cast<uint8_t>(config_.trace_mode)) {
+    mismatch = "trace mode";
+  } else if (manifest.num_regions != config_.profiles.size()) {
+    mismatch = "region count";
+  }
+  if (mismatch != nullptr) {
+    return dir + " holds a checkpoint of another run (" + mismatch +
+           " differs); use a fresh directory";
+  }
+  for (const checkpoint::ManifestEntry& entry : manifest.entries) {
+    const std::string file = checkpoint::CheckpointFileName(entry.day, entry.shard);
+    if (checkpoint::ReadCheckpointVersion(dir + "/" + file) ==
+        checkpoint::CheckpointVersion::kOther) {
+      return other_version(file);
+    }
+  }
+  return "";
+}
+
 ExperimentResult Experiment::Execute(platform::PlatformPolicy* policy, int num_threads,
                                      const CheckpointPolicy* checkpoint,
                                      const checkpoint::Manifest* resume,
                                      const std::string& resume_dir) const {
   const int threads =
       num_threads > 0 ? num_threads : ParallelSweep::DefaultThreads();
-  const ShardPlan plan = PlanShards(config_, policy, threads, resume);
+  ShardPlan plan = PlanShards(config_, policy, threads, checkpoint, resume);
   // LINT-ALLOW(wall-clock): diagnostics-only wall timing for sim_wall_seconds; never reaches traces or aggregates
   const auto wall_start = std::chrono::steady_clock::now();
 
@@ -812,14 +853,18 @@ ExperimentResult Experiment::Execute(platform::PlatformPolicy* policy, int num_t
 
   // One result per shard: own simulator, own platform, own sink. Shards start
   // largest first and fold into `result` as each one finishes, so the run
-  // holds O(workers) shard results, never O(shards). The fold also hands each
-  // clone's counters back to the caller's prototype, so policy statistics
-  // (prewarms_issued() and friends) read the same whether the run sharded or
-  // not. Shards share only immutable inputs, the mutex-guarded committer and
-  // the mutex-guarded fold, so they are free of data races by construction;
-  // the TSan job pins that. The stop flag is global, but shards notice it at
-  // their own next day boundary, so an interrupted sharded run's shards may
-  // rest at different days — each shard's manifest entry records its own.
+  // holds O(workers) shard results, never O(shards). Under a policy, each
+  // shard clones it as it starts and drops the clone once folded, so the run
+  // holds O(workers) clones too. The fold hands each clone's counters back to
+  // the caller's prototype, so policy statistics (prewarms_issued() and
+  // friends) read the same whether the run sharded or not. Shards share only
+  // immutable inputs, the mutex-guarded committer and the mutex-guarded fold
+  // (cloning takes the fold's lock, so it never reads the prototype while
+  // AbsorbShardStats writes it), so they are free of data races by
+  // construction; the TSan job pins that. The stop flag is global, but shards
+  // notice it at their own next day boundary, so an interrupted sharded run's
+  // shards may rest at different days — each shard's manifest entry records
+  // its own.
   ExperimentResult result;
   size_t folded = 0;
   std::mutex fold_mu;
@@ -829,8 +874,13 @@ ExperimentResult Experiment::Execute(platform::PlatformPolicy* policy, int num_t
       ExperimentResult out;
       const uint32_t id =
           plan.sharded ? static_cast<uint32_t>(s) : checkpoint::kSerialShard;
-      platform::PlatformPolicy* shard_policy =
-          plan.clones.empty() ? policy : plan.clones[s].get();
+      std::unique_ptr<platform::PlatformPolicy> clone;
+      if (plan.sharded && policy != nullptr) {
+        std::lock_guard<std::mutex> lock(fold_mu);
+        clone = plan.probe != nullptr ? std::move(plan.probe) : policy->CloneForShard();
+        COLDSTART_CHECK(clone != nullptr);
+      }
+      platform::PlatformPolicy* shard_policy = clone != nullptr ? clone.get() : policy;
       trace::TraceSink& sink = streaming ? static_cast<trace::TraceSink&>(out.streaming)
                                          : static_cast<trace::TraceSink&>(out.store);
       const checkpoint::ManifestEntry* entry = FindEntry(resume, id);
@@ -896,8 +946,8 @@ ExperimentResult Experiment::Execute(platform::PlatformPolicy* policy, int num_t
       // The platform emits nothing more into `out`, so it can move.
       std::lock_guard<std::mutex> lock(fold_mu);
       FoldShard(result, std::move(out), streaming, folded++ == 0);
-      if (!plan.clones.empty()) {
-        policy->AbsorbShardStats(*plan.clones[s]);
+      if (clone != nullptr) {
+        policy->AbsorbShardStats(*clone);
       }
     });
   }
@@ -911,6 +961,7 @@ ExperimentResult Experiment::Execute(platform::PlatformPolicy* policy, int num_t
     result.store.Seal();  // No-op in streaming mode (the store stayed empty).
   }
   result.mode = config_.trace_mode;
+  result.shards = plan.num_shards;
   result.population = std::move(population);
   result.sim_wall_seconds =
       // LINT-ALLOW(wall-clock): diagnostics-only wall timing for sim_wall_seconds; never reaches traces or aggregates

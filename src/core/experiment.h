@@ -6,21 +6,23 @@
 //
 // Run() executes the full pipeline through one executor over a shard plan: one
 // Simulator + Platform per shard, with per-shard RNG substreams and id
-// namespaces, merged back into a single result. Serial execution is the
-// one-shard plan — a shard spanning every region, fed by the unfiltered arrival
-// stream and driven by the caller's own policy. When the scenario has several
-// regions and the policy is region-local (the baseline always is), the plan
-// shards instead, on worker threads, and the merged sealed TraceStore is
-// bit-identical to the one-shard run. A shard is then a (region, cell group)
-// slice: the planner splits each region into K groups, where K = cells when the
-// policy is function-local, 1 when it is capacity-coupled, and as checkpointed
-// on resume (docs/determinism.md "Sub-region sharding"). The geometry is the
-// scenario's, whatever the thread count, so a checkpoint resumes at any thread
-// count. Shards start largest first (by expected requests per day) and fold
-// into the result as each one finishes. Cross-region policies (and policies
-// that cannot clone per-shard state) get the one-shard plan automatically.
-// Thread count: $COLDSTART_THREADS, else hardware_concurrency; pass
-// num_threads = 1 to force the one-shard plan.
+// namespaces, merged back into a single result. The whole-run plan is one shard
+// spanning every region, fed by the unfiltered arrival stream and driven by the
+// caller's own policy. When the scenario has several regions and the policy is
+// region-local (the baseline always is), the plan shards instead, and the
+// merged result is bit-identical to the whole-run plan's. A shard is then a
+// (region, cell group) slice: the planner splits each region into K groups,
+// where K = cells when the policy is function-local, 1 when it is
+// capacity-coupled, and as checkpointed on resume (docs/determinism.md
+// "Sub-region sharding"). The geometry is the scenario's, whatever the thread
+// count, so a checkpoint resumes at any thread count. Shards start largest
+// first (by expected requests per day) and fold into the result as each one
+// finishes. On one thread the shards run back to back, and the plan shards
+// only where shards fold for free (a kStreaming sink, no CheckpointPolicy); a
+// one-thread kFull or checkpointed run takes the whole-run plan. Cross-region
+// policies (and policies that cannot clone per-shard state) get the whole-run
+// plan at any thread count. Thread count: $COLDSTART_THREADS, else
+// hardware_concurrency.
 //
 // Trace recording obeys config.trace_mode: kFull materializes the exact record
 // tables in result.store; kStreaming folds records into result.streaming in O(1)
@@ -96,12 +98,16 @@ struct ExperimentResult {
   // any thread count, and restored from the cache file on cache hits.
   platform::ResourceCostLedger cost_ledger;
   // Total simulator events. Note: a sharded run processes a handful more events
-  // than a serial one (per-shard day starts and policy ticks); the traces and the
+  // than a whole-run one (per-shard day starts and policy ticks), and a
+  // one-thread kStreaming run without checkpoints shards too; the traces and the
   // per-region aggregates above are nevertheless identical. A trace-cache hit
   // returns the count the writing build stored, so a file written by a build
   // that still queued cancelled keep-alives and load decrements reports more
   // events than a fresh run (the traces are identical).
   uint64_t events_processed = 0;
+  // Shards in the run's plan: 1 for the whole-run plan, regions x K when it
+  // shards. 0 on a trace-cache hit, which runs no plan.
+  size_t shards = 0;
   double sim_wall_seconds = 0;
   // -1: the run completed (Finalize ran, the store is sealed). Otherwise the
   // day boundary where a CheckpointPolicy stop flag ended the run early; the
@@ -118,9 +124,10 @@ class Experiment {
   const ScenarioConfig& config() const { return config_; }
 
   // Runs the scenario (optionally under a policy). Deterministic in the config:
-  // serial and sharded execution produce bit-identical sealed traces, so the
+  // the whole-run and the shard plan produce bit-identical sealed traces, so the
   // thread count never changes results. num_threads: 0 = default
-  // ($COLDSTART_THREADS, else hardware_concurrency), 1 = serial, n = cap.
+  // ($COLDSTART_THREADS, else hardware_concurrency), 1 = one thread (shards, if
+  // the plan has several, run back to back), n = cap.
   // With a CheckpointPolicy the run additionally snapshots its state at day
   // boundaries (same results — checkpointing never perturbs the simulation).
   ExperimentResult Run(platform::PlatformPolicy* policy = nullptr,
@@ -142,8 +149,17 @@ class Experiment {
                               int num_threads = 0,
                               const CheckpointPolicy* checkpoint = nullptr) const;
 
+  // The preflight for a checkpoint directory that came from outside, which
+  // ResumeFrom's CHECKs stand behind. Returns "" when `dir` holds no manifest
+  // (a checkpointed Run() starts it fresh) or a checkpoint of this run
+  // (ResumeFrom continues it). Otherwise returns a one-line refusal that names
+  // what differs: a manifest or day file of another format version, or another
+  // scenario fingerprint, trace mode or region count.
+  std::string CheckResumable(const std::string& dir) const;
+
   // True when the shard planner gives Run(policy) a sharded plan at any thread
-  // budget above one: multiple regions (or cells_per_region > 1 with a
+  // budget above one (and at one thread too for a kStreaming run without
+  // checkpoints): multiple regions (or cells_per_region > 1 with a
   // function-local policy) and a policy that is region-local and
   // shard-clonable (or no policy at all).
   bool CanShard(platform::PlatformPolicy* policy) const;

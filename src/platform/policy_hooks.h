@@ -44,8 +44,10 @@ class PlatformPolicy {
   // A fresh instance with this policy's configuration (but none of its learned
   // state) for one shard of a parallel run (a region, or a capacity-cell group
   // when is_function_local()). Returning nullptr (the default) declares the
-  // policy non-shardable and forces the one-shard (serial) plan. Implementations must be
-  // safe to call before the run starts.
+  // policy non-shardable and forces the one-shard (serial) plan. The runner
+  // calls it as each shard starts, while earlier shards may still run, but
+  // never at the same time as another CloneForShard or AbsorbShardStats on
+  // this instance.
   virtual std::unique_ptr<PlatformPolicy> CloneForShard() const { return nullptr; }
 
   // Folds a finished shard's observable statistics (prewarm/delay counters and the

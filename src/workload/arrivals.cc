@@ -143,12 +143,9 @@ SyntheticArrivalStream::SyntheticArrivalStream(
   // perturb any other function's draws.
   const Rng root(MixHash(seed, HashString("arrivals")));
 
-  // One diurnal profile per region, built once. All regions are built even under
-  // a filter (cheap) so cursors can index by spec.region directly.
-  diurnals_.reserve(profiles.size());
-  for (const auto& p : profiles) {
-    diurnals_.emplace_back(p.diurnal, calendar);
-  }
+  // One diurnal profile per region the filter admits, built when its first
+  // function is; the slots never move, so cursors can point into them.
+  diurnals_.resize(profiles.size());
 
   functions_.reserve(pop.functions.size());
   for (const auto& spec : pop.functions) {
@@ -159,9 +156,13 @@ SyntheticArrivalStream::SyntheticArrivalStream(
     if (cell_slice.has_value() && !cell_slice->Contains(spec.id)) {
       continue;
     }
+    std::optional<DiurnalProfile>& diurnal = diurnals_[spec.region];
+    if (!diurnal.has_value()) {
+      diurnal.emplace(profiles[spec.region].diurnal, calendar);
+    }
     functions_.push_back(FunctionEntry{
-        spec.id, FunctionArrivalCursor(spec, diurnals_[spec.region], calendar_,
-                                       root.ForkStream(spec.id))});
+        spec.id,
+        FunctionArrivalCursor(spec, *diurnal, calendar_, root.ForkStream(spec.id))});
   }
 }
 

@@ -105,7 +105,7 @@ class SyntheticArrivalStream final : public ArrivalStream {
     FunctionArrivalCursor cursor;
   };
   Calendar calendar_;
-  std::vector<DiurnalProfile> diurnals_;  // One per region.
+  std::vector<std::optional<DiurnalProfile>> diurnals_;  // Per region; built if admitted.
   std::vector<FunctionEntry> functions_;  // In population (id) order.
   std::vector<SimTime> scratch_;          // Per-function day buffer, reused.
   int64_t next_day_ = 0;

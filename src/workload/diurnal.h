@@ -30,7 +30,10 @@ struct DiurnalParams {
     double concentration = 4.0;  // Higher = narrower peak.
   };
   double floor = 0.25;  // Night-time base level.
-  std::vector<Bump> bumps{{10.0, 1.0, 4.0}};
+  // One bump at the Bump defaults. Sized, not brace-initialized: GCC 12 at -O3
+  // reports the initializer_list copy as maybe-uninitialized wherever a
+  // RegionProfile is built.
+  std::vector<Bump> bumps = std::vector<Bump>(1);
   double weekend_factor = 0.7;
   HolidayResponse holiday = HolidayResponse::kDipWithCatchUp;
   double holiday_level = 0.55;       // Load level during the holiday (dip) or rise factor.

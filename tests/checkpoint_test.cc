@@ -283,6 +283,10 @@ TEST_F(CheckpointTest, ShardedResumeHonorsSingleThread) {
 }
 
 TEST_F(CheckpointTest, KillAndResumeStreamingMode) {
+  // The two sides run different plans: an uncheckpointed streaming run shards
+  // even on one thread (regions x K shards back to back), while the
+  // checkpointed run and its resume take the whole-run plan. So in streaming
+  // mode this is also the check that the two plans agree.
   const ScenarioConfig config = TinyScenario(core::TraceMode::kStreaming);
   const Experiment experiment(config);
   const ExperimentResult uninterrupted = experiment.Run(nullptr, 1);
@@ -793,6 +797,41 @@ TEST_F(CheckpointCorruptionTest, OtherManifestVersionIsReportedAsSuch) {
             checkpoint::CheckpointVersion::kUnrecognized);
   fs::remove(manifest_file);
   EXPECT_EQ(checkpoint::ReadManifestVersion(dir_), checkpoint::CheckpointVersion::kMissing);
+}
+
+TEST_F(CheckpointCorruptionTest, CheckResumableNamesEveryRefusal) {
+  // The drivers' preflight: "" for a fresh or resumable directory, else one
+  // line naming the directory and what differs, where ResumeFrom would die.
+  const ScenarioConfig config = TinyScenario();
+  EXPECT_EQ(Experiment(config).CheckResumable(dir_), "");
+  MakeCheckpointDir(config);
+  EXPECT_EQ(Experiment(config).CheckResumable(dir_), "");
+
+  ScenarioConfig other_scale = config;
+  other_scale.scale = 0.07;
+  EXPECT_EQ(Experiment(other_scale).CheckResumable(dir_),
+            dir_ + " holds a checkpoint of another run (scenario fingerprint differs); "
+                   "use a fresh directory");
+
+  std::string payload;
+  const char* why = nullptr;
+  ASSERT_EQ(ReadFramedFile(checkpoint_file_, FileMagic(checkpoint_file_), &payload, &why),
+            FrameStatus::kOk);
+  constexpr uint64_t kV12Magic = 0x32317674706B6363ull;  // "cckptv12".
+  ASSERT_TRUE(WriteFramedFile(checkpoint_file_, kV12Magic, payload));
+  EXPECT_EQ(Experiment(config).CheckResumable(dir_),
+            dir_ + " holds a checkpoint of another format version (" +
+                fs::path(checkpoint_file_).filename().string() +
+                "); use a fresh directory");
+
+  const std::string manifest_file = checkpoint::ManifestPath(dir_);
+  ASSERT_EQ(ReadFramedFile(manifest_file, FileMagic(manifest_file), &payload, &why),
+            FrameStatus::kOk);
+  constexpr uint64_t kV3Magic = 0x33765F74666E6D63ull;  // "cmnft_v3".
+  ASSERT_TRUE(WriteFramedFile(manifest_file, kV3Magic, payload));
+  EXPECT_EQ(Experiment(config).CheckResumable(dir_),
+            dir_ + " holds a checkpoint of another format version (MANIFEST.bin); "
+                   "use a fresh directory");
 }
 
 TEST_F(CheckpointCorruptionTest, HugeTableCountDiesOnBoundsCheck) {

@@ -229,10 +229,72 @@ TEST(ShardPlannerTest, GeometryComesFromTheScenarioNotTheThreadCount) {
   EXPECT_TRUE(coupled.sharded);
   EXPECT_EQ(coupled.k, 1u);
   EXPECT_EQ(coupled.entries, regions);
-  // One thread is the whole-run plan.
+  // One thread under a CheckpointPolicy is the whole-run plan.
   const ObservedPlan serial = PlanOf(config, nullptr, 1);
   EXPECT_FALSE(serial.sharded);
   EXPECT_EQ(serial.entries, 1u);
+}
+
+TEST(ShardPlannerTest, OneThreadShardsWhereShardsFoldForFree) {
+  // On one thread the shards run back to back, so the planner shards only
+  // where a shard adds no table merge and no checkpoint commits: a streaming
+  // sink without a CheckpointPolicy.
+  ScenarioConfig config = core::SmallScenario();
+  config.days = 2;
+  config.scale = 0.05;
+  config.record_requests = false;
+  config.cells_per_region = 4;
+  config.trace_mode = core::TraceMode::kStreaming;
+  const size_t regions = config.profiles.size();
+  EXPECT_EQ(Experiment(config).Run(nullptr, 1).shards, regions * 4);
+  // A capacity-coupled policy keeps whole regions.
+  policy::PeakShavingPolicy peak_shaving;
+  EXPECT_EQ(Experiment(config).Run(&peak_shaving, 1).shards, regions);
+  // Checkpointed streaming keeps the whole-run plan.
+  const ObservedPlan checkpointed = PlanOf(config, nullptr, 1);
+  EXPECT_FALSE(checkpointed.sharded);
+  EXPECT_EQ(checkpointed.entries, 1u);
+  // So does a full trace.
+  config.trace_mode = core::TraceMode::kFull;
+  EXPECT_EQ(Experiment(config).Run(nullptr, 1).shards, 1u);
+  EXPECT_EQ(Experiment(config).Run(nullptr, 4).shards, regions * 4);
+}
+
+TEST(ShardPlannerTest, OneThreadShardPlanEqualsWholeRunPlanUnderAPolicy) {
+  // The same one-thread streaming run on both plans: uncheckpointed it shards
+  // (one policy clone per shard, made as the shard starts), checkpointed it is
+  // one shard driven by the caller's instance. The aggregates and the policy
+  // counters folded back into the prototype agree.
+  namespace fs = std::filesystem;
+  ScenarioConfig config = core::SmallScenario();
+  config.days = 2;
+  config.scale = 0.2;
+  config.record_requests = false;
+  config.cells_per_region = 4;
+  config.trace_mode = core::TraceMode::kStreaming;
+  const Experiment experiment(config);
+  policy::TimerAwarePrewarmPolicy sharded_policy;
+  const ExperimentResult sharded = experiment.Run(&sharded_policy, 1);
+  EXPECT_EQ(sharded.shards, config.profiles.size() * 4);
+
+  const std::string dir = (fs::temp_directory_path() / "coldstart_plan_pair_test").string();
+  fs::remove_all(dir);
+  core::CheckpointPolicy ckpt;
+  ckpt.dir = dir;
+  ckpt.every_n_days = config.days + 1;  // Never fires: only the plan changes.
+  policy::TimerAwarePrewarmPolicy whole_policy;
+  const ExperimentResult whole = experiment.Run(&whole_policy, 1, &ckpt);
+  fs::remove_all(dir);
+  EXPECT_EQ(whole.shards, 1u);
+
+  EXPECT_GT(sharded_policy.prewarms_issued(), 0);
+  EXPECT_EQ(sharded_policy.prewarms_issued(), whole_policy.prewarms_issued());
+  ExpectAggregatesIdentical(sharded, whole);
+  ByteWriter sharded_bytes;
+  sharded.streaming.SaveState(sharded_bytes);
+  ByteWriter whole_bytes;
+  whole.streaming.SaveState(whole_bytes);
+  EXPECT_EQ(sharded_bytes.data(), whole_bytes.data());
 }
 
 TEST(SubRegionShardingTest, StreamingAggregatesBitIdenticalAcrossGeometries) {
