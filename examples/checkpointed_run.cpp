@@ -37,7 +37,6 @@
 #include <optional>
 #include <string>
 
-#include "checkpoint/checkpoint.h"
 #include "common/env.h"
 #include "core/coldstart_lab.h"
 
@@ -135,15 +134,14 @@ int main(int argc, char** argv) {
   core::Experiment experiment(config);
   // Experiment::ResumeFrom CHECKs its directory as its contract; a stale one
   // is outside input, so it is refused here first.
-  const std::string refusal = experiment.CheckResumable(dir);
+  bool resuming = false;
+  const std::string refusal = experiment.CheckResumable(dir, &resuming);
   if (!refusal.empty()) {
     std::fprintf(stderr, "checkpointed_run: %s\n", refusal.c_str());
     return 4;
   }
-  checkpoint::Manifest manifest;
-  const bool resuming = checkpoint::ReadManifest(dir, &manifest);
   if (resuming) {
-    std::printf("resuming from %s\n", checkpoint::ManifestPath(dir).c_str());
+    std::printf("resuming from %s\n", dir.c_str());
   }
   const core::ExperimentResult result =
       resuming ? experiment.ResumeFrom(dir, nullptr, 0, &ckpt)

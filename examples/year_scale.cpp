@@ -23,7 +23,6 @@
 #include <optional>
 #include <string>
 
-#include "checkpoint/checkpoint.h"
 #include "common/env.h"
 #include "common/rusage.h"
 #include "core/coldstart_lab.h"
@@ -131,13 +130,13 @@ int main(int argc, char** argv) {
     // at any sane scale, so the shutdown is prompt.
     std::signal(SIGINT, HandleStopSignal);
     std::signal(SIGTERM, HandleStopSignal);
-    const std::string refusal = experiment.CheckResumable(checkpoint_dir);
+    bool resuming = false;
+    const std::string refusal = experiment.CheckResumable(checkpoint_dir, &resuming);
     if (!refusal.empty()) {
       std::fprintf(stderr, "year_scale: %s\n", refusal.c_str());
       return 4;
     }
-    checkpoint::Manifest manifest;
-    if (checkpoint::ReadManifest(checkpoint_dir, &manifest)) {
+    if (resuming) {
       std::printf("Resuming from checkpoints in %s...\n", checkpoint_dir.c_str());
       result = experiment.ResumeFrom(checkpoint_dir, nullptr, 0, &ckpt);
     } else {

@@ -154,8 +154,9 @@ class Experiment {
   // (a checkpointed Run() starts it fresh) or a checkpoint of this run
   // (ResumeFrom continues it). Otherwise returns a one-line refusal that names
   // what differs: a manifest or day file of another format version, or another
-  // scenario fingerprint, trace mode or region count.
-  std::string CheckResumable(const std::string& dir) const;
+  // scenario fingerprint, trace mode or region count. `resuming`, if given, is
+  // set to whether `dir` holds a checkpoint of this run (ResumeFrom, not Run).
+  std::string CheckResumable(const std::string& dir, bool* resuming = nullptr) const;
 
   // True when the shard planner gives Run(policy) a sharded plan at any thread
   // budget above one (and at one thread too for a kStreaming run without

@@ -286,7 +286,8 @@ TEST_F(CheckpointTest, KillAndResumeStreamingMode) {
   // The two sides run different plans: an uncheckpointed streaming run shards
   // even on one thread (regions x K shards back to back), while the
   // checkpointed run and its resume take the whole-run plan. So in streaming
-  // mode this is also the check that the two plans agree.
+  // mode this also checks that the two plans agree across a resume
+  // (whole_run_plan.h's RunWholePlan serves the uninterrupted comparisons).
   const ScenarioConfig config = TinyScenario(core::TraceMode::kStreaming);
   const Experiment experiment(config);
   const ExperimentResult uninterrupted = experiment.Run(nullptr, 1);
@@ -800,18 +801,24 @@ TEST_F(CheckpointCorruptionTest, OtherManifestVersionIsReportedAsSuch) {
 }
 
 TEST_F(CheckpointCorruptionTest, CheckResumableNamesEveryRefusal) {
-  // The drivers' preflight: "" for a fresh or resumable directory, else one
-  // line naming the directory and what differs, where ResumeFrom would die.
+  // The drivers' preflight: "" for a fresh or resumable directory (and which
+  // of the two it is), else one line naming the directory and what differs,
+  // where ResumeFrom would die.
   const ScenarioConfig config = TinyScenario();
-  EXPECT_EQ(Experiment(config).CheckResumable(dir_), "");
+  bool resuming = true;
+  EXPECT_EQ(Experiment(config).CheckResumable(dir_, &resuming), "");
+  EXPECT_FALSE(resuming);
   MakeCheckpointDir(config);
-  EXPECT_EQ(Experiment(config).CheckResumable(dir_), "");
+  EXPECT_EQ(Experiment(config).CheckResumable(dir_, &resuming), "");
+  EXPECT_TRUE(resuming);
 
   ScenarioConfig other_scale = config;
   other_scale.scale = 0.07;
   EXPECT_EQ(Experiment(other_scale).CheckResumable(dir_),
             dir_ + " holds a checkpoint of another run (scenario fingerprint differs); "
                    "use a fresh directory");
+  Experiment(other_scale).CheckResumable(dir_, &resuming);
+  EXPECT_FALSE(resuming);
 
   std::string payload;
   const char* why = nullptr;

@@ -15,6 +15,7 @@
 
 #include "common/byte_serde.h"
 #include "core/coldstart_lab.h"
+#include "whole_run_plan.h"
 
 namespace coldstart {
 namespace {
@@ -244,7 +245,7 @@ TEST(ModelMatrix, EveryPresetBitIdenticalAcrossGeometries) {
       const OutputPin& pin = entry.pins[cells == 1 ? 0 : 1];
       const Experiment experiment(MatrixScenario(entry.kind, entry.snapshot, cells));
       ASSERT_TRUE(experiment.CanShard(nullptr));
-      const ExperimentResult serial = experiment.Run(nullptr, 1);
+      const ExperimentResult serial = testing_support::RunWholePlan(experiment);
       const ExperimentResult sharded = experiment.Run(nullptr, 4);
 
       EXPECT_EQ(serial.visible_cold_starts, sharded.visible_cold_starts);

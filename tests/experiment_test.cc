@@ -10,6 +10,7 @@
 
 #include "common/byte_serde.h"
 #include "core/coldstart_lab.h"
+#include "whole_run_plan.h"
 
 namespace coldstart {
 namespace {
@@ -265,7 +266,6 @@ TEST(ShardPlannerTest, OneThreadShardPlanEqualsWholeRunPlanUnderAPolicy) {
   // (one policy clone per shard, made as the shard starts), checkpointed it is
   // one shard driven by the caller's instance. The aggregates and the policy
   // counters folded back into the prototype agree.
-  namespace fs = std::filesystem;
   ScenarioConfig config = core::SmallScenario();
   config.days = 2;
   config.scale = 0.2;
@@ -276,16 +276,8 @@ TEST(ShardPlannerTest, OneThreadShardPlanEqualsWholeRunPlanUnderAPolicy) {
   policy::TimerAwarePrewarmPolicy sharded_policy;
   const ExperimentResult sharded = experiment.Run(&sharded_policy, 1);
   EXPECT_EQ(sharded.shards, config.profiles.size() * 4);
-
-  const std::string dir = (fs::temp_directory_path() / "coldstart_plan_pair_test").string();
-  fs::remove_all(dir);
-  core::CheckpointPolicy ckpt;
-  ckpt.dir = dir;
-  ckpt.every_n_days = config.days + 1;  // Never fires: only the plan changes.
   policy::TimerAwarePrewarmPolicy whole_policy;
-  const ExperimentResult whole = experiment.Run(&whole_policy, 1, &ckpt);
-  fs::remove_all(dir);
-  EXPECT_EQ(whole.shards, 1u);
+  const ExperimentResult whole = testing_support::RunWholePlan(experiment, &whole_policy);
 
   EXPECT_GT(sharded_policy.prewarms_issued(), 0);
   EXPECT_EQ(sharded_policy.prewarms_issued(), whole_policy.prewarms_issued());
@@ -306,7 +298,7 @@ TEST(SubRegionShardingTest, StreamingAggregatesBitIdenticalAcrossGeometries) {
   config.cells_per_region = 4;
   config.trace_mode = core::TraceMode::kStreaming;
   const Experiment experiment(config);
-  const ExperimentResult serial = experiment.Run(nullptr, 1);
+  const ExperimentResult serial = testing_support::RunWholePlan(experiment);
   const ExperimentResult k4 = experiment.Run(nullptr, 20);
   ExpectAggregatesIdentical(serial, k4);
   // Byte-level identity of the full aggregate state (counters, fixed-point

@@ -19,6 +19,7 @@
 #include "common/byte_serde.h"
 #include "core/coldstart_lab.h"
 #include "policy/forecast.h"
+#include "whole_run_plan.h"
 
 namespace coldstart {
 namespace {
@@ -158,7 +159,7 @@ TEST(ForecastPolicyTest, SerialShardedAndSubRegionShardedBitIdentical) {
 
   ForecastPrewarmPolicy serial_policy;
   ASSERT_TRUE(experiment.CanShard(&serial_policy));
-  const ExperimentResult serial = experiment.Run(&serial_policy, 1);
+  const ExperimentResult serial = testing_support::RunWholePlan(experiment, &serial_policy);
   ForecastPrewarmPolicy sharded_policy;
   const ExperimentResult sharded = experiment.Run(&sharded_policy, 5);
   ForecastPrewarmPolicy subregion_policy;

@@ -20,6 +20,7 @@
 #include "policy/provisioned.h"
 #include "policy/workflow_prewarm.h"
 #include "trace/trace_store.h"
+#include "whole_run_plan.h"
 
 namespace coldstart::policy {
 namespace {
@@ -557,7 +558,8 @@ TEST(ProvisionedConcurrencyTest, SerialAndRegionShardedRunsAgree) {
   const core::Experiment experiment(config);
 
   ProvisionedConcurrencyPolicy serial_policy;
-  const core::ExperimentResult serial = experiment.Run(&serial_policy, 1);
+  const core::ExperimentResult serial =
+      testing_support::RunWholePlan(experiment, &serial_policy);
   ProvisionedConcurrencyPolicy sharded_policy;
   ASSERT_TRUE(experiment.CanShard(&sharded_policy));
   const core::ExperimentResult sharded = experiment.Run(&sharded_policy, 5);

@@ -12,6 +12,7 @@
 
 #include "core/coldstart_lab.h"
 #include "trace/streaming_aggregates.h"
+#include "whole_run_plan.h"
 
 namespace coldstart {
 namespace {
@@ -214,7 +215,7 @@ TEST(StreamingAggregatesTest, StreamingMatchesStoreDerivedAggregatesOnSmallScena
   const StreamingAggregates reference = trace::AggregatesFromStore(full.store);
 
   const Experiment streaming_experiment(TestScenario());
-  const ExperimentResult serial = streaming_experiment.Run(nullptr, 1);
+  const ExperimentResult serial = testing_support::RunWholePlan(streaming_experiment);
   const ExperimentResult sharded = streaming_experiment.Run(nullptr, 4);
   EXPECT_EQ(serial.mode, TraceMode::kStreaming);
   // Streaming runs materialize nothing.
@@ -250,7 +251,7 @@ TEST(StreamingAggregatesTest, ShardedStreamingBitIdenticalIncludingFloatSums) {
   ScenarioConfig config = TestScenario();
   config.days = 3;
   const Experiment experiment(config);
-  const ExperimentResult serial = experiment.Run(nullptr, 1);
+  const ExperimentResult serial = testing_support::RunWholePlan(experiment);
   const ExperimentResult sharded = experiment.Run(nullptr, 4);
   ExpectAggregatesEqual(serial.streaming, sharded.streaming);
   for (size_t r = 0; r < serial.streaming.num_regions(); ++r) {
@@ -270,7 +271,7 @@ TEST(StreamingAggregatesTest, StreamingWorksUnderRegionLocalPolicy) {
   config.record_requests = false;
   const Experiment experiment(config);
   policy::TimerAwarePrewarmPolicy serial_policy;
-  const ExperimentResult serial = experiment.Run(&serial_policy, 1);
+  const ExperimentResult serial = testing_support::RunWholePlan(experiment, &serial_policy);
   policy::TimerAwarePrewarmPolicy sharded_policy;
   const ExperimentResult sharded = experiment.Run(&sharded_policy, 4);
   EXPECT_GT(serial_policy.prewarms_issued(), 0);
