@@ -14,38 +14,17 @@ namespace coldstart::checkpoint {
 
 namespace {
 
-// "cckptv13" / "cmnft_v4" / "ccseg_v1", little-endian (a two-digit version
-// takes the underscore's byte). Checkpoint v13 saves each cell's in-flight
-// cold-start ready keys and drops the load-decrement event kind: a cold
-// start's load leaves its cell's counters when the running event passes its
-// ready key, with no event at the ready time. v12 saves each pod's running
-// requests' end times in place of its slot count and drops the completion
-// event kind and its execution-start field: a request holds its slot until
-// its end time, with no event at the end. v11 writes the platform's
-// per-(region, cell) state as one cell table, each cell's RNG, id namespaces,
-// load, pools and cold-start counters together, where v10 wrote each as its
-// own array. Manifest v4 drops each entry's file name: the name is derived
-// from (day, shard). Checkpoint v10 keeps day starts and the minute
-// tick as pending-event table entries and drops their scalar seq bookkeeping
-// from the platform state. v9 made full-trace runs append-only: the sink state holds the four table totals,
-// the horizon and the ordered segment list, the rows live in segment files,
-// and the payload follows the metadata without its own length word. v8 dropped
-// the per-(region, cell) cold-start model frames (the model is pure
-// configuration, pinned by the fingerprint) and the arrival stream's
-// regenerate mode (every stream serializes its state). v7 dropped the
-// write-only per-(region, cell) cold-start and request totals. v6 stores the
-// platform's pending events as one table. v5 dropped the always-zero
-// days_observed word from each ProfilePrewarmPolicy profile. v4 framed the
-// cold-start model layer (per-(region, cell) identity + state blob), the cost
-// ledger's 128-bit sums and the per-pod warm-idle accumulator; v3 made the
-// LogHistogram latency sum 128-bit fixed point (manifest v3 added
-// shards_per_region, layout-unchanged since). Older files encode different
-// layouts and are rejected here, named as another format version, rather than
-// half-restored.
+// "cckptv13" / "cmnft_v5" / "ccseg_v1", little-endian (a two-digit version
+// takes the underscore's byte). A checkpoint file holds the metadata below and
+// then the payload core::Experiment builds; a segment holds, per record table,
+// its row count and then its rows; a manifest holds the fingerprint, the trace
+// mode, the region count and one committed day per shard. A file of any other
+// version lays its bytes out differently and is rejected, named as another
+// format version, rather than half-restored.
 constexpr uint64_t kCheckpointMagic = 0x33317674706B6363ull;
 // The checkpoint magic's first six bytes, "cckptv", shared by every version.
 constexpr uint64_t kCheckpointFamilyMask = 0x0000FFFFFFFFFFFFull;
-constexpr uint64_t kManifestMagic = 0x34765F74666E6D63ull;
+constexpr uint64_t kManifestMagic = 0x35765F74666E6D63ull;
 // The manifest magic's first five bytes, "cmnft", shared by every version.
 constexpr uint64_t kManifestFamilyMask = 0x000000FFFFFFFFFFull;
 constexpr uint64_t kSegmentMagic = 0x31765F6765736363ull;
@@ -98,15 +77,10 @@ void FinishOrDie(const std::string& path, FrameReader& reader) {
   }
 }
 
-// `ckpt_day{day}[_r{shard}]{extension}`.
+// `ckpt_day{day}_r{shard}{extension}`.
 std::string DayFileName(int64_t day, uint32_t shard, const char* extension) {
   char name[64];
-  if (shard == kSerialShard) {
-    std::snprintf(name, sizeof(name), "ckpt_day%" PRId64 "%s", day, extension);
-  } else {
-    std::snprintf(name, sizeof(name), "ckpt_day%" PRId64 "_r%u%s", day, shard,
-                  extension);
-  }
+  std::snprintf(name, sizeof(name), "ckpt_day%" PRId64 "_r%u%s", day, shard, extension);
   return name;
 }
 
@@ -179,12 +153,9 @@ bool WriteManifest(const std::string& dir, const Manifest& manifest) {
   w.U64(manifest.fingerprint);
   w.U8(manifest.trace_mode);
   w.U32(manifest.num_regions);
-  w.U8(manifest.sharded ? 1 : 0);
-  w.U32(manifest.shards_per_region);
-  w.U64(manifest.entries.size());
-  for (const ManifestEntry& e : manifest.entries) {
-    w.U32(e.shard);
-    w.I64(e.day);
+  w.U64(manifest.days.size());
+  for (const int64_t day : manifest.days) {
+    w.I64(day);
   }
   return WriteFramedFile(ManifestPath(dir), kManifestMagic, w.Take());
 }
@@ -206,17 +177,14 @@ bool ReadManifest(const std::string& dir, Manifest* manifest) {
   manifest->fingerprint = r.U64();
   manifest->trace_mode = r.U8();
   manifest->num_regions = r.U32();
-  manifest->sharded = r.U8() != 0;
-  manifest->shards_per_region = r.U32();
-  // Each entry holds its shard and day: a CRC-valid count too large for the
-  // payload dies on this CHECK, not in the allocator.
-  constexpr size_t kMinEntryBytes = 4 + 8;
+  // One 8-byte day per shard: a CRC-valid count too large for the payload
+  // dies on this CHECK, not in the allocator.
+  constexpr size_t kMinEntryBytes = 8;
   const uint64_t count = r.U64();
   COLDSTART_CHECK(count <= r.Remaining() / kMinEntryBytes);
-  manifest->entries.resize(count);
-  for (ManifestEntry& e : manifest->entries) {
-    e.shard = r.U32();
-    e.day = r.I64();
+  manifest->days.resize(count);
+  for (int64_t& day : manifest->days) {
+    day = r.I64();
   }
   if (!r.AtEnd()) {
     Corrupt(path, "trailing bytes");

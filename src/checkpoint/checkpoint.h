@@ -11,7 +11,7 @@
 //
 // Full-trace runs are append-only: each commit writes the rows the shard's
 // record tables gained since its previous commit as one immutable segment
-// (ckpt_day{d}[_r{s}].seg), and the day's checkpoint file lists the shard's
+// (ckpt_day{d}_r{s}.seg), and the day's checkpoint file lists the shard's
 // segments in order instead of holding the tables. A commit goes segment →
 // checkpoint file → manifest, so a kill leaves at most an orphan segment that
 // no committed manifest references. Resume never reads it, and the re-run of
@@ -36,14 +36,11 @@
 
 namespace coldstart::checkpoint {
 
-// Shard id of a serial (unsharded) run's single checkpoint stream.
-inline constexpr uint32_t kSerialShard = 0xffffffffu;
-
 struct CheckpointMeta {
   uint64_t fingerprint = 0;  // ScenarioConfig::Fingerprint() of the run.
   uint8_t trace_mode = 0;    // core::TraceMode of the run's sink.
-  // region * shards_per_region + cell group, or kSerialShard.
-  uint32_t shard = kSerialShard;
+  // Shard id: region * K + cell group, or 0 for the whole-run plan.
+  uint32_t shard = 0;
   int64_t day = 0;           // Completed days: state is at day * kDay - 1.
   uint32_t num_regions = 0;
 };
@@ -85,27 +82,18 @@ bool WriteSegmentFile(const std::string& path, const std::vector<std::string_vie
 void ReadSegmentFile(const std::string& path,
                      const std::function<void(FrameReader&)>& read_payload);
 
-// The latest committed checkpoint per shard. Rewritten atomically after every
-// shard commit; shards of a sharded run may sit at different days. A shard
-// with no entry restarts from day 0. An entry names its checkpoint file only
-// through (day, shard): the file is CheckpointFileName(day, shard) in the
-// checkpoint directory, so a manifest cannot point a resume at any other path.
-struct ManifestEntry {
-  uint32_t shard = kSerialShard;
-  int64_t day = 0;
-};
-
+// The latest committed checkpoint day of every shard. Rewritten atomically
+// after every shard commit; shards of a sharded run may sit at different days.
+// days[s] == 0: shard s has not committed yet and restarts from day 0. The
+// length is the shard plan: 1 for the whole run, regions x K for the
+// (region, cell group) plan. A day names its checkpoint file only through
+// (day, shard): the file is CheckpointFileName(days[s], s) in the checkpoint
+// directory, so a manifest cannot point a resume at any other path.
 struct Manifest {
   uint64_t fingerprint = 0;
   uint8_t trace_mode = 0;
   uint32_t num_regions = 0;
-  bool sharded = false;
-  // Sub-region shard fan-out of the checkpointed run: each region's functions
-  // were split into this many capacity-cell groups (1 = plain region sharding).
-  // A resume must adopt the same geometry — shard ids are region * K + group,
-  // so entries written under a different K do not line up and are rejected.
-  uint32_t shards_per_region = 1;
-  std::vector<ManifestEntry> entries;
+  std::vector<int64_t> days;
 };
 
 bool WriteManifest(const std::string& dir, const Manifest& manifest);

@@ -8,8 +8,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <functional>
-#include <iterator>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <numeric>
@@ -40,8 +38,8 @@ platform::Platform::Options PlatformOptions(const ScenarioConfig& config) {
 }
 
 // The function-to-cell map shared by every platform of a cells > 1 run (null
-// otherwise). Each platform instance — serial or any shard — must see the same
-// map, or pod-id/RNG namespaces would disagree across shards.
+// otherwise). Every shard's platform, the whole-run one included, must see the
+// same map, or pod-id/RNG namespaces would disagree across shards.
 std::shared_ptr<const std::vector<uint32_t>> MakeFunctionCells(
     const ScenarioConfig& config, const workload::Population& population) {
   if (config.cells_per_region <= 1) {
@@ -262,26 +260,23 @@ std::string BuildCheckpointPayload(const sim::Simulator& sim,
   return w.Take();
 }
 
-// Restores one shard from its committed checkpoint file and returns the
-// completed-day count. The platform must be freshly constructed with
-// Options.resuming and the simulator untouched.
-int64_t RestoreShard(const std::string& dir, const checkpoint::ManifestEntry& entry,
-                     uint64_t fingerprint, uint8_t trace_mode, uint32_t num_regions,
-                     uint32_t shard, sim::Simulator& sim,
-                     platform::PlatformPolicy* policy, bool streaming,
-                     trace::TraceStore& store,
-                     trace::StreamingAggregates& aggregates, SegmentLog& segments,
-                     platform::Platform& platform,
-                     std::unique_ptr<workload::ArrivalStream> stream) {
+// Restores one shard from its checkpoint file committed at `day`. The platform
+// must be freshly constructed with Options.resuming and the simulator untouched.
+void RestoreShard(const std::string& dir, int64_t day, uint64_t fingerprint,
+                  uint8_t trace_mode, uint32_t num_regions, uint32_t shard,
+                  sim::Simulator& sim, platform::PlatformPolicy* policy, bool streaming,
+                  trace::TraceStore& store, trace::StreamingAggregates& aggregates,
+                  SegmentLog& segments, platform::Platform& platform,
+                  std::unique_ptr<workload::ArrivalStream> stream) {
   checkpoint::CheckpointMeta meta;
   std::string payload;
-  const std::string path = dir + "/" + checkpoint::CheckpointFileName(entry.day, shard);
+  const std::string path = dir + "/" + checkpoint::CheckpointFileName(day, shard);
   COLDSTART_CHECK(checkpoint::ReadCheckpointFile(path, &meta, &payload) &&
                   "manifest names a checkpoint file that does not exist");
   COLDSTART_CHECK_EQ(meta.fingerprint, fingerprint);
   COLDSTART_CHECK_EQ(meta.trace_mode, trace_mode);
   COLDSTART_CHECK_EQ(meta.shard, shard);
-  COLDSTART_CHECK_EQ(meta.day, entry.day);
+  COLDSTART_CHECK_EQ(meta.day, day);
   COLDSTART_CHECK_EQ(meta.num_regions, num_regions);
   ByteReader r(payload);
   const SimTime now = r.I64();
@@ -299,44 +294,30 @@ int64_t RestoreShard(const std::string& dir, const checkpoint::ManifestEntry& en
   RestoreSinkState(streaming, dir, shard, store, aggregates, segments, r);
   platform.RestoreCheckpointState(r, std::move(stream));
   COLDSTART_CHECK(r.AtEnd());
-  return meta.day;
 }
 
 // Serializes manifest updates across shard threads: each Commit writes the
-// shard's checkpoint file, installs its manifest entry, and atomically
-// rewrites the manifest — so the manifest always names fully committed files.
-// Once the manifest commits, the shard's day file from two commits back is
-// deleted: the directory keeps the committed file and the one it replaced.
-// Segments are never deleted, since every later day file lists them. Every
-// name is derived from (day, shard), never read from disk. A resumed run
-// starts its history at the seeded entry, so a shard's first commit after a
-// resume deletes the shard's day files from before that entry instead: the
-// run that wrote the entry left the one before it on disk.
+// shard's checkpoint file, sets the shard's day and atomically rewrites the
+// manifest, so the manifest always names fully committed files. Its bytes
+// depend on the days alone, never on the order shards commit in. Once the
+// manifest commits, the shard's day files below the day it replaced are
+// deleted: the directory keeps the committed file and the one it replaced. In
+// a resumed run, a shard's first commit thereby also deletes the day files the
+// interrupted run left below the seeded day. Segments are never deleted, since
+// every later day file lists them. Every name is derived from (day, shard),
+// never read from disk.
 class CheckpointCommitter {
  public:
+  // `days`: the resumed manifest's, or one 0 per shard of a fresh run.
   CheckpointCommitter(const CheckpointPolicy& policy, uint64_t fingerprint,
-                      uint8_t trace_mode, uint32_t num_regions, bool sharded,
-                      uint32_t shards_per_region)
-      : policy_(policy) {
+                      uint8_t trace_mode, uint32_t num_regions, std::vector<int64_t> days)
+      : policy_(policy), prune_from_(days.size(), 1) {
     manifest_.fingerprint = fingerprint;
     manifest_.trace_mode = trace_mode;
     manifest_.num_regions = num_regions;
-    manifest_.sharded = sharded;
-    manifest_.shards_per_region = shards_per_region;
+    manifest_.days = std::move(days);
     std::error_code ec;
     std::filesystem::create_directories(policy.dir, ec);
-  }
-
-  // Carries forward the entries of the manifest the run resumed from, so a
-  // shard that has not checkpointed again yet keeps its old entry. Sorted,
-  // because Commit relies on shard-id order and an older build's manifest
-  // may list entries in commit order.
-  void SeedFrom(const checkpoint::Manifest& manifest) {
-    manifest_.entries = manifest.entries;
-    std::sort(manifest_.entries.begin(), manifest_.entries.end(),
-              [](const checkpoint::ManifestEntry& a, const checkpoint::ManifestEntry& b) {
-                return a.shard < b.shard;
-              });
   }
 
   void Commit(int64_t day, uint32_t shard, const std::string& payload) {
@@ -351,38 +332,17 @@ class CheckpointCommitter {
         checkpoint::WriteCheckpointFile(policy_.dir + "/" + file, meta, payload) &&
         "failed to write checkpoint file");
     {
-      // Entries stay in shard-id order, whatever order the shards commit in,
-      // so the manifest's bytes do not depend on dispatch or thread timing.
       std::lock_guard<std::mutex> lock(mu_);
-      auto& entries = manifest_.entries;
-      const auto it = std::lower_bound(
-          entries.begin(), entries.end(), shard,
-          [](const checkpoint::ManifestEntry& e, uint32_t id) { return e.shard < id; });
-      std::string replaced;
-      // Days below this one hold the shard's day files a resumed run's
-      // predecessor left; only a seeded entry's first replacement sets it.
-      int64_t prune_below = 0;
-      if (it != entries.end() && it->shard == shard) {
-        replaced = checkpoint::CheckpointFileName(it->day, shard);
-        if (superseded_.count(shard) == 0) {
-          prune_below = it->day;
-        }
-        it->day = day;
-      } else {
-        entries.insert(it, {shard, day});
-      }
+      const int64_t replaced = manifest_.days[shard];
+      manifest_.days[shard] = day;
       COLDSTART_CHECK(checkpoint::WriteManifest(policy_.dir, manifest_) &&
                       "failed to write checkpoint manifest");
       std::error_code ec;
-      for (int64_t d = 1; d < prune_below; ++d) {
+      for (int64_t d = prune_from_[shard]; d < replaced; ++d) {
         std::filesystem::remove(policy_.dir + "/" + checkpoint::CheckpointFileName(d, shard),
                                 ec);
       }
-      std::string& superseded = superseded_[shard];
-      if (!superseded.empty()) {
-        std::filesystem::remove(policy_.dir + "/" + superseded, ec);
-      }
-      superseded = std::move(replaced);
+      prune_from_[shard] = std::max(prune_from_[shard], replaced);
     }
     if (policy_.on_checkpoint) {
       policy_.on_checkpoint(day, shard);
@@ -392,8 +352,9 @@ class CheckpointCommitter {
  private:
   const CheckpointPolicy& policy_;
   checkpoint::Manifest manifest_;
-  // Per shard, the file its manifest entry replaced at its last commit.
-  std::map<uint32_t, std::string> superseded_;
+  // Per shard, the lowest day whose file may still be on disk unreferenced:
+  // 1 until the shard's first commit, then the day its last commit replaced.
+  std::vector<int64_t> prune_from_;
   std::mutex mu_;
 };
 
@@ -425,53 +386,13 @@ int64_t RunShardDays(sim::Simulator& sim, platform::Platform& platform,
   return -1;
 }
 
-const checkpoint::ManifestEntry* FindEntry(const checkpoint::Manifest* manifest,
-                                           uint32_t shard) {
-  if (manifest == nullptr) {
-    return nullptr;
-  }
-  for (const checkpoint::ManifestEntry& e : manifest->entries) {
-    if (e.shard == shard) {
-      return &e;
-    }
-  }
-  return nullptr;
-}
-
-// Entries are matched by linear (shard, day) scan, so a stale entry — written
-// under a different shard geometry, or duplicated by a corrupt merge — would
-// silently restore the wrong state slice. Reject the whole manifest loudly
-// instead: every entry must name a shard inside the run's regions × K id
-// space (or kSerialShard for a serial manifest), exactly once.
-void ValidateManifestEntries(const checkpoint::Manifest& manifest,
-                             size_t num_regions) {
-  const uint64_t limit =
-      static_cast<uint64_t>(num_regions) * manifest.shards_per_region;
-  std::vector<uint32_t> seen;
-  seen.reserve(manifest.entries.size());
-  for (const checkpoint::ManifestEntry& e : manifest.entries) {
-    if (manifest.sharded) {
-      COLDSTART_CHECK(e.shard < limit &&
-                      "manifest entry names a shard outside regions x "
-                      "shards_per_region (stale entry from a different K?)");
-    } else {
-      COLDSTART_CHECK(e.shard == checkpoint::kSerialShard &&
-                      "serial manifest carries a sharded entry");
-    }
-    COLDSTART_CHECK(std::find(seen.begin(), seen.end(), e.shard) == seen.end() &&
-                    "manifest lists the same shard twice");
-    seen.push_back(e.shard);
-  }
-}
-
 // A run's shard plan. Shard s covers region s / k, cell group s % k: its
 // platform sees only that slice's arrivals and its id is s. K is the scenario's
 // cells_per_region when the policy is function-local, 1 when it is
 // capacity-coupled, and the checkpointed value on resume. The whole-run plan is
-// one shard spanning every region, fed by the unfiltered stream, driven by the
-// caller's own policy instance and checkpointed as kSerialShard.
+// the one-shard case: shard 0 spans every region, fed by the unfiltered stream
+// and driven by the caller's own policy instance.
 struct ShardPlan {
-  bool sharded = false;
   uint32_t k = 1;
   size_t num_shards = 1;
   // Sharded under a policy: the clone the planner made as its probe. The first
@@ -479,7 +400,7 @@ struct ShardPlan {
   std::unique_ptr<platform::PlatformPolicy> probe;
 };
 
-// The one planner behind Run, ResumeFrom and CanShard. A shard is (region,
+// The one planner behind Run and ResumeFrom. A shard is (region,
 // contiguous cell group). K == 1 is plain region sharding — the only geometry
 // available to capacity-coupled policies, since splitting a region's cells also
 // splits its pools and load state. K > 1 (sub-region sharding) engages when
@@ -487,7 +408,8 @@ struct ShardPlan {
 // region-coupled state (is_function_local); K is then the cell count whatever
 // the thread budget, so a run's geometry — and its checkpoint — is a property
 // of the scenario, not of the machine. A resume adopts the checkpointed
-// geometry verbatim — shard ids must line up with the manifest entries.
+// geometry verbatim: its manifest holds one day per shard, so a length other
+// than 1 or regions x K (1 <= K <= cells) names no plan and dies.
 // On one thread the shard plan runs its shards back to back, which pays only
 // where shards fold for free: a kStreaming sink and no CheckpointPolicy. A
 // kFull shard adds a table merge and a checkpointed one its own commits (each
@@ -508,14 +430,16 @@ ShardPlan PlanShards(const ScenarioConfig& config, platform::PlatformPolicy* pol
   const bool folds_free =
       config.trace_mode == TraceMode::kStreaming && checkpoint == nullptr;
   ShardPlan plan;
-  if (resume != nullptr ? !resume->sharded
+  if (resume != nullptr ? resume->days.size() == 1
                         : (!shardable || (threads <= 1 && !folds_free))) {
     return plan;
   }
   COLDSTART_CHECK(shardable &&
                   "sharded checkpoint requires a shardable config and policy");
   if (resume != nullptr) {
-    plan.k = resume->shards_per_region;
+    plan.k = static_cast<uint32_t>(resume->days.size() / regions);
+    COLDSTART_CHECK(resume->days.size() == regions * plan.k && plan.k >= 1 && plan.k <= cells &&
+                    "manifest geometry: neither 1 day (whole run) nor regions x K, 1 <= K <= cells");
   } else if (function_local) {
     plan.k = cells;
   }
@@ -533,7 +457,6 @@ ShardPlan PlanShards(const ScenarioConfig& config, platform::PlatformPolicy* pol
       return ShardPlan{};
     }
   }
-  plan.sharded = true;
   return plan;
 }
 
@@ -637,7 +560,7 @@ std::vector<size_t> DispatchOrder(const ShardPlan& plan,
                                   uint32_t cells) {
   std::vector<size_t> order(plan.num_shards);
   std::iota(order.begin(), order.end(), size_t{0});
-  if (!plan.sharded) {
+  if (plan.num_shards == 1) {
     return order;
   }
   std::vector<double> load(plan.num_shards, 0.0);
@@ -682,12 +605,18 @@ void FoldShard(ExperimentResult& result, ExperimentResult&& shard, bool streamin
   result.interrupted_at_day = std::max(result.interrupted_at_day, shard.interrupted_at_day);
 }
 
-// Per region, the platform's visible cold-start count and latency sum equal
-// what its sink recorded: the kStreaming region counters (zero in kFull) plus
-// a count over the kFull cold-start table (empty in kStreaming). Both sides
-// advance together at every cold start, so the law holds at any day boundary
-// and covers interrupted runs too.
-void CheckColdStartConservation(const ExperimentResult& result) {
+// Per region, what the platform counted equals what its sink recorded: the
+// kStreaming region counters (zero in kFull) plus counts over the kFull tables
+// (empty in kStreaming). Three laws hold at any day boundary, so interrupted
+// runs are checked too: the visible cold-start count and latency sum advance
+// together at every cold start, and the ledger's pod time is the sum of the
+// pod records' lifetimes, Σ(death_time − cold_start_begin), because KillPod
+// emits the record and charges the ledger together. At the end of a completed
+// run (Finalize flushed every alive pod, so every pod ever created has its
+// lifetime record) there is one pod record per visible cold start or prewarm
+// spawn and, when requests are recorded, one request record per request a pod
+// served.
+void CheckConservation(const ExperimentResult& result, bool record_requests) {
   std::vector<trace::StreamCounters> sunk(result.visible_cold_starts.size());
   for (size_t r = 0; r < sunk.size(); ++r) {
     sunk[r] = result.streaming.region(static_cast<trace::RegionId>(r));
@@ -696,36 +625,28 @@ void CheckColdStartConservation(const ExperimentResult& result) {
     sunk.at(rec.region).cold_starts += 1;
     sunk.at(rec.region).cold_start_latency_sum_us += rec.cold_start_us;
   }
+  for (const trace::PodLifetimeRecord& rec : result.store.pods()) {
+    sunk.at(rec.region).pods += 1;
+    sunk.at(rec.region).pod_lifetime_sum_us +=
+        static_cast<uint64_t>(rec.death_time - rec.cold_start_begin);
+    sunk.at(rec.region).pod_requests_served += rec.requests_served;
+  }
+  const bool completed = result.interrupted_at_day < 0;
+  if (completed && record_requests) {
+    for (const trace::RequestRecord& rec : result.store.requests()) {
+      sunk.at(rec.region).requests += 1;
+    }
+  }
   for (size_t r = 0; r < sunk.size(); ++r) {
     COLDSTART_CHECK_EQ(static_cast<uint64_t>(result.visible_cold_starts[r]),
                        sunk[r].cold_starts);
     COLDSTART_CHECK_EQ(static_cast<uint64_t>(result.cold_start_latency_sum_us[r]),
                        sunk[r].cold_start_latency_sum_us);
-  }
-}
-
-// Per region, at the end of a completed run (Finalize flushed every alive pod,
-// so every pod ever created has its lifetime record): one pod record per
-// visible cold start or prewarm spawn, and, when requests are recorded, one
-// request record per request a pod served. Counted as above: the kStreaming
-// counters plus the kFull tables.
-void CheckCompletedRunConservation(const ExperimentResult& result,
-                                   bool record_requests) {
-  if (result.interrupted_at_day >= 0) {
-    return;
-  }
-  std::vector<trace::StreamCounters> sunk(result.visible_cold_starts.size());
-  for (size_t r = 0; r < sunk.size(); ++r) {
-    sunk[r] = result.streaming.region(static_cast<trace::RegionId>(r));
-  }
-  for (const trace::PodLifetimeRecord& rec : result.store.pods()) {
-    sunk.at(rec.region).pods += 1;
-    sunk.at(rec.region).pod_requests_served += rec.requests_served;
-  }
-  for (const trace::RequestRecord& rec : result.store.requests()) {
-    sunk.at(rec.region).requests += 1;
-  }
-  for (size_t r = 0; r < sunk.size(); ++r) {
+    COLDSTART_CHECK_EQ(result.cost_ledger.region_record(static_cast<trace::RegionId>(r)).pod_us,
+                       static_cast<__int128>(sunk[r].pod_lifetime_sum_us));
+    if (!completed) {
+      continue;
+    }
     COLDSTART_CHECK_EQ(
         static_cast<uint64_t>(result.visible_cold_starts[r] + result.prewarm_spawns[r]),
         sunk[r].pods);
@@ -736,11 +657,6 @@ void CheckCompletedRunConservation(const ExperimentResult& result,
 }
 
 }  // namespace
-
-bool Experiment::CanShard(platform::PlatformPolicy* policy) const {
-  // Any thread budget above one: the plan's geometry does not matter here.
-  return PlanShards(config_, policy, /*threads=*/2, nullptr, nullptr).sharded;
-}
 
 ExperimentResult Experiment::Run(platform::PlatformPolicy* policy,
                                  int num_threads,
@@ -761,10 +677,6 @@ ExperimentResult Experiment::ResumeFrom(const std::string& dir,
   COLDSTART_CHECK_EQ(manifest.trace_mode,
                      static_cast<uint8_t>(config_.trace_mode));
   COLDSTART_CHECK_EQ(manifest.num_regions, config_.profiles.size());
-  COLDSTART_CHECK_GE(manifest.shards_per_region, 1u);
-  COLDSTART_CHECK_LE(manifest.shards_per_region,
-                     std::max<uint32_t>(config_.cells_per_region, 1u));
-  ValidateManifestEntries(manifest, config_.profiles.size());
   // Honor the caller's thread count as-is: the shard loop runs correctly on
   // one worker (shards execute sequentially), so an explicit num_threads=1
   // must not be silently promoted to 2.
@@ -801,8 +713,11 @@ std::string Experiment::CheckResumable(const std::string& dir, bool* resuming) c
     return dir + " holds a checkpoint of another run (" + mismatch +
            " differs); use a fresh directory";
   }
-  for (const checkpoint::ManifestEntry& entry : manifest.entries) {
-    const std::string file = checkpoint::CheckpointFileName(entry.day, entry.shard);
+  for (uint32_t s = 0; s < manifest.days.size(); ++s) {
+    if (manifest.days[s] == 0) {
+      continue;
+    }
+    const std::string file = checkpoint::CheckpointFileName(manifest.days[s], s);
     if (checkpoint::ReadCheckpointVersion(dir + "/" + file) ==
         checkpoint::CheckpointVersion::kOther) {
       return other_version(file);
@@ -851,12 +766,10 @@ ExperimentResult Experiment::Execute(platform::PlatformPolicy* policy, int num_t
       COLDSTART_CHECK(policy->SavePolicyState(&probe) &&
                       "policy is not checkpointable (SavePolicyState)");
     }
-    committer.emplace(*checkpoint, fingerprint,
-                      static_cast<uint8_t>(config_.trace_mode),
-                      static_cast<uint32_t>(regions), plan.sharded, plan.k);
-    if (resume != nullptr) {
-      committer->SeedFrom(*resume);
-    }
+    committer.emplace(*checkpoint, fingerprint, static_cast<uint8_t>(config_.trace_mode),
+                      static_cast<uint32_t>(regions),
+                      resume != nullptr ? resume->days
+                                        : std::vector<int64_t>(plan.num_shards, 0));
   }
 
   // One result per shard: own simulator, own platform, own sink. Shards start
@@ -871,8 +784,8 @@ ExperimentResult Experiment::Execute(platform::PlatformPolicy* policy, int num_t
   // AbsorbShardStats writes it), so they are free of data races by
   // construction; the TSan job pins that. The stop flag is global, but shards
   // notice it at their own next day boundary, so an interrupted sharded run's
-  // shards may rest at different days — each shard's manifest entry records
-  // its own.
+  // shards may rest at different days — the manifest keeps one per shard.
+  const bool sharded = plan.num_shards > 1;
   ExperimentResult result;
   size_t folded = 0;
   std::mutex fold_mu;
@@ -880,10 +793,9 @@ ExperimentResult Experiment::Execute(platform::PlatformPolicy* policy, int num_t
   for (const size_t s : DispatchOrder(plan, population, function_cells.get(), cells)) {
     sweep.Add([&, s] {
       ExperimentResult out;
-      const uint32_t id =
-          plan.sharded ? static_cast<uint32_t>(s) : checkpoint::kSerialShard;
+      const auto id = static_cast<uint32_t>(s);
       std::unique_ptr<platform::PlatformPolicy> clone;
-      if (plan.sharded && policy != nullptr) {
+      if (sharded && policy != nullptr) {
         std::lock_guard<std::mutex> lock(fold_mu);
         clone = plan.probe != nullptr ? std::move(plan.probe) : policy->CloneForShard();
         COLDSTART_CHECK(clone != nullptr);
@@ -891,10 +803,10 @@ ExperimentResult Experiment::Execute(platform::PlatformPolicy* policy, int num_t
       platform::PlatformPolicy* shard_policy = clone != nullptr ? clone.get() : policy;
       trace::TraceSink& sink = streaming ? static_cast<trace::TraceSink&>(out.streaming)
                                          : static_cast<trace::TraceSink&>(out.store);
-      const checkpoint::ManifestEntry* entry = FindEntry(resume, id);
+      const int64_t start_day = resume != nullptr ? resume->days[id] : 0;
       platform::Platform::Options options = PlatformOptions(config_);
       options.function_cells = function_cells;
-      options.resuming = entry != nullptr;
+      options.resuming = start_day > 0;
       sim::Simulator sim;
       platform::Platform platform(population, profiles, calendar, sim, sink, options,
                                   shard_policy);
@@ -903,7 +815,7 @@ ExperimentResult Experiment::Execute(platform::PlatformPolicy* policy, int num_t
       // [g * cells / K, (g + 1) * cells / K).
       std::optional<trace::RegionId> region;
       std::optional<workload::CellSlice> slice;
-      if (plan.sharded) {
+      if (sharded) {
         region = static_cast<trace::RegionId>(s / plan.k);
         const auto group = static_cast<uint32_t>(s % plan.k);
         if (plan.k > 1) {
@@ -913,14 +825,12 @@ ExperimentResult Experiment::Execute(platform::PlatformPolicy* policy, int num_t
       }
       auto stream = config_.workload_source().OpenStream(population, profiles, calendar,
                                                          config_.seed, region, slice);
-      int64_t start_day = 0;
       SegmentLog segments;
-      if (entry != nullptr) {
-        start_day = RestoreShard(resume_dir, *entry, fingerprint,
-                                 static_cast<uint8_t>(config_.trace_mode),
-                                 static_cast<uint32_t>(regions), id, sim, shard_policy,
-                                 streaming, out.store, out.streaming, segments, platform,
-                                 std::move(stream));
+      if (start_day > 0) {
+        RestoreShard(resume_dir, start_day, fingerprint,
+                     static_cast<uint8_t>(config_.trace_mode), static_cast<uint32_t>(regions),
+                     id, sim, shard_policy, streaming, out.store, out.streaming, segments,
+                     platform, std::move(stream));
       } else {
         platform.AttachArrivalStream(std::move(stream));
       }
@@ -960,12 +870,11 @@ ExperimentResult Experiment::Execute(platform::PlatformPolicy* policy, int num_t
     });
   }
   sweep.Run();
-  CheckColdStartConservation(result);
-  CheckCompletedRunConservation(result, config_.record_requests);
+  CheckConservation(result, config_.record_requests);
   // A completed run seals. An interrupted sharded run's partial store is put
   // in the same canonical order, so it reads the same whatever order its
   // shards finished in; a one-shard run's emission order already does.
-  if (result.interrupted_at_day < 0 || plan.sharded) {
+  if (result.interrupted_at_day < 0 || sharded) {
     result.store.Seal();  // No-op in streaming mode (the store stayed empty).
   }
   result.mode = config_.trace_mode;

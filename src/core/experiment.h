@@ -4,13 +4,14 @@
 // default; a ReplaySource streams a recorded trace instead — the runner treats
 // both identically, including region sharding).
 //
-// Run() executes the full pipeline through one executor over a shard plan: one
-// Simulator + Platform per shard, with per-shard RNG substreams and id
-// namespaces, merged back into a single result. The whole-run plan is one shard
-// spanning every region, fed by the unfiltered arrival stream and driven by the
-// caller's own policy. When the scenario has several regions and the policy is
-// region-local (the baseline always is), the plan shards instead, and the
-// merged result is bit-identical to the whole-run plan's. A shard is then a
+// Run() executes the full pipeline through one executor over one shard plan:
+// one Simulator + Platform per shard, with per-shard RNG substreams and id
+// namespaces, merged back into a single result. The whole-run plan is the
+// plan's one-shard case: shard 0 spans every region, fed by the unfiltered
+// arrival stream and driven by the caller's own policy. When the scenario has
+// several regions and the policy is region-local (the baseline always is), the
+// plan has regions x K shards instead, and the merged result is bit-identical
+// to the one-shard plan's. A shard is then a
 // (region, cell group) slice: the planner splits each region into K groups,
 // where K = cells when the policy is function-local, 1 when it is
 // capacity-coupled, and as checkpointed on resume (docs/determinism.md
@@ -59,8 +60,8 @@ namespace coldstart::core {
 // (or ResumeFrom()), the runner snapshots its full state into `dir` every
 // `every_n_days` completed days: a kill at any instant loses at most the work
 // since the last committed checkpoint, and ResumeFrom() continues the run to a
-// final trace bit-identical to the uninterrupted one. Works serial and
-// sharded (one checkpoint stream per shard, merged manifest). Requires a
+// final trace bit-identical to the uninterrupted one. Works on any plan (one
+// checkpoint stream per shard, one manifest day per shard). Requires a
 // checkpointable policy (SavePolicyState) when a policy is attached —
 // enforced loudly up front, not at the first checkpoint.
 struct CheckpointPolicy {
@@ -137,12 +138,11 @@ class Experiment {
   // Resumes a run from the latest committed checkpoints in `dir` and carries
   // it to completion (or to the next stop). The config and policy must match
   // the checkpointed run — fingerprint and policy checkpointability are
-  // CHECKed. The execution mode follows the manifest: a sharded checkpoint
-  // resumes sharded with the checkpointed shards_per_region geometry, a serial
-  // one resumes serially; manifest entries outside that geometry (stale shard
-  // ids from a different K, duplicates) abort loudly. num_threads is honored
-  // as given: the geometry comes from the manifest, so a sharded checkpoint
-  // resumes at any thread count, one worker included.
+  // CHECKed. The plan follows the manifest, which holds one day per shard: one
+  // day resumes the whole-run plan, regions x K days the (region, cell group)
+  // plan with that K; any other count (or K outside 1..cells_per_region)
+  // aborts loudly. num_threads is honored as given: the geometry comes from
+  // the manifest, so a checkpoint resumes at any thread count.
   // The completed result is bit-identical to the uninterrupted run's.
   ExperimentResult ResumeFrom(const std::string& dir,
                               platform::PlatformPolicy* policy = nullptr,
@@ -158,13 +158,6 @@ class Experiment {
   // set to whether `dir` holds a checkpoint of this run (ResumeFrom, not Run).
   std::string CheckResumable(const std::string& dir, bool* resuming = nullptr) const;
 
-  // True when the shard planner gives Run(policy) a sharded plan at any thread
-  // budget above one (and at one thread too for a kStreaming run without
-  // checkpoints): multiple regions (or cells_per_region > 1 with a
-  // function-local policy) and a policy that is region-local and
-  // shard-clonable (or no policy at all).
-  bool CanShard(platform::PlatformPolicy* policy) const;
-
   // Baseline run with trace caching under `cache_dir`. Policy runs must use Run()
   // (policies change the trace, which would poison the cache) — enforced: passing a
   // non-null policy CHECK-fails rather than silently contaminating the cache. The
@@ -177,12 +170,11 @@ class Experiment {
   static std::string DefaultCacheDir();
 
  private:
-  // The one executor: plans the shards (the whole-run shard, or regions x K
-  // (region, cell group) shards), runs them largest first on `threads`
+  // The one executor: plans the shards (the one whole-run shard, or regions x
+  // K (region, cell group) shards), runs them largest first on `threads`
   // workers and folds each result in as its shard finishes. num_threads as
-  // for Run(). `resume` (with `resume_dir`)
-  // restores each shard from its manifest entry before running; null means a
-  // fresh run from day 0.
+  // for Run(). `resume` (with `resume_dir`) restores each shard from its
+  // manifest day before running; null means a fresh run from day 0.
   ExperimentResult Execute(platform::PlatformPolicy* policy, int num_threads,
                            const CheckpointPolicy* checkpoint,
                            const checkpoint::Manifest* resume,

@@ -160,9 +160,9 @@ TEST_F(CheckpointTest, CheckpointedRunMatchesPlainRun) {
   // manifest. The last two day files remain; every segment stays.
   std::set<std::string> expected = {"MANIFEST.bin"};
   for (int64_t day = 1; day < config.days; ++day) {
-    expected.insert(checkpoint::SegmentFileName(day, checkpoint::kSerialShard));
+    expected.insert(checkpoint::SegmentFileName(day, 0));
     if (day + 2 >= config.days) {
-      expected.insert(checkpoint::CheckpointFileName(day, checkpoint::kSerialShard));
+      expected.insert(checkpoint::CheckpointFileName(day, 0));
     }
   }
   std::set<std::string> retained;
@@ -172,7 +172,7 @@ TEST_F(CheckpointTest, CheckpointedRunMatchesPlainRun) {
   EXPECT_EQ(retained, expected);
   checkpoint::Manifest manifest;
   ASSERT_TRUE(checkpoint::ReadManifest(dir_, &manifest));
-  EXPECT_FALSE(manifest.sharded);
+  EXPECT_EQ(manifest.days, std::vector<int64_t>{config.days - 1});
   EXPECT_EQ(manifest.fingerprint, config.Fingerprint());
 }
 
@@ -195,20 +195,27 @@ TEST_F(CheckpointTest, KillAndResumeSerialFullTrace) {
   // Every queued event fires and every pending one is in the checkpoint, so
   // the resumed run processes exactly the events the plain run does.
   EXPECT_EQ(uninterrupted.events_processed, resumed.events_processed);
+
+  // The manifest's one day is the whole-run plan, which a resume keeps at any
+  // thread count.
+  const ExperimentResult four = experiment.ResumeFrom(dir_, nullptr, 4);
+  EXPECT_EQ(four.shards, 1u);
+  EXPECT_EQ(four.interrupted_at_day, -1);
+  EXPECT_EQ(trace::Digest(uninterrupted.store), trace::Digest(four.store));
 }
 
 TEST_F(CheckpointTest, KillAndResumeShardedFullTrace) {
   const ScenarioConfig config = TinyScenario();
   const Experiment experiment(config);
-  ASSERT_TRUE(experiment.CanShard(nullptr));
   const ExperimentResult uninterrupted = experiment.Run(nullptr, 4);
+  ASSERT_GT(uninterrupted.shards, 1u);
 
   // The kill fires from a worker thread, so sibling shards die wherever they
   // happen to be — the manifest legitimately holds different days per shard.
   RunAndKillAtDay(config, dir_, /*kill_day=*/1, /*num_threads=*/4);
   checkpoint::Manifest manifest;
   ASSERT_TRUE(checkpoint::ReadManifest(dir_, &manifest));
-  EXPECT_TRUE(manifest.sharded);
+  EXPECT_EQ(manifest.days.size(), config.profiles.size());
 
   const ExperimentResult resumed = experiment.ResumeFrom(dir_, nullptr, 4);
   EXPECT_EQ(resumed.interrupted_at_day, -1);
@@ -224,14 +231,13 @@ TEST_F(CheckpointTest, KillAndResumeSubRegionShardedFullTrace) {
   ScenarioConfig config = TinyScenario();
   config.cells_per_region = 4;
   const Experiment experiment(config);
-  ASSERT_TRUE(experiment.CanShard(nullptr));
   const ExperimentResult uninterrupted = experiment.Run(nullptr, 20);
+  ASSERT_GT(uninterrupted.shards, 1u);
 
   RunAndKillAtDay(config, dir_, /*kill_day=*/1, /*num_threads=*/20);
   checkpoint::Manifest manifest;
   ASSERT_TRUE(checkpoint::ReadManifest(dir_, &manifest));
-  EXPECT_TRUE(manifest.sharded);
-  EXPECT_EQ(manifest.shards_per_region, 4u);
+  EXPECT_EQ(manifest.days.size(), config.profiles.size() * 4);
 
   const ExperimentResult resumed = experiment.ResumeFrom(dir_, nullptr, 20);
   EXPECT_EQ(resumed.interrupted_at_day, -1);
@@ -256,8 +262,7 @@ TEST_F(CheckpointTest, SubRegionCheckpointResumesAtAnyThreadCount) {
   RunAndKillAtDay(config, dir_, /*kill_day=*/1, /*num_threads=*/4);
   checkpoint::Manifest manifest;
   ASSERT_TRUE(checkpoint::ReadManifest(dir_, &manifest));
-  EXPECT_TRUE(manifest.sharded);
-  EXPECT_EQ(manifest.shards_per_region, 4u);
+  EXPECT_EQ(manifest.days.size(), config.profiles.size() * 4);
   for (const int threads : {1, 2, 20}) {
     SCOPED_TRACE(threads);
     const ExperimentResult resumed = experiment.ResumeFrom(dir_, nullptr, threads);
@@ -373,7 +378,7 @@ TEST_F(CheckpointTest, TwoKillResumeCyclesMatchPlainRun) {
     RunAndKillAtDay(config, dir_, /*kill_day=*/2, c.threads[1], nullptr, /*resume=*/true);
     checkpoint::Manifest manifest;
     ASSERT_TRUE(checkpoint::ReadManifest(dir_, &manifest));
-    EXPECT_EQ(manifest.sharded, c.cells > 1);
+    EXPECT_EQ(manifest.days.size(), c.cells > 1 ? config.profiles.size() * c.cells : 1u);
     const ExperimentResult resumed = experiment.ResumeFrom(dir_, nullptr, c.threads[2]);
 
     EXPECT_EQ(resumed.interrupted_at_day, -1);
@@ -398,14 +403,13 @@ TEST_F(CheckpointTest, OrphanSegmentIsIgnoredAndRewritten) {
   experiment.Run(nullptr, 1, &reference);
 
   RunAndKillAtDay(config, dir_, /*kill_day=*/1, /*num_threads=*/1);
-  const std::string name = checkpoint::SegmentFileName(2, checkpoint::kSerialShard);
+  const std::string name = checkpoint::SegmentFileName(2, 0);
   const fs::path orphan = fs::path(dir_) / name;
   ASSERT_FALSE(fs::exists(orphan));
   std::ofstream(orphan, std::ios::binary) << "an orphan segment, not even framed";
   checkpoint::Manifest manifest;
   ASSERT_TRUE(checkpoint::ReadManifest(dir_, &manifest));
-  ASSERT_EQ(manifest.entries.size(), 1u);
-  ASSERT_EQ(manifest.entries[0].day, 1);
+  ASSERT_EQ(manifest.days, std::vector<int64_t>{1});
 
   CheckpointPolicy ckpt;
   ckpt.dir = dir_;
@@ -419,7 +423,7 @@ TEST_F(CheckpointTest, OrphanSegmentIsIgnoredAndRewritten) {
 }
 
 TEST_F(CheckpointTest, ResumeDeletesOnlyDayFilesItNames) {
-  // A manifest entry is (shard, day) and nothing else: the day file's name is
+  // A manifest holds each shard's day and nothing else: the day file's name is
   // derived from it, never read back from disk, so a resume opens and prunes
   // only ckpt_day files in its own directory. Files no commit named — one
   // beside the directory, a stray one inside it — outlive the pruning.
@@ -432,12 +436,11 @@ TEST_F(CheckpointTest, ResumeDeletesOnlyDayFilesItNames) {
 
   checkpoint::Manifest manifest;
   ASSERT_TRUE(checkpoint::ReadManifest(dir_, &manifest));
-  ASSERT_EQ(manifest.entries.size(), 1u);
-  ASSERT_EQ(manifest.entries[0].day, 2);
-  // Frame header, then fingerprint, trace mode, region count, sharded flag,
-  // shards per region and entry count, then 12 bytes (shard, day) per entry.
-  constexpr uint64_t kManifestHeader = (8 + 8 + 4) + (8 + 1 + 4 + 1 + 4 + 8);
-  EXPECT_EQ(fs::file_size(checkpoint::ManifestPath(dir_)), kManifestHeader + 12);
+  ASSERT_EQ(manifest.days, std::vector<int64_t>{2});
+  // Frame header, then fingerprint, trace mode, region count and day count,
+  // then 8 bytes per shard.
+  constexpr uint64_t kManifestHeader = (8 + 8 + 4) + (8 + 1 + 4 + 8);
+  EXPECT_EQ(fs::file_size(checkpoint::ManifestPath(dir_)), kManifestHeader + 8);
 
   const auto names = [this] {
     std::set<std::string> out;
@@ -450,7 +453,7 @@ TEST_F(CheckpointTest, ResumeDeletesOnlyDayFilesItNames) {
   CheckpointPolicy ckpt;
   ckpt.dir = dir_;
   // Commits days 3 and 4: the day-3 commit prunes the day-1 file the killed
-  // run left before its seeded entry, the day-4 commit the seeded day-2 file.
+  // run left before its seeded day, the day-4 commit the seeded day-2 file.
   // No segment goes.
   const ExperimentResult resumed = Experiment(config).ResumeFrom(dir_, nullptr, 1, &ckpt);
   EXPECT_EQ(resumed.interrupted_at_day, -1);
@@ -459,8 +462,8 @@ TEST_F(CheckpointTest, ResumeDeletesOnlyDayFilesItNames) {
   std::set_difference(before.begin(), before.end(), after.begin(), after.end(),
                       std::inserter(removed, removed.end()));
   EXPECT_EQ(removed,
-            (std::set<std::string>{checkpoint::CheckpointFileName(1, checkpoint::kSerialShard),
-                                   checkpoint::CheckpointFileName(2, checkpoint::kSerialShard)}));
+            (std::set<std::string>{checkpoint::CheckpointFileName(1, 0),
+                                   checkpoint::CheckpointFileName(2, 0)}));
   EXPECT_TRUE(after.count("stray.bin"));
   EXPECT_TRUE(fs::exists(beside));
   fs::remove(beside);
@@ -496,7 +499,7 @@ TEST_F(CheckpointTest, SegmentsHoldEachRowOnce) {
   uint64_t segment_bytes = 0;
   int64_t segments = 0;
   for (int64_t day = 1; day < config.days; ++day) {
-    const fs::path seg = fs::path(dir_) / checkpoint::SegmentFileName(day, checkpoint::kSerialShard);
+    const fs::path seg = fs::path(dir_) / checkpoint::SegmentFileName(day, 0);
     ASSERT_TRUE(fs::exists(seg)) << seg;
     segment_bytes += fs::file_size(seg);
     ++segments;
@@ -597,64 +600,55 @@ TEST_F(CheckpointTest, ResumeWithMismatchedConfigDies) {
   EXPECT_DEATH(Experiment(snapshot).ResumeFrom(dir_), "fingerprint");
 }
 
-TEST_F(CheckpointTest, StaleShardEntryFromDifferentGeometryDies) {
-  // The satellite bugfix this pins: manifest entries are matched by a linear
-  // (shard, day) scan, so an entry written under a larger K used to survive a
-  // resume with a smaller one and silently restore the wrong state slice. The
-  // resume must instead reject any entry outside regions x shards_per_region.
+TEST_F(CheckpointTest, ManifestOfAnotherGeometryDies) {
+  // A manifest's length is its plan: one day for the whole run, regions x K
+  // days for the shard plan, 1 <= K <= cells. Any other length names no plan,
+  // so the resume dies naming the geometry instead of restoring shards from
+  // slices that do not line up.
   testing::GTEST_FLAG(death_test_style) = "threadsafe";
   ScenarioConfig config = TinyScenario();
   config.cells_per_region = 4;
-  RunAndKillAtDay(config, dir_, /*kill_day=*/1, /*num_threads=*/20);
-
-  checkpoint::Manifest manifest;
-  ASSERT_TRUE(checkpoint::ReadManifest(dir_, &manifest));
-  ASSERT_EQ(manifest.shards_per_region, 4u);
-  ASSERT_FALSE(manifest.entries.empty());
-  // Rewrite the manifest claiming K=1, with an entry whose shard id only
-  // existed under the larger geometry — a stale leftover. (The kill fires at
-  // the first commit, so which shard ids committed is scheduling-dependent;
-  // fabricate the out-of-range one deterministically.)
-  manifest.shards_per_region = 1;
-  checkpoint::ManifestEntry stale = manifest.entries.front();
-  stale.shard = manifest.num_regions + 2;  // >= regions x K once K claims 1.
-  manifest.entries = {stale};
-  ASSERT_TRUE(checkpoint::WriteManifest(dir_, manifest));
-  EXPECT_DEATH(Experiment(config).ResumeFrom(dir_), "stale");
-}
-
-TEST_F(CheckpointTest, DuplicateManifestEntryDies) {
-  testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  const ScenarioConfig config = TinyScenario();
   RunAndKillAtDay(config, dir_, /*kill_day=*/1, /*num_threads=*/4);
 
   checkpoint::Manifest manifest;
   ASSERT_TRUE(checkpoint::ReadManifest(dir_, &manifest));
-  ASSERT_FALSE(manifest.entries.empty());
-  manifest.entries.push_back(manifest.entries.front());
-  ASSERT_TRUE(checkpoint::WriteManifest(dir_, manifest));
-  EXPECT_DEATH(Experiment(config).ResumeFrom(dir_), "twice");
+  const size_t regions = config.profiles.size();
+  ASSERT_EQ(manifest.days.size(), regions * 4);
+  // No day at all; a count that is not a multiple of the region count; and
+  // K = 8 on a scenario of 4 cells.
+  for (const size_t count : {size_t{0}, regions + 1, regions * 8}) {
+    SCOPED_TRACE(count);
+    manifest.days.resize(count, 1);
+    ASSERT_TRUE(checkpoint::WriteManifest(dir_, manifest));
+    EXPECT_DEATH(Experiment(config).ResumeFrom(dir_),
+                 "manifest geometry: neither 1 day \\(whole run\\) nor regions x K");
+  }
 }
 
 // --- Byte reproducibility: identical runs write identical files. ---
 
-TEST_F(CheckpointTest, ShardedManifestListsEntriesInShardOrder) {
+TEST_F(CheckpointTest, ManifestBytesDoNotDependOnCommitOrder) {
   // Shards dispatch largest first and commit in thread-timing order; the
-  // manifest must list them by shard id all the same. A one-worker resume
-  // commits the 20 shards in dispatch order, which is not id order.
+  // manifest holds one day per shard all the same. A one-worker resume
+  // commits the 20 shards in dispatch order, which is not id order, and
+  // leaves the manifest an uninterrupted 4-worker run leaves.
   ScenarioConfig config = TinyScenario();
   config.cells_per_region = 4;
   RunAndKillAtDay(config, dir_, /*kill_day=*/1, /*num_threads=*/4);
   CheckpointPolicy ckpt;
   ckpt.dir = dir_;
   Experiment(config).ResumeFrom(dir_, nullptr, /*num_threads=*/1, &ckpt);
+  const std::string reference_dir = dir_ + "_reference";
+  fs::remove_all(reference_dir);
+  CheckpointPolicy reference;
+  reference.dir = reference_dir;
+  Experiment(config).Run(nullptr, 4, &reference);
 
   checkpoint::Manifest manifest;
   ASSERT_TRUE(checkpoint::ReadManifest(dir_, &manifest));
-  ASSERT_EQ(manifest.entries.size(), 20u);
-  for (size_t i = 1; i < manifest.entries.size(); ++i) {
-    EXPECT_LT(manifest.entries[i - 1].shard, manifest.entries[i].shard) << "entry " << i;
-  }
+  EXPECT_EQ(manifest.days, std::vector<int64_t>(20, config.days - 1));
+  EXPECT_TRUE(FilesIn(dir_).at("MANIFEST.bin") == FilesIn(reference_dir).at("MANIFEST.bin"));
+  fs::remove_all(reference_dir);
 }
 
 // `a` and `b` hold the same file names, each with the same bytes.
@@ -690,7 +684,7 @@ TEST_F(CheckpointTest, IdenticalRunsWriteIdenticalBytes) {
 
   const auto ckpt = FilesIn(root / "ckpt_a");
   EXPECT_EQ(ckpt.count("MANIFEST.bin"), 1u);
-  EXPECT_EQ(ckpt.count(checkpoint::CheckpointFileName(1, checkpoint::kSerialShard)), 1u);
+  EXPECT_EQ(ckpt.count(checkpoint::CheckpointFileName(1, 0)), 1u);
   ExpectSameFiles(root / "ckpt_a", root / "ckpt_b");
 }
 
@@ -708,14 +702,10 @@ class CheckpointCorruptionTest : public CheckpointTest {
     const ExperimentResult r = Experiment(config).Run(nullptr, 1, &ckpt);
     ASSERT_GT(r.interrupted_at_day, 0);
     checkpoint_file_ =
-        (fs::path(dir_) / checkpoint::CheckpointFileName(
-                              r.interrupted_at_day, checkpoint::kSerialShard))
-            .string();
+        (fs::path(dir_) / checkpoint::CheckpointFileName(r.interrupted_at_day, 0)).string();
     ASSERT_TRUE(fs::exists(checkpoint_file_));
     segment_file_ =
-        (fs::path(dir_) / checkpoint::SegmentFileName(r.interrupted_at_day,
-                                                      checkpoint::kSerialShard))
-            .string();
+        (fs::path(dir_) / checkpoint::SegmentFileName(r.interrupted_at_day, 0)).string();
     ASSERT_EQ(fs::exists(segment_file_), config.trace_mode == core::TraceMode::kFull);
   }
 
@@ -922,7 +912,7 @@ TEST_F(CheckpointCorruptionTest, HugeStreamingFunctionCountDiesOnBoundsCheck) {
 }
 
 TEST_F(CheckpointCorruptionTest, HugeManifestEntryCountDiesOnBoundsCheck) {
-  // The same for the manifest's entry count, patched and re-CRC'd by hand.
+  // The same for the manifest's day count, patched and re-CRC'd by hand.
   testing::GTEST_FLAG(death_test_style) = "threadsafe";
   const ScenarioConfig config = TinyScenario();
   MakeCheckpointDir(config);
@@ -932,10 +922,10 @@ TEST_F(CheckpointCorruptionTest, HugeManifestEntryCountDiesOnBoundsCheck) {
     std::ifstream in(path, std::ios::binary);
     bytes.assign(std::istreambuf_iterator<char>(in), {});
   }
-  // Frame: magic, payload size, CRC32. Payload: fingerprint, trace mode,
-  // region count, sharded flag and shards per region, then the entry count.
+  // Frame: magic, payload size, CRC32. Payload: fingerprint, trace mode and
+  // region count, then the day count.
   constexpr size_t kFrameHeader = 8 + 8 + 4;
-  constexpr size_t kEntryCountOffset = kFrameHeader + 8 + 1 + 4 + 1 + 4;
+  constexpr size_t kEntryCountOffset = kFrameHeader + 8 + 1 + 4;
   const uint64_t huge = uint64_t{1} << 40;
   ASSERT_GT(bytes.size(), kEntryCountOffset + sizeof(huge));
   std::memcpy(&bytes[kEntryCountOffset], &huge, sizeof(huge));

@@ -89,9 +89,9 @@ void ExpectAggregatesIdentical(const ExperimentResult& a, const ExperimentResult
 
 TEST(ShardedExperimentTest, BaselineBitIdenticalToSerialOnSmallScenario) {
   const Experiment experiment(core::SmallScenario());
-  ASSERT_TRUE(experiment.CanShard(nullptr));
   const ExperimentResult serial = experiment.Run(nullptr, /*num_threads=*/1);
   const ExperimentResult sharded = experiment.Run(nullptr, /*num_threads=*/4);
+  ASSERT_GT(sharded.shards, 1u);
   ASSERT_GT(serial.store.requests().size(), 10000u);
   ExpectStoresIdentical(serial.store, sharded.store);
   ExpectAggregatesIdentical(serial, sharded);
@@ -148,10 +148,10 @@ TEST(ShardedExperimentTest, RegionLocalPolicyBitIdenticalToSerial) {
     return combo;
   };
   auto serial_policy = make_policy();
-  ASSERT_TRUE(experiment.CanShard(serial_policy.get()));
   const ExperimentResult serial = experiment.Run(serial_policy.get(), 1);
   auto sharded_policy = make_policy();
   const ExperimentResult sharded = experiment.Run(sharded_policy.get(), 4);
+  ASSERT_GT(sharded.shards, 1u);
 
   // The policies engaged (prewarms happened) and the runs still agree exactly.
   int64_t prewarms = 0;
@@ -176,9 +176,9 @@ TEST(SubRegionShardingTest, BaselineBitIdenticalAcrossGeometries) {
     config.days = 3;
     config.cells_per_region = cells;
     const Experiment experiment(config);
-    ASSERT_TRUE(experiment.CanShard(nullptr));
     const ExperimentResult serial = experiment.Run(nullptr, /*num_threads=*/1);
     const ExperimentResult sharded = experiment.Run(nullptr, /*num_threads=*/4);
+    ASSERT_GT(sharded.shards, 1u);
     ASSERT_GT(serial.store.requests().size(), 10000u);
     ExpectStoresIdentical(serial.store, sharded.store);
     ExpectAggregatesIdentical(serial, sharded);
@@ -186,15 +186,8 @@ TEST(SubRegionShardingTest, BaselineBitIdenticalAcrossGeometries) {
 }
 
 // The plan a run used, read back from the manifest of a run stopped at its
-// first day boundary: {sharded, K, manifest entries}.
-struct ObservedPlan {
-  bool sharded;
-  uint32_t k;
-  size_t entries;
-};
-
-ObservedPlan PlanOf(const ScenarioConfig& config, platform::PlatformPolicy* policy,
-                    int threads) {
+// first day boundary: its shard count, one manifest day per shard.
+size_t PlanOf(const ScenarioConfig& config, platform::PlatformPolicy* policy, int threads) {
   namespace fs = std::filesystem;
   const std::string dir = (fs::temp_directory_path() / "coldstart_plan_test").string();
   fs::remove_all(dir);
@@ -206,8 +199,9 @@ ObservedPlan PlanOf(const ScenarioConfig& config, platform::PlatformPolicy* poli
   EXPECT_EQ(r.interrupted_at_day, 1);
   checkpoint::Manifest manifest;
   EXPECT_TRUE(checkpoint::ReadManifest(dir, &manifest));
+  EXPECT_EQ(manifest.days.size(), r.shards);
   fs::remove_all(dir);
-  return {manifest.sharded, manifest.shards_per_region, manifest.entries.size()};
+  return manifest.days.size();
 }
 
 TEST(ShardPlannerTest, GeometryComesFromTheScenarioNotTheThreadCount) {
@@ -219,21 +213,13 @@ TEST(ShardPlannerTest, GeometryComesFromTheScenarioNotTheThreadCount) {
   const size_t regions = config.profiles.size();
   for (const int threads : {2, 3, 4, 5, 20}) {
     SCOPED_TRACE(threads);
-    const ObservedPlan plan = PlanOf(config, nullptr, threads);
-    EXPECT_TRUE(plan.sharded);
-    EXPECT_EQ(plan.k, 4u);
-    EXPECT_EQ(plan.entries, regions * 4);
+    EXPECT_EQ(PlanOf(config, nullptr, threads), regions * 4);
   }
   // A capacity-coupled policy keeps whole regions.
   policy::PeakShavingPolicy peak_shaving;
-  const ObservedPlan coupled = PlanOf(config, &peak_shaving, 20);
-  EXPECT_TRUE(coupled.sharded);
-  EXPECT_EQ(coupled.k, 1u);
-  EXPECT_EQ(coupled.entries, regions);
+  EXPECT_EQ(PlanOf(config, &peak_shaving, 20), regions);
   // One thread under a CheckpointPolicy is the whole-run plan.
-  const ObservedPlan serial = PlanOf(config, nullptr, 1);
-  EXPECT_FALSE(serial.sharded);
-  EXPECT_EQ(serial.entries, 1u);
+  EXPECT_EQ(PlanOf(config, nullptr, 1), 1u);
 }
 
 TEST(ShardPlannerTest, OneThreadShardsWhereShardsFoldForFree) {
@@ -252,9 +238,7 @@ TEST(ShardPlannerTest, OneThreadShardsWhereShardsFoldForFree) {
   policy::PeakShavingPolicy peak_shaving;
   EXPECT_EQ(Experiment(config).Run(&peak_shaving, 1).shards, regions);
   // Checkpointed streaming keeps the whole-run plan.
-  const ObservedPlan checkpointed = PlanOf(config, nullptr, 1);
-  EXPECT_FALSE(checkpointed.sharded);
-  EXPECT_EQ(checkpointed.entries, 1u);
+  EXPECT_EQ(PlanOf(config, nullptr, 1), 1u);
   // So does a full trace.
   config.trace_mode = core::TraceMode::kFull;
   EXPECT_EQ(Experiment(config).Run(nullptr, 1).shards, 1u);
@@ -380,12 +364,12 @@ TEST(ShardedExperimentTest, CrossRegionPolicyFallsBackToSerial) {
   const Experiment experiment(core::SmallScenario());
   policy::CrossRegionPolicy cross;
   EXPECT_FALSE(cross.is_region_local());
-  EXPECT_FALSE(experiment.CanShard(&cross));
+  EXPECT_EQ(experiment.Run(&cross, 4).shards, 1u);
   // Composites inherit non-shardability from any member.
   policy::CompositePolicy combo;
   combo.Add(std::make_unique<policy::CrossRegionPolicy>());
   EXPECT_FALSE(combo.is_region_local());
-  EXPECT_FALSE(experiment.CanShard(&combo));
+  EXPECT_EQ(experiment.Run(&combo, 4).shards, 1u);
 }
 
 TEST(ShardedExperimentTest, UnclonableRegionLocalPolicyRunsAsOneShard) {
@@ -401,9 +385,9 @@ TEST(ShardedExperimentTest, UnclonableRegionLocalPolicyRunsAsOneShard) {
   const Experiment experiment(config);
   ArrivalCounter a;
   ArrivalCounter b;
-  EXPECT_FALSE(experiment.CanShard(&a));
   const ExperimentResult one = experiment.Run(&a, 1);
   const ExperimentResult four = experiment.Run(&b, 4);
+  EXPECT_EQ(four.shards, 1u);
   EXPECT_EQ(trace::Digest(one.store), trace::Digest(four.store));
   EXPECT_EQ(one.events_processed, four.events_processed);
   EXPECT_GT(a.arrivals, 0);

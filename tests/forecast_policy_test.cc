@@ -158,10 +158,10 @@ TEST(ForecastPolicyTest, SerialShardedAndSubRegionShardedBitIdentical) {
   const Experiment experiment(config);
 
   ForecastPrewarmPolicy serial_policy;
-  ASSERT_TRUE(experiment.CanShard(&serial_policy));
   const ExperimentResult serial = testing_support::RunWholePlan(experiment, &serial_policy);
   ForecastPrewarmPolicy sharded_policy;
   const ExperimentResult sharded = experiment.Run(&sharded_policy, 5);
+  ASSERT_GT(sharded.shards, 1u);
   ForecastPrewarmPolicy subregion_policy;
   const ExperimentResult subregion = experiment.Run(&subregion_policy, 20);
 
