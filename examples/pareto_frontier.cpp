@@ -14,7 +14,6 @@
 //   cache_dir (optional) persists per-point evaluations keyed by
 //   (scenario, policy config) fingerprints — see core/frontier.h.
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,23 +21,8 @@
 #include "common/env.h"
 #include "core/coldstart_lab.h"
 #include "core/frontier.h"
-#include "policy/forecast.h"
 
 using namespace coldstart;
-
-namespace {
-
-core::FrontierCandidate Forecast(const std::string& name,
-                                 double min_confidence, SimDuration horizon) {
-  policy::ForecastPrewarmPolicy::Options options;
-  options.forecaster.min_confidence = min_confidence;
-  options.max_horizon = horizon;
-  return {name,
-          [options] { return std::make_unique<policy::ForecastPrewarmPolicy>(options); },
-          options.Fingerprint()};
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   core::ScenarioConfig config;
@@ -62,54 +46,8 @@ int main(int argc, char** argv) {
   }
   const std::string cache_dir = argc > 3 ? argv[3] : std::string();
 
-  std::vector<core::FrontierCandidate> candidates;
-  candidates.push_back({"baseline", nullptr, 0});
-  candidates.push_back({"keepalive-dynamic",
-                        [] { return std::make_unique<policy::DynamicKeepAlivePolicy>(); },
-                        HashString("keepalive-dynamic")});
-  candidates.push_back({"prewarm-timer",
-                        [] { return std::make_unique<policy::TimerAwarePrewarmPolicy>(); },
-                        HashString("prewarm-timer")});
-  candidates.push_back({"prewarm-profile",
-                        [] { return std::make_unique<policy::ProfilePrewarmPolicy>(); },
-                        HashString("prewarm-profile")});
-  candidates.push_back({"workflow-prewarm",
-                        [] { return std::make_unique<policy::WorkflowPrewarmPolicy>(); },
-                        HashString("workflow-prewarm")});
-  candidates.push_back({"provisioned",
-                        [] { return std::make_unique<policy::ProvisionedConcurrencyPolicy>(); },
-                        HashString("provisioned")});
-  candidates.push_back({"peak-shaving",
-                        [] { return std::make_unique<policy::PeakShavingPolicy>(); },
-                        HashString("peak-shaving")});
-  candidates.push_back({"pool-prediction",
-                        [] { return std::make_unique<policy::PoolPredictionPolicy>(); },
-                        HashString("pool-prediction")});
-  candidates.push_back({"composite-classic",
-                        [] {
-                          auto combo = std::make_unique<policy::CompositePolicy>();
-                          combo->Add(std::make_unique<policy::TimerAwarePrewarmPolicy>())
-                              .Add(std::make_unique<policy::DynamicKeepAlivePolicy>())
-                              .Add(std::make_unique<policy::WorkflowPrewarmPolicy>())
-                              .Add(std::make_unique<policy::PeakShavingPolicy>());
-                          return combo;
-                        },
-                        HashString("composite-classic")});
-  candidates.push_back(Forecast("forecast-c50-h6h", 0.5, 6 * kHour));
-  candidates.push_back(Forecast("forecast-c70-h12h", 0.7, 12 * kHour));
-  candidates.push_back(Forecast("forecast-c90-h24h", 0.9, 24 * kHour));
-  {
-    policy::ForecastPrewarmPolicy::Options options;
-    candidates.push_back(
-        {"forecast+workflow",
-         [options] {
-           auto combo = std::make_unique<policy::CompositePolicy>();
-           combo->Add(std::make_unique<policy::ForecastPrewarmPolicy>(options))
-               .Add(std::make_unique<policy::WorkflowPrewarmPolicy>());
-           return combo;
-         },
-         MixHash(options.Fingerprint(), HashString("forecast+workflow"))});
-  }
+  const std::vector<core::FrontierCandidate> candidates =
+      core::ShippedFrontierCandidates();
 
   std::printf(
       "Sweeping %zu policy candidates over %d days at %.2fx scale "

@@ -12,11 +12,46 @@
 #include "common/rng.h"
 #include "common/table.h"
 #include "core/sweep.h"
+#include "policy/composite.h"
+#include "policy/forecast.h"
+#include "policy/keepalive.h"
+#include "policy/peak_shaving.h"
+#include "policy/pool_prediction.h"
+#include "policy/prewarm.h"
+#include "policy/provisioned.h"
+#include "policy/workflow_prewarm.h"
 
 namespace coldstart::core {
 namespace {
 
 constexpr uint64_t kFrontierFileMagic = 0x31765F746E726663ull;  // "cfrnt_v1".
+
+template <typename Policy>
+FrontierCandidate Plain(const std::string& name) {
+  return {name, [] { return std::make_unique<Policy>(); }, HashString(name)};
+}
+
+// Default-configured policies in one CompositePolicy, in priority order.
+template <typename... Policies>
+FrontierCandidate Composite(const std::string& name, uint64_t fingerprint) {
+  return {name,
+          [] {
+            auto combo = std::make_unique<policy::CompositePolicy>();
+            (combo->Add(std::make_unique<Policies>()), ...);
+            return combo;
+          },
+          fingerprint};
+}
+
+FrontierCandidate Forecast(const std::string& name, double min_confidence,
+                           SimDuration horizon) {
+  policy::ForecastPrewarmPolicy::Options options;
+  options.forecaster.min_confidence = min_confidence;
+  options.max_horizon = horizon;
+  return {name,
+          [options] { return std::make_unique<policy::ForecastPrewarmPolicy>(options); },
+          options.Fingerprint()};
+}
 
 std::string PointPath(const std::string& cache_dir, uint64_t key) {
   char name[32];
@@ -167,6 +202,28 @@ std::string FrontierCsv(const FrontierResult& result) {
         .Cell(std::string(p.on_frontier ? "1" : "0"));
   }
   return t.RenderCsv();
+}
+
+std::vector<FrontierCandidate> ShippedFrontierCandidates() {
+  std::vector<FrontierCandidate> c;
+  c.push_back({"baseline", nullptr, 0});
+  c.push_back(Plain<policy::DynamicKeepAlivePolicy>("keepalive-dynamic"));
+  c.push_back(Plain<policy::TimerAwarePrewarmPolicy>("prewarm-timer"));
+  c.push_back(Plain<policy::ProfilePrewarmPolicy>("prewarm-profile"));
+  c.push_back(Plain<policy::WorkflowPrewarmPolicy>("workflow-prewarm"));
+  c.push_back(Plain<policy::ProvisionedConcurrencyPolicy>("provisioned"));
+  c.push_back(Plain<policy::PeakShavingPolicy>("peak-shaving"));
+  c.push_back(Plain<policy::PoolPredictionPolicy>("pool-prediction"));
+  c.push_back(Composite<policy::TimerAwarePrewarmPolicy, policy::DynamicKeepAlivePolicy,
+                        policy::WorkflowPrewarmPolicy, policy::PeakShavingPolicy>(
+      "composite-classic", HashString("composite-classic")));
+  c.push_back(Forecast("forecast-c50-h6h", 0.5, 6 * kHour));
+  c.push_back(Forecast("forecast-c70-h12h", 0.7, 12 * kHour));
+  c.push_back(Forecast("forecast-c90-h24h", 0.9, 24 * kHour));
+  c.push_back(Composite<policy::ForecastPrewarmPolicy, policy::WorkflowPrewarmPolicy>(
+      "forecast+workflow", MixHash(policy::ForecastPrewarmPolicy::Options().Fingerprint(),
+                                   HashString("forecast+workflow"))));
+  return c;
 }
 
 }  // namespace coldstart::core

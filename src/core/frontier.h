@@ -80,6 +80,12 @@ FrontierResult RunFrontier(const ScenarioConfig& config,
 // what pareto_frontier writes next to its report table.
 std::string FrontierCsv(const FrontierResult& result);
 
+// The candidates pareto_frontier sweeps (and tests/golden/policy_frontier.golden
+// pins): the baseline, every §5 mitigation at its defaults, the classic
+// composite, the forecaster at three confidence/horizon settings and
+// forecast+workflow.
+std::vector<FrontierCandidate> ShippedFrontierCandidates();
+
 }  // namespace coldstart::core
 
 #endif  // COLDSTART_CORE_FRONTIER_H_

@@ -570,10 +570,11 @@ void Platform::AssignRequest(Pod* pod, const FunctionSpec& spec, SimTime arrival
   if (ends_last) {
     // The pod goes idle at exec_end unless a later request binds first: its
     // one keep-alive moves there, granted as of the idle start.
-    const SimDuration keep_alive = policy_ != nullptr
-                                       ? policy_->KeepAliveFor(spec, exec_end)
-                                       : options_.default_keep_alive;
-    ArmKeepAlive(pod, exec_end + keep_alive);
+    const SimDuration asked = policy_ != nullptr ? policy_->KeepAliveFor(spec, exec_end)
+                                                 : PlatformPolicy::kDefaultKeepAlive;
+    ArmKeepAlive(pod, exec_end + (asked == PlatformPolicy::kDefaultKeepAlive
+                                      ? options_.default_keep_alive
+                                      : asked));
   }
 }
 

@@ -114,7 +114,8 @@ class Platform : private sim::EventTarget {
   struct Options {
     uint64_t seed = 1;
     bool record_requests = true;
-    // Baseline keep-alive when no policy overrides it (§2.2: one minute).
+    // Keep-alive when no policy is attached or the policy answers
+    // PlatformPolicy::kDefaultKeepAlive (§2.2: one minute).
     SimDuration default_keep_alive = kMinute;
     // Construction for a checkpoint restore: skip the side effects a fresh run
     // performs up front (function-table emission into the sink, the first
@@ -189,6 +190,8 @@ class Platform : private sim::EventTarget {
   // (CHECKed): a policy that sizes pools must refuse other geometries itself.
   ResourcePool& pool(trace::RegionId region, trace::ResourceConfig config);
   uint32_t cells_per_region() const { return options_.cells_per_region; }
+  // What a PlatformPolicy::kDefaultKeepAlive answer grants.
+  SimDuration default_keep_alive() const { return options_.default_keep_alive; }
   const workload::FunctionSpec& spec(trace::FunctionId function) const;
   // True when the function has a pod that is (or will be) able to take a request:
   // ready (or warming) with a free concurrency slot now.

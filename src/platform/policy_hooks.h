@@ -1,7 +1,8 @@
 // Extension points for scheduling/mitigation policies (§5 of the paper).
 //
-// The baseline platform implements the production behaviour described in §2.2 (fixed
-// 60 s keep-alive, home-region execution, no prewarming, no admission control).
+// The baseline platform implements the production behaviour described in §2.2 (a fixed
+// keep-alive, 60 s by default, home-region execution, no prewarming, no admission
+// control).
 // Policies override these hooks; concrete implementations live in src/policy/.
 #ifndef COLDSTART_PLATFORM_POLICY_HOOKS_H_
 #define COLDSTART_PLATFORM_POLICY_HOOKS_H_
@@ -20,6 +21,9 @@ class Platform;
 
 class PlatformPolicy {
  public:
+  // KeepAliveFor's "no opinion" answer: a sentinel, not a duration.
+  static constexpr SimDuration kDefaultKeepAlive = -1;
+
   virtual ~PlatformPolicy() = default;
 
   // --- Parallel-execution traits (core::Experiment's region sharding). ---
@@ -72,17 +76,21 @@ class PlatformPolicy {
     return 0;
   }
 
-  // Keep-alive granted to a pod of `spec` going idle at `now`. The production default
-  // is one minute (§2.2). The platform asks when it binds a request that ends last
-  // on its pod, so `now` is that request's end — the pod's idle start — and lies in
-  // the simulated future; it is not monotone across calls (a short request bound
-  // later can end before a long one bound earlier). A later-ending request bound
-  // before `now` asks again and replaces the answer. The shipped overrides read no
-  // clock: they answer from state observed up to the bind (arrivals, forecasts).
+  // Keep-alive granted to a pod of `spec` going idle at `now`, or
+  // kDefaultKeepAlive (the base answer) to leave the pod the platform's default,
+  // Platform::Options::default_keep_alive (one minute in production, §2.2). A
+  // policy never names the default's value: the platform substitutes it, and
+  // reports it as Platform::default_keep_alive(). The platform asks when it binds
+  // a request that ends last on its pod, so `now` is that request's end — the
+  // pod's idle start — and lies in the simulated future; it is not monotone
+  // across calls (a short request bound later can end before a long one bound
+  // earlier). A later-ending request bound before `now` asks again and replaces
+  // the answer. The shipped overrides read no clock: they answer from state
+  // observed up to the bind (arrivals, forecasts).
   virtual SimDuration KeepAliveFor(const workload::FunctionSpec& spec, SimTime now) {
     (void)spec;
     (void)now;
-    return kMinute;
+    return kDefaultKeepAlive;
   }
 
   // Region in which a needed cold start should run (cross-region scheduling). The

@@ -62,11 +62,11 @@ SimDuration CompositePolicy::KeepAliveFor(const workload::FunctionSpec& spec,
                                           SimTime now) {
   for (auto& p : policies_) {
     const SimDuration ka = p->KeepAliveFor(spec, now);
-    if (ka != kMinute) {
+    if (ka != kDefaultKeepAlive) {
       return ka;
     }
   }
-  return kMinute;
+  return kDefaultKeepAlive;
 }
 
 trace::RegionId CompositePolicy::RouteColdStart(const workload::FunctionSpec& spec,

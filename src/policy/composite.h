@@ -5,8 +5,9 @@
 // routing, and pool prediction can be combined in one experiment.
 //
 // Combination rules: observation hooks go to everyone; AdmissionDelay takes the
-// maximum requested delay; KeepAliveFor and RouteColdStart take the first sub-policy
-// that deviates from the default (list order = priority).
+// maximum requested delay; KeepAliveFor takes the first sub-policy answer that is
+// not kDefaultKeepAlive, and RouteColdStart the first that leaves the home region
+// (list order = priority).
 #ifndef COLDSTART_POLICY_COMPOSITE_H_
 #define COLDSTART_POLICY_COMPOSITE_H_
 
@@ -19,8 +20,6 @@ namespace coldstart::policy {
 
 class CompositePolicy : public platform::PlatformPolicy {
  public:
-  CompositePolicy() = default;
-
   // Takes ownership. Returns *this for chaining.
   CompositePolicy& Add(std::unique_ptr<platform::PlatformPolicy> policy);
 

@@ -1,16 +1,18 @@
 #include "policy/cross_region.h"
 
+#include "common/check.h"
+
 namespace coldstart::policy {
 
-CrossRegionPolicy::CrossRegionPolicy() : CrossRegionPolicy(Options{}) {}
-CrossRegionPolicy::CrossRegionPolicy(Options options) : options_(options) {}
+namespace {
+// A peer region must have fewer active cold starts than this to accept work.
+constexpr int64_t kPeerQuietThreshold = 3;
+}  // namespace
 
 trace::RegionId CrossRegionPolicy::RouteColdStart(const workload::FunctionSpec& spec,
                                                   SimTime) {
-  if (platform_ == nullptr) {
-    return spec.region;
-  }
-  if (!options_.offload_synchronous && trace::IsSynchronous(spec.primary_trigger)) {
+  COLDSTART_CHECK(platform_ != nullptr);
+  if (trace::IsSynchronous(spec.primary_trigger)) {
     return spec.region;
   }
   if (platform_->active_cold_starts(spec.region) < options_.home_pressure_threshold) {
@@ -19,7 +21,7 @@ trace::RegionId CrossRegionPolicy::RouteColdStart(const workload::FunctionSpec& 
   // Pick the quietest peer region; offload only if it is genuinely idle.
   const int num_regions = static_cast<int>(platform_->profiles().size());
   int best = -1;
-  int64_t best_load = options_.peer_quiet_threshold;
+  int64_t best_load = kPeerQuietThreshold;
   for (int r = 0; r < num_regions; ++r) {
     if (r == spec.region) {
       continue;

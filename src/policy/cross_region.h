@@ -1,7 +1,8 @@
 // Cross-region cold-start scheduling (§5 "Cross-region workload scheduling").
 //
 // When the home region is congested (deep pool searches, long scheduler queues) and a
-// peer region is quiet, new pods are started in the peer region instead. The platform
+// peer region is quiet, new pods of asynchronously triggered (latency-tolerant)
+// functions are started in the peer region instead. The platform
 // charges the home region's inter-region RTT on the scheduling component, so the
 // policy's benefit is exactly the paper's trade: tens of milliseconds of RTT against
 // seconds of congested cold start.
@@ -22,13 +23,10 @@ class CrossRegionPolicy : public platform::PlatformPolicy {
  public:
   struct Options {
     int home_pressure_threshold = 10;  // Active cold starts to consider offloading.
-    int peer_quiet_threshold = 3;      // Peer must be below this to accept.
-    // Only offload latency-tolerant (asynchronous) work by default.
-    bool offload_synchronous = false;
   };
 
-  CrossRegionPolicy();
-  explicit CrossRegionPolicy(Options options);
+  CrossRegionPolicy() : CrossRegionPolicy(Options{}) {}
+  explicit CrossRegionPolicy(Options options) : options_(options) {}
 
   void OnAttach(platform::Platform& platform) override { platform_ = &platform; }
   trace::RegionId RouteColdStart(const workload::FunctionSpec& spec, SimTime now) override;

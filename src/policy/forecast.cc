@@ -9,6 +9,26 @@
 
 namespace coldstart::policy {
 
+namespace {
+// Arrivals the peak hour must hold before the diurnal fallback speaks.
+constexpr uint32_t kDiurnalMinCount = 3;
+// The diurnal fallback covers only sparse functions: window mean IAT at least
+// this (or no IAT sample yet).
+constexpr SimDuration kDiurnalMinMeanIat = kHour;
+// Predicted IATs above this are prewarmed; at or below it, the keep-alive
+// move covers them.
+constexpr SimDuration kPrewarmMinIat = 3 * kMinute;
+// A fire is due once it is at most one tick plus this away.
+constexpr SimDuration kLeadTime = 5 * kSecond;
+// A prewarmed pod survives this long past its predicted fire.
+constexpr SimDuration kPostFireMargin = 10 * kSecond;
+// Keep-alive move: headroom x predicted IAT, clamped to [min, max]. Confident
+// long-IAT functions get the min: their next fire is prewarmed.
+constexpr double kKeepAliveHeadroom = 1.25;
+constexpr SimDuration kMinKeepAlive = 5 * kSecond;
+constexpr SimDuration kMaxKeepAlive = 10 * kMinute;
+}  // namespace
+
 // --- InterArrivalForecaster. ------------------------------------------------
 
 int InterArrivalForecaster::BucketOf(SimDuration iat) {
@@ -123,7 +143,7 @@ SimTime InterArrivalForecaster::PredictDiurnalNext(SimTime now) const {
   for (const uint32_t c : hour_counts_) {
     peak = std::max(peak, c);
   }
-  if (peak < static_cast<uint32_t>(options_.diurnal_min_count)) {
+  if (peak < kDiurnalMinCount) {
     return -1;
   }
   const SimTime hour_start = now - (now % kHour);
@@ -187,28 +207,13 @@ void InterArrivalForecaster::RestoreState(ByteReader& r) {
 // --- ForecastPrewarmPolicy. -------------------------------------------------
 
 uint64_t ForecastPrewarmPolicy::Options::Fingerprint() const {
-  uint64_t h = HashString("forecast-options-v1");
+  uint64_t h = HashString("forecast-options-v2");
   h = MixHash(h, static_cast<uint64_t>(forecaster.window));
   h = MixHash(h, static_cast<uint64_t>(forecaster.min_samples));
   h = MixHashDouble(h, forecaster.min_confidence);
-  h = MixHash(h, static_cast<uint64_t>(forecaster.diurnal_min_count));
-  h = MixHash(h, static_cast<uint64_t>(forecaster.diurnal_min_mean_iat));
-  h = MixHash(h, static_cast<uint64_t>(prewarm_min_iat));
   h = MixHash(h, static_cast<uint64_t>(max_horizon));
-  h = MixHash(h, static_cast<uint64_t>(lead_time));
-  h = MixHash(h, static_cast<uint64_t>(post_fire_margin));
-  h = MixHashDouble(h, keep_alive_headroom);
-  h = MixHash(h, static_cast<uint64_t>(min_keep_alive));
-  h = MixHash(h, static_cast<uint64_t>(max_keep_alive));
-  h = MixHash(h, static_cast<uint64_t>(default_keep_alive));
-  h = MixHash(h, use_diurnal ? 1 : 0);
   return h;
 }
-
-ForecastPrewarmPolicy::ForecastPrewarmPolicy()
-    : ForecastPrewarmPolicy(Options{}) {}
-ForecastPrewarmPolicy::ForecastPrewarmPolicy(Options options)
-    : options_(options) {}
 
 void ForecastPrewarmPolicy::OnArrival(const workload::FunctionSpec& spec,
                                       SimTime now) {
@@ -222,19 +227,17 @@ void ForecastPrewarmPolicy::OnArrival(const workload::FunctionSpec& spec,
   SimTime fire = -1;
   if (forecaster.Confident()) {
     const SimDuration iat = forecaster.PredictedIat();
-    if (iat > options_.prewarm_min_iat && iat <= options_.max_horizon) {
+    if (iat > kPrewarmMinIat && iat <= options_.max_horizon) {
       fire = now + iat;
     }
     // Short IATs are handled by KeepAliveFor — the pod never goes cold.
-  } else if (options_.use_diurnal &&
-             (forecaster.sample_count() == 0 ||
-              forecaster.MeanIat() >= options_.forecaster.diurnal_min_mean_iat)) {
+  } else if (forecaster.sample_count() == 0 ||
+             forecaster.MeanIat() >= kDiurnalMinMeanIat) {
     // Sparse-only: an unpredictable-but-busy function would waste most of its
     // "next active hour" prewarms; a sparse one (or one with no IAT samples
     // yet) is exactly what the hour profile is for.
     const SimTime t = forecaster.PredictDiurnalNext(now);
-    if (t >= 0 && t - now > options_.prewarm_min_iat &&
-        t - now <= options_.max_horizon) {
+    if (t >= 0 && t - now > kPrewarmMinIat && t - now <= options_.max_horizon) {
       fire = t;
     }
   }
@@ -260,10 +263,10 @@ void ForecastPrewarmPolicy::OnArrival(const workload::FunctionSpec& spec,
 
 void ForecastPrewarmPolicy::OnMinuteTick(SimTime now) {
   COLDSTART_CHECK(platform_ != nullptr);
-  // A fire at most one tick plus lead_time away is due: the next tick would be
+  // A fire at most one tick plus kLeadTime away is due: the next tick would be
   // too late for it. Due fires that already passed are stale (a miss); the
   // rest spawn, in function-id order so spawns never depend on fire order.
-  const SimTime due_by = now + kMinute + options_.lead_time;
+  const SimTime due_by = now + kMinute + kLeadTime;
   due_.clear();
   auto due_end = fires_.begin();
   for (; due_end != fires_.end() && due_end->first <= due_by; ++due_end) {
@@ -277,9 +280,9 @@ void ForecastPrewarmPolicy::OnMinuteTick(SimTime now) {
     pending_.erase(it);  // One shot (the served arrival re-arms), or stale.
     if (fire > now && !platform_->HasAvailablePod(fid)) {
       // Survive until just past the predicted fire; a correct prediction is
-      // served warm, a miss dies post_fire_margin later.
+      // served warm, a miss dies kPostFireMargin later.
       platform_->SpawnPrewarmedPod(fid, platform_->spec(fid).region,
-                                   (fire - now) + options_.post_fire_margin);
+                                   (fire - now) + kPostFireMargin);
       ++prewarms_issued_;
     }
   }
@@ -289,18 +292,17 @@ SimDuration ForecastPrewarmPolicy::KeepAliveFor(const workload::FunctionSpec& sp
                                                 SimTime) {
   const InterArrivalForecaster* forecaster = forecasters_.Find(spec.id);
   if (forecaster == nullptr || !forecaster->Confident()) {
-    return options_.default_keep_alive;
+    return kDefaultKeepAlive;
   }
   const SimDuration iat = forecaster->PredictedIat();
-  if (iat <= options_.prewarm_min_iat) {
+  if (iat <= kPrewarmMinIat) {
     // Dynamic keep-alive move: cover the predicted gap with headroom. This
     // both extends (IAT slightly over the default window) and shrinks
-    // (rapid-fire functions hold pods for far less than 60 s).
-    const auto scaled = static_cast<SimDuration>(
-        options_.keep_alive_headroom * static_cast<double>(iat));
-    const SimDuration ka =
-        std::clamp(scaled, options_.min_keep_alive, options_.max_keep_alive);
-    if (ka > options_.default_keep_alive) {
+    // (rapid-fire functions hold pods for far less than the default).
+    const auto scaled =
+        static_cast<SimDuration>(kKeepAliveHeadroom * static_cast<double>(iat));
+    const SimDuration ka = std::clamp(scaled, kMinKeepAlive, kMaxKeepAlive);
+    if (ka > platform_->default_keep_alive()) {
       ++keepalive_extended_;
     } else {
       ++keepalive_curtailed_;
@@ -310,7 +312,7 @@ SimDuration ForecastPrewarmPolicy::KeepAliveFor(const workload::FunctionSpec& sp
   // The next fire is beyond the prewarm threshold: a fresh pod will be
   // prewarmed just ahead of it, so holding this one warm is pure idle cost.
   ++keepalive_curtailed_;
-  return options_.min_keep_alive;
+  return kMinKeepAlive;
 }
 
 void ForecastPrewarmPolicy::AbsorbShardStats(

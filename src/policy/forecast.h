@@ -21,12 +21,17 @@
 //
 // ForecastPrewarmPolicy turns predictions into mitigation, choosing per
 // function between two moves:
-//   - predicted IAT beyond the keep-alive horizon -> prewarm: arm a pending
+//   - predicted IAT over 3 min, up to max_horizon -> prewarm: arm a pending
 //     fire time and spawn a short-lived pod from the minute tick just ahead
 //     of it (and release served pods after a minimal keep-alive — the pod
 //     for the *next* fire will be prewarmed, so holding this one is waste);
-//   - predicted IAT short -> extend (or shrink) keep-alive to headroom x IAT,
+//   - predicted IAT short -> extend (or shrink) keep-alive to 1.25 x IAT,
 //     the dynamic keep-alive move, but gated on forecast confidence.
+// A function the forecaster is not confident about keeps the platform's
+// default keep-alive; if it is sparse (window mean IAT of an hour or more, or
+// no IAT yet) the hour-of-day profile may still arm a prewarm. A busy but
+// bursty function is left alone: most "next active hour" prewarms would idle
+// out unused.
 //
 // Pending prewarms live in an ordered map, so the whole learned state
 // serializes (policy_hooks.h contract (c)); a min-heap of fire times beside it
@@ -57,12 +62,6 @@ class InterArrivalForecaster {
     int window = 48;              // IAT samples retained.
     int min_samples = 6;          // Below this no prediction is offered.
     double min_confidence = 0.7;  // Modal-neighborhood mass share to act on.
-    int diurnal_min_count = 3;    // Arrivals in the peak hour before the
-                                  // diurnal fallback speaks.
-    // The diurnal fallback only covers *sparse* functions (window mean IAT at
-    // least this): a busy-but-bursty function is badly served by "next active
-    // hour" prewarms — most would idle out unused and only add pod-seconds.
-    SimDuration diurnal_min_mean_iat = kHour;
   };
 
   // Log2 buckets over IAT microseconds: bucket = floor(log2(iat_us)),
@@ -94,8 +93,8 @@ class InterArrivalForecaster {
   // last_arrival + PredictedIat when confident, else -1.
   SimTime PredictNextArrival() const;
   // Diurnal fallback: the start of the next hour-of-day whose historical
-  // arrival count is at least half the peak hour's (peak must have at least
-  // diurnal_min_count arrivals); -1 when the profile is too thin.
+  // arrival count is at least half the peak hour's (the peak hour must hold at
+  // least 3 arrivals); -1 when the profile is too thin.
   SimTime PredictDiurnalNext(SimTime now) const;
 
   // Serde: the ring and profile travel; the histogram, bucket sums, window
@@ -133,27 +132,14 @@ class ForecastPrewarmPolicy : public platform::PlatformPolicy {
  public:
   struct Options {
     InterArrivalForecaster::Options forecaster;
-    // Prewarm move: arm when the predicted IAT is in (prewarm_min_iat,
-    // max_horizon]; the minute tick spawns once the fire is at most one tick
-    // plus lead_time away, with the pod surviving post_fire_margin past it.
-    // The default horizon is deliberately short: prediction error grows with
-    // distance, and long-horizon prewarms mostly idle out unused — a 30 min
-    // cap is what keeps the policy's ledger cost at or under the fixed
-    // keep-alive baseline (tests/forecast_policy_test.cc). Sweeps that want
-    // the latency-greedy end of the frontier raise it explicitly
-    // (examples/pareto_frontier.cpp).
-    SimDuration prewarm_min_iat = 3 * kMinute;
+    // Prewarm move: arm when the predicted IAT is over 3 min and at most
+    // max_horizon. The default horizon is deliberately short: prediction error
+    // grows with distance, and long-horizon prewarms mostly idle out unused — a
+    // 30 min cap is what keeps the policy's ledger cost at or under the fixed
+    // keep-alive baseline (tests/forecast_policy_test.cc). Sweeps that want the
+    // latency-greedy end of the frontier raise it explicitly
+    // (core::ShippedFrontierCandidates).
     SimDuration max_horizon = 30 * kMinute;
-    SimDuration lead_time = 5 * kSecond;
-    SimDuration post_fire_margin = 10 * kSecond;
-    // Keep-alive move: confident short-IAT functions get headroom x IAT
-    // (clamped); confident long-IAT functions release pods after
-    // min_keep_alive — the next fire is prewarmed, holding the pod is waste.
-    double keep_alive_headroom = 1.25;
-    SimDuration min_keep_alive = 5 * kSecond;
-    SimDuration max_keep_alive = 10 * kMinute;
-    SimDuration default_keep_alive = kMinute;
-    bool use_diurnal = true;
 
     // Stable hash of every knob (fingerprint-style, doubles by bit pattern):
     // keys frontier point caches so a config change can never serve a stale
@@ -161,8 +147,8 @@ class ForecastPrewarmPolicy : public platform::PlatformPolicy {
     uint64_t Fingerprint() const;
   };
 
-  ForecastPrewarmPolicy();
-  explicit ForecastPrewarmPolicy(Options options);
+  ForecastPrewarmPolicy() : ForecastPrewarmPolicy(Options{}) {}
+  explicit ForecastPrewarmPolicy(Options options) : options_(options) {}
 
   void OnAttach(platform::Platform& platform) override { platform_ = &platform; }
   void OnArrival(const workload::FunctionSpec& spec, SimTime now) override;
@@ -182,8 +168,9 @@ class ForecastPrewarmPolicy : public platform::PlatformPolicy {
 
   const Options& options() const { return options_; }
   int64_t prewarms_issued() const { return prewarms_issued_; }
-  // Keep-alive answers above / at or below the default, one per KeepAliveFor
-  // call: one per bound request that ends last on its pod.
+  // Keep-alive answers above / at or below Platform::default_keep_alive(), one
+  // per KeepAliveFor call that does not answer kDefaultKeepAlive: at most one
+  // per bound request that ends last on its pod.
   int64_t keepalive_extended() const { return keepalive_extended_; }
   int64_t keepalive_curtailed() const { return keepalive_curtailed_; }
   int64_t tracked_functions() const {

@@ -7,8 +7,11 @@
 
 namespace coldstart::policy {
 
-DynamicKeepAlivePolicy::DynamicKeepAlivePolicy() : DynamicKeepAlivePolicy(Options{}) {}
-DynamicKeepAlivePolicy::DynamicKeepAlivePolicy(Options options) : options_(options) {}
+namespace {
+constexpr SimDuration kMinKeepAlive = 5 * kSecond;
+constexpr double kEwmaAlpha = 0.3;  // Weight of the newest inter-arrival time.
+constexpr int kMinObservations = 3;
+}  // namespace
 
 void DynamicKeepAlivePolicy::OnArrival(const workload::FunctionSpec& spec, SimTime now) {
   History& h = history_.Touch(spec.id);
@@ -16,7 +19,7 @@ void DynamicKeepAlivePolicy::OnArrival(const workload::FunctionSpec& spec, SimTi
     const double iat = static_cast<double>(now - h.last_arrival);
     h.iat_ewma = h.observations == 0
                      ? iat
-                     : options_.ewma_alpha * iat + (1 - options_.ewma_alpha) * h.iat_ewma;
+                     : kEwmaAlpha * iat + (1 - kEwmaAlpha) * h.iat_ewma;
     ++h.observations;
   }
   h.last_arrival = now;
@@ -25,11 +28,11 @@ void DynamicKeepAlivePolicy::OnArrival(const workload::FunctionSpec& spec, SimTi
 SimDuration DynamicKeepAlivePolicy::KeepAliveFor(const workload::FunctionSpec& spec,
                                                  SimTime) {
   const History* h = history_.Find(spec.id);
-  if (h == nullptr || h->observations < options_.min_observations) {
-    return options_.default_keep_alive;
+  if (h == nullptr || h->observations < kMinObservations) {
+    return kDefaultKeepAlive;
   }
   const auto scaled = static_cast<SimDuration>(options_.headroom * h->iat_ewma);
-  return std::clamp(scaled, options_.min_keep_alive, options_.max_keep_alive);
+  return std::clamp(scaled, kMinKeepAlive, options_.max_keep_alive);
 }
 
 bool DynamicKeepAlivePolicy::SavePolicyState(std::string* out) const {

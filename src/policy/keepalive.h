@@ -1,9 +1,10 @@
 // Dynamic keep-alive (§5: "Cloud providers may consider a dynamic keep-alive time").
 //
-// Learns each function's inter-arrival time online and sizes the keep-alive window to
-// it: functions that return within a bit more than their IAT keep their pods warm
-// (fewer cold starts), while functions firing far apart release pods almost
-// immediately (less wasted pod-time than the fixed 60 s default).
+// Learns each function's inter-arrival time online (an EWMA) and sizes the keep-alive
+// window to it: functions that return within a bit more than their IAT keep their
+// pods warm (fewer cold starts), while functions firing far apart release pods almost
+// immediately (less wasted pod-time than the fixed default). Until a function has
+// three inter-arrival samples the policy leaves it the platform's default.
 #ifndef COLDSTART_POLICY_KEEPALIVE_H_
 #define COLDSTART_POLICY_KEEPALIVE_H_
 
@@ -17,16 +18,12 @@ namespace coldstart::policy {
 class DynamicKeepAlivePolicy : public platform::PlatformPolicy {
  public:
   struct Options {
-    SimDuration min_keep_alive = 5 * kSecond;
     SimDuration max_keep_alive = 10 * kMinute;
-    SimDuration default_keep_alive = kMinute;
     double headroom = 1.25;  // Keep-alive = headroom x IAT estimate.
-    double ewma_alpha = 0.3;
-    int min_observations = 3;
   };
 
-  DynamicKeepAlivePolicy();
-  explicit DynamicKeepAlivePolicy(Options options);
+  DynamicKeepAlivePolicy() : DynamicKeepAlivePolicy(Options{}) {}
+  explicit DynamicKeepAlivePolicy(Options options) : options_(options) {}
 
   void OnArrival(const workload::FunctionSpec& spec, SimTime now) override;
   SimDuration KeepAliveFor(const workload::FunctionSpec& spec, SimTime now) override;

@@ -6,26 +6,18 @@
 
 namespace coldstart::policy {
 
-PeakShavingPolicy::PeakShavingPolicy() : PeakShavingPolicy(Options{}) {}
-PeakShavingPolicy::PeakShavingPolicy(Options options) : options_(options) {}
+namespace {
+// Recent-window cold starts (RegionLoadState::cold_start_window) at which the
+// region counts as under pressure.
+constexpr double kColdStartPressureThreshold = 30;
 
-bool PeakShavingPolicy::Delayable(trace::Trigger t) const {
-  switch (t) {
-    case trace::Trigger::kObs:
-      return options_.delay_obs;
-    case trace::Trigger::kLts:
-    case trace::Trigger::kCts:
-      return options_.delay_logs;
-    case trace::Trigger::kTimer:
-      return options_.delay_timers;
-    case trace::Trigger::kDis:
-    case trace::Trigger::kSmn:
-    case trace::Trigger::kKafka:
-      return true;
-    default:
-      return false;
-  }
+// Deadline-insensitive triggers: object-storage and log (LTS / CTS) events,
+// per §3.3, and the stream and message triggers.
+bool Delayable(trace::Trigger t) {
+  using enum trace::Trigger;
+  return t == kObs || t == kLts || t == kCts || t == kDis || t == kSmn || t == kKafka;
 }
+}  // namespace
 
 uint64_t& PeakShavingPolicy::MixFor(trace::RegionId region) {
   while (mix_.size() <= region) {
@@ -40,7 +32,7 @@ SimDuration PeakShavingPolicy::AdmissionDelay(const workload::FunctionSpec& spec
   if (!Delayable(spec.primary_trigger)) {
     return 0;
   }
-  if (load.cold_start_window < options_.cold_start_pressure_threshold) {
+  if (load.cold_start_window < kColdStartPressureThreshold) {
     return 0;
   }
   ++delays_issued_;

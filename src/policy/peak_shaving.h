@@ -3,7 +3,9 @@
 // When the region is under cold-start pressure, asynchronous, non-latency-critical
 // requests are admitted with a bounded delay, moving their pod allocations out of the
 // peak ("even a short delay could significantly reduce peak pod allocations").
-// Synchronous triggers are never delayed (the platform enforces this).
+// Deadline-insensitive triggers (object-storage and log events, §3.3, and the
+// stream/message triggers) are delayed; timers keep their schedule, and
+// synchronous triggers are never delayed (the platform enforces this).
 #ifndef COLDSTART_POLICY_PEAK_SHAVING_H_
 #define COLDSTART_POLICY_PEAK_SHAVING_H_
 
@@ -17,16 +19,11 @@ namespace coldstart::policy {
 class PeakShavingPolicy : public platform::PlatformPolicy {
  public:
   struct Options {
-    double cold_start_pressure_threshold = 30;  // Recent-window cold starts.
-    SimDuration max_delay = kMinute;
-    // Triggers treated as deadline-insensitive (logs/object events, per §3.3).
-    bool delay_obs = true;
-    bool delay_logs = true;   // LTS / CTS.
-    bool delay_timers = false;
+    SimDuration max_delay = kMinute;  // Delays spread over (0, max_delay].
   };
 
-  PeakShavingPolicy();
-  explicit PeakShavingPolicy(Options options);
+  PeakShavingPolicy() : PeakShavingPolicy(Options{}) {}
+  explicit PeakShavingPolicy(Options options) : options_(options) {}
 
   SimDuration AdmissionDelay(const workload::FunctionSpec& spec, SimTime now,
                              const platform::RegionLoadState& load) override;
@@ -47,7 +44,6 @@ class PeakShavingPolicy : public platform::PlatformPolicy {
   bool RestorePolicyState(std::string_view blob) override;
 
  private:
-  bool Delayable(trace::Trigger t) const;
   // Cheap deterministic jitter state for `region`, seeded per region.
   uint64_t& MixFor(trace::RegionId region);
 

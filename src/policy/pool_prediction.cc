@@ -8,8 +8,10 @@
 
 namespace coldstart::policy {
 
-PoolPredictionPolicy::PoolPredictionPolicy() : PoolPredictionPolicy(Options{}) {}
-PoolPredictionPolicy::PoolPredictionPolicy(Options options) : options_(options) {}
+namespace {
+constexpr int kMinTarget = 1;
+constexpr int kMaxTarget = 512;
+}  // namespace
 
 void PoolPredictionPolicy::OnAttach(platform::Platform& platform) {
   COLDSTART_CHECK(platform.cells_per_region() == 1 &&
@@ -36,7 +38,7 @@ void PoolPredictionPolicy::OnMinuteTick(SimTime) {
     demand_this_minute_[i] = 0.0;
     const int target = std::clamp(
         static_cast<int>(std::ceil(options_.headroom * predictor.Predict())),
-        options_.min_target, options_.max_target);
+        kMinTarget, kMaxTarget);
     platform_->pool(static_cast<trace::RegionId>(i / trace::kNumResourceConfigs),
                     static_cast<trace::ResourceConfig>(i % trace::kNumResourceConfigs))
         .SetTarget(target);

@@ -21,13 +21,11 @@ class PoolPredictionPolicy : public platform::PlatformPolicy {
   struct Options {
     // Every (region, config) pool's forecaster: SeriesPredictor::ForPools(predictor).
     SeriesPredictor::Kind predictor = SeriesPredictor::Kind::kSeasonalNaive;
-    double headroom = 1.5;  // Pool target = headroom x prediction.
-    int min_target = 1;
-    int max_target = 512;
+    double headroom = 1.5;  // Pool target = headroom x prediction, in [1, 512].
   };
 
-  PoolPredictionPolicy();
-  explicit PoolPredictionPolicy(Options options);
+  PoolPredictionPolicy() : PoolPredictionPolicy(Options{}) {}
+  explicit PoolPredictionPolicy(Options options) : options_(options) {}
 
   // Dies unless cells_per_region == 1: the policy sizes the one pool per
   // (region, config) that only that geometry has.

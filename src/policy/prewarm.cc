@@ -7,11 +7,19 @@
 
 namespace coldstart::policy {
 
-TimerAwarePrewarmPolicy::TimerAwarePrewarmPolicy() : TimerAwarePrewarmPolicy(Options{}) {}
-TimerAwarePrewarmPolicy::TimerAwarePrewarmPolicy(Options options) : options_(options) {}
+namespace {
+// TimerAwarePrewarmPolicy.
+constexpr SimDuration kLeadTime = 5 * kSecond;  // Spawn this long before the fire.
+constexpr SimDuration kMaxPeriod = 2 * kHour;   // Don't prewarm rarer functions.
+// |IAT - estimate| / estimate within this counts as one more periodic interval.
+constexpr double kStabilityTolerance = 0.05;
+constexpr int kMinObservations = 3;
 
-ProfilePrewarmPolicy::ProfilePrewarmPolicy() : ProfilePrewarmPolicy(Options{}) {}
-ProfilePrewarmPolicy::ProfilePrewarmPolicy(Options options) : options_(options) {}
+// ProfilePrewarmPolicy.
+// Prewarm when the next minute's expected arrivals reach this.
+constexpr double kMinExpectedArrivals = 0.3;
+constexpr SimDuration kProfilePrewarmKeepAlive = 2 * kMinute;
+}  // namespace
 
 void TimerAwarePrewarmPolicy::OnArrival(const workload::FunctionSpec& spec, SimTime now) {
   COLDSTART_CHECK(platform_ != nullptr);
@@ -31,7 +39,7 @@ void TimerAwarePrewarmPolicy::OnArrival(const workload::FunctionSpec& spec, SimT
     return;
   }
   const double rel_err = std::fabs(iat - h.period_estimate) / h.period_estimate;
-  if (rel_err <= options_.stability_tolerance) {
+  if (rel_err <= kStabilityTolerance) {
     ++h.stable_count;
     h.period_estimate = 0.7 * h.period_estimate + 0.3 * iat;
   } else {
@@ -41,18 +49,19 @@ void TimerAwarePrewarmPolicy::OnArrival(const workload::FunctionSpec& spec, SimT
   }
 
   const auto period = static_cast<SimDuration>(h.period_estimate);
-  const bool periodic_enough = h.stable_count >= options_.min_observations;
-  const bool outside_keep_alive = period > kMinute && period <= options_.max_period;
+  const bool periodic_enough = h.stable_count >= kMinObservations;
+  const bool outside_keep_alive =
+      period > platform_->default_keep_alive() && period <= kMaxPeriod;
   if (!periodic_enough || !outside_keep_alive) {
     return;
   }
   // The pod serving the current fire dies after its keep-alive; spawn a fresh pod just
   // before the next fire. Survival window covers prediction error on both sides.
-  const SimDuration until_next = period - options_.lead_time;
+  const SimDuration until_next = period - kLeadTime;
   if (until_next <= 0) {
     return;
   }
-  const SimDuration survival = 2 * options_.lead_time + 10 * kSecond;
+  const SimDuration survival = 2 * kLeadTime + 10 * kSecond;
   platform_->SpawnPrewarmedPodAt(now + until_next, spec.id, spec.region, survival);
   ++prewarms_issued_;
 }
@@ -113,8 +122,8 @@ void ProfilePrewarmPolicy::OnMinuteTick(SimTime now) {
     COLDSTART_CHECK(prof != nullptr);
     const double expected =
         prof->per_minute[static_cast<size_t>(next_minute)] / static_cast<double>(day);
-    if (expected >= options_.min_expected_arrivals && !platform_->HasAvailablePod(fid)) {
-      platform_->SpawnPrewarmedPod(fid, region, options_.prewarm_keep_alive);
+    if (expected >= kMinExpectedArrivals && !platform_->HasAvailablePod(fid)) {
+      platform_->SpawnPrewarmedPod(fid, region, kProfilePrewarmKeepAlive);
       ++prewarms_issued_;
       --budget[region];
     }

@@ -1,15 +1,17 @@
 // Prewarming policies (§4.3 / §5 "Predicting cold starts").
 //
 // TimerAwarePrewarmPolicy: learns each function's inter-arrival period online (timers
-// are strictly periodic, so the estimate converges after two arrivals) and spawns a
-// prewarmed pod shortly before the next predicted fire when the period exceeds the
-// keep-alive window. This directly targets the Fig. 14 diagonal: timer functions that
-// cold-start on every invocation. The pending spawn is a platform event
-// (Platform::SpawnPrewarmedPodAt), so the policy checkpoints like any other.
+// are strictly periodic, so the estimate converges after two arrivals) and, once the
+// period has held within 5% for three intervals, spawns a prewarmed pod 5 s before
+// the next predicted fire when the period exceeds the platform's default keep-alive
+// (and is at most two hours). This directly targets the Fig. 14 diagonal: timer
+// functions that cold-start on every invocation. The pending spawn is a platform
+// event (Platform::SpawnPrewarmedPodAt), so the policy checkpoints like any other.
 //
 // ProfilePrewarmPolicy: watches functions that recently cold-started and keeps a pod
-// warm when the learned minute-of-day profile predicts an imminent invocation —
-// the "pre-warm pods with popular configurations" direction of §3.3.
+// warm when the learned minute-of-day profile predicts an imminent invocation (0.3
+// expected arrivals in the next minute) — the "pre-warm pods with popular
+// configurations" direction of §3.3.
 #ifndef COLDSTART_POLICY_PREWARM_H_
 #define COLDSTART_POLICY_PREWARM_H_
 
@@ -24,16 +26,6 @@ namespace coldstart::policy {
 
 class TimerAwarePrewarmPolicy : public platform::PlatformPolicy {
  public:
-  struct Options {
-    SimDuration lead_time = 5 * kSecond;    // Spawn this long before the predicted fire.
-    SimDuration max_period = 2 * kHour;     // Don't prewarm rarer functions than this.
-    double stability_tolerance = 0.05;      // |IAT - estimate| / estimate to call it periodic.
-    int min_observations = 3;
-  };
-
-  TimerAwarePrewarmPolicy();
-  explicit TimerAwarePrewarmPolicy(Options options);
-
   void OnAttach(platform::Platform& platform) override { platform_ = &platform; }
   void OnArrival(const workload::FunctionSpec& spec, SimTime now) override;
 
@@ -42,7 +34,7 @@ class TimerAwarePrewarmPolicy : public platform::PlatformPolicy {
 
   // Per-function period estimates only: shards cleanly by region.
   std::unique_ptr<platform::PlatformPolicy> CloneForShard() const override {
-    return std::make_unique<TimerAwarePrewarmPolicy>(options_);
+    return std::make_unique<TimerAwarePrewarmPolicy>();
   }
   // Period estimates and prewarm spawns are keyed by the observed function
   // alone (ProfilePrewarm, by contrast, competes functions for a per-region
@@ -62,7 +54,6 @@ class TimerAwarePrewarmPolicy : public platform::PlatformPolicy {
     int stable_count = 0;
   };
 
-  Options options_;
   platform::Platform* platform_ = nullptr;
   FunctionTable<FunctionHistory> history_;
   int64_t prewarms_issued_ = 0;
@@ -71,13 +62,11 @@ class TimerAwarePrewarmPolicy : public platform::PlatformPolicy {
 class ProfilePrewarmPolicy : public platform::PlatformPolicy {
  public:
   struct Options {
-    double min_expected_arrivals = 0.3;  // Prewarm when next-minute prediction exceeds.
-    SimDuration prewarm_keep_alive = 2 * kMinute;
     int max_prewarms_per_tick = 50;  // Per home region.
   };
 
-  ProfilePrewarmPolicy();
-  explicit ProfilePrewarmPolicy(Options options);
+  ProfilePrewarmPolicy() : ProfilePrewarmPolicy(Options{}) {}
+  explicit ProfilePrewarmPolicy(Options options) : options_(options) {}
 
   void OnAttach(platform::Platform& platform) override { platform_ = &platform; }
   void OnArrival(const workload::FunctionSpec& spec, SimTime now) override;

@@ -5,10 +5,10 @@
 
 namespace coldstart::policy {
 
-ProvisionedConcurrencyPolicy::ProvisionedConcurrencyPolicy()
-    : ProvisionedConcurrencyPolicy(Options{}) {}
-ProvisionedConcurrencyPolicy::ProvisionedConcurrencyPolicy(Options options)
-    : options_(options) {}
+namespace {
+// Floor pods outlive the next top-up tick.
+constexpr SimDuration kFloorPodKeepAlive = 2 * kMinute;
+}  // namespace
 
 void ProvisionedConcurrencyPolicy::OnArrival(const workload::FunctionSpec& spec,
                                              SimTime) {
@@ -41,12 +41,10 @@ void ProvisionedConcurrencyPolicy::OnColdStart(const workload::FunctionSpec& spe
 void ProvisionedConcurrencyPolicy::OnMinuteTick(SimTime) {
   COLDSTART_CHECK(platform_ != nullptr);
   for (const trace::FunctionId fid : provisioned_) {
-    // Top the function back up to its floor. alive_pod_count includes warming
-    // pods, so a top-up in flight is never doubled.
-    const int deficit = options_.floor_pods - platform_->alive_pod_count(fid);
-    for (int i = 0; i < deficit; ++i) {
-      platform_->SpawnPrewarmedPod(fid, platform_->spec(fid).region,
-                                   options_.pod_keep_alive);
+    // Top the function back up to its one-pod floor. alive_pod_count includes
+    // warming pods, so a top-up in flight is never doubled.
+    if (platform_->alive_pod_count(fid) == 0) {
+      platform_->SpawnPrewarmedPod(fid, platform_->spec(fid).region, kFloorPodKeepAlive);
       ++floor_spawns_;
     }
   }

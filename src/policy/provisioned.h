@@ -1,5 +1,5 @@
 // Provisioned concurrency (§6 "Mitigations" / provider comparison): an
-// always-ready pod floor per enrolled function, the simulation analogue of AWS
+// always-ready one-pod floor per enrolled function, the simulation analogue of AWS
 // provisioned concurrency / Azure premium pre-warmed instances. Functions enroll
 // on their first user-visible cold start (the operator reacting to a cold-start
 // complaint), up to a budget per home region; every minute the policy tops each
@@ -23,13 +23,11 @@ namespace coldstart::policy {
 class ProvisionedConcurrencyPolicy : public platform::PlatformPolicy {
  public:
   struct Options {
-    int floor_pods = 1;                     // Always-ready pods per enrolled function.
-    int max_provisioned_functions = 200;    // Enrollment budget per home region.
-    SimDuration pod_keep_alive = 2 * kMinute;  // Floor pods outlive the top-up tick.
+    int max_provisioned_functions = 200;  // Enrollment budget per home region.
   };
 
-  ProvisionedConcurrencyPolicy();
-  explicit ProvisionedConcurrencyPolicy(Options options);
+  ProvisionedConcurrencyPolicy() : ProvisionedConcurrencyPolicy(Options{}) {}
+  explicit ProvisionedConcurrencyPolicy(Options options) : options_(options) {}
 
   void OnAttach(platform::Platform& platform) override {
     platform_ = &platform;

@@ -5,27 +5,27 @@
 
 namespace coldstart::policy {
 
-WorkflowPrewarmPolicy::WorkflowPrewarmPolicy() : WorkflowPrewarmPolicy(Options{}) {}
-WorkflowPrewarmPolicy::WorkflowPrewarmPolicy(Options options) : options_(options) {}
+namespace {
+constexpr double kMinEdgeProbability = 0.15;        // Ignore unlikely edges.
+constexpr SimDuration kPerChildCooldown = 30 * kSecond;  // One prewarm per window.
+}  // namespace
 
 void WorkflowPrewarmPolicy::OnParentRequestStart(const workload::FunctionSpec& parent,
                                                  SimTime now) {
-  if (platform_ == nullptr) {
-    return;
-  }
+  COLDSTART_CHECK(platform_ != nullptr);
   for (const auto& edge : parent.children) {
-    if (edge.probability < options_.min_edge_probability) {
+    if (edge.probability < kMinEdgeProbability) {
       continue;
     }
     const SimTime* last = last_prewarm_.Find(edge.child);
-    if (last != nullptr && now - *last < options_.per_child_cooldown) {
+    if (last != nullptr && now - *last < kPerChildCooldown) {
       continue;
     }
     if (platform_->HasAvailablePod(edge.child)) {
       continue;
     }
-    const workload::FunctionSpec& child = platform_->spec(edge.child);
-    platform_->SpawnPrewarmedPod(edge.child, child.region, options_.prewarm_keep_alive);
+    platform_->SpawnPrewarmedPod(edge.child, platform_->spec(edge.child).region,
+                                 platform_->default_keep_alive());
     last_prewarm_.Touch(edge.child) = now;
     ++prewarms_issued_;
   }

@@ -2,8 +2,9 @@
 //
 // When a request of a function with workflow children starts, the children are likely
 // to be invoked within the parent's execution time. This policy prewarms pods for
-// high-probability children that have no available pod, hiding the child's cold start
-// behind the parent's execution.
+// children with an edge probability of at least 0.15 that have no available pod,
+// at most one per child per 30 s, hiding the child's cold start behind the parent's
+// execution. A prewarmed child pod idles for the platform's default keep-alive.
 #ifndef COLDSTART_POLICY_WORKFLOW_PREWARM_H_
 #define COLDSTART_POLICY_WORKFLOW_PREWARM_H_
 
@@ -16,22 +17,13 @@ namespace coldstart::policy {
 
 class WorkflowPrewarmPolicy : public platform::PlatformPolicy {
  public:
-  struct Options {
-    double min_edge_probability = 0.15;  // Ignore unlikely edges.
-    SimDuration prewarm_keep_alive = kMinute;
-    SimDuration per_child_cooldown = 30 * kSecond;  // At most one prewarm per window.
-  };
-
-  WorkflowPrewarmPolicy();
-  explicit WorkflowPrewarmPolicy(Options options);
-
   void OnAttach(platform::Platform& platform) override { platform_ = &platform; }
   void OnParentRequestStart(const workload::FunctionSpec& parent, SimTime now) override;
 
   // Workflow edges are wired within a region, so per-child cooldown state shards
   // cleanly.
   std::unique_ptr<platform::PlatformPolicy> CloneForShard() const override {
-    return std::make_unique<WorkflowPrewarmPolicy>(options_);
+    return std::make_unique<WorkflowPrewarmPolicy>();
   }
   // Reads only the parent's edges and the children's pod availability; workflow
   // components never span capacity cells (workload/function_cells.h), so every
@@ -49,7 +41,6 @@ class WorkflowPrewarmPolicy : public platform::PlatformPolicy {
   bool RestorePolicyState(std::string_view blob) override;
 
  private:
-  Options options_;
   platform::Platform* platform_ = nullptr;
   FunctionTable<SimTime> last_prewarm_;  // Per child.
   int64_t prewarms_issued_ = 0;

@@ -31,6 +31,7 @@
 #include "common/crc32.h"
 #include "common/framed_file.h"
 #include "core/coldstart_lab.h"
+#include "temp_dir.h"
 
 namespace coldstart {
 namespace {
@@ -65,7 +66,7 @@ std::unique_ptr<policy::CompositePolicy> CheckpointablePolicy() {
 class CheckpointTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = (fs::temp_directory_path() / "coldstart_checkpoint_test").string();
+    dir_ = testing_support::TempPath("coldstart_checkpoint_test").string();
     fs::remove_all(dir_);
   }
   void TearDown() override { fs::remove_all(dir_); }
@@ -1021,7 +1022,7 @@ TEST_F(CheckpointTest, ForeignCacheFilesAreMissesNotAborts) {
 // --- Satellite: AtomicFile and CRC32 primitives. ---
 
 TEST(AtomicFileTest, CommitPublishesAbandonDoesNot) {
-  const fs::path dir = fs::temp_directory_path() / "coldstart_atomic_file_test";
+  const fs::path dir = testing_support::TempPath("coldstart_atomic_file_test");
   fs::remove_all(dir);
   fs::create_directories(dir);
   const std::string path = (dir / "target.bin").string();

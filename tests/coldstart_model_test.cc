@@ -16,6 +16,7 @@
 #include "common/byte_serde.h"
 #include "core/coldstart_lab.h"
 #include "whole_run_plan.h"
+#include "temp_dir.h"
 
 namespace coldstart {
 namespace {
@@ -298,8 +299,7 @@ TEST(ModelCheckpoint, SnapshotModelRunResumesBitIdentical) {
   const Experiment experiment(config);
   const ExperimentResult uninterrupted = experiment.Run(nullptr, 1);
 
-  const std::string dir =
-      (fs::temp_directory_path() / "coldstart_model_ckpt_test").string();
+  const std::string dir = testing_support::TempPath("coldstart_model_ckpt_test").string();
   fs::remove_all(dir);
   std::atomic<bool> stop{false};
   core::CheckpointPolicy ckpt;

@@ -22,6 +22,7 @@
 #include "common/sim_time.h"
 #include "common/table.h"
 #include "stats/ecdf.h"
+#include "temp_dir.h"
 
 namespace coldstart {
 namespace {
@@ -595,7 +596,7 @@ void WriteBytes(const std::string& path, const std::string& bytes) {
 
 TEST(FramedFileTest, HostileInputIsCorruptNeverOkNeverACrash) {
   const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "coldstart_framed_file_test";
+      testing_support::TempPath("coldstart_framed_file_test");
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   const std::string path = (dir / "frame.bin").string();

@@ -10,6 +10,7 @@
 
 #include "common/byte_serde.h"
 #include "core/coldstart_lab.h"
+#include "temp_dir.h"
 #include "whole_run_plan.h"
 
 namespace coldstart {
@@ -189,7 +190,7 @@ TEST(SubRegionShardingTest, BaselineBitIdenticalAcrossGeometries) {
 // first day boundary: its shard count, one manifest day per shard.
 size_t PlanOf(const ScenarioConfig& config, platform::PlatformPolicy* policy, int threads) {
   namespace fs = std::filesystem;
-  const std::string dir = (fs::temp_directory_path() / "coldstart_plan_test").string();
+  const std::string dir = testing_support::TempPath("coldstart_plan_test").string();
   fs::remove_all(dir);
   std::atomic<bool> stop{true};
   core::CheckpointPolicy ckpt;
@@ -398,7 +399,7 @@ TEST(ShardedExperimentTest, UnclonableRegionLocalPolicyRunsAsOneShard) {
 
 TEST(ExperimentCacheTest, CachedAggregatesMatchFreshRun) {
   namespace fs = std::filesystem;
-  const fs::path dir = fs::temp_directory_path() / "coldstart_agg_cache_test";
+  const fs::path dir = testing_support::TempPath("coldstart_agg_cache_test");
   fs::remove_all(dir);
   ScenarioConfig config = core::SmallScenario();
   config.days = 2;

@@ -19,6 +19,7 @@
 #include "common/byte_serde.h"
 #include "core/coldstart_lab.h"
 #include "policy/forecast.h"
+#include "temp_dir.h"
 #include "whole_run_plan.h"
 
 namespace coldstart {
@@ -118,9 +119,9 @@ TEST(ForecastPolicyTest, CutsTimerColdStartsViaPrewarm) {
   const auto with_policy = RunTimerScenario(&policy);
 
   ASSERT_GT(baseline.cold_starts, 5000);
-  // 5-minute IATs sit beyond prewarm_min_iat: the policy prewarms each fire
-  // instead of holding pods warm, converting user-visible cold starts into
-  // background spawns after the min_samples warm-up.
+  // 5-minute IATs sit beyond the 3 min prewarm threshold: the policy prewarms
+  // each fire instead of holding pods warm, converting user-visible cold
+  // starts into background spawns after the min_samples warm-up.
   EXPECT_LT(with_policy.cold_starts, baseline.cold_starts / 3);
   EXPECT_GT(with_policy.prewarms, 1000);
   EXPECT_GT(policy.prewarms_issued(), 1000);
@@ -259,7 +260,7 @@ void RunAndKillAtDay(const ScenarioConfig& config, const std::string& dir,
 class ForecastCheckpointTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = (fs::temp_directory_path() / "coldstart_forecast_ckpt_test").string();
+    dir_ = testing_support::TempPath("coldstart_forecast_ckpt_test").string();
     fs::remove_all(dir_);
   }
   void TearDown() override { fs::remove_all(dir_); }

@@ -14,6 +14,7 @@
 #include "core/coldstart_lab.h"
 #include "core/frontier.h"
 #include "policy/forecast.h"
+#include "temp_dir.h"
 
 namespace coldstart {
 namespace {
@@ -196,7 +197,7 @@ TEST(FrontierTest, PointKeySensitivity) {
 class FrontierCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = (fs::temp_directory_path() / "coldstart_frontier_cache_test").string();
+    dir_ = testing_support::TempPath("coldstart_frontier_cache_test").string();
     fs::remove_all(dir_);
   }
   void TearDown() override { fs::remove_all(dir_); }

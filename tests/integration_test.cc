@@ -7,6 +7,7 @@
 #include <numeric>
 
 #include "core/coldstart_lab.h"
+#include "temp_dir.h"
 
 namespace coldstart {
 namespace {
@@ -100,7 +101,7 @@ TEST(IntegrationTest, DeterministicAcrossRuns) {
 
 TEST(IntegrationTest, CacheRoundTripMatchesFreshRun) {
   namespace fs = std::filesystem;
-  const fs::path dir = fs::temp_directory_path() / "coldstart_cache_test";
+  const fs::path dir = testing_support::TempPath("coldstart_cache_test");
   fs::remove_all(dir);
   core::ScenarioConfig config = core::SmallScenario();
   config.days = 2;

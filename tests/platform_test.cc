@@ -16,6 +16,7 @@
 #include "platform/platform.h"
 #include "trace/trace_store.h"
 #include "workload/arrivals.h"
+#include "temp_dir.h"
 
 namespace coldstart::platform {
 namespace {
@@ -821,7 +822,7 @@ TEST(PlatformResumeTest, RequestsRunningAcrossTheCutResumeBitIdentical) {
   config.scale = 0.05;
   const core::Experiment experiment(config);
   const std::string dir =
-      (std::filesystem::temp_directory_path() / "coldstart_platform_resume_test").string();
+      testing_support::TempPath("coldstart_platform_resume_test").string();
   for (const int threads : {1, 4}) {
     SCOPED_TRACE(testing::Message() << threads << " threads");
     const core::ExperimentResult plain = experiment.Run(nullptr, threads);

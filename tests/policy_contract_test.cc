@@ -17,6 +17,7 @@
 #include "common/byte_serde.h"
 #include "common/rng.h"
 #include "core/coldstart_lab.h"
+#include "temp_dir.h"
 
 namespace coldstart {
 namespace {
@@ -199,7 +200,7 @@ TEST(PolicyContractTest, EveryShippedPolicyIsThreadInvariantAndResumable) {
   const Experiment experiment(ContractScenario(1));
   const Experiment two_cells(ContractScenario(2));
   const std::string dir =
-      (fs::temp_directory_path() / "coldstart_policy_contract_test").string();
+      testing_support::TempPath("coldstart_policy_contract_test").string();
   for (const PolicyCase& c : ShippedPolicies()) {
     SCOPED_TRACE(c.name);
     const Observed serial = PlainRun(experiment, c, 1);

@@ -5,16 +5,16 @@
 // moves one candidate's point shows up here. Doubles are compared by bit
 // pattern, not by tolerance: every evaluation is deterministic.
 //
-// The candidate set is pareto_frontier's (examples/pareto_frontier.cpp): the
-// baseline, every §5 mitigation at its defaults, the classic composite, the
-// forecaster at three confidence/horizon settings and forecast+workflow.
+// The candidate set is the one pareto_frontier sweeps,
+// core::ShippedFrontierCandidates(): the baseline, every §5 mitigation at its
+// defaults, the classic composite, the forecaster at three confidence/horizon
+// settings and forecast+workflow.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -26,56 +26,6 @@ namespace {
 
 std::string GoldenPath() {
   return std::string(COLDSTART_GOLDEN_DIR) + "/policy_frontier.golden";
-}
-
-template <typename Policy>
-core::FrontierCandidate Plain(const std::string& name) {
-  return {name, [] { return std::make_unique<Policy>(); }, HashString(name)};
-}
-
-core::FrontierCandidate Forecast(const std::string& name, double min_confidence,
-                                 SimDuration horizon) {
-  policy::ForecastPrewarmPolicy::Options options;
-  options.forecaster.min_confidence = min_confidence;
-  options.max_horizon = horizon;
-  return {name,
-          [options] { return std::make_unique<policy::ForecastPrewarmPolicy>(options); },
-          options.Fingerprint()};
-}
-
-std::vector<core::FrontierCandidate> ShippedCandidates() {
-  std::vector<core::FrontierCandidate> c;
-  c.push_back({"baseline", nullptr, 0});
-  c.push_back(Plain<policy::DynamicKeepAlivePolicy>("keepalive-dynamic"));
-  c.push_back(Plain<policy::TimerAwarePrewarmPolicy>("prewarm-timer"));
-  c.push_back(Plain<policy::ProfilePrewarmPolicy>("prewarm-profile"));
-  c.push_back(Plain<policy::WorkflowPrewarmPolicy>("workflow-prewarm"));
-  c.push_back(Plain<policy::ProvisionedConcurrencyPolicy>("provisioned"));
-  c.push_back(Plain<policy::PeakShavingPolicy>("peak-shaving"));
-  c.push_back(Plain<policy::PoolPredictionPolicy>("pool-prediction"));
-  c.push_back({"composite-classic",
-               [] {
-                 auto combo = std::make_unique<policy::CompositePolicy>();
-                 combo->Add(std::make_unique<policy::TimerAwarePrewarmPolicy>())
-                     .Add(std::make_unique<policy::DynamicKeepAlivePolicy>())
-                     .Add(std::make_unique<policy::WorkflowPrewarmPolicy>())
-                     .Add(std::make_unique<policy::PeakShavingPolicy>());
-                 return combo;
-               },
-               HashString("composite-classic")});
-  c.push_back(Forecast("forecast-c50-h6h", 0.5, 6 * kHour));
-  c.push_back(Forecast("forecast-c70-h12h", 0.7, 12 * kHour));
-  c.push_back(Forecast("forecast-c90-h24h", 0.9, 24 * kHour));
-  const policy::ForecastPrewarmPolicy::Options options;
-  c.push_back({"forecast+workflow",
-               [options] {
-                 auto combo = std::make_unique<policy::CompositePolicy>();
-                 combo->Add(std::make_unique<policy::ForecastPrewarmPolicy>(options))
-                     .Add(std::make_unique<policy::WorkflowPrewarmPolicy>());
-                 return combo;
-               },
-               MixHash(options.Fingerprint(), HashString("forecast+workflow"))});
-  return c;
 }
 
 std::string Bits(double v) {
@@ -100,9 +50,10 @@ std::string Render(const core::FrontierResult& result) {
 }
 
 TEST(PolicyGoldenTest, EveryShippedCandidateMatchesCheckedInPoints) {
-  const core::FrontierResult result =
-      core::RunFrontier(core::SmallScenario(), ShippedCandidates());
-  ASSERT_EQ(result.points.size(), ShippedCandidates().size());
+  const std::vector<core::FrontierCandidate> candidates =
+      core::ShippedFrontierCandidates();
+  const core::FrontierResult result = core::RunFrontier(core::SmallScenario(), candidates);
+  ASSERT_EQ(result.points.size(), candidates.size());
   for (const core::FrontierPoint& p : result.points) {
     ASSERT_FALSE(p.from_cache) << p.name;
   }

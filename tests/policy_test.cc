@@ -26,6 +26,7 @@ namespace coldstart::policy {
 namespace {
 
 using workload::FunctionSpec;
+constexpr SimDuration kDefaultKeepAlive = platform::PlatformPolicy::kDefaultKeepAlive;
 
 TEST(MovingAveragePredictorTest, ConvergesToMean) {
   SeriesPredictor p = SeriesPredictor::MovingAverage(4);
@@ -106,10 +107,10 @@ TEST(DynamicKeepAliveTest, LearnsInterArrivalTime) {
 TEST(DynamicKeepAliveTest, DefaultBeforeEnoughObservations) {
   DynamicKeepAlivePolicy policy;
   const FunctionSpec spec = TimerSpec(kMinute);
-  EXPECT_EQ(policy.KeepAliveFor(spec, 0), kMinute);
+  EXPECT_EQ(policy.KeepAliveFor(spec, 0), kDefaultKeepAlive);
   policy.OnArrival(spec, 0);
   policy.OnArrival(spec, kMinute);
-  EXPECT_EQ(policy.KeepAliveFor(spec, kMinute), kMinute);
+  EXPECT_EQ(policy.KeepAliveFor(spec, kMinute), kDefaultKeepAlive);
 }
 
 TEST(DynamicKeepAliveTest, ClampsToBounds) {
@@ -173,18 +174,82 @@ TEST(CompositePolicyTest, FansOutAndCombines) {
   EXPECT_EQ(combo.AdmissionDelay(spec, 0, load), 30);  // Max of sub-delays.
 }
 
-TEST(CompositePolicyTest, KeepAliveFirstDeviationWins) {
+TEST(CompositePolicyTest, KeepAliveFirstOpinionWins) {
   struct FixedKa : platform::PlatformPolicy {
     explicit FixedKa(SimDuration v) : ka(v) {}
     SimDuration KeepAliveFor(const FunctionSpec&, SimTime) override { return ka; }
     SimDuration ka;
   };
-  CompositePolicy combo;
-  combo.Add(std::make_unique<FixedKa>(kMinute));      // Default: skipped.
-  combo.Add(std::make_unique<FixedKa>(5 * kSecond));  // First deviation.
-  combo.Add(std::make_unique<FixedKa>(9 * kMinute));
   FunctionSpec spec;
-  EXPECT_EQ(combo.KeepAliveFor(spec, 0), 5 * kSecond);
+  CompositePolicy combo;
+  combo.Add(std::make_unique<FixedKa>(kDefaultKeepAlive));  // No opinion: skipped.
+  EXPECT_EQ(combo.KeepAliveFor(spec, 0), kDefaultKeepAlive);
+  combo.Add(std::make_unique<FixedKa>(kMinute));  // First opinion, even at 60 s.
+  combo.Add(std::make_unique<FixedKa>(5 * kSecond));
+  EXPECT_EQ(combo.KeepAliveFor(spec, 0), kMinute);
+}
+
+// The platform decides the default keep-alive: a policy with no opinion, alone
+// or composed, leaves ScenarioConfig::default_keep_alive in force.
+TEST(DefaultKeepAliveTest, PoliciesWithoutOpinionKeepTheScenarioDefault) {
+  core::ScenarioConfig config = core::SmallScenario();
+  config.days = 2;
+  config.scale = 0.1;
+  const uint64_t one_minute = trace::Digest(core::Experiment(config).Run().store);
+  config.default_keep_alive = 2 * kMinute;
+  const core::Experiment experiment(config);
+  const core::ExperimentResult plain = experiment.Run();
+  // Otherwise the comparisons below could not tell the two defaults apart.
+  ASSERT_NE(trace::Digest(plain.store), one_minute);
+
+  platform::PlatformPolicy no_hooks;
+  CompositePolicy composite;
+  composite.Add(std::make_unique<platform::PlatformPolicy>())
+      .Add(std::make_unique<platform::PlatformPolicy>());
+  for (platform::PlatformPolicy* policy :
+       std::initializer_list<platform::PlatformPolicy*>{&no_hooks, &composite}) {
+    const core::ExperimentResult run = experiment.Run(policy);
+    EXPECT_EQ(trace::Digest(run.store), trace::Digest(plain.store));
+    EXPECT_EQ(run.visible_cold_starts, plain.visible_cold_starts);
+  }
+}
+
+// How long the one pod of a function invoked once at 1 h idles before it dies.
+SimDuration IdleKeepAlive(platform::PlatformPolicy* policy,
+                          SimDuration default_keep_alive) {
+  workload::Calendar::Options copts;
+  copts.trace_days = 1;
+  const workload::Calendar cal(copts);
+  const std::vector<workload::RegionProfile> profiles = {
+      workload::DefaultRegionProfiles()[0]};
+  workload::Population pop;
+  pop.functions = {TimerSpec(kHour)};
+  pop.functions[0].id = 0;
+  pop.num_users = 1;
+  pop.region_begin = {0, 1};
+  sim::Simulator sim;
+  trace::TraceStore store;
+  platform::Platform::Options opts;
+  opts.default_keep_alive = default_keep_alive;
+  platform::Platform platform(pop, profiles, cal, sim, store, opts, policy);
+  platform.AttachArrivalStream(std::make_unique<workload::MaterializedArrivalStream>(
+      std::vector<workload::ArrivalEvent>{{kHour, 0}}, workload::NumDayChunks(cal)));
+  sim.RunUntil(cal.horizon());
+  platform.Finalize();
+  store.Seal();
+  EXPECT_EQ(store.pods().size(), 1u);
+  if (store.pods().empty()) {
+    return -1;
+  }
+  return store.pods()[0].death_time - store.pods()[0].last_busy_end;
+}
+
+TEST(DefaultKeepAliveTest, DynamicKeepAliveGivesUnobservedFunctionsTheScenarioDefault) {
+  DynamicKeepAlivePolicy dynamic;
+  EXPECT_EQ(IdleKeepAlive(&dynamic, 2 * kMinute), 2 * kMinute);
+  CompositePolicy composite;
+  composite.Add(std::make_unique<DynamicKeepAlivePolicy>());
+  EXPECT_EQ(IdleKeepAlive(&composite, 2 * kMinute), 2 * kMinute);
 }
 
 // End-to-end policy effect checks on a small simulated scenario.

@@ -365,7 +365,7 @@ TEST(InterArrivalForecasterTest, DiurnalRequiresMinPeakCount) {
   InterArrivalForecaster f;
   f.ObserveArrival(9 * kHour);
   f.ObserveArrival(9 * kHour + 10 * kMinute);
-  // Peak hour holds two arrivals, below diurnal_min_count = 3: too thin.
+  // Peak hour holds two arrivals, below the 3 the fallback needs: too thin.
   EXPECT_EQ(f.PredictDiurnalNext(kDay), -1);
 }
 

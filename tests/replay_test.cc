@@ -10,6 +10,7 @@
 #include <string>
 
 #include "core/coldstart_lab.h"
+#include "temp_dir.h"
 
 namespace coldstart {
 namespace {
@@ -23,7 +24,7 @@ using workload::ReplaySource;
 class ReplayTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "coldstart_replay_test";
+    dir_ = testing_support::TempPath("coldstart_replay_test");
     fs::create_directories(dir_);
   }
   void TearDown() override { fs::remove_all(dir_); }

@@ -12,6 +12,7 @@
 #include "trace/aggregate.h"
 #include "trace/csv.h"
 #include "trace/trace_store.h"
+#include "temp_dir.h"
 
 namespace coldstart::trace {
 namespace {
@@ -209,7 +210,7 @@ TEST(AggregateTest, AllocatedCpuSeries) {
 class RoundTripTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "coldstart_trace_test";
+    dir_ = testing_support::TempPath("coldstart_trace_test");
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

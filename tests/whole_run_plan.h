@@ -15,6 +15,7 @@
 #include <string>
 
 #include "core/experiment.h"
+#include "temp_dir.h"
 
 namespace coldstart::testing_support {
 
@@ -24,9 +25,9 @@ inline core::ExperimentResult RunWholePlan(const core::Experiment& experiment,
   // Named after the running test, so test binaries that ctest runs side by
   // side never share the directory.
   const ::testing::TestInfo* test = ::testing::UnitTest::GetInstance()->current_test_info();
-  const fs::path dir = fs::temp_directory_path() /
-                       (std::string("coldstart_whole_run_") + test->test_suite_name() +
-                        "_" + test->name());
+  const fs::path dir =
+      TempPath(std::string("coldstart_whole_run_") + test->test_suite_name() + "_" +
+               test->name());
   fs::remove_all(dir);
   core::CheckpointPolicy never;
   never.dir = dir.string();
