@@ -33,6 +33,24 @@ constexpr uint64_t kSegmentMagic = 0x31765F6765736363ull;
 // shard, day and region count.
 constexpr size_t kMetaBytes = 8 + 1 + 4 + 8 + 4;
 
+// Checkpoint layouts (common/byte_serde.h) of the metadata and of the
+// manifest's fields before its days.
+template <class Ar, class Self>
+void MetaLayout(Ar& a, Self& meta) {
+  a.U64(meta.fingerprint);
+  a.U8(meta.trace_mode);
+  a.U32(meta.shard);
+  a.I64(meta.day);
+  a.U32(meta.num_regions);
+}
+
+template <class Ar, class Self>
+void ManifestHeaderLayout(Ar& a, Self& manifest) {
+  a.U64(manifest.fingerprint);
+  a.U8(manifest.trace_mode);
+  a.U32(manifest.num_regions);
+}
+
 [[noreturn]] void Corrupt(const std::string& path, const char* what) {
   std::fprintf(stderr, "checkpoint: %s: corrupt (%s)\n", path.c_str(), what);
   std::abort();
@@ -89,11 +107,7 @@ std::string DayFileName(int64_t day, uint32_t shard, const char* extension) {
 bool WriteCheckpointFile(const std::string& path, const CheckpointMeta& meta,
                          const std::string& payload) {
   ByteWriter w;
-  w.U64(meta.fingerprint);
-  w.U8(meta.trace_mode);
-  w.U32(meta.shard);
-  w.I64(meta.day);
-  w.U32(meta.num_regions);
+  MetaLayout(w, meta);
   return WriteFramedFile(path, kCheckpointMagic, {w.data(), payload});
 }
 
@@ -125,11 +139,7 @@ bool ReadCheckpointFile(const std::string& path, CheckpointMeta* meta,
   FinishOrDie(path, reader);
   // The frame CRC already validated every byte.
   ByteReader r(std::string_view(head, sizeof(head)));
-  meta->fingerprint = r.U64();
-  meta->trace_mode = r.U8();
-  meta->shard = r.U32();
-  meta->day = r.I64();
-  meta->num_regions = r.U32();
+  MetaLayout(r, *meta);
   return true;
 }
 
@@ -150,9 +160,7 @@ void ReadSegmentFile(const std::string& path,
 
 bool WriteManifest(const std::string& dir, const Manifest& manifest) {
   ByteWriter w;
-  w.U64(manifest.fingerprint);
-  w.U8(manifest.trace_mode);
-  w.U32(manifest.num_regions);
+  ManifestHeaderLayout(w, manifest);
   w.U64(manifest.days.size());
   for (const int64_t day : manifest.days) {
     w.I64(day);
@@ -174,9 +182,7 @@ bool ReadManifest(const std::string& dir, Manifest* manifest) {
                       : why);
   }
   ByteReader r(payload);
-  manifest->fingerprint = r.U64();
-  manifest->trace_mode = r.U8();
-  manifest->num_regions = r.U32();
+  ManifestHeaderLayout(r, *manifest);
   // One 8-byte day per shard: a CRC-valid count too large for the payload
   // dies on this CHECK, not in the allocator.
   constexpr size_t kMinEntryBytes = 8;
@@ -184,7 +190,7 @@ bool ReadManifest(const std::string& dir, Manifest* manifest) {
   COLDSTART_CHECK(count <= r.Remaining() / kMinEntryBytes);
   manifest->days.resize(count);
   for (int64_t& day : manifest->days) {
-    day = r.I64();
+    r.I64(day);
   }
   if (!r.AtEnd()) {
     Corrupt(path, "trailing bytes");

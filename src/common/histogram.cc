@@ -34,7 +34,7 @@ int FormulaBucket(double value, double log_min, double inv_log_step, int n) {
 
 }  // namespace
 
-struct LogHistogram::Layout {
+struct LogHistogram::BucketLayout {
   double log_min = 0;
   double log_step = 0;
   int num_buckets = 0;
@@ -51,22 +51,22 @@ struct LogHistogram::Layout {
   std::vector<uint32_t> slot_bucket;
 };
 
-const LogHistogram::Layout* LogHistogram::SharedLayout(double min_value,
+const LogHistogram::BucketLayout* LogHistogram::SharedLayout(double min_value,
                                                        double max_value,
                                                        int buckets_per_decade) {
   // Histograms hold raw pointers into this map, so its layouts are never
   // erased; a run uses a handful of them. Sinks are built on worker threads.
   static std::mutex mu;
-  static std::map<std::tuple<double, double, int>, std::unique_ptr<const Layout>>
+  static std::map<std::tuple<double, double, int>, std::unique_ptr<const BucketLayout>>
       layouts;
   const std::lock_guard<std::mutex> lock(mu);
-  std::unique_ptr<const Layout>& shared =
+  std::unique_ptr<const BucketLayout>& shared =
       layouts[{min_value, max_value, buckets_per_decade}];
   if (shared != nullptr) {
     return shared.get();
   }
 
-  auto layout = std::make_unique<Layout>();
+  auto layout = std::make_unique<BucketLayout>();
   const double log_min = std::log10(min_value);
   const double log_max = std::log10(max_value);
   const double inv_log_step = buckets_per_decade;
@@ -149,7 +149,7 @@ int LogHistogram::BucketFor(double value) const {
   if (!(value > 0.0)) {
     return 0;
   }
-  const Layout& l = *layout_;
+  const BucketLayout& l = *layout_;
   const uint64_t key = std::bit_cast<uint64_t>(value) >> l.slot_shift;
   if (key < l.first_key) {
     return 0;
@@ -234,35 +234,6 @@ double LogHistogram::Quantile(double q) const {
     seen += c;
   }
   return max_recorded_;
-}
-
-void LogHistogram::SaveState(ByteWriter& w) const {
-  w.U64(counts_.size());
-  for (const uint64_t c : counts_) {
-    w.U64(c);
-  }
-  w.U64(total_count_);
-  // The fixed-point sum travels as (low, high) 64-bit halves.
-  w.U64(static_cast<uint64_t>(static_cast<unsigned __int128>(sum_fp_)));
-  w.U64(static_cast<uint64_t>(static_cast<unsigned __int128>(sum_fp_) >> 64));
-  w.F64(min_recorded_);
-  w.F64(max_recorded_);
-}
-
-void LogHistogram::RestoreState(ByteReader& r) {
-  const uint64_t n = r.U64();
-  COLDSTART_CHECK_EQ(n, counts_.size());
-  for (uint64_t& c : counts_) {
-    c = r.U64();
-  }
-  total_count_ = r.U64();
-  const uint64_t sum_lo = r.U64();
-  const uint64_t sum_hi = r.U64();
-  sum_fp_ = static_cast<__int128>(
-      (static_cast<unsigned __int128>(sum_hi) << 64) |
-      static_cast<unsigned __int128>(sum_lo));
-  min_recorded_ = r.F64();
-  max_recorded_ = r.F64();
 }
 
 double LogHistogram::CdfAt(double value) const {

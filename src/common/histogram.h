@@ -26,7 +26,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/byte_serde.h"
+#include "common/check.h"
 
 namespace coldstart {
 
@@ -63,17 +63,29 @@ class LogHistogram {
   // Lower edge of bucket i.
   double bucket_lower(int i) const;
 
-  // Checkpoint support: the recorded state (bucket counts plus the exact-value
-  // accumulators, doubles by bit pattern). The bucket layout is construction-
-  // derived, so RestoreState requires a histogram built with the same range and
-  // resolution and CHECK-fails on a bucket-count mismatch.
-  void SaveState(ByteWriter& w) const;
-  void RestoreState(ByteReader& r);
+  // Checkpoint layout (common/byte_serde.h): the recorded state, bucket counts
+  // plus the exact-value accumulators, doubles by bit pattern. The bucket
+  // layout is construction-derived, so a read requires a histogram built with
+  // the same range and resolution and CHECK-fails on a bucket-count mismatch.
+  template <class Ar, class Self>
+  static void Layout(Ar& a, Self& self) {
+    uint64_t buckets = self.counts_.size();
+    a.U64(buckets);
+    COLDSTART_CHECK_EQ(buckets, self.counts_.size());
+    for (auto& c : self.counts_) {
+      a.U64(c);
+    }
+    a.U64(self.total_count_);
+    a.I128(self.sum_fp_);
+    a.F64(self.min_recorded_);
+    a.F64(self.max_recorded_);
+  }
 
  private:
-  struct Layout;  // Boundaries and slot table of one (min, max, per-decade) layout.
-  static const Layout* SharedLayout(double min_value, double max_value,
-                                    int buckets_per_decade);
+  // Boundaries and slot table of one (min, max, per-decade) layout.
+  struct BucketLayout;
+  static const BucketLayout* SharedLayout(double min_value, double max_value,
+                                          int buckets_per_decade);
 
   // The value sum is accumulated in 2^-20 fixed point inside a 128-bit integer.
   // Integer addition is associative, so a histogram split across sub-region
@@ -85,7 +97,7 @@ class LogHistogram {
     return static_cast<__int128>(value * kSumScale);
   }
 
-  const Layout* layout_;  // Immutable, process-lifetime, shared.
+  const BucketLayout* layout_;  // Immutable, process-lifetime, shared.
   std::vector<uint64_t> counts_;
   uint64_t total_count_ = 0;
   __int128 sum_fp_ = 0;

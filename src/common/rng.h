@@ -141,10 +141,14 @@ class Rng {
   // Derives an independent generator for the given numeric key (e.g. a function id).
   Rng ForkStream(uint64_t key) const;
 
-  // Checkpoint support: the four xoshiro256** state words. RestoreState makes
-  // this generator continue the saved stream bit-exactly.
+  // The four xoshiro256** state words.
   void SaveState(uint64_t out[4]) const { std::memcpy(out, state_, sizeof(state_)); }
-  void RestoreState(const uint64_t in[4]) { std::memcpy(state_, in, sizeof(state_)); }
+  // Checkpoint layout (common/byte_serde.h): the state words, raw. A restored
+  // generator continues the saved stream bit-exactly.
+  template <class Ar, class Self>
+  static void Layout(Ar& a, Self& self) {
+    a.Raw(self.state_, sizeof(self.state_));
+  }
 
  private:
   static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }

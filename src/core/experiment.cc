@@ -168,8 +168,21 @@ void AppendSegment(const std::string& dir, int64_t day, uint32_t shard,
   log.days.push_back(day);
 }
 
-// kFull: the table totals, the horizon and the segment list; the rows
-// themselves are in the segments. kStreaming: the aggregates.
+// The kFull sink state (common/byte_serde.h): the table totals, the horizon
+// and the segment list; the rows themselves are in the segments.
+template <class Ar, class Log>
+void SegmentLogLayout(Ar& a, Log& log, SimTime& horizon) {
+  for (auto& rows : log.rows) {
+    a.U64(rows);
+  }
+  a.I64(horizon);
+  a.Count(log.days, sizeof(int64_t));
+  for (auto& day : log.days) {
+    a.I64(day);
+  }
+}
+
+// kFull: the segment log. kStreaming: the aggregates.
 void SaveSinkState(bool streaming, const trace::TraceStore& store,
                    const trace::StreamingAggregates& aggregates,
                    const SegmentLog& segments, ByteWriter& w) {
@@ -177,14 +190,8 @@ void SaveSinkState(bool streaming, const trace::TraceStore& store,
     aggregates.SaveState(w);
     return;
   }
-  for (const uint64_t rows : segments.rows) {
-    w.U64(rows);
-  }
-  w.I64(store.horizon());
-  w.U64(segments.days.size());
-  for (const int64_t day : segments.days) {
-    w.I64(day);
-  }
+  SimTime horizon = store.horizon();
+  SegmentLogLayout(w, segments, horizon);
 }
 
 // Reads the segments back straight into tables reserved at their totals.
@@ -195,16 +202,8 @@ void RestoreSinkState(bool streaming, const std::string& dir, uint32_t shard,
     aggregates.RestoreState(r);
     return;
   }
-  for (uint64_t& rows : segments.rows) {
-    rows = r.U64();
-  }
-  const SimTime horizon = r.I64();
-  const uint64_t count = r.U64();
-  COLDSTART_CHECK(count <= r.Remaining() / sizeof(int64_t));
-  segments.days.resize(count);
-  for (int64_t& day : segments.days) {
-    day = r.I64();
-  }
+  SimTime horizon = 0;
+  SegmentLogLayout(r, segments, horizon);
   COLDSTART_CHECK(std::adjacent_find(segments.days.begin(), segments.days.end(),
                                      std::greater_equal<>()) == segments.days.end() &&
                   "checkpoint lists its segments out of day order");

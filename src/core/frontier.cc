@@ -60,28 +60,17 @@ std::string PointPath(const std::string& cache_dir, uint64_t key) {
   return cache_dir + "/frontier_" + name + ".bin";
 }
 
-// Metric payload only — name/from_cache/on_frontier are run-local.
-void SavePointPayload(ByteWriter& w, uint64_t key, const FrontierPoint& p) {
-  w.U64(key);
-  w.I64(p.cold_starts);
-  w.U64(p.requests);
-  w.F64(p.p50_cold_start_s);
-  w.F64(p.p99_cold_start_s);
-  w.F64(p.pod_seconds);
-  w.F64(p.warm_idle_seconds);
-}
-
-bool RestorePointPayload(ByteReader& r, uint64_t key, FrontierPoint* p) {
-  if (r.U64() != key) {
-    return false;
-  }
-  p->cold_starts = r.I64();
-  p->requests = r.U64();
-  p->p50_cold_start_s = r.F64();
-  p->p99_cold_start_s = r.F64();
-  p->pod_seconds = r.F64();
-  p->warm_idle_seconds = r.F64();
-  return r.AtEnd();
+// The point file's payload (common/byte_serde.h): the key, then the metrics
+// only — name/from_cache/on_frontier are run-local.
+template <class Ar, class Self>
+void PointLayout(Ar& a, uint64_t& key, Self& p) {
+  a.U64(key);
+  a.I64(p.cold_starts);
+  a.U64(p.requests);
+  a.F64(p.p50_cold_start_s);
+  a.F64(p.p99_cold_start_s);
+  a.F64(p.pod_seconds);
+  a.F64(p.warm_idle_seconds);
 }
 
 bool LoadCachedPoint(const std::string& cache_dir, uint64_t key,
@@ -98,8 +87,16 @@ bool LoadCachedPoint(const std::string& cache_dir, uint64_t key,
   if (status != FrameStatus::kOk) {
     return false;
   }
+  // Read into a copy, so a file of another key leaves the point untouched.
   ByteReader r(payload);
-  return RestorePointPayload(r, key, p);
+  uint64_t stored_key = 0;
+  FrontierPoint cached = *p;
+  PointLayout(r, stored_key, cached);
+  if (stored_key != key || !r.AtEnd()) {
+    return false;
+  }
+  *p = cached;
+  return true;
 }
 
 void StoreCachedPoint(const std::string& cache_dir, uint64_t key,
@@ -107,7 +104,7 @@ void StoreCachedPoint(const std::string& cache_dir, uint64_t key,
   std::error_code ec;
   std::filesystem::create_directories(cache_dir, ec);
   ByteWriter w;
-  SavePointPayload(w, key, p);
+  PointLayout(w, key, p);
   // Cache misses are always safe; never fail the run over a cache write.
   WriteFramedFile(PointPath(cache_dir, key), kFrontierFileMagic, w.data());
 }

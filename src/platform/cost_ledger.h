@@ -45,18 +45,16 @@ class ResourceCostLedger {
   trace::RegionCostRecord region_record(trace::RegionId region) const;
   trace::RegionCostRecord TotalRecord() const;
 
-  // Checkpoint serde: each 128-bit sum travels as two U64 words (lo, hi).
+  // Checkpoint serde: a slot count, then each slot's RegionCostRecord::Layout.
   void SaveState(ByteWriter& w) const;
   void RestoreState(ByteReader& r);
 
  private:
-  struct Slot {
-    __int128 pod_us = 0;
-    __int128 warm_idle_us = 0;
-    __int128 snapshot_mb_us_fp = 0;
-    int64_t scratch_creations = 0;
-  };
-  std::vector<Slot> slots_;
+  template <class Ar, class Self>
+  static void Layout(Ar& a, Self& self);
+
+  // One per region; a slot's `region` field is unused (its index says it).
+  std::vector<trace::RegionCostRecord> slots_;
 };
 
 }  // namespace coldstart::platform

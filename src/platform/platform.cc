@@ -806,6 +806,72 @@ std::vector<uint32_t> RestoreSlabStructure(Slab<T>& slab, ByteReader& r) {
   return alive_indices;
 }
 
+// The checkpoint layouts (common/byte_serde.h) of the plain fields of the
+// platform's records, doubles as bit patterns. A cell's pools keep their
+// construction parameters, which restore re-derives from the profiles.
+template <class Ar, class Cell>
+void CellLayout(Ar& a, Cell& cell) {
+  Rng::Layout(a, cell.rng);
+  a.U64(cell.next_pod_seq);
+  a.U64(cell.next_request_seq);
+  RegionLoadState& l = cell.load;
+  a.I64(l.active_cold_starts);
+  a.I64(l.active_code_deploys);
+  a.I64(l.active_dep_deploys);
+  a.I64(l.prewarm_spawns);
+  a.I64(l.delayed_allocations);
+  a.F64(l.cold_start_window);
+  a.I64(l.window_updated);
+  for (auto& pool : cell.pools) {
+    ResourcePool::Layout(a, pool);
+  }
+  a.I64(cell.visible_cold_starts);
+  a.I64(cell.cold_start_latency_sum_us);
+}
+
+// In-flight ready keys, in the order they are stored.
+template <class Ar, class Keys>
+void ReadyKeysLayout(Ar& a, Keys& keys) {
+  a.Count(keys, 8 + 8 + 1);
+  for (auto& key : keys) {
+    a.I64(key.time);
+    a.U64(key.seq);
+    a.U8(key.has_deps);
+  }
+}
+
+// `self` is not laid out: restore re-derives it from (index, generation).
+template <class Ar, class P, class H>
+void PodLayout(Ar& a, P& p, H& h) {
+  a.U64(p.id);
+  a.U64(p.function);
+  a.U32(p.region);
+  a.U32(p.cluster);
+  a.U8(p.config);
+  a.I64(p.cold_start_begin);
+  a.I64(h.ready_time);
+  a.U32(p.cold_start_us);
+  a.I64(h.last_busy_end);
+  a.U32(p.served);
+  a.U8(p.prewarmed);
+  a.I64(p.idle_us);
+}
+
+// Every entry lays out every field under its (time, seq) queue key; each kind
+// reads only its own payload.
+template <class Ar, class E>
+void EventLayout(Ar& a, E& e, SimTime& time, uint64_t& seq) {
+  a.U8(e.kind);
+  a.U8(e.delay_exempt);
+  a.U32(e.region);
+  a.U64(e.function);
+  a.I64(time);
+  a.U64(seq);
+  a.U32(e.pod.index);
+  a.U32(e.pod.gen);
+  a.I64(e.keep_alive);
+}
+
 }  // namespace
 
 void Platform::SaveCheckpointState(ByteWriter& w) const {
@@ -815,50 +881,21 @@ void Platform::SaveCheckpointState(ByteWriter& w) const {
   COLDSTART_CHECK_EQ((now + 1) % kDay, 0);
   COLDSTART_CHECK(arrival_cursor_.drained());
 
-  // The cell table, cell by cell (doubles travel as bit patterns). The pools'
-  // construction parameters are re-derived from the profiles on restore. Each
-  // cell is settled to the clock first, so its ready keys all lie after it.
+  // The cell table, cell by cell. Each cell is settled to the clock first, so
+  // its ready keys all lie after it.
   w.U64(cells_.size());
   for (const Cell& cell : cells_) {
     SettleLoad(cell);
     CheckLoadConservation(cell);
-    uint64_t words[4];
-    cell.rng.SaveState(words);
-    w.Raw(words, sizeof(words));
-    w.U64(cell.next_pod_seq);
-    w.U64(cell.next_request_seq);
-    const RegionLoadState& l = cell.load;
-    w.I64(l.active_cold_starts);
-    w.I64(l.active_code_deploys);
-    w.I64(l.active_dep_deploys);
-    w.I64(l.prewarm_spawns);
-    w.I64(l.delayed_allocations);
-    w.F64(l.cold_start_window);
-    w.I64(l.window_updated);
-    for (const ResourcePool& pool : cell.pools) {
-      const ResourcePool::CheckpointState cs = pool.checkpoint_state();
-      w.I64(cs.free);
-      w.I64(cs.target);
-      w.F64(cs.refill_credit);
-      w.I64(cs.last_refill);
-      w.I64(cs.scratch_count);
-    }
-    w.I64(cell.visible_cold_starts);
-    w.I64(cell.cold_start_latency_sum_us);
+    CellLayout(w, cell);
     // The in-flight ready keys in (time, seq) order, which is also a valid
     // heap order: the bytes do not depend on the heap's history.
     std::vector<ReadyKey> ready = cell.ready;
     std::sort(ready.begin(), ready.end(),
               [](const ReadyKey& a, const ReadyKey& b) { return ReadyLater(b, a); });
-    w.U64(ready.size());
-    for (const ReadyKey& k : ready) {
-      w.I64(k.time);
-      w.U64(k.seq);
-      w.U8(k.has_deps ? 1 : 0);
-    }
+    ReadyKeysLayout(w, ready);
   }
 
-  // Resource-cost ledger (order-invariant 128-bit sums, two words each).
   cost_ledger_.SaveState(w);
 
   // Pod slab: structure, then the alive pods field by field (slot index order).
@@ -870,18 +907,7 @@ void Platform::SaveCheckpointState(ByteWriter& w) const {
     }
     const Pod& p = pod_slab_.slot_value(i);
     const PodHot& h = pod_hot_[i];
-    w.U64(p.id);
-    w.U64(p.function);
-    w.U32(p.region);
-    w.U32(p.cluster);
-    w.U8(static_cast<uint8_t>(p.config));
-    w.I64(p.cold_start_begin);
-    w.I64(h.ready_time);
-    w.U32(p.cold_start_us);
-    w.I64(h.last_busy_end);
-    w.U32(p.served);
-    w.U8(p.prewarmed ? 1 : 0);
-    w.I64(p.idle_us);
+    PodLayout(w, p, h);
     // The bound ends still running, in array order. Ended ones are free slots
     // a plain run has not retired yet; they change no decision, so they are
     // retired here (the running count alone decides whether the pod has a slot).
@@ -911,26 +937,17 @@ void Platform::SaveCheckpointState(ByteWriter& w) const {
   // The arrival cursor's sorted-contract guard.
   w.I64(arrival_cursor_.last_time());
 
-  // The pending-event table: every entry writes every field, under its
-  // original (time, seq) key; each kind reads only its own payload.
+  // The pending-event table, each entry under its original (time, seq) key.
   SaveSlabStructure(events_, w);
   for (uint32_t i = 0; i < events_.capacity(); ++i) {
     if (!events_.slot_alive(i)) {
       continue;
     }
     const PendingEvent& e = events_.slot_value(i);
-    w.U8(static_cast<uint8_t>(e.kind));
-    w.U8(e.delay_exempt ? 1 : 0);
-    w.U32(e.region);
-    w.U64(e.function);
     SimTime time = 0;
     uint64_t seq = 0;
     sim_.QueuedKey(e.entry, &time, &seq);
-    w.I64(time);
-    w.U64(seq);
-    w.U32(e.pod.index);
-    w.U32(e.pod.gen);
-    w.I64(e.keep_alive);
+    EventLayout(w, e, time, seq);
   }
 
   // Arrival stream: whether one is attached, then its (possibly empty) state
@@ -954,44 +971,13 @@ void Platform::RestoreCheckpointState(
 
   COLDSTART_CHECK_EQ(r.U64(), cells_.size());
   for (Cell& cell : cells_) {
-    uint64_t words[4];
-    r.Raw(words, sizeof(words));
-    cell.rng.RestoreState(words);
-    cell.next_pod_seq = static_cast<trace::PodId>(r.U64());
-    cell.next_request_seq = r.U64();
-    RegionLoadState& l = cell.load;
-    l.active_cold_starts = static_cast<int>(r.I64());
-    l.active_code_deploys = static_cast<int>(r.I64());
-    l.active_dep_deploys = static_cast<int>(r.I64());
-    l.prewarm_spawns = r.I64();
-    l.delayed_allocations = r.I64();
-    l.cold_start_window = r.F64();
-    l.window_updated = r.I64();
-    for (ResourcePool& pool : cell.pools) {
-      ResourcePool::CheckpointState cs;
-      cs.free = static_cast<int>(r.I64());
-      cs.target = static_cast<int>(r.I64());
-      cs.refill_credit = r.F64();
-      cs.last_refill = r.I64();
-      cs.scratch_count = r.I64();
-      pool.restore_checkpoint_state(cs);
-    }
-    cell.visible_cold_starts = r.I64();
-    cell.cold_start_latency_sum_us = r.I64();
+    CellLayout(r, cell);
     // Each key is still in flight (after the clock), was reserved before the
     // save (below next_seq) and follows its predecessor, so the sorted
     // vector is the heap as is.
-    const uint64_t num_ready = r.U64();
-    constexpr size_t kReadyKeyBytes = 8 + 8 + 1;
-    COLDSTART_CHECK_LE(num_ready, r.Remaining() / kReadyKeyBytes);
-    cell.ready.resize(num_ready);
-    for (size_t k = 0; k < num_ready; ++k) {
-      ReadyKey& key = cell.ready[k];
-      key.time = r.I64();
-      key.seq = r.U64();
-      const uint8_t has_deps = r.U8();
-      COLDSTART_CHECK_LE(has_deps, 1);
-      key.has_deps = has_deps == 1;
+    ReadyKeysLayout(r, cell.ready);
+    for (size_t k = 0; k < cell.ready.size(); ++k) {
+      const ReadyKey& key = cell.ready[k];
       COLDSTART_CHECK_GT(key.time, now);
       COLDSTART_CHECK_LT(key.seq, sim_.next_seq());
       COLDSTART_CHECK(k == 0 || ReadyLater(key, cell.ready[k - 1]));
@@ -1008,24 +994,10 @@ void Platform::RestoreCheckpointState(
     Pod& p = pod_slab_.slot_value(i);
     PodHot& h = pod_hot_[i];
     p.self = SlabHandle{i, pod_slab_.slot_generation(i)};
-    p.id = static_cast<trace::PodId>(r.U64());
-    const uint64_t function = r.U64();
-    COLDSTART_CHECK_LT(function, population_.functions.size());
-    p.function = static_cast<trace::FunctionId>(function);
-    const uint32_t region = r.U32();
-    COLDSTART_CHECK_LT(region, profiles_.size());
-    p.region = static_cast<trace::RegionId>(region);
-    p.cluster = static_cast<trace::ClusterId>(r.U32());
-    const uint8_t config = r.U8();
-    COLDSTART_CHECK_LT(config, trace::kNumResourceConfigs);
-    p.config = static_cast<trace::ResourceConfig>(config);
-    p.cold_start_begin = r.I64();
-    h.ready_time = r.I64();
-    p.cold_start_us = r.U32();
-    h.last_busy_end = r.I64();
-    p.served = r.U32();
-    p.prewarmed = r.U8() != 0;
-    p.idle_us = r.I64();
+    PodLayout(r, p, h);
+    COLDSTART_CHECK_LT(p.function, population_.functions.size());
+    COLDSTART_CHECK_LT(p.region, profiles_.size());
+    COLDSTART_CHECK_LT(static_cast<size_t>(p.config), trace::kNumResourceConfigs);
     // Only running requests were saved: each ends after the clock, and they
     // fit the function's concurrency.
     const uint64_t num_ends = r.U64();
@@ -1062,22 +1034,13 @@ void Platform::RestoreCheckpointState(
   // (push order is free: the queue orders restored keys by (time, seq)).
   for (const uint32_t i : RestoreSlabStructure(events_, r)) {
     PendingEvent& e = events_.slot_value(i);
-    const uint8_t kind = r.U8();
-    COLDSTART_CHECK_LE(kind, static_cast<uint8_t>(EventKind::kPolicyTick));
-    e.kind = static_cast<EventKind>(kind);
-    e.delay_exempt = r.U8() != 0;
-    const uint32_t region = r.U32();
-    COLDSTART_CHECK_LT(region, profiles_.size());
-    e.region = static_cast<trace::RegionId>(region);
-    const uint64_t function = r.U64();
-    COLDSTART_CHECK_LT(function, population_.functions.size());
-    e.function = static_cast<trace::FunctionId>(function);
-    const SimTime time = r.I64();
+    SimTime time = 0;
+    uint64_t seq = 0;
+    EventLayout(r, e, time, seq);
+    COLDSTART_CHECK_LE(e.kind, EventKind::kPolicyTick);
+    COLDSTART_CHECK_LT(e.region, profiles_.size());
+    COLDSTART_CHECK_LT(e.function, population_.functions.size());
     COLDSTART_CHECK_GT(time, now);
-    const uint64_t seq = r.U64();
-    e.pod.index = r.U32();
-    e.pod.gen = r.U32();
-    e.keep_alive = r.I64();
     const SlabHandle h{i, events_.slot_generation(i)};
     e.entry = sim_.RestoreEvent(time, seq, h.Pack());
     if (e.kind == EventKind::kKeepAlive) {

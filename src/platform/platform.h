@@ -193,6 +193,7 @@ class Platform : private sim::EventTarget {
   // What a PlatformPolicy::kDefaultKeepAlive answer grants.
   SimDuration default_keep_alive() const { return options_.default_keep_alive; }
   const workload::FunctionSpec& spec(trace::FunctionId function) const;
+  size_t num_functions() const { return population_.functions.size(); }
   // True when the function has a pod that is (or will be) able to take a request:
   // ready (or warming) with a free concurrency slot now.
   bool HasAvailablePod(trace::FunctionId function) const;

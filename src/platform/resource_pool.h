@@ -42,25 +42,17 @@ class ResourcePool {
 
   int64_t scratch_count() const { return scratch_count_; }
 
-  // --- Checkpoint support: the mutable state. Construction parameters
-  // (refill_per_min_) are re-derived from the region profile on restore;
-  // target_ is saved because pool-sizing policies mutate it via SetTarget.
-  struct CheckpointState {
-    int free = 0;
-    int target = 0;
-    double refill_credit = 0;
-    SimTime last_refill = 0;
-    int64_t scratch_count = 0;
-  };
-  CheckpointState checkpoint_state() const {
-    return {free_, target_, refill_credit_, last_refill_, scratch_count_};
-  }
-  void restore_checkpoint_state(const CheckpointState& s) {
-    free_ = s.free;
-    target_ = s.target;
-    refill_credit_ = s.refill_credit;
-    last_refill_ = s.last_refill;
-    scratch_count_ = s.scratch_count;
+  // Checkpoint layout (common/byte_serde.h): the mutable state. Construction
+  // parameters (refill_per_min_) are re-derived from the region profile on
+  // restore; target_ travels because pool-sizing policies mutate it via
+  // SetTarget.
+  template <class Ar, class Self>
+  static void Layout(Ar& a, Self& self) {
+    a.I64(self.free_);
+    a.I64(self.target_);
+    a.F64(self.refill_credit_);
+    a.I64(self.last_refill_);
+    a.I64(self.scratch_count_);
   }
 
  private:

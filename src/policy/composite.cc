@@ -106,30 +106,38 @@ void CompositePolicy::OnMinuteTick(SimTime now) {
   }
 }
 
+template <class Ar, class Blobs>
+void CompositePolicy::Layout(Ar& a, Blobs& blobs) {
+  a.Count(blobs, 8);
+  for (auto& blob : blobs) {
+    a.Str(blob);
+  }
+}
+
 bool CompositePolicy::SavePolicyState(std::string* out) const {
-  ByteWriter w;
-  w.U64(policies_.size());
-  for (const auto& p : policies_) {
-    std::string sub;
-    if (!p->SavePolicyState(&sub)) {
+  std::vector<std::string> blobs(policies_.size());
+  for (size_t i = 0; i < policies_.size(); ++i) {
+    if (!policies_[i]->SavePolicyState(&blobs[i])) {
       return false;
     }
-    w.Str(sub);
   }
+  ByteWriter w;
+  Layout(w, blobs);
   *out = w.Take();
   return true;
 }
 
 bool CompositePolicy::RestorePolicyState(std::string_view blob) {
   ByteReader r(blob);
-  COLDSTART_CHECK_EQ(r.U64(), policies_.size());
-  for (auto& p : policies_) {
-    const std::string sub = r.Str();
-    if (!p->RestorePolicyState(sub)) {
+  std::vector<std::string> blobs;
+  Layout(r, blobs);
+  COLDSTART_CHECK(r.AtEnd());
+  COLDSTART_CHECK_EQ(blobs.size(), policies_.size());
+  for (size_t i = 0; i < policies_.size(); ++i) {
+    if (!policies_[i]->RestorePolicyState(blobs[i])) {
       return false;
     }
   }
-  COLDSTART_CHECK(r.AtEnd());
   return true;
 }
 

@@ -48,6 +48,10 @@ class CompositePolicy : public platform::PlatformPolicy {
   bool RestorePolicyState(std::string_view blob) override;
 
  private:
+  // Checkpoint layout (common/byte_serde.h) of the sub-policy blobs.
+  template <class Ar, class Blobs>
+  static void Layout(Ar& a, Blobs& blobs);
+
   std::vector<std::unique_ptr<platform::PlatformPolicy>> policies_;
 };
 

@@ -157,32 +157,31 @@ SimTime InterArrivalForecaster::PredictDiurnalNext(SimTime now) const {
   return -1;
 }
 
-void InterArrivalForecaster::SaveState(ByteWriter& w) const {
-  w.I64(last_arrival_);
-  w.U64(next_);
-  w.U64(filled_);
-  for (const int64_t iat : ring_) {
-    w.I64(iat);
+template <class Ar, class Self>
+void InterArrivalForecaster::Layout(Ar& a, Self& self) {
+  a.I64(self.last_arrival_);
+  a.U64(self.next_);
+  a.U64(self.filled_);
+  for (auto& iat : self.ring_) {
+    a.I64(iat);
   }
-  for (const uint32_t c : hour_counts_) {
-    w.U32(c);
+  for (auto& c : self.hour_counts_) {
+    a.U32(c);
+  }
+  if constexpr (Ar::kReading) {
+    self.RebuildDerived();
   }
 }
 
-void InterArrivalForecaster::RestoreState(ByteReader& r) {
-  last_arrival_ = r.I64();
-  next_ = r.U64();
-  filled_ = r.U64();
+void InterArrivalForecaster::SaveState(ByteWriter& w) const { Layout(w, *this); }
+
+void InterArrivalForecaster::RestoreState(ByteReader& r) { Layout(r, *this); }
+
+void InterArrivalForecaster::RebuildDerived() {
   COLDSTART_CHECK(filled_ <= ring_.size() && next_ < ring_.size());
   // ObserveArrival fills the ring front to back: until it is full, the write
   // cursor sits right after the last live sample.
   COLDSTART_CHECK(filled_ == ring_.size() || next_ == filled_);
-  for (int64_t& iat : ring_) {
-    iat = r.I64();
-  }
-  for (uint32_t& c : hour_counts_) {
-    c = r.U32();
-  }
   // Everything else is derived state: rebuild it from the restored window.
   // Slots [0, filled_) are exactly the live samples regardless of next_.
   // ObserveArrival records only positive IATs, and a sample past this bound
@@ -323,39 +322,40 @@ void ForecastPrewarmPolicy::AbsorbShardStats(
   keepalive_curtailed_ += other.keepalive_curtailed_;
 }
 
-bool ForecastPrewarmPolicy::SavePolicyState(std::string* out) const {
-  ByteWriter w;
-  w.I64(prewarms_issued_);
-  w.I64(keepalive_extended_);
-  w.I64(keepalive_curtailed_);
-  w.U64(pending_.size());
-  for (const auto& [fid, fire] : pending_) {
-    w.U64(fid);
-    w.I64(fire);
+template <class Ar, class Self>
+void ForecastPrewarmPolicy::Layout(Ar& a, Self& self) {
+  a.I64(self.prewarms_issued_);
+  a.I64(self.keepalive_extended_);
+  a.I64(self.keepalive_curtailed_);
+  std::vector<std::pair<trace::FunctionId, SimTime>> armed(self.pending_.begin(),
+                                                           self.pending_.end());
+  a.Count(armed, 8 + 8);
+  for (auto& [fid, fire] : armed) {
+    a.U64(fid);
+    a.I64(fire);
   }
-  forecasters_.SaveEntries(
-      w, [&w](const InterArrivalForecaster& f) { f.SaveState(w); });
-  *out = w.Take();
+  if constexpr (Ar::kReading) {
+    for (const auto& [fid, fire] : armed) {
+      // Written from the map in fid order: a repeated fid would leave
+      // pending_ and fires_ out of step.
+      COLDSTART_CHECK(self.pending_.empty() || fid > self.pending_.rbegin()->first);
+      self.pending_.emplace_hint(self.pending_.end(), fid, fire);
+      self.fires_.emplace(fire, fid);
+    }
+  }
+  FunctionTable<InterArrivalForecaster>::Layout(
+      a, self.forecasters_, self.platform_,
+      [&a](auto& f) { InterArrivalForecaster::Layout(a, f); }, self.options_.forecaster);
+}
+
+bool ForecastPrewarmPolicy::SavePolicyState(std::string* out) const {
+  *out = SaveLayout(*this);
   return true;
 }
 
 bool ForecastPrewarmPolicy::RestorePolicyState(std::string_view blob) {
   COLDSTART_CHECK(pending_.empty());
-  ByteReader r(blob);
-  prewarms_issued_ = r.I64();
-  keepalive_extended_ = r.I64();
-  keepalive_curtailed_ = r.I64();
-  const uint64_t armed = r.U64();
-  for (uint64_t i = 0; i < armed; ++i) {
-    const auto fid = static_cast<trace::FunctionId>(r.U64());
-    const SimTime fire = r.I64();
-    pending_[fid] = fire;
-    fires_.emplace(fire, fid);
-  }
-  forecasters_.RestoreEntries(
-      r, [&r](InterArrivalForecaster& f) { f.RestoreState(r); },
-      options_.forecaster);
-  COLDSTART_CHECK(r.AtEnd());
+  RestoreLayout(blob, *this);
   return true;
 }
 

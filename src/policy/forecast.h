@@ -105,8 +105,12 @@ class InterArrivalForecaster {
   // window's sum could overflow.
   void SaveState(ByteWriter& w) const;
   void RestoreState(ByteReader& r);
+  template <class Ar, class Self>
+  static void Layout(Ar& a, Self& self);
 
  private:
+  // Checks a restored window and rebuilds the derived state from it.
+  void RebuildDerived();
   // Window samples in buckets [modal - 1, modal + 1] and their IAT sum.
   struct Neighborhood {
     uint64_t count = 0;
@@ -165,6 +169,8 @@ class ForecastPrewarmPolicy : public platform::PlatformPolicy {
 
   bool SavePolicyState(std::string* out) const override;
   bool RestorePolicyState(std::string_view blob) override;
+  template <class Ar, class Self>
+  static void Layout(Ar& a, Self& self);
 
   const Options& options() const { return options_; }
   int64_t prewarms_issued() const { return prewarms_issued_; }

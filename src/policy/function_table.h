@@ -8,13 +8,13 @@
 #define COLDSTART_POLICY_FUNCTION_TABLE_H_
 
 #include <cstdint>
-#include <limits>
 #include <optional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "common/byte_serde.h"
 #include "common/check.h"
+#include "platform/platform.h"
 #include "trace/types.h"
 
 namespace coldstart::policy {
@@ -43,35 +43,43 @@ class FunctionTable {
 
   size_t size() const { return size_; }  // Touched functions.
 
-  // Blob layout: U64 count, then (U64 fid, entry) per touched function in
-  // ascending fid order; `save_entry(const T&)` writes one entry.
-  template <typename SaveEntry>
-  void SaveEntries(ByteWriter& w, SaveEntry save_entry) const {
-    w.U64(size_);
-    for (size_t fid = 0; fid < slots_.size(); ++fid) {
-      if (slots_[fid].has_value()) {
-        w.U64(fid);
-        save_entry(*slots_[fid]);
+  // Checkpoint layout (common/byte_serde.h): U64 count, then (U64 fid, entry)
+  // per touched function in ascending fid order; `entry(T&)` lays out one
+  // entry. A read fills an empty table attached to `platform`: each entry is
+  // built from `args` before `entry` fills it, and a duplicate, descending or
+  // out-of-population fid CHECK-fails rather than overwriting or allocating.
+  template <class Ar, class Self, class Entry, class... Args>
+  static void Layout(Ar& a, Self& self, const platform::Platform* platform, Entry entry,
+                     const Args&... args) {
+    static_assert(Ar::kReading != std::is_const_v<Self>);
+    COLDSTART_CHECK(!Ar::kReading || self.size_ == 0);
+    uint64_t n = self.size_;
+    a.U64(n);
+    uint64_t fid = 0;
+    for (uint64_t i = 0; i < n; ++i, ++fid) {
+      // Writing: the next touched fid. Reading: the table ends at fid.
+      while (fid < self.slots_.size() && !self.slots_[fid].has_value()) {
+        ++fid;
       }
-    }
-  }
-
-  // Reads SaveEntries' layout into an empty table: each entry is built from
-  // `args`, then `restore_entry(T&)` fills it. A duplicate or descending fid
-  // means a writer/reader mismatch and CHECK-fails rather than overwriting.
-  template <typename RestoreEntry, typename... Args>
-  void RestoreEntries(ByteReader& r, RestoreEntry restore_entry, const Args&... args) {
-    COLDSTART_CHECK_EQ(size_, 0u);
-    const uint64_t n = r.U64();
-    for (uint64_t i = 0; i < n; ++i) {
-      const uint64_t fid = r.U64();
-      COLDSTART_CHECK_GE(fid, slots_.size());  // Strictly ascending.
-      COLDSTART_CHECK_LE(fid, std::numeric_limits<trace::FunctionId>::max());
-      restore_entry(Touch(static_cast<trace::FunctionId>(fid), args...));
+      a.U64(fid);
+      entry(self.LayoutEntry(fid, platform, args...));
     }
   }
 
  private:
+  // The entry Layout visits at `fid`: the touched one of a const table being
+  // written, or a new one of a table being read.
+  template <class... Args>
+  const T& LayoutEntry(uint64_t fid, const platform::Platform*, const Args&...) const {
+    return *slots_[fid];
+  }
+  template <class... Args>
+  T& LayoutEntry(uint64_t fid, const platform::Platform* platform, const Args&... args) {
+    COLDSTART_CHECK_GE(fid, slots_.size());  // Strictly ascending.
+    COLDSTART_CHECK(platform != nullptr && fid < platform->num_functions());
+    return Touch(static_cast<trace::FunctionId>(fid), args...);
+  }
+
   std::vector<std::optional<T>> slots_;
   size_t size_ = 0;
 };

@@ -35,25 +35,22 @@ SimDuration DynamicKeepAlivePolicy::KeepAliveFor(const workload::FunctionSpec& s
   return std::clamp(scaled, kMinKeepAlive, options_.max_keep_alive);
 }
 
-bool DynamicKeepAlivePolicy::SavePolicyState(std::string* out) const {
-  ByteWriter w;
-  history_.SaveEntries(w, [&w](const History& h) {
-    w.I64(h.last_arrival);
-    w.F64(h.iat_ewma);
-    w.I64(h.observations);
+template <class Ar, class Self>
+void DynamicKeepAlivePolicy::Layout(Ar& a, Self& self) {
+  FunctionTable<History>::Layout(a, self.history_, self.platform_, [&a](auto& h) {
+    a.I64(h.last_arrival);
+    a.F64(h.iat_ewma);
+    a.I64(h.observations);
   });
-  *out = w.Take();
+}
+
+bool DynamicKeepAlivePolicy::SavePolicyState(std::string* out) const {
+  *out = SaveLayout(*this);
   return true;
 }
 
 bool DynamicKeepAlivePolicy::RestorePolicyState(std::string_view blob) {
-  ByteReader r(blob);
-  history_.RestoreEntries(r, [&r](History& h) {
-    h.last_arrival = r.I64();
-    h.iat_ewma = r.F64();
-    h.observations = static_cast<int>(r.I64());
-  });
-  COLDSTART_CHECK(r.AtEnd());
+  RestoreLayout(blob, *this);
   return true;
 }
 

@@ -25,6 +25,7 @@ class DynamicKeepAlivePolicy : public platform::PlatformPolicy {
   DynamicKeepAlivePolicy() : DynamicKeepAlivePolicy(Options{}) {}
   explicit DynamicKeepAlivePolicy(Options options) : options_(options) {}
 
+  void OnAttach(platform::Platform& platform) override { platform_ = &platform; }
   void OnArrival(const workload::FunctionSpec& spec, SimTime now) override;
   SimDuration KeepAliveFor(const workload::FunctionSpec& spec, SimTime now) override;
 
@@ -39,6 +40,8 @@ class DynamicKeepAlivePolicy : public platform::PlatformPolicy {
   // Checkpointable: the learned state is the per-function IAT table.
   bool SavePolicyState(std::string* out) const override;
   bool RestorePolicyState(std::string_view blob) override;
+  template <class Ar, class Self>
+  static void Layout(Ar& a, Self& self);
 
  private:
   struct History {
@@ -48,6 +51,7 @@ class DynamicKeepAlivePolicy : public platform::PlatformPolicy {
   };
 
   Options options_;
+  const platform::Platform* platform_ = nullptr;
   FunctionTable<History> history_;
 };
 

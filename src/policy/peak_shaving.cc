@@ -43,27 +43,22 @@ SimDuration PeakShavingPolicy::AdmissionDelay(const workload::FunctionSpec& spec
   return 1 + static_cast<SimDuration>(u * static_cast<double>(options_.max_delay));
 }
 
-bool PeakShavingPolicy::SavePolicyState(std::string* out) const {
-  ByteWriter w;
-  w.I64(delays_issued_);
-  w.U64(mix_.size());
-  for (const uint64_t m : mix_) {
-    w.U64(m);
+template <class Ar, class Self>
+void PeakShavingPolicy::Layout(Ar& a, Self& self) {
+  a.I64(self.delays_issued_);
+  a.Count(self.mix_, 8);
+  for (auto& m : self.mix_) {
+    a.U64(m);
   }
-  *out = w.Take();
+}
+
+bool PeakShavingPolicy::SavePolicyState(std::string* out) const {
+  *out = SaveLayout(*this);
   return true;
 }
 
 bool PeakShavingPolicy::RestorePolicyState(std::string_view blob) {
-  ByteReader r(blob);
-  delays_issued_ = r.I64();
-  mix_.clear();
-  const uint64_t n = r.U64();
-  mix_.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    mix_.push_back(r.U64());
-  }
-  COLDSTART_CHECK(r.AtEnd());
+  RestoreLayout(blob, *this);
   return true;
 }
 

@@ -42,6 +42,8 @@ class PeakShavingPolicy : public platform::PlatformPolicy {
   // Checkpointable: the delay counter and the per-region jitter streams.
   bool SavePolicyState(std::string* out) const override;
   bool RestorePolicyState(std::string_view blob) override;
+  template <class Ar, class Self>
+  static void Layout(Ar& a, Self& self);
 
  private:
   // Cheap deterministic jitter state for `region`, seeded per region.

@@ -45,26 +45,25 @@ void PoolPredictionPolicy::OnMinuteTick(SimTime) {
   }
 }
 
-bool PoolPredictionPolicy::SavePolicyState(std::string* out) const {
-  ByteWriter w;
-  w.U64(predictors_.size());
-  for (size_t i = 0; i < predictors_.size(); ++i) {
-    predictors_[i].SaveState(w);
+template <class Ar, class Self>
+void PoolPredictionPolicy::Layout(Ar& a, Self& self) {
+  uint64_t n = self.predictors_.size();
+  a.U64(n);
+  COLDSTART_CHECK_EQ(n, self.predictors_.size());
+  for (size_t i = 0; i < n; ++i) {
+    SeriesPredictor::Layout(a, self.predictors_[i]);
     // Cold starts since the last tick: pending at a day boundary.
-    w.F64(demand_this_minute_[i]);
+    a.F64(self.demand_this_minute_[i]);
   }
-  *out = w.Take();
+}
+
+bool PoolPredictionPolicy::SavePolicyState(std::string* out) const {
+  *out = SaveLayout(*this);
   return true;
 }
 
 bool PoolPredictionPolicy::RestorePolicyState(std::string_view blob) {
-  ByteReader r(blob);
-  COLDSTART_CHECK_EQ(r.U64(), predictors_.size());
-  for (size_t i = 0; i < predictors_.size(); ++i) {
-    predictors_[i].RestoreState(r);
-    demand_this_minute_[i] = r.F64();
-  }
-  COLDSTART_CHECK(r.AtEnd());
+  RestoreLayout(blob, *this);
   return true;
 }
 

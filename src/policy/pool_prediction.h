@@ -38,6 +38,8 @@ class PoolPredictionPolicy : public platform::PlatformPolicy {
   // platform's own checkpoint.
   bool SavePolicyState(std::string* out) const override;
   bool RestorePolicyState(std::string_view blob) override;
+  template <class Ar, class Self>
+  static void Layout(Ar& a, Self& self);
 
   // One predictor per (region, config) with no cross-region coupling: shards cleanly.
   std::unique_ptr<platform::PlatformPolicy> CloneForShard() const override {

@@ -75,27 +75,4 @@ double SeriesPredictor::Predict() const {
   return 0.0;
 }
 
-void SeriesPredictor::SaveState(ByteWriter& w) const {
-  w.U8(static_cast<uint8_t>(kind_));
-  w.U64(ring_.size());
-  w.Raw(ring_.data(), ring_.size() * sizeof(double));
-  w.U64(pos_);
-  w.U64(observed_);
-  // Saved, never re-derived: a mid-window moving-average sum differs in its
-  // low bits from a fresh sum over the ring.
-  w.F64(level_);
-  w.F64(trend_);
-}
-
-void SeriesPredictor::RestoreState(ByteReader& r) {
-  COLDSTART_CHECK_EQ(r.U8(), static_cast<uint8_t>(kind_));
-  COLDSTART_CHECK_EQ(r.U64(), ring_.size());
-  r.Raw(ring_.data(), ring_.size() * sizeof(double));
-  pos_ = r.U64();
-  COLDSTART_CHECK_LT(pos_, ring_.size());
-  observed_ = r.U64();
-  level_ = r.F64();
-  trend_ = r.F64();
-}
-
 }  // namespace coldstart::policy

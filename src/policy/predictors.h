@@ -41,8 +41,25 @@ class SeriesPredictor {
 
   // Checkpoint support: the learned state, every double by bit pattern. Restore
   // onto an identically constructed predictor (kind and ring length CHECKed).
-  void SaveState(ByteWriter& w) const;
-  void RestoreState(ByteReader& r);
+  void SaveState(ByteWriter& w) const { Layout(w, *this); }
+  void RestoreState(ByteReader& r) { Layout(r, *this); }
+  template <class Ar, class Self>
+  static void Layout(Ar& a, Self& self) {
+    Kind kind = self.kind_;
+    a.U8(kind);
+    COLDSTART_CHECK(kind == self.kind_);
+    uint64_t length = self.ring_.size();
+    a.U64(length);
+    COLDSTART_CHECK_EQ(length, self.ring_.size());
+    a.Raw(self.ring_.data(), self.ring_.size() * sizeof(double));
+    a.U64(self.pos_);
+    COLDSTART_CHECK_LT(self.pos_, self.ring_.size());
+    a.U64(self.observed_);
+    // Saved, never re-derived: a mid-window moving-average sum differs in its
+    // low bits from a fresh sum over the ring.
+    a.F64(self.level_);
+    a.F64(self.trend_);
+  }
 
  private:
   SeriesPredictor(Kind kind, int length, double alpha = 0, double beta = 0,

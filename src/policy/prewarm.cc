@@ -66,27 +66,23 @@ void TimerAwarePrewarmPolicy::OnArrival(const workload::FunctionSpec& spec, SimT
   ++prewarms_issued_;
 }
 
-bool TimerAwarePrewarmPolicy::SavePolicyState(std::string* out) const {
-  ByteWriter w;
-  w.I64(prewarms_issued_);
-  history_.SaveEntries(w, [&w](const FunctionHistory& h) {
-    w.I64(h.last_arrival);
-    w.F64(h.period_estimate);
-    w.I64(h.stable_count);
+template <class Ar, class Self>
+void TimerAwarePrewarmPolicy::Layout(Ar& a, Self& self) {
+  a.I64(self.prewarms_issued_);
+  FunctionTable<FunctionHistory>::Layout(a, self.history_, self.platform_, [&a](auto& h) {
+    a.I64(h.last_arrival);
+    a.F64(h.period_estimate);
+    a.I64(h.stable_count);
   });
-  *out = w.Take();
+}
+
+bool TimerAwarePrewarmPolicy::SavePolicyState(std::string* out) const {
+  *out = SaveLayout(*this);
   return true;
 }
 
 bool TimerAwarePrewarmPolicy::RestorePolicyState(std::string_view blob) {
-  ByteReader r(blob);
-  prewarms_issued_ = r.I64();
-  history_.RestoreEntries(r, [&r](FunctionHistory& h) {
-    h.last_arrival = r.I64();
-    h.period_estimate = r.F64();
-    h.stable_count = static_cast<int>(r.I64());
-  });
-  COLDSTART_CHECK(r.AtEnd());
+  RestoreLayout(blob, *this);
   return true;
 }
 
@@ -130,32 +126,30 @@ void ProfilePrewarmPolicy::OnMinuteTick(SimTime now) {
   }
 }
 
-bool ProfilePrewarmPolicy::SavePolicyState(std::string* out) const {
-  ByteWriter w;
-  w.I64(prewarms_issued_);
-  w.U64(watch_list_.size());
-  for (const trace::FunctionId fid : watch_list_) {
-    w.U64(fid);
+template <class Ar, class Self>
+void ProfilePrewarmPolicy::Layout(Ar& a, Self& self) {
+  a.I64(self.prewarms_issued_);
+  std::vector<trace::FunctionId> watched(self.watch_list_.begin(), self.watch_list_.end());
+  a.Count(watched, 8);
+  for (auto& fid : watched) {
+    a.U64(fid);
   }
-  profiles_.SaveEntries(w, [&w](const Profile& prof) {
-    w.Raw(prof.per_minute.data(), prof.per_minute.size() * sizeof(float));
+  if constexpr (Ar::kReading) {
+    self.watch_list_.insert(watched.begin(), watched.end());
+  }
+  FunctionTable<Profile>::Layout(a, self.profiles_, self.platform_, [&a](auto& prof) {
+    a.Raw(prof.per_minute.data(), prof.per_minute.size() * sizeof(float));
   });
-  *out = w.Take();
+}
+
+bool ProfilePrewarmPolicy::SavePolicyState(std::string* out) const {
+  *out = SaveLayout(*this);
   return true;
 }
 
 bool ProfilePrewarmPolicy::RestorePolicyState(std::string_view blob) {
   COLDSTART_CHECK(watch_list_.empty());
-  ByteReader r(blob);
-  prewarms_issued_ = r.I64();
-  const uint64_t watched = r.U64();
-  for (uint64_t i = 0; i < watched; ++i) {
-    watch_list_.insert(static_cast<trace::FunctionId>(r.U64()));
-  }
-  profiles_.RestoreEntries(r, [&r](Profile& prof) {
-    r.Raw(prof.per_minute.data(), prof.per_minute.size() * sizeof(float));
-  });
-  COLDSTART_CHECK(r.AtEnd());
+  RestoreLayout(blob, *this);
   return true;
 }
 

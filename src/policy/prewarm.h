@@ -31,6 +31,8 @@ class TimerAwarePrewarmPolicy : public platform::PlatformPolicy {
 
   bool SavePolicyState(std::string* out) const override;
   bool RestorePolicyState(std::string_view blob) override;
+  template <class Ar, class Self>
+  static void Layout(Ar& a, Self& self);
 
   // Per-function period estimates only: shards cleanly by region.
   std::unique_ptr<platform::PlatformPolicy> CloneForShard() const override {
@@ -76,6 +78,8 @@ class ProfilePrewarmPolicy : public platform::PlatformPolicy {
 
   bool SavePolicyState(std::string* out) const override;
   bool RestorePolicyState(std::string_view blob) override;
+  template <class Ar, class Self>
+  static void Layout(Ar& a, Self& self);
 
   // Per-function minute-of-day profiles and a per-region budget: shards
   // cleanly by region.

@@ -50,36 +50,35 @@ void ProvisionedConcurrencyPolicy::OnMinuteTick(SimTime) {
   }
 }
 
-bool ProvisionedConcurrencyPolicy::SavePolicyState(std::string* out) const {
-  ByteWriter w;
-  w.I64(floor_spawns_);
-  w.I64(floor_hits_);
-  w.I64(floor_misses_);
-  w.I64(enrolled_total_);
-  w.U64(provisioned_.size());
-  for (const trace::FunctionId fid : provisioned_) {  // std::set: already sorted.
-    w.U64(fid);
+template <class Ar, class Self>
+void ProvisionedConcurrencyPolicy::Layout(Ar& a, Self& self) {
+  a.I64(self.floor_spawns_);
+  a.I64(self.floor_hits_);
+  a.I64(self.floor_misses_);
+  a.I64(self.enrolled_total_);
+  std::vector<trace::FunctionId> fids(self.provisioned_.begin(), self.provisioned_.end());
+  a.Count(fids, 8);
+  for (auto& fid : fids) {
+    a.U64(fid);
   }
-  *out = w.Take();
+  if constexpr (Ar::kReading) {
+    for (const trace::FunctionId fid : fids) {
+      // SavePolicyState writes each fid once and within its region's budget.
+      COLDSTART_CHECK(self.provisioned_.insert(fid).second);
+      COLDSTART_CHECK_LE(++self.enrolled_per_region_.at(self.platform_->spec(fid).region),
+                         self.options_.max_provisioned_functions);
+    }
+  }
+}
+
+bool ProvisionedConcurrencyPolicy::SavePolicyState(std::string* out) const {
+  *out = SaveLayout(*this);
   return true;
 }
 
 bool ProvisionedConcurrencyPolicy::RestorePolicyState(std::string_view blob) {
   COLDSTART_CHECK(provisioned_.empty());
-  ByteReader r(blob);
-  floor_spawns_ = r.I64();
-  floor_hits_ = r.I64();
-  floor_misses_ = r.I64();
-  enrolled_total_ = r.I64();
-  const uint64_t n = r.U64();
-  for (uint64_t i = 0; i < n; ++i) {
-    const auto fid = static_cast<trace::FunctionId>(r.U64());
-    // SavePolicyState writes each fid once and within its region's budget.
-    COLDSTART_CHECK(provisioned_.insert(fid).second);
-    COLDSTART_CHECK_LE(++enrolled_per_region_.at(platform_->spec(fid).region),
-                       options_.max_provisioned_functions);
-  }
-  COLDSTART_CHECK(r.AtEnd());
+  RestoreLayout(blob, *this);
   return true;
 }
 

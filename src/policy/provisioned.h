@@ -40,6 +40,8 @@ class ProvisionedConcurrencyPolicy : public platform::PlatformPolicy {
 
   bool SavePolicyState(std::string* out) const override;
   bool RestorePolicyState(std::string_view blob) override;
+  template <class Ar, class Self>
+  static void Layout(Ar& a, Self& self);
 
   std::unique_ptr<platform::PlatformPolicy> CloneForShard() const override {
     return std::make_unique<ProvisionedConcurrencyPolicy>(options_);

@@ -31,19 +31,20 @@ void WorkflowPrewarmPolicy::OnParentRequestStart(const workload::FunctionSpec& p
   }
 }
 
+template <class Ar, class Self>
+void WorkflowPrewarmPolicy::Layout(Ar& a, Self& self) {
+  a.I64(self.prewarms_issued_);
+  FunctionTable<SimTime>::Layout(a, self.last_prewarm_, self.platform_,
+                                 [&a](auto& last) { a.I64(last); });
+}
+
 bool WorkflowPrewarmPolicy::SavePolicyState(std::string* out) const {
-  ByteWriter w;
-  w.I64(prewarms_issued_);
-  last_prewarm_.SaveEntries(w, [&w](SimTime t) { w.I64(t); });
-  *out = w.Take();
+  *out = SaveLayout(*this);
   return true;
 }
 
 bool WorkflowPrewarmPolicy::RestorePolicyState(std::string_view blob) {
-  ByteReader r(blob);
-  prewarms_issued_ = r.I64();
-  last_prewarm_.RestoreEntries(r, [&r](SimTime& t) { t = r.I64(); });
-  COLDSTART_CHECK(r.AtEnd());
+  RestoreLayout(blob, *this);
   return true;
 }
 

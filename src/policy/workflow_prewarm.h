@@ -39,6 +39,8 @@ class WorkflowPrewarmPolicy : public platform::PlatformPolicy {
   // Checkpointable: the cooldown table and the prewarm counter; platform_ is re-wired by OnAttach on the resumed platform.
   bool SavePolicyState(std::string* out) const override;
   bool RestorePolicyState(std::string_view blob) override;
+  template <class Ar, class Self>
+  static void Layout(Ar& a, Self& self);
 
  private:
   platform::Platform* platform_ = nullptr;

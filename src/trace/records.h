@@ -97,6 +97,24 @@ struct RegionCostRecord {
   double snapshot_mb_seconds() const {
     return static_cast<double>(snapshot_mb_us_fp) / (1048576.0 * 1e6);
   }
+
+  // Adds the four sums (a shard merge or a cross-region total).
+  void Add(const RegionCostRecord& other) {
+    pod_us += other.pod_us;
+    warm_idle_us += other.warm_idle_us;
+    snapshot_mb_us_fp += other.snapshot_mb_us_fp;
+    scratch_creations += other.scratch_creations;
+  }
+
+  // Checkpoint layout (common/byte_serde.h) of the four sums, shared by the
+  // cost ledger and the streaming sink; `region` is the slot's index there.
+  template <class Ar, class Self>
+  static void Layout(Ar& a, Self& self) {
+    a.I128(self.pod_us);
+    a.I128(self.warm_idle_us);
+    a.I128(self.snapshot_mb_us_fp);
+    a.I64(self.scratch_creations);
+  }
 };
 
 // Reproduces the dataset's hashed-ID form for CSV export ("a3f9..." style, 16 hex chars).

@@ -115,11 +115,7 @@ void StreamingAggregates::OnHorizon(SimTime horizon) {
 }
 
 void StreamingAggregates::OnRegionCost(const RegionCostRecord& r) {
-  RegionCostRecord& cost = Slot(r.region).cost;
-  cost.pod_us += r.pod_us;
-  cost.warm_idle_us += r.warm_idle_us;
-  cost.snapshot_mb_us_fp += r.snapshot_mb_us_fp;
-  cost.scratch_creations += r.scratch_creations;
+  Slot(r.region).cost.Add(r);
 }
 
 void StreamingAggregates::MergeFrom(const StreamingAggregates& other) {
@@ -147,123 +143,75 @@ void StreamingAggregates::MergeFrom(const StreamingAggregates& other) {
     }
     // Shards register the full population each: keep the max, don't add.
     dst.functions = std::max(dst.functions, src.functions);
-    dst.cost.pod_us += src.cost.pod_us;
-    dst.cost.warm_idle_us += src.cost.warm_idle_us;
-    dst.cost.snapshot_mb_us_fp += src.cost.snapshot_mb_us_fp;
-    dst.cost.scratch_creations += src.cost.scratch_creations;
+    dst.cost.Add(src.cost);
   }
   horizon_ = std::max(horizon_, other.horizon_);
 }
 
 namespace {
 
-void SaveCounters(ByteWriter& w, const StreamCounters& c) {
-  w.U64(c.requests);
-  w.U64(c.cold_starts);
-  w.U64(c.pods);
-  w.U64(c.cold_start_latency_sum_us);
-  w.U64(c.execution_time_sum_us);
-  w.U64(c.pod_lifetime_sum_us);
-  w.U64(c.pod_requests_served);
-}
-
-void RestoreCounters(ByteReader& r, StreamCounters& c) {
-  c.requests = r.U64();
-  c.cold_starts = r.U64();
-  c.pods = r.U64();
-  c.cold_start_latency_sum_us = r.U64();
-  c.execution_time_sum_us = r.U64();
-  c.pod_lifetime_sum_us = r.U64();
-  c.pod_requests_served = r.U64();
-}
-
-// 128-bit cost sums travel as two U64 words (lo, hi), the histogram-sum idiom.
-void WriteI128(ByteWriter& w, __int128 v) {
-  w.U64(static_cast<uint64_t>(static_cast<unsigned __int128>(v)));
-  w.U64(static_cast<uint64_t>(static_cast<unsigned __int128>(v) >> 64));
-}
-
-__int128 ReadI128(ByteReader& r) {
-  const uint64_t lo = r.U64();
-  const uint64_t hi = r.U64();
-  return static_cast<__int128>((static_cast<unsigned __int128>(hi) << 64) |
-                               static_cast<unsigned __int128>(lo));
-}
-
-void SaveCost(ByteWriter& w, const RegionCostRecord& c) {
-  WriteI128(w, c.pod_us);
-  WriteI128(w, c.warm_idle_us);
-  WriteI128(w, c.snapshot_mb_us_fp);
-  w.I64(c.scratch_creations);
-}
-
-void RestoreCost(ByteReader& r, RegionCostRecord& c) {
-  c.pod_us = ReadI128(r);
-  c.warm_idle_us = ReadI128(r);
-  c.snapshot_mb_us_fp = ReadI128(r);
-  c.scratch_creations = r.I64();
+template <class Ar, class Self>
+void CountersLayout(Ar& a, Self& c) {
+  a.U64(c.requests);
+  a.U64(c.cold_starts);
+  a.U64(c.pods);
+  a.U64(c.cold_start_latency_sum_us);
+  a.U64(c.execution_time_sum_us);
+  a.U64(c.pod_lifetime_sum_us);
+  a.U64(c.pod_requests_served);
 }
 
 }  // namespace
 
-void StreamingAggregates::SaveSlot(ByteWriter& w, const RegionSlot& slot) {
-  SaveCounters(w, slot.counters);
-  SaveCost(w, slot.cost);
-  w.U64(slot.functions);
-  slot.cold_start_hist.SaveState(w);
-  slot.request_hist.SaveState(w);
-  slot.pod_lifetime_hist.SaveState(w);
+template <class Ar, class Self>
+void StreamingAggregates::SlotLayout(Ar& a, Self& slot) {
+  CountersLayout(a, slot.counters);
+  RegionCostRecord::Layout(a, slot.cost);
+  a.U64(slot.functions);
+  LogHistogram::Layout(a, slot.cold_start_hist);
+  LogHistogram::Layout(a, slot.request_hist);
+  LogHistogram::Layout(a, slot.pod_lifetime_hist);
   for (size_t g = 0; g < kNumTriggerGroups; ++g) {
-    SaveCounters(w, slot.group_counters[g]);
-    slot.group_cold_start_hists[g].SaveState(w);
+    CountersLayout(a, slot.group_counters[g]);
+    LogHistogram::Layout(a, slot.group_cold_start_hists[g]);
   }
 }
 
-void StreamingAggregates::RestoreSlot(ByteReader& r, RegionSlot& slot) {
-  RestoreCounters(r, slot.counters);
-  RestoreCost(r, slot.cost);
-  slot.functions = r.U64();
-  slot.cold_start_hist.RestoreState(r);
-  slot.request_hist.RestoreState(r);
-  slot.pod_lifetime_hist.RestoreState(r);
-  for (size_t g = 0; g < kNumTriggerGroups; ++g) {
-    RestoreCounters(r, slot.group_counters[g]);
-    slot.group_cold_start_hists[g].RestoreState(r);
-  }
+size_t StreamingAggregates::SlotBytes() {
+  static const size_t bytes = [] {
+    ByteWriter w;
+    const RegionSlot empty;
+    SlotLayout(w, empty);
+    return w.data().size();
+  }();
+  return bytes;
 }
 
 void StreamingAggregates::SaveState(ByteWriter& w) const {
   w.I64(horizon_);
   w.U64(function_groups_.size());
-  for (const TriggerGroup g : function_groups_) {
-    w.U8(static_cast<uint8_t>(g));
-  }
-  w.U64(regions_.size());
+  w.Raw(function_groups_.data(), function_groups_.size());
+  w.Count(regions_, SlotBytes());
   for (const RegionSlot& slot : regions_) {
-    SaveSlot(w, slot);
+    SlotLayout(w, slot);
   }
 }
 
 void StreamingAggregates::RestoreState(ByteReader& r) {
   COLDSTART_CHECK(regions_.empty() && function_groups_.empty());
-  horizon_ = r.I64();
-  // Bound each stored count by the bytes left before allocating from it (one
-  // byte per function, one serialized slot per region): a CRC-valid count too
-  // large for the payload dies on these CHECKs, not in the allocator.
+  r.I64(horizon_);
+  // One byte per function: a CRC-valid count too large for the payload dies
+  // on this CHECK, not in the allocator (Count bounds the region slots).
   const uint64_t num_functions = r.U64();
   COLDSTART_CHECK(num_functions <= r.Remaining());
-  function_groups_.reserve(num_functions);
-  for (uint64_t i = 0; i < num_functions; ++i) {
-    function_groups_.push_back(static_cast<TriggerGroup>(r.U8()));
+  function_groups_.resize(num_functions);
+  r.Raw(function_groups_.data(), function_groups_.size());
+  for (const TriggerGroup g : function_groups_) {
+    COLDSTART_CHECK_LT(static_cast<size_t>(g), kNumTriggerGroups);
   }
-  const uint64_t num_regions = r.U64();
-  ByteWriter empty_slot;
-  SaveSlot(empty_slot, RegionSlot());
-  const size_t slot_bytes = empty_slot.data().size();
-  COLDSTART_CHECK(num_regions <= r.Remaining() / slot_bytes);
-  regions_.resize(num_regions);
+  r.Count(regions_, SlotBytes());
   for (RegionSlot& slot : regions_) {
-    RestoreSlot(r, slot);
+    SlotLayout(r, slot);
   }
 }
 
@@ -289,10 +237,7 @@ RegionCostRecord StreamingAggregates::region_cost(RegionId region) const {
 RegionCostRecord StreamingAggregates::TotalCost() const {
   RegionCostRecord total;
   for (const RegionSlot& slot : regions_) {
-    total.pod_us += slot.cost.pod_us;
-    total.warm_idle_us += slot.cost.warm_idle_us;
-    total.snapshot_mb_us_fp += slot.cost.snapshot_mb_us_fp;
-    total.scratch_creations += slot.cost.scratch_creations;
+    total.Add(slot.cost);
   }
   return total;
 }

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/byte_serde.h"
 #include "common/histogram.h"
 #include "trace/trace_sink.h"
 #include "trace/types.h"
@@ -116,10 +117,11 @@ class StreamingAggregates final : public TraceSink {
     RegionCostRecord cost;
   };
 
-  // One slot's share of SaveState/RestoreState. Every slot serializes to the
-  // same number of bytes: its histograms have fixed bucket counts.
-  static void SaveSlot(ByteWriter& w, const RegionSlot& slot);
-  static void RestoreSlot(ByteReader& r, RegionSlot& slot);
+  // One slot's checkpoint layout (common/byte_serde.h). Every slot takes
+  // SlotBytes(): its histograms have fixed bucket counts.
+  template <class Ar, class Self>
+  static void SlotLayout(Ar& a, Self& slot);
+  static size_t SlotBytes();
 
   RegionSlot& Slot(RegionId region);
   const RegionSlot& SlotOrEmpty(RegionId region) const;

@@ -111,26 +111,14 @@ void FunctionArrivalCursor::EmitDay(int64_t day, std::vector<SimTime>& out) {
   }
 }
 
-void FunctionArrivalCursor::SaveState(ByteWriter& w) const {
-  uint64_t rng_state[4];
-  rng_.SaveState(rng_state);
-  w.Raw(rng_state, sizeof(rng_state));
-  w.I64(next_day_);
-  w.U8(bursting_ ? 1 : 0);
-  w.F64(burst_hours_left_);
-  w.F64(regular_phase_us_);
-  w.I64(timer_next_);
-}
-
-void FunctionArrivalCursor::RestoreState(ByteReader& r) {
-  uint64_t rng_state[4];
-  r.Raw(rng_state, sizeof(rng_state));
-  rng_.RestoreState(rng_state);
-  next_day_ = r.I64();
-  bursting_ = r.U8() != 0;
-  burst_hours_left_ = r.F64();
-  regular_phase_us_ = r.F64();
-  timer_next_ = r.I64();
+template <class Ar, class Self>
+void FunctionArrivalCursor::Layout(Ar& a, Self& self) {
+  Rng::Layout(a, self.rng_);
+  a.I64(self.next_day_);
+  a.U8(self.bursting_);
+  a.F64(self.burst_hours_left_);
+  a.F64(self.regular_phase_us_);
+  a.I64(self.timer_next_);
 }
 
 SyntheticArrivalStream::SyntheticArrivalStream(
@@ -184,26 +172,30 @@ bool SyntheticArrivalStream::NextChunk(ArrivalChunk* chunk) {
   return true;
 }
 
-bool SyntheticArrivalStream::SaveState(ByteWriter& w) const {
-  w.I64(next_day_);
-  w.U64(functions_.size());
-  for (const FunctionEntry& f : functions_) {
-    w.U64(f.id);
-    f.cursor.SaveState(w);
+template <class Ar, class Self>
+void SyntheticArrivalStream::Layout(Ar& a, Self& self) {
+  a.I64(self.next_day_);
+  COLDSTART_CHECK_LE(self.next_day_, self.num_days_);
+  // The cursor set is construction-derived (same population, same filter), so
+  // it must match the saved one entry for entry.
+  uint64_t num_functions = self.functions_.size();
+  a.U64(num_functions);
+  COLDSTART_CHECK_EQ(num_functions, self.functions_.size());
+  for (auto& f : self.functions_) {
+    trace::FunctionId id = f.id;
+    a.U64(id);
+    COLDSTART_CHECK_EQ(id, f.id);
+    FunctionArrivalCursor::Layout(a, f.cursor);
   }
+}
+
+bool SyntheticArrivalStream::SaveState(ByteWriter& w) const {
+  Layout(w, *this);
   return true;
 }
 
 bool SyntheticArrivalStream::RestoreState(ByteReader& r) {
-  next_day_ = r.I64();
-  COLDSTART_CHECK_LE(next_day_, num_days_);
-  // The cursor set is construction-derived (same population, same filter), so it
-  // must match the saved one entry for entry.
-  COLDSTART_CHECK_EQ(r.U64(), functions_.size());
-  for (FunctionEntry& f : functions_) {
-    COLDSTART_CHECK_EQ(r.U64(), static_cast<uint64_t>(f.id));
-    f.cursor.RestoreState(r);
-  }
+  Layout(r, *this);
   return true;
 }
 

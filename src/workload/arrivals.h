@@ -55,12 +55,13 @@ class FunctionArrivalCursor {
   // Requires day == next_day().
   void EmitDay(int64_t day, std::vector<SimTime>& out);
 
-  // Checkpoint support: the exact carried state (RNG words, burst machine,
-  // regular phase, next timer tick; doubles by bit pattern). Restoring onto a
-  // freshly constructed cursor for the same (spec, profile, calendar, rng seed)
-  // makes subsequent EmitDay calls draw the identical sequence.
-  void SaveState(ByteWriter& w) const;
-  void RestoreState(ByteReader& r);
+  // Checkpoint layout (common/byte_serde.h): the exact carried state (RNG
+  // words, burst machine, regular phase, next timer tick; doubles by bit
+  // pattern). Restoring onto a freshly constructed cursor for the same (spec,
+  // profile, calendar, rng seed) makes subsequent EmitDay calls draw the
+  // identical sequence.
+  template <class Ar, class Self>
+  static void Layout(Ar& a, Self& self);
 
  private:
   void EmitPoissonHour(int64_t hour, std::vector<SimTime>& out);
@@ -100,6 +101,9 @@ class SyntheticArrivalStream final : public ArrivalStream {
   bool RestoreState(ByteReader& r) override;
 
  private:
+  template <class Ar, class Self>
+  static void Layout(Ar& a, Self& self);
+
   struct FunctionEntry {
     trace::FunctionId id;
     FunctionArrivalCursor cursor;

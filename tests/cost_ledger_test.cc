@@ -130,7 +130,7 @@ TEST(CostLedgerDeathTest, HugeSlotCountDiesOnBoundsCheck) {
   ByteReader r(w.data());
   ResourceCostLedger ledger;
   EXPECT_DEATH(ledger.RestoreState(r),
-               "CHECK failed: n <= r.Remaining\\(\\) / kSlotBytes");
+               "CHECK failed: n <= Remaining\\(\\) / min_bytes_per_element");
 }
 
 }  // namespace

@@ -68,15 +68,8 @@ struct TimerScenarioResult {
   int64_t prewarms;
 };
 
-TimerScenarioResult RunTimerScenario(platform::PlatformPolicy* policy) {
-  workload::Calendar::Options copts;
-  copts.trace_days = 1;
-  const workload::Calendar cal(copts);
-  auto profiles = std::vector<workload::RegionProfile>{
-      workload::DefaultRegionProfiles()[0]};
-
+workload::Population TimerPopulation() {
   workload::Population pop;
-  std::vector<workload::ArrivalEvent> arrivals;
   for (int i = 0; i < 20; ++i) {
     FunctionSpec f;
     f.id = static_cast<trace::FunctionId>(i);
@@ -88,15 +81,29 @@ TimerScenarioResult RunTimerScenario(platform::PlatformPolicy* policy) {
     f.exec_sigma = 0.1;
     f.pod_concurrency = 1;
     pop.functions.push_back(f);
-    for (SimTime t = static_cast<SimTime>(i) * kSecond; t < cal.horizon();
+  }
+  pop.num_users = 1;
+  pop.region_begin = {0, static_cast<uint32_t>(pop.functions.size())};
+  return pop;
+}
+
+TimerScenarioResult RunTimerScenario(platform::PlatformPolicy* policy) {
+  workload::Calendar::Options copts;
+  copts.trace_days = 1;
+  const workload::Calendar cal(copts);
+  auto profiles = std::vector<workload::RegionProfile>{
+      workload::DefaultRegionProfiles()[0]};
+
+  const workload::Population pop = TimerPopulation();
+  std::vector<workload::ArrivalEvent> arrivals;
+  for (const FunctionSpec& f : pop.functions) {
+    for (SimTime t = static_cast<SimTime>(f.id) * kSecond; t < cal.horizon();
          t += 5 * kMinute) {
-      arrivals.push_back({t, static_cast<trace::FunctionId>(i)});
+      arrivals.push_back({t, f.id});
     }
   }
   std::sort(arrivals.begin(), arrivals.end(),
             [](const auto& a, const auto& b) { return a.time < b.time; });
-  pop.num_users = 1;
-  pop.region_begin = {0, static_cast<uint32_t>(pop.functions.size())};
 
   sim::Simulator sim;
   trace::TraceStore store;
@@ -204,7 +211,16 @@ TEST(ForecastPolicyTest, PolicyStateRoundTripByteStable) {
   ASSERT_TRUE(policy.SavePolicyState(&blob));
   EXPECT_FALSE(blob.empty());
 
+  // Restore follows OnAttach (policy_hooks.h): onto an idle platform over the
+  // same 20 functions.
   ForecastPrewarmPolicy restored;
+  const workload::Population pop = TimerPopulation();
+  const workload::Calendar cal{workload::Calendar::Options{}};
+  const std::vector<workload::RegionProfile> profiles{workload::DefaultRegionProfiles()[0]};
+  sim::Simulator sim;
+  trace::TraceStore store;
+  const platform::Platform attached(pop, profiles, cal, sim, store,
+                                    platform::Platform::Options{}, &restored);
   ASSERT_TRUE(restored.RestorePolicyState(blob));
   EXPECT_EQ(restored.tracked_functions(), policy.tracked_functions());
   EXPECT_EQ(restored.prewarms_issued(), policy.prewarms_issued());
@@ -215,6 +231,32 @@ TEST(ForecastPolicyTest, PolicyStateRoundTripByteStable) {
   std::string blob2;
   ASSERT_TRUE(restored.SavePolicyState(&blob2));
   EXPECT_EQ(blob, blob2);
+}
+
+// pending_ and its fire index are kept in step (forecast.h), so a blob that
+// arms one function twice, or lists armed functions out of fid order, was not
+// written by SavePolicyState and must die rather than restore.
+TEST(ForecastPolicyTest, RestoreRejectsRepeatedOrDescendingArmedFids) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const auto blob_arming = [](std::initializer_list<uint64_t> fids) {
+    ByteWriter w;
+    for (int counter = 0; counter < 3; ++counter) {
+      w.I64(0);
+    }
+    w.U64(fids.size());
+    SimTime fire = kHour;
+    for (const uint64_t fid : fids) {
+      w.U64(fid);
+      w.I64(fire += kMinute);
+    }
+    w.U64(0);  // No forecasters.
+    return w.Take();
+  };
+  EXPECT_TRUE(ForecastPrewarmPolicy().RestorePolicyState(blob_arming({2, 5})));
+  EXPECT_DEATH(ForecastPrewarmPolicy().RestorePolicyState(blob_arming({5, 5})),
+               "CHECK failed: self.pending_.empty\\(\\) \\|\\| fid >");
+  EXPECT_DEATH(ForecastPrewarmPolicy().RestorePolicyState(blob_arming({5, 2})),
+               "CHECK failed: self.pending_.empty\\(\\) \\|\\| fid >");
 }
 
 TEST(ForecastPolicyTest, CloneForShardCopiesConfiguration) {

@@ -507,6 +507,7 @@ TEST(PolicyStateSerdeTest, FidOrderedLayoutAndByteStableRoundTrip) {
     EXPECT_EQ(blob, c.expected());
 
     auto restored = c.make();
+    HandDrivenPlatform restored_platform(restored.get());
     ASSERT_TRUE(restored->RestorePolicyState(blob));
     std::string again;
     ASSERT_TRUE(restored->SavePolicyState(&again));
@@ -516,7 +517,7 @@ TEST(PolicyStateSerdeTest, FidOrderedLayoutAndByteStableRoundTrip) {
 
 // A duplicate or descending fid means the blob was not written by
 // SavePolicyState: restore must die rather than silently overwrite an entry.
-TEST(PolicyStateSerdeTest, RestoreRejectsUnorderedFids) {
+TEST(PolicyStateSerdeTest, RestoreRejectsUnorderedOrOutOfPopulationFids) {
   testing::GTEST_FLAG(death_test_style) = "threadsafe";
   const auto blob_with_fids = [](std::initializer_list<uint64_t> fids) {
     ByteWriter w;
@@ -529,12 +530,46 @@ TEST(PolicyStateSerdeTest, RestoreRejectsUnorderedFids) {
     }
     return w.Take();
   };
-  DynamicKeepAlivePolicy ok;
-  EXPECT_TRUE(ok.RestorePolicyState(blob_with_fids({2, 5, 9})));
-  EXPECT_DEATH(DynamicKeepAlivePolicy().RestorePolicyState(blob_with_fids({2, 2})),
-               "CHECK failed");
-  EXPECT_DEATH(DynamicKeepAlivePolicy().RestorePolicyState(blob_with_fids({5, 2})),
-               "CHECK failed");
+  // Restore follows OnAttach (policy_hooks.h): the hand-driven platform has
+  // functions 0..19.
+  const auto restore = [](const std::string& blob) {
+    DynamicKeepAlivePolicy policy;
+    HandDrivenPlatform h(&policy);
+    return policy.RestorePolicyState(blob);
+  };
+  EXPECT_TRUE(restore(blob_with_fids({2, 5, 9})));
+  EXPECT_DEATH(restore(blob_with_fids({2, 2})), "CHECK failed");
+  EXPECT_DEATH(restore(blob_with_fids({5, 2})), "CHECK failed");
+
+  // A fid outside the attached population dies before the table grows to it:
+  // the last one would ask the allocator for 2^32 entries.
+  EXPECT_TRUE(restore(blob_with_fids({19})));
+  EXPECT_DEATH(restore(blob_with_fids({20})), "fid < platform->num_functions\\(\\)");
+  EXPECT_DEATH(restore(blob_with_fids({2, uint64_t{UINT32_MAX}})),
+               "fid < platform->num_functions\\(\\)");
+}
+
+// A stored jitter-stream count is bounded by the blob's bytes before the
+// policy allocates for it.
+TEST(PolicyStateSerdeTest, PeakShavingRejectsACountTheBlobCannotHold) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const auto blob_with_streams = [](uint64_t count, size_t written) {
+    ByteWriter w;
+    w.I64(0);  // Delays issued.
+    w.U64(count);
+    for (size_t i = 0; i < written; ++i) {
+      w.U64(i);
+    }
+    return w.Take();
+  };
+  const auto restore = [](const std::string& blob) {
+    PeakShavingPolicy policy;
+    HandDrivenPlatform h(&policy);
+    return policy.RestorePolicyState(blob);
+  };
+  EXPECT_TRUE(restore(blob_with_streams(3, 3)));
+  EXPECT_DEATH(restore(blob_with_streams(uint64_t{1} << 40, 3)),
+               "CHECK failed: n <= Remaining\\(\\) / min_bytes_per_element");
 }
 
 // --- Provisioned concurrency. ----------------------------------------------

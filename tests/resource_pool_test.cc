@@ -3,6 +3,7 @@
 // exact checkpoint round-trips of the refill bookkeeping.
 #include <gtest/gtest.h>
 
+#include "common/byte_serde.h"
 #include "platform/resource_pool.h"
 
 namespace coldstart::platform {
@@ -104,24 +105,24 @@ TEST(ResourcePoolEdge, CheckpointRoundTripPreservesRefillState) {
   EXPECT_EQ(pool.free_pods(kMinute), 2);  // 2.5 credit: 2 pods, 0.5 banked.
   pool.SetTarget(6);  // Mutated target must survive the round trip too.
 
-  const ResourcePool::CheckpointState state = pool.checkpoint_state();
-  EXPECT_EQ(state.free, 2);
-  EXPECT_EQ(state.target, 6);
-  EXPECT_EQ(state.refill_credit, 0.5);
-  EXPECT_EQ(state.last_refill, kMinute);
+  // The layout's fields: free, target, refill credit, last refill, scratch.
+  const std::string state = SaveLayout(pool);
+  ByteReader fields(state);
+  EXPECT_EQ(fields.I64(), 2);
+  EXPECT_EQ(fields.I64(), 6);
+  EXPECT_EQ(fields.F64(), 0.5);
+  EXPECT_EQ(fields.I64(), kMinute);
 
   // Restore into a freshly constructed pool (construction parameters come from
   // the profile, mutable state from the checkpoint) and advance both in
   // lockstep: identical observable behavior at every step.
   ResourcePool restored(4, /*refill_per_min=*/2.5);
-  restored.restore_checkpoint_state(state);
+  RestoreLayout(state, restored);
   const SimTime later = 2 * kMinute;  // +2.5 credit -> 3.0 total.
   EXPECT_EQ(pool.free_pods(later), restored.free_pods(later));
   EXPECT_EQ(pool.free_pods(later), 5);
-  EXPECT_EQ(pool.checkpoint_state().refill_credit,
-            restored.checkpoint_state().refill_credit);
-  EXPECT_EQ(pool.checkpoint_state().last_refill,
-            restored.checkpoint_state().last_refill);
+  // Refill credit and last refill (and every other field) agree byte for byte.
+  EXPECT_EQ(SaveLayout(pool), SaveLayout(restored));
   EXPECT_EQ(pool.scratch_count(), restored.scratch_count());
 }
 

@@ -364,7 +364,7 @@ TEST(StreamingAggregatesDeathTest, HugeRegionCountDiesOnBoundsCheck) {
   ByteReader r(w.data());
   StreamingAggregates aggregates;
   EXPECT_DEATH(aggregates.RestoreState(r),
-               "CHECK failed: num_regions <= r.Remaining\\(\\) / slot_bytes");
+               "CHECK failed: n <= Remaining\\(\\) / min_bytes_per_element");
 }
 
 // --- RunCached misuse guards. ---

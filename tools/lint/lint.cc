@@ -533,7 +533,7 @@ void CollectOps(const FileState& f, const SerdeFn& fn, const char* var_type,
     return;
   }
   static const std::regex kOp(
-      R"(\b([A-Za-z_]\w*)\s*\.\s*(U8|U32|U64|I64|F64|Str|Raw)\s*\()");
+      R"(\b([A-Za-z_]\w*)\s*\.\s*(U8|U32|U64|I64|I128|F64|Str|Raw|Count)\s*\()");
   const char* begin = f.stripped.code.data() + fn.body_begin;
   const char* end = f.stripped.code.data() + fn.body_end;
   for (std::cregex_iterator it(begin, end, kOp), last; it != last; ++it) {
