@@ -957,7 +957,7 @@ void Platform::SaveCheckpointState(ByteWriter& w) const {
   if (arrival_stream_ != nullptr) {
     COLDSTART_CHECK(arrival_stream_->SaveState(sw));
   }
-  w.U8(arrival_stream_ != nullptr ? 1 : 0);
+  w.U8(arrival_stream_ != nullptr);
   w.Str(sw.data());
 }
 
@@ -1058,11 +1058,11 @@ void Platform::RestoreCheckpointState(
     COLDSTART_CHECK(events_.Resolve(pod_slab_.slot_value(i).keep_alive) != nullptr);
   }
 
-  const uint8_t has_stream = r.U8();
-  COLDSTART_CHECK_LE(has_stream, 1);
+  bool has_stream = false;
+  r.U8(has_stream);
   const std::string stream_state = r.Str();
-  COLDSTART_CHECK_EQ(has_stream == 1, stream != nullptr);
-  if (has_stream == 1) {
+  COLDSTART_CHECK_EQ(has_stream, stream != nullptr);
+  if (has_stream) {
     arrival_stream_ = std::move(stream);
     ByteReader sr(stream_state);
     COLDSTART_CHECK(arrival_stream_->RestoreState(sr));

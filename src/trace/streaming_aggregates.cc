@@ -190,7 +190,9 @@ size_t StreamingAggregates::SlotBytes() {
 void StreamingAggregates::SaveState(ByteWriter& w) const {
   w.I64(horizon_);
   w.U64(function_groups_.size());
-  w.Raw(function_groups_.data(), function_groups_.size());
+  for (const TriggerGroup g : function_groups_) {
+    w.U8(g);
+  }
   w.Count(regions_, SlotBytes());
   for (const RegionSlot& slot : regions_) {
     SlotLayout(w, slot);
@@ -205,8 +207,8 @@ void StreamingAggregates::RestoreState(ByteReader& r) {
   const uint64_t num_functions = r.U64();
   COLDSTART_CHECK(num_functions <= r.Remaining());
   function_groups_.resize(num_functions);
-  r.Raw(function_groups_.data(), function_groups_.size());
-  for (const TriggerGroup g : function_groups_) {
+  for (TriggerGroup& g : function_groups_) {
+    r.U8(g);
     COLDSTART_CHECK_LT(static_cast<size_t>(g), kNumTriggerGroups);
   }
   r.Count(regions_, SlotBytes());

@@ -73,18 +73,22 @@ bool MaterializedArrivalStream::NextChunk(ArrivalChunk* chunk) {
   return true;
 }
 
+// events_/num_days_ are construction arguments; only the cursor moves.
+template <class Ar, class Self>
+void MaterializedArrivalStream::Layout(Ar& a, Self& self) {
+  a.U64(self.next_);
+  a.I64(self.next_day_);
+  COLDSTART_CHECK_LE(self.next_, self.events_.size());
+  COLDSTART_CHECK_LE(self.next_day_, self.num_days_);
+}
+
 bool MaterializedArrivalStream::SaveState(ByteWriter& w) const {
-  // events_/num_days_ are construction arguments; only the cursor moves.
-  w.U64(next_);
-  w.I64(next_day_);
+  Layout(w, *this);
   return true;
 }
 
 bool MaterializedArrivalStream::RestoreState(ByteReader& r) {
-  next_ = r.U64();
-  next_day_ = r.I64();
-  COLDSTART_CHECK_LE(next_, events_.size());
-  COLDSTART_CHECK_LE(next_day_, num_days_);
+  Layout(r, *this);
   return true;
 }
 

@@ -116,6 +116,9 @@ class MaterializedArrivalStream final : public ArrivalStream {
   bool RestoreState(ByteReader& r) override;
 
  private:
+  template <class Ar, class Self>
+  static void Layout(Ar& a, Self& self);
+
   std::vector<ArrivalEvent> events_;
   size_t next_ = 0;
   int64_t next_day_ = 0;

@@ -267,17 +267,19 @@ class ReplaySource::Stream final : public ArrivalStream {
 
   // Checkpoint support: everything else is construction-derived (salts, copy
   // counts, borrowed buffers) — only the raw-buffer cursor and day counter move.
+  template <class Ar, class Self>
+  static void Layout(Ar& a, Self& self) {
+    a.U64(self.next_);
+    a.I64(self.next_day_);
+    COLDSTART_CHECK_LE(self.next_, self.source_->events_.size());
+    COLDSTART_CHECK_LE(self.next_day_, self.num_days_);
+  }
   bool SaveState(ByteWriter& w) const override {
-    w.U64(next_);
-    w.I64(next_day_);
+    Layout(w, *this);
     return true;
   }
-
   bool RestoreState(ByteReader& r) override {
-    next_ = r.U64();
-    next_day_ = r.I64();
-    COLDSTART_CHECK_LE(next_, source_->events_.size());
-    COLDSTART_CHECK_LE(next_day_, num_days_);
+    Layout(r, *this);
     return true;
   }
 
