@@ -157,26 +157,6 @@ SimTime InterArrivalForecaster::PredictDiurnalNext(SimTime now) const {
   return -1;
 }
 
-template <class Ar, class Self>
-void InterArrivalForecaster::Layout(Ar& a, Self& self) {
-  a.I64(self.last_arrival_);
-  a.U64(self.next_);
-  a.U64(self.filled_);
-  for (auto& iat : self.ring_) {
-    a.I64(iat);
-  }
-  for (auto& c : self.hour_counts_) {
-    a.U32(c);
-  }
-  if constexpr (Ar::kReading) {
-    self.RebuildDerived();
-  }
-}
-
-void InterArrivalForecaster::SaveState(ByteWriter& w) const { Layout(w, *this); }
-
-void InterArrivalForecaster::RestoreState(ByteReader& r) { Layout(r, *this); }
-
 void InterArrivalForecaster::RebuildDerived() {
   COLDSTART_CHECK(filled_ <= ring_.size() && next_ < ring_.size());
   // ObserveArrival fills the ring front to back: until it is full, the write

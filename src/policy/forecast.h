@@ -97,16 +97,27 @@ class InterArrivalForecaster {
   // least 3 arrivals); -1 when the profile is too thin.
   SimTime PredictDiurnalNext(SimTime now) const;
 
-  // Serde: the ring and profile travel; the histogram, bucket sums, window
-  // total and modal bucket are derived state, rebuilt from the ring on
-  // restore. Round trips are bit-exact. Restore CHECK-fails on a ring that
-  // this class could not have produced: a partly filled ring whose write
-  // cursor is not at its end, a live sample <= 0, or one so large that the
-  // window's sum could overflow.
-  void SaveState(ByteWriter& w) const;
-  void RestoreState(ByteReader& r);
+  // Checkpoint layout (common/byte_serde.h): the ring and profile travel; the
+  // histogram, bucket sums, window total and modal bucket are derived state,
+  // rebuilt from the ring on restore. Round trips are bit-exact. Restore
+  // CHECK-fails on a ring that this class could not have produced: a partly
+  // filled ring whose write cursor is not at its end, a live sample <= 0, or
+  // one so large that the window's sum could overflow.
   template <class Ar, class Self>
-  static void Layout(Ar& a, Self& self);
+  static void Layout(Ar& a, Self& self) {
+    a.I64(self.last_arrival_);
+    a.U64(self.next_);
+    a.U64(self.filled_);
+    for (auto& iat : self.ring_) {
+      a.I64(iat);
+    }
+    for (auto& c : self.hour_counts_) {
+      a.U32(c);
+    }
+    if constexpr (Ar::kReading) {
+      self.RebuildDerived();
+    }
+  }
 
  private:
   // Checks a restored window and rebuilds the derived state from it.

@@ -39,10 +39,9 @@ class SeriesPredictor {
   double Predict() const;
   const char* name() const;
 
-  // Checkpoint support: the learned state, every double by bit pattern. Restore
-  // onto an identically constructed predictor (kind and ring length CHECKed).
-  void SaveState(ByteWriter& w) const { Layout(w, *this); }
-  void RestoreState(ByteReader& r) { Layout(r, *this); }
+  // Checkpoint layout (common/byte_serde.h): the learned state, every double
+  // by bit pattern. Restore onto an identically constructed predictor (kind
+  // and ring length CHECKed).
   template <class Ar, class Self>
   static void Layout(Ar& a, Self& self) {
     Kind kind = self.kind_;

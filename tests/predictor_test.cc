@@ -176,10 +176,7 @@ TEST(SeriesPredictorTest, ForPoolsUsesFixedParameters) {
       p.Observe(0.7 * (i % 13));
       q.Observe(0.7 * (i % 13));
     }
-    ByteWriter a, b;
-    p.SaveState(a);
-    q.SaveState(b);
-    EXPECT_EQ(a.data(), b.data());
+    EXPECT_EQ(SaveLayout(p), SaveLayout(q));
   }
 }
 
@@ -201,22 +198,15 @@ TEST(SeriesPredictorTest, SaveMidSeasonRestoreIsBitIdentical) {
     for (; i < 3 * kSeason + 4; ++i) {  // Three seasons and four buckets in.
       p.Observe(value(i));
     }
-    ByteWriter w;
-    p.SaveState(w);
     SeriesPredictor restored = fresh;
-    ByteReader r(w.data());
-    restored.RestoreState(r);
-    EXPECT_TRUE(r.AtEnd());
+    RestoreLayout(SaveLayout(p), restored);  // CHECKs that every byte is read.
     for (; i < 6 * kSeason; ++i) {
       ASSERT_EQ(std::bit_cast<uint64_t>(restored.Predict()),
                 std::bit_cast<uint64_t>(p.Predict()));
       p.Observe(value(i));
       restored.Observe(value(i));
     }
-    ByteWriter a, b;
-    p.SaveState(a);
-    restored.SaveState(b);
-    EXPECT_EQ(a.data(), b.data());
+    EXPECT_EQ(SaveLayout(p), SaveLayout(restored));
   }
 }
 
@@ -379,19 +369,14 @@ TEST(InterArrivalForecasterTest, SerdeRoundTripBitExact) {
     t += (i % 5 + 1) * kMinute + i * kSecond;
     f.ObserveArrival(t);
   }
-  ByteWriter w1;
-  f.SaveState(w1);
+  const std::string saved = SaveLayout(f);
 
   InterArrivalForecaster restored(options);
-  ByteReader r(w1.data());
-  restored.RestoreState(r);
-  EXPECT_TRUE(r.AtEnd());
+  RestoreLayout(saved, restored);  // CHECKs that every byte is read.
 
   // Bit-exact: the same bytes come back out, and the derived histogram
   // answers agree exactly.
-  ByteWriter w2;
-  restored.SaveState(w2);
-  EXPECT_EQ(w1.data(), w2.data());
+  EXPECT_EQ(saved, SaveLayout(restored));
   EXPECT_EQ(restored.sample_count(), f.sample_count());
   EXPECT_EQ(restored.ModalBucket(), f.ModalBucket());
   EXPECT_DOUBLE_EQ(restored.Confidence(), f.Confidence());
@@ -403,10 +388,7 @@ TEST(InterArrivalForecasterTest, SerdeRoundTripBitExact) {
     f.ObserveArrival(t);
     restored.ObserveArrival(t);
   }
-  ByteWriter w3, w4;
-  f.SaveState(w3);
-  restored.SaveState(w4);
-  EXPECT_EQ(w3.data(), w4.data());
+  EXPECT_EQ(SaveLayout(f), SaveLayout(restored));
 }
 
 // --- InterArrivalForecaster: incremental statistics vs brute force. ----------
@@ -525,15 +507,10 @@ void ExpectMatchesReference(const InterArrivalForecaster& f,
 
 InterArrivalForecaster SaveAndRestore(const InterArrivalForecaster& f,
                                       const InterArrivalForecaster::Options& options) {
-  ByteWriter w;
-  f.SaveState(w);
+  const std::string saved = SaveLayout(f);
   InterArrivalForecaster restored(options);
-  ByteReader r(w.data());
-  restored.RestoreState(r);
-  EXPECT_TRUE(r.AtEnd());
-  ByteWriter again;
-  restored.SaveState(again);
-  EXPECT_EQ(w.data(), again.data());
+  RestoreLayout(saved, restored);  // CHECKs that every byte is read.
+  EXPECT_EQ(saved, SaveLayout(restored));
   return restored;
 }
 
@@ -591,7 +568,7 @@ TEST(InterArrivalForecasterTest, IncrementalStatisticsMatchBruteForce) {
 
 // --- InterArrivalForecaster: restore rejects inconsistent rings. --------------
 
-// A forecaster state blob in SaveState's layout, written by hand.
+// A forecaster state blob in its Layout, written by hand.
 std::string ForecasterBlob(uint64_t next, uint64_t filled,
                            const std::vector<int64_t>& ring) {
   ByteWriter w;
@@ -612,8 +589,7 @@ void Restore(const std::string& blob) {
   options.window = 4;
   options.min_samples = 1;
   InterArrivalForecaster f(options);
-  ByteReader r(blob);
-  f.RestoreState(r);
+  RestoreLayout(blob, f);
 }
 
 TEST(InterArrivalForecasterTest, RestoreLoadsConsistentRing) {
@@ -623,8 +599,7 @@ TEST(InterArrivalForecasterTest, RestoreLoadsConsistentRing) {
   InterArrivalForecaster f(options);
   const std::string blob =
       ForecasterBlob(2, 2, {5 * kSecond, 7 * kSecond, 0, 0});
-  ByteReader r(blob);
-  f.RestoreState(r);
+  RestoreLayout(blob, f);
   EXPECT_EQ(f.sample_count(), 2);
   EXPECT_EQ(f.MeanIat(), 6 * kSecond);
   EXPECT_EQ(f.PredictedIat(), 6 * kSecond);
