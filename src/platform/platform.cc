@@ -754,56 +754,17 @@ void Platform::SpawnPrewarmedPodAt(SimTime at, FunctionId function, RegionId reg
 
 namespace {
 
-// Slab structure serialization: capacity, the LIFO freelist, and each slot's
-// (generation, alive) pair. Payloads are written by the caller, field by field,
-// over the alive slots in index order.
+// The alive slot indices of `slab`, in index order: the order the payloads
+// travel in.
 template <typename T>
-void SaveSlabStructure(const Slab<T>& slab, ByteWriter& w) {
-  const uint32_t cap = static_cast<uint32_t>(slab.capacity());
-  w.U32(cap);
-  const std::vector<uint32_t>& free_list = slab.free_list();
-  w.U64(free_list.size());
-  for (const uint32_t i : free_list) {
-    w.U32(i);
-  }
-  for (uint32_t i = 0; i < cap; ++i) {
-    w.U32(slab.slot_generation(i));
-  }
-  for (uint32_t i = 0; i < cap; ++i) {
-    w.U8(slab.slot_alive(i) ? 1 : 0);
-  }
-}
-
-// Mirror of SaveSlabStructure on an empty slab; returns the alive slot indices
-// (in index order) so the caller can fill the payloads.
-template <typename T>
-std::vector<uint32_t> RestoreSlabStructure(Slab<T>& slab, ByteReader& r) {
-  const uint32_t cap = r.U32();
-  // Every slot costs at least five bytes below, so a larger count is damage,
-  // not a reason to allocate.
-  COLDSTART_CHECK_LE(cap, r.Remaining());
-  const uint64_t num_free = r.U64();
-  COLDSTART_CHECK_LE(num_free, cap);
-  std::vector<uint32_t> free_list(num_free);
-  for (uint32_t& i : free_list) {
-    i = r.U32();
-  }
-  std::vector<uint32_t> generations(cap);
-  for (uint32_t& g : generations) {
-    g = r.U32();
-  }
-  std::vector<uint8_t> alive(cap);
-  for (uint8_t& a : alive) {
-    a = r.U8();
-  }
-  std::vector<uint32_t> alive_indices;
-  for (uint32_t i = 0; i < cap; ++i) {
-    if (alive[i] != 0) {
-      alive_indices.push_back(i);
+std::vector<uint32_t> AliveSlots(const Slab<T>& slab) {
+  std::vector<uint32_t> alive;
+  for (uint32_t i = 0; i < slab.capacity(); ++i) {
+    if (slab.slot_alive(i)) {
+      alive.push_back(i);
     }
   }
-  slab.RestoreStructure(cap, std::move(free_list), generations, alive);
-  return alive_indices;
+  return alive;
 }
 
 // The checkpoint layouts (common/byte_serde.h) of the plain fields of the
@@ -898,13 +859,9 @@ void Platform::SaveCheckpointState(ByteWriter& w) const {
 
   cost_ledger_.SaveState(w);
 
-  // Pod slab: structure, then the alive pods field by field (slot index order).
-  // `self` is not written — it is re-derived from (index, generation) on restore.
-  SaveSlabStructure(pod_slab_, w);
-  for (uint32_t i = 0; i < pod_slab_.capacity(); ++i) {
-    if (!pod_slab_.slot_alive(i)) {
-      continue;
-    }
+  // Pod slab: structure, then the alive pods field by field.
+  Slab<Pod>::StructureLayout(w, pod_slab_);
+  for (const uint32_t i : AliveSlots(pod_slab_)) {
     const Pod& p = pod_slab_.slot_value(i);
     const PodHot& h = pod_hot_[i];
     PodLayout(w, p, h);
@@ -938,11 +895,8 @@ void Platform::SaveCheckpointState(ByteWriter& w) const {
   w.I64(arrival_cursor_.last_time());
 
   // The pending-event table, each entry under its original (time, seq) key.
-  SaveSlabStructure(events_, w);
-  for (uint32_t i = 0; i < events_.capacity(); ++i) {
-    if (!events_.slot_alive(i)) {
-      continue;
-    }
+  Slab<PendingEvent>::StructureLayout(w, events_);
+  for (const uint32_t i : AliveSlots(events_)) {
     const PendingEvent& e = events_.slot_value(i);
     SimTime time = 0;
     uint64_t seq = 0;
@@ -988,7 +942,8 @@ void Platform::RestoreCheckpointState(
   cost_ledger_.RestoreState(r);
   COLDSTART_CHECK_EQ(cost_ledger_.num_regions(), profiles_.size());
 
-  const std::vector<uint32_t> alive_pods = RestoreSlabStructure(pod_slab_, r);
+  Slab<Pod>::StructureLayout(r, pod_slab_);
+  const std::vector<uint32_t> alive_pods = AliveSlots(pod_slab_);
   pod_hot_.assign(pod_slab_.capacity(), PodHot{});
   for (const uint32_t i : alive_pods) {
     Pod& p = pod_slab_.slot_value(i);
@@ -1032,7 +987,8 @@ void Platform::RestoreCheckpointState(
 
   // The pending-event table, re-queued under the original (time, seq) keys
   // (push order is free: the queue orders restored keys by (time, seq)).
-  for (const uint32_t i : RestoreSlabStructure(events_, r)) {
+  Slab<PendingEvent>::StructureLayout(r, events_);
+  for (const uint32_t i : AliveSlots(events_)) {
     PendingEvent& e = events_.slot_value(i);
     SimTime time = 0;
     uint64_t seq = 0;

@@ -12,8 +12,8 @@
 // freed (or recycled), replacing the old map.find(id) == end() liveness test.
 //
 // Determinism audit (lint:unordered-iter): no hash containers here — slots are
-// indexed by handle and walked in slot order, and SaveSlabStructure serializes
-// slots by index, so nothing in this layer depends on hash-iteration order.
+// indexed by handle and walked in slot order, and StructureLayout lays slots
+// out by index, so nothing in this layer depends on hash-iteration order.
 #ifndef COLDSTART_PLATFORM_POD_SLAB_H_
 #define COLDSTART_PLATFORM_POD_SLAB_H_
 
@@ -102,12 +102,47 @@ class Slab {
   }
 
   // --- Checkpoint support (src/checkpoint/) ---------------------------------
-  // A slab is serialized structurally: capacity, the freelist in LIFO order,
-  // and each slot's (generation, alive) pair, plus the alive payloads. That is
+  // A slab travels structurally: capacity, the freelist in LIFO order, and
+  // each slot's (generation, alive) pair, plus the alive payloads. That is
   // exactly the state that makes (a) every outstanding SlabHandle resolve the
   // same way after restore and (b) future Allocate calls hand out the same
   // slots in the same order as the uninterrupted run.
-  const std::vector<uint32_t>& free_list() const { return free_; }
+  //
+  // The structure's layout (common/byte_serde.h); the caller lays out the
+  // payloads over the alive slots in index order. A read rebuilds an empty
+  // slab whose alive slots come back value-initialized for the caller to fill
+  // via slot_value(). A freelist that does not name every dead slot exactly
+  // once, and no alive one, CHECK-fails.
+  template <class Ar, class Self>
+  static void StructureLayout(Ar& a, Self& slab) {
+    uint32_t capacity = slab.capacity_;
+    a.U32(capacity);
+    if constexpr (Ar::kReading) {
+      COLDSTART_CHECK_EQ(slab.capacity_, 0u);
+      COLDSTART_CHECK_EQ(capacity % kChunkSize, 0u);
+      // Every slot takes five bytes below, so a larger capacity is damage,
+      // not a reason to allocate.
+      COLDSTART_CHECK_LE(capacity, a.Remaining() / 5);
+      while (slab.capacity_ < capacity) {
+        slab.chunks_.push_back(std::make_unique<Slot[]>(kChunkSize));
+        slab.capacity_ += kChunkSize;
+      }
+    }
+    a.Count(slab.free_, 4);
+    for (auto& index : slab.free_) {
+      a.U32(index);
+    }
+    for (uint32_t i = 0; i < capacity; ++i) {
+      a.U32(slab.slot(i).gen);
+    }
+    for (uint32_t i = 0; i < capacity; ++i) {
+      a.U8(slab.slot(i).alive);
+    }
+    if constexpr (Ar::kReading) {
+      slab.CheckRestoredFreeList();
+    }
+  }
+
   // These take raw indices (checkpoint bytes), so they CHECK the range.
   uint32_t slot_generation(uint32_t index) const { return checked_slot(index).gen; }
   bool slot_alive(uint32_t index) const { return checked_slot(index).alive; }
@@ -120,42 +155,25 @@ class Slab {
     return slot(index).value;
   }
 
-  // Rebuilds an empty slab's structure: allocates `capacity` slots, installs
-  // the freelist and per-slot generations/liveness. Alive slots come back
-  // value-initialized; the caller fills them via slot_value(). The freelist
-  // must name every dead slot exactly once and no alive one (CHECKed).
-  void RestoreStructure(uint32_t capacity, std::vector<uint32_t> free_list,
-                        const std::vector<uint32_t>& generations,
-                        const std::vector<uint8_t>& alive) {
-    COLDSTART_CHECK_EQ(capacity_, 0u);
-    COLDSTART_CHECK_EQ(capacity % kChunkSize, 0u);
-    COLDSTART_CHECK_EQ(generations.size(), capacity);
-    COLDSTART_CHECK_EQ(alive.size(), capacity);
-    std::vector<uint8_t> listed(capacity, 0);
-    for (const uint32_t i : free_list) {
-      COLDSTART_CHECK_LT(i, capacity);
-      COLDSTART_CHECK_EQ(alive[i], 0);
-      COLDSTART_CHECK_EQ(listed[i], 0);
-      listed[i] = 1;
-    }
-    while (capacity_ < capacity) {
-      chunks_.push_back(std::make_unique<Slot[]>(kChunkSize));
-      capacity_ += kChunkSize;
-    }
-    for (uint32_t i = 0; i < capacity_; ++i) {
-      Slot& s = slot(i);
-      s.gen = generations[i];
-      s.alive = alive[i] != 0;
-      if (s.alive) {
-        ++alive_;
-      }
-    }
-    free_ = std::move(free_list);
-    COLDSTART_CHECK_EQ(free_.size() + alive_, capacity_);
-  }
   // ---------------------------------------------------------------------------
 
  private:
+  // Counts the restored alive slots; the freelist must name every other slot
+  // exactly once.
+  void CheckRestoredFreeList() {
+    std::vector<uint8_t> listed(capacity_, 0);
+    for (const uint32_t i : free_) {
+      COLDSTART_CHECK_LT(i, capacity_);
+      COLDSTART_CHECK(!slot(i).alive);
+      COLDSTART_CHECK_EQ(listed[i], 0);
+      listed[i] = 1;
+    }
+    for (uint32_t i = 0; i < capacity_; ++i) {
+      alive_ += slot(i).alive ? 1 : 0;
+    }
+    COLDSTART_CHECK_EQ(free_.size() + alive_, capacity_);
+  }
+
   // 128 slots. A chunk is value-initialised whole when it is added, so it is
   // resident from then on: each shard of a sharded run pays at least one
   // chunk per slab, and a smaller chunk keeps that floor near what the shard

@@ -975,35 +975,53 @@ TEST(PodSlabTest, SlotAccessorsRejectOutOfRangeIndex) {
   EXPECT_DEATH(slab.slot_generation(past_end), "CHECK failed");
 }
 
-TEST(PodSlabTest, RestoreStructureRejectsBadFreeList) {
+TEST(PodSlabTest, StructureLayoutRoundTripsAndRejectsBadFreeList) {
   testing::GTEST_FLAG(death_test_style) = "threadsafe";
   // A one-chunk slab whose slot 0 is alive; every other slot must be listed
   // free exactly once.
   Slab<Pod> grown;
   grown.Allocate();
   const uint32_t cap = static_cast<uint32_t>(grown.capacity());
-  const std::vector<uint32_t> generations(cap, 0);
-  std::vector<uint8_t> alive(cap, 0);
-  alive[0] = 1;
   std::vector<uint32_t> free_list;
   for (uint32_t i = cap - 1; i >= 1; --i) {
     free_list.push_back(i);
   }
-  Slab<Pod> ok;
-  ok.RestoreStructure(cap, free_list, generations, alive);
-  EXPECT_EQ(ok.alive_count(), 1u);
+  // The structure's bytes: capacity, freelist, generations (all 0) and
+  // liveness (slot 0 alive).
+  const auto structure = [cap](const std::vector<uint32_t>& free) {
+    ByteWriter w;
+    w.U32(cap);
+    w.U64(free.size());
+    for (const uint32_t i : free) {
+      w.U32(i);
+    }
+    for (uint32_t i = 0; i < cap; ++i) {
+      w.U32(0);
+    }
+    for (uint32_t i = 0; i < cap; ++i) {
+      w.U8(i == 0);
+    }
+    return w.Take();
+  };
+  ByteWriter saved;
+  Slab<Pod>::StructureLayout(saved, std::as_const(grown));
+  EXPECT_EQ(saved.data(), structure(free_list));
+  const auto restore = [](const std::string& bytes) {
+    Slab<Pod> slab;
+    ByteReader r(bytes);
+    Slab<Pod>::StructureLayout(r, slab);
+    return slab.alive_count();
+  };
+  EXPECT_EQ(restore(structure(free_list)), 1u);
 
   auto with_last = [&free_list](uint32_t index) {
     std::vector<uint32_t> bad = free_list;
     bad.back() = index;
     return bad;
   };
-  EXPECT_DEATH(Slab<Pod>().RestoreStructure(cap, with_last(cap), generations, alive),
-               "CHECK failed");  // Out of range.
-  EXPECT_DEATH(Slab<Pod>().RestoreStructure(cap, with_last(0), generations, alive),
-               "CHECK failed");  // Alive.
-  EXPECT_DEATH(Slab<Pod>().RestoreStructure(cap, with_last(2), generations, alive),
-               "CHECK failed");  // Duplicate.
+  EXPECT_DEATH(restore(structure(with_last(cap))), "CHECK failed");  // Out of range.
+  EXPECT_DEATH(restore(structure(with_last(0))), "CHECK failed");    // Alive.
+  EXPECT_DEATH(restore(structure(with_last(2))), "CHECK failed");    // Duplicate.
 }
 
 }  // namespace
