@@ -25,10 +25,12 @@
 // of bytes means a writer/reader mismatch — a bug, not bad input. A stored
 // element count goes through Count, which on read bounds it by the bytes left
 // before anything is allocated, so a CRC-valid but damaged count dies on a
-// CHECK, not in the allocator. What is still hand-written in two mirrored
-// functions is caught statically: coldstart_lint's serde-pair rule compares
-// the op sequences of every Save*/Restore* (and Write*/Read*) pair in count
-// and type (tools/lint/lint.h).
+// CHECK, not in the allocator. What is still written twice — the platform's
+// running request ends and per-function pod lists, the count framing of the
+// streaming sink and the manifest, the trace cache's trailing fields — is
+// checked statically instead:
+// coldstart_lint's serde-pair rule compares the op sequences of every
+// Save*/Restore* (and Write*/Read*) pair in count and type (tools/lint/lint.h).
 #ifndef COLDSTART_COMMON_BYTE_SERDE_H_
 #define COLDSTART_COMMON_BYTE_SERDE_H_
 

@@ -40,6 +40,7 @@ class DynamicKeepAlivePolicy : public platform::PlatformPolicy {
   // Checkpointable: the learned state is the per-function IAT table.
   bool SavePolicyState(std::string* out) const override;
   bool RestorePolicyState(std::string_view blob) override;
+  // The blob's layout (common/byte_serde.h).
   template <class Ar, class Self>
   static void Layout(Ar& a, Self& self);
 

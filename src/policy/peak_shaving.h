@@ -42,6 +42,7 @@ class PeakShavingPolicy : public platform::PlatformPolicy {
   // Checkpointable: the delay counter and the per-region jitter streams.
   bool SavePolicyState(std::string* out) const override;
   bool RestorePolicyState(std::string_view blob) override;
+  // The blob's layout (common/byte_serde.h).
   template <class Ar, class Self>
   static void Layout(Ar& a, Self& self);
 

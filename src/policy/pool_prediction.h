@@ -38,6 +38,7 @@ class PoolPredictionPolicy : public platform::PlatformPolicy {
   // platform's own checkpoint.
   bool SavePolicyState(std::string* out) const override;
   bool RestorePolicyState(std::string_view blob) override;
+  // The blob's layout (common/byte_serde.h).
   template <class Ar, class Self>
   static void Layout(Ar& a, Self& self);
 

@@ -31,6 +31,7 @@ class TimerAwarePrewarmPolicy : public platform::PlatformPolicy {
 
   bool SavePolicyState(std::string* out) const override;
   bool RestorePolicyState(std::string_view blob) override;
+  // The blob's layout (common/byte_serde.h).
   template <class Ar, class Self>
   static void Layout(Ar& a, Self& self);
 
@@ -78,6 +79,7 @@ class ProfilePrewarmPolicy : public platform::PlatformPolicy {
 
   bool SavePolicyState(std::string* out) const override;
   bool RestorePolicyState(std::string_view blob) override;
+  // The blob's layout (common/byte_serde.h).
   template <class Ar, class Self>
   static void Layout(Ar& a, Self& self);
 

@@ -39,6 +39,7 @@ class WorkflowPrewarmPolicy : public platform::PlatformPolicy {
   // Checkpointable: the cooldown table and the prewarm counter; platform_ is re-wired by OnAttach on the resumed platform.
   bool SavePolicyState(std::string* out) const override;
   bool RestorePolicyState(std::string_view blob) override;
+  // The blob's layout (common/byte_serde.h).
   template <class Ar, class Self>
   static void Layout(Ar& a, Self& self);
 
