@@ -135,6 +135,10 @@ void ProfilePrewarmPolicy::Layout(Ar& a, Self& self) {
     a.U64(fid);
   }
   if constexpr (Ar::kReading) {
+    // Every tick looks each watched fid up in the platform's population.
+    for (const trace::FunctionId fid : watched) {
+      COLDSTART_CHECK(self.platform_ != nullptr && fid < self.platform_->num_functions());
+    }
     self.watch_list_.insert(watched.begin(), watched.end());
   }
   FunctionTable<Profile>::Layout(a, self.profiles_, self.platform_, [&a](auto& prof) {

@@ -63,7 +63,9 @@ void ProvisionedConcurrencyPolicy::Layout(Ar& a, Self& self) {
   }
   if constexpr (Ar::kReading) {
     for (const trace::FunctionId fid : fids) {
-      // SavePolicyState writes each fid once and within its region's budget.
+      // SavePolicyState writes each fid of the population once and within its
+      // region's budget.
+      COLDSTART_CHECK_LT(fid, self.platform_->num_functions());
       COLDSTART_CHECK(self.provisioned_.insert(fid).second);
       COLDSTART_CHECK_LE(++self.enrolled_per_region_.at(self.platform_->spec(fid).region),
                          self.options_.max_provisioned_functions);

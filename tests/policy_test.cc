@@ -549,6 +549,27 @@ TEST(PolicyStateSerdeTest, RestoreRejectsUnorderedOrOutOfPopulationFids) {
                "fid < platform->num_functions\\(\\)");
 }
 
+// Every minute tick looks each watched fid up in the population, so a restored
+// watch list must name only functions the attached platform has.
+TEST(PolicyStateSerdeTest, ProfilePrewarmRejectsAWatchedFidOutsideThePopulation) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const auto blob_watching = [](uint64_t fid) {
+    ByteWriter w;
+    w.I64(0);  // Prewarm counter.
+    w.U64(1);  // Watch list.
+    w.U64(fid);
+    w.U64(0);  // No profiles.
+    return w.Take();
+  };
+  const auto restore = [](const std::string& blob) {
+    ProfilePrewarmPolicy policy;
+    HandDrivenPlatform h(&policy);
+    return policy.RestorePolicyState(blob);
+  };
+  EXPECT_TRUE(restore(blob_watching(19)));
+  EXPECT_DEATH(restore(blob_watching(20)), "fid < self.platform_->num_functions\\(\\)");
+}
+
 // A stored jitter-stream count is bounded by the blob's bytes before the
 // policy allocates for it.
 TEST(PolicyStateSerdeTest, PeakShavingRejectsACountTheBlobCannotHold) {
@@ -644,6 +665,7 @@ TEST(ProvisionedConcurrencyTest, RestoreRejectsRepeatedOrOverBudgetFids) {
   EXPECT_TRUE(restore(2, blob_with_fids({2, 5})));
   EXPECT_DEATH(restore(2, blob_with_fids({2, 2})), "CHECK failed");
   EXPECT_DEATH(restore(1, blob_with_fids({2, 5})), "CHECK failed");
+  EXPECT_DEATH(restore(2, blob_with_fids({2, 20})), "CHECK failed");  // Past fid 19.
 }
 
 TEST(ProvisionedConcurrencyTest, SerialAndRegionShardedRunsAgree) {
